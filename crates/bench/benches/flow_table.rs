@@ -2,28 +2,53 @@
 //! table occupancy (an ablation for the simulator substrate's
 //! fidelity/performance trade-off).
 //!
-//! Two sweeps:
+//! Three sweeps:
 //!
-//! * `lookup_miss` — a packet matching nothing. Under the old linear
-//!   scan this cost grew with occupancy; the two-tier classifier
-//!   resolves it with one hash probe plus the (empty) wildcard tier.
+//! * `lookup_miss` — a packet matching nothing in a table of
+//!   exact-match entries: one hash probe of the one subtable.
 //! * `lookup_hit_exact` — a packet hitting an installed exact-match
-//!   entry, the table-occupancy sweep (64 → 10k) that demonstrates the
-//!   exact tier's O(1) behaviour.
+//!   entry, the table-occupancy sweep (64 → 10k).
+//! * `lookup_hit_wild` — a packet hitting a prefix route in a table of
+//!   prefix routes: `one_mask` is a spine's table (every route a `/24`
+//!   at one priority), `three_masks` a leaf's (`/32`, `/24` and `/16`
+//!   routes at descending priorities, the packet hitting a `/16`). The
+//!   cost follows the number of masks, not the number of routes.
 //!
 //! Besides the interactive criterion output, a full run (not under
-//! `cargo test`) writes `BENCH_flow_table.json` at the workspace root
-//! with ns/iter for every point, for offline comparison across
-//! revisions.
+//! `cargo test`) writes `BENCH_flow_table.json` at the workspace root:
+//! every point as measured on the commit before the tuple-space
+//! classifier ([`BEFORE`], a priority-sorted linear wildcard tier) and
+//! on this build.
 
 use attain_bench::{timing, BenchReport};
 use attain_netsim::{FlowTable, SimTime};
-use attain_openflow::{packet, Action, FlowKey, FlowMod, MacAddr, Match, PortNo};
+use attain_openflow::{packet, Action, FlowKey, FlowMod, MacAddr, Match, PortNo, Wildcards};
 use criterion::{criterion_group, BenchmarkId, Criterion};
 use std::hint::black_box;
+use std::net::Ipv4Addr;
 
 const MISS_SIZES: [usize; 4] = [16, 128, 1024, 10_240];
 const HIT_SIZES: [usize; 4] = [64, 1024, 4096, 10_240];
+const WILD_SIZES: [usize; 3] = [16, 128, 1024];
+const WILD_SHAPES: [(&str, usize); 2] = [("one_mask", 1), ("three_masks", 3)];
+
+/// Every row as measured by this file on the parent commit.
+const BEFORE: &[(&str, f64)] = &[
+    ("lookup_miss/16", 98.76),
+    ("lookup_miss/128", 79.64),
+    ("lookup_miss/1024", 78.93),
+    ("lookup_miss/10240", 82.06),
+    ("lookup_hit_exact/64", 89.10),
+    ("lookup_hit_exact/1024", 89.57),
+    ("lookup_hit_exact/4096", 88.54),
+    ("lookup_hit_exact/10240", 89.18),
+    ("lookup_hit_wild/one_mask/16", 28.47),
+    ("lookup_hit_wild/one_mask/128", 121.86),
+    ("lookup_hit_wild/one_mask/1024", 1260.02),
+    ("lookup_hit_wild/three_masks/16", 35.70),
+    ("lookup_hit_wild/three_masks/128", 195.26),
+    ("lookup_hit_wild/three_masks/1024", 2237.36),
+];
 
 fn nth_key(i: usize) -> FlowKey {
     FlowKey {
@@ -53,6 +78,53 @@ fn filled_table(entries: usize) -> FlowTable {
         t.apply(&fm, SimTime::ZERO).expect("table has room");
     }
     t
+}
+
+/// A table of `n` IPv4 destination-prefix routes spread evenly over
+/// `masks` prefix lengths (at descending priorities), and a packet that
+/// hits the middle route of the shortest prefix in use.
+fn wild_table(n: usize, masks: usize) -> (FlowTable, FlowKey) {
+    let route = |i: usize| {
+        let prefix = if masks == 1 {
+            24
+        } else {
+            [32, 24, 16][i % masks]
+        };
+        let j = i / masks;
+        let (a, b) = ((j / 250) as u8, (j % 250) as u8);
+        let ip = match prefix {
+            32 => Ipv4Addr::new(10, a, b, 2),
+            24 => Ipv4Addr::new(10, a, b, 0),
+            _ => Ipv4Addr::new(20 + a, b, 0, 0),
+        };
+        let mut m = Match::all();
+        m.wildcards =
+            Wildcards(Wildcards::ALL.0 & !Wildcards::DL_TYPE).with_nw_dst_ignored_bits(32 - prefix);
+        m.dl_type = 0x0800;
+        m.nw_dst = u32::from(ip);
+        FlowMod {
+            priority: prefix as u16,
+            ..FlowMod::add(
+                m,
+                vec![Action::Output {
+                    port: PortNo(2),
+                    max_len: 0,
+                }],
+            )
+        }
+    };
+    let mut t = FlowTable::new(n.max(1024));
+    for i in 0..n {
+        t.apply(&route(i), SimTime::ZERO).expect("table has room");
+    }
+    let target = route(n / 2 / masks * masks + masks - 1).r#match;
+    let key = FlowKey {
+        dl_type: 0x0800,
+        nw_dst: target.nw_dst | 9,
+        ..nth_key(7)
+    };
+    assert!(target.matches(&key), "the key hits its route");
+    (t, key)
 }
 
 fn miss_key() -> FlowKey {
@@ -90,13 +162,22 @@ fn bench_flow_table(c: &mut Criterion) {
             b.iter(|| t.lookup(black_box(&key), 64, SimTime::ZERO));
         });
     }
+    for (shape, masks) in WILD_SHAPES {
+        let name = format!("lookup_hit_wild/{shape}");
+        for &n in &WILD_SIZES {
+            group.bench_with_input(BenchmarkId::new(&name, n), &n, |b, &n| {
+                let (mut t, key) = wild_table(n, masks);
+                b.iter(|| t.lookup(black_box(&key), 64, SimTime::ZERO));
+            });
+        }
+    }
     group.finish();
 }
 
 /// Re-measures every point with the plain wall-clock timer and writes
 /// the machine-readable report next to the workspace manifest.
 fn emit_report() {
-    let mut report = BenchReport::new("flow_table");
+    let mut report = BenchReport::with_baseline("flow_table", BEFORE);
     let miss = miss_key();
     for &n in &MISS_SIZES {
         let mut t = filled_table(n);
@@ -112,6 +193,15 @@ fn emit_report() {
             black_box(t.lookup(black_box(&key), 64, SimTime::ZERO));
         });
         report.record(format!("lookup_hit_exact/{n}"), ns);
+    }
+    for (shape, masks) in WILD_SHAPES {
+        for &n in &WILD_SIZES {
+            let (mut t, key) = wild_table(n, masks);
+            let ns = timing::measure_ns(|| {
+                black_box(t.lookup(black_box(&key), 64, SimTime::ZERO));
+            });
+            report.record(format!("lookup_hit_wild/{shape}/{n}"), ns);
+        }
     }
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_flow_table.json");
     match report.write(path) {

@@ -7,16 +7,19 @@
 //!   bounded table to capacity (the attack's ramp phase);
 //! * `install_at_capacity` — the steady-state cost of one more install
 //!   into a full table: victim selection plus index churn under the
-//!   evicting policies, the refusal path under `reject`;
+//!   evicting policies, the refusal path under `reject`. This group
+//!   also runs at 4096, where a cost that grows with occupancy shows;
 //! * `inference_estimate` — not a timing at all: the capacity the
 //!   data-plane probe host recovers from RTT inflection against a Ryu
 //!   controller (see `netsim/tests/capacity_inference.rs`). The value
-//!   recorded is the estimate in entries, so the checked-in JSON pins
-//!   the ±5% accuracy claim alongside the timings.
+//!   recorded is the estimate, with unit `entries`, so the checked-in
+//!   JSON pins the ±5% accuracy claim alongside the timings.
 //!
 //! Besides the interactive criterion output, a full run (not under
 //! `cargo test`) writes `BENCH_table_overflow.json` at the workspace
-//! root.
+//! root: every point as measured on the commit before the ordered
+//! victim index ([`BEFORE`], a `min_by_key` scan per eviction) and on
+//! this build.
 
 use attain_bench::{timing, BenchReport};
 use attain_controllers::Ryu;
@@ -26,6 +29,41 @@ use criterion::{criterion_group, BenchmarkId, Criterion};
 use std::hint::black_box;
 
 const CAPACITIES: [usize; 3] = [64, 256, 1024];
+const AT_CAPACITY: [usize; 4] = [64, 256, 1024, 4096];
+
+/// Every row as measured by this file on the parent commit.
+const BEFORE: &[(&str, f64)] = &[
+    ("fill/reject/64", 291.19),
+    ("fill/reject/256", 287.61),
+    ("fill/reject/1024", 280.86),
+    ("fill/evict_lru/64", 292.30),
+    ("fill/evict_lru/256", 286.49),
+    ("fill/evict_lru/1024", 282.18),
+    ("fill/evict_lowest_priority/64", 291.63),
+    ("fill/evict_lowest_priority/256", 285.88),
+    ("fill/evict_lowest_priority/1024", 286.59),
+    ("install_at_capacity/reject/64", 98.09),
+    ("install_at_capacity/reject/256", 96.61),
+    ("install_at_capacity/reject/1024", 92.77),
+    ("install_at_capacity/reject/4096", 94.45),
+    ("install_at_capacity/evict_lru/64", 513.43),
+    ("install_at_capacity/evict_lru/256", 796.29),
+    ("install_at_capacity/evict_lru/1024", 1913.81),
+    ("install_at_capacity/evict_lru/4096", 6479.76),
+    ("install_at_capacity/evict_lowest_priority/64", 527.25),
+    ("install_at_capacity/evict_lowest_priority/256", 809.75),
+    ("install_at_capacity/evict_lowest_priority/1024", 1833.64),
+    ("install_at_capacity/evict_lowest_priority/4096", 6200.99),
+    ("inference_estimate/reject/64", 64.00),
+    ("inference_estimate/reject/256", 256.00),
+    ("inference_estimate/reject/1024", 1024.00),
+    ("inference_estimate/evict_lru/64", 64.00),
+    ("inference_estimate/evict_lru/256", 256.00),
+    ("inference_estimate/evict_lru/1024", 1024.00),
+    ("inference_estimate/evict_lowest_priority/64", 64.00),
+    ("inference_estimate/evict_lowest_priority/256", 256.00),
+    ("inference_estimate/evict_lowest_priority/1024", 1024.00),
+];
 const POLICIES: [EvictionPolicy; 3] = [
     EvictionPolicy::Reject,
     EvictionPolicy::EvictLru,
@@ -118,7 +156,7 @@ fn bench_table_overflow(c: &mut Criterion) {
 /// Re-measures every point with the plain wall-clock timer and writes
 /// the machine-readable report next to the workspace manifest.
 fn emit_report() {
-    let mut report = BenchReport::new("table_overflow");
+    let mut report = BenchReport::with_baseline("table_overflow", BEFORE);
     for policy in POLICIES {
         for cap in CAPACITIES {
             let ns = timing::measure_ns(|| {
@@ -128,7 +166,7 @@ fn emit_report() {
         }
     }
     for policy in POLICIES {
-        for cap in CAPACITIES {
+        for cap in AT_CAPACITY {
             let mut t = filled_table(cap, policy);
             let mut i = cap;
             let ns = timing::measure_ns(|| {
@@ -141,8 +179,9 @@ fn emit_report() {
     for policy in POLICIES {
         for cap in CAPACITIES {
             let estimate = probe_estimate(cap, policy).expect("probe completes") as f64;
-            report.record(
+            report.record_as(
                 format!("inference_estimate/{}/{cap}", policy.name()),
+                "entries",
                 estimate,
             );
         }

@@ -274,24 +274,44 @@ pub mod timing {
 
 /// A machine-readable benchmark report, written as JSON without any
 /// serialization dependency (the container builds offline).
+///
+/// A report [with a baseline](BenchReport::with_baseline) renders each
+/// row as `{name, unit, before, after}` — the same row measured on the
+/// commit before a change, kept as constants in the bench file, beside
+/// this build's value; one without renders `{name, ns_per_iter}`.
 #[derive(Debug, Clone)]
 pub struct BenchReport {
     bench: String,
-    results: Vec<(String, f64)>,
+    baseline: &'static [(&'static str, f64)],
+    results: Vec<(String, &'static str, f64)>,
 }
 
 impl BenchReport {
     /// An empty report for the benchmark suite `bench`.
     pub fn new(bench: impl Into<String>) -> BenchReport {
+        BenchReport::with_baseline(bench, &[])
+    }
+
+    /// An empty report whose rows are paired, by name, with `baseline`.
+    pub fn with_baseline(
+        bench: impl Into<String>,
+        baseline: &'static [(&'static str, f64)],
+    ) -> BenchReport {
         BenchReport {
             bench: bench.into(),
+            baseline,
             results: Vec::new(),
         }
     }
 
-    /// Appends one measured point.
+    /// Appends one measured point, in nanoseconds.
     pub fn record(&mut self, name: impl Into<String>, ns_per_iter: f64) {
-        self.results.push((name.into(), ns_per_iter));
+        self.record_as(name, "ns", ns_per_iter);
+    }
+
+    /// Appends one point measured in `unit`.
+    pub fn record_as(&mut self, name: impl Into<String>, unit: &'static str, value: f64) {
+        self.results.push((name.into(), unit, value));
     }
 
     /// Renders the report as a JSON document.
@@ -309,13 +329,21 @@ impl BenchReport {
         let mut out = String::from("{\n");
         out.push_str(&format!("  \"bench\": \"{}\",\n", esc(&self.bench)));
         out.push_str("  \"results\": [\n");
-        for (i, (name, ns)) in self.results.iter().enumerate() {
+        for (i, (name, unit, value)) in self.results.iter().enumerate() {
             let comma = if i + 1 < self.results.len() { "," } else { "" };
+            let fields = if self.baseline.is_empty() {
+                format!("\"ns_per_iter\": {value:.2}")
+            } else {
+                let before = self
+                    .baseline
+                    .iter()
+                    .find(|(n, _)| n == name)
+                    .map_or("null".to_string(), |(_, b)| format!("{b:.2}"));
+                format!("\"unit\": \"{unit}\", \"before\": {before}, \"after\": {value:.2}")
+            };
             out.push_str(&format!(
-                "    {{\"name\": \"{}\", \"ns_per_iter\": {:.2}}}{}\n",
-                esc(name),
-                ns,
-                comma
+                "    {{\"name\": \"{}\", {fields}}}{comma}\n",
+                esc(name)
             ));
         }
         out.push_str("  ]\n}\n");
@@ -362,6 +390,20 @@ mod tests {
         assert!(json.contains("odd \\\"name\\\""));
         // Last element carries no trailing comma.
         assert!(json.contains("1.00}\n"));
+    }
+
+    #[test]
+    fn bench_report_pairs_rows_with_their_baseline() {
+        let mut r = BenchReport::with_baseline("t", &[("a/1", 10.0)]);
+        r.record("a/1", 4.0);
+        r.record_as("estimate/64", "entries", 64.0);
+        let json = r.to_json();
+        assert!(json.contains(
+            "{\"name\": \"a/1\", \"unit\": \"ns\", \"before\": 10.00, \"after\": 4.00},"
+        ));
+        assert!(json.contains(
+            "{\"name\": \"estimate/64\", \"unit\": \"entries\", \"before\": null, \"after\": 64.00}\n"
+        ));
     }
 
     #[test]

@@ -97,5 +97,5 @@ pub use switch::{
 };
 pub use time::SimTime;
 pub use topo::{FatTreeParams, LeafSpineParams, TopoError, Topology};
-pub use trace::{Trace, TraceDigest, TraceEvent, TraceKind, TraceMode};
+pub use trace::{MatchDescription, Trace, TraceDigest, TraceEvent, TraceKind, TraceMode};
 pub use workload::{FlowKind, TrafficMatrix, TrafficPattern, WorkloadStats};

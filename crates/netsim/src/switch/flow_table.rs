@@ -2,36 +2,65 @@
 //!
 //! # Classifier structure
 //!
-//! Lookup used to be a linear scan over a flat `Vec<FlowEntry>`. The
-//! table is now a two-tier classifier in the style of Open vSwitch:
+//! The table is a tuple-space classifier in the style of Open vSwitch:
+//! no operation scans the table.
 //!
-//! * **Exact tier** — entries whose match constrains every field (no
-//!   wildcards at all) live in a `HashMap<FlowKey, _>` keyed by the one
-//!   flow key they admit. A packet probes this map first: O(1), and by
-//!   OpenFlow 1.0 §3.4 an exact entry outranks every wildcarded entry
-//!   regardless of priority, so a hit ends the search.
-//! * **Wildcard tier** — remaining entries are kept sorted by
-//!   (priority descending, insertion order ascending), each carrying its
-//!   [`MatchBits`] — the match pre-compiled at insert time into packed
-//!   value/mask words — so evaluation is five masked 64-bit compares and
-//!   the first hit is the winner (early exit).
+//! * **Subtables by mask.** Entries are grouped by the mask words of
+//!   their compiled match ([`MatchBits::mask`]: which key bits they
+//!   constrain). A subtable is a hash map from masked value words to
+//!   the entries sharing them, so a lookup masks the packet's key once
+//!   per subtable and probes: one hash probe per distinct mask in use,
+//!   whatever the occupancy. Entries sharing a bucket (one match at
+//!   several priorities, or matches that differ only in reserved
+//!   wildcard bits or in the value of a wildcarded field) are chained
+//!   through their slots in `(priority desc, seq asc)` order, so the
+//!   bucket's head is its best candidate and a one-entry bucket
+//!   allocates nothing. A subtable is dropped when its last entry
+//!   leaves.
+//! * **Precedence.** The winner is the admitting entry with the highest
+//!   [rank](FlowEntry::rank) `(is_exact, priority)`, oldest first on
+//!   ties — OpenFlow 1.0 §3.4: a fully-specified entry outranks every
+//!   wildcarded one. Subtables are kept sorted by an upper bound of
+//!   their members' rank and the search stops at the first subtable
+//!   that cannot beat the best candidate so far (equal ranks are still
+//!   probed, for the tie-break). The all-ones-mask subtable therefore
+//!   sorts first and a hit in it ends the search. Subtable order never
+//!   affects the result, only how early the search stops.
+//! * **Insertion order** is a per-entry sequence number from a monotone
+//!   counter, kept across same-match replacement, with an ordered
+//!   `seq → slot` index. Every observable order — [`FlowTable::entries`],
+//!   stats replies, the targets of non-strict modify/delete, the
+//!   `CHECK_OVERLAP` walk, expiry reports — is a walk of that index;
+//!   no hash-map iteration order reaches an observable.
 //!
-//! Entries live in an arena of slots with stable ids; a per-slot
-//! generation counter lets the timeout index invalidate lazily. That
-//! index is a min-heap of `(deadline, slot, generation)` triples:
-//! [`FlowTable::expire`] pops only entries whose provisional deadline
-//! has passed instead of scanning the whole table each tick. A popped
-//! triple whose generation is stale (entry replaced or removed) is
-//! discarded; one whose idle deadline moved forward because traffic
-//! refreshed `last_matched` is re-armed at the new deadline. The packet
-//! path never touches the heap.
+//! Entries live in an arena of slots with stable ids. Two lazy
+//! min-heaps index them, and the packet path touches neither:
 //!
-//! The observable semantics — priority ties, exact-beats-wildcard,
-//! counters, overlap/subsumption, timeout behaviour, and the order of
-//! removal notifications — are identical to the old scan; a differential
-//! property test in `tests/proptest_netsim.rs` drives both this
-//! classifier and a reference linear scan through random command
-//! sequences and asserts they never diverge.
+//! * **Deadlines** — `(deadline, slot, generation)` triples:
+//!   [`FlowTable::expire`] pops only triples whose provisional deadline
+//!   has passed. One whose generation is stale (entry replaced or
+//!   removed) is discarded; one whose idle deadline moved forward
+//!   because traffic refreshed `last_matched` is re-armed there.
+//! * **Eviction victims** — `(key, seq, slot)` triples, kept only under
+//!   an evicting policy; the key is `last_matched` for
+//!   [`EvictionPolicy::EvictLru`] and the priority for
+//!   [`EvictionPolicy::EvictLowestPriority`]. Every live entry has one
+//!   triple at or below its current key. A popped triple is discarded
+//!   if the slot's `seq` no longer matches, and re-armed at the entry's
+//!   current key if traffic refreshed it. Virtual time is monotone, so
+//!   keys only grow and the first up-to-date top is the minimum of
+//!   `(key, seq)` over the table: the entry a first-minimum scan in
+//!   insertion order would pick, ties to the oldest. Triples orphaned
+//!   by deletes and expiry are swept when they outnumber the live ones.
+//!
+//! Both heaps rely on the caller passing nondecreasing `now` values, as
+//! the simulator does.
+//!
+//! A differential property test in `tests/proptest_netsim.rs` drives
+//! this classifier and a reference linear scan through random command
+//! sequences and asserts they never diverge — winners, counters,
+//! errors, and the order of every removal, expiry and eviction — with
+//! [`FlowTable::check_invariants`] run after every step.
 
 use crate::time::SimTime;
 use attain_openflow::{
@@ -39,7 +68,8 @@ use attain_openflow::{
     MatchBits, PortNo,
 };
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::hash_map::Entry;
+use std::collections::{BTreeMap, BinaryHeap, HashMap};
 use std::sync::Arc;
 
 /// One installed flow entry.
@@ -194,6 +224,16 @@ pub struct ApplyOutcome {
     pub evicted: Vec<FlowEntry>,
 }
 
+/// An arena slot id. Kept to 32 bits: every index stores one per entry.
+type SlotId = u32;
+
+/// End of a bucket chain.
+const NIL: SlotId = SlotId::MAX;
+
+/// The five packed words of a key, mask or masked value (see
+/// [`FlowKeyBits`]).
+type Words = [u64; 5];
+
 /// An arena slot: a generation counter plus the occupant, if any.
 #[derive(Debug)]
 struct Slot {
@@ -204,28 +244,57 @@ struct Slot {
 #[derive(Debug)]
 struct Occupied {
     entry: FlowEntry,
-    /// The match compiled to value/mask words (wildcard-tier lookups).
-    bits: MatchBits,
+    /// Insertion sequence number: the entry's place in every observable
+    /// order and the final tie-break of lookups and evictions.
+    seq: u64,
+    /// The next entry of this one's bucket chain, or [`NIL`].
+    next: SlotId,
 }
+
+/// The occupant of slot `id` (free functions, so callers can hold other
+/// fields of the table borrowed).
+fn occupant(slots: &[Slot], id: SlotId) -> &Occupied {
+    slots[id as usize].occ.as_ref().expect("stale slot id")
+}
+
+fn occupant_mut(slots: &mut [Slot], id: SlotId) -> &mut Occupied {
+    slots[id as usize].occ.as_mut().expect("stale slot id")
+}
+
+/// The entries whose compiled matches share one mask.
+#[derive(Debug)]
+struct Subtable {
+    mask: Words,
+    /// At least the rank of every member. It rises with inserts and is
+    /// not lowered by removals, so the early stop in `classify` stays
+    /// correct without recounting.
+    max_rank: (bool, u16),
+    /// Masked value words → head of the chain of entries carrying them,
+    /// sorted by `(priority desc, seq asc)`.
+    buckets: HashMap<Words, SlotId>,
+}
+
+/// Orphaned victim triples tolerated beyond the live ones before the
+/// heap is rebuilt, so small tables do not rebuild on every delete.
+const VICTIM_SLACK: usize = 8;
 
 /// The flow table of one simulated switch (see the module docs for the
 /// classifier structure).
 #[derive(Debug)]
 pub struct FlowTable {
     slots: Vec<Slot>,
-    free: Vec<usize>,
-    /// Alive slot ids in insertion order — the observable entry order
-    /// (stats replies, removal notifications).
-    order: Vec<usize>,
-    /// Exact tier: fully-specified entries by the flow key they admit.
-    /// A bucket is a Vec because distinct exact entries can admit the
-    /// same key (different priorities, or `Match`es differing only in
-    /// reserved wildcard bits).
-    exact: HashMap<FlowKey, Vec<usize>>,
-    /// Wildcard tier, sorted by (priority desc, insertion order asc).
-    wild: Vec<usize>,
+    free: Vec<SlotId>,
+    /// The sequence number the next inserted entry takes.
+    next_seq: u64,
+    /// Live slot ids by insertion sequence — the observable entry order.
+    by_seq: BTreeMap<u64, SlotId>,
+    /// Sorted by `max_rank`, highest first.
+    subtables: Vec<Subtable>,
     /// Min-heap of provisional `(deadline, slot, generation)` triples.
-    deadlines: BinaryHeap<Reverse<(SimTime, usize, u32)>>,
+    deadlines: BinaryHeap<Reverse<(SimTime, SlotId, u32)>>,
+    /// Min-heap of provisional `(victim key, seq, slot)` triples; empty
+    /// under [`EvictionPolicy::Reject`].
+    victims: BinaryHeap<Reverse<(u64, u64, SlotId)>>,
     capacity: usize,
     policy: EvictionPolicy,
     /// Packets looked up (table stats).
@@ -251,18 +320,16 @@ impl FlowTable {
 
     /// Creates an empty table with an explicit overflow policy.
     pub fn with_policy(capacity: usize, policy: EvictionPolicy) -> FlowTable {
-        // Pre-size the exact tier for the configured bound (capped so a
-        // nominally huge table doesn't reserve memory it will never use):
-        // exact-match floods fill it to capacity, and growth rehashes
-        // during a million-flow warm-up are pure waste.
-        let presize = capacity.min(4096);
         FlowTable {
-            slots: Vec::with_capacity(presize),
+            // Reserved (not touched) for the configured bound, capped so
+            // a nominally huge table doesn't reserve what it never uses.
+            slots: Vec::with_capacity(capacity.min(4096)),
             free: Vec::new(),
-            order: Vec::with_capacity(presize),
-            exact: HashMap::with_capacity(presize),
-            wild: Vec::new(),
+            next_seq: 0,
+            by_seq: BTreeMap::new(),
+            subtables: Vec::new(),
             deadlines: BinaryHeap::new(),
+            victims: BinaryHeap::new(),
             capacity,
             policy,
             lookup_count: 0,
@@ -283,25 +350,34 @@ impl FlowTable {
 
     /// Active entries, in insertion order.
     pub fn entries(&self) -> impl Iterator<Item = &FlowEntry> + '_ {
-        self.order.iter().map(|&id| self.entry(id))
+        self.by_seq.values().map(|&id| self.entry(id))
     }
 
     /// Number of active entries.
     pub fn len(&self) -> usize {
-        self.order.len()
+        self.by_seq.len()
     }
 
     /// Whether the table is empty.
     pub fn is_empty(&self) -> bool {
-        self.order.is_empty()
+        self.by_seq.is_empty()
     }
 
-    fn entry(&self, id: usize) -> &FlowEntry {
-        &self.slots[id].occ.as_ref().expect("stale slot id").entry
+    fn occupied(&self, id: SlotId) -> &Occupied {
+        occupant(&self.slots, id)
     }
 
-    fn occupied_mut(&mut self, id: usize) -> &mut Occupied {
-        self.slots[id].occ.as_mut().expect("stale slot id")
+    fn occupied_mut(&mut self, id: SlotId) -> &mut Occupied {
+        occupant_mut(&mut self.slots, id)
+    }
+
+    /// Where the subtable for `mask` is, if any entry has that mask.
+    fn subtable_at(&self, mask: &Words) -> Option<usize> {
+        self.subtables.iter().position(|st| st.mask == *mask)
+    }
+
+    fn entry(&self, id: SlotId) -> &FlowEntry {
+        &self.occupied(id).entry
     }
 
     /// Looks up the best entry for `key`, updating counters.
@@ -326,35 +402,26 @@ impl FlowTable {
     }
 
     /// The winning slot id for `key`, by OpenFlow 1.0 precedence.
-    fn classify(&self, key: &FlowKey) -> Option<usize> {
-        // Exact tier: every entry in the bucket admits exactly `key`, so
-        // only priority (then insertion order) discriminates.
-        if let Some(bucket) = self.exact.get(key) {
-            let mut best: Option<(usize, u16)> = None;
-            for &id in bucket {
-                let p = self.entry(id).priority;
-                if best.is_none_or(|(_, bp)| p > bp) {
-                    best = Some((id, p));
-                }
-            }
-            if let Some((id, _)) = best {
-                return Some(id);
-            }
-        }
-        // Wildcard tier: sorted by (priority desc, insertion asc), so the
-        // first compiled match that admits the key is the winner.
-        if self.wild.is_empty() {
+    fn classify(&self, key: &FlowKey) -> Option<SlotId> {
+        if self.subtables.is_empty() {
             return None;
         }
         let kb = FlowKeyBits::from_key(key);
-        self.wild.iter().copied().find(|&id| {
-            self.slots[id]
-                .occ
-                .as_ref()
-                .expect("stale slot id")
-                .bits
-                .matches(&kb)
-        })
+        let mut best: Option<((bool, u16), Reverse<u64>, SlotId)> = None;
+        for st in &self.subtables {
+            if best.is_some_and(|(rank, ..)| st.max_rank < rank) {
+                break;
+            }
+            if let Some(&head) = st.buckets.get(&kb.masked(&st.mask)) {
+                // The chain is sorted, so its head is its best entry.
+                let occ = self.occupied(head);
+                let candidate = (occ.entry.rank, Reverse(occ.seq), head);
+                if best.is_none_or(|b| candidate > b) {
+                    best = Some(candidate);
+                }
+            }
+        }
+        best.map(|(.., id)| id)
     }
 
     /// Applies a `FLOW_MOD`.
@@ -364,216 +431,261 @@ impl FlowTable {
     /// Returns [`FlowModError`] on overlap rejection or a full table.
     pub fn apply(&mut self, fm: &FlowMod, now: SimTime) -> Result<ApplyOutcome, FlowModError> {
         match fm.command {
-            FlowModCommand::Add => self.add(fm, now).map(|evicted| ApplyOutcome {
-                added: true,
-                removed: Vec::new(),
-                evicted,
-            }),
+            FlowModCommand::Add => self.add(fm, now),
             FlowModCommand::Modify | FlowModCommand::ModifyStrict => {
-                let strict = fm.command == FlowModCommand::ModifyStrict;
+                let targets = self.targets(fm);
+                if targets.is_empty() {
+                    // Per spec: a modify with no target behaves like an add.
+                    return self.add(fm, now);
+                }
                 // Clone the action list once; matched entries share it.
                 let actions: Arc<[Action]> = fm.actions.as_slice().into();
-                let mut touched = false;
-                for &id in &self.order {
-                    let e = &mut self.slots[id].occ.as_mut().expect("stale slot id").entry;
-                    let hit = if strict {
-                        e.r#match == fm.r#match && e.priority == fm.priority
-                    } else {
-                        fm.r#match.subsumes(&e.r#match)
-                    };
-                    if hit {
-                        e.actions = Arc::clone(&actions);
-                        e.cookie = fm.cookie;
-                        touched = true;
-                    }
+                for id in targets {
+                    let e = &mut self.occupied_mut(id).entry;
+                    e.actions = Arc::clone(&actions);
+                    e.cookie = fm.cookie;
                 }
-                if touched {
-                    Ok(ApplyOutcome::default())
-                } else {
-                    // Per spec: a modify with no target behaves like an add.
-                    self.add(fm, now).map(|evicted| ApplyOutcome {
-                        added: true,
-                        removed: Vec::new(),
-                        evicted,
-                    })
-                }
+                Ok(ApplyOutcome::default())
             }
             FlowModCommand::Delete | FlowModCommand::DeleteStrict => {
-                let strict = fm.command == FlowModCommand::DeleteStrict;
-                let mut hits = Vec::new();
-                for &id in &self.order {
-                    let e = self.entry(id);
-                    let hit = if strict {
-                        e.r#match == fm.r#match && e.priority == fm.priority
-                    } else {
-                        fm.r#match.subsumes(&e.r#match)
-                    };
-                    if hit && (fm.out_port == PortNo::NONE || e.outputs_to(fm.out_port)) {
-                        hits.push(id);
-                    }
+                let mut targets = self.targets(fm);
+                if fm.out_port != PortNo::NONE {
+                    targets.retain(|&id| self.entry(id).outputs_to(fm.out_port));
                 }
-                let mut removed = Vec::new();
-                for id in hits {
-                    let entry = self.remove(id);
-                    if entry.send_flow_rem {
-                        removed.push(entry);
-                    }
-                }
+                let removed = targets
+                    .into_iter()
+                    .map(|id| self.remove(id))
+                    .filter(|e| e.send_flow_rem)
+                    .collect();
                 Ok(ApplyOutcome {
-                    added: false,
                     removed,
-                    evicted: Vec::new(),
+                    ..ApplyOutcome::default()
                 })
             }
         }
     }
 
-    /// Adds the entry, returning any entries evicted to make room.
-    fn add(&mut self, fm: &FlowMod, now: SimTime) -> Result<Vec<FlowEntry>, FlowModError> {
-        if fm.flags.has(FlowModFlags::CHECK_OVERLAP) {
-            let overlapping = self
-                .order
-                .iter()
-                .map(|&id| self.entry(id))
-                .any(|e| e.priority == fm.priority && e.r#match.overlaps(&fm.r#match));
-            if overlapping {
-                return Err(FlowModError::Overlap);
-            }
+    /// The entries a modify or delete addresses, in insertion order: the
+    /// one with exactly `fm`'s match and priority for the strict
+    /// commands, every entry `fm`'s match subsumes otherwise.
+    fn targets(&self, fm: &FlowMod) -> Vec<SlotId> {
+        match fm.command {
+            FlowModCommand::ModifyStrict | FlowModCommand::DeleteStrict => self
+                .find_identical(&fm.r#match, &fm.r#match.compile(), fm.priority)
+                .into_iter()
+                .collect(),
+            _ => self
+                .by_seq
+                .values()
+                .copied()
+                .filter(|&id| fm.r#match.subsumes(&self.entry(id).r#match))
+                .collect(),
         }
+    }
+
+    /// Adds the entry, evicting one to make room if the policy allows.
+    fn add(&mut self, fm: &FlowMod, now: SimTime) -> Result<ApplyOutcome, FlowModError> {
+        if fm.flags.has(FlowModFlags::CHECK_OVERLAP)
+            && self
+                .entries()
+                .any(|e| e.priority == fm.priority && e.r#match.overlaps(&fm.r#match))
+        {
+            return Err(FlowModError::Overlap);
+        }
+        let bits = fm.r#match.compile();
+        let mut outcome = ApplyOutcome {
+            added: true,
+            ..ApplyOutcome::default()
+        };
         // Identical match+priority: replace, clearing counters (spec §4.6).
-        // The entry keeps its slot, insertion sequence, and tier position
+        // The entry keeps its slot, sequence number and bucket position
         // (the match and priority — everything the indexes key on — are
-        // unchanged); the generation bump invalidates its old deadlines.
-        if let Some(id) = self.find_identical(&fm.r#match, fm.priority) {
+        // unchanged); the generation bump invalidates its old deadlines,
+        // and its victim triple stays at or below its new key.
+        if let Some(id) = self.find_identical(&fm.r#match, &bits, fm.priority) {
             let entry = FlowEntry::from_mod(fm, now);
             let deadline = entry.next_deadline();
-            self.slots[id].gen = self.slots[id].gen.wrapping_add(1);
-            let gen = self.slots[id].gen;
+            let slot = &mut self.slots[id as usize];
+            slot.gen = slot.gen.wrapping_add(1);
+            let gen = slot.gen;
             self.occupied_mut(id).entry = entry;
             if let Some(d) = deadline {
                 self.deadlines.push(Reverse((d, id, gen)));
             }
-            return Ok(Vec::new());
+            return Ok(outcome);
         }
-        let mut evicted = Vec::new();
-        if self.order.len() >= self.capacity {
-            match self.victim(fm.priority) {
-                Some(id) => {
-                    evicted.push(self.remove(id));
-                    self.eviction_count += 1;
-                }
-                None => return Err(FlowModError::TableFull),
-            }
+        if self.len() >= self.capacity {
+            let id = self.victim(fm.priority).ok_or(FlowModError::TableFull)?;
+            outcome.evicted.push(self.remove(id));
+            self.eviction_count += 1;
         }
-        self.insert(FlowEntry::from_mod(fm, now));
-        Ok(evicted)
+        self.insert(FlowEntry::from_mod(fm, now), &bits);
+        Ok(outcome)
     }
 
-    /// The slot to evict so a new entry at `incoming_priority` fits, or
-    /// `None` if the policy refuses instead.
-    fn victim(&self, incoming_priority: u16) -> Option<usize> {
+    /// What the eviction policy orders `entry` by (lowest goes first),
+    /// or `None` if the policy never evicts.
+    fn victim_key(&self, entry: &FlowEntry) -> Option<u64> {
         match self.policy {
             EvictionPolicy::Reject => None,
-            // `self.order` is insertion-ordered and `min_by_key` keeps
-            // the first minimum, so ties go to the oldest entry.
-            EvictionPolicy::EvictLru => self
-                .order
-                .iter()
-                .copied()
-                .min_by_key(|&id| self.entry(id).last_matched),
-            EvictionPolicy::EvictLowestPriority => {
-                let id = self
-                    .order
-                    .iter()
-                    .copied()
-                    .min_by_key(|&id| self.entry(id).priority)?;
-                (self.entry(id).priority <= incoming_priority).then_some(id)
+            EvictionPolicy::EvictLru => Some(entry.last_matched.0),
+            EvictionPolicy::EvictLowestPriority => Some(u64::from(entry.priority)),
+        }
+    }
+
+    /// Takes the slot to evict for a new entry at `incoming_priority`
+    /// off the victim heap, or returns `None` if the policy refuses the
+    /// entry instead.
+    fn victim(&mut self, incoming_priority: u16) -> Option<SlotId> {
+        loop {
+            let &Reverse((key, seq, id)) = self.victims.peek()?;
+            let live = self.slots[id as usize]
+                .occ
+                .as_ref()
+                .filter(|occ| occ.seq == seq);
+            let Some(occ) = live else {
+                self.victims.pop(); // entry removed since arming
+                continue;
+            };
+            let current = self.victim_key(&occ.entry)?;
+            if current != key {
+                // Traffic refreshed the entry: re-arm at its current key.
+                self.victims.pop();
+                self.victims.push(Reverse((current, seq, id)));
+                continue;
+            }
+            if self.policy == EvictionPolicy::EvictLowestPriority
+                && occ.entry.priority > incoming_priority
+            {
+                return None;
+            }
+            self.victims.pop();
+            return Some(id);
+        }
+    }
+
+    /// The slot holding an entry with exactly this match (`bits` is its
+    /// compiled form) and priority.
+    fn find_identical(&self, m: &Match, bits: &MatchBits, priority: u16) -> Option<SlotId> {
+        let st = &self.subtables[self.subtable_at(bits.mask())?];
+        let mut id = *st.buckets.get(bits.value())?;
+        while id != NIL {
+            let occ = self.occupied(id);
+            if occ.entry.priority == priority && occ.entry.r#match == *m {
+                return Some(id);
+            }
+            id = occ.next;
+        }
+        None
+    }
+
+    /// Installs `entry` (whose compiled match is `bits`) into a free
+    /// slot and every index.
+    fn insert(&mut self, entry: FlowEntry, bits: &MatchBits) {
+        let id = self.free.pop().unwrap_or_else(|| {
+            let id = SlotId::try_from(self.slots.len()).expect("slot ids fit 32 bits");
+            assert_ne!(id, NIL, "slot ids fit 32 bits");
+            self.slots.push(Slot { gen: 0, occ: None });
+            id
+        });
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        self.by_seq.insert(seq, id);
+        if let Some(d) = entry.next_deadline() {
+            self.deadlines
+                .push(Reverse((d, id, self.slots[id as usize].gen)));
+        }
+        let victim_key = self.victim_key(&entry);
+
+        let mut at = self.subtable_at(bits.mask()).unwrap_or_else(|| {
+            self.subtables.push(Subtable {
+                mask: *bits.mask(),
+                max_rank: entry.rank,
+                buckets: HashMap::new(),
+            });
+            self.subtables.len() - 1
+        });
+        let st = &mut self.subtables[at];
+        st.max_rank = st.max_rank.max(entry.rank);
+        // Link into the bucket's chain after every entry of equal or higher
+        // priority: the newest entry has the highest sequence number.
+        let mut next = NIL;
+        match st.buckets.entry(*bits.value()) {
+            Entry::Vacant(bucket) => {
+                bucket.insert(id);
+            }
+            Entry::Occupied(mut head) => {
+                let mut prev = NIL;
+                next = *head.get();
+                while next != NIL {
+                    let occ = occupant(&self.slots, next);
+                    if occ.entry.priority < entry.priority {
+                        break;
+                    }
+                    (prev, next) = (next, occ.next);
+                }
+                if prev == NIL {
+                    *head.get_mut() = id;
+                } else {
+                    occupant_mut(&mut self.slots, prev).next = id;
+                }
+            }
+        }
+        self.slots[id as usize].occ = Some(Occupied { entry, seq, next });
+        // A raised bound may have to move the subtable toward the front.
+        while at > 0 && self.subtables[at - 1].max_rank < self.subtables[at].max_rank {
+            self.subtables.swap(at - 1, at);
+            at -= 1;
+        }
+
+        if let Some(key) = victim_key {
+            self.victims.push(Reverse((key, seq, id)));
+            if self.victims.len() > 2 * (self.by_seq.len() + VICTIM_SLACK) {
+                self.sweep_victims();
             }
         }
     }
 
-    /// The slot holding an entry with exactly this match and priority.
-    fn find_identical(&self, m: &Match, priority: u16) -> Option<usize> {
-        if m.is_exact() {
-            // Any identical match is exact too, so only its bucket can
-            // hold it.
-            let bucket = self.exact.get(&m.flow_key())?;
-            bucket.iter().copied().find(|&id| {
-                let e = self.entry(id);
-                e.priority == priority && e.r#match == *m
-            })
-        } else {
-            // The wild tier is priority-sorted: binary-search the band of
-            // equal-priority entries, then compare matches within it.
-            let lo = self
-                .wild
-                .partition_point(|&id| self.entry(id).priority > priority);
-            let hi = self
-                .wild
-                .partition_point(|&id| self.entry(id).priority >= priority);
-            self.wild[lo..hi]
-                .iter()
-                .copied()
-                .find(|&id| self.entry(id).r#match == *m)
-        }
-    }
-
-    /// Installs `entry` into a free slot and every index.
-    fn insert(&mut self, entry: FlowEntry) {
-        let id = match self.free.pop() {
-            Some(id) => id,
-            None => {
-                self.slots.push(Slot { gen: 0, occ: None });
-                self.slots.len() - 1
-            }
-        };
-        let bits = entry.r#match.compile();
-        let deadline = entry.next_deadline();
-        let exact = entry.is_exact();
-        let key = entry.r#match.flow_key();
-        let priority = entry.priority;
-        self.slots[id].occ = Some(Occupied { entry, bits });
-        self.order.push(id);
-        if exact {
-            self.exact.entry(key).or_default().push(id);
-        } else {
-            // Keep (priority desc, insertion asc) order: the newest entry
-            // goes after every equal-priority peer.
-            let pos = self
-                .wild
-                .partition_point(|&x| self.entry(x).priority >= priority);
-            self.wild.insert(pos, id);
-        }
-        if let Some(d) = deadline {
-            self.deadlines.push(Reverse((d, id, self.slots[id].gen)));
-        }
-    }
-
-    /// Unlinks slot `id` from every index and returns its entry.
-    fn remove(&mut self, id: usize) -> FlowEntry {
-        let occ = self.slots[id].occ.take().expect("stale slot id");
-        self.slots[id].gen = self.slots[id].gen.wrapping_add(1);
-        self.free.push(id);
-        let pos = self
-            .order
+    /// Rebuilds the victim heap from the live entries, dropping the
+    /// triples of entries that left by delete or expiry.
+    fn sweep_victims(&mut self) {
+        let live: Vec<_> = self
+            .by_seq
             .iter()
-            .position(|&x| x == id)
-            .expect("untracked id");
-        self.order.remove(pos);
-        if occ.entry.is_exact() {
-            let key = occ.entry.r#match.flow_key();
-            let bucket = self.exact.get_mut(&key).expect("missing exact bucket");
-            bucket.retain(|&x| x != id);
-            if bucket.is_empty() {
-                self.exact.remove(&key);
+            .filter_map(|(&seq, &id)| Some(Reverse((self.victim_key(self.entry(id))?, seq, id))))
+            .collect();
+        self.victims = live.into();
+    }
+
+    /// Unlinks slot `id` from every index and returns its entry (its
+    /// heap triples are left to be discarded when they surface).
+    fn remove(&mut self, id: SlotId) -> FlowEntry {
+        let slot = &mut self.slots[id as usize];
+        let occ = slot.occ.take().expect("stale slot id");
+        slot.gen = slot.gen.wrapping_add(1);
+        self.free.push(id);
+        self.by_seq.remove(&occ.seq).expect("untracked id");
+        let bits = occ.entry.r#match.compile();
+        let at = self.subtable_at(bits.mask()).expect("missing subtable");
+        let buckets = &mut self.subtables[at].buckets;
+        let head = buckets.get_mut(bits.value()).expect("missing bucket");
+        if *head != id {
+            let mut prev = *head;
+            loop {
+                let prev_occ = occupant_mut(&mut self.slots, prev);
+                if prev_occ.next == id {
+                    prev_occ.next = occ.next;
+                    break;
+                }
+                prev = prev_occ.next;
             }
+        } else if occ.next != NIL {
+            *head = occ.next;
         } else {
-            let pos = self
-                .wild
-                .iter()
-                .position(|&x| x == id)
-                .expect("untracked id");
-            self.wild.remove(pos);
+            buckets.remove(bits.value());
+            if buckets.is_empty() {
+                self.subtables.remove(at);
+            }
         }
         occ.entry
     }
@@ -585,41 +697,34 @@ impl FlowTable {
     /// Pops only heap entries whose provisional deadline has passed:
     /// when nothing is due this is O(1), not a table scan.
     pub fn expire(&mut self, now: SimTime) -> Vec<(FlowEntry, FlowRemovedReason)> {
-        let mut due: Vec<(usize, FlowRemovedReason)> = Vec::new();
+        let mut due: Vec<(u64, SlotId, FlowRemovedReason)> = Vec::new();
         while let Some(&Reverse((t, id, gen))) = self.deadlines.peek() {
             if t > now {
                 break;
             }
             self.deadlines.pop();
-            if self.slots[id].gen != gen {
+            let slot = &self.slots[id as usize];
+            if slot.gen != gen {
                 continue; // entry replaced or removed since arming
             }
-            let Some(occ) = self.slots[id].occ.as_ref() else {
+            let Some(occ) = slot.occ.as_ref() else {
                 continue;
             };
             let e = &occ.entry;
-            // Hard before idle, matching the old scan's reason choice.
+            // Hard before idle: an entry due on both reports the hard one.
             if e.hard_deadline().is_some_and(|d| d <= now) {
-                due.push((id, FlowRemovedReason::HardTimeout));
+                due.push((occ.seq, id, FlowRemovedReason::HardTimeout));
             } else if e.idle_deadline().is_some_and(|d| d <= now) {
-                due.push((id, FlowRemovedReason::IdleTimeout));
+                due.push((occ.seq, id, FlowRemovedReason::IdleTimeout));
             } else if let Some(d) = e.next_deadline() {
                 // Traffic pushed the idle deadline forward: re-arm.
                 self.deadlines.push(Reverse((d, id, gen)));
             }
         }
-        if due.is_empty() {
-            return Vec::new();
-        }
-        // Report in insertion order, as the old retain scan did.
-        due.sort_by_key(|&(id, _)| {
-            self.order
-                .iter()
-                .position(|&x| x == id)
-                .expect("untracked id")
-        });
+        // Report in insertion order.
+        due.sort_unstable_by_key(|&(seq, ..)| seq);
         due.into_iter()
-            .map(|(id, r)| (self.remove(id), r))
+            .map(|(_, id, reason)| (self.remove(id), reason))
             .collect()
     }
 
@@ -627,17 +732,91 @@ impl FlowTable {
     pub fn clear(&mut self) {
         self.slots.clear();
         self.free.clear();
-        self.order.clear();
-        self.exact.clear();
-        self.wild.clear();
+        self.by_seq.clear();
+        self.subtables.clear();
         self.deadlines.clear();
+        self.victims.clear();
+    }
+
+    /// Checks that the indexes agree with each other (for tests).
+    ///
+    /// # Panics
+    ///
+    /// Panics, naming the condition, if one does not hold.
+    #[doc(hidden)]
+    pub fn check_invariants(&self) {
+        let live = self.slots.iter().filter(|s| s.occ.is_some()).count();
+        assert_eq!(live, self.by_seq.len(), "live slots vs seq index");
+        assert_eq!(live + self.free.len(), self.slots.len(), "free list");
+        assert!(live <= self.capacity, "over capacity");
+        for (&seq, &id) in &self.by_seq {
+            assert_eq!(self.occupied(id).seq, seq, "seq index points elsewhere");
+            assert!(seq < self.next_seq, "seq from the future");
+        }
+
+        let mut chained = vec![false; self.slots.len()];
+        for (i, st) in self.subtables.iter().enumerate() {
+            assert!(!st.buckets.is_empty(), "empty subtable kept");
+            assert!(
+                self.subtables[..i].iter().all(|s| s.mask != st.mask),
+                "two subtables for one mask"
+            );
+            assert!(
+                i == 0 || self.subtables[i - 1].max_rank >= st.max_rank,
+                "subtables out of rank order"
+            );
+            for (value, &head) in &st.buckets {
+                let mut order = None;
+                let mut id = head;
+                while id != NIL {
+                    let occ = self.occupied(id);
+                    assert!(!std::mem::replace(&mut chained[id as usize], true));
+                    let bits = occ.entry.r#match.compile();
+                    assert_eq!((bits.mask(), bits.value()), (&st.mask, value), "bucket");
+                    assert!(occ.entry.rank <= st.max_rank, "rank above the bound");
+                    let place = (Reverse(occ.entry.priority), occ.seq);
+                    assert!(order < Some(place), "chain out of order");
+                    order = Some(place);
+                    id = occ.next;
+                }
+            }
+        }
+        let chained = chained.into_iter().filter(|&c| c).count();
+        assert_eq!(chained, live, "live slots vs bucket chains");
+
+        for &id in self.by_seq.values() {
+            let (slot, occ) = (&self.slots[id as usize], self.occupied(id));
+            if let Some(deadline) = occ.entry.next_deadline() {
+                assert!(
+                    self.deadlines
+                        .iter()
+                        .any(|&Reverse((t, i, g))| (i, g) == (id, slot.gen) && t <= deadline),
+                    "live entry without a deadline triple at or before its deadline"
+                );
+            }
+            if let Some(key) = self.victim_key(&occ.entry) {
+                assert!(
+                    self.victims
+                        .iter()
+                        .any(|&Reverse((k, s, i))| (s, i) == (occ.seq, id) && k <= key),
+                    "live entry without a victim triple at or below its key"
+                );
+            }
+        }
+        // Swept on insert down to twice the live entries, which never
+        // outnumber the capacity; nothing else grows the heap.
+        let victim_bound = match self.policy {
+            EvictionPolicy::Reject => 0,
+            _ => 2 * (self.capacity + VICTIM_SLACK),
+        };
+        assert!(self.victims.len() <= victim_bound, "victim heap unswept");
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use attain_openflow::{FlowModFlags, Match};
+    use attain_openflow::{FlowModFlags, Match, Wildcards};
 
     fn fm(m: Match, priority: u16, port: u16) -> FlowMod {
         FlowMod {
@@ -718,7 +897,7 @@ mod tests {
         let mut higher = exact;
         // Reserved wildcard bits make the Match distinct without making
         // it any less exact.
-        higher.wildcards = attain_openflow::Wildcards(1 << 22);
+        higher.wildcards = Wildcards(1 << 22);
         t.apply(&fm(higher, 9, 6), SimTime::ZERO).unwrap();
         assert_eq!(t.len(), 2);
         let actions = t.lookup(&key, 10, SimTime::ZERO).unwrap();
@@ -731,7 +910,7 @@ mod tests {
         t.apply(&fm(Match::exact_in_port(PortNo(1)), 5, 2), SimTime::ZERO)
             .unwrap();
         let mut peer = Match::all();
-        peer.wildcards = attain_openflow::Wildcards(attain_openflow::Wildcards::ALL.0 | 1 << 23);
+        peer.wildcards = Wildcards(Wildcards::ALL.0 | 1 << 23);
         t.apply(&fm(peer, 5, 3), SimTime::ZERO).unwrap();
         let actions = t.lookup(&key_port(1), 10, SimTime::ZERO).unwrap();
         assert_eq!(&actions[..], &out(2));
@@ -1075,8 +1254,8 @@ mod tests {
     }
 
     #[test]
-    fn clear_resets_all_tiers() {
-        let mut t = FlowTable::default();
+    fn clear_resets_every_index() {
+        let mut t = FlowTable::with_policy(4, EvictionPolicy::EvictLru);
         let key = key_port(1);
         let mut e = fm(Match::from_flow_key(&key), 5, 2);
         e.hard_timeout = 1;
@@ -1084,8 +1263,139 @@ mod tests {
         t.apply(&fm(Match::exact_in_port(PortNo(2)), 5, 3), SimTime::ZERO)
             .unwrap();
         t.clear();
+        t.check_invariants();
         assert!(t.is_empty());
         assert!(t.lookup(&key, 10, SimTime::ZERO).is_none());
         assert!(t.expire(SimTime::from_secs(100)).is_empty());
+    }
+
+    /// `m` with a reserved wildcard bit set: a distinct `Match` that
+    /// compiles to the same mask and value words.
+    fn twin(mut m: Match) -> Match {
+        m.wildcards = Wildcards(m.wildcards.0 | 1 << 23);
+        m
+    }
+
+    fn delete_strict(t: &mut FlowTable, m: Match, priority: u16) {
+        let mut del = fm(m, priority, 0);
+        del.command = FlowModCommand::DeleteStrict;
+        t.apply(&del, SimTime::ZERO).unwrap();
+        t.check_invariants();
+    }
+
+    #[test]
+    fn bucket_chain_orders_by_priority_then_age() {
+        // Four entries in one bucket: one match at priorities 3, 9 and 5,
+        // and its twin at 9. The lookup must follow (priority desc, age)
+        // whatever the insertion order, also as entries leave.
+        let mut t = FlowTable::default();
+        let m = Match::exact_in_port(PortNo(1));
+        for (m, priority, port) in [(m, 3, 13), (m, 9, 19), (twin(m), 9, 29), (m, 5, 15)] {
+            t.apply(&fm(m, priority, port), SimTime::ZERO).unwrap();
+            t.check_invariants();
+        }
+        assert_eq!(t.subtables.len(), 1);
+        assert_eq!(t.subtables[0].buckets.len(), 1);
+        let winner = |t: &mut FlowTable| t.lookup(&key_port(1), 10, SimTime::ZERO).unwrap();
+        assert_eq!(&winner(&mut t)[..], &out(19));
+        delete_strict(&mut t, m, 9);
+        assert_eq!(&winner(&mut t)[..], &out(29));
+        delete_strict(&mut t, twin(m), 9);
+        assert_eq!(&winner(&mut t)[..], &out(15));
+        delete_strict(&mut t, m, 3); // the chain's tail
+        assert_eq!(&winner(&mut t)[..], &out(15));
+        delete_strict(&mut t, m, 5);
+        assert!(t.subtables.is_empty());
+    }
+
+    #[test]
+    fn older_entry_in_a_later_subtable_still_wins_the_tie() {
+        let mut t = FlowTable::default();
+        t.apply(&fm(Match::exact_in_port(PortNo(1)), 5, 2), SimTime::ZERO)
+            .unwrap();
+        let dl_type = |dl_type: u16| Match {
+            wildcards: Wildcards(Wildcards::ALL.0 & !Wildcards::DL_TYPE),
+            dl_type,
+            ..Match::all()
+        };
+        t.apply(&fm(dl_type(0), 5, 3), SimTime::ZERO).unwrap();
+        // A higher-priority entry (admitting other packets) moves the
+        // younger entry's subtable ahead of the older entry's.
+        t.apply(&fm(dl_type(0x0806), 7, 4), SimTime::ZERO).unwrap();
+        t.check_invariants();
+        assert_eq!(t.subtables[0].mask, *dl_type(0).compile().mask());
+        // Equal priorities must still be probed for the age tie-break.
+        let actions = t.lookup(&key_port(1), 10, SimTime::ZERO).unwrap();
+        assert_eq!(&actions[..], &out(2));
+    }
+
+    #[test]
+    fn empty_subtables_are_dropped() {
+        let mut t = FlowTable::default();
+        let exact = Match::from_flow_key(&key_port(1));
+        let matches = [exact, Match::exact_in_port(PortNo(1)), Match::all()];
+        for m in matches {
+            t.apply(&fm(m, 5, 2), SimTime::ZERO).unwrap();
+        }
+        t.check_invariants();
+        assert_eq!(t.subtables.len(), 3);
+        // The fully-specified subtable is probed first.
+        assert_eq!(t.subtables[0].max_rank, (true, 5));
+        for (left, m) in matches.into_iter().enumerate().rev() {
+            delete_strict(&mut t, m, 5);
+            assert_eq!(t.subtables.len(), left);
+        }
+    }
+
+    #[test]
+    fn victim_heap_is_swept_of_orphans() {
+        // Entries that leave by delete never surface on the victim heap
+        // of a table that is never full; the sweep must bound it.
+        let mut t = FlowTable::with_policy(4, EvictionPolicy::EvictLru);
+        t.apply(&fm(Match::all(), 1, 9), SimTime::ZERO).unwrap();
+        for p in 0..200 {
+            let m = Match::exact_in_port(PortNo(p));
+            t.apply(&fm(m, 5, 2), SimTime::from_secs(p.into())).unwrap();
+            delete_strict(&mut t, m, 5);
+        }
+        assert!(t.victims.len() <= 2 * (2 + VICTIM_SLACK));
+        // The survivor is still the victim once the table fills.
+        for p in 0..4 {
+            t.apply(
+                &fm(Match::exact_in_port(PortNo(p)), 5, 2),
+                SimTime::from_secs(300),
+            )
+            .unwrap();
+        }
+        t.check_invariants();
+        assert_eq!(t.eviction_count, 1);
+        assert!(t.entries().all(|e| e.priority == 5));
+    }
+
+    #[test]
+    fn lru_victim_heap_follows_refreshes_lazily() {
+        let mut t = FlowTable::with_policy(3, EvictionPolicy::EvictLru);
+        for p in 1..=3 {
+            t.apply(&fm(Match::exact_in_port(PortNo(p)), 5, 2), SimTime::ZERO)
+                .unwrap();
+        }
+        // Lookups write no heap: the triples go stale instead.
+        let armed = t.victims.len();
+        t.lookup(&key_port(1), 10, SimTime::from_secs(1));
+        t.lookup(&key_port(2), 10, SimTime::from_secs(2));
+        t.lookup(&key_port(1), 10, SimTime::from_secs(3));
+        assert_eq!(t.victims.len(), armed);
+        t.check_invariants();
+        // Victims surface by current recency: 3 (never hit), 2, then 1.
+        for (p, victim) in [(4, 3), (5, 2), (6, 1)] {
+            let outcome = t
+                .apply(
+                    &fm(Match::exact_in_port(PortNo(p)), 5, 2),
+                    SimTime::from_secs(4),
+                )
+                .unwrap();
+            assert_eq!(outcome.evicted[0].r#match.in_port, PortNo(victim));
+            t.check_invariants();
+        }
     }
 }

@@ -576,7 +576,7 @@ impl Switch {
                         for evicted in outcome.evicted {
                             fx.push(Effect::Trace(TraceKind::FlowEvicted {
                                 switch: self.name.clone(),
-                                description: evicted.r#match.to_string(),
+                                description: evicted.r#match.into(),
                             }));
                             if evicted.send_flow_rem {
                                 self.notify_flow_removed(
@@ -590,7 +590,7 @@ impl Switch {
                         if outcome.added {
                             fx.push(Effect::Trace(TraceKind::FlowInstalled {
                                 switch: self.name.clone(),
-                                description: fm.r#match.to_string(),
+                                description: fm.r#match.into(),
                             }));
                         }
                         for removed in outcome.removed {

@@ -7,9 +7,34 @@
 use crate::engine::ConnId;
 use crate::interpose::Direction;
 use crate::time::SimTime;
-use attain_openflow::OfType;
+use attain_openflow::{Match, OfType};
 use std::collections::BTreeMap;
 use std::fmt;
+
+/// A flow match carried by a trace record and rendered only when the
+/// record is displayed or digested — most records never are (a
+/// [`TraceMode::Counters`] trace drops them unrendered).
+///
+/// `Debug` prints what `Debug` of the rendered `String` prints, quotes
+/// included, so records and digests read as if the text were stored.
+/// The match is boxed so that the two variants carrying one do not
+/// widen every [`TraceEvent`].
+#[derive(Clone, PartialEq, Eq)]
+pub struct MatchDescription(pub Box<Match>);
+
+impl From<Match> for MatchDescription {
+    fn from(m: Match) -> MatchDescription {
+        MatchDescription(Box::new(m))
+    }
+}
+
+impl fmt::Debug for MatchDescription {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        // A rendered match holds nothing `Debug` of a `str` would escape
+        // (ASCII alphanumerics and `()=,./:_`), so quoting it is enough.
+        write!(f, "\"{}\"", self.0)
+    }
+}
 
 /// What a trace record describes.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -47,16 +72,16 @@ pub enum TraceKind {
     FlowInstalled {
         /// Switch name.
         switch: String,
-        /// Rendered match.
-        description: String,
+        /// The entry's match.
+        description: MatchDescription,
     },
     /// A flow entry was evicted to make room for a new one (bounded
     /// table under an evicting overflow policy).
     FlowEvicted {
         /// Switch name.
         switch: String,
-        /// Rendered match of the victim.
-        description: String,
+        /// The victim's match.
+        description: MatchDescription,
     },
     /// A packet was dropped.
     PacketDropped {
@@ -451,6 +476,57 @@ mod tests {
         assert_ne!(full.digest(), counters.digest());
         assert_eq!(full.counter_digest(), counters.digest());
         assert_eq!(counters.counter_digest(), counters.digest());
+    }
+
+    #[test]
+    fn match_descriptions_do_not_widen_trace_events() {
+        // A full trace holds one `TraceEvent` per control message.
+        assert!(std::mem::size_of::<TraceEvent>() <= 64);
+    }
+
+    #[test]
+    fn match_descriptions_render_as_the_stored_string_did() {
+        use attain_openflow::{FlowKey, PortNo, Wildcards};
+        // The shape these variants had when they stored rendered text.
+        #[derive(Debug)]
+        #[allow(dead_code)]
+        enum Stored {
+            FlowInstalled { switch: String, description: String },
+            FlowEvicted { switch: String, description: String },
+        }
+        let mut prefixed = Match::exact_in_port(PortNo(3));
+        prefixed.wildcards = Wildcards(prefixed.wildcards.0 & !Wildcards::DL_TYPE)
+            .with_nw_src_ignored_bits(8)
+            .with_nw_dst_ignored_bits(0);
+        prefixed.dl_type = 0x0800;
+        prefixed.nw_src = 0x0a00_0100;
+        prefixed.nw_dst = 0x0a00_0209;
+        for m in [
+            Match::from_flow_key(&FlowKey::default()),
+            prefixed,
+            Match::all(),
+        ] {
+            let switch = || "s1".to_string();
+            let installed = TraceKind::FlowInstalled {
+                switch: switch(),
+                description: m.into(),
+            };
+            let stored = Stored::FlowInstalled {
+                switch: switch(),
+                description: m.to_string(),
+            };
+            assert_eq!(format!("{installed:?}"), format!("{stored:?}"));
+            assert_eq!(format!("{installed:#?}"), format!("{stored:#?}"));
+            let evicted = TraceKind::FlowEvicted {
+                switch: switch(),
+                description: m.into(),
+            };
+            let stored = Stored::FlowEvicted {
+                switch: switch(),
+                description: m.to_string(),
+            };
+            assert_eq!(format!("{evicted:?}"), format!("{stored:?}"));
+        }
     }
 
     #[test]

@@ -1,10 +1,13 @@
 //! Property-based tests on the simulator substrate: flow-table
 //! semantics, link timing invariants, and command parsing.
 //!
-//! The flow table's two-tier classifier is checked differentially: a
+//! The flow table's tuple-space classifier is checked differentially: a
 //! reference implementation preserving the original linear-scan
 //! semantics lives in this file, and random command sequences are driven
 //! through both, asserting identical winners, counters, and removals.
+//!
+//! The facade's `tests/flow_table_differential.rs` includes this file,
+//! so the tier-1 `cargo test` at the workspace root runs it too.
 
 use attain_netsim::{EvictionPolicy, FlowModError, FlowTable, Link, LinkEnd, NodeId, SimTime};
 use attain_openflow::{
@@ -363,6 +366,187 @@ fn arb_rich_match() -> impl Strategy<Value = (Match, u16)> {
     })
 }
 
+fn arb_policy() -> impl Strategy<Value = EvictionPolicy> {
+    prop_oneof![
+        Just(EvictionPolicy::Reject),
+        Just(EvictionPolicy::EvictLru),
+        Just(EvictionPolicy::EvictLowestPriority),
+    ]
+}
+
+/// The key space of the few-mask strategy: four ports, two sources, four
+/// destinations, everything else fixed, so lookups hit often.
+fn arb_dense_key() -> impl Strategy<Value = FlowKey> {
+    (1u16..5, 0u64..2, 0u32..4).prop_map(|(in_port, src, nw_dst)| FlowKey {
+        in_port: PortNo(in_port),
+        dl_src: MacAddr::from_low(src),
+        dl_type: 0x0800,
+        nw_dst: 0x0a00_0000 | nw_dst,
+        ..FlowKey::default()
+    })
+}
+
+/// A match from one of three masks — fully specified, `in_port` +
+/// `nw_dst/31`, `dl_src` only — over [`arb_dense_key`] values, at one of
+/// three priorities, optionally with a reserved wildcard bit set (a
+/// distinct `Match` in the same bucket as its twin).
+fn arb_dense_match() -> impl Strategy<Value = (Match, u16)> {
+    (arb_dense_key(), 0u8..3, any::<bool>(), 0u16..3).prop_map(|(key, mask, reserved, priority)| {
+        let wildcards = match mask {
+            0 => Wildcards::NONE,
+            1 => Wildcards(Wildcards::ALL.0 & !Wildcards::IN_PORT).with_nw_dst_ignored_bits(1),
+            _ => Wildcards(Wildcards::ALL.0 & !Wildcards::DL_SRC),
+        };
+        let mut m = Match::from_flow_key(&key);
+        m.wildcards = Wildcards(wildcards.0 | u32::from(reserved) << 22);
+        (m, priority)
+    })
+}
+
+/// Mostly adds (so the table fills and stays full) and lookups (so LRU
+/// keys move between evictions); now and then a strict or non-strict
+/// delete, a modify, or a clock step. Timeouts are rare and long.
+fn arb_dense_op() -> impl Strategy<Value = Op> {
+    let flow_mod = (arb_dense_match(), 0u8..16, any::<bool>(), 0u16..40, 0u16..3).prop_map(
+        |((m, priority), cmd, flow_rem, timeout, action_port)| FlowMod {
+            command: match cmd {
+                0 => FlowModCommand::Modify,
+                1 => FlowModCommand::ModifyStrict,
+                2 => FlowModCommand::Delete,
+                3 => FlowModCommand::DeleteStrict,
+                _ => FlowModCommand::Add,
+            },
+            priority,
+            idle_timeout: if timeout == 1 { 3 } else { 0 },
+            hard_timeout: if timeout == 2 { 5 } else { 0 },
+            flags: FlowModFlags(if flow_rem {
+                FlowModFlags::SEND_FLOW_REM
+            } else {
+                0
+            }),
+            cookie: action_port as u64,
+            ..FlowMod::add(
+                m,
+                vec![Action::Output {
+                    port: PortNo(100 + action_port),
+                    max_len: 0,
+                }],
+            )
+        },
+    );
+    (0u8..8, flow_mod, arb_dense_key(), 1usize..512, 0u64..2).prop_map(
+        |(kind, flow_mod, key, frame_len, dt)| match kind {
+            0..=3 => Op::Mod(flow_mod),
+            4..=6 => Op::Lookup(key, frame_len),
+            _ => Op::Expire(dt),
+        },
+    )
+}
+
+/// Drives `ops` through the classifier and the reference scan, asserting
+/// after every step bit-for-bit identical outcomes — winners, counters,
+/// errors, removal notifications (in order), eviction victims — the same
+/// live entries in the same order, and the classifier's own invariants.
+fn check_against_reference(ops: &[Op], capacity: usize, policy: EvictionPolicy) {
+    let mut table = FlowTable::with_policy(capacity, policy);
+    let mut model = RefTable::with_policy(capacity, policy);
+    let mut now = SimTime::ZERO;
+    for op in ops {
+        match op {
+            Op::Mod(fm) => {
+                let got = table.apply(fm, now);
+                let want = model.apply(fm, now);
+                match (got, want) {
+                    (Ok(g), Ok(w)) => {
+                        assert_eq!(g.added, w.0, "added flag diverged on {:?}", fm);
+                        assert_eq!(
+                            g.removed.len(),
+                            w.1.len(),
+                            "removal count diverged on {:?}",
+                            fm
+                        );
+                        for (ge, we) in g.removed.iter().zip(&w.1) {
+                            assert!(
+                                entries_agree(ge, we),
+                                "removed entry diverged: {:?} vs {:?}",
+                                ge,
+                                we
+                            );
+                        }
+                        assert_eq!(
+                            g.evicted.len(),
+                            w.2.len(),
+                            "eviction count diverged on {:?}",
+                            fm
+                        );
+                        for (ge, we) in g.evicted.iter().zip(&w.2) {
+                            assert!(
+                                entries_agree(ge, we),
+                                "evicted entry diverged: {:?} vs {:?}",
+                                ge,
+                                we
+                            );
+                        }
+                        if policy == EvictionPolicy::Reject {
+                            assert!(g.evicted.is_empty(), "the reject policy must never evict");
+                        }
+                    }
+                    (Err(g), Err(w)) => assert_eq!(g, w),
+                    (g, w) => panic!(
+                        "outcome diverged on {:?}: classifier {:?}, reference {:?}",
+                        fm,
+                        g.is_ok(),
+                        w.is_ok()
+                    ),
+                }
+            }
+            Op::Lookup(key, frame_len) => {
+                let got = table.lookup(key, *frame_len, now);
+                let want = model.lookup(key, *frame_len, now);
+                match (&got, &want) {
+                    (Some(g), Some(w)) => {
+                        assert_eq!(&g[..], &w[..], "winning actions diverged for {:?}", key)
+                    }
+                    (None, None) => {}
+                    _ => panic!(
+                        "hit/miss diverged for {:?}: classifier {}, reference {}",
+                        key,
+                        got.is_some(),
+                        want.is_some()
+                    ),
+                }
+            }
+            Op::Expire(dt) => {
+                now = SimTime(now.0 + SimTime::from_secs(*dt).0);
+                let got = table.expire(now);
+                let want = model.expire(now);
+                assert_eq!(got.len(), want.len(), "expiry count diverged at {:?}", now);
+                for ((ge, gr), (we, wr)) in got.iter().zip(&want) {
+                    assert!(
+                        entries_agree(ge, we),
+                        "expired entry diverged: {:?} vs {:?}",
+                        ge,
+                        we
+                    );
+                    assert_eq!(gr, wr, "expiry reason diverged for {:?}", ge.r#match);
+                }
+            }
+        }
+        // Full-state check after every step: same entries, same order,
+        // same counters, and the classifier's indexes agree.
+        table.check_invariants();
+        assert_eq!(table.len(), model.entries.len());
+        for (e, r) in table.entries().zip(&model.entries) {
+            assert!(
+                entries_agree(e, r),
+                "live entry diverged: {:?} vs {:?}",
+                e,
+                r
+            );
+        }
+    }
+}
+
 proptest! {
     /// Lookup returns an entry only if that entry's match admits the key,
     /// and among admitting entries it never picks a lower-priority
@@ -460,107 +644,33 @@ proptest! {
     }
 
     /// Differential test: random add/modify/delete/lookup/expire command
-    /// sequences produce bit-for-bit identical winners, counters, errors,
-    /// removal notifications (in order), and eviction victims in the
-    /// two-tier classifier and the reference linear scan — under each of
-    /// the three overflow policies. Eviction interleaved with expiry and
-    /// slot reuse is exactly the regime where a stale heap deadline or a
-    /// mis-unlinked index would diverge.
+    /// sequences over the full wildcard space (many masks, few entries
+    /// each), under each of the three overflow policies. Eviction
+    /// interleaved with expiry and slot reuse is exactly the regime where
+    /// a stale heap triple or a mis-unlinked index would diverge.
     #[test]
     fn classifier_matches_reference_scan(
         ops in proptest::collection::vec(arb_op(), 0..48),
         capacity in 1usize..12,
-        policy in prop_oneof![
-            Just(EvictionPolicy::Reject),
-            Just(EvictionPolicy::EvictLru),
-            Just(EvictionPolicy::EvictLowestPriority),
-        ],
+        policy in arb_policy(),
     ) {
-        let mut table = FlowTable::with_policy(capacity, policy);
-        let mut model = RefTable::with_policy(capacity, policy);
-        let mut now = SimTime::ZERO;
-        for op in &ops {
-            match op {
-                Op::Mod(fm) => {
-                    let got = table.apply(fm, now);
-                    let want = model.apply(fm, now);
-                    match (got, want) {
-                        (Ok(g), Ok(w)) => {
-                            prop_assert_eq!(g.added, w.0, "added flag diverged on {:?}", fm);
-                            prop_assert_eq!(
-                                g.removed.len(), w.1.len(),
-                                "removal count diverged on {:?}", fm
-                            );
-                            for (ge, we) in g.removed.iter().zip(&w.1) {
-                                prop_assert!(
-                                    entries_agree(ge, we),
-                                    "removed entry diverged: {:?} vs {:?}", ge, we
-                                );
-                            }
-                            prop_assert_eq!(
-                                g.evicted.len(), w.2.len(),
-                                "eviction count diverged on {:?}", fm
-                            );
-                            for (ge, we) in g.evicted.iter().zip(&w.2) {
-                                prop_assert!(
-                                    entries_agree(ge, we),
-                                    "evicted entry diverged: {:?} vs {:?}", ge, we
-                                );
-                            }
-                            if policy == EvictionPolicy::Reject {
-                                prop_assert!(
-                                    g.evicted.is_empty(),
-                                    "the reject policy must never evict"
-                                );
-                            }
-                        }
-                        (Err(g), Err(w)) => prop_assert_eq!(g, w),
-                        (g, w) => prop_assert!(
-                            false,
-                            "outcome diverged on {:?}: classifier {:?}, reference {:?}",
-                            fm, g.is_ok(), w.is_ok()
-                        ),
-                    }
-                }
-                Op::Lookup(key, frame_len) => {
-                    let got = table.lookup(key, *frame_len, now);
-                    let want = model.lookup(key, *frame_len, now);
-                    match (&got, &want) {
-                        (Some(g), Some(w)) => prop_assert_eq!(
-                            &g[..], &w[..], "winning actions diverged for {:?}", key
-                        ),
-                        (None, None) => {}
-                        _ => prop_assert!(
-                            false,
-                            "hit/miss diverged for {:?}: classifier {}, reference {}",
-                            key, got.is_some(), want.is_some()
-                        ),
-                    }
-                }
-                Op::Expire(dt) => {
-                    now = SimTime(now.0 + SimTime::from_secs(*dt).0);
-                    let got = table.expire(now);
-                    let want = model.expire(now);
-                    prop_assert_eq!(got.len(), want.len(), "expiry count diverged at {:?}", now);
-                    for ((ge, gr), (we, wr)) in got.iter().zip(&want) {
-                        prop_assert!(
-                            entries_agree(ge, we),
-                            "expired entry diverged: {:?} vs {:?}", ge, we
-                        );
-                        prop_assert_eq!(gr, wr, "expiry reason diverged for {:?}", ge.r#match);
-                    }
-                }
-            }
-            // Full-state check after every step: same entries, same order,
-            // same counters.
-            prop_assert_eq!(table.len(), model.entries.len());
-            for (e, r) in table.entries().zip(&model.entries) {
-                prop_assert!(
-                    entries_agree(e, r),
-                    "live entry diverged: {:?} vs {:?}", e, r
-                );
-            }
-        }
+        check_against_reference(&ops, capacity, policy);
+    }
+
+    /// The same differential test in the regimes the first strategy
+    /// rarely reaches: one to three masks holding many values, so
+    /// buckets collide (one match at several priorities, reserved-bit
+    /// twins) and priorities tie across subtables; tables that fill and
+    /// stay full, so most adds evict or replace at capacity; and lookups
+    /// that hit between evictions, so LRU victims surface through stale
+    /// heap triples.
+    #[test]
+    fn classifier_matches_reference_scan_few_masks(
+        ops in proptest::collection::vec(arb_dense_op(), 0..160),
+        capacity in 1usize..64,
+        policy in arb_policy(),
+    ) {
+        check_against_reference(&ops, capacity, policy);
     }
 
     /// Steady-state residency under eviction: filling a table with

@@ -544,6 +544,14 @@ impl FlowKeyBits {
             key.tp_dst as u64,
         ])
     }
+
+    /// The key's words with only the bits set in `mask` kept: the
+    /// [value words](MatchBits::value) of exactly the matches with
+    /// [mask words](MatchBits::mask) `mask` that admit this key.
+    #[inline]
+    pub fn masked(&self, mask: &[u64; 5]) -> [u64; 5] {
+        std::array::from_fn(|i| self.0[i] & mask[i])
+    }
 }
 
 /// A [`Match`] compiled to packed value/mask words (the OVS miniflow
@@ -577,12 +585,18 @@ impl MatchBits {
         mask[3] = (prefix_mask(w.nw_src_ignored_bits()) as u64)
             | (prefix_mask(w.nw_dst_ignored_bits()) as u64) << 32;
         mask[4] = f(Wildcards::TP_DST, 0xffff);
-        let key_words = FlowKeyBits::from_key(&m.flow_key()).0;
-        let mut value = [0u64; 5];
-        for i in 0..5 {
-            value[i] = key_words[i] & mask[i];
-        }
+        let value = FlowKeyBits::from_key(&m.flow_key()).masked(&mask);
         MatchBits { value, mask }
+    }
+
+    /// Which key bits the match constrains.
+    pub fn mask(&self) -> &[u64; 5] {
+        &self.mask
+    }
+
+    /// What the constrained bits must equal (zero outside the mask).
+    pub fn value(&self) -> &[u64; 5] {
+        &self.value
     }
 
     /// Whether the compiled match admits `key`.
@@ -626,56 +640,88 @@ fn ip_overlaps(a: u32, a_ignored: u32, b: u32, b_ignored: u32) -> bool {
 impl fmt::Display for Match {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let w = self.wildcards;
-        let mut parts: Vec<String> = Vec::new();
-        if !w.has(Wildcards::IN_PORT) {
-            parts.push(format!("in_port={}", self.in_port));
-        }
-        if !w.has(Wildcards::DL_SRC) {
-            parts.push(format!("dl_src={}", self.dl_src));
-        }
-        if !w.has(Wildcards::DL_DST) {
-            parts.push(format!("dl_dst={}", self.dl_dst));
-        }
-        if !w.has(Wildcards::DL_VLAN) {
-            parts.push(format!("dl_vlan={}", self.dl_vlan));
-        }
-        if !w.has(Wildcards::DL_VLAN_PCP) {
-            parts.push(format!("dl_vlan_pcp={}", self.dl_vlan_pcp));
-        }
-        if !w.has(Wildcards::DL_TYPE) {
-            parts.push(format!("dl_type=0x{:04x}", self.dl_type));
-        }
-        if !w.has(Wildcards::NW_TOS) {
-            parts.push(format!("nw_tos={}", self.nw_tos));
-        }
-        if !w.has(Wildcards::NW_PROTO) {
-            parts.push(format!("nw_proto={}", self.nw_proto));
-        }
-        if !w.nw_src_all() {
-            parts.push(format!(
+        // Written straight into `f` (trace digests render one match per
+        // flow event): each concrete field is preceded by what separates
+        // it from the text before it.
+        let mut first = true;
+        let mut field = |f: &mut fmt::Formatter<'_>, shown: bool, text: fmt::Arguments<'_>| {
+            if !shown {
+                return Ok(());
+            }
+            f.write_str(if first { "match(" } else { "," })?;
+            first = false;
+            f.write_fmt(text)
+        };
+        let flag = |bit: u32| !w.has(bit);
+        field(
+            f,
+            flag(Wildcards::IN_PORT),
+            format_args!("in_port={}", self.in_port),
+        )?;
+        field(
+            f,
+            flag(Wildcards::DL_SRC),
+            format_args!("dl_src={}", self.dl_src),
+        )?;
+        field(
+            f,
+            flag(Wildcards::DL_DST),
+            format_args!("dl_dst={}", self.dl_dst),
+        )?;
+        field(
+            f,
+            flag(Wildcards::DL_VLAN),
+            format_args!("dl_vlan={}", self.dl_vlan),
+        )?;
+        field(
+            f,
+            flag(Wildcards::DL_VLAN_PCP),
+            format_args!("dl_vlan_pcp={}", self.dl_vlan_pcp),
+        )?;
+        field(
+            f,
+            flag(Wildcards::DL_TYPE),
+            format_args!("dl_type=0x{:04x}", self.dl_type),
+        )?;
+        field(
+            f,
+            flag(Wildcards::NW_TOS),
+            format_args!("nw_tos={}", self.nw_tos),
+        )?;
+        field(
+            f,
+            flag(Wildcards::NW_PROTO),
+            format_args!("nw_proto={}", self.nw_proto),
+        )?;
+        field(
+            f,
+            !w.nw_src_all(),
+            format_args!(
                 "nw_src={}/{}",
                 Ipv4Addr::from(self.nw_src),
                 32 - w.nw_src_ignored_bits()
-            ));
-        }
-        if !w.nw_dst_all() {
-            parts.push(format!(
+            ),
+        )?;
+        field(
+            f,
+            !w.nw_dst_all(),
+            format_args!(
                 "nw_dst={}/{}",
                 Ipv4Addr::from(self.nw_dst),
                 32 - w.nw_dst_ignored_bits()
-            ));
-        }
-        if !w.has(Wildcards::TP_SRC) {
-            parts.push(format!("tp_src={}", self.tp_src));
-        }
-        if !w.has(Wildcards::TP_DST) {
-            parts.push(format!("tp_dst={}", self.tp_dst));
-        }
-        if parts.is_empty() {
-            write!(f, "match(any)")
-        } else {
-            write!(f, "match({})", parts.join(","))
-        }
+            ),
+        )?;
+        field(
+            f,
+            flag(Wildcards::TP_SRC),
+            format_args!("tp_src={}", self.tp_src),
+        )?;
+        field(
+            f,
+            flag(Wildcards::TP_DST),
+            format_args!("tp_dst={}", self.tp_dst),
+        )?;
+        f.write_str(if first { "match(any)" } else { ")" })
     }
 }
 
@@ -792,6 +838,16 @@ mod tests {
         let m = Match::exact_in_port(PortNo(3));
         assert_eq!(m.to_string(), "match(in_port=3)");
         assert_eq!(Match::all().to_string(), "match(any)");
+        assert_eq!(
+            Match::from_flow_key(&sample_key()).to_string(),
+            "match(in_port=1,dl_src=00:00:00:00:00:11,dl_dst=00:00:00:00:00:22,\
+             dl_vlan=65535,dl_vlan_pcp=0,dl_type=0x0800,nw_tos=0,nw_proto=6,\
+             nw_src=10.0.1.5/32,nw_dst=10.0.2.9/32,tp_src=4242,tp_dst=80)"
+        );
+        let mut prefix = Match::all();
+        prefix.wildcards = Wildcards::ALL.with_nw_dst_ignored_bits(8);
+        prefix.nw_dst = u32::from(Ipv4Addr::new(10, 0, 2, 0));
+        assert_eq!(prefix.to_string(), "match(nw_dst=10.0.2.0/24)");
     }
 
     #[test]

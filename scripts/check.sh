@@ -29,8 +29,7 @@ cargo test -q -p attain-core --test proptest_timing
 echo "== controller fingerprinting (classification accuracy + confusion matrix)"
 cargo test -q -p attain-campaign --test fingerprint
 
-echo "== flow-table eviction differential suite + capacity inference"
-cargo test -q -p attain-netsim --test proptest_netsim
+echo "== flow-table capacity inference"
 cargo test -q -p attain-netsim --test capacity_inference
 
 echo "== conformance campaign (smoke matrix + golden digests, audited dispatch)"

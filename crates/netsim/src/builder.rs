@@ -10,7 +10,7 @@
 
 use crate::budget::RunBudget;
 use crate::controller_host::ControllerHost;
-use crate::engine::{NodeId, SchedulerConfig};
+use crate::engine::NodeId;
 use crate::fault::{FaultPlan, FaultSpec};
 use crate::host::Host;
 use crate::link::{Link, LinkEnd};
@@ -171,7 +171,6 @@ pub struct NetworkBuilder {
     controls: Vec<(ControllerRef, NodeId, SimTime)>,
     faults: FaultPlan,
     budget: RunBudget,
-    scheduler: SchedulerConfig,
     /// Errors from misused builder calls, reported by `try_build`.
     deferred: Vec<BuildError>,
 }
@@ -249,13 +248,6 @@ impl NetworkBuilder {
                 });
             }
         }
-    }
-
-    /// Selects the event-scheduler backend and shard count (default:
-    /// timer wheel, one shard). Any choice produces byte-identical
-    /// traces; see [`SchedulerConfig`].
-    pub fn scheduler(&mut self, config: SchedulerConfig) {
-        self.scheduler = config;
     }
 
     /// Connects two nodes with a default link, returning the assigned
@@ -404,7 +396,6 @@ impl NetworkBuilder {
         // reserving the full host count on every switch of a large
         // fabric would be pure waste).
         let mac_hint = host_count.min(4096);
-        let capacity_hint = self.nodes.len() * 4 + self.links.len() * 2;
 
         let mut names = HashMap::with_capacity(self.nodes.len());
         let mut nodes: Vec<Node> = Vec::with_capacity(self.nodes.len());
@@ -477,16 +468,7 @@ impl NetworkBuilder {
             });
         }
 
-        let mut sim = Simulation::assemble(
-            nodes,
-            links,
-            port_map,
-            controllers,
-            connections,
-            names,
-            self.scheduler,
-            capacity_hint,
-        );
+        let mut sim = Simulation::assemble(nodes, links, port_map, controllers, connections, names);
         sim.apply_fault_plan(&self.faults);
         sim.set_run_budget(self.budget);
         Ok(sim)

@@ -1,20 +1,11 @@
 //! The deterministic event queue at the heart of the simulator.
 //!
-//! Two scheduler backends live here behind one [`EventQueue`] front:
-//!
-//! * a binary heap (the original implementation, kept as the reference
-//!   oracle), and
-//! * a hierarchical timer wheel — eight levels of 64 slots at a base
-//!   granularity of 2^10 ns (~1 µs), covering 2^58 ns (~9 years of
-//!   virtual time) before spilling to an overflow list.
-//!
-//! Either backend can be sharded: per-node local events (data-plane
-//! frames, node timers) hash to `node % shards`, everything else to
-//! shard 0, and the front merges shard heads by the global `(time, seq)`
-//! key. Because `seq` is a single monotonically increasing counter
-//! assigned at schedule time, the merged order is *identical* to the
-//! unsharded heap's order — byte-identical traces at every size, for
-//! any shard count, for either backend. The campaign goldens pin this.
+//! [`EventQueue`] is a hierarchical timer wheel — eight levels of 64
+//! slots at a base granularity of 2^10 ns (~1 µs), covering 2^58 ns
+//! (~9 years of virtual time) before spilling to an overflow list. It
+//! pops in strict `(time, seq)` order, `seq` being one counter drawn at
+//! schedule time, so its order is exactly that of a binary heap over the
+//! same key; the unit tests below check it against one step by step.
 //!
 //! Data-plane payloads are arena-allocated ([`FrameArena`]): a queued
 //! frame event carries a 4-byte [`FrameRef`] instead of the `Vec<u8>`
@@ -25,8 +16,6 @@ use crate::command::HostCommand;
 use crate::interpose::Direction;
 use crate::time::SimTime;
 use attain_openflow::{Frame, PortNo};
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 use std::fmt;
 
 /// Index of a node (host or switch) in the simulation.
@@ -136,19 +125,6 @@ pub enum EventKind {
     InterposerWake,
 }
 
-impl EventKind {
-    /// The shard a queued event of this kind belongs to, given `shards`
-    /// total. Per-node local events (data-plane frames, node timers)
-    /// hash by node; all global events (control plane, commands,
-    /// interposer wakeups) live on shard 0.
-    fn shard(&self, shards: usize) -> usize {
-        match self {
-            EventKind::Frame { node, .. } | EventKind::NodeTimer { node, .. } => node.0 % shards,
-            _ => 0,
-        }
-    }
-}
-
 /// A side effect produced by a node event handler, applied by the
 /// simulation after the handler returns (keeping node borrows disjoint
 /// from link/queue borrows).
@@ -180,58 +156,12 @@ pub(crate) enum Effect {
     Trace(crate::trace::TraceKind),
 }
 
-/// Which future-event-list data structure a simulation uses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SchedulerKind {
-    /// One binary heap per shard (the original structure).
-    Heap,
-    /// One hierarchical timer wheel per shard.
-    #[default]
-    Wheel,
-}
-
-/// Scheduler configuration: backend kind plus shard count.
-///
-/// Any configuration yields the same event order (see the module docs),
-/// so this only affects performance.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SchedulerConfig {
-    /// Backend data structure.
-    pub kind: SchedulerKind,
-    /// Number of per-node shards (clamped to `1..=64`).
-    pub shards: usize,
-}
-
-impl Default for SchedulerConfig {
-    fn default() -> Self {
-        SchedulerConfig {
-            kind: SchedulerKind::Wheel,
-            shards: 1,
-        }
-    }
-}
-
-impl SchedulerConfig {
-    /// A heap scheduler with `shards` shards.
-    pub fn heap(shards: usize) -> SchedulerConfig {
-        SchedulerConfig {
-            kind: SchedulerKind::Heap,
-            shards,
-        }
-    }
-
-    /// A timer-wheel scheduler with `shards` shards.
-    pub fn wheel(shards: usize) -> SchedulerConfig {
-        SchedulerConfig {
-            kind: SchedulerKind::Wheel,
-            shards,
-        }
-    }
-
-    fn clamped_shards(&self) -> usize {
-        self.shards.clamp(1, 64)
-    }
-}
+/// All that is left of the scheduler option. The frozen benchmark
+/// (`attain_bench/src/layers.rs`, `queue_pop_push_ns`) names this type;
+/// nothing else does, and it selects nothing.
+#[doc(hidden)]
+#[derive(Debug, Clone, Copy, Default)]
+pub struct SchedulerConfig;
 
 struct QueuedEvent {
     time: SimTime,
@@ -246,27 +176,6 @@ impl QueuedEvent {
     }
 }
 
-impl PartialEq for QueuedEvent {
-    fn eq(&self, other: &Self) -> bool {
-        self.time == other.time && self.seq == other.seq
-    }
-}
-impl Eq for QueuedEvent {}
-impl PartialOrd for QueuedEvent {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for QueuedEvent {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.time, self.seq).cmp(&(other.time, other.seq))
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Hierarchical timer wheel
-// ---------------------------------------------------------------------------
-
 /// log2 of the level-0 slot width in nanoseconds: 2^10 ns ≈ 1 µs. Fine
 /// enough that same-slot collisions are rare at datacenter event rates,
 /// coarse enough that a 64-slot level covers ~65 µs.
@@ -279,15 +188,21 @@ const SLOTS: usize = 1 << SLOT_BITS;
 /// reach `2^58` ns (~9 years) before the overflow list takes over.
 const LEVELS: usize = 8;
 
-/// A hashed hierarchical timer wheel with a strict total order.
+/// A strictly deterministic future-event list: a hashed hierarchical
+/// timer wheel with a strict total order.
+///
+/// Ties at the same virtual time are broken by insertion order (one
+/// sequence counter), so a simulation run is a pure function of its
+/// inputs — the property the paper gets from its single-threaded
+/// injector's total message order (§VI-C) and that our tests rely on.
 ///
 /// Invariant: every event whose level-0 slot index is `<= cursor` lives
 /// in `ready` (sorted descending by `(time, seq)`, popped from the
 /// back); every event still parked in a wheel slot has a level-0 index
-/// `> cursor`. `peek`/`pop` therefore only ever look at `ready`, and
-/// `refill` maintains the invariant by draining or cascading the slot
-/// with the smallest covered time range whenever `ready` runs dry.
-struct TimerWheel {
+/// `> cursor`. `peek_time`/`pop` therefore only ever look at `ready`,
+/// and `refill` maintains the invariant by draining or cascading the
+/// slot with the smallest covered time range whenever `ready` runs dry.
+pub struct EventQueue {
     /// `slots[level * SLOTS + slot]`; unsorted buckets.
     slots: Vec<Vec<QueuedEvent>>,
     /// Per-level occupancy bitmap: bit `s` set iff `slots[l*SLOTS+s]`
@@ -299,21 +214,39 @@ struct TimerWheel {
     ready: Vec<QueuedEvent>,
     /// Events beyond the top level's horizon.
     overflow: Vec<QueuedEvent>,
+    /// Next insertion sequence number.
+    seq: u64,
     len: usize,
 }
 
-impl TimerWheel {
-    fn new() -> TimerWheel {
+impl Default for EventQueue {
+    fn default() -> Self {
+        EventQueue::new()
+    }
+}
+
+impl EventQueue {
+    /// Creates an empty queue.
+    pub fn new() -> EventQueue {
         let mut slots = Vec::with_capacity(LEVELS * SLOTS);
         slots.resize_with(LEVELS * SLOTS, Vec::new);
-        TimerWheel {
+        EventQueue {
             slots,
             occupied: [0; LEVELS],
             cursor: 0,
             ready: Vec::with_capacity(SLOTS),
             overflow: Vec::new(),
+            seq: 0,
             len: 0,
         }
+    }
+
+    /// Kept only because the frozen benchmark calls it
+    /// (`attain_bench/src/layers.rs`, `queue_pop_push_ns`); both
+    /// arguments are ignored.
+    #[doc(hidden)]
+    pub fn with_config(_config: SchedulerConfig, _capacity_hint: usize) -> EventQueue {
+        EventQueue::new()
     }
 
     #[inline]
@@ -321,16 +254,22 @@ impl TimerWheel {
         time.0 >> GRANULARITY_BITS
     }
 
-    fn push(&mut self, ev: QueuedEvent) {
+    /// Schedules `kind` at absolute time `at`.
+    pub fn schedule(&mut self, at: SimTime, kind: EventKind) {
+        let seq = self.seq;
+        self.seq += 1;
         self.len += 1;
-        self.place(ev);
+        self.place(QueuedEvent {
+            time: at,
+            seq,
+            kind,
+        });
         if self.ready.is_empty() {
             self.refill();
         }
     }
 
-    /// Parks `ev` in `ready`, a wheel slot, or the overflow list —
-    /// without touching `len`.
+    /// Parks `ev` in `ready`, a wheel slot, or the overflow list.
     fn place(&mut self, ev: QueuedEvent) {
         let idx0 = Self::slot_index(ev.time);
         if idx0 <= self.cursor {
@@ -367,17 +306,29 @@ impl TimerWheel {
         self.ready.insert(pos, ev);
     }
 
-    fn pop(&mut self) -> Option<QueuedEvent> {
+    /// Removes and returns the earliest event, if any.
+    pub fn pop(&mut self) -> Option<(SimTime, EventKind)> {
         let ev = self.ready.pop()?;
         self.len -= 1;
         if self.ready.is_empty() {
             self.refill();
         }
-        Some(ev)
+        Some((ev.time, ev.kind))
     }
 
-    fn peek_key(&self) -> Option<(u64, u64)> {
-        self.ready.last().map(QueuedEvent::key)
+    /// Time of the earliest event without removing it.
+    pub fn peek_time(&self) -> Option<SimTime> {
+        self.ready.last().map(|e| e.time)
+    }
+
+    /// Number of pending events.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Whether no events are pending.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
     }
 
     /// Restores the `ready`-nonempty-unless-empty invariant: repeatedly
@@ -459,146 +410,10 @@ impl TimerWheel {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Sharded front
-// ---------------------------------------------------------------------------
-
-enum ShardQueue {
-    Heap(BinaryHeap<Reverse<QueuedEvent>>),
-    Wheel(Box<TimerWheel>),
-}
-
-impl ShardQueue {
-    fn push(&mut self, ev: QueuedEvent) {
-        match self {
-            ShardQueue::Heap(h) => h.push(Reverse(ev)),
-            ShardQueue::Wheel(w) => w.push(ev),
-        }
-    }
-
-    fn pop(&mut self) -> Option<QueuedEvent> {
-        match self {
-            ShardQueue::Heap(h) => h.pop().map(|Reverse(e)| e),
-            ShardQueue::Wheel(w) => w.pop(),
-        }
-    }
-
-    fn peek_key(&self) -> Option<(u64, u64)> {
-        match self {
-            ShardQueue::Heap(h) => h.peek().map(|Reverse(e)| e.key()),
-            ShardQueue::Wheel(w) => w.peek_key(),
-        }
-    }
-}
-
-/// A strictly deterministic future-event list.
-///
-/// Ties at the same virtual time are broken by insertion order (one
-/// global sequence counter), so a simulation run is a pure function of
-/// its inputs — the property the paper gets from its single-threaded
-/// injector's total message order (§VI-C) and that our tests rely on.
-/// The backend (heap or timer wheel, 1..=64 shards) is a pure
-/// performance choice; see [`SchedulerConfig`].
-pub struct EventQueue {
-    shards: Vec<ShardQueue>,
-    seq: u64,
-    len: usize,
-}
-
-impl Default for EventQueue {
-    fn default() -> Self {
-        EventQueue::with_config(SchedulerConfig::default(), 0)
-    }
-}
-
-impl EventQueue {
-    /// Creates an empty queue with the default scheduler.
-    pub fn new() -> EventQueue {
-        EventQueue::default()
-    }
-
-    /// Creates an empty queue with an explicit scheduler configuration.
-    /// `capacity_hint` pre-sizes per-shard storage (pass 0 for none).
-    pub fn with_config(config: SchedulerConfig, capacity_hint: usize) -> EventQueue {
-        let n = config.clamped_shards();
-        let per_shard = capacity_hint / n;
-        let shards = (0..n)
-            .map(|_| match config.kind {
-                SchedulerKind::Heap => ShardQueue::Heap(BinaryHeap::with_capacity(per_shard)),
-                SchedulerKind::Wheel => ShardQueue::Wheel(Box::new(TimerWheel::new())),
-            })
-            .collect();
-        EventQueue {
-            shards,
-            seq: 0,
-            len: 0,
-        }
-    }
-
-    /// Schedules `kind` at absolute time `at`.
-    pub fn schedule(&mut self, at: SimTime, kind: EventKind) {
-        let seq = self.seq;
-        self.seq += 1;
-        let shard = kind.shard(self.shards.len());
-        self.len += 1;
-        self.shards[shard].push(QueuedEvent {
-            time: at,
-            seq,
-            kind,
-        });
-    }
-
-    fn min_shard(&self) -> Option<usize> {
-        let mut best: Option<((u64, u64), usize)> = None;
-        for (i, s) in self.shards.iter().enumerate() {
-            if let Some(key) = s.peek_key() {
-                // `seq` is globally unique, so keys never tie and the
-                // shard index never participates in ordering.
-                if best.is_none_or(|(bk, _)| key < bk) {
-                    best = Some((key, i));
-                }
-            }
-        }
-        best.map(|(_, i)| i)
-    }
-
-    /// Removes and returns the earliest event, if any.
-    pub fn pop(&mut self) -> Option<(SimTime, EventKind)> {
-        let shard = self.min_shard()?;
-        let ev = self.shards[shard].pop().expect("peeked shard non-empty");
-        self.len -= 1;
-        Some((ev.time, ev.kind))
-    }
-
-    /// Time of the earliest event without removing it.
-    pub fn peek_time(&self) -> Option<SimTime> {
-        let mut best: Option<(u64, u64)> = None;
-        for s in &self.shards {
-            if let Some(key) = s.peek_key() {
-                if best.is_none_or(|bk| key < bk) {
-                    best = Some(key);
-                }
-            }
-        }
-        best.map(|(t, _)| SimTime(t))
-    }
-
-    /// Number of pending events.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Whether no events are pending.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-}
-
 impl fmt::Debug for EventQueue {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("EventQueue")
             .field("pending", &self.len)
-            .field("shards", &self.shards.len())
             .field("next_seq", &self.seq)
             .finish()
     }
@@ -661,6 +476,8 @@ impl FrameArena {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::cmp::Reverse;
+    use std::collections::BinaryHeap;
 
     #[test]
     fn pops_in_time_order() {
@@ -745,67 +562,80 @@ mod tests {
         }
     }
 
-    /// Replays an identical pseudo-random schedule/pop workload against
-    /// every scheduler configuration and checks all pop sequences match
-    /// the reference heap exactly — the sharded-wheel determinism
-    /// contract in miniature.
+    /// The reference the wheel is checked against: a binary heap over
+    /// `(time, seq, node)`, the structure the simulator used before the
+    /// wheel and whose pop order defines the determinism contract.
+    #[derive(Default)]
+    struct HeapModel {
+        heap: BinaryHeap<Reverse<(u64, u64, usize)>>,
+        seq: u64,
+    }
+
+    impl HeapModel {
+        fn schedule(&mut self, at: SimTime, node: usize) {
+            self.heap.push(Reverse((at.0, self.seq, node)));
+            self.seq += 1;
+        }
+
+        fn pop(&mut self) -> Option<(SimTime, usize)> {
+            self.heap.pop().map(|Reverse((t, _, n))| (SimTime(t), n))
+        }
+
+        fn peek_time(&self) -> Option<SimTime> {
+            self.heap.peek().map(|Reverse((t, ..))| SimTime(*t))
+        }
+    }
+
+    /// Drives the wheel and the heap model through the same bursty
+    /// schedule/pop workload and compares `pop()`, `peek_time()` and
+    /// `len()` after every step.
     #[test]
-    fn all_backends_pop_identically() {
-        let configs = [
-            SchedulerConfig::heap(1),
-            SchedulerConfig::heap(4),
-            SchedulerConfig::wheel(1),
-            SchedulerConfig::wheel(3),
-            SchedulerConfig::wheel(64),
-        ];
-        let runs: Vec<Vec<(SimTime, usize)>> = configs
-            .iter()
-            .map(|cfg| {
-                let mut q = EventQueue::with_config(*cfg, 0);
-                let mut rng = TestRng(0x5eed_cafe);
-                let mut popped = Vec::new();
-                let mut now = 0u64;
-                for step in 0..4000 {
-                    // Bursty schedule: near-term, same-time ties, far
-                    // future (crosses several wheel levels), and ancient
-                    // overflow-range events.
-                    let r = rng.next();
-                    let dt = match r % 7 {
-                        0 => 0,
-                        1 => r % 1_000,                 // sub-slot
-                        2 => r % 100_000,               // level 0/1
-                        3 => r % 50_000_000,            // level 2/3
-                        4 => r % 5_000_000_000,         // level 4/5
-                        5 => r % 400_000_000_000_000,   // level 6/7
-                        _ => 1_000_000_000_000_000_000, // overflow
-                    };
-                    q.schedule(SimTime(now + dt), timer(step % 11));
-                    if r.is_multiple_of(3) {
-                        if let Some((t, k)) = q.pop() {
-                            assert!(t.0 >= now, "time went backwards");
-                            now = t.0;
-                            popped.push((t, node_of(&k)));
-                        }
-                    }
+    fn wheel_matches_heap_model_step_by_step() {
+        for seed in 1..=8u64 {
+            let mut wheel = EventQueue::new();
+            let mut model = HeapModel::default();
+            let mut rng = TestRng(seed.wrapping_mul(0x9e37_79b9_7f4a_7c15));
+            let mut now = 0u64;
+            for step in 0..4000 {
+                // Re-insertion at the cursor, same-time ties, every
+                // wheel level, and overflow-range events.
+                let r = rng.next();
+                let dt = match r % 7 {
+                    0 => 0,
+                    1 => r % 1_000,                 // sub-slot
+                    2 => r % 100_000,               // level 0/1
+                    3 => r % 50_000_000,            // level 2/3
+                    4 => r % 5_000_000_000,         // level 4/5
+                    5 => r % 400_000_000_000_000,   // level 6/7
+                    _ => 1_000_000_000_000_000_000, // overflow
+                };
+                wheel.schedule(SimTime(now + dt), timer(step % 11));
+                model.schedule(SimTime(now + dt), step % 11);
+                if r.is_multiple_of(3) {
+                    let got = wheel.pop().map(|(t, k)| (t, node_of(&k)));
+                    assert_eq!(got, model.pop(), "seed {seed} step {step}");
+                    now = got.expect("just scheduled").0 .0;
                 }
-                while let Some((t, k)) = q.pop() {
-                    assert!(t.0 >= now);
-                    now = t.0;
-                    popped.push((t, node_of(&k)));
-                }
-                assert!(q.is_empty());
-                popped
-            })
-            .collect();
-        for run in &runs[1..] {
-            assert_eq!(runs[0].len(), run.len());
-            assert_eq!(&runs[0], run, "backend diverged from reference heap");
+                assert_eq!(
+                    wheel.peek_time(),
+                    model.peek_time(),
+                    "seed {seed} step {step}"
+                );
+                assert_eq!(wheel.len(), model.heap.len(), "seed {seed} step {step}");
+            }
+            while let Some(want) = model.pop() {
+                let got = wheel.pop().map(|(t, k)| (t, node_of(&k)));
+                assert_eq!(got, Some(want), "seed {seed} drain");
+                assert_eq!(wheel.peek_time(), model.peek_time(), "seed {seed} drain");
+                assert_eq!(wheel.len(), model.heap.len(), "seed {seed} drain");
+            }
+            assert!(wheel.is_empty() && wheel.pop().is_none());
         }
     }
 
     #[test]
     fn wheel_handles_same_slot_ties_and_reinsertion_at_cursor() {
-        let mut q = EventQueue::with_config(SchedulerConfig::wheel(1), 0);
+        let mut q = EventQueue::new();
         // Two events in the same level-0 slot, inserted out of order.
         q.schedule(SimTime(2048 + 7), EventKind::InterposerWake);
         q.schedule(SimTime(2048 + 3), EventKind::InterposerWake);
@@ -823,7 +653,7 @@ mod tests {
 
     #[test]
     fn wheel_cascade_preserves_order_across_levels() {
-        let mut q = EventQueue::with_config(SchedulerConfig::wheel(1), 0);
+        let mut q = EventQueue::new();
         // An event far out (level >= 1) and one just before it in a
         // level-0 slot; the higher-level slot's range starts earlier, so
         // the cascade-first rule is what keeps this ordered.

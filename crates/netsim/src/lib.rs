@@ -81,7 +81,11 @@ pub use budget::{CancelToken, HaltReason, RunBudget};
 pub use builder::{BuildError, ControllerRef, LinkParams, NetworkBuilder};
 pub use command::{HostCommand, ParseCommandError};
 pub use controller_host::ControllerHost;
-pub use engine::{ConnId, NodeId, SchedulerConfig, SchedulerKind, TimerToken};
+// `SchedulerConfig` is re-exported only for the frozen benchmark's
+// `use attain::netsim::SchedulerConfig` (attain_bench/src/layers.rs).
+#[doc(hidden)]
+pub use engine::SchedulerConfig;
+pub use engine::{ConnId, NodeId, TimerToken};
 pub use fault::{
     ControllerFaultStats, DetRng, FaultKind, FaultPlan, FaultReport, FaultSpec, FaultTarget,
     LinkStats, ParseFaultError, SwitchFaultStats,

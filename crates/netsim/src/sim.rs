@@ -4,9 +4,7 @@
 use crate::budget::{HaltReason, RunBudget};
 use crate::command::HostCommand;
 use crate::controller_host::ControllerHost;
-use crate::engine::{
-    ConnId, Effect, EventKind, EventQueue, FrameArena, NodeId, SchedulerConfig, TimerToken,
-};
+use crate::engine::{ConnId, Effect, EventKind, EventQueue, FrameArena, NodeId, TimerToken};
 use crate::fault::{
     ControllerFaultStats, FaultKind, FaultPlan, FaultReport, FaultSpec, FaultTarget, LinkStats,
     SwitchFaultStats,
@@ -95,7 +93,6 @@ impl std::fmt::Debug for Simulation {
 }
 
 impl Simulation {
-    #[allow(clippy::too_many_arguments)]
     pub(crate) fn assemble(
         nodes: Vec<Node>,
         links: Vec<Link>,
@@ -103,12 +100,11 @@ impl Simulation {
         controllers: Vec<ControllerHost>,
         connections: Vec<Connection>,
         names: HashMap<String, NodeId>,
-        scheduler: SchedulerConfig,
-        capacity_hint: usize,
     ) -> Simulation {
+        let arena_hint = (nodes.len() * 4 + links.len() * 2).min(1 << 16);
         let mut sim = Simulation {
             now: SimTime::ZERO,
-            queue: EventQueue::with_config(scheduler, capacity_hint),
+            queue: EventQueue::new(),
             nodes,
             links,
             port_map,
@@ -117,7 +113,7 @@ impl Simulation {
             interposer: None,
             trace: Trace::new(),
             names,
-            arena: FrameArena::with_capacity(capacity_hint.min(1 << 16)),
+            arena: FrameArena::with_capacity(arena_hint),
             peak_pending: 0,
             frames_dropped: 0,
             budget: RunBudget::default(),
@@ -169,15 +165,18 @@ impl Simulation {
         self.interposer = Some(interposer);
     }
 
-    /// Schedules a workload command at absolute time `at`.
+    /// Schedules a workload command at absolute time `at`; an `at`
+    /// already in the past runs at the current instant, so virtual time
+    /// never moves backwards.
     pub fn schedule_command(&mut self, at: SimTime, cmd: HostCommand) {
-        self.queue.schedule(at, EventKind::Command(cmd));
+        self.queue
+            .schedule(at.max(self.now), EventKind::Command(cmd));
     }
 
-    /// Schedules an environment fault at absolute time `at`.
+    /// Schedules an environment fault at absolute time `at` (clamped to
+    /// the current instant like [`Simulation::schedule_command`]).
     pub fn schedule_fault(&mut self, at: SimTime, spec: FaultSpec) {
-        self.queue
-            .schedule(at, EventKind::Command(HostCommand::Fault(spec)));
+        self.schedule_command(at, HostCommand::Fault(spec));
     }
 
     /// Bounds the named switch's flow table at `capacity` entries under

@@ -2,7 +2,9 @@
 //! workload realism, fail modes, and determinism.
 
 use attain_controllers::{Controller, ControllerKind};
-use attain_netsim::{Direction, FailMode, HostCommand, NetworkBuilder, SimTime, Simulation};
+use attain_netsim::{
+    Direction, FailMode, FaultSpec, HostCommand, NetworkBuilder, SimTime, Simulation, TraceKind,
+};
 use attain_openflow::OfType;
 
 fn controller_box(kind: ControllerKind) -> Box<dyn Controller> {
@@ -313,4 +315,40 @@ fn connection_death_and_reconnect_after_silence() {
     sim.run_until(SimTime::from_secs(40));
     assert!(!sim.switch("s1").is_connected());
     assert!(!sim.switch("s2").is_connected());
+}
+
+/// A command or fault scheduled in the past runs at the current instant:
+/// virtual time never moves backwards, neither as `now()` reports it nor
+/// as the trace stamps it.
+#[test]
+fn late_commands_run_now_and_the_clock_never_runs_backwards() {
+    let mut sim = line_network(ControllerKind::Floodlight);
+    sim.run_until(SimTime::from_secs(5));
+    let late = SimTime::from_secs(1);
+    let h1 = sim.node_id("h1").unwrap();
+    sim.schedule_fault(late, FaultSpec::parse("link s1-s2 down").unwrap());
+    sim.schedule_command(
+        late,
+        HostCommand::Ping {
+            host: h1,
+            dst: "10.0.0.2".parse().unwrap(),
+            count: 1,
+            interval: SimTime::from_secs(1),
+            label: "late".into(),
+        },
+    );
+    let mut last = sim.now();
+    for horizon_s in [2, 4, 5, 6] {
+        sim.run_until(SimTime::from_secs(horizon_s));
+        assert!(sim.now() >= last, "now() went from {last} to {}", sim.now());
+        last = sim.now();
+    }
+    assert_eq!(sim.ping_stats()[0].transmitted(), 1, "the late ping ran");
+    let events = sim.trace().events();
+    assert!(events.windows(2).all(|w| w[0].time <= w[1].time));
+    let fault = events
+        .iter()
+        .find(|e| matches!(e.kind, TraceKind::Fault { .. }))
+        .expect("the late fault was applied");
+    assert_eq!(fault.time, SimTime::from_secs(5));
 }

@@ -1,31 +1,20 @@
-//! Shard- and scheduler-invariance: the engine refactor's contract.
+//! Event-order pins at scale: the engine's determinism contract.
 //!
-//! The sharded timer-wheel engine must be *observationally invisible*:
-//! for any scenario, every `(scheduler, shard count)` combination —
-//! heap or hierarchical wheel, 1 shard or many — must produce the same
-//! virtual-time history byte for byte. These tests pin that contract on
-//! both kinds of scenario the repo cares about: the paper-style small
-//! controller networks (where the control-plane trace digest is the
-//! oracle) and generated datacenter fabrics under seeded traffic
-//! matrices (where the data-plane record is).
+//! The event queue must pop in exactly the `(time, seq)` order of a
+//! binary heap over the same key. Every constant below was recorded on
+//! `SchedulerConfig::heap(1)` — the binary-heap backend — at the commit
+//! before that backend was deleted (same convention as
+//! `tests/eviction_order.rs`), so a reordering, retiming, loss or
+//! duplication anywhere in the wheel-only engine shows up as a digest,
+//! counter or event-count mismatch here. The scenarios are the two kinds
+//! the repo cares about: the paper-style small controller network (the
+//! control-plane trace digest is the oracle) and generated datacenter
+//! fabrics under seeded traffic matrices (the data-plane record is).
 
 use attain_controllers::ControllerKind;
 use attain_netsim::topo::{fat_tree, install_fat_tree_routes, FatTreeParams};
 use attain_netsim::workload::{FlowKind, TrafficMatrix, TrafficPattern};
-use attain_netsim::{
-    FaultPlan, HostCommand, NetworkBuilder, PassThrough, SchedulerConfig, SimTime, Simulation,
-};
-
-/// Scheduler/shard combinations every scenario is replayed under.
-fn configs() -> Vec<SchedulerConfig> {
-    vec![
-        SchedulerConfig::heap(1),
-        SchedulerConfig::heap(4),
-        SchedulerConfig::wheel(1),
-        SchedulerConfig::wheel(4),
-        SchedulerConfig::wheel(64),
-    ]
-}
+use attain_netsim::{FaultPlan, HostCommand, NetworkBuilder, PassThrough, SimTime, Simulation};
 
 /// Everything externally observable about a finished run, rendered.
 /// Any reordering, retiming, loss, or duplication anywhere in the
@@ -60,9 +49,8 @@ fn fingerprint(sim: &Simulation) -> String {
 /// The paper-style 10-node line/star scenario: four switches, four
 /// hosts, one controller, ping + iperf crossing the fabric while a
 /// fault plan flaps a core link — the existing campaign shape.
-fn paper_scenario(config: SchedulerConfig, interpose: bool, fault: bool) -> Simulation {
+fn paper_scenario(interpose: bool, fault: bool) -> Simulation {
     let mut b = NetworkBuilder::new();
-    b.scheduler(config);
     let h1 = b.host("h1", "10.0.0.1");
     let h2 = b.host("h2", "10.0.0.2");
     let h3 = b.host("h3", "10.0.0.3");
@@ -112,9 +100,8 @@ fn paper_scenario(config: SchedulerConfig, interpose: bool, fault: bool) -> Simu
 
 /// A generated fat-tree under a seeded traffic matrix, optionally with
 /// an interposer-less fault plan (no controller, so no interposer).
-fn fabric_scenario(k: usize, config: SchedulerConfig, fault: bool, seed: u64) -> Simulation {
+fn fabric_scenario(k: usize, fault: bool, seed: u64) -> Simulation {
     let mut b = NetworkBuilder::new();
-    b.scheduler(config);
     let t = fat_tree(&mut b, &FatTreeParams::new(k)).unwrap();
     let mut sim = b.build();
     install_fat_tree_routes(&mut sim, &t);
@@ -137,74 +124,99 @@ fn fabric_scenario(k: usize, config: SchedulerConfig, fault: bool, seed: u64) ->
     sim
 }
 
+/// A k=4 fat-tree carrying a permutation of one-second iperf flows.
+fn iperf_scenario() -> Simulation {
+    let mut b = NetworkBuilder::new();
+    let t = fat_tree(&mut b, &FatTreeParams::new(4)).unwrap();
+    let mut sim = b.build();
+    install_fat_tree_routes(&mut sim, &t);
+    TrafficMatrix::new(12, 5)
+        .with_pattern(TrafficPattern::Permutation)
+        .with_kind(FlowKind::Iperf {
+            duration: SimTime::from_secs(1),
+        })
+        .apply(&mut sim, &t);
+    sim.run_until(SimTime::from_secs(10));
+    sim
+}
+
+fn fnv1a(s: &str) -> u64 {
+    s.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// What the heap recorded for one scenario: trace digest, counter
+/// digest, events dispatched, FNV-1a of the whole [`fingerprint`] string.
+type Pin = (&'static str, &'static str, u64, u64);
+
+/// The digests of a run with no control plane: nothing is traced, so
+/// both are the FNV offset basis.
+const NO_TRACE: &str = "cbf29ce484222325";
+
+const PAPER: Pin = (
+    "bb65730372714a38",
+    "de5100de351751ed",
+    545,
+    0x40e4_a8cc_dd9f_a1d3,
+);
+const PAPER_FAULTED: Pin = (
+    "86ee5ed3fff66a07",
+    "de5100de351751ed",
+    495,
+    0xea22_5243_b0be_f3d2,
+);
+const K4: Pin = (NO_TRACE, NO_TRACE, 1_917, 0xa213_b078_2eb2_f60a);
+// The link flap is traced; it touches no per-message-type counter.
+const K4_FAULTED: Pin = ("b0578fcbb0f24f26", NO_TRACE, 1_919, 0xf034_7ddb_f33d_7465);
+const K8: Pin = (NO_TRACE, NO_TRACE, 2_421, 0x8469_a13c_5c81_ae25);
+const IPERF: Pin = (NO_TRACE, NO_TRACE, 446_037, 0x3e89_39e6_3273_89e4);
+
+fn assert_pinned(what: &str, sim: &Simulation, (trace, counters, events, hash): Pin) {
+    assert_eq!(sim.trace().digest().to_string(), trace, "{what}");
+    assert_eq!(sim.trace().counter_digest().to_string(), counters, "{what}");
+    assert_eq!(sim.events_dispatched(), events, "{what}");
+    assert_eq!(fnv1a(&fingerprint(sim)), hash, "{what}");
+}
+
 #[test]
-fn paper_scenario_is_invariant_across_schedulers_and_shards() {
+fn paper_scenario_matches_the_heap_recording() {
+    // A pass-through interposer must not move anything, so both values
+    // of `interpose` share a pin.
     for interpose in [false, true] {
-        for fault in [false, true] {
-            let reference =
-                fingerprint(&paper_scenario(SchedulerConfig::heap(1), interpose, fault));
-            for config in configs() {
-                let got = fingerprint(&paper_scenario(config, interpose, fault));
-                assert_eq!(
-                    got, reference,
-                    "divergence under {config:?} (interpose={interpose}, fault={fault})"
-                );
-            }
+        for (fault, pin) in [(false, PAPER), (true, PAPER_FAULTED)] {
+            let sim = paper_scenario(interpose, fault);
+            assert_pinned(&format!("interpose={interpose} fault={fault}"), &sim, pin);
         }
     }
 }
 
 #[test]
-fn fat_tree_k4_traffic_matrix_is_invariant_across_schedulers_and_shards() {
-    for fault in [false, true] {
-        let reference = fingerprint(&fabric_scenario(4, SchedulerConfig::heap(1), fault, 42));
-        assert!(reference.contains("ping"), "scenario produced no flows");
-        for config in configs() {
-            let got = fingerprint(&fabric_scenario(4, config, fault, 42));
-            assert_eq!(
-                got, reference,
-                "divergence under {config:?} (fault={fault})"
-            );
-        }
+fn fat_tree_k4_traffic_matrix_matches_the_heap_recording() {
+    for (fault, pin) in [(false, K4), (true, K4_FAULTED)] {
+        let sim = fabric_scenario(4, fault, 42);
+        assert!(!sim.ping_stats().is_empty(), "scenario produced no flows");
+        assert_pinned(&format!("fault={fault}"), &sim, pin);
     }
 }
 
 #[test]
-fn fat_tree_k8_traffic_matrix_is_invariant_across_shard_counts() {
-    // k=8: 80 switches, 128 hosts — one fabric size up, heap vs. wheel
-    // and 1 vs. 64 shards, two independent runs each (same-seed
-    // repeatability and cross-backend equality in one pin).
-    let reference = fingerprint(&fabric_scenario(8, SchedulerConfig::heap(1), false, 9));
-    for config in [
-        SchedulerConfig::heap(1),
-        SchedulerConfig::wheel(1),
-        SchedulerConfig::wheel(64),
-    ] {
-        let got = fingerprint(&fabric_scenario(8, config, false, 9));
-        assert_eq!(got, reference, "divergence under {config:?}");
-    }
+fn fat_tree_k8_traffic_matrix_matches_the_heap_recording() {
+    // k=8: 80 switches, 128 hosts — one fabric size up.
+    assert_pinned("k=8", &fabric_scenario(8, false, 9), K8);
 }
 
 #[test]
-fn iperf_workload_is_invariant_across_schedulers() {
-    let run = |config: SchedulerConfig| {
-        let mut b = NetworkBuilder::new();
-        b.scheduler(config);
-        let t = fat_tree(&mut b, &FatTreeParams::new(4)).unwrap();
-        let mut sim = b.build();
-        install_fat_tree_routes(&mut sim, &t);
-        TrafficMatrix::new(12, 5)
-            .with_pattern(TrafficPattern::Permutation)
-            .with_kind(FlowKind::Iperf {
-                duration: SimTime::from_secs(1),
-            })
-            .apply(&mut sim, &t);
-        sim.run_until(SimTime::from_secs(10));
-        fingerprint(&sim)
-    };
-    let reference = run(SchedulerConfig::heap(1));
-    assert!(reference.contains("iperf"), "scenario produced no flows");
-    for config in configs() {
-        assert_eq!(run(config), reference, "divergence under {config:?}");
-    }
+fn iperf_workload_matches_the_heap_recording() {
+    let sim = iperf_scenario();
+    assert!(!sim.iperf_stats().is_empty(), "scenario produced no flows");
+    assert_pinned("iperf permutation", &sim, IPERF);
+}
+
+#[test]
+fn same_seed_runs_are_identical() {
+    assert_eq!(
+        fingerprint(&fabric_scenario(4, true, 42)),
+        fingerprint(&fabric_scenario(4, true, 42))
+    );
 }

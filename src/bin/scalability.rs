@@ -1,5 +1,5 @@
-//! Scalability sweep: how far the sharded timer-wheel engine carries
-//! the simulator past the paper's eleven-node testbed.
+//! Scalability sweep: how far the timer-wheel engine carries the
+//! simulator past the paper's eleven-node testbed.
 //!
 //! Usage:
 //!   cargo run --release --bin scalability [options]
@@ -7,8 +7,6 @@
 //!   --smoke            the capped CI sweep (fat-tree k=4 only)
 //!   --max-events N     deterministic event budget per row (default:
 //!                      50,000,000; smoke default 2,000,000)
-//!   --shards N         engine shard count (default 1)
-//!   --heap             use the binary-heap scheduler instead of the wheel
 //!   --json PATH        also write the report as JSON
 //!
 //! Each row builds a generated fabric (fat-tree or leaf-spine), installs
@@ -16,16 +14,14 @@
 //! and runs to the horizon in [`TraceMode::Counters`], reporting virtual
 //! events dispatched, wall-clock, event rate, and the engine's peak
 //! pending-event depth. The largest row reaches 1,024 switches and
-//! 100,000 concurrent flows. A final pair of rows replays the k=8 fabric
-//! under both schedulers — the macro-level heap vs. wheel comparison
-//! (micro push/pop costs live in `crates/bench/benches/scalability.rs`).
+//! 100,000 concurrent flows.
 
 use attain_netsim::topo::{
     fat_tree, install_fat_tree_routes, install_leaf_spine_routes, leaf_spine, FatTreeParams,
     LeafSpineParams, Topology,
 };
 use attain_netsim::workload::{FlowKind, TrafficMatrix, TrafficPattern};
-use attain_netsim::{NetworkBuilder, RunBudget, SchedulerConfig, SimTime, Simulation, TraceMode};
+use attain_netsim::{NetworkBuilder, RunBudget, SimTime, Simulation, TraceMode};
 use std::fmt::Write as _;
 use std::process::ExitCode;
 use std::time::Instant;
@@ -53,7 +49,6 @@ enum Fabric {
 
 struct Outcome {
     name: &'static str,
-    scheduler: String,
     switches: usize,
     hosts: usize,
     flows: usize,
@@ -120,9 +115,8 @@ fn sweep_rows(smoke: bool) -> Vec<Row> {
     }
 }
 
-fn build(row: &Row, config: SchedulerConfig) -> (Simulation, Topology, usize) {
+fn build(row: &Row) -> (Simulation, Topology, usize) {
     let mut b = NetworkBuilder::new();
-    b.scheduler(config);
     match row.fabric {
         Fabric::FatTree { k } => {
             let t = fat_tree(&mut b, &FatTreeParams::new(k)).expect("fat-tree params");
@@ -147,8 +141,8 @@ fn build(row: &Row, config: SchedulerConfig) -> (Simulation, Topology, usize) {
     }
 }
 
-fn run_row(row: &Row, config: SchedulerConfig, max_events: u64) -> Outcome {
-    let (mut sim, topo, routes) = build(row, config);
+fn run_row(row: &Row, max_events: u64) -> Outcome {
+    let (mut sim, topo, routes) = build(row);
     sim.set_trace_mode(TraceMode::Counters);
     sim.set_run_budget(RunBudget::unlimited().with_max_events(max_events));
     let matrix = TrafficMatrix {
@@ -174,7 +168,6 @@ fn run_row(row: &Row, config: SchedulerConfig, max_events: u64) -> Outcome {
     let events = sim.events_dispatched();
     Outcome {
         name: row.name,
-        scheduler: format!("{config:?}"),
         switches: topo.switch_count(),
         hosts: topo.host_count(),
         flows: row.flows,
@@ -195,12 +188,11 @@ fn render_json(outcomes: &[Outcome]) -> String {
         let comma = if i + 1 == outcomes.len() { "" } else { "," };
         let _ = writeln!(
             s,
-            "    {{\"name\": \"{}\", \"scheduler\": \"{}\", \"switches\": {}, \"hosts\": {}, \
-             \"flows\": {}, \"routes\": {}, \"events\": {}, \"wall_ms\": {:.1}, \
+            "    {{\"name\": \"{}\", \"switches\": {}, \"hosts\": {}, \"flows\": {}, \
+             \"routes\": {}, \"events\": {}, \"wall_ms\": {:.1}, \
              \"events_per_sec\": {:.0}, \"peak_pending\": {}, \"pings_sent\": {}, \
              \"pings_received\": {}, \"halt\": \"{}\"}}{}",
             o.name,
-            o.scheduler,
             o.switches,
             o.hosts,
             o.flows,
@@ -230,20 +222,10 @@ fn arg_value(args: &[String], key: &str) -> Option<String> {
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().collect();
     let smoke = args.iter().any(|a| a == "--smoke");
-    let heap = args.iter().any(|a| a == "--heap");
-    let shards: usize = arg_value(&args, "--shards")
-        .map(|s| s.parse().expect("--shards takes an integer"))
-        .unwrap_or(1);
     let max_events: u64 = arg_value(&args, "--max-events")
         .map(|s| s.parse().expect("--max-events takes an integer"))
         .unwrap_or(if smoke { 2_000_000 } else { 50_000_000 });
     let json_path = arg_value(&args, "--json");
-
-    let config = if heap {
-        SchedulerConfig::heap(shards)
-    } else {
-        SchedulerConfig::wheel(shards)
-    };
 
     let mut outcomes = Vec::new();
     println!(
@@ -251,7 +233,7 @@ fn main() -> ExitCode {
         "fabric", "switches", "hosts", "flows", "events", "wall ms", "events/s", "peak q"
     );
     for row in sweep_rows(smoke) {
-        let o = run_row(&row, config, max_events);
+        let o = run_row(&row, max_events);
         println!(
             "{:<20} {:>8} {:>7} {:>7} {:>10} {:>9.1} {:>11.0} {:>9}",
             o.name,
@@ -268,27 +250,6 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
         outcomes.push(o);
-    }
-
-    if !smoke {
-        // Macro heap-vs-wheel comparison on a mid-size fabric.
-        for alt in [SchedulerConfig::heap(1), SchedulerConfig::wheel(1)] {
-            let row = &sweep_rows(false)[1];
-            let o = run_row(row, alt, max_events);
-            println!(
-                "{:<20} {:>8} {:>7} {:>7} {:>10} {:>9.1} {:>11.0} {:>9}  [{}]",
-                o.name,
-                o.switches,
-                o.hosts,
-                o.flows,
-                o.events,
-                o.wall_ms,
-                o.events_per_sec,
-                o.peak_pending,
-                o.scheduler
-            );
-            outcomes.push(o);
-        }
     }
 
     if let Some(path) = json_path {

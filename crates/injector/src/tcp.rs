@@ -41,14 +41,17 @@
 //! [`TcpProxy::apply_fault`] or at a scheduled offset via
 //! [`TcpProxy::schedule_fault`].
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
 use attain_core::exec::{AttackExecutor, ExecOutput, InjectorInput};
 use attain_core::model::ConnectionId;
 use attain_openflow::{Frame, OfMessage};
 use crossbeam::channel::{bounded, unbounded, Receiver, Sender, TrySendError};
 use parking_lot::Mutex;
 use std::cmp::Reverse;
+use std::collections::binary_heap::PeekMut;
 use std::collections::{BinaryHeap, HashMap};
-use std::io::{Read, Write};
+use std::io::{self, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -65,6 +68,12 @@ pub const RECONNECT_BACKOFF_BASE: Duration = Duration::from_millis(50);
 
 /// Ceiling the reconnect backoff window never exceeds.
 pub const RECONNECT_BACKOFF_CAP: Duration = Duration::from_secs(2);
+
+/// Longest the acceptor waits for the controller to answer a dial (one
+/// SYN retransmission on a stock kernel). A dial that times out is a
+/// dial failure like any other; it also bounds how long `shutdown()`
+/// can wait on an acceptor parked in `connect`.
+pub const CONTROLLER_DIAL_TIMEOUT: Duration = Duration::from_secs(2);
 
 /// One proxied control-plane connection: where the switch will connect,
 /// where the controller listens, and which `N_C` element this is.
@@ -102,6 +111,16 @@ pub enum FaultAction {
         /// Route index.
         route: usize,
     },
+}
+
+impl FaultAction {
+    fn route(self) -> usize {
+        match self {
+            FaultAction::Sever { route }
+            | FaultAction::HoldDown { route }
+            | FaultAction::Restore { route } => route,
+        }
+    }
 }
 
 /// Lifecycle counters exposed by [`TcpProxy::stats`].
@@ -570,12 +589,12 @@ impl Shared {
         }
     }
 
-    fn spawn_worker(self: &Arc<Self>, name: &str, f: impl FnOnce() + Send + 'static) {
+    fn spawn_worker(&self, name: &str, f: impl FnOnce() + Send + 'static) -> io::Result<()> {
         let handle = thread::Builder::new()
             .name(format!("attain-proxy-{name}"))
-            .spawn(f)
-            .expect("spawn proxy worker thread");
+            .spawn(f)?;
         self.workers.lock().push(handle);
+        Ok(())
     }
 
     fn stats(&self) -> ProxyStats {
@@ -647,17 +666,30 @@ impl TcpProxy {
     ///
     /// # Errors
     ///
-    /// Fails if a listener cannot bind.
+    /// Fails if a listener cannot bind or a thread cannot be spawned;
+    /// threads already started are stopped and joined first.
     pub fn spawn(
         exec: AttackExecutor,
         routes: Vec<ProxyRoute>,
         syscmd: Option<SysCmdHandler>,
-    ) -> std::io::Result<TcpProxy> {
-        let mut listeners = Vec::with_capacity(routes.len());
+    ) -> io::Result<TcpProxy> {
+        let listeners = routes
+            .iter()
+            .map(|route| TcpListener::bind(route.listen))
+            .collect::<io::Result<Vec<_>>>()?;
+        TcpProxy::start(exec, &routes, listeners, syscmd)
+    }
+
+    /// Starts the proxy on already bound `listeners`, one per route.
+    fn start(
+        exec: AttackExecutor,
+        routes: &[ProxyRoute],
+        listeners: Vec<TcpListener>,
+        syscmd: Option<SysCmdHandler>,
+    ) -> io::Result<TcpProxy> {
         let mut listen_addrs = Vec::with_capacity(routes.len());
         let mut route_states = Vec::with_capacity(routes.len());
-        for route in &routes {
-            let listener = TcpListener::bind(route.listen)?;
+        for (route, listener) in routes.iter().zip(&listeners) {
             let addr = listener.local_addr()?;
             listen_addrs.push(addr);
             route_states.push(RouteState {
@@ -668,7 +700,6 @@ impl TcpProxy {
                 dial_failures: AtomicU32::new(0),
                 backoff_until: Mutex::new(None),
             });
-            listeners.push(listener);
         }
         let (timer_tx, timer_rx) = unbounded();
         let shared = Arc::new(Shared {
@@ -685,24 +716,28 @@ impl TcpProxy {
             workers: Mutex::new(Vec::new()),
         });
         {
-            let shared = Arc::clone(&shared);
             let timer_shared = Arc::clone(&shared);
-            shared.spawn_worker("timer", move || timer_loop(timer_shared, timer_rx));
+            shared.spawn_worker("timer", move || timer_loop(timer_shared, timer_rx))?;
         }
-        let mut acceptors = Vec::with_capacity(listeners.len());
-        for (route_idx, listener) in listeners.into_iter().enumerate() {
-            let shared = Arc::clone(&shared);
-            let handle = thread::Builder::new()
-                .name(format!("attain-proxy-accept-{route_idx}"))
-                .spawn(move || accept_loop(shared, listener, route_idx))
-                .expect("spawn proxy acceptor thread");
-            acceptors.push(handle);
-        }
-        Ok(TcpProxy {
+        let proxy = TcpProxy {
             shared,
             listen_addrs,
-            acceptors: Mutex::new(acceptors),
-        })
+            acceptors: Mutex::new(Vec::with_capacity(listeners.len())),
+        };
+        for (route_idx, listener) in listeners.into_iter().enumerate() {
+            let shared = Arc::clone(&proxy.shared);
+            let spawned = thread::Builder::new()
+                .name(format!("attain-proxy-accept-{route_idx}"))
+                .spawn(move || accept_loop(shared, listener, route_idx));
+            match spawned {
+                Ok(handle) => proxy.acceptors.lock().push(handle),
+                Err(e) => {
+                    proxy.shutdown();
+                    return Err(e);
+                }
+            }
+        }
+        Ok(proxy)
     }
 
     /// Stops the proxy and joins every worker thread: severs all
@@ -758,9 +793,17 @@ impl TcpProxy {
 
     /// Schedules a fault `after` the current instant on the proxy's
     /// timer thread (the §VII experiment timelines: sever at `t=X`,
-    /// restore at `t=Y`). Route indices are validated when the fault
-    /// fires.
+    /// restore at `t=Y`).
+    ///
+    /// # Panics
+    ///
+    /// Panics here, on the caller's thread, if the action names a route
+    /// index the proxy does not have: checked when the fault fired, the
+    /// panic would kill the timer thread and silently discard every
+    /// later delayed delivery and wakeup.
     pub fn schedule_fault(&self, after: Duration, action: FaultAction) {
+        // Looked up only for its panic.
+        self.shared.route(action.route());
         self.shared
             .schedule(Instant::now() + after, u64::MAX, TimedEvent::Fault(action));
     }
@@ -833,21 +876,31 @@ fn timer_loop(shared: Arc<Shared>, rx: Receiver<TimerCmd>) {
         }
         // Fire everything due, in (deadline, seq) order.
         let now = Instant::now();
-        while heap.peek().is_some_and(|Reverse(e)| e.due <= now) {
-            let Reverse(entry) = heap.pop().expect("peeked entry");
+        while let Some(next) = heap.peek_mut() {
+            if next.0.due > now {
+                break;
+            }
+            let Reverse(entry) = PeekMut::pop(next);
             shared.fire(entry.event);
         }
     }
 }
 
 fn accept_loop(shared: Arc<Shared>, listener: TcpListener, route_idx: usize) {
+    // The shutdown flag is this loop's only way out: an acceptor that
+    // returned on an `accept` error would leave its route deaf for good.
     loop {
-        let Ok((switch_sock, _)) = listener.accept() else {
-            return;
-        };
+        let accepted = listener.accept();
         if shared.shutdown.load(Ordering::SeqCst) {
             return;
         }
+        let Ok((switch_sock, _)) = accepted else {
+            // ECONNABORTED, EMFILE and their kin pass; back off as for
+            // a failed dial so a persistent one cannot spin this thread.
+            shared.note_backoff(route_idx);
+            shared.wait_backoff(route_idx);
+            continue;
+        };
         let route = &shared.routes[route_idx];
         if route.held.load(Ordering::SeqCst) {
             // Hold-down window: the interruption is sustained, so the
@@ -871,10 +924,12 @@ fn accept_loop(shared: Arc<Shared>, listener: TcpListener, route_idx: usize) {
             shared.wait_backoff(route_idx);
             continue;
         }
-        let Ok(controller_sock) = TcpStream::connect(route.controller) else {
-            // Controller unreachable: drop the switch connection (it
-            // will retry, as a real switch does) and back off before
-            // dialing again.
+        let Ok(controller_sock) =
+            TcpStream::connect_timeout(&route.controller, CONTROLLER_DIAL_TIMEOUT)
+        else {
+            // Controller unreachable or silent: drop the switch
+            // connection (it will retry, as a real switch does) and back
+            // off before dialing again.
             shared
                 .counters
                 .dial_failures
@@ -887,19 +942,29 @@ fn accept_loop(shared: Arc<Shared>, listener: TcpListener, route_idx: usize) {
     }
 }
 
+/// Every socket the proxy creates becomes a session's through here:
+/// Nagle off, then the handles for the read loop, the write loop and
+/// for severing, all sharing the one underlying socket.
+///
+/// The proxy writes one frame per `write`. With Nagle on, the second of
+/// two back-to-back small frames (FLOW_MOD then PACKET_OUT — every
+/// reactive flow set-up) waits for the peer's delayed ACK, ~40 ms.
+fn session_handles(sock: TcpStream) -> io::Result<[TcpStream; 3]> {
+    sock.set_nodelay(true)?;
+    Ok([sock.try_clone()?, sock.try_clone()?, sock])
+}
+
 fn start_session(
     shared: &Arc<Shared>,
     conn: usize,
     switch_sock: TcpStream,
     controller_sock: TcpStream,
 ) {
-    // Clones for the write loops and for severing; a failed clone means
-    // the socket already died, so the switch simply retries.
-    let (Ok(sw_keep), Ok(ctrl_keep), Ok(sw_write), Ok(ctrl_write)) = (
-        switch_sock.try_clone(),
-        controller_sock.try_clone(),
-        switch_sock.try_clone(),
-        controller_sock.try_clone(),
+    // A socket that refuses means it already died, so the switch simply
+    // retries.
+    let (Ok([sw_keep, sw_write, switch_sock]), Ok([ctrl_keep, ctrl_write, controller_sock])) = (
+        session_handles(switch_sock),
+        session_handles(controller_sock),
     ) else {
         return;
     };
@@ -930,33 +995,29 @@ fn start_session(
         .counters
         .sessions_opened
         .fetch_add(1, Ordering::Relaxed);
-    {
-        let shared = Arc::clone(shared);
-        shared.clone().spawn_worker("write-ctrl", move || {
-            write_loop(shared, ctrl_write, ctrl_rx, conn, epoch)
-        });
-    }
-    {
-        let shared = Arc::clone(shared);
-        shared.clone().spawn_worker("write-switch", move || {
-            write_loop(shared, sw_write, sw_rx, conn, epoch)
-        });
-    }
-    {
-        let shared = Arc::clone(shared);
-        shared.clone().spawn_worker("read-switch", move || {
-            read_loop(shared, switch_sock, ConnectionId(conn), epoch, true)
-        });
-    }
-    {
-        let shared = Arc::clone(shared);
-        shared.clone().spawn_worker("read-ctrl", move || {
-            read_loop(shared, controller_sock, ConnectionId(conn), epoch, false)
-        });
-    }
-    // A shutdown that raced session creation must not leave the new
-    // session running unsupervised.
-    if shared.shutdown.load(Ordering::SeqCst) {
+    let spawned = (|| {
+        let s = Arc::clone(shared);
+        shared.spawn_worker("write-ctrl", move || {
+            write_loop(s, ctrl_write, ctrl_rx, conn, epoch)
+        })?;
+        let s = Arc::clone(shared);
+        shared.spawn_worker("write-switch", move || {
+            write_loop(s, sw_write, sw_rx, conn, epoch)
+        })?;
+        let s = Arc::clone(shared);
+        shared.spawn_worker("read-switch", move || {
+            read_loop(s, switch_sock, ConnectionId(conn), epoch, true)
+        })?;
+        let s = Arc::clone(shared);
+        shared.spawn_worker("read-ctrl", move || {
+            read_loop(s, controller_sock, ConnectionId(conn), epoch, false)
+        })
+    })();
+    // A session short of a worker is severed (the loops already running
+    // see their sockets die; the switch retries), and a shutdown that
+    // raced session creation must not leave the new session running
+    // unsupervised.
+    if spawned.is_err() || shared.shutdown.load(Ordering::SeqCst) {
         shared.end_session(conn, epoch);
     }
 }
@@ -1034,6 +1095,14 @@ mod tests {
         let sc = scenario::enterprise_network();
         let compiled = dsl::compile(source, &sc.system, &sc.attack_model).unwrap();
         AttackExecutor::new(sc.system, sc.attack_model, compiled.attack).unwrap()
+    }
+
+    fn route(controller: SocketAddr) -> ProxyRoute {
+        ProxyRoute {
+            listen: "127.0.0.1:0".parse().unwrap(),
+            controller,
+            conn: ConnectionId(0),
+        }
     }
 
     /// A minimal fake controller: accepts one connection, records every
@@ -1194,6 +1263,90 @@ mod tests {
         );
         assert_eq!(read_one(&mut switch), OfMessage::Hello);
         proxy.shutdown();
+    }
+
+    #[test]
+    #[should_panic(expected = "fault names route 3, proxy has 1")]
+    fn mis_indexed_scheduled_fault_panics_in_the_caller() {
+        let (ctrl_addr, _ctrl_rx) = fake_controller();
+        let proxy = TcpProxy::spawn(
+            executor(scenario::attacks::TRIVIAL_PASS),
+            vec![route(ctrl_addr)],
+            None,
+        )
+        .unwrap();
+        proxy.schedule_fault(Duration::ZERO, FaultAction::Restore { route: 3 });
+    }
+
+    #[test]
+    fn timer_thread_outlives_scheduled_faults() {
+        const DELAY_ECHO: &str = r#"
+            attack delay_echo {
+                start state sigma1 {
+                    rule hold on (c1, s1) requires no_tls {
+                        when msg.type == ECHO_REQUEST && msg.source == s1
+                        do { delay(msg, 0.05); }
+                    }
+                }
+            }
+        "#;
+        let (ctrl_addr, ctrl_rx) = fake_controller();
+        let proxy = TcpProxy::spawn(executor(DELAY_ECHO), vec![route(ctrl_addr)], None).unwrap();
+        // A bad index never reaches the timer thread…
+        let bad = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            proxy.schedule_fault(Duration::ZERO, FaultAction::Sever { route: 1 });
+        }));
+        assert!(bad.is_err());
+        // …a good one fires on it…
+        proxy.apply_fault(FaultAction::HoldDown { route: 0 });
+        proxy.schedule_fault(Duration::ZERO, FaultAction::Restore { route: 0 });
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while proxy.route_health()[0].health == RouteHealth::HeldDown {
+            assert!(Instant::now() < deadline, "scheduled restore never fired");
+            thread::sleep(Duration::from_millis(5));
+        }
+        // …and the thread is still there for the delivery that follows.
+        let mut switch = TcpStream::connect(proxy.listen_addrs[0]).unwrap();
+        switch
+            .write_all(&OfMessage::EchoRequest(vec![5]).encode(1))
+            .unwrap();
+        assert_eq!(
+            ctrl_rx.recv_timeout(Duration::from_secs(5)).unwrap(),
+            OfMessage::EchoRequest(vec![5])
+        );
+        proxy.shutdown();
+    }
+
+    #[test]
+    fn acceptor_survives_accept_errors() {
+        let (ctrl_addr, ctrl_rx) = fake_controller();
+        // A non-blocking listener makes `accept` fail (`WouldBlock`)
+        // whenever nobody is waiting, as a transient error would. (On
+        // Linux the accepted socket does not inherit the mode.)
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        listener.set_nonblocking(true).unwrap();
+        let proxy = TcpProxy::start(
+            executor(scenario::attacks::TRIVIAL_PASS),
+            &[route(ctrl_addr)],
+            vec![listener],
+            None,
+        )
+        .unwrap();
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while proxy.stats().backoff_events == 0 {
+            assert!(Instant::now() < deadline, "accept never failed");
+            thread::sleep(Duration::from_millis(5));
+        }
+        // The route still serves the switch that connects afterwards.
+        let mut switch = TcpStream::connect(proxy.listen_addrs[0]).unwrap();
+        switch.write_all(&OfMessage::Hello.encode(1)).unwrap();
+        assert_eq!(
+            ctrl_rx.recv_timeout(Duration::from_secs(5)).unwrap(),
+            OfMessage::Hello
+        );
+        // 1 acceptor + 1 timer + 4 session loops: the acceptor was alive
+        // to be joined.
+        assert!(proxy.shutdown().threads_joined >= 6);
     }
 
     #[test]

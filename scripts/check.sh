@@ -19,6 +19,17 @@ cargo test --workspace -q
 echo "== benchmark package builds against the facade"
 cargo build --release --offline --manifest-path attain_bench/Cargo.toml
 
+echo "== proxy burst throughput floor (Nagle-stalled sockets read 1,455 msgs/s)"
+proxy_tcp=$(cargo run --release --quiet --offline --manifest-path attain_bench/Cargo.toml \
+  -- --workload proxy_tcp --seconds 4 --trace 0 | tail -n 1)
+echo "$proxy_tcp"
+grep -q '"correct": true' <<<"$proxy_tcp"
+work_per_s=$(sed -E 's/.*"work_per_s": \{"value": ([0-9]+).*/\1/' <<<"$proxy_tcp")
+if ! [ "$work_per_s" -ge 10000 ]; then
+  echo "proxy_tcp work_per_s $work_per_s is under the 10,000 msgs/s floor" >&2
+  exit 1
+fi
+
 echo "== conformance campaign (smoke matrix, audited dispatch)"
 cargo run --release --bin campaign --features attain-campaign/dispatch_audit \
   -- --smoke --jobs 2 --out target/CAMPAIGN_smoke_report.json

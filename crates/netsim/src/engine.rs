@@ -429,8 +429,10 @@ impl fmt::Debug for EventQueue {
 /// scheduled and taken exactly once when the event dispatches, so a
 /// frame's arena lifetime equals its time on the wire. Freed slots are
 /// recycled through a free list: at steady state the slab stops
-/// growing, queue records stay at 32 bytes regardless of frame size,
-/// and wheel cascades move index math, not packet buffers.
+/// growing, queue records stay at 96 bytes regardless of frame size
+/// (time, `seq`, and an [`EventKind`] as wide as its widest variant,
+/// the 80-byte `HostCommand` of `Command`), and wheel cascades move
+/// index math, not packet buffers.
 #[derive(Debug, Default)]
 pub(crate) struct FrameArena {
     slots: Vec<Vec<u8>>,
@@ -478,6 +480,15 @@ mod tests {
     use super::*;
     use std::cmp::Reverse;
     use std::collections::BinaryHeap;
+
+    #[test]
+    fn queue_records_are_as_large_as_documented() {
+        // `FrameArena`'s docs and DESIGN.md §13 state these figures.
+        // Boxing `Command` halves the record and was measured slower
+        // (ROADMAP item 2), so the size is pinned, not minimised.
+        assert!(std::mem::size_of::<EventKind>() <= 80);
+        assert!(std::mem::size_of::<QueuedEvent>() <= 96);
+    }
 
     #[test]
     fn pops_in_time_order() {

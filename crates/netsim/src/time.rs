@@ -88,10 +88,49 @@ impl Sub for SimTime {
     }
 }
 
+/// Writes `n` in decimal, as `{}` would, without a `fmt::Formatter`.
+pub(crate) fn write_decimal<W: fmt::Write>(out: &mut W, mut n: u64) -> fmt::Result {
+    let mut buf = [0u8; 20];
+    let mut at = buf.len();
+    loop {
+        at -= 1;
+        buf[at] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
+        }
+    }
+    out.write_str(std::str::from_utf8(&buf[at..]).expect("ASCII digits"))
+}
+
+impl SimTime {
+    /// Writes the `Display` text into `out`: what `{:.3}s` of
+    /// [`SimTime::as_secs_f64`] prints, computed in integers.
+    ///
+    /// Below 2^53 ns the `f64` is within 2^-30 s of the exact quotient,
+    /// less than the 1 ns between a time and the nearest half-millisecond
+    /// it is not on, so both round to the same millisecond. On a
+    /// half-millisecond exactly the float formatter rounds whichever
+    /// binary neighbour it was handed; those ties (a 500 µs link delay
+    /// makes them common) and times from 2^53 ns, where `as f64` itself
+    /// rounds, go through the float.
+    pub(crate) fn render<W: fmt::Write>(self, out: &mut W) -> fmt::Result {
+        let ns = self.0;
+        if ns % 1_000_000 == 500_000 || ns >= 1 << 53 {
+            return write!(out, "{:.3}s", self.as_secs_f64());
+        }
+        let ms = (ns + 500_000) / 1_000_000;
+        write_decimal(out, ms / 1_000)?;
+        let digit = |n: u64| b'0' + (n % 10) as u8;
+        let tail = [b'.', digit(ms / 100), digit(ms / 10), digit(ms), b's'];
+        out.write_str(std::str::from_utf8(&tail).expect("ASCII digits"))
+    }
+}
+
 impl fmt::Display for SimTime {
     /// Formats as seconds with millisecond precision, e.g. `12.345s`.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{:.3}s", self.as_secs_f64())
+        self.render(f)
     }
 }
 

@@ -6,7 +6,7 @@
 
 use crate::engine::ConnId;
 use crate::interpose::Direction;
-use crate::time::SimTime;
+use crate::time::{write_decimal, SimTime};
 use attain_openflow::{Match, OfType};
 use std::collections::BTreeMap;
 use std::fmt;
@@ -153,9 +153,170 @@ pub struct TraceEvent {
     pub kind: TraceKind,
 }
 
+impl TraceEvent {
+    /// Writes the record's text, `[{time}] {kind:?}`, into `out`.
+    ///
+    /// This is the only renderer: `Display` and [`Trace::digest`] both
+    /// call it, the latter with the hasher as `out`. The text is frozen —
+    /// the golden digests are hashes of it — and `derive(Debug)` on
+    /// [`TraceKind`] is its specification, which the tests compare this
+    /// against. Literals, integers and enum names are written directly;
+    /// strings still go through `Debug` of `str`, so escaping stays std's.
+    fn render<W: fmt::Write>(&self, out: &mut W) -> fmt::Result {
+        out.write_str("[")?;
+        self.time.render(out)?;
+        out.write_str("] ")?;
+        match &self.kind {
+            TraceKind::ControlMessage {
+                conn,
+                direction,
+                of_type,
+                len,
+            } => {
+                out.write_str("ControlMessage { conn: ")?;
+                conn_id(out, *conn)?;
+                out.write_str(", direction: ")?;
+                out.write_str(direction_name(*direction))?;
+                match of_type {
+                    Some(t) => {
+                        out.write_str(", of_type: Some(")?;
+                        out.write_str(of_type_name(*t))?;
+                        out.write_str("), len: ")?;
+                    }
+                    None => out.write_str(", of_type: None, len: ")?,
+                }
+                write_decimal(out, *len as u64)?;
+                out.write_str(" }")
+            }
+            TraceKind::ConnectionUp { conn } => {
+                out.write_str("ConnectionUp { conn: ")?;
+                conn_id(out, *conn)?;
+                out.write_str(" }")
+            }
+            TraceKind::ConnectionDead { conn } => {
+                out.write_str("ConnectionDead { conn: ")?;
+                conn_id(out, *conn)?;
+                out.write_str(" }")
+            }
+            TraceKind::FailModeEntered { switch, standalone } => {
+                out.write_str("FailModeEntered { switch: ")?;
+                quoted(out, switch)?;
+                out.write_str(if *standalone {
+                    ", standalone: true }"
+                } else {
+                    ", standalone: false }"
+                })
+            }
+            TraceKind::FlowInstalled {
+                switch,
+                description,
+            } => {
+                out.write_str("FlowInstalled { switch: ")?;
+                quoted(out, switch)?;
+                write!(out, ", description: {description:?} }}")
+            }
+            TraceKind::FlowEvicted {
+                switch,
+                description,
+            } => {
+                out.write_str("FlowEvicted { switch: ")?;
+                quoted(out, switch)?;
+                write!(out, ", description: {description:?} }}")
+            }
+            TraceKind::PacketDropped { switch, reason } => {
+                out.write_str("PacketDropped { switch: ")?;
+                quoted(out, switch)?;
+                out.write_str(", reason: ")?;
+                quoted(out, reason)?;
+                out.write_str(" }")
+            }
+            TraceKind::Fault { target, what } => {
+                out.write_str("Fault { target: ")?;
+                quoted(out, target)?;
+                out.write_str(", what: ")?;
+                quoted(out, what)?;
+                out.write_str(" }")
+            }
+            TraceKind::DecodeFailure { conn, direction } => {
+                out.write_str("DecodeFailure { conn: ")?;
+                conn_id(out, *conn)?;
+                out.write_str(", direction: ")?;
+                out.write_str(direction_name(*direction))?;
+                out.write_str(" }")
+            }
+            TraceKind::ConnectionReset { conn, failures } => {
+                out.write_str("ConnectionReset { conn: ")?;
+                conn_id(out, *conn)?;
+                out.write_str(", failures: ")?;
+                write_decimal(out, u64::from(*failures))?;
+                out.write_str(" }")
+            }
+            TraceKind::RunHalted { reason, events } => {
+                out.write_str("RunHalted { reason: ")?;
+                quoted(out, reason)?;
+                out.write_str(", events: ")?;
+                write_decimal(out, *events)?;
+                out.write_str(" }")
+            }
+            TraceKind::Marker(text) => {
+                out.write_str("Marker(")?;
+                quoted(out, text)?;
+                out.write_str(")")
+            }
+        }
+    }
+}
+
+fn conn_id<W: fmt::Write>(out: &mut W, conn: ConnId) -> fmt::Result {
+    out.write_str("ConnId(")?;
+    write_decimal(out, conn.0 as u64)?;
+    out.write_str(")")
+}
+
+/// `Debug` of a `str`: std's quoting and escaping, not a copy of it.
+fn quoted<W: fmt::Write>(out: &mut W, s: &str) -> fmt::Result {
+    write!(out, "{s:?}")
+}
+
+/// `Debug` of a [`Direction`], as a static name.
+fn direction_name(direction: Direction) -> &'static str {
+    match direction {
+        Direction::SwitchToController => "SwitchToController",
+        Direction::ControllerToSwitch => "ControllerToSwitch",
+    }
+}
+
+/// `Debug` of an [`OfType`], as a static name.
+fn of_type_name(t: OfType) -> &'static str {
+    match t {
+        OfType::Hello => "Hello",
+        OfType::Error => "Error",
+        OfType::EchoRequest => "EchoRequest",
+        OfType::EchoReply => "EchoReply",
+        OfType::Vendor => "Vendor",
+        OfType::FeaturesRequest => "FeaturesRequest",
+        OfType::FeaturesReply => "FeaturesReply",
+        OfType::GetConfigRequest => "GetConfigRequest",
+        OfType::GetConfigReply => "GetConfigReply",
+        OfType::SetConfig => "SetConfig",
+        OfType::PacketIn => "PacketIn",
+        OfType::FlowRemoved => "FlowRemoved",
+        OfType::PortStatus => "PortStatus",
+        OfType::PacketOut => "PacketOut",
+        OfType::FlowMod => "FlowMod",
+        OfType::PortMod => "PortMod",
+        OfType::StatsRequest => "StatsRequest",
+        OfType::StatsReply => "StatsReply",
+        OfType::BarrierRequest => "BarrierRequest",
+        OfType::BarrierReply => "BarrierReply",
+        OfType::QueueGetConfigRequest => "QueueGetConfigRequest",
+        OfType::QueueGetConfigReply => "QueueGetConfigReply",
+    }
+}
+
 impl fmt::Display for TraceEvent {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "[{}] {:?}", self.time, self.kind)
+        self.render(f)
     }
 }
 
@@ -175,7 +336,8 @@ impl fmt::Display for TraceDigest {
 impl TraceDigest {
     /// Parses the 16-hex-digit rendering back to a digest.
     pub fn parse(s: &str) -> Option<TraceDigest> {
-        if s.len() != 16 {
+        // `from_str_radix` alone would take a sign in place of a digit.
+        if s.len() != 16 || !s.bytes().all(|b| b.is_ascii_hexdigit()) {
             return None;
         }
         u64::from_str_radix(s, 16).ok().map(TraceDigest)
@@ -201,6 +363,14 @@ impl Fnv1a {
             self.0 ^= u64::from(b);
             self.0 = self.0.wrapping_mul(Self::PRIME);
         }
+    }
+}
+
+/// Text written into the hasher is hashed, not stored.
+impl fmt::Write for Fnv1a {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        self.update(s.as_bytes());
+        Ok(())
     }
 }
 
@@ -300,7 +470,7 @@ impl Trace {
     pub fn digest(&self) -> TraceDigest {
         let mut h = Fnv1a::new();
         for e in &self.events {
-            h.update(e.to_string().as_bytes());
+            e.render(&mut h).expect("the hasher accepts every write");
             h.update(b"\n");
         }
         self.digest_counters(&mut h);
@@ -430,6 +600,29 @@ mod tests {
     }
 
     #[test]
+    fn digest_parse_takes_sixteen_hex_digits_and_nothing_else() {
+        assert_eq!(
+            TraceDigest::parse("000000000000000a"),
+            Some(TraceDigest(0xa))
+        );
+        assert_eq!(
+            TraceDigest::parse("FFFFFFFFFFFFFFFF"),
+            Some(TraceDigest(u64::MAX))
+        );
+        for malformed in [
+            "+00000000000000a",
+            "-000000000000000",
+            "00000000000000a",
+            "0000000000000000a",
+            "0x0000000000000a",
+            "000000000000000g",
+            "",
+        ] {
+            assert_eq!(TraceDigest::parse(malformed), None, "{malformed:?}");
+        }
+    }
+
+    #[test]
     fn counterless_digest_still_covers_counters() {
         let mut t = Trace::new();
         t.record_events = false;
@@ -527,6 +720,86 @@ mod tests {
             };
             assert_eq!(format!("{evicted:?}"), format!("{stored:?}"));
         }
+    }
+
+    /// One record of every variant, with strings `Debug` must escape and
+    /// timestamps on both sides of the renderer's float fallback. The
+    /// digests were recorded on the commit whose `digest` hashed
+    /// `e.to_string()` built by `derive(Debug)` and `{:.3}` of an `f64`.
+    #[test]
+    fn digests_of_every_variant_are_the_ones_recorded_before_the_renderer() {
+        use attain_openflow::PortNo;
+        let hostile = || "s\"1\\\n\t\u{7f}\u{0}é\u{200b}\u{1f600}'".to_string();
+        let conn = ConnId(7);
+        let direction = Direction::ControllerToSwitch;
+        let kinds = [
+            TraceKind::ControlMessage {
+                conn,
+                direction: Direction::SwitchToController,
+                of_type: Some(OfType::PacketIn),
+                len: 60,
+            },
+            TraceKind::ControlMessage {
+                conn: ConnId(usize::MAX),
+                direction,
+                of_type: None,
+                len: usize::MAX,
+            },
+            TraceKind::ConnectionUp { conn },
+            TraceKind::ConnectionDead { conn },
+            TraceKind::FailModeEntered {
+                switch: hostile(),
+                standalone: true,
+            },
+            TraceKind::FlowInstalled {
+                switch: "s1".into(),
+                description: Match::exact_in_port(PortNo(3)).into(),
+            },
+            TraceKind::FlowEvicted {
+                switch: hostile(),
+                description: Match::all().into(),
+            },
+            TraceKind::PacketDropped {
+                switch: "s2".into(),
+                reason: "fail-secure table miss",
+            },
+            TraceKind::Fault {
+                target: "link s1-s2".into(),
+                what: hostile(),
+            },
+            TraceKind::DecodeFailure { conn, direction },
+            TraceKind::ConnectionReset {
+                conn,
+                failures: u32::MAX,
+            },
+            TraceKind::RunHalted {
+                reason: "event-budget",
+                events: u64::MAX,
+            },
+            TraceKind::Marker(hostile()),
+        ];
+        let times = [
+            0,
+            500_000,
+            499_999,
+            500_001,
+            1_500_000,
+            62_500_000,
+            2_500_000,
+            12_345_678_901,
+            999_999_999,
+            999_500_000,
+            (1 << 53) - 1,
+            1 << 53,
+            u64::MAX,
+        ];
+        let mut t = Trace::new();
+        for (kind, ns) in kinds.into_iter().zip(times) {
+            t.push(SimTime(ns), kind);
+        }
+        assert_eq!(t.events().len(), 13);
+        assert_eq!(t.digest().to_string(), "ecb38e0996b59c73");
+        assert_eq!(t.counter_digest().to_string(), "36f4318b9456abfc");
     }
 
     #[test]

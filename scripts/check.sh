@@ -30,6 +30,12 @@ if ! [ "$work_per_s" -ge 10000 ]; then
   exit 1
 fi
 
+echo "== benchmark's golden gate (330/330 cells on the compiled-in digests)"
+campaign_full=$(cargo run --release --quiet --offline --manifest-path attain_bench/Cargo.toml \
+  -- --workload campaign_full --seconds 2 --trace 0 | tail -n 1)
+echo "$campaign_full"
+grep -q '"correct": true' <<<"$campaign_full"
+
 echo "== conformance campaign (smoke matrix, audited dispatch)"
 cargo run --release --bin campaign --features attain-campaign/dispatch_audit \
   -- --smoke --jobs 2 --out target/CAMPAIGN_smoke_report.json

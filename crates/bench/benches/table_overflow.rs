@@ -22,7 +22,7 @@
 //! this build.
 
 use attain_bench::{timing, BenchReport};
-use attain_controllers::Ryu;
+use attain_controllers::ControllerKind;
 use attain_netsim::{EvictionPolicy, FlowTable, HostCommand, NetworkBuilder, SimTime, Simulation};
 use attain_openflow::{Action, FlowKey, FlowMod, MacAddr, Match, PortNo};
 use criterion::{criterion_group, BenchmarkId, Criterion};
@@ -114,7 +114,7 @@ fn probe_estimate(capacity: usize, policy: EvictionPolicy) -> Option<usize> {
         b.set_table(s1, capacity, policy);
         b.link(h1, s1);
         b.link(h2, s1);
-        let c1 = b.controller("c1", Box::new(Ryu::new()));
+        let c1 = b.controller("c1", ControllerKind::Ryu.instantiate());
         b.control(c1, s1);
         b.build()
     };

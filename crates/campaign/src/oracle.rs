@@ -16,9 +16,12 @@
 //! The classification is compared against [`expected`], the campaign's
 //! expectations table. The table is *derived* from the controllers'
 //! behavioural predicates (`releases_buffer_via_flow_mod`,
-//! `flow_mod_exposes_nw_src`, `installs_flows`) rather than hard-coded
-//! per cell, so adding a controller with known traits extends the
-//! table automatically — this is the paper's §VII analysis
+//! `flow_mod_exposes_nw_src`, `installs_flows`,
+//! `installs_permanent_flows`) rather than hard-coded per cell, and
+//! each predicate reads the same profile row the controller
+//! application runs on — so a changed timeout or match style moves the
+//! expectation with the behaviour, and adding a controller row extends
+//! the table automatically. This is the paper's §VII analysis
 //! (suppression → DoS only where the buffer rides the FLOW_MOD;
 //! interruption → never triggers where matches hide `nw_src`) written
 //! as executable rules.

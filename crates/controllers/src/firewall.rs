@@ -1,11 +1,11 @@
 //! The DMZ firewall policy module for the case-study switch `s2`.
 
-use crate::learning::MatchStyle;
+use crate::learning::packet_out;
 use crate::traits::{Controller, ControllerKind, Outbox};
 use attain_openflow::packet::{self, EtherType};
 use attain_openflow::{
-    DatapathId, FlowKey, FlowMod, FlowModCommand, FlowModFlags, OfMessage, PacketIn, PacketOut,
-    PortNo, SwitchFeatures,
+    DatapathId, FlowKey, FlowMod, FlowModCommand, FlowModFlags, OfMessage, PacketIn, PortNo,
+    SwitchFeatures,
 };
 use std::collections::BTreeSet;
 use std::net::Ipv4Addr;
@@ -71,8 +71,8 @@ impl DmzPolicy {
 /// A controller composed of a DMZ firewall in front of a learning switch.
 ///
 /// On a denied packet, the firewall installs a **deny flow mod** (empty
-/// action list) whose match is built in the inner controller's
-/// [`MatchStyle`] — exactly the message the connection-interruption
+/// action list) whose match is built in the inner controller's match
+/// style — exactly the message the connection-interruption
 /// attack's rule `φ2` waits for. Allowed packets are handed to the inner
 /// learning switch untouched.
 pub struct DmzFirewall {
@@ -87,21 +87,6 @@ impl std::fmt::Debug for DmzFirewall {
             .field("inner", &self.inner.kind())
             .field("policy", &self.policy)
             .finish()
-    }
-}
-
-impl MatchStyle {
-    /// The match style a given controller implementation uses when its
-    /// applications construct flow mods.
-    pub fn for_kind(kind: ControllerKind) -> MatchStyle {
-        match kind {
-            ControllerKind::Floodlight => MatchStyle::L3Aware,
-            ControllerKind::Pox | ControllerKind::Beacon => MatchStyle::FullExact,
-            // The hub never builds flow mods of its own; if a policy
-            // module on top of it must, an L2 match is all the state a
-            // hub-style application keeps.
-            ControllerKind::Ryu | ControllerKind::Hub => MatchStyle::L2Only,
-        }
     }
 }
 
@@ -133,12 +118,12 @@ impl Controller for DmzFirewall {
     fn on_packet_in(&mut self, dpid: DatapathId, pi: &PacketIn, out: &mut Outbox) {
         let key = packet::flow_key(&pi.data, pi.in_port);
         if self.policy.decide(dpid, &key) == Verdict::Deny {
-            let style = MatchStyle::for_kind(self.inner.kind());
+            let profile = self.inner.kind().profile();
             // The deny entry outranks any learning-switch entry.
             out.send(
                 dpid,
                 OfMessage::FlowMod(FlowMod {
-                    r#match: style.build(&key),
+                    r#match: profile.style.build(&key),
                     cookie: 0xf14e_0000, // firewall app cookie
                     command: FlowModCommand::Add,
                     idle_timeout: self.deny_idle_timeout,
@@ -150,21 +135,10 @@ impl Controller for DmzFirewall {
                     actions: vec![], // drop
                 }),
             );
-            if pi.buffer_id.is_none() {
-                // Nothing buffered; nothing further to do. For buffered
-                // packets the (empty-action) flow mod releases the buffer.
-            } else if self.inner.kind() != ControllerKind::Pox {
-                // Floodlight's and Ryu's firewall apps free the buffer
-                // explicitly rather than relying on the flow mod.
-                out.send(
-                    dpid,
-                    OfMessage::PacketOut(PacketOut {
-                        buffer_id: pi.buffer_id,
-                        in_port: pi.in_port,
-                        actions: vec![],
-                        data: vec![],
-                    }),
-                );
+            // The (empty-action) flow mod releases the buffer; some
+            // platforms' firewall apps also free it explicitly.
+            if pi.buffer_id.is_some() && profile.firewall_packet_out {
+                out.send(dpid, packet_out(pi, vec![]));
             }
             return;
         }
@@ -191,42 +165,11 @@ impl Controller for DmzFirewall {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Floodlight, Pox, Ryu};
-    use attain_openflow::{MacAddr, PacketInReason};
-
-    fn policy() -> DmzPolicy {
-        DmzPolicy {
-            firewall_dpid: DatapathId(2),
-            external_port: PortNo(1),
-            trusted_sources: ["10.0.0.1".parse().unwrap()].into_iter().collect(),
-            allowed_external_dsts: ["10.0.0.1".parse().unwrap(), "10.0.0.2".parse().unwrap()]
-                .into_iter()
-                .collect(),
-        }
-    }
-
-    fn icmp_packet_in(dst_ip: &str, in_port: u16, buffer: Option<u32>) -> PacketIn {
-        let frame = packet::icmp_echo_request(
-            MacAddr::from_low(0x22),
-            MacAddr::from_low(0x33),
-            "10.0.0.2".parse().unwrap(),
-            dst_ip.parse().unwrap(),
-            1,
-            1,
-            vec![0; 16],
-        );
-        PacketIn {
-            buffer_id: buffer,
-            total_len: frame.wire_len() as u16,
-            in_port: PortNo(in_port),
-            reason: PacketInReason::NoMatch,
-            data: frame.encode(),
-        }
-    }
+    use crate::wire::*;
 
     #[test]
     fn verdicts_follow_the_paper_policy() {
-        let p = policy();
+        let p = firewalled(ControllerKind::Hub).policy;
         let mk = |dpid: u64, in_port: u16, dl_type: u16, src: &str, dst: &str| {
             let key = FlowKey {
                 in_port: PortNo(in_port),
@@ -252,93 +195,78 @@ mod tests {
         assert_eq!(mk(2, 1, 0x0806, "10.0.0.2", "10.0.0.3"), Verdict::Allow);
     }
 
+    /// What the firewall in front of `kind` sends for gateway h2 →
+    /// internal h5 arriving through the external port.
+    fn denied(kind: ControllerKind, buffer: Option<u32>) -> Vec<Wire> {
+        let pi = packet_in(2, 5, 1, buffer);
+        wire(&pi, &reply(&mut firewalled(kind), &pi))
+    }
+
+    /// The firewall app's own 10 s deny entry, always carrying the buffer.
+    fn deny(style: MatchStyle) -> Wire {
+        flow(style, (10, 0), Some(3), None)
+    }
+
     #[test]
     fn floodlight_deny_flow_mod_names_nw_src() {
-        let mut fw = DmzFirewall::new(Box::new(Floodlight::new()), policy());
-        let mut out = Outbox::new();
-        fw.on_packet_in(
-            DatapathId(2),
-            &icmp_packet_in("10.0.0.5", 1, Some(3)),
-            &mut out,
-        );
-        let msgs = out.drain();
-        let OfMessage::FlowMod(fm) = &msgs[0].1 else {
-            panic!("expected deny flow mod");
-        };
-        assert!(fm.actions.is_empty());
-        assert_eq!(
-            fm.r#match.nw_src_addr(),
-            Some("10.0.0.2".parse().unwrap()),
-            "φ2 must be able to read nw_src from a Floodlight deny rule"
-        );
-        // Buffer freed by an explicit empty packet out.
-        assert!(matches!(&msgs[1].1, OfMessage::PacketOut(po) if po.actions.is_empty()));
+        // φ2 can read nw_src from an L3-aware deny rule; the buffer is
+        // freed by an explicit empty packet out.
+        let sent = denied(ControllerKind::Floodlight, Some(3));
+        assert_eq!(sent, [deny(L3Aware), out(Some(3), None)]);
     }
 
     #[test]
     fn pox_deny_flow_mod_names_nw_src_and_carries_buffer() {
-        let mut fw = DmzFirewall::new(Box::new(Pox::new()), policy());
-        let mut out = Outbox::new();
-        fw.on_packet_in(
-            DatapathId(2),
-            &icmp_packet_in("10.0.0.5", 1, Some(3)),
-            &mut out,
-        );
-        let msgs = out.drain();
-        assert_eq!(msgs.len(), 1);
-        let OfMessage::FlowMod(fm) = &msgs[0].1 else {
-            panic!("expected deny flow mod");
-        };
-        assert_eq!(fm.buffer_id, Some(3));
-        assert!(fm.r#match.nw_src_addr().is_some());
+        assert_eq!(denied(ControllerKind::Pox, Some(3)), [deny(FullExact)]);
     }
 
     #[test]
     fn ryu_deny_flow_mod_wildcards_nw_src() {
-        let mut fw = DmzFirewall::new(Box::new(Ryu::new()), policy());
-        let mut out = Outbox::new();
-        fw.on_packet_in(
-            DatapathId(2),
-            &icmp_packet_in("10.0.0.5", 1, Some(3)),
-            &mut out,
-        );
-        let msgs = out.drain();
-        let OfMessage::FlowMod(fm) = &msgs[0].1 else {
-            panic!("expected deny flow mod");
-        };
-        assert_eq!(
-            fm.r#match.nw_src_addr(),
-            None,
-            "Ryu's L2-only match hides nw_src from φ2 — the paper's anomaly"
-        );
+        // Ryu's L2-only match hides nw_src from φ2 — the paper's anomaly.
+        let sent = denied(ControllerKind::Ryu, Some(3));
+        assert_eq!(sent, [deny(L2Only), out(Some(3), None)]);
+    }
+
+    /// The deny entry is built in the wrapped application's match style —
+    /// including under the hub, which builds none itself — and only POX's
+    /// firewall leaves freeing the buffer to the flow mod.
+    #[test]
+    fn deny_entry_follows_the_wrapped_profile() {
+        for kind in ControllerKind::CAMPAIGN {
+            let sent = denied(kind, Some(3));
+            let Wire::Flow { style, .. } = sent[0] else {
+                panic!("{kind}: expected a deny flow mod, got {sent:?}");
+            };
+            assert_eq!(sent[0], deny(style), "{kind}");
+            assert_eq!(style != L2Only, kind.flow_mod_exposes_nw_src(), "{kind}");
+            let freed: &[Wire] = match kind {
+                ControllerKind::Pox => &[],
+                _ => &[out(Some(3), None)],
+            };
+            assert_eq!(sent[1..], *freed, "{kind}");
+            // Nothing was buffered: the entry is all there is to send.
+            assert_eq!(
+                denied(kind, None),
+                [flow(style, (10, 0), None, None)],
+                "{kind}"
+            );
+        }
     }
 
     #[test]
     fn allowed_traffic_reaches_the_inner_learning_switch() {
-        let mut fw = DmzFirewall::new(Box::new(Floodlight::new()), policy());
-        let mut out = Outbox::new();
-        fw.on_packet_in(
-            DatapathId(2),
-            &icmp_packet_in("10.0.0.1", 1, Some(3)),
-            &mut out,
-        );
-        let msgs = out.drain();
-        // Inner Floodlight floods (unknown dst): no deny rule installed.
-        assert_eq!(msgs.len(), 1);
-        assert!(matches!(&msgs[0].1, OfMessage::PacketOut(_)));
+        // h2 → published h1: no deny rule; inner Floodlight floods the
+        // unknown destination.
+        let pi = packet_in(2, 1, 1, Some(3));
+        let sent = reply(&mut firewalled(ControllerKind::Floodlight), &pi);
+        assert_eq!(wire(&pi, &sent), [out(Some(3), FLOOD)]);
     }
 
     #[test]
     fn internal_to_external_is_never_firewalled() {
-        let mut fw = DmzFirewall::new(Box::new(Floodlight::new()), policy());
-        let mut out = Outbox::new();
         // Arrives on the internal port 2.
-        fw.on_packet_in(
-            DatapathId(2),
-            &icmp_packet_in("10.0.0.99", 2, Some(3)),
-            &mut out,
-        );
-        let msgs = out.drain();
-        assert!(matches!(&msgs[0].1, OfMessage::PacketOut(_)));
+        let pi = packet_in(2, 99, 2, Some(3));
+        let sent = reply(&mut firewalled(ControllerKind::Floodlight), &pi);
+        assert_eq!(wire(&pi, &sent), [out(Some(3), FLOOD)]);
     }
 }

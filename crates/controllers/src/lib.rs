@@ -6,13 +6,23 @@
 //! headline finding is that the *same* attack manifests differently per
 //! controller. This crate reimplements the three learning-switch
 //! applications with exactly the behavioural differences that drive those
-//! divergent manifestations:
+//! divergent manifestations, and adds two further applications that widen
+//! the behavioural space the conformance campaign sweeps
+//! ([`ControllerKind::CAMPAIGN`]): Beacon v1.0.4's `LearningSwitch` and a
+//! static flooding hub.
 //!
-//! | behaviour | [`Floodlight`] | [`Pox`] | [`Ryu`] |
-//! |---|---|---|---|
-//! | releases the buffered packet via | separate `PACKET_OUT` | the `FLOW_MOD` itself (`buffer_id` attached) | separate `PACKET_OUT` |
-//! | flow-mod match fields | L3-aware (ports + MACs + ethertype + IPs) | exact 12-tuple (`ofp_match.from_packet`) | L2 only (`in_port`, `dl_src`, `dl_dst`) |
-//! | idle / hard timeout | 5 s / none | 10 s / 30 s | none / none |
+//! All five are one learning switch run on one row of this table. The row
+//! is code (a private `const` per [`ControllerKind`]); the application,
+//! [`DmzFirewall`] and the [`ControllerKind`] predicates the campaign
+//! oracle is derived from all read it.
+//!
+//! | [`ControllerKind`] | flow-mod match | cookie | priority | idle / hard timeout | buffered packet released by | destination on the ingress port | firewall `PACKET_OUT` after a buffered deny | processing delay |
+//! |---|---|---|---|---|---|---|---|---|
+//! | `Floodlight` | L3-aware (ports + MACs + ethertype + IPs) | `0x20000000` | 1 | 5 s / none | separate `PACKET_OUT` | release the buffer, install nothing | yes | 300 µs |
+//! | `Pox` | exact 12-tuple (`ofp_match.from_packet`) | 0 | `0x8000` | 10 s / 30 s | the `FLOW_MOD` itself (`buffer_id` attached) | install a drop flow | no | 1200 µs |
+//! | `Ryu` | L2 only (`in_port`, `dl_src`, `dl_dst`) | 0 | 1 | none / none | separate `PACKET_OUT` | install and forward anyway | yes | 800 µs |
+//! | `Beacon` | exact 12-tuple (`OFMatch.loadFromPacket`) | 0 | `0x8000` | 5 s / none | the `FLOW_MOD` itself | flood | yes (pinned by the goldens) | 250 µs |
+//! | `Hub` | installs no flows; L2 only under the firewall | — | — | — | flooding `PACKET_OUT`, always | flood | yes | 800 µs |
 //!
 //! Consequences (reproduced by the experiment suite):
 //!
@@ -30,44 +40,20 @@
 //! The crate also provides [`DmzFirewall`], a policy wrapper for the case
 //! study's DMZ switch `s2`, and the [`Controller`] trait through which the
 //! network simulator (or any other harness) hosts a controller.
-//!
-//! Beyond the paper's three, two further applications widen the
-//! behavioural space the conformance campaign sweeps
-//! ([`ControllerKind::CAMPAIGN`]): [`Beacon`] v1.0.4's `LearningSwitch`
-//! (exact-match like POX, 5 s idle timeout like Floodlight, buffer
-//! released by the flow mod) and a static flooding [`Hub`] (no learning,
-//! no flow mods at all).
+//! [`ControllerKind::instantiate`] is the only constructor.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod beacon;
 mod firewall;
-mod floodlight;
-mod hub;
 mod learning;
-mod pox;
-mod ryu;
 mod traits;
 
-pub use beacon::Beacon;
 pub use firewall::{DmzFirewall, DmzPolicy};
-pub use floodlight::Floodlight;
-pub use hub::Hub;
-pub use learning::{L2Table, MatchStyle};
-pub use pox::Pox;
-pub use ryu::Ryu;
 pub use traits::{Controller, ControllerKind, Outbox};
 
-impl ControllerKind {
-    /// Instantiates a fresh (bare, un-wrapped) application of this kind.
-    pub fn instantiate(&self) -> Box<dyn Controller> {
-        match self {
-            ControllerKind::Floodlight => Box::new(Floodlight::new()),
-            ControllerKind::Pox => Box::new(Pox::new()),
-            ControllerKind::Ryu => Box::new(Ryu::new()),
-            ControllerKind::Beacon => Box::new(Beacon::new()),
-            ControllerKind::Hub => Box::new(Hub::new()),
-        }
-    }
-}
+// One test per cell of the table above, included (not declared as a
+// module) so each row keeps the `<controller>::tests::` id it has always
+// had.
+#[cfg(test)]
+include!("wire_tests.rs");

@@ -1,5 +1,6 @@
 //! The [`Controller`] trait: how a harness hosts a controller model.
 
+use crate::learning::MatchStyle;
 use attain_openflow::{DatapathId, OfMessage, PacketIn, SwitchFeatures};
 use std::fmt;
 
@@ -7,9 +8,8 @@ use std::fmt;
 ///
 /// Used by experiment harnesses to iterate over the paper's three
 /// controllers and label results. The campaign harness additionally
-/// sweeps two non-paper applications ([`Beacon`](crate::Beacon) and
-/// [`Hub`](crate::Hub)) that widen the behavioural space attacks are
-/// regressed against.
+/// sweeps two non-paper applications (`Beacon` and `Hub`) that widen the
+/// behavioural space attacks are regressed against.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum ControllerKind {
     /// Floodlight v1.2, `Forwarding` module.
@@ -46,13 +46,7 @@ impl ControllerKind {
     /// A lowercase machine-readable label (campaign cell names, CLI
     /// filters, golden-file keys).
     pub fn slug(&self) -> &'static str {
-        match self {
-            ControllerKind::Floodlight => "floodlight",
-            ControllerKind::Pox => "pox",
-            ControllerKind::Ryu => "ryu",
-            ControllerKind::Beacon => "beacon",
-            ControllerKind::Hub => "hub",
-        }
+        self.profile().slug
     }
 
     /// Parses a [`slug`](ControllerKind::slug) back to a kind.
@@ -65,20 +59,22 @@ impl ControllerKind {
     // The campaign's expectation table is derived from these rather than
     // hard-coded per cell: each predicate names the implementation
     // detail that makes an attack manifest (or stay silent) against a
-    // given controller, mirroring the paper's §VII analysis.
+    // given controller, mirroring the paper's §VII analysis. Each reads
+    // the profile row the application itself runs on.
 
     /// Whether the application installs flow entries at all. The hub
     /// forwards every packet by `PACKET_OUT`, so attacks that target
     /// `FLOW_MOD`s have nothing to bite on.
     pub fn installs_flows(&self) -> bool {
-        !matches!(self, ControllerKind::Hub)
+        self.profile().installs_flows
     }
 
     /// Whether buffered packets are released only by the `FLOW_MOD`
     /// itself (`buffer_id` attached). Suppressing flow mods then
     /// deadlocks the data plane — the paper's POX asterisk in Figure 11.
     pub fn releases_buffer_via_flow_mod(&self) -> bool {
-        matches!(self, ControllerKind::Pox | ControllerKind::Beacon)
+        let p = self.profile();
+        p.installs_flows && p.buffer_on_flow_mod
     }
 
     /// Whether the flow mods this application (and the DMZ firewall
@@ -87,10 +83,7 @@ impl ControllerKind {
     /// Ryu's L2-only matches wildcard it, which is why the paper's §VII-C
     /// attack never fires against Ryu; the hub sends no flow mods at all.
     pub fn flow_mod_exposes_nw_src(&self) -> bool {
-        matches!(
-            self,
-            ControllerKind::Floodlight | ControllerKind::Pox | ControllerKind::Beacon
-        )
+        self.profile().style != MatchStyle::L2Only
     }
 
     /// Whether installed flows are permanent (no idle/hard timeout).
@@ -99,20 +92,14 @@ impl ControllerKind {
     /// the steady workload — and timeout-guarded attacks (matching
     /// `idle_timeout > 0`) never trigger at all.
     pub fn installs_permanent_flows(&self) -> bool {
-        matches!(self, ControllerKind::Ryu)
+        let p = self.profile();
+        p.installs_flows && p.idle_timeout == 0 && p.hard_timeout == 0
     }
 }
 
 impl fmt::Display for ControllerKind {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let s = match self {
-            ControllerKind::Floodlight => "Floodlight",
-            ControllerKind::Pox => "POX",
-            ControllerKind::Ryu => "Ryu",
-            ControllerKind::Beacon => "Beacon",
-            ControllerKind::Hub => "Hub",
-        };
-        f.write_str(s)
+        f.write_str(self.profile().name)
     }
 }
 

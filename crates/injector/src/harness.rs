@@ -49,7 +49,6 @@ impl Fidelity {
 /// DMZ firewall policy for switch `s2` (dpid 1-based: switches are added
 /// after the six hosts, so `s2` is the second switch → dpid 2).
 pub fn case_study_controller(kind: ControllerKind) -> Box<dyn Controller> {
-    let inner: Box<dyn Controller> = kind.instantiate();
     let policy = DmzPolicy {
         firewall_dpid: DatapathId(2),
         external_port: PortNo(1),
@@ -61,7 +60,7 @@ pub fn case_study_controller(kind: ControllerKind) -> Box<dyn Controller> {
             .into_iter()
             .collect(),
     };
-    Box::new(DmzFirewall::new(inner, policy))
+    Box::new(DmzFirewall::new(kind.instantiate(), policy))
 }
 
 /// Builds the Figure 8/9 enterprise network in the simulator: six hosts,

@@ -171,6 +171,11 @@ impl fmt::Display for ProxyLifecycleReport {
         )?;
         writeln!(
             f,
+            "faults: {} discarded (no environment to apply them to)",
+            self.stats.faults_discarded
+        )?;
+        writeln!(
+            f,
             "reconnect supervision: {} dial failures, {} backoff windows, {} absorbed",
             self.stats.dial_failures, self.stats.backoff_events, self.stats.backoff_rejected
         )?;
@@ -313,6 +318,7 @@ mod tests {
         let text = report.to_string();
         assert!(text.contains("proxy lifecycle"));
         assert!(text.contains("0 opened, 0 closed, 0 live"));
+        assert!(text.contains("faults: 0 discarded"));
         assert!(text.contains("reconnect supervision"));
         assert!(text.contains("route 0: idle"));
         proxy.shutdown();

@@ -39,7 +39,10 @@
 //! harness: [`FaultAction`]s sever a route, hold it down so reconnects
 //! are refused, and restore it — immediately via
 //! [`TcpProxy::apply_fault`] or at a scheduled offset via
-//! [`TcpProxy::schedule_fault`].
+//! [`TcpProxy::schedule_fault`]. The DSL's `fault("…")` action is a
+//! different thing — an environment fault for the simulator's fault
+//! plan — and has no executor here: the proxy counts each one it
+//! discards in [`ProxyStats::faults_discarded`].
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
@@ -139,6 +142,10 @@ pub struct ProxyStats {
     pub dead_target_dropped: u64,
     /// Timer-path deliveries dropped because the write queue was full.
     pub overflow_dropped: u64,
+    /// DSL `fault("…")` actions the executor emitted and the proxy
+    /// discarded: environment faults are a simulator facility, and this
+    /// deployment has nothing to apply them to.
+    pub faults_discarded: u64,
     /// Controller dials that failed (connection refused/unreachable).
     pub dial_failures: u64,
     /// Backoff windows armed (after a failed dial or hold-down churn).
@@ -283,6 +290,7 @@ struct Counters {
     stale_epoch_dropped: AtomicU64,
     dead_target_dropped: AtomicU64,
     overflow_dropped: AtomicU64,
+    faults_discarded: AtomicU64,
     dial_failures: AtomicU64,
     backoff_events: AtomicU64,
     backoff_rejected: AtomicU64,
@@ -475,6 +483,9 @@ impl Shared {
                 handler(&host, &cmd);
             }
         }
+        self.counters
+            .faults_discarded
+            .fetch_add(out.faults.len() as u64, Ordering::Relaxed);
         if let Some(wake_ns) = out.wakeup_ns {
             let now_ns = self.now_ns();
             let due = Instant::now() + Duration::from_nanos(wake_ns.saturating_sub(now_ns));
@@ -604,6 +615,7 @@ impl Shared {
             stale_epoch_dropped: self.counters.stale_epoch_dropped.load(Ordering::Relaxed),
             dead_target_dropped: self.counters.dead_target_dropped.load(Ordering::Relaxed),
             overflow_dropped: self.counters.overflow_dropped.load(Ordering::Relaxed),
+            faults_discarded: self.counters.faults_discarded.load(Ordering::Relaxed),
             dial_failures: self.counters.dial_failures.load(Ordering::Relaxed),
             backoff_events: self.counters.backoff_events.load(Ordering::Relaxed),
             backoff_rejected: self.counters.backoff_rejected.load(Ordering::Relaxed),

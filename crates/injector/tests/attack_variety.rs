@@ -2,7 +2,7 @@
 //! delay, fuzz, modify, inject, syscmd-driven workloads, and the TLS
 //! capability class.
 
-use attain_controllers::Floodlight;
+use attain_controllers::ControllerKind;
 use attain_core::dsl;
 use attain_core::exec::AttackExecutor;
 use attain_core::model::{AttackModel, CapabilitySet, SystemModel};
@@ -39,7 +39,9 @@ fn attacked_sim(
     let compiled = dsl::compile(source, &system, &model).expect("attack compiles");
     let exec =
         AttackExecutor::new(system.clone(), model, compiled.attack).expect("attack validates");
-    let mut sim = build_simulation(&system, FailMode::Secure, |_| Box::new(Floodlight::new()));
+    let mut sim = build_simulation(&system, FailMode::Secure, |_| {
+        ControllerKind::Floodlight.instantiate()
+    });
     let (injector, handle) = SimInjector::new(exec, &system, &sim);
     sim.set_interposer(Box::new(injector));
     (sim, handle)

@@ -6,6 +6,7 @@ use attain_core::exec::AttackExecutor;
 use attain_core::model::ConnectionId;
 use attain_core::{dsl, scenario};
 use attain_injector::tcp::{FaultAction, ProxyRoute, TcpProxy};
+use attain_injector::ProxyLifecycleReport;
 use attain_openflow::OfMessage;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -50,6 +51,20 @@ attack delay_all {
         rule hold on (c1, s1) requires no_tls {
             when msg.source == s1
             do { delay(msg, 0.2); }
+        }
+    }
+}
+"#;
+
+/// Passes every `ECHO_REQUEST` from the first switch on, and asks for
+/// two environment faults each time — which only the simulator can
+/// apply.
+const FAULT_ON_ECHO: &str = r#"
+attack fault_on_echo {
+    start state sigma1 {
+        rule trip on (c1, s1) requires no_tls {
+            when msg.type == ECHO_REQUEST && msg.source == s1
+            do { pass(msg); fault("link s1-s2 down"); fault("controller c1 crash"); }
         }
     }
 }
@@ -225,6 +240,38 @@ fn equal_delay_deliveries_preserve_executor_order() {
     for want in expect {
         assert_eq!(ctrl_rx.recv_timeout(Duration::from_secs(5)).unwrap(), want);
     }
+    proxy.shutdown();
+}
+
+/// A DSL `fault(…)` has no executor on real sockets. The proxy must say
+/// so — count every discarded fault and show the count in the monitor
+/// report — rather than swallow the action, and the message that
+/// tripped the rule must still be delivered.
+#[test]
+fn dsl_faults_are_counted_as_discarded_not_silently_dropped() {
+    let (ctrl_addr, ctrl_rx) = fake_controller();
+    let proxy = spawn_proxy(FAULT_ON_ECHO, ctrl_addr);
+
+    let mut switch = TcpStream::connect(proxy.listen_addrs[0]).unwrap();
+    let mut batch = OfMessage::Hello.encode(1);
+    batch.extend(OfMessage::EchoRequest(vec![1]).encode(2));
+    batch.extend(OfMessage::EchoRequest(vec![2]).encode(3));
+    batch.extend(OfMessage::BarrierRequest.encode(4));
+    switch.write_all(&batch).unwrap();
+    for want in [
+        OfMessage::Hello,
+        OfMessage::EchoRequest(vec![1]),
+        OfMessage::EchoRequest(vec![2]),
+        OfMessage::BarrierRequest,
+    ] {
+        assert_eq!(ctrl_rx.recv_timeout(Duration::from_secs(5)).unwrap(), want);
+    }
+
+    // The barrier came out after both echoes were dispatched: two rule
+    // fires, two faults each.
+    assert_eq!(proxy.stats().faults_discarded, 4);
+    let report = ProxyLifecycleReport::collect(&proxy).to_string();
+    assert!(report.contains("faults: 4 discarded"), "{report}");
     proxy.shutdown();
 }
 

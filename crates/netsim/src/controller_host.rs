@@ -372,7 +372,7 @@ impl ControllerHost {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use attain_controllers::Floodlight;
+    use attain_controllers::ControllerKind;
     use attain_openflow::{MacAddr, PhyPort, PortNo, SwitchFeatures};
 
     fn features(dpid: u64) -> SwitchFeatures {
@@ -387,7 +387,7 @@ mod tests {
     }
 
     fn host() -> ControllerHost {
-        let mut h = ControllerHost::new("c1".into(), Box::new(Floodlight::new()));
+        let mut h = ControllerHost::new("c1".into(), ControllerKind::Floodlight.instantiate());
         h.add_conn(ConnId(0));
         h
     }

@@ -34,7 +34,7 @@
 //!
 //! ```
 //! use attain_netsim::{NetworkBuilder, SimTime, HostCommand};
-//! use attain_controllers::Floodlight;
+//! use attain_controllers::ControllerKind;
 //!
 //! let mut b = NetworkBuilder::new();
 //! let h1 = b.host("h1", "10.0.0.1");
@@ -42,7 +42,7 @@
 //! let s1 = b.switch("s1");
 //! b.link(h1, s1);
 //! b.link(h2, s1);
-//! let c1 = b.controller("c1", Box::new(Floodlight::new()));
+//! let c1 = b.controller("c1", ControllerKind::Floodlight.instantiate());
 //! b.control(c1, s1);
 //! let mut sim = b.build();
 //!

@@ -6,6 +6,8 @@ cd "$(dirname "$0")/.."
 
 echo "== cargo fmt --check"
 cargo fmt --all --check
+# include!d at the controllers crate root, so cargo fmt does not reach it
+rustfmt --check --edition 2021 crates/controllers/src/wire_tests.rs
 
 echo "== cargo clippy (deny warnings, flag redundant clones)"
 cargo clippy --workspace --all-targets -- -D warnings -W clippy::redundant_clone
@@ -30,11 +32,13 @@ if ! [ "$work_per_s" -ge 10000 ]; then
   exit 1
 fi
 
-echo "== benchmark's golden gate (330/330 cells on the compiled-in digests)"
-campaign_full=$(cargo run --release --quiet --offline --manifest-path attain_bench/Cargo.toml \
-  -- --workload campaign_full --seconds 2 --trace 0 | tail -n 1)
-echo "$campaign_full"
-grep -q '"correct": true' <<<"$campaign_full"
+echo "== benchmark's pinned counts and digests (330/330 golden cells; Hub, Ryu and fabric runs)"
+for workload in campaign_full ctrl_path table_churn fabric_large; do
+  result=$(cargo run --release --quiet --offline --manifest-path attain_bench/Cargo.toml \
+    -- --workload "$workload" --seconds 2 --trace 0 | tail -n 1)
+  echo "$workload $result"
+  grep -q '"correct": true' <<<"$result"
+done
 
 echo "== conformance campaign (smoke matrix, audited dispatch)"
 cargo run --release --bin campaign --features attain-campaign/dispatch_audit \

@@ -1,5 +1,5 @@
-//! Shared formatting and workload helpers for the experiment binaries
-//! and criterion benchmarks.
+//! Shared formatting, timing and workload helpers for the experiment
+//! binaries.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -60,7 +60,7 @@ pub fn render_table(header: &[&str], rows: &[Vec<String>]) -> String {
 
 /// Builds a synthetic system model with one controller and one switch
 /// (for executor micro-benchmarks).
-pub fn tiny_system() -> (SystemModel, AttackModel) {
+fn tiny_system() -> (SystemModel, AttackModel) {
     let mut m = SystemModel::new();
     let c = m.add_controller("c1").expect("fresh model");
     let s = m.add_switch("s1").expect("fresh model");
@@ -81,7 +81,7 @@ pub fn tiny_system() -> (SystemModel, AttackModel) {
 ///   `O(|Φ| + |α_executed|)`.
 /// * `all_match = true`: every conditional is satisfied by every message
 ///   — the second case, `O(|Φ| · |α_max|)`.
-pub fn rule_sweep_attack(n: usize, all_match: bool) -> Attack {
+fn rule_sweep_attack(n: usize, all_match: bool) -> Attack {
     let rules = (0..n)
         .map(|i| Rule {
             name: format!("phi{i}"),
@@ -114,24 +114,14 @@ pub fn rule_sweep_attack(n: usize, all_match: bool) -> Attack {
     }
 }
 
-/// Builds an executor over [`tiny_system`] running [`rule_sweep_attack`].
+/// Builds an executor over [`tiny_system`] running [`rule_sweep_attack`]
+/// in the given dispatch mode.
 ///
 /// # Panics
 ///
 /// Panics if the synthetic attack fails validation (a bug here, not in
 /// caller input).
-pub fn rule_sweep_executor(n: usize, all_match: bool) -> AttackExecutor {
-    rule_sweep_executor_mode(n, all_match, DispatchMode::default())
-}
-
-/// [`rule_sweep_executor`] pinned to an explicit [`DispatchMode`], for
-/// scan-vs-dispatch comparison sweeps.
-///
-/// # Panics
-///
-/// Panics if the synthetic attack fails validation (a bug here, not in
-/// caller input).
-pub fn rule_sweep_executor_mode(n: usize, all_match: bool, mode: DispatchMode) -> AttackExecutor {
+fn rule_sweep_executor(n: usize, all_match: bool, mode: DispatchMode) -> AttackExecutor {
     let (system, model) = tiny_system();
     AttackExecutor::new(system, model, rule_sweep_attack(n, all_match))
         .expect("synthetic sweep attack validates")
@@ -156,7 +146,7 @@ const MIXED_TYPES: [OfType; 8] = [
 /// dispatch narrows each message to the ~`n/8` rules of its type
 /// instead of scanning all `n`; the residual length conjunct keeps
 /// every candidate a real (non-firing) evaluation.
-pub fn mixed_type_attack(n: usize) -> Attack {
+fn mixed_type_attack(n: usize) -> Attack {
     let rules = (0..n)
         .map(|i| Rule {
             name: format!("phi{i}"),
@@ -192,7 +182,7 @@ pub fn mixed_type_attack(n: usize) -> Attack {
 ///
 /// Panics if the synthetic attack fails validation (a bug here, not in
 /// caller input).
-pub fn mixed_type_executor(n: usize, mode: DispatchMode) -> AttackExecutor {
+fn mixed_type_executor(n: usize, mode: DispatchMode) -> AttackExecutor {
     let (system, model) = tiny_system();
     AttackExecutor::new(system, model, mixed_type_attack(n))
         .expect("synthetic mixed-type attack validates")
@@ -201,7 +191,7 @@ pub fn mixed_type_executor(n: usize, mode: DispatchMode) -> AttackExecutor {
 
 /// One encoded frame per [`mixed_type_attack`] message type, so a
 /// round-robin over the returned set exercises every dispatch bucket.
-pub fn mixed_messages() -> Vec<attain_openflow::Frame> {
+fn mixed_messages() -> Vec<attain_openflow::Frame> {
     use attain_openflow::{Frame, OfMessage};
     vec![
         Frame::new(OfMessage::Hello.encode(1)),
@@ -225,17 +215,47 @@ pub fn mixed_messages() -> Vec<attain_openflow::Frame> {
 /// `ECHO_REQUEST` (the length no sweep rule matches), as a shared
 /// [`Frame`](attain_openflow::Frame) so benches feed the executor the
 /// same way the proxies do — a refcount bump per message.
-pub fn bench_message() -> attain_openflow::Frame {
+fn bench_message() -> attain_openflow::Frame {
     attain_openflow::Frame::new(attain_openflow::OfMessage::EchoRequest(vec![7u8; 32]).encode(1))
 }
 
-/// Human-readable OF type histogram line from counts.
-pub fn type_histogram(counts: &[(OfType, u64)]) -> String {
-    counts
-        .iter()
-        .map(|(t, n)| format!("{t}×{n}"))
-        .collect::<Vec<_>>()
-        .join(", ")
+/// An element of [`sweep_workloads`], which documents the fields.
+type SweepWorkload = (
+    &'static str,
+    fn(usize, DispatchMode) -> AttackExecutor,
+    Vec<attain_openflow::Frame>,
+);
+
+/// The three §VI-D workloads `bin/rule_scalability` times, each as
+/// `(row label, executor for a rule count and dispatch mode, frames fed
+/// round-robin)`:
+///
+/// * `one_match` — every rule tests a distinct length no message has
+///   (≤1 can be true). Under the scan this is the paper's
+///   `O(|Φ| + |α_executed|)` case; the dispatcher resolves it with one
+///   equality-bucket probe and no candidates.
+/// * `all_match` — every conditional is satisfied by every message
+///   (`O(|Φ| · |α_max|)`). Dispatch cannot help here by construction:
+///   all |Φ| rules are candidates, so both modes pay the full
+///   evaluation cost — the floor the dispatcher must not regress.
+/// * `mixed_types` — rules anchor on 8 distinct message types and the
+///   workload round-robins one frame of each, so hash dispatch narrows
+///   each message to ~|Φ|/8 real (non-firing) candidate evaluations:
+///   the selectivity regime between the two extremes.
+pub fn sweep_workloads() -> [SweepWorkload; 3] {
+    [
+        (
+            "one_match",
+            |n, mode| rule_sweep_executor(n, false, mode),
+            vec![bench_message()],
+        ),
+        (
+            "all_match",
+            |n, mode| rule_sweep_executor(n, true, mode),
+            vec![bench_message()],
+        ),
+        ("mixed_types", mixed_type_executor, mixed_messages()),
+    ]
 }
 
 /// Adaptive wall-clock timing for machine-readable bench reports.
@@ -272,94 +292,6 @@ pub mod timing {
     }
 }
 
-/// A machine-readable benchmark report, written as JSON without any
-/// serialization dependency (the container builds offline).
-///
-/// A report [with a baseline](BenchReport::with_baseline) renders each
-/// row as `{name, unit, before, after}` — the same row measured on the
-/// commit before a change, kept as constants in the bench file, beside
-/// this build's value; one without renders `{name, ns_per_iter}`.
-#[derive(Debug, Clone)]
-pub struct BenchReport {
-    bench: String,
-    baseline: &'static [(&'static str, f64)],
-    results: Vec<(String, &'static str, f64)>,
-}
-
-impl BenchReport {
-    /// An empty report for the benchmark suite `bench`.
-    pub fn new(bench: impl Into<String>) -> BenchReport {
-        BenchReport::with_baseline(bench, &[])
-    }
-
-    /// An empty report whose rows are paired, by name, with `baseline`.
-    pub fn with_baseline(
-        bench: impl Into<String>,
-        baseline: &'static [(&'static str, f64)],
-    ) -> BenchReport {
-        BenchReport {
-            bench: bench.into(),
-            baseline,
-            results: Vec::new(),
-        }
-    }
-
-    /// Appends one measured point, in nanoseconds.
-    pub fn record(&mut self, name: impl Into<String>, ns_per_iter: f64) {
-        self.record_as(name, "ns", ns_per_iter);
-    }
-
-    /// Appends one point measured in `unit`.
-    pub fn record_as(&mut self, name: impl Into<String>, unit: &'static str, value: f64) {
-        self.results.push((name.into(), unit, value));
-    }
-
-    /// Renders the report as a JSON document.
-    pub fn to_json(&self) -> String {
-        fn esc(s: &str) -> String {
-            s.chars()
-                .flat_map(|c| match c {
-                    '"' => vec!['\\', '"'],
-                    '\\' => vec!['\\', '\\'],
-                    c if (c as u32) < 0x20 => format!("\\u{:04x}", c as u32).chars().collect(),
-                    c => vec![c],
-                })
-                .collect()
-        }
-        let mut out = String::from("{\n");
-        out.push_str(&format!("  \"bench\": \"{}\",\n", esc(&self.bench)));
-        out.push_str("  \"results\": [\n");
-        for (i, (name, unit, value)) in self.results.iter().enumerate() {
-            let comma = if i + 1 < self.results.len() { "," } else { "" };
-            let fields = if self.baseline.is_empty() {
-                format!("\"ns_per_iter\": {value:.2}")
-            } else {
-                let before = self
-                    .baseline
-                    .iter()
-                    .find(|(n, _)| n == name)
-                    .map_or("null".to_string(), |(_, b)| format!("{b:.2}"));
-                format!("\"unit\": \"{unit}\", \"before\": {before}, \"after\": {value:.2}")
-            };
-            out.push_str(&format!(
-                "    {{\"name\": \"{}\", {fields}}}{comma}\n",
-                esc(name)
-            ));
-        }
-        out.push_str("  ]\n}\n");
-        out
-    }
-
-    /// Writes the JSON document to `path`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the underlying filesystem error.
-    pub fn write(&self, path: impl AsRef<std::path::Path>) -> std::io::Result<()> {
-        std::fs::write(path, self.to_json())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -380,33 +312,6 @@ mod tests {
     }
 
     #[test]
-    fn bench_report_renders_valid_json() {
-        let mut r = BenchReport::new("flow_table");
-        r.record("lookup_hit_exact/64", 41.5);
-        r.record("odd \"name\"", 1.0);
-        let json = r.to_json();
-        assert!(json.contains("\"bench\": \"flow_table\""));
-        assert!(json.contains("{\"name\": \"lookup_hit_exact/64\", \"ns_per_iter\": 41.50},"));
-        assert!(json.contains("odd \\\"name\\\""));
-        // Last element carries no trailing comma.
-        assert!(json.contains("1.00}\n"));
-    }
-
-    #[test]
-    fn bench_report_pairs_rows_with_their_baseline() {
-        let mut r = BenchReport::with_baseline("t", &[("a/1", 10.0)]);
-        r.record("a/1", 4.0);
-        r.record_as("estimate/64", "entries", 64.0);
-        let json = r.to_json();
-        assert!(json.contains(
-            "{\"name\": \"a/1\", \"unit\": \"ns\", \"before\": 10.00, \"after\": 4.00},"
-        ));
-        assert!(json.contains(
-            "{\"name\": \"estimate/64\", \"unit\": \"entries\", \"before\": null, \"after\": 64.00}\n"
-        ));
-    }
-
-    #[test]
     fn measure_ns_returns_positive_time() {
         // Keep it cheap: measure an empty closure; even that takes >0 ns
         // amortized, and must not panic or divide by zero.
@@ -417,27 +322,56 @@ mod tests {
 
     #[test]
     fn mixed_type_workload_agrees_across_dispatch_modes() {
-        let mut scan = mixed_type_executor(64, DispatchMode::Scan);
-        let mut compiled = mixed_type_executor(64, DispatchMode::Compiled);
-        for (i, frame) in mixed_messages().iter().cycle().take(32).enumerate() {
-            let input = |frame: &attain_openflow::Frame| InjectorInput {
-                conn: ConnectionId(0),
-                to_controller: true,
-                frame: frame.clone(),
-                now_ns: i as u64 * 1_000,
-            };
-            let a = scan.on_message(input(frame));
-            let b = compiled.on_message(input(frame));
-            assert_eq!(a, b);
-            assert_eq!(a.deliveries.len(), 1); // nothing fires: pass-through
+        for (label, executor, frames) in sweep_workloads() {
+            let mut scan = executor(64, DispatchMode::Scan);
+            let mut compiled = executor(64, DispatchMode::Compiled);
+            for (i, frame) in frames.iter().cycle().take(32).enumerate() {
+                let input = |frame: &attain_openflow::Frame| InjectorInput {
+                    conn: ConnectionId(0),
+                    to_controller: true,
+                    frame: frame.clone(),
+                    now_ns: i as u64 * 1_000,
+                };
+                let a = scan.on_message(input(frame));
+                let b = compiled.on_message(input(frame));
+                assert_eq!(a, b, "{label}");
+                assert_eq!(a.deliveries.len(), 1, "{label}"); // pass-through
+            }
+            assert_eq!(scan.log().events(), compiled.log().events(), "{label}");
         }
-        assert_eq!(scan.log().events(), compiled.log().events());
+    }
+
+    /// Both checked-in reports share one envelope, line for line:
+    /// `{"bench": …, "rows": [{"name": …, <columns>}]}`.
+    #[test]
+    fn checked_in_bench_reports_share_one_envelope() {
+        for bench in ["rule_eval", "scalability"] {
+            let path = format!("{}/../../BENCH_{bench}.json", env!("CARGO_MANIFEST_DIR"));
+            let text = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path}: {e}"));
+            let lines: Vec<&str> = text.lines().collect();
+            let (head, tail) = (&lines[..3], &lines[lines.len() - 2..]);
+            assert_eq!(
+                head,
+                ["{", &format!("  \"bench\": \"{bench}\","), "  \"rows\": ["],
+                "{path}"
+            );
+            assert_eq!(tail, ["  ]", "}"], "{path}");
+            let rows = &lines[3..lines.len() - 2];
+            assert!(!rows.is_empty(), "{path} has no rows");
+            for (i, row) in rows.iter().enumerate() {
+                let close = if i + 1 < rows.len() { "}," } else { "}" };
+                assert!(
+                    row.starts_with("    {\"name\": \"") && row.ends_with(close),
+                    "{path}: row {i} is {row:?}"
+                );
+            }
+        }
     }
 
     #[test]
     fn sweep_attacks_validate_and_run() {
         for all_match in [false, true] {
-            let mut exec = rule_sweep_executor(64, all_match);
+            let mut exec = rule_sweep_executor(64, all_match, DispatchMode::default());
             let msg = bench_message();
             let out = exec.on_message(InjectorInput {
                 conn: ConnectionId(0),

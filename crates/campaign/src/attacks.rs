@@ -1,9 +1,9 @@
 //! The campaign's attack inventory: every shipped `attacks/*.atk`.
 //!
-//! Sources are embedded at compile time so the campaign binary and the
-//! conformance tests run from any working directory; a tier-1 test
-//! (`tests/atk_files.rs`) separately pins the on-disk files to the
-//! bundled sources.
+//! Sources are embedded at compile time (`include_str!` of the shipped
+//! files, here and in `scenario::attacks`) so the campaign binary and
+//! the conformance tests run from any working directory; a tier-1 test
+//! (`tests/atk_files.rs`) checks that each `ALL` entry is its file.
 
 use attain_core::scenario;
 use attain_netsim::EvictionPolicy;

@@ -333,16 +333,6 @@ impl AttackExecutor {
         self
     }
 
-    /// The active dispatch strategy.
-    pub fn dispatch_mode(&self) -> DispatchMode {
-        self.mode
-    }
-
-    /// The compiled dispatch structure (for introspection and benches).
-    pub fn ruleset(&self) -> &CompiledRuleset {
-        &self.ruleset
-    }
-
     fn endpoints(&self, conn: ConnectionId, to_controller: bool) -> (NodeRef, NodeRef) {
         let (c, s) = self.system.connection(conn);
         if to_controller {

@@ -488,16 +488,6 @@ impl Simulation {
         &self.trace
     }
 
-    /// Disables per-event trace recording (counters stay on), for long
-    /// benchmark runs.
-    pub fn set_trace_events(&mut self, on: bool) {
-        self.trace.set_mode(if on {
-            TraceMode::Full
-        } else {
-            TraceMode::Counters
-        });
-    }
-
     /// Sets the trace mode (see [`TraceMode`]).
     pub fn set_trace_mode(&mut self, mode: TraceMode) {
         self.trace.set_mode(mode);

@@ -56,12 +56,7 @@ fn recovers_capacity_64_under_every_policy() {
         EvictionPolicy::EvictLowestPriority,
     ] {
         let (estimate, _) = run_probe(64, policy, 64);
-        let estimate = estimate.expect("no estimate");
-        assert!(
-            (estimate as i64 - 64).unsigned_abs() as f64 <= 64.0 * 0.05,
-            "{}: estimated {estimate}, configured 64",
-            policy.name()
-        );
+        assert_eq!(estimate, Some(64), "{}", policy.name());
     }
 }
 
@@ -73,12 +68,7 @@ fn recovers_capacity_256_under_every_policy() {
         EvictionPolicy::EvictLowestPriority,
     ] {
         let (estimate, _) = run_probe(256, policy, 256);
-        let estimate = estimate.expect("no estimate");
-        assert!(
-            (estimate as i64 - 256).unsigned_abs() as f64 <= 256.0 * 0.05,
-            "{}: estimated {estimate}, configured 256",
-            policy.name()
-        );
+        assert_eq!(estimate, Some(256), "{}", policy.name());
     }
 }
 
@@ -90,12 +80,7 @@ fn recovers_capacity_1024_under_every_policy() {
         EvictionPolicy::EvictLowestPriority,
     ] {
         let (estimate, _) = run_probe(1024, policy, 1024);
-        let estimate = estimate.expect("no estimate");
-        assert!(
-            (estimate as i64 - 1024).unsigned_abs() as f64 <= 1024.0 * 0.05,
-            "{}: estimated {estimate}, configured 1024",
-            policy.name()
-        );
+        assert_eq!(estimate, Some(1024), "{}", policy.name());
     }
 }
 

@@ -49,6 +49,10 @@ cargo run --release --bin scalability \
   -- --smoke --max-events 2000000 --json target/BENCH_scalability_smoke.json
 grep -q '"halt": "Horizon"' target/BENCH_scalability_smoke.json
 
+echo "== §VI-D rule scaling (scan grows with |Φ|, dispatcher stays flat)"
+cargo run --release -p attain-bench --bin rule_scalability \
+  -- --json target/BENCH_rule_eval_check.json
+
 echo "== supervised execution (chaos cells contained, degraded-mode report)"
 cargo test -q -p attain-campaign --features test_faults
 if cargo run --release --bin campaign --features test_faults \
@@ -60,5 +64,8 @@ fi
 grep -q '"status": "panicked"' target/CAMPAIGN_chaos_report.json
 grep -q '"status": "budget-exhausted"' target/CAMPAIGN_chaos_report.json
 grep -q '"verdict": "unjudged"' target/CAMPAIGN_chaos_report.json
+
+echo "== plain campaign binary (the chaos build above overwrote target/release/campaign)"
+cargo build --release --bin campaign
 
 echo "all checks passed"

@@ -1,16 +1,8 @@
-//! The shipped `attacks/*.atk` description files stay compilable and in
-//! sync with the bundled in-crate sources — they are the "reusable and
+//! The shipped `attacks/*.atk` description files are the bundled
+//! in-crate sources and stay compilable — they are the "reusable and
 //! shareable attack descriptions" the paper's abstract promises.
 
 use attain::core::{dsl, scenario};
-
-fn strip_comments(s: &str) -> String {
-    s.lines()
-        .map(|l| l.split('#').next().unwrap_or("").trim_end())
-        .filter(|l| !l.trim().is_empty())
-        .collect::<Vec<_>>()
-        .join("\n")
-}
 
 #[test]
 fn shipped_atk_files_match_bundled_attacks() {
@@ -19,12 +11,12 @@ fn shipped_atk_files_match_bundled_attacks() {
         let path = format!("attacks/{name}.atk");
         let file = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path} missing: {e}"));
         assert_eq!(
-            strip_comments(&file),
-            strip_comments(source),
-            "{path} has drifted from scenario::attacks::{}",
+            file,
+            source,
+            "scenario::attacks::{} is not {path}",
             name.to_uppercase()
         );
-        let compiled = dsl::compile(&file, &sc.system, &sc.attack_model);
+        let compiled = dsl::compile(source, &sc.system, &sc.attack_model);
         assert!(compiled.is_ok(), "{path}: {}", compiled.unwrap_err());
     }
 }

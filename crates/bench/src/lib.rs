@@ -2,7 +2,7 @@
 //! binaries.
 
 #![forbid(unsafe_code)]
-#![warn(missing_docs)]
+#![warn(missing_docs, unreachable_pub)]
 
 use attain_core::exec::{AttackExecutor, DispatchMode};
 use attain_core::lang::AttackAction;

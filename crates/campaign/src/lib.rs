@@ -28,7 +28,7 @@
 //! canonical report bytes are identical for any thread count.
 
 #![forbid(unsafe_code)]
-#![warn(missing_docs)]
+#![warn(missing_docs, unreachable_pub)]
 // The campaign result path must degrade, never abort: a cell that
 // cannot be judged is reported, not unwrapped. Tests may still unwrap.
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]

@@ -99,11 +99,6 @@ impl DmzFirewall {
             deny_idle_timeout: 10,
         }
     }
-
-    /// The wrapped policy.
-    pub fn policy(&self) -> &DmzPolicy {
-        &self.policy
-    }
 }
 
 impl Controller for DmzFirewall {

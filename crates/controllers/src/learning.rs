@@ -336,7 +336,7 @@ pub(crate) enum MatchStyle {
 
 impl MatchStyle {
     /// Builds a flow-mod match for `key` in this style.
-    pub fn build(&self, key: &FlowKey) -> Match {
+    pub(crate) fn build(&self, key: &FlowKey) -> Match {
         match self {
             MatchStyle::FullExact => Match::from_flow_key(key),
             MatchStyle::L2Only => {

@@ -43,7 +43,7 @@
 //! [`ControllerKind::instantiate`] is the only constructor.
 
 #![forbid(unsafe_code)]
-#![warn(missing_docs)]
+#![warn(missing_docs, unreachable_pub)]
 
 mod firewall;
 mod learning;

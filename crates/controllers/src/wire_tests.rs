@@ -6,17 +6,19 @@
 
 mod wire {
     pub(crate) use crate::learning::MatchStyle::{self, FullExact, L2Only, L3Aware};
-    pub use crate::{Controller, ControllerKind, DmzFirewall, DmzPolicy, Outbox};
-    pub use attain_openflow::{packet, Action, DatapathId, MacAddr, OfMessage, PacketIn, PortNo};
+    pub(crate) use crate::{Controller, ControllerKind, DmzFirewall, DmzPolicy, Outbox};
+    pub(crate) use attain_openflow::{
+        packet, Action, DatapathId, MacAddr, OfMessage, PacketIn, PortNo,
+    };
     use attain_openflow::{packet::Ethernet, PacketInReason};
 
     /// The switch every scenario plays on: the DMZ firewall's own, so the
     /// same packets exercise a wrapped application's allow path.
-    pub const DPID: DatapathId = DatapathId(2);
+    pub(crate) const DPID: DatapathId = DatapathId(2);
 
     /// `kind` behind the case study's policy: of what enters [`DPID`] on
     /// port 1, h1 is trusted and only h1 and h2 may be reached.
-    pub fn firewalled(kind: ControllerKind) -> DmzFirewall {
+    pub(crate) fn firewalled(kind: ControllerKind) -> DmzFirewall {
         let policy = DmzPolicy {
             firewall_dpid: DPID,
             external_port: PortNo(1),
@@ -30,7 +32,7 @@ mod wire {
 
     /// A `PACKET_IN` position relative to what the application has learned.
     #[derive(Debug, Clone, Copy, PartialEq)]
-    pub enum Scenario {
+    pub(crate) enum Scenario {
         /// h1 (port 1) → h2, after h2 was seen on port 2.
         Known,
         /// h1 → h2 with nothing learned.
@@ -40,7 +42,7 @@ mod wire {
         /// h1 (port 1) → h2, after h2 was seen on port 1 too.
         Hairpin,
     }
-    pub use Scenario::*;
+    pub(crate) use Scenario::*;
 
     fn wrap(frame: Ethernet, in_port: u16, buffer_id: Option<u32>) -> PacketIn {
         PacketIn {
@@ -53,7 +55,7 @@ mod wire {
     }
 
     /// An ICMP echo `10.0.0.src → 10.0.0.dst` arriving on `in_port`.
-    pub fn packet_in(src: u8, dst: u8, in_port: u16, buffer_id: Option<u32>) -> PacketIn {
+    pub(crate) fn packet_in(src: u8, dst: u8, in_port: u16, buffer_id: Option<u32>) -> PacketIn {
         let frame = packet::icmp_echo_request(
             MacAddr::from_low(src.into()),
             MacAddr::from_low(dst.into()),
@@ -67,7 +69,7 @@ mod wire {
     }
 
     /// What `app` sends for one `PACKET_IN`.
-    pub fn reply(app: &mut dyn Controller, pi: &PacketIn) -> Vec<OfMessage> {
+    pub(crate) fn reply(app: &mut dyn Controller, pi: &PacketIn) -> Vec<OfMessage> {
         let mut out = Outbox::new();
         app.on_packet_in(DPID, pi, &mut out);
         out.drain()
@@ -80,7 +82,7 @@ mod wire {
     }
 
     /// The scenario's probe packet.
-    pub fn probe(scenario: Scenario, buffer_id: Option<u32>) -> PacketIn {
+    pub(crate) fn probe(scenario: Scenario, buffer_id: Option<u32>) -> PacketIn {
         match scenario {
             Multicast => {
                 let arp = packet::arp_request(
@@ -96,7 +98,7 @@ mod wire {
 
     /// Teaches `app` what the scenario presumes, then returns its reply to
     /// the probe.
-    pub fn drive(
+    pub(crate) fn drive(
         app: &mut dyn Controller,
         scenario: Scenario,
         buffer_id: Option<u32>,
@@ -129,7 +131,7 @@ mod wire {
     }
 
     impl Wire {
-        pub fn buffer(&self) -> Option<u32> {
+        pub(crate) fn buffer(&self) -> Option<u32> {
             match self {
                 Wire::Flow { buffer, .. } | Wire::Out { buffer, .. } => *buffer,
             }
@@ -145,7 +147,7 @@ mod wire {
     }
 
     /// Summarizes the reply to `pi`.
-    pub fn wire(pi: &PacketIn, msgs: &[OfMessage]) -> Vec<Wire> {
+    pub(crate) fn wire(pi: &PacketIn, msgs: &[OfMessage]) -> Vec<Wire> {
         let key = packet::flow_key(&pi.data, pi.in_port);
         msgs.iter()
             .map(|msg| match msg {
@@ -174,7 +176,7 @@ mod wire {
     }
 
     /// A `FLOW_MOD` with these columns; the pair is idle / hard timeout.
-    pub fn flow(
+    pub(crate) fn flow(
         style: MatchStyle,
         (idle, hard): (u16, u16),
         buffer: Option<u32>,
@@ -190,7 +192,7 @@ mod wire {
     }
 
     /// A `PACKET_OUT` naming `buffer`, or carrying the data when `None`.
-    pub fn out(buffer: Option<u32>, to: Option<PortNo>) -> Wire {
+    pub(crate) fn out(buffer: Option<u32>, to: Option<PortNo>) -> Wire {
         Wire::Out {
             buffer,
             data: buffer.is_none(),
@@ -198,9 +200,9 @@ mod wire {
         }
     }
 
-    pub const FLOOD: Option<PortNo> = Some(PortNo::FLOOD);
-    pub const P1: Option<PortNo> = Some(PortNo(1));
-    pub const P2: Option<PortNo> = Some(PortNo(2));
+    pub(crate) const FLOOD: Option<PortNo> = Some(PortNo::FLOOD);
+    pub(crate) const P1: Option<PortNo> = Some(PortNo(1));
+    pub(crate) const P2: Option<PortNo> = Some(PortNo(2));
 
     /// One `#[test]` per row, against the enclosing module's `KIND`.
     macro_rules! rows {

@@ -19,10 +19,6 @@ pub struct CompiledAttack {
     pub attack: Attack,
     /// Its state graph `Σ_G`.
     pub graph: AttackStateGraph,
-    /// The per-state compiled dispatch indexes (equality buckets,
-    /// threshold intervals, residual sets — see
-    /// [`CompiledRuleset`](crate::exec::CompiledRuleset)).
-    pub ruleset: crate::exec::CompiledRuleset,
 }
 
 impl CompiledAttack {
@@ -34,11 +30,6 @@ impl CompiledAttack {
     /// The attack's states.
     pub fn states(&self) -> &[crate::lang::AttackState] {
         self.attack.states()
-    }
-
-    /// How the compiled dispatcher classified the attack's rules.
-    pub fn dispatch_summary(&self) -> crate::exec::DispatchSummary {
-        self.ruleset.summary()
     }
 }
 
@@ -386,12 +377,7 @@ fn compile_attack(
     validate_attack(system, model, &attack)
         .map_err(|e| DslError::new(block.line, e.to_string()))?;
     let graph = AttackStateGraph::from_attack(&attack);
-    let ruleset = crate::exec::CompiledRuleset::compile(&attack, system.connection_count());
-    Ok(CompiledAttack {
-        attack,
-        graph,
-        ruleset,
-    })
+    Ok(CompiledAttack { attack, graph })
 }
 
 fn compile_expr(ast: ExprAst, system: &SystemModel, line: u32) -> Result<Expr, DslError> {
@@ -773,7 +759,9 @@ mod tests {
         assert!(rule.required.contains(Capability::ReadMessageMetadata));
         // The condition anchors on `msg.type == FLOW_MOD`: the compiled
         // dispatcher indexes it through an equality bucket.
-        let summary = atk.dispatch_summary();
+        let summary =
+            crate::exec::CompiledRuleset::compile(&atk.attack, doc.system.connection_count())
+                .summary();
         assert_eq!(summary.rules, 1);
         assert_eq!(summary.eq_indexed, 1);
         assert_eq!(summary.residual, 0);

@@ -5,7 +5,7 @@ use std::net::Ipv4Addr;
 
 /// A token kind.
 #[derive(Debug, Clone, PartialEq)]
-pub enum Tok {
+pub(crate) enum Tok {
     /// Identifier or keyword.
     Ident(String),
     /// Integer literal.
@@ -101,7 +101,7 @@ impl fmt::Display for Tok {
 
 /// A token with its source line (1-based).
 #[derive(Debug, Clone, PartialEq)]
-pub struct Token {
+pub(crate) struct Token {
     /// The token.
     pub tok: Tok,
     /// 1-based source line.
@@ -148,7 +148,7 @@ impl std::error::Error for DslError {}
 ///
 /// Returns [`DslError`] on unterminated strings, malformed numbers, or
 /// unexpected characters.
-pub fn lex(source: &str) -> Result<Vec<Token>, DslError> {
+pub(crate) fn lex(source: &str) -> Result<Vec<Token>, DslError> {
     let mut out = Vec::new();
     let mut line: u32 = 1;
     let bytes = source.as_bytes();

@@ -251,8 +251,6 @@ impl PropBuilder {
 /// One automaton state's compiled dispatcher.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CompiledState {
-    rules: usize,
-    words: usize,
     /// `conn_scope[c]` = rules watching connection `c` (the O(1)
     /// replacement for [`Rule::applies_to`](crate::lang::Rule)'s list
     /// walk, used on every dispatch path including the residual scan).
@@ -338,8 +336,6 @@ impl CompiledState {
             .map(|(prop, b)| b.finish(prop, words))
             .collect();
         CompiledState {
-            rules: rules.len(),
-            words,
             conn_scope,
             residual,
             props,
@@ -352,11 +348,6 @@ impl CompiledState {
         self.conn_scope
             .get(conn.0)
             .is_some_and(|mask| has_bit(mask, rule))
-    }
-
-    /// Number of rules in this state.
-    pub fn rule_count(&self) -> usize {
-        self.rules
     }
 
     /// Computes the candidate rule indices for one message, in
@@ -685,6 +676,5 @@ mod tests {
         // A connection index past the system's count yields no
         // candidates rather than panicking.
         assert!(candidates_of(&ruleset, 5, &frame).is_empty());
-        assert_eq!(ruleset.state(0).rule_count(), 0);
     }
 }

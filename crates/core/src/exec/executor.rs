@@ -12,8 +12,6 @@ use crate::model::AttackModel;
 use crate::model::{Capability, CapabilitySet};
 use crate::model::{ConnectionId, NodeRef, SystemModel};
 use attain_openflow::Frame;
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
 use std::collections::VecDeque;
 use std::fmt;
 use std::sync::Arc;
@@ -168,14 +166,40 @@ pub fn validate_attack(
     Ok(())
 }
 
+/// The SplitMix64 output scramble.
+fn splitmix64(mut z: u64) -> u64 {
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
 /// SplitMix64-style hash of `(seed, id)` mapped to `[0, 1)`: the
 /// deterministic randomness behind [`Property::Entropy`](crate::lang::Property::Entropy).
 fn entropy_for(seed: u64, id: u64) -> f64 {
-    let mut z = seed ^ id.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^= z >> 31;
+    let z = splitmix64(seed ^ id.wrapping_mul(0x9E37_79B9_7F4A_7C15));
     (z >> 11) as f64 / (1u64 << 53) as f64
+}
+
+/// The `FUZZMESSAGE` bit-flip stream: xorshift64* seeded through
+/// SplitMix64. Every `fuzz_control_plane` golden digest pins this exact
+/// sequence, `| 1` seeding and modulo reduction included.
+struct FuzzRng(u64);
+
+impl FuzzRng {
+    fn new(seed: u64) -> FuzzRng {
+        // The xorshift state must be non-zero.
+        FuzzRng(splitmix64(seed.wrapping_add(0x9E37_79B9_7F4A_7C15)) | 1)
+    }
+
+    /// A value in `0..n`.
+    fn below(&mut self, n: usize) -> usize {
+        let mut x = self.0;
+        x ^= x >> 12;
+        x ^= x << 25;
+        x ^= x >> 27;
+        self.0 = x;
+        (x.wrapping_mul(0x2545_F491_4F6C_DD1D) % n as u64) as usize
+    }
 }
 
 struct HeldMessage {
@@ -228,7 +252,7 @@ pub struct AttackExecutor {
     /// Next value of [`OutMessage::seq`]; stamped onto every delivery in
     /// emission order.
     next_delivery_seq: u64,
-    fuzz_rng: SmallRng,
+    fuzz_rng: FuzzRng,
     /// Seed for the per-message entropy property.
     entropy_seed: u64,
 }
@@ -281,7 +305,7 @@ impl AttackExecutor {
             log: InjectionLog::new(),
             next_msg_id: 1,
             next_delivery_seq: 0,
-            fuzz_rng: SmallRng::seed_from_u64(0x00A7_7A1D),
+            fuzz_rng: FuzzRng::new(0x00A7_7A1D),
             entropy_seed: 0x05EE_D0FA_77A1,
         })
     }
@@ -437,32 +461,21 @@ impl AttackExecutor {
         // the state as it was when the message arrived, even if an
         // earlier rule in the same pass transitions.
         let previous = self.current;
-        // Lines 7–18: evaluate the rules of σ_previous. The compiled
-        // path narrows the pass to the candidate rules first; candidate
-        // order is rule order, so both paths evaluate the same rules in
-        // the same sequence.
+        // Lines 7–18: evaluate the rules of σ_previous. The scan takes
+        // every rule watching `conn`; the compiled path narrows that to
+        // the candidate rules first. Candidate order is rule order, so
+        // both modes evaluate the same rules in the same sequence.
         let rules = Arc::clone(&self.rules_by_state[previous]);
+        let mut cands = std::mem::take(&mut self.cand_scratch);
         match self.mode {
             DispatchMode::Scan => {
-                for (i, rule) in rules.iter().enumerate() {
-                    if !self.ruleset.state(previous).rule_watches(i, conn) {
-                        continue;
-                    }
-                    self.eval_rule(
-                        rule,
-                        previous,
-                        conn,
-                        source,
-                        destination,
-                        frame,
-                        now_ns,
-                        id,
-                        &mut out,
-                        &mut commands,
-                        &mut faults,
-                        &mut wakeup,
-                    );
-                }
+                let state = self.ruleset.state(previous);
+                cands.clear();
+                cands.extend(
+                    (0..rules.len())
+                        .filter(|&i| state.rule_watches(i, conn))
+                        .map(|i| i as u32),
+                );
             }
             DispatchMode::Compiled => {
                 // Guard extraction reads act on behalf of rules that
@@ -478,11 +491,11 @@ impl AttackExecutor {
                     granted: CapabilitySet::no_tls(),
                     entropy: entropy_for(self.entropy_seed, id),
                 };
-                let mut cands = std::mem::take(&mut self.cand_scratch);
                 let mut mask = std::mem::take(&mut self.mask_scratch);
                 self.ruleset
                     .state(previous)
                     .candidates(conn, &extract_view, &mut cands, &mut mask);
+                self.mask_scratch = mask;
                 #[cfg(feature = "dispatch_audit")]
                 self.audit_candidates(
                     previous,
@@ -495,26 +508,25 @@ impl AttackExecutor {
                     now_ns,
                     id,
                 );
-                for &i in &cands {
-                    self.eval_rule(
-                        &rules[i as usize],
-                        previous,
-                        conn,
-                        source,
-                        destination,
-                        frame,
-                        now_ns,
-                        id,
-                        &mut out,
-                        &mut commands,
-                        &mut faults,
-                        &mut wakeup,
-                    );
-                }
-                self.cand_scratch = cands;
-                self.mask_scratch = mask;
             }
         }
+        for &i in &cands {
+            self.eval_rule(
+                &rules[i as usize],
+                previous,
+                conn,
+                source,
+                destination,
+                frame,
+                now_ns,
+                id,
+                &mut out,
+                &mut commands,
+                &mut faults,
+                &mut wakeup,
+            );
+        }
+        self.cand_scratch = cands;
 
         // Stamp the surviving list in emission order: the sequence an
         // asynchronous deployment must preserve among equal deadlines.
@@ -531,8 +543,7 @@ impl AttackExecutor {
     }
 
     /// Evaluates one rule against one message and runs its actions on a
-    /// match — the body of Algorithm 1's per-rule loop, shared by both
-    /// dispatch paths.
+    /// match — the body of Algorithm 1's per-rule loop.
     #[allow(clippy::too_many_arguments)]
     fn eval_rule(
         &mut self,
@@ -832,7 +843,7 @@ impl AttackExecutor {
                     }
                     let mut bytes = m.frame.to_vec();
                     for _ in 0..*flips {
-                        let bit = self.fuzz_rng.gen_range(0..bytes.len() * 8);
+                        let bit = self.fuzz_rng.below(bytes.len() * 8);
                         bytes[bit / 8] ^= 1 << (bit % 8);
                     }
                     m.frame = Frame::new(bytes);

@@ -47,12 +47,6 @@ impl Rule {
         self.connections.contains(&conn)
     }
 
-    /// The indexable guard anchoring this rule's condition, if any
-    /// (see [`anchor_guard`](crate::lang::anchor_guard)).
-    pub fn anchor_guard(&self) -> Option<crate::lang::Guard> {
-        crate::lang::anchor_guard(&self.condition)
-    }
-
     /// `GOTOSTATE` targets named by this rule's actions.
     pub fn goto_targets(&self) -> impl Iterator<Item = usize> + '_ {
         self.actions.iter().filter_map(|a| a.goto_target())

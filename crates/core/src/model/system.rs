@@ -389,11 +389,6 @@ impl SystemModel {
             .map(ConnectionId)
     }
 
-    /// The host with the given IPv4 address.
-    pub fn host_by_ip(&self, ip: Ipv4Addr) -> Option<HostId> {
-        self.hosts.iter().position(|h| h.ip == Some(ip)).map(HostId)
-    }
-
     /// Worst-case memory footprint terms from the paper's §VI-D1:
     /// `O((|S|+|H|)²)` for `N_D` and `O(|C|·|S|)` for `N_C`.
     pub fn memory_complexity_bounds(&self) -> (usize, usize) {
@@ -486,16 +481,6 @@ mod tests {
             assert_eq!(m.name_of(node), name);
         }
         assert_eq!(m.resolve("nope"), None);
-    }
-
-    #[test]
-    fn host_by_ip() {
-        let mut m = SystemModel::new();
-        m.add_host("h1", Some("10.0.0.1".parse().unwrap()), None)
-            .unwrap();
-        m.add_host("h2", None, None).unwrap();
-        assert_eq!(m.host_by_ip("10.0.0.1".parse().unwrap()), Some(HostId(0)));
-        assert_eq!(m.host_by_ip("10.0.0.9".parse().unwrap()), None);
     }
 
     #[test]

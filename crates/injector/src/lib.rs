@@ -15,7 +15,7 @@
 //! experiment and the Table II connection-interruption experiment).
 
 #![forbid(unsafe_code)]
-#![warn(missing_docs)]
+#![warn(missing_docs, unreachable_pub)]
 
 pub mod harness;
 pub mod monitors;
@@ -25,3 +25,14 @@ pub mod tcp;
 pub use monitors::{ExperimentReport, ProxyLifecycleReport};
 pub use sim::{SharedExecutor, SimInjector};
 pub use tcp::{RouteHealth, RouteHealthSnapshot};
+
+use std::sync::{Mutex, MutexGuard, PoisonError};
+
+/// Locks `m`, recovering the guard if an earlier holder panicked: a
+/// panicked worker is a severed session, not a wedged proxy. Sound
+/// because every critical section in this crate leaves its data valid
+/// at each step (an executor step, a session-map insert or remove, a
+/// handle list push).
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}

@@ -146,12 +146,6 @@ impl ProxyLifecycleReport {
             routes: proxy.route_health(),
         }
     }
-
-    /// Deliveries the proxy refused to misdeliver: bytes addressed to a
-    /// dead epoch or a dead connection.
-    pub fn quarantined(&self) -> u64 {
-        self.stats.stale_epoch_dropped + self.stats.dead_target_dropped
-    }
 }
 
 impl fmt::Display for ProxyLifecycleReport {
@@ -311,7 +305,8 @@ mod tests {
         .expect("binds");
         let report = ProxyLifecycleReport::collect(&proxy);
         assert_eq!(report.stats.sessions_opened, 0);
-        assert_eq!(report.quarantined(), 0);
+        assert_eq!(report.stats.stale_epoch_dropped, 0);
+        assert_eq!(report.stats.dead_target_dropped, 0);
         assert_eq!(report.routes.len(), 1);
         assert_eq!(report.routes[0].health, crate::tcp::RouteHealth::Idle);
         assert_eq!(report.routes[0].consecutive_failures, 0);

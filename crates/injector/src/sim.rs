@@ -7,13 +7,20 @@ use attain_netsim::{
     ConnId, Delivery, Direction, HostCommand, Interposer, InterposerActions, NodeId,
     ProxiedMessage, SimTime, Simulation,
 };
-use parking_lot::Mutex;
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard};
 
 /// Shared handle to the executor, kept by the harness so the injection
 /// log can be inspected after the simulation consumed the interposer.
-pub type SharedExecutor = Arc<Mutex<AttackExecutor>>;
+#[derive(Debug, Clone)]
+pub struct SharedExecutor(Arc<Mutex<AttackExecutor>>);
+
+impl SharedExecutor {
+    /// Locks the executor (recovering it if a holder panicked).
+    pub fn lock(&self) -> MutexGuard<'_, AttackExecutor> {
+        crate::lock(&self.0)
+    }
+}
 
 /// The runtime injector, interposed on a simulation's control plane.
 ///
@@ -77,9 +84,9 @@ impl SimInjector {
                 hosts.insert(h.name.clone(), id);
             }
         }
-        let exec = Arc::new(Mutex::new(exec));
+        let exec = SharedExecutor(Arc::new(Mutex::new(exec)));
         let injector = SimInjector {
-            exec: Arc::clone(&exec),
+            exec: exec.clone(),
             to_sim,
             to_core,
             hosts,

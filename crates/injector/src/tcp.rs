@@ -46,18 +46,18 @@
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
+use crate::lock;
 use attain_core::exec::{AttackExecutor, ExecOutput, InjectorInput};
 use attain_core::model::ConnectionId;
 use attain_openflow::{Frame, OfMessage};
-use crossbeam::channel::{bounded, unbounded, Receiver, Sender, TrySendError};
-use parking_lot::Mutex;
 use std::cmp::Reverse;
 use std::collections::binary_heap::PeekMut;
 use std::collections::{BinaryHeap, HashMap};
 use std::io::{self, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender, SyncSender, TrySendError};
+use std::sync::{Arc, Mutex};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
@@ -215,9 +215,9 @@ struct Session {
     /// Sink feeding the controller-side write loop. Queued frames share
     /// their buffers with the executor's stores — enqueueing is a
     /// refcount bump, not a byte copy.
-    ctrl_tx: Sender<Frame>,
+    ctrl_tx: SyncSender<Frame>,
     /// Sink feeding the switch-side write loop.
-    sw_tx: Sender<Frame>,
+    sw_tx: SyncSender<Frame>,
     /// Socket handles kept for severing: `shutdown()` here unblocks any
     /// loop parked in `read`/`write` on the same underlying socket.
     switch_sock: TcpStream,
@@ -225,7 +225,7 @@ struct Session {
 }
 
 impl Session {
-    fn sink(&self, to_controller: bool) -> &Sender<Frame> {
+    fn sink(&self, to_controller: bool) -> &SyncSender<Frame> {
         if to_controller {
             &self.ctrl_tx
         } else {
@@ -265,21 +265,19 @@ impl RouteState {
         let window = RECONNECT_BACKOFF_BASE
             .saturating_mul(1u32 << exp)
             .min(RECONNECT_BACKOFF_CAP);
-        *self.backoff_until.lock() = Some(Instant::now() + window);
+        *lock(&self.backoff_until) = Some(Instant::now() + window);
         window
     }
 
     /// Clears backoff state (successful dial or harness restore).
     fn clear_backoff(&self) {
         self.dial_failures.store(0, Ordering::Relaxed);
-        *self.backoff_until.lock() = None;
+        *lock(&self.backoff_until) = None;
     }
 
     /// Whether a backoff window is currently open.
     fn in_backoff(&self) -> bool {
-        self.backoff_until
-            .lock()
-            .is_some_and(|until| Instant::now() < until)
+        lock(&self.backoff_until).is_some_and(|until| Instant::now() < until)
     }
 }
 
@@ -402,7 +400,7 @@ impl Shared {
         blocking: bool,
     ) {
         let sink = {
-            let sessions = self.sessions.lock();
+            let sessions = lock(&self.sessions);
             match sessions.get(&conn) {
                 Some(s) if s.epoch == epoch => s.sink(to_controller).clone(),
                 Some(_) => {
@@ -455,7 +453,7 @@ impl Shared {
             // is live on the target now.
             let epoch = match origin {
                 Some((conn, epoch)) if conn == d.conn.0 => Some(epoch),
-                _ => self.sessions.lock().get(&d.conn.0).map(|s| s.epoch),
+                _ => lock(&self.sessions).get(&d.conn.0).map(|s| s.epoch),
             };
             let Some(epoch) = epoch else {
                 self.counters
@@ -501,7 +499,7 @@ impl Shared {
         frame: Frame,
     ) {
         let out = {
-            let mut exec = self.exec.lock();
+            let mut exec = lock(&self.exec);
             exec.on_message(InjectorInput {
                 conn,
                 to_controller,
@@ -522,7 +520,7 @@ impl Shared {
             } => self.deliver(conn, to_controller, epoch, frame, false),
             TimedEvent::Wakeup => {
                 let out = {
-                    let mut exec = self.exec.lock();
+                    let mut exec = lock(&self.exec);
                     exec.on_wakeup(self.now_ns())
                 };
                 self.dispatch(out, None, false);
@@ -551,7 +549,7 @@ impl Shared {
 
     fn sever_route(&self, route: usize) {
         let conn = self.route(route).conn;
-        let old = self.sessions.lock().remove(&conn);
+        let old = lock(&self.sessions).remove(&conn);
         if let Some(s) = old {
             s.sever();
             self.counters
@@ -561,7 +559,7 @@ impl Shared {
             // state (timing rings, held messages) so the successor epoch
             // starts from scratch. Taken after the sessions lock is
             // released — exec-then-sessions is the lock order elsewhere.
-            self.exec.lock().release_connection(ConnectionId(conn));
+            lock(&self.exec).release_connection(ConnectionId(conn));
         }
     }
 
@@ -570,7 +568,7 @@ impl Shared {
     /// is never touched).
     fn end_session(&self, conn: usize, epoch: Epoch) {
         let old = {
-            let mut sessions = self.sessions.lock();
+            let mut sessions = lock(&self.sessions);
             match sessions.get(&conn) {
                 Some(s) if s.epoch == epoch => sessions.remove(&conn),
                 _ => None,
@@ -583,13 +581,13 @@ impl Shared {
                 .fetch_add(1, Ordering::Relaxed);
             // As in `sever_route`: a reconnect must never inherit stale
             // timing samples from the ended epoch.
-            self.exec.lock().release_connection(ConnectionId(conn));
+            lock(&self.exec).release_connection(ConnectionId(conn));
         }
     }
 
     fn close_all_sessions(&self) {
         let drained: Vec<Session> = {
-            let mut sessions = self.sessions.lock();
+            let mut sessions = lock(&self.sessions);
             sessions.drain().map(|(_, s)| s).collect()
         };
         for s in &drained {
@@ -604,7 +602,7 @@ impl Shared {
         let handle = thread::Builder::new()
             .name(format!("attain-proxy-{name}"))
             .spawn(f)?;
-        self.workers.lock().push(handle);
+        lock(&self.workers).push(handle);
         Ok(())
     }
 
@@ -619,7 +617,7 @@ impl Shared {
             dial_failures: self.counters.dial_failures.load(Ordering::Relaxed),
             backoff_events: self.counters.backoff_events.load(Ordering::Relaxed),
             backoff_rejected: self.counters.backoff_rejected.load(Ordering::Relaxed),
-            live_sessions: self.sessions.lock().len(),
+            live_sessions: lock(&self.sessions).len(),
         }
     }
 
@@ -637,7 +635,7 @@ impl Shared {
             if self.shutdown.load(Ordering::SeqCst) {
                 return;
             }
-            let until = *self.route(route_idx).backoff_until.lock();
+            let until = *lock(&self.route(route_idx).backoff_until);
             match until {
                 Some(t) => {
                     let now = Instant::now();
@@ -713,7 +711,7 @@ impl TcpProxy {
                 backoff_until: Mutex::new(None),
             });
         }
-        let (timer_tx, timer_rx) = unbounded();
+        let (timer_tx, timer_rx) = mpsc::channel();
         let shared = Arc::new(Shared {
             exec: Mutex::new(exec),
             sessions: Mutex::new(HashMap::new()),
@@ -742,7 +740,7 @@ impl TcpProxy {
                 .name(format!("attain-proxy-accept-{route_idx}"))
                 .spawn(move || accept_loop(shared, listener, route_idx));
             match spawned {
-                Ok(handle) => proxy.acceptors.lock().push(handle),
+                Ok(handle) => lock(&proxy.acceptors).push(handle),
                 Err(e) => {
                     proxy.shutdown();
                     return Err(e);
@@ -767,7 +765,7 @@ impl TcpProxy {
             }
         }
         let mut joined = 0;
-        for handle in self.acceptors.lock().drain(..) {
+        for handle in lock(&self.acceptors).drain(..) {
             let _ = handle.join();
             joined += 1;
         }
@@ -778,7 +776,7 @@ impl TcpProxy {
             let _ = self.shared.timer_tx.send(TimerCmd::Stop);
         }
         loop {
-            let handles: Vec<JoinHandle<()>> = self.shared.workers.lock().drain(..).collect();
+            let handles: Vec<JoinHandle<()>> = lock(&self.shared.workers).drain(..).collect();
             if handles.is_empty() {
                 break;
             }
@@ -827,8 +825,8 @@ impl TcpProxy {
 
     /// Per-route health as the reconnect supervisor sees it, in route
     /// order.
-    pub fn route_health(&self) -> Vec<RouteHealthSnapshot> {
-        let sessions = self.shared.sessions.lock();
+    pub(crate) fn route_health(&self) -> Vec<RouteHealthSnapshot> {
+        let sessions = lock(&self.shared.sessions);
         self.shared
             .routes
             .iter()
@@ -854,7 +852,7 @@ impl TcpProxy {
 
     /// Locks and inspects the executor (e.g. for its injection log).
     pub fn with_executor<T>(&self, f: impl FnOnce(&AttackExecutor) -> T) -> T {
-        f(&self.shared.exec.lock())
+        f(&lock(&self.shared.exec))
     }
 }
 
@@ -868,8 +866,8 @@ fn timer_loop(shared: Arc<Shared>, rx: Receiver<TimerCmd>) {
             } else {
                 match rx.recv_timeout(next.due - now) {
                     Ok(cmd) => Some(cmd),
-                    Err(crossbeam::channel::RecvTimeoutError::Timeout) => None,
-                    Err(crossbeam::channel::RecvTimeoutError::Disconnected) => return,
+                    Err(RecvTimeoutError::Timeout) => None,
+                    Err(RecvTimeoutError::Disconnected) => return,
                 }
             }
         } else {
@@ -981,8 +979,8 @@ fn start_session(
         return;
     };
     let epoch = shared.next_epoch.fetch_add(1, Ordering::SeqCst);
-    let (ctrl_tx, ctrl_rx) = bounded::<Frame>(WRITE_QUEUE_CAP);
-    let (sw_tx, sw_rx) = bounded::<Frame>(WRITE_QUEUE_CAP);
+    let (ctrl_tx, ctrl_rx) = mpsc::sync_channel::<Frame>(WRITE_QUEUE_CAP);
+    let (sw_tx, sw_rx) = mpsc::sync_channel::<Frame>(WRITE_QUEUE_CAP);
     let session = Session {
         epoch,
         ctrl_tx,
@@ -991,7 +989,7 @@ fn start_session(
         controller_sock: ctrl_keep,
     };
     {
-        let mut sessions = shared.sessions.lock();
+        let mut sessions = lock(&shared.sessions);
         if let Some(old) = sessions.insert(conn, session) {
             // The switch reconnected before the old session's loops
             // noticed the disconnect: replace it atomically so no stale

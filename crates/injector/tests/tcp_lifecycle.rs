@@ -315,6 +315,39 @@ fn shutdown_joins_all_worker_threads_within_deadline() {
     assert_eq!(again.threads_joined, 0);
 }
 
+/// A holder that panics poisons the `std` executor mutex. The proxy's
+/// policy is to recover the guard — a panicked worker is a severed
+/// session, not a wedged proxy — so messages still cross in both
+/// directions and shutdown still joins every thread.
+#[test]
+fn poisoned_executor_lock_does_not_wedge_the_proxy() {
+    let (ctrl_addr, ctrl_rx) = fake_controller();
+    let proxy = spawn_proxy(scenario::attacks::TRIVIAL_PASS, ctrl_addr);
+
+    let poisoner = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        proxy.with_executor(|_| -> () { panic!("poisoning the executor lock on purpose") })
+    }));
+    assert!(poisoner.is_err());
+
+    // Both directions run an executor step under the poisoned lock.
+    let mut switch = TcpStream::connect(proxy.listen_addrs[0]).unwrap();
+    switch.write_all(&OfMessage::Hello.encode(1)).unwrap();
+    assert_eq!(
+        ctrl_rx.recv_timeout(Duration::from_secs(5)).unwrap(),
+        OfMessage::Hello
+    );
+    assert_eq!(read_one(&mut switch), Some(OfMessage::Hello));
+
+    let report = proxy.shutdown();
+    // 1 acceptor + 1 timer + 4 session loops.
+    assert!(
+        report.threads_joined >= 6,
+        "joined only {} threads",
+        report.threads_joined
+    );
+    assert_eq!(report.stats.live_sessions, 0);
+}
+
 /// Per-connection timing state must die with the session: a sever
 /// releases it, and the reconnected session starts from an empty sample
 /// ring instead of inheriting the predecessor's inter-arrival history.

@@ -103,13 +103,6 @@ pub enum HaltReason {
     Cancelled,
 }
 
-impl HaltReason {
-    /// Whether the run completed normally.
-    pub fn is_horizon(&self) -> bool {
-        matches!(self, HaltReason::Horizon)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -133,7 +126,5 @@ mod tests {
         assert_eq!(b.max_events, Some(10));
         assert_eq!(b.max_events_per_instant, Some(4));
         assert!(b.cancel.is_none());
-        assert!(HaltReason::Horizon.is_horizon());
-        assert!(!HaltReason::Cancelled.is_horizon());
     }
 }

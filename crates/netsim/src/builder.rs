@@ -8,10 +8,8 @@
 //! on bad references; every problem is deferred and reported at build
 //! time with its context.
 
-use crate::budget::RunBudget;
 use crate::controller_host::ControllerHost;
 use crate::engine::NodeId;
-use crate::fault::{FaultPlan, FaultSpec};
 use crate::host::Host;
 use crate::link::{Link, LinkEnd};
 use crate::sim::{Connection, Node, Simulation};
@@ -83,13 +81,10 @@ pub enum BuildError {
         /// The host's name.
         name: String,
     },
-    /// A switch-only configuration call targeted a host or an unknown
-    /// id.
+    /// `set_table` targeted a host or an unknown id.
     NotASwitch {
         /// The target's name, or `n<id>` if the id was out of range.
         name: String,
-        /// Which call misfired (`set_fail_mode`, `set_table`).
-        context: &'static str,
     },
     /// A control connection references a controller that was never
     /// added.
@@ -116,8 +111,8 @@ impl fmt::Display for BuildError {
             BuildError::MultihomedHost { name } => {
                 write!(f, "host {name} may have only one link")
             }
-            BuildError::NotASwitch { name, context } => {
-                write!(f, "{context}: {name} is not a switch")
+            BuildError::NotASwitch { name } => {
+                write!(f, "set_table: {name} is not a switch")
             }
             BuildError::DanglingController { index } => {
                 write!(f, "control #{index} references an unknown controller")
@@ -169,8 +164,6 @@ pub struct NetworkBuilder {
     next_port: Vec<u16>,
     controllers: Vec<(String, Box<dyn Controller>)>,
     controls: Vec<(ControllerRef, NodeId, SimTime)>,
-    faults: FaultPlan,
-    budget: RunBudget,
     /// Errors from misused builder calls, reported by `try_build`.
     deferred: Vec<BuildError>,
 }
@@ -219,21 +212,6 @@ impl NetworkBuilder {
             .unwrap_or_else(|| id.to_string())
     }
 
-    /// Changes a switch's fail mode (before `build`). Targeting a host
-    /// or an unknown id is reported at build time.
-    pub fn set_fail_mode(&mut self, id: NodeId, mode: FailMode) {
-        match self.nodes.get_mut(id.0) {
-            Some(NodeSpec::Switch { fail_mode, .. }) => *fail_mode = mode,
-            _ => {
-                let name = self.name_for(id);
-                self.deferred.push(BuildError::NotASwitch {
-                    name,
-                    context: "set_fail_mode",
-                });
-            }
-        }
-    }
-
     /// Bounds a switch's flow table (before `build`): `capacity` entries
     /// plus the overflow policy applied once it fills. Targeting a host
     /// or an unknown id is reported at build time.
@@ -242,10 +220,7 @@ impl NetworkBuilder {
             Some(NodeSpec::Switch { table, .. }) => *table = Some((capacity, policy)),
             _ => {
                 let name = self.name_for(id);
-                self.deferred.push(BuildError::NotASwitch {
-                    name,
-                    context: "set_table",
-                });
+                self.deferred.push(BuildError::NotASwitch { name });
             }
         }
     }
@@ -287,39 +262,7 @@ impl NetworkBuilder {
     /// Adds a control-plane connection `(controller, switch)` to `N_C`
     /// with 1 ms one-way latency.
     pub fn control(&mut self, ctrl: ControllerRef, switch: NodeId) {
-        self.control_with_latency(ctrl, switch, SimTime::from_millis(1));
-    }
-
-    /// Adds a control-plane connection with explicit one-way latency.
-    pub fn control_with_latency(&mut self, ctrl: ControllerRef, switch: NodeId, latency: SimTime) {
-        self.controls.push((ctrl, switch, latency));
-    }
-
-    /// Sets the scenario seed for the per-link loss/corruption streams.
-    pub fn fault_seed(&mut self, seed: u64) {
-        self.faults.seed = seed;
-    }
-
-    /// Schedules an environment fault for `at` (virtual time).
-    pub fn fault_at(&mut self, at: SimTime, spec: FaultSpec) {
-        self.faults.events.push((at, spec));
-    }
-
-    /// Installs the run budget the built simulation will enforce
-    /// (default: unlimited).
-    pub fn run_budget(&mut self, budget: RunBudget) {
-        self.budget = budget;
-    }
-
-    /// Schedules a fault from its textual form (`link s1-s2 down`, …).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `spec` does not parse; builder-time specs are authored
-    /// by the experimenter, so a typo should fail loudly.
-    pub fn fault_at_str(&mut self, at: SimTime, spec: &str) {
-        let spec = FaultSpec::parse(spec).unwrap_or_else(|e| panic!("{e}"));
-        self.fault_at(at, spec);
+        self.controls.push((ctrl, switch, SimTime::from_millis(1)));
     }
 
     /// Validates the accumulated topology, returning the first problem.
@@ -408,7 +351,6 @@ impl NetworkBuilder {
                     // Host MACs derive from the node index; switch port
                     // MACs derive from the dpid, so they cannot collide.
                     nodes.push(Node::Host(Host::new(
-                        id,
                         name,
                         MacAddr::from_low(i as u64 + 1),
                         ip.parse().expect("validated above"),
@@ -421,7 +363,7 @@ impl NetworkBuilder {
                 } => {
                     dpid += 1;
                     names.insert(name.clone(), id);
-                    let mut switch = Switch::new(id, name, DatapathId(dpid), fail_mode);
+                    let mut switch = Switch::new(name, DatapathId(dpid), fail_mode);
                     if let Some((capacity, policy)) = table {
                         switch.set_table_config(capacity, policy);
                     }
@@ -469,8 +411,9 @@ impl NetworkBuilder {
         }
 
         let mut sim = Simulation::assemble(nodes, links, port_map, controllers, connections, names);
-        sim.apply_fault_plan(&self.faults);
-        sim.set_run_budget(self.budget);
+        // Every link gets its own loss/corruption stream even when the
+        // scenario never names a seed.
+        sim.set_fault_seed(0);
         Ok(sim)
     }
 
@@ -607,13 +550,10 @@ mod tests {
         let mut b = NetworkBuilder::new();
         let h1 = b.host("h1", "10.0.0.1");
         b.set_table(h1, 8, EvictionPolicy::Reject);
-        match b.try_build() {
-            Err(BuildError::NotASwitch { name, context }) => {
-                assert_eq!(name, "h1");
-                assert_eq!(context, "set_table");
-            }
-            other => panic!("expected NotASwitch, got {other:?}"),
-        }
+        assert_eq!(
+            b.try_build().err(),
+            Some(BuildError::NotASwitch { name: "h1".into() })
+        );
 
         // Control connection on a host.
         let mut b = NetworkBuilder::new();

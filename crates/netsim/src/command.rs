@@ -13,7 +13,7 @@ use std::fmt;
 use std::net::Ipv4Addr;
 
 /// The default `iperf` TCP port.
-pub const IPERF_PORT: u16 = 5001;
+pub(crate) const IPERF_PORT: u16 = 5001;
 
 /// A workload command executed on a simulated host.
 #[derive(Debug, Clone, PartialEq, Eq)]

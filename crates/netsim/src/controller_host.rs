@@ -53,12 +53,6 @@ pub struct ControllerHost {
     /// starts no earlier (the serial-bottleneck model that makes the
     /// controller path a measurable data-plane detour under attack).
     busy_until: SimTime,
-    /// Per-message processing jitter amplitude in microseconds. 0 by
-    /// default — the jitterless delay model stays byte-identical to the
-    /// pre-jitter simulator; fingerprint-robustness tests opt in.
-    jitter_amp_us: u64,
-    /// SplitMix64 state for the deterministic jitter stream.
-    jitter_state: u64,
     /// `false` after a crash fault, until the matching restart.
     alive: bool,
     /// Crash faults applied (for the fault report).
@@ -86,8 +80,6 @@ impl ControllerHost {
             app,
             conns: Vec::new(),
             busy_until: SimTime::ZERO,
-            jitter_amp_us: 0,
-            jitter_state: 0,
             alive: true,
             crashes: 0,
             restarts: 0,
@@ -173,34 +165,11 @@ impl ControllerHost {
             .map(|c| c.conn)
     }
 
-    /// Enables seeded per-message processing jitter: each handled
-    /// message adds a deterministic `0..=amplitude_us` microseconds on
-    /// top of the app's fixed processing delay. Amplitude 0 (the
-    /// default) restores the exact jitterless delay model.
-    pub fn set_processing_jitter(&mut self, amplitude_us: u64, seed: u64) {
-        self.jitter_amp_us = amplitude_us;
-        self.jitter_state = seed;
-    }
-
-    /// SplitMix64 step — the jitter stream is a pure function of the
-    /// seed and the number of messages processed so far.
-    fn next_jitter_us(&mut self) -> u64 {
-        if self.jitter_amp_us == 0 {
-            return 0;
-        }
-        self.jitter_state = self.jitter_state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.jitter_state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        (z ^ (z >> 31)) % (self.jitter_amp_us + 1)
-    }
-
     /// Computes when processing started `now` departs, advancing the
     /// serial event loop.
     fn depart_time(&mut self, now: SimTime) -> SimTime {
         let start = self.busy_until.max(now);
-        let jitter = self.next_jitter_us();
-        let depart = start + SimTime::from_micros(self.app.processing_delay_us() + jitter);
+        let depart = start + SimTime::from_micros(self.app.processing_delay_us());
         self.busy_until = depart;
         depart
     }

@@ -470,6 +470,7 @@ impl FrameArena {
     }
 
     /// Frames currently parked (stored but not yet taken).
+    #[cfg(test)]
     pub(crate) fn live(&self) -> usize {
         self.slots.len() - self.free.len()
     }

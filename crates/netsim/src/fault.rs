@@ -16,8 +16,8 @@
 //!
 //! Faults are schedulable three ways:
 //!
-//! * programmatically — [`NetworkBuilder::fault_at`](crate::NetworkBuilder::fault_at)
-//!   or [`Simulation::schedule_fault`](crate::Simulation::schedule_fault);
+//! * programmatically — [`Simulation::schedule_fault`](crate::Simulation::schedule_fault)
+//!   or a [`FaultPlan`];
 //! * from the workload schedule — `HostCommand::parse` accepts
 //!   `fault link s1-s2 down` style command lines;
 //! * from the attack language — the DSL's `fault("…")` action routes
@@ -329,8 +329,7 @@ impl FaultSpec {
 
 /// A schedule of faults plus the scenario seed for randomized ones.
 ///
-/// Built up front and handed to
-/// [`NetworkBuilder`](crate::NetworkBuilder) or applied to a built
+/// Built up front and applied to a built
 /// [`Simulation`](crate::Simulation) via
 /// [`apply_fault_plan`](crate::Simulation::apply_fault_plan).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -444,18 +443,6 @@ pub struct FaultReport {
     pub controllers: Vec<ControllerFaultStats>,
     /// Per-switch counters, in node order.
     pub switches: Vec<SwitchFaultStats>,
-}
-
-impl FaultReport {
-    /// Total frames lost to link faults (down drops + seeded loss).
-    pub fn frames_lost(&self) -> u64 {
-        self.links.iter().map(|l| l.down_drops + l.lost).sum()
-    }
-
-    /// Total frames corrupted by link faults.
-    pub fn frames_corrupted(&self) -> u64 {
-        self.links.iter().map(|l| l.corrupted).sum()
-    }
 }
 
 impl fmt::Display for FaultReport {

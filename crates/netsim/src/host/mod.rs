@@ -9,7 +9,7 @@ pub use iperf::IperfStats;
 pub use ping::PingStats;
 pub use probe::ProbeStats;
 
-use crate::engine::{Effect, NodeId, TimerToken};
+use crate::engine::{Effect, TimerToken};
 use crate::time::SimTime;
 use attain_openflow::packet::{self, ArpOperation, Ethernet, IcmpKind, IpPayload, Payload};
 use attain_openflow::{MacAddr, PortNo};
@@ -44,7 +44,6 @@ enum App {
 /// A simulated end host.
 #[derive(Debug)]
 pub struct Host {
-    id: NodeId,
     name: String,
     mac: MacAddr,
     ip: Ipv4Addr,
@@ -55,9 +54,8 @@ pub struct Host {
 }
 
 impl Host {
-    pub(crate) fn new(id: NodeId, name: String, mac: MacAddr, ip: Ipv4Addr) -> Host {
+    pub(crate) fn new(name: String, mac: MacAddr, ip: Ipv4Addr) -> Host {
         Host {
-            id,
             name,
             mac,
             ip,
@@ -72,11 +70,6 @@ impl Host {
     /// setup for generated workloads: no broadcast warm-up).
     pub(crate) fn prime_arp(&mut self, ip: Ipv4Addr, mac: MacAddr) {
         self.arp_table.insert(ip, mac);
-    }
-
-    /// The host's node id.
-    pub fn id(&self) -> NodeId {
-        self.id
     }
 
     /// The host's name (e.g. `h1`).
@@ -623,7 +616,6 @@ mod tests {
 
     fn host() -> Host {
         Host::new(
-            NodeId(0),
             "h1".into(),
             MacAddr::from_low(1),
             "10.0.0.1".parse().unwrap(),

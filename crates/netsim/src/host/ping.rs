@@ -53,24 +53,6 @@ impl PingStats {
         }
     }
 
-    /// Minimum RTT over answered trials.
-    pub fn min_rtt_ms(&self) -> Option<f64> {
-        self.rtts
-            .iter()
-            .flatten()
-            .copied()
-            .fold(None, |acc, r| Some(acc.map_or(r, |a: f64| a.min(r))))
-    }
-
-    /// Maximum RTT over answered trials.
-    pub fn max_rtt_ms(&self) -> Option<f64> {
-        self.rtts
-            .iter()
-            .flatten()
-            .copied()
-            .fold(None, |acc, r| Some(acc.map_or(r, |a: f64| a.max(r))))
-    }
-
     /// Whether every trial was lost — the paper's denial-of-service
     /// condition for latency ("infinite").
     pub fn is_denial_of_service(&self) -> bool {
@@ -201,10 +183,8 @@ mod tests {
         assert_eq!(st.transmitted(), 3);
         assert_eq!(st.received(), 2);
         assert!((st.loss_pct() - 33.333).abs() < 0.01);
-        assert_eq!(st.rtts_ms()[1], None);
+        assert_eq!(st.rtts_ms(), [Some(2.0), None, Some(3.0)]);
         assert!((st.avg_rtt_ms().unwrap() - 2.5).abs() < 1e-9);
-        assert_eq!(st.min_rtt_ms(), Some(2.0));
-        assert_eq!(st.max_rtt_ms(), Some(3.0));
         assert!(!st.is_denial_of_service());
     }
 

@@ -228,19 +228,9 @@ impl Simulation {
         self.events_dispatched
     }
 
-    /// Events currently pending in the future-event list.
-    pub fn pending_events(&self) -> usize {
-        self.queue.len()
-    }
-
     /// High-water mark of pending events observed so far.
     pub fn peak_pending_events(&self) -> usize {
         self.peak_pending.max(self.queue.len())
-    }
-
-    /// Data-plane frame payloads currently in flight (arena occupancy).
-    pub fn live_frames(&self) -> usize {
-        self.arena.live()
     }
 
     /// The sticky halt reason, if a budget or cancellation ever fired.
@@ -314,12 +304,6 @@ impl Simulation {
         );
     }
 
-    /// Runs for `d` more virtual time.
-    pub fn run_for(&mut self, d: SimTime) -> HaltReason {
-        let t = self.now + d;
-        self.run_until(t)
-    }
-
     // ---- lookups ------------------------------------------------------
 
     /// The node id of the named host or switch.
@@ -359,19 +343,6 @@ impl Simulation {
     pub fn controller(&self, name: &str) -> &ControllerHost {
         self.controllers
             .iter()
-            .find(|c| c.name() == name)
-            .unwrap_or_else(|| panic!("no controller named {name}"))
-    }
-
-    /// The named controller host, mutably (e.g. to enable seeded
-    /// processing jitter before `run`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if no controller has that name.
-    pub fn controller_mut(&mut self, name: &str) -> &mut ControllerHost {
-        self.controllers
-            .iter_mut()
             .find(|c| c.name() == name)
             .unwrap_or_else(|| panic!("no controller named {name}"))
     }

@@ -5,7 +5,7 @@ mod flow_table;
 
 pub use flow_table::{ApplyOutcome, EvictionPolicy, FlowEntry, FlowModError, FlowTable};
 
-use crate::engine::{ConnId, Effect, NodeId, TimerToken};
+use crate::engine::{ConnId, Effect, TimerToken};
 use crate::interpose::Direction;
 use crate::time::SimTime;
 use crate::trace::TraceKind;
@@ -78,7 +78,6 @@ struct SwitchConn {
 /// A simulated OpenFlow 1.0 switch (the OVS v1.9.3 model).
 #[derive(Debug)]
 pub struct Switch {
-    id: NodeId,
     name: String,
     dpid: DatapathId,
     ports: Vec<PortNo>,
@@ -100,9 +99,8 @@ pub struct Switch {
 
 impl Switch {
     /// Creates a switch; `ports` are assigned by the topology builder.
-    pub(crate) fn new(id: NodeId, name: String, dpid: DatapathId, fail_mode: FailMode) -> Switch {
+    pub(crate) fn new(name: String, dpid: DatapathId, fail_mode: FailMode) -> Switch {
         Switch {
-            id,
             name,
             dpid,
             ports: Vec::new(),
@@ -117,11 +115,6 @@ impl Switch {
             standalone_forwards: 0,
             restarts: 0,
         }
-    }
-
-    /// The switch's node id.
-    pub fn id(&self) -> NodeId {
-        self.id
     }
 
     /// The switch's name (e.g. `s2`).
@@ -912,7 +905,7 @@ mod tests {
     use attain_openflow::Match;
 
     fn switch() -> Switch {
-        let mut s = Switch::new(NodeId(0), "s1".into(), DatapathId(1), FailMode::Secure);
+        let mut s = Switch::new("s1".into(), DatapathId(1), FailMode::Secure);
         s.add_port(PortNo(1));
         s.add_port(PortNo(2));
         s.add_port(PortNo(3));
@@ -1105,7 +1098,7 @@ mod tests {
 
     #[test]
     fn fail_safe_learns_and_floods_when_disconnected() {
-        let mut s = Switch::new(NodeId(0), "s1".into(), DatapathId(1), FailMode::Safe);
+        let mut s = Switch::new("s1".into(), DatapathId(1), FailMode::Safe);
         s.add_port(PortNo(1));
         s.add_port(PortNo(2));
         s.add_port(PortNo(3));
@@ -1608,7 +1601,7 @@ mod tests {
 
     #[test]
     fn restart_honours_fail_safe_standalone_while_down() {
-        let mut s = Switch::new(NodeId(0), "s1".into(), DatapathId(1), FailMode::Safe);
+        let mut s = Switch::new("s1".into(), DatapathId(1), FailMode::Safe);
         s.add_port(PortNo(1));
         s.add_port(PortNo(2));
         s.add_conn(ConnId(0));

@@ -100,12 +100,6 @@ impl FatTreeParams {
             link: LinkParams::default(),
         }
     }
-
-    /// Same fabric, different host density.
-    pub fn with_hosts_per_edge(mut self, hosts: usize) -> FatTreeParams {
-        self.hosts_per_edge = hosts;
-        self
-    }
 }
 
 /// Parameters for [`leaf_spine`].
@@ -549,8 +543,12 @@ mod tests {
             fat_tree(&mut b, &FatTreeParams::new(2)).err(),
             Some(TopoError::KOutOfRange(2))
         );
+        let crowded = FatTreeParams {
+            hosts_per_edge: 300,
+            ..FatTreeParams::new(4)
+        };
         assert_eq!(
-            fat_tree(&mut b, &FatTreeParams::new(4).with_hosts_per_edge(300)).err(),
+            fat_tree(&mut b, &crowded).err(),
             Some(TopoError::TooManyHosts(300))
         );
         let mut b = NetworkBuilder::new();

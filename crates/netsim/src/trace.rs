@@ -499,15 +499,6 @@ impl Trace {
             h.update(&n.to_be_bytes());
         }
     }
-
-    /// Messages observed on one connection, any type or direction.
-    pub fn connection_message_count(&self, conn: ConnId) -> u64 {
-        self.counts
-            .iter()
-            .filter(|((c, _, _), _)| *c == conn)
-            .map(|(_, n)| *n)
-            .sum()
-    }
 }
 
 #[cfg(test)]
@@ -546,7 +537,6 @@ mod tests {
             t.control_message_count(OfType::PacketIn, Direction::ControllerToSwitch),
             0
         );
-        assert_eq!(t.connection_message_count(ConnId(1)), 1);
         assert_eq!(t.events().len(), 4);
     }
 

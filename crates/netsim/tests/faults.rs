@@ -25,11 +25,9 @@ fn line_network(mode: FailMode, plan: &FaultPlan) -> Simulation {
     let c1 = b.controller("c1", controller_box(ControllerKind::Floodlight));
     b.control(c1, s1);
     b.control(c1, s2);
-    b.fault_seed(plan.seed);
-    for (at, spec) in &plan.events {
-        b.fault_at(*at, spec.clone());
-    }
-    b.build()
+    let mut sim = b.build();
+    sim.apply_fault_plan(plan);
+    sim
 }
 
 fn ping(sim: &Simulation, count: u32, label: &str) -> HostCommand {

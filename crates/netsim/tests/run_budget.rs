@@ -16,8 +16,8 @@ fn build(budget: RunBudget) -> attain_netsim::Simulation {
     b.link(h2, s1);
     let c1 = b.controller("c1", ControllerKind::Floodlight.instantiate());
     b.control(c1, s1);
-    b.run_budget(budget);
     let mut sim = b.build();
+    sim.set_run_budget(budget);
     sim.schedule_command(
         SimTime::from_secs(5),
         HostCommand::Ping {

@@ -169,9 +169,10 @@ impl Frame {
         Some(Frame::new(bytes))
     }
 
-    /// How many `Frame` handles currently share this allocation
-    /// (test/diagnostic aid for the refcount-bump claims).
-    pub fn ref_count(&self) -> usize {
+    /// How many `Frame` handles currently share this allocation (the
+    /// unit tests' proof of the refcount-bump claims).
+    #[cfg(test)]
+    fn ref_count(&self) -> usize {
         Arc::strong_count(&self.inner)
     }
 }

@@ -5,7 +5,7 @@ use crate::types::{DatapathId, MacAddr, PortNo};
 use crate::wire::{Reader, Writer};
 
 /// Wire size of `ofp_phy_port`.
-pub const OFP_PHY_PORT_LEN: usize = 48;
+pub(crate) const OFP_PHY_PORT_LEN: usize = 48;
 
 /// Description of one physical switch port (`ofp_phy_port`).
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]

@@ -18,16 +18,6 @@ pub enum IcmpKind {
 }
 
 impl IcmpKind {
-    /// The wire type byte.
-    pub fn type_byte(&self) -> u8 {
-        match self {
-            IcmpKind::EchoReply => 0,
-            IcmpKind::EchoRequest => 8,
-            IcmpKind::DestinationUnreachable => 3,
-            IcmpKind::Other(t) => *t,
-        }
-    }
-
     /// Classifies a wire type byte.
     pub fn from_type_byte(t: u8) -> IcmpKind {
         match t {
@@ -152,6 +142,5 @@ mod tests {
             IcmpKind::DestinationUnreachable
         );
         assert_eq!(IcmpKind::from_type_byte(11), IcmpKind::Other(11));
-        assert_eq!(IcmpKind::Other(11).type_byte(), 11);
     }
 }

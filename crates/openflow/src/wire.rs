@@ -1,7 +1,6 @@
 //! Big-endian cursor primitives shared by the OpenFlow and packet codecs.
 
 use crate::error::CodecError;
-use bytes::{BufMut, BytesMut};
 
 /// A bounds-checked big-endian reader over a byte slice.
 ///
@@ -118,11 +117,11 @@ impl<'a> Reader<'a> {
 
 /// A growable big-endian writer.
 ///
-/// Thin wrapper over [`BytesMut`] mirroring [`Reader`]'s field methods so
-/// encode and decode implementations read symmetrically.
+/// A `Vec<u8>` with [`Reader`]'s field methods mirrored, so encode and
+/// decode implementations read symmetrically.
 #[derive(Debug, Default)]
 pub struct Writer {
-    buf: BytesMut,
+    buf: Vec<u8>,
 }
 
 impl Writer {
@@ -134,7 +133,7 @@ impl Writer {
     /// Creates a writer with `cap` bytes pre-reserved.
     pub fn with_capacity(cap: usize) -> Self {
         Writer {
-            buf: BytesMut::with_capacity(cap),
+            buf: Vec::with_capacity(cap),
         }
     }
 
@@ -150,32 +149,32 @@ impl Writer {
 
     /// Writes one byte.
     pub fn u8(&mut self, v: u8) {
-        self.buf.put_u8(v);
+        self.buf.push(v);
     }
 
     /// Writes a big-endian `u16`.
     pub fn u16(&mut self, v: u16) {
-        self.buf.put_u16(v);
+        self.buf.extend_from_slice(&v.to_be_bytes());
     }
 
     /// Writes a big-endian `u32`.
     pub fn u32(&mut self, v: u32) {
-        self.buf.put_u32(v);
+        self.buf.extend_from_slice(&v.to_be_bytes());
     }
 
     /// Writes a big-endian `u64`.
     pub fn u64(&mut self, v: u64) {
-        self.buf.put_u64(v);
+        self.buf.extend_from_slice(&v.to_be_bytes());
     }
 
     /// Writes a byte slice verbatim.
     pub fn bytes(&mut self, v: &[u8]) {
-        self.buf.put_slice(v);
+        self.buf.extend_from_slice(v);
     }
 
     /// Writes `n` zero bytes of padding.
     pub fn pad(&mut self, n: usize) {
-        self.buf.put_bytes(0, n);
+        self.buf.resize(self.buf.len() + n, 0);
     }
 
     /// Overwrites the big-endian `u16` previously written at `offset`.
@@ -193,7 +192,7 @@ impl Writer {
 
     /// Consumes the writer and returns the written bytes.
     pub fn into_vec(self) -> Vec<u8> {
-        self.buf.to_vec()
+        self.buf
     }
 
     /// View of the bytes written so far.
@@ -258,6 +257,18 @@ mod tests {
         w.bytes(&[9, 9, 9]);
         w.patch_u16(0, 5);
         assert_eq!(w.into_vec(), vec![0, 5, 9, 9, 9]);
+    }
+
+    #[test]
+    fn into_vec_hands_over_the_buffer_without_copying() {
+        let mut w = Writer::with_capacity(64);
+        w.u32(0x0102_0304);
+        w.bytes(&[5, 6]);
+        w.pad(2);
+        let written = w.as_slice().as_ptr();
+        let v = w.into_vec();
+        assert_eq!(v, [1, 2, 3, 4, 5, 6, 0, 0]);
+        assert_eq!(v.as_ptr(), written, "into_vec must not reallocate");
     }
 
     #[test]

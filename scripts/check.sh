@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
-# Repo-wide pre-merge checks. Offline-friendly: everything here builds
-# against the vendored dependency stubs, no network access required.
+# Repo-wide pre-merge checks. Offline-friendly: the workspace depends on
+# `std` and, for tests, the proptest stand-in in vendor/ — no network
+# access required.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 

@@ -2,20 +2,9 @@
 //! controller applications × both fail modes × a seed set, judged by
 //! the differential and golden-trace oracles.
 //!
-//! Usage:
-//!   cargo run --release --bin campaign [options]
-//!
-//! Options:
-//!   --jobs N           worker threads (default: available parallelism)
-//!   --seeds N          seeds 1..=N instead of the default set
-//!   --smoke            the reduced CI matrix (3 attacks × 5 × 2 × 1 seed)
-//!   --only SPEC        attack=…,controller=…,fail=…,seed=… (any subset)
-//!   --out PATH         report path (default CAMPAIGN_report.json)
-//!   --update-golden    rewrite tests/golden/campaign/ from this run
-//!   --golden PATH      golden digests file to verify/update
-//!   --cell-timeout SEC wall-clock deadline per cell (default 120, 0 = off)
-//!   --max-events N     deterministic event budget per cell (default: none)
-//!   --retries N        same-seed retries for timed-out cells (default 0)
+//! Usage: `cargo run --release --bin campaign [options]`; `USAGE` below
+//! lists the options and is printed, with exit status 2, for any
+//! malformed, valueless or unknown argument.
 //!
 //! The report's canonical bytes (wall-times zeroed) are byte-identical
 //! for any `--jobs`; exit status is non-zero if any cell fails its
@@ -25,36 +14,87 @@
 
 use attain::campaign::{diff_golden, Filter, Matrix, RunnerConfig};
 use std::process::ExitCode;
+use std::str::FromStr;
 use std::time::Duration;
 
-fn arg_value(args: &[String], name: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1))
-        .cloned()
+const USAGE: &str = "\
+usage: campaign [options]
+  --jobs N           worker threads (default: available parallelism)
+  --seeds N          seeds 1..=N instead of the default set
+  --smoke            the reduced CI matrix (3 attacks × 5 × 2 × 1 seed)
+  --only SPEC        attack=…,controller=…,fail=…,seed=… (any subset)
+  --out PATH         report path (default CAMPAIGN_report.json)
+  --update-golden    rewrite tests/golden/campaign/ from this run
+  --golden PATH      golden digests file to verify/update
+  --cell-timeout SEC wall-clock deadline per cell (default 120, 0 = off)
+  --max-events N     deterministic event budget per cell (default: none)
+  --retries N        same-seed retries for timed-out cells (default 0)";
+
+/// The command line, parsed and typed.
+#[derive(Default)]
+struct Cli {
+    smoke: bool,
+    update_golden: bool,
+    jobs: Option<usize>,
+    seeds: Option<u64>,
+    only: Option<Filter>,
+    out: Option<String>,
+    golden: Option<String>,
+    cell_timeout: Option<u64>,
+    max_events: Option<u64>,
+    retries: Option<u32>,
+}
+
+/// The value following flag `name`, parsed as `T`.
+fn flag<T: FromStr>(name: &str, rest: &mut std::slice::Iter<'_, String>) -> Result<T, String> {
+    let raw = rest.next().ok_or(format!("{name} needs a value"))?;
+    raw.parse()
+        .map_err(|_| format!("{name}: invalid value {raw:?}"))
+}
+
+fn parse_cli(args: &[String]) -> Result<Cli, String> {
+    let mut cli = Cli::default();
+    let mut rest = args.iter();
+    while let Some(arg) = rest.next() {
+        match arg.as_str() {
+            "--smoke" => cli.smoke = true,
+            "--update-golden" => cli.update_golden = true,
+            "--jobs" => cli.jobs = Some(flag(arg, &mut rest)?),
+            "--seeds" => cli.seeds = Some(flag(arg, &mut rest)?),
+            "--only" => {
+                let spec: String = flag(arg, &mut rest)?;
+                cli.only = Some(Filter::parse(&spec).map_err(|e| e.to_string())?);
+            }
+            "--out" => cli.out = Some(flag(arg, &mut rest)?),
+            "--golden" => cli.golden = Some(flag(arg, &mut rest)?),
+            "--cell-timeout" => cli.cell_timeout = Some(flag(arg, &mut rest)?),
+            "--max-events" => cli.max_events = Some(flag(arg, &mut rest)?),
+            "--retries" => cli.retries = Some(flag(arg, &mut rest)?),
+            _ => return Err(format!("unknown argument {arg}")),
+        }
+    }
+    Ok(cli)
 }
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().collect();
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let update_golden = args.iter().any(|a| a == "--update-golden");
-    let jobs = arg_value(&args, "--jobs")
-        .map(|s| s.parse().expect("--jobs takes an integer"))
-        .unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        });
-    let out = arg_value(&args, "--out").unwrap_or_else(|| "CAMPAIGN_report.json".into());
-    let cell_timeout = arg_value(&args, "--cell-timeout")
-        .map(|s| s.parse().expect("--cell-timeout takes seconds"))
-        .unwrap_or(120u64);
-    let max_events =
-        arg_value(&args, "--max-events").map(|s| s.parse().expect("--max-events takes an integer"));
-    let retries = arg_value(&args, "--retries")
-        .map(|s| s.parse().expect("--retries takes an integer"))
-        .unwrap_or(0u32);
-    let golden_path = arg_value(&args, "--golden").unwrap_or_else(|| {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let cli = match parse_cli(&args) {
+        Ok(cli) => cli,
+        Err(e) => {
+            eprintln!("{e}\n{USAGE}");
+            return ExitCode::from(2);
+        }
+    };
+    let smoke = cli.smoke;
+    let update_golden = cli.update_golden;
+    let jobs = cli.jobs.unwrap_or_else(|| {
+        std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(1)
+    });
+    let out = cli.out.unwrap_or_else(|| "CAMPAIGN_report.json".into());
+    let cell_timeout = cli.cell_timeout.unwrap_or(120);
+    let golden_path = cli.golden.unwrap_or_else(|| {
         format!(
             "tests/golden/campaign/{}.txt",
             if smoke { "smoke" } else { "full" }
@@ -66,18 +106,11 @@ fn main() -> ExitCode {
     } else {
         Matrix::full()
     };
-    if let Some(n) = arg_value(&args, "--seeds") {
-        let n: u64 = n.parse().expect("--seeds takes an integer");
+    if let Some(n) = cli.seeds {
         matrix.seeds = (1..=n).collect();
     }
-    if let Some(spec) = arg_value(&args, "--only") {
-        match Filter::parse(&spec) {
-            Ok(f) => f.apply(&mut matrix),
-            Err(e) => {
-                eprintln!("{e}");
-                return ExitCode::from(2);
-            }
-        }
+    if let Some(filter) = &cli.only {
+        filter.apply(&mut matrix);
     }
     let n_cells = matrix.cells().len();
     eprintln!(
@@ -92,8 +125,8 @@ fn main() -> ExitCode {
 
     let mut cfg = RunnerConfig::new(jobs);
     cfg.cell_timeout = (cell_timeout > 0).then(|| Duration::from_secs(cell_timeout));
-    cfg.max_events = max_events;
-    cfg.retries = retries;
+    cfg.max_events = cli.max_events;
+    cfg.retries = cli.retries.unwrap_or(0);
     let report = attain::campaign::run_with(&matrix, &cfg);
     std::fs::write(&out, report.to_json(true)).expect("report written");
     eprintln!(

@@ -8,9 +8,10 @@
 
 use attain_bench::render_table;
 use attain_controllers::ControllerKind;
-use attain_injector::harness::{run_flow_mod_suppression, Fidelity, SuppressionOutcome};
+use attain_injector::harness::{run_flow_mod_suppression, Fidelity};
+use attain_injector::{PingRow, RunRecord};
 
-fn fmt_throughput(o: &SuppressionOutcome) -> String {
+fn fmt_throughput(o: &RunRecord) -> String {
     if o.iperf_denied() {
         "*".to_string()
     } else {
@@ -18,11 +19,16 @@ fn fmt_throughput(o: &SuppressionOutcome) -> String {
     }
 }
 
-fn fmt_latency(o: &SuppressionOutcome) -> String {
-    if o.ping_denied() {
+/// The run's one ping series, h1→h6.
+fn ping(o: &RunRecord) -> &PingRow {
+    &o.pings[0]
+}
+
+fn fmt_latency(o: &RunRecord) -> String {
+    if ping(o).denied() {
         "*".to_string()
     } else {
-        format!("{:.2}", o.ping.avg_rtt_ms().unwrap_or(f64::NAN))
+        format!("{:.2}", ping(o).avg_rtt_ms.unwrap_or(f64::NAN))
     }
 }
 
@@ -39,26 +45,20 @@ fn main() {
     );
     println!("An asterisk (*) denotes a denial of service (throughput zero, latency infinite).\n");
 
-    let mut runs: Vec<(SuppressionOutcome, SuppressionOutcome)> = Vec::new();
+    let mut runs: Vec<(ControllerKind, RunRecord, RunRecord)> = Vec::new();
     for kind in ControllerKind::ALL {
         eprintln!("running {kind} baseline…");
-        let baseline = run_flow_mod_suppression(kind, false, &fidelity);
+        let baseline = run_flow_mod_suppression(kind, false, &fidelity).expect("baseline runs");
         eprintln!("running {kind} under attack…");
-        let attacked = run_flow_mod_suppression(kind, true, &fidelity);
-        runs.push((baseline, attacked));
+        let attacked = run_flow_mod_suppression(kind, true, &fidelity).expect("attack runs");
+        runs.push((kind, baseline, attacked));
     }
 
     // (a) Throughput.
     println!("(a) iperf throughput h1→h6 [Mb/s]");
     let rows: Vec<Vec<String>> = runs
         .iter()
-        .map(|(b, a)| {
-            vec![
-                b.controller.to_string(),
-                fmt_throughput(b),
-                fmt_throughput(a),
-            ]
-        })
+        .map(|(kind, b, a)| vec![kind.to_string(), fmt_throughput(b), fmt_throughput(a)])
         .collect();
     println!(
         "{}",
@@ -69,13 +69,13 @@ fn main() {
     println!("(b) ping latency h1→h6 [ms, mean over trials]");
     let rows: Vec<Vec<String>> = runs
         .iter()
-        .map(|(b, a)| {
+        .map(|(kind, b, a)| {
             vec![
-                b.controller.to_string(),
+                kind.to_string(),
                 fmt_latency(b),
                 fmt_latency(a),
-                format!("{:.1}%", b.ping.loss_pct()),
-                format!("{:.1}%", a.ping.loss_pct()),
+                format!("{:.1}%", ping(b).loss_pct()),
+                format!("{:.1}%", ping(a).loss_pct()),
             ]
         })
         .collect();
@@ -97,14 +97,14 @@ fn main() {
     println!("control plane load (messages over the whole run)");
     let rows: Vec<Vec<String>> = runs
         .iter()
-        .map(|(b, a)| {
+        .map(|(kind, b, a)| {
             vec![
-                b.controller.to_string(),
+                kind.to_string(),
                 b.packet_ins.to_string(),
                 a.packet_ins.to_string(),
-                b.flow_mods_sent.to_string(),
-                a.flow_mods_sent.to_string(),
-                a.phi1_fires.to_string(),
+                b.flow_mods.to_string(),
+                a.flow_mods.to_string(),
+                a.rule_fires("phi1").to_string(),
             ]
         })
         .collect();
@@ -125,9 +125,9 @@ fn main() {
 
     // Per-trial series, for plotting Figure 11 exactly.
     println!("per-trial iperf series [Mb/s] (baseline | attack):");
-    for (b, a) in &runs {
-        let series = |o: &SuppressionOutcome| {
-            o.iperf
+    for (kind, b, a) in &runs {
+        let series = |o: &RunRecord| {
+            o.iperfs
                 .iter()
                 .map(|s| {
                     if s.is_denial_of_service() {
@@ -139,11 +139,6 @@ fn main() {
                 .collect::<Vec<_>>()
                 .join(" ")
         };
-        println!(
-            "  {:<11} {} | {}",
-            b.controller.to_string(),
-            series(b),
-            series(a)
-        );
+        println!("  {:<11} {} | {}", kind.to_string(), series(b), series(a));
     }
 }

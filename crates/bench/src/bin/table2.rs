@@ -5,7 +5,8 @@
 
 use attain_bench::render_table;
 use attain_controllers::ControllerKind;
-use attain_injector::harness::{run_connection_interruption, InterruptionOutcome};
+use attain_injector::harness::run_connection_interruption;
+use attain_injector::RunRecord;
 use attain_netsim::FailMode;
 
 fn mark(ok: bool) -> String {
@@ -20,66 +21,61 @@ fn main() {
     println!("Table II — connection interruption experiment");
     println!("(pings: rows 1-2 at t=30 s, row 3 at t=50 s, row 4 at t=95 s)\n");
 
-    let mut outs: Vec<InterruptionOutcome> = Vec::new();
+    let mut outs: Vec<(ControllerKind, FailMode, RunRecord)> = Vec::new();
     for kind in ControllerKind::ALL {
         for mode in [FailMode::Safe, FailMode::Secure] {
             eprintln!("running {kind} / {mode:?}…");
-            outs.push(run_connection_interruption(kind, mode));
+            let out = run_connection_interruption(kind, mode).expect("the experiment runs");
+            outs.push((kind, mode, out));
         }
     }
 
     let header: Vec<String> = std::iter::once("".to_string())
-        .chain(outs.iter().map(|o| {
-            format!(
-                "{}/{}",
-                o.controller,
-                match o.fail_mode {
-                    FailMode::Safe => "Safe",
-                    FailMode::Secure => "Secure",
-                }
-            )
-        }))
+        .chain(
+            outs.iter()
+                .map(|(kind, mode, _)| format!("{kind}/{mode:?}")),
+        )
         .collect();
     let header_refs: Vec<&str> = header.iter().map(String::as_str).collect();
 
-    let row = |label: &str, f: &dyn Fn(&InterruptionOutcome) -> bool| -> Vec<String> {
-        std::iter::once(label.to_string())
-            .chain(outs.iter().map(|o| mark(f(o))))
+    let row = |question: &str, ping: &str| -> Vec<String> {
+        std::iter::once(question.to_string())
+            .chain(outs.iter().map(|(_, _, o)| mark(o.accessible(ping))))
             .collect()
     };
     let rows = vec![
         row(
             "External user can access an external network host? (t=30s)",
-            &|o| o.ext_to_ext.accessible(),
+            "h2->h1 early",
         ),
         row(
             "Internal user can access an external network host? (t=30s)",
-            &|o| o.int_to_ext_before.accessible(),
+            "h6->h1 early",
         ),
         row(
             "External user can access an internal network host? (t=50s)",
-            &|o| o.ext_to_int.accessible(),
+            "h2->h3",
         ),
         row(
             "Internal user can access an external network host? (t=95s)",
-            &|o| o.int_to_ext_after.accessible(),
+            "h6->h1 late",
         ),
     ];
     println!("{}", render_table(&header_refs, &rows));
 
     println!("attack progression:");
-    for o in &outs {
+    for (kind, mode, o) in &outs {
         println!(
             "  {:<18} final state {} (φ2 fired {}×) — {}{}",
-            format!("{}/{:?}:", o.controller, o.fail_mode),
-            o.final_state,
-            o.phi2_fires,
-            if o.unauthorized_access() {
+            format!("{kind}/{mode:?}:"),
+            o.final_state.as_deref().unwrap_or("-"),
+            o.rule_fires("phi2"),
+            if o.accessible("h2->h3") {
                 "UNAUTHORIZED INCREASED ACCESS"
             } else {
                 "isolation held"
             },
-            if o.legitimate_dos() {
+            if !o.accessible("h6->h1 late") {
                 "; DoS AGAINST LEGITIMATE TRAFFIC"
             } else {
                 ""

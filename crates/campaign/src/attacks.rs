@@ -6,18 +6,8 @@
 //! (`tests/atk_files.rs`) checks that each `ALL` entry is its file.
 
 use attain_core::scenario;
+pub use attain_injector::harness::Scope;
 use attain_netsim::EvictionPolicy;
-
-/// How an attack description binds to a system model.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Scope {
-    /// Compiled against the §VII enterprise scenario and run on the
-    /// case-study network (Figure 8/9).
-    Enterprise,
-    /// A self-contained document carrying its own `system` and
-    /// `capabilities` blocks; run on the topology it declares.
-    SelfContained,
-}
 
 /// A per-cell flow-table bound: one switch runs with a finite table
 /// and an overflow policy, applied identically to the attacked run and
@@ -54,7 +44,7 @@ pub struct AttackDef {
     pub table: Option<TableOverride>,
 }
 
-/// Every shipped attack, in matrix order: the nine enterprise attacks
+/// Every shipped attack, in matrix order: the ten enterprise attacks
 /// in their `scenario::attacks::ALL` order, then the self-contained
 /// demo document.
 pub fn all() -> Vec<AttackDef> {

@@ -2,121 +2,25 @@
 //! fixed workload, with or without the cell's attack interposed.
 //!
 //! Each cell is strictly single-threaded and seeded, so a cell's
-//! [`CellOutcome`] is a pure function of `(attack, controller,
-//! fail_mode, seed)` — the property the thread-count-invariance test
-//! pins down. Wall-clock time is measured but excluded from the
-//! report's canonical bytes.
+//! [`RunRecord`] is a pure function of `(attack, controller, fail_mode,
+//! seed)` — the property the thread-count-invariance test pins down.
+//! Wall-clock time is measured but excluded from the report's canonical
+//! bytes.
 //!
-//! Cells run under supervision: every setup failure is a [`CellError`]
-//! rather than a panic, and the simulation itself runs against the
-//! [`CellLimits`]' deterministic budget and cancellation token, so a
-//! runaway or malformed cell degrades into an annotated status instead
-//! of taking its worker (and the campaign) down.
+//! A cell is the harness's one run path ([`harness::run`]) under the
+//! campaign's environment (the seed, the attack's table bound) and its
+//! jittered workload; this module holds only those. Every setup failure
+//! is a [`RunError`] rather than a panic, and the simulation runs against
+//! the supervisor's [`RunBudget`] — deterministic event caps and a
+//! cancellation token — so a runaway or malformed cell degrades into an
+//! annotated status instead of taking its worker (and the campaign) down.
 
-use crate::attacks::{AttackDef, Scope};
+use crate::attacks::AttackDef;
 use attain_controllers::ControllerKind;
-use attain_core::dsl;
-use attain_core::exec::AttackExecutor;
-use attain_injector::harness::{build_case_study, build_simulation, try_attach_attack};
-use attain_injector::SimInjector;
-use attain_netsim::{
-    CancelToken, DetRng, Direction, FailMode, HaltReason, HostCommand, RunBudget, SimTime,
-    Simulation, TraceDigest,
-};
-use attain_openflow::OfType;
-use std::fmt;
-
-/// Why a cell failed to produce an outcome.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum CellError {
-    /// The cell could not be set up: attack compile/validate failure,
-    /// missing workload host or IP, malformed document. Deterministic.
-    Failed(String),
-    /// The simulation tripped its deterministic run budget.
-    BudgetExhausted {
-        /// Events dispatched when the budget tripped.
-        events: u64,
-        /// `true` when the per-instant livelock detector fired (virtual
-        /// time stopped advancing), `false` for the total event cap.
-        livelock: bool,
-    },
-    /// The supervisor's cancellation token fired (wall-clock timeout).
-    Cancelled,
-}
-
-impl fmt::Display for CellError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            CellError::Failed(msg) => write!(f, "failed: {msg}"),
-            CellError::BudgetExhausted { events, livelock } => {
-                if *livelock {
-                    write!(f, "livelock detected after {events} events")
-                } else {
-                    write!(f, "event budget exhausted after {events} events")
-                }
-            }
-            CellError::Cancelled => write!(f, "cancelled by supervisor"),
-        }
-    }
-}
-
-/// Execution bounds a cell runs under. The default is unlimited — the
-/// pre-supervision behaviour.
-#[derive(Debug, Clone, Default)]
-pub struct CellLimits {
-    /// Cap on total dispatched simulator events.
-    pub max_events: Option<u64>,
-    /// Cap on events at one virtual instant (livelock detector).
-    pub livelock_bound: Option<u64>,
-    /// Cooperative cancellation checked in the event loop.
-    pub cancel: Option<CancelToken>,
-}
-
-impl CellLimits {
-    fn to_budget(&self) -> RunBudget {
-        RunBudget {
-            max_events: self.max_events,
-            max_events_per_instant: self.livelock_bound,
-            cancel: self.cancel.clone(),
-        }
-    }
-}
-
-/// One ping run's observable result.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PingRow {
-    /// The workload label (`w1`, `w2`, `trigger`, `probe`).
-    pub label: String,
-    /// Echo requests sent.
-    pub transmitted: u32,
-    /// Echo replies received.
-    pub received: u32,
-    /// Mean round-trip time over the successful trials, if any.
-    pub avg_rtt_ms: Option<f64>,
-}
-
-/// Everything a cell run exposes to the oracles and the report.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CellOutcome {
-    /// FNV-1a digest over the rendered control-plane trace + counters.
-    pub digest: TraceDigest,
-    /// `PACKET_IN`s observed at the proxy.
-    pub packet_ins: u64,
-    /// `FLOW_MOD`s the controller emitted (pre-interposition).
-    pub flow_mods: u64,
-    /// All control-plane messages observed at the proxy.
-    pub control_total: u64,
-    /// Data-plane frames dropped (fail-secure lockdown, dead links…).
-    pub frames_dropped: u64,
-    /// Every workload ping run, in schedule order.
-    pub pings: Vec<PingRow>,
-    /// The attack state the executor ended in (`None` for baselines).
-    pub final_state: Option<String>,
-    /// Per-rule fire counts, in rule-name order (empty for baselines).
-    pub rule_fires: Vec<(String, u64)>,
-    /// Host wall-clock spent running the cell, in milliseconds.
-    pub wall_ms: u64,
-}
+use attain_core::model::SystemModel;
+use attain_injector::harness::{self, schedule_ping, RunError};
+use attain_injector::RunRecord;
+use attain_netsim::{DetRng, FailMode, FaultPlan, RunBudget, SimTime, Simulation};
 
 /// Workload start-time jitter in milliseconds, derived from the seed.
 ///
@@ -127,39 +31,12 @@ fn jitter_ms(seed: u64) -> u64 {
     DetRng::new(seed).next_u64() % 400
 }
 
-fn schedule_ping(
-    sim: &mut Simulation,
-    at: SimTime,
-    host: &str,
-    dst_ip: &str,
-    count: u32,
-    label: &str,
-) -> Result<(), CellError> {
-    let host = sim
-        .node_id(host)
-        .ok_or_else(|| CellError::Failed(format!("workload host {host} missing from topology")))?;
-    let dst = dst_ip
-        .parse()
-        .map_err(|_| CellError::Failed(format!("workload address {dst_ip} does not parse")))?;
-    sim.schedule_command(
-        at,
-        HostCommand::Ping {
-            host,
-            dst,
-            count,
-            interval: SimTime::from_secs(1),
-            label: label.into(),
-        },
-    );
-    Ok(())
-}
-
 /// Schedules the enterprise workload (all times jittered by the seed):
 /// `t≈10` the primary h1→h6 window, `t≈20` the Table II trigger
 /// traffic h2→h3 (which also probes unauthorized access), `t≈42` a
 /// second h1→h6 window after any interruption fallout has landed,
 /// `t≈44` a late h2→h3 probe for post-failover access.
-fn enterprise_workload(sim: &mut Simulation, seed: u64) -> Result<SimTime, CellError> {
+fn enterprise_workload(sim: &mut Simulation, seed: u64) -> Result<SimTime, RunError> {
     let j = jitter_ms(seed) as f64 / 1000.0;
     let at = |base: u64| SimTime::from_secs_f64(base as f64 + j);
     schedule_ping(sim, at(10), "h1", "10.0.0.6", 8, "w1")?;
@@ -174,186 +51,78 @@ fn enterprise_workload(sim: &mut Simulation, seed: u64) -> Result<SimTime, CellE
 /// the second one measuring post-engagement service.
 fn document_workload(
     sim: &mut Simulation,
-    system: &attain_core::model::SystemModel,
+    system: &SystemModel,
     seed: u64,
-) -> Result<SimTime, CellError> {
-    let hosts: Vec<_> = system.hosts().map(|(_, h)| h.clone()).collect();
-    if hosts.len() < 2 {
-        return Err(CellError::Failed(
+) -> Result<SimTime, RunError> {
+    let mut hosts = system.hosts().map(|(_, h)| h);
+    let (Some(src), Some(dst)) = (hosts.next(), hosts.next()) else {
+        return Err(RunError::Setup(
             "self-contained campaign documents need two hosts for the ping workload".into(),
         ));
-    }
-    let src = &hosts[0].name;
-    let dst = hosts[1]
+    };
+    let dst_ip = dst
         .ip
-        .ok_or_else(|| CellError::Failed(format!("campaign host {} has no IP", hosts[1].name)))?
+        .ok_or_else(|| RunError::Setup(format!("campaign host {} has no IP", dst.name)))?
         .to_string();
     let j = jitter_ms(seed) as f64 / 1000.0;
     let at = |base: u64| SimTime::from_secs_f64(base as f64 + j);
-    schedule_ping(sim, at(10), src, &dst, 8, "w1")?;
-    schedule_ping(sim, at(25), src, &dst, 6, "w2")?;
+    schedule_ping(sim, at(10), &src.name, &dst_ip, 8, "w1")?;
+    schedule_ping(sim, at(25), &src.name, &dst_ip, 6, "w2")?;
     Ok(SimTime::from_secs(40))
 }
 
-struct ExecHandleOutcome {
-    final_state: Option<String>,
-    rule_fires: Vec<(String, u64)>,
-}
-
-fn collect(sim: &Simulation, exec: ExecHandleOutcome, wall_ms: u64) -> CellOutcome {
-    CellOutcome {
-        digest: sim.trace().digest(),
-        packet_ins: sim
-            .trace()
-            .control_message_count(OfType::PacketIn, Direction::SwitchToController),
-        flow_mods: sim
-            .trace()
-            .control_message_count(OfType::FlowMod, Direction::ControllerToSwitch),
-        control_total: sim.trace().control_message_total(),
-        frames_dropped: sim.frames_dropped,
-        pings: sim
-            .ping_stats()
-            .iter()
-            .map(|s| PingRow {
-                label: s.label.clone(),
-                transmitted: s.transmitted(),
-                received: s.received(),
-                avg_rtt_ms: s.avg_rtt_ms(),
-            })
-            .collect(),
-        final_state: exec.final_state,
-        rule_fires: exec.rule_fires,
-        wall_ms,
-    }
-}
-
-/// Maps a finished run's halt reason onto the cell's fate.
-fn judge_halt(halt: HaltReason) -> Result<(), CellError> {
-    match halt {
-        HaltReason::Horizon => Ok(()),
-        HaltReason::EventBudget { events } => Err(CellError::BudgetExhausted {
-            events,
-            livelock: false,
-        }),
-        HaltReason::Livelock { events_at_instant } => Err(CellError::BudgetExhausted {
-            events: events_at_instant,
-            livelock: true,
-        }),
-        HaltReason::Cancelled => Err(CellError::Cancelled),
-    }
-}
-
-fn run(
+/// Runs one unit — the attacked cell or, with `attached` false, its
+/// baseline — under the supervisor's `budget`.
+pub(crate) fn run(
     attack: &AttackDef,
     kind: ControllerKind,
     fail_mode: FailMode,
     seed: u64,
-    attach: bool,
-    limits: &CellLimits,
-) -> Result<CellOutcome, CellError> {
+    attached: bool,
+    budget: &RunBudget,
+) -> Result<RunRecord, RunError> {
     #[cfg(feature = "test_faults")]
-    if attach {
+    if attached {
         // The injected-fault cells misbehave only when attacked, so the
         // shared enterprise baseline they reuse stays healthy.
         if attack.name == chaos::PANIC_CELL {
             panic!("{}", chaos::PANIC_MESSAGE);
         }
         if attack.name == chaos::LIVELOCK_CELL {
-            return chaos::run_livelock(kind, fail_mode, seed, limits);
+            return chaos::run_livelock(kind, fail_mode, seed, budget);
         }
     }
-    let started = std::time::Instant::now();
-    let (mut sim, handle, horizon) = match attack.scope {
-        Scope::Enterprise => {
-            let mut sim = build_case_study(kind, fail_mode);
+    harness::run(
+        attack.scope,
+        attack.source,
+        attached,
+        kind,
+        fail_mode,
+        &FaultPlan::seeded(seed),
+        budget,
+        |sim, document| {
             // A table bound is part of the cell's environment: the
             // baseline runs against the same bounded switch, so the
             // diff isolates the attack, not the capacity.
             if let Some(t) = attack.table {
                 sim.set_table_config(t.switch, t.capacity, t.policy);
             }
-            let handle = if attach {
-                Some(
-                    try_attach_attack(&mut sim, attack.source)
-                        .map_err(|e| CellError::Failed(format!("{}: {e}", attack.name)))?,
-                )
-            } else {
-                None
-            };
-            sim.set_fault_seed(seed);
-            let horizon = enterprise_workload(&mut sim, seed)?;
-            (sim, handle, horizon)
-        }
-        Scope::SelfContained => {
-            let doc = dsl::compile_document(attack.source).map_err(|e| {
-                CellError::Failed(format!("{}: document does not compile: {e}", attack.name))
-            })?;
-            let mut sim = build_simulation(&doc.system, fail_mode, |_| kind.instantiate());
-            let handle = if attach {
-                let compiled = doc.attacks.first().ok_or_else(|| {
-                    CellError::Failed(format!("{}: document declares no attack", attack.name))
-                })?;
-                let exec = AttackExecutor::new(
-                    doc.system.clone(),
-                    doc.attack_model.clone(),
-                    compiled.attack.clone(),
-                )
-                .map_err(|e| {
-                    CellError::Failed(format!("{}: attack does not validate: {e}", attack.name))
-                })?;
-                let (injector, handle) = SimInjector::new(exec, &doc.system, &sim);
-                sim.set_interposer(Box::new(injector));
-                Some(handle)
-            } else {
-                None
-            };
-            sim.set_fault_seed(seed);
-            let horizon = document_workload(&mut sim, &doc.system, seed)?;
-            (sim, handle, horizon)
-        }
-    };
-    sim.set_run_budget(limits.to_budget());
-    judge_halt(sim.run_until(horizon))?;
-    let exec = match handle {
-        Some(handle) => {
-            let exec = handle.lock();
-            ExecHandleOutcome {
-                final_state: Some(exec.current_state_name().to_string()),
-                rule_fires: exec
-                    .log()
-                    .rule_fire_counts()
-                    .map(|(name, n)| (name.to_string(), n))
-                    .collect(),
+            match document {
+                None => enterprise_workload(sim, seed),
+                Some(system) => document_workload(sim, system, seed),
             }
-        }
-        None => ExecHandleOutcome {
-            final_state: None,
-            rule_fires: Vec::new(),
         },
-    };
-    Ok(collect(&sim, exec, started.elapsed().as_millis() as u64))
+    )
 }
 
-/// Runs one attacked cell to completion under the default (unlimited)
-/// limits.
+/// Runs one attacked cell to completion, unbudgeted.
 pub fn run_cell(
     attack: &AttackDef,
     kind: ControllerKind,
     fail_mode: FailMode,
     seed: u64,
-) -> Result<CellOutcome, CellError> {
-    run_cell_limited(attack, kind, fail_mode, seed, &CellLimits::default())
-}
-
-/// Runs one attacked cell under explicit execution limits.
-pub fn run_cell_limited(
-    attack: &AttackDef,
-    kind: ControllerKind,
-    fail_mode: FailMode,
-    seed: u64,
-    limits: &CellLimits,
-) -> Result<CellOutcome, CellError> {
-    run(attack, kind, fail_mode, seed, true, limits)
+) -> Result<RunRecord, RunError> {
+    run(attack, kind, fail_mode, seed, true, &RunBudget::default())
 }
 
 /// Runs the cell's differential baseline: the identical topology,
@@ -367,19 +136,8 @@ pub fn run_baseline(
     kind: ControllerKind,
     fail_mode: FailMode,
     seed: u64,
-) -> Result<CellOutcome, CellError> {
-    run_baseline_limited(attack, kind, fail_mode, seed, &CellLimits::default())
-}
-
-/// Runs the cell's differential baseline under explicit limits.
-pub fn run_baseline_limited(
-    attack: &AttackDef,
-    kind: ControllerKind,
-    fail_mode: FailMode,
-    seed: u64,
-    limits: &CellLimits,
-) -> Result<CellOutcome, CellError> {
-    run(attack, kind, fail_mode, seed, false, limits)
+) -> Result<RunRecord, RunError> {
+    run(attack, kind, fail_mode, seed, false, &RunBudget::default())
 }
 
 /// Deliberately misbehaving cells, compiled only under the
@@ -423,15 +181,22 @@ pub mod chaos {
         kind: ControllerKind,
         fail_mode: FailMode,
         seed: u64,
-        limits: &CellLimits,
-    ) -> Result<CellOutcome, CellError> {
-        let mut sim = build_case_study(kind, fail_mode);
-        sim.set_interposer(Box::new(Spin));
-        sim.set_fault_seed(seed);
-        let horizon = enterprise_workload(&mut sim, seed)?;
-        sim.set_run_budget(limits.to_budget());
-        judge_halt(sim.run_until(horizon))?;
-        Err(CellError::Failed(
+        budget: &RunBudget,
+    ) -> Result<RunRecord, RunError> {
+        harness::run(
+            harness::Scope::Enterprise,
+            "",
+            false,
+            kind,
+            fail_mode,
+            &FaultPlan::seeded(seed),
+            budget,
+            |sim, _| {
+                sim.set_interposer(Box::new(Spin));
+                enterprise_workload(sim, seed)
+            },
+        )?;
+        Err(RunError::Setup(
             "livelock cell reached its horizon — the spin interposer never engaged".into(),
         ))
     }
@@ -441,13 +206,14 @@ pub mod chaos {
 mod tests {
     use super::*;
     use crate::attacks;
+    use attain_netsim::{CancelToken, HaltReason};
 
     fn run_ok(
         attack: &AttackDef,
         kind: ControllerKind,
         fail_mode: FailMode,
         seed: u64,
-    ) -> CellOutcome {
+    ) -> RunRecord {
         run_cell(attack, kind, fail_mode, seed).expect("cell completes")
     }
 
@@ -497,18 +263,12 @@ mod tests {
     #[test]
     fn tight_event_budget_surfaces_as_budget_exhausted() {
         let a = attacks::by_name("trivial_pass").unwrap();
-        let limits = CellLimits {
-            max_events: Some(10),
-            ..CellLimits::default()
-        };
-        let err = run_cell_limited(&a, ControllerKind::Pox, FailMode::Secure, 1, &limits)
+        let budget = RunBudget::default().with_max_events(10);
+        let err = run(&a, ControllerKind::Pox, FailMode::Secure, 1, true, &budget)
             .expect_err("10 events cannot finish the workload");
         assert_eq!(
             err,
-            CellError::BudgetExhausted {
-                events: 10,
-                livelock: false
-            }
+            RunError::Halted(HaltReason::EventBudget { events: 10 })
         );
     }
 
@@ -517,12 +277,9 @@ mod tests {
         let a = attacks::by_name("trivial_pass").unwrap();
         let token = CancelToken::new();
         token.cancel();
-        let limits = CellLimits {
-            cancel: Some(token),
-            ..CellLimits::default()
-        };
-        let err = run_cell_limited(&a, ControllerKind::Pox, FailMode::Secure, 1, &limits)
+        let budget = RunBudget::default().with_cancel(token);
+        let err = run(&a, ControllerKind::Pox, FailMode::Secure, 1, true, &budget)
             .expect_err("a cancelled token must stop the run");
-        assert_eq!(err, CellError::Cancelled);
+        assert_eq!(err, RunError::Halted(HaltReason::Cancelled));
     }
 }

@@ -41,7 +41,6 @@ pub mod report;
 pub mod runner;
 
 pub use attacks::{AttackDef, Scope};
-pub use cell::{CellError, CellLimits, CellOutcome, PingRow};
 pub use matrix::{CellId, Filter, Matrix};
 pub use oracle::Observed;
 pub use report::{diff_golden, CampaignReport, CellReport, ConfusionMatrix};

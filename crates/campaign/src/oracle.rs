@@ -30,9 +30,9 @@
 //! `tests/golden/campaign/`, failing `cargo test` on semantic drift;
 //! see the `report` module and `tests/campaign_conformance.rs`.
 
-use crate::cell::CellOutcome;
 use crate::runner::CellStatus;
 use attain_controllers::ControllerKind;
+use attain_injector::RunRecord;
 use attain_netsim::FailMode;
 use std::fmt;
 
@@ -68,10 +68,10 @@ impl fmt::Display for Observed {
 }
 
 /// Classifies an attacked run against its same-seed baseline.
-pub fn classify(attacked: &CellOutcome, baseline: &CellOutcome) -> Observed {
+pub fn classify(attacked: &RunRecord, baseline: &RunRecord) -> Observed {
     // Primary workload: the `w*` windows (h1→h6 / web→db). The trigger
     // and probe runs are deviation evidence but not "the service".
-    let primary = |o: &CellOutcome| -> (u32, u32) {
+    let primary = |o: &RunRecord| -> (u32, u32) {
         o.pings
             .iter()
             .filter(|p| p.label.starts_with('w'))
@@ -136,7 +136,7 @@ pub const FINGERPRINT_ATTACK: &str = "fingerprint_then_attack";
 /// convention, so a completed cell's final state *is* the prediction.
 /// `None` when the run never left `watch` (no classification) or ended
 /// in a state outside the convention.
-pub fn fingerprint_prediction(outcome: &CellOutcome) -> Option<ControllerKind> {
+pub fn fingerprint_prediction(outcome: &RunRecord) -> Option<ControllerKind> {
     outcome
         .final_state
         .as_deref()?
@@ -295,19 +295,22 @@ pub fn expected(attack: &str, kind: ControllerKind, _fail_mode: FailMode) -> &'s
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cell::PingRow;
+    use attain_injector::PingRow;
     use attain_netsim::TraceDigest;
 
-    fn outcome(pings: Vec<PingRow>, digest: u64) -> CellOutcome {
-        CellOutcome {
+    fn outcome(pings: Vec<PingRow>, digest: u64) -> RunRecord {
+        RunRecord {
             digest: TraceDigest(digest),
+            events: 100,
             packet_ins: 10,
             flow_mods: 4,
             control_total: 30,
             frames_dropped: 0,
             pings,
+            iperfs: Vec::new(),
             final_state: None,
             rule_fires: Vec::new(),
+            faults: None,
             wall_ms: 0,
         }
     }

@@ -10,11 +10,11 @@
 //!   `tests/golden/campaign/*.txt`; [`diff_golden`] renders a
 //!   cell-naming diff when a checked-in file drifts.
 
-use crate::cell::CellOutcome;
 use crate::matrix::{fail_slug, Matrix};
 use crate::oracle::{self, Observed};
 use crate::runner::CellStatus;
 use attain_controllers::ControllerKind;
+use attain_injector::RunRecord;
 use attain_netsim::FailMode;
 use std::fmt::Write as _;
 
@@ -46,7 +46,7 @@ pub struct CellReport {
 
 impl CellReport {
     /// The run's outcome, when it completed.
-    pub fn outcome(&self) -> Option<&CellOutcome> {
+    pub fn outcome(&self) -> Option<&RunRecord> {
         self.status.outcome()
     }
 }

@@ -19,12 +19,14 @@
 //! (panics, budget halts, setup errors) are reported as-is.
 
 use crate::attacks::{AttackDef, Scope};
-use crate::cell::{run_baseline_limited, run_cell_limited, CellError, CellLimits, CellOutcome};
+use crate::cell;
 use crate::matrix::{fail_slug, Matrix};
 use crate::oracle;
 use crate::report::{CampaignReport, CellReport};
 use attain_controllers::ControllerKind;
-use attain_netsim::{CancelToken, FailMode};
+use attain_injector::harness::RunError;
+use attain_injector::RunRecord;
+use attain_netsim::{CancelToken, FailMode, HaltReason, RunBudget};
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -42,7 +44,7 @@ pub const DEFAULT_LIVELOCK_BOUND: u64 = 200_000;
 #[derive(Debug, Clone, PartialEq)]
 pub enum CellStatus {
     /// The simulation reached its horizon and produced an outcome.
-    Completed(CellOutcome),
+    Completed(RunRecord),
     /// Setup failed deterministically (attack compile/validate error,
     /// malformed workload); the message is the error rendered.
     Failed {
@@ -70,7 +72,7 @@ pub enum CellStatus {
 
 impl CellStatus {
     /// The outcome, when the run completed.
-    pub fn outcome(&self) -> Option<&CellOutcome> {
+    pub fn outcome(&self) -> Option<&RunRecord> {
         match self {
             CellStatus::Completed(o) => Some(o),
             _ => None,
@@ -254,21 +256,34 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 
 /// Runs one unit once, fully contained: panics become `Panicked`,
 /// errors become their statuses.
-fn attempt_unit(u: &UnitSpec, limits: &CellLimits) -> CellStatus {
+fn attempt_unit(u: &UnitSpec, budget: &RunBudget) -> CellStatus {
     let result = catch_unwind(AssertUnwindSafe(|| {
-        if u.attacked {
-            run_cell_limited(&u.attack, u.controller, u.fail_mode, u.seed, limits)
-        } else {
-            run_baseline_limited(&u.attack, u.controller, u.fail_mode, u.seed, limits)
-        }
+        cell::run(
+            &u.attack,
+            u.controller,
+            u.fail_mode,
+            u.seed,
+            u.attacked,
+            budget,
+        )
     }));
     match result {
-        Ok(Ok(outcome)) => CellStatus::Completed(outcome),
-        Ok(Err(CellError::Failed(msg))) => CellStatus::Failed { msg },
-        Ok(Err(CellError::BudgetExhausted { events, livelock })) => {
-            CellStatus::BudgetExhausted { events, livelock }
+        Ok(Ok(record)) => CellStatus::Completed(record),
+        Ok(Err(RunError::Halted(HaltReason::EventBudget { events }))) => {
+            CellStatus::BudgetExhausted {
+                events,
+                livelock: false,
+            }
         }
-        Ok(Err(CellError::Cancelled)) => CellStatus::TimedOut,
+        Ok(Err(RunError::Halted(HaltReason::Livelock { events_at_instant }))) => {
+            CellStatus::BudgetExhausted {
+                events: events_at_instant,
+                livelock: true,
+            }
+        }
+        Ok(Err(RunError::Halted(HaltReason::Cancelled))) => CellStatus::TimedOut,
+        // `Setup`; a halt at the horizon is the `Ok` above.
+        Ok(Err(e)) => CellStatus::Failed { msg: e.to_string() },
         Err(payload) => CellStatus::Panicked {
             msg: panic_message(payload),
         },
@@ -284,12 +299,12 @@ fn run_supervised(u: &UnitSpec, cfg: &RunnerConfig, supervisor: Option<&Supervis
         if let (Some(sup), Some(timeout)) = (supervisor, cfg.cell_timeout) {
             sup.register(Instant::now() + timeout, token.clone());
         }
-        let limits = CellLimits {
+        let budget = RunBudget {
             max_events: cfg.max_events,
-            livelock_bound: Some(cfg.livelock_bound),
+            max_events_per_instant: Some(cfg.livelock_bound),
             cancel: Some(token),
         };
-        let status = attempt_unit(u, &limits);
+        let status = attempt_unit(u, &budget);
         if status == CellStatus::TimedOut && attempt < cfg.retries {
             let backoff = cfg.retry_backoff.saturating_mul(1u32 << attempt.min(10));
             attempt += 1;

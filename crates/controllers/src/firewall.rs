@@ -37,7 +37,7 @@ pub struct DmzPolicy {
 
 /// The policy's verdict for one packet.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Verdict {
+pub(crate) enum Verdict {
     /// Forward normally (delegate to the learning switch).
     Allow,
     /// Block, installing a deny flow entry.
@@ -47,7 +47,7 @@ pub enum Verdict {
 impl DmzPolicy {
     /// Decides the policy verdict for a packet summarized by `key`
     /// arriving at switch `dpid`.
-    pub fn decide(&self, dpid: DatapathId, key: &FlowKey) -> Verdict {
+    pub(crate) fn decide(&self, dpid: DatapathId, key: &FlowKey) -> Verdict {
         if dpid != self.firewall_dpid || key.in_port != self.external_port {
             return Verdict::Allow;
         }

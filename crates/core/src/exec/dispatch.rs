@@ -251,9 +251,9 @@ impl PropBuilder {
 /// One automaton state's compiled dispatcher.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CompiledState {
-    /// `conn_scope[c]` = rules watching connection `c` (the O(1)
-    /// replacement for [`Rule::applies_to`](crate::lang::Rule)'s list
-    /// walk, used on every dispatch path including the residual scan).
+    /// `conn_scope[c]` = rules watching connection `c` (an O(1) test
+    /// in place of a walk of [`Rule::connections`](crate::lang::Rule),
+    /// used on every dispatch path including the residual scan).
     conn_scope: Vec<Mask>,
     /// Rules that are always candidates (no extractable guard).
     residual: Mask,
@@ -342,8 +342,8 @@ impl CompiledState {
         }
     }
 
-    /// Whether rule `rule` watches `conn` — O(1), the compiled
-    /// replacement for `Rule::applies_to`.
+    /// Whether rule `rule` watches `conn` — O(1), the compiled form of
+    /// `Rule::connections.contains(&conn)`.
     pub fn rule_watches(&self, rule: usize, conn: ConnectionId) -> bool {
         self.conn_scope
             .get(conn.0)
@@ -555,6 +555,10 @@ mod tests {
         assert!(state.rule_watches(0, ConnectionId(1)));
         assert!(!state.rule_watches(0, ConnectionId(0)));
         assert!(!state.rule_watches(2, ConnectionId(9)));
+        // A two-connection watch list: both members, not the third.
+        assert!(state.rule_watches(1, ConnectionId(0)));
+        assert!(state.rule_watches(1, ConnectionId(1)));
+        assert!(!state.rule_watches(1, ConnectionId(2)));
     }
 
     #[test]

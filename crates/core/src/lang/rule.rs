@@ -37,16 +37,6 @@ impl Rule {
         caps
     }
 
-    /// Whether the rule watches `conn`.
-    ///
-    /// Linear in the watch list; the executor's hot path does not call
-    /// this — connection scope is precompiled into per-connection
-    /// bitmasks by [`CompiledRuleset`](crate::exec::CompiledRuleset),
-    /// making the check O(1) per rule there.
-    pub fn applies_to(&self, conn: ConnectionId) -> bool {
-        self.connections.contains(&conn)
-    }
-
     /// `GOTOSTATE` targets named by this rule's actions.
     pub fn goto_targets(&self) -> impl Iterator<Item = usize> + '_ {
         self.actions.iter().filter_map(|a| a.goto_target())
@@ -82,14 +72,6 @@ mod tests {
         assert!(caps.contains(Capability::ReadMessage));
         assert!(caps.contains(Capability::DropMessage));
         assert_eq!(caps.len(), 2);
-    }
-
-    #[test]
-    fn connection_scope() {
-        let r = rule();
-        assert!(r.applies_to(ConnectionId(0)));
-        assert!(!r.applies_to(ConnectionId(1)));
-        assert!(r.applies_to(ConnectionId(2)));
     }
 
     #[test]

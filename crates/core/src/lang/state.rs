@@ -15,7 +15,7 @@ pub struct AttackState {
 
 impl AttackState {
     /// Whether this is an end state (`σ = ∅`, §V-F3).
-    pub fn is_end(&self) -> bool {
+    pub(crate) fn is_end(&self) -> bool {
         self.rules.is_empty()
     }
 }

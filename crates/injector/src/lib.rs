@@ -10,9 +10,10 @@
 //! * [`tcp`] — a real threaded TCP proxy over `std::net` sockets, for
 //!   running attacks against OpenFlow speakers outside the simulator.
 //!
-//! Plus the experiment [`harness`]: builders and timelines for the
-//! paper's §VII case study (the Figure 11 flow-modification-suppression
-//! experiment and the Table II connection-interruption experiment).
+//! Plus the experiment [`harness`] — the one build → attach → drive →
+//! collect path ([`harness::run`]) and the paper's §VII timelines on it
+//! (Figure 11's flow-modification suppression, Table II's connection
+//! interruption) — and the [`monitors`]' one [`RunRecord`] of a run.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs, unreachable_pub)]
@@ -22,7 +23,7 @@ pub mod monitors;
 mod sim;
 pub mod tcp;
 
-pub use monitors::{ExperimentReport, ProxyLifecycleReport};
+pub use monitors::{PingRow, ProxyLifecycleReport, RunRecord};
 pub use sim::{SharedExecutor, SimInjector};
 pub use tcp::{RouteHealth, RouteHealthSnapshot};
 

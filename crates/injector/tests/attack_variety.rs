@@ -6,8 +6,7 @@ use attain_controllers::ControllerKind;
 use attain_core::dsl;
 use attain_core::exec::AttackExecutor;
 use attain_core::model::{AttackModel, CapabilitySet, SystemModel};
-use attain_injector::harness::build_simulation;
-use attain_injector::SimInjector;
+use attain_injector::harness::{attach, build_simulation};
 use attain_netsim::{Direction, FailMode, HostCommand, SimTime, Simulation};
 use attain_openflow::OfType;
 
@@ -41,9 +40,9 @@ fn attacked_sim(
         AttackExecutor::new(system.clone(), model, compiled.attack).expect("attack validates");
     let mut sim = build_simulation(&system, FailMode::Secure, |_| {
         ControllerKind::Floodlight.instantiate()
-    });
-    let (injector, handle) = SimInjector::new(exec, &system, &sim);
-    sim.set_interposer(Box::new(injector));
+    })
+    .expect("the small system builds");
+    let handle = attach(&mut sim, exec, &system);
     (sim, handle)
 }
 

@@ -2,30 +2,54 @@
 //! fidelity, checking the qualitative shapes the paper reports.
 
 use attain_controllers::ControllerKind;
-use attain_injector::harness::{run_connection_interruption, run_flow_mod_suppression, Fidelity};
+use attain_injector::harness::{self, Fidelity};
+use attain_injector::RunRecord;
 use attain_netsim::FailMode;
+
+fn run_flow_mod_suppression(kind: ControllerKind, attacked: bool) -> RunRecord {
+    harness::run_flow_mod_suppression(kind, attacked, &Fidelity::quick())
+        .expect("the §VII-B timeline runs")
+}
+
+fn run_connection_interruption(kind: ControllerKind, fail_mode: FailMode) -> RunRecord {
+    harness::run_connection_interruption(kind, fail_mode).expect("the §VII-C timeline runs")
+}
+
+/// Table II row 3: the external user reached an internal host.
+fn unauthorized_access(out: &RunRecord) -> bool {
+    out.accessible("h2->h3")
+}
+
+/// Table II row 4: the internal user lost the external hosts.
+fn legitimate_dos(out: &RunRecord) -> bool {
+    !out.accessible("h6->h1 late")
+}
 
 #[test]
 fn baselines_are_healthy_for_all_controllers() {
     for kind in ControllerKind::ALL {
-        let out = run_flow_mod_suppression(kind, false, &Fidelity::quick());
-        assert_eq!(out.phi1_fires, 0, "{kind}: baseline must not fire φ1");
+        let out = run_flow_mod_suppression(kind, false);
+        assert_eq!(
+            out.rule_fires("phi1"),
+            0,
+            "{kind}: baseline must not fire φ1"
+        );
+        let ping = &out.pings[0];
         assert!(
-            !out.ping_denied(),
-            "{kind}: baseline ping lost everything: {:?}",
-            out.ping.rtts_ms()
+            !ping.denied(),
+            "{kind}: baseline ping lost everything: {ping:?}"
         );
         assert!(
-            out.ping.loss_pct() < 10.0,
+            ping.loss_pct() < 10.0,
             "{kind}: baseline ping loss {}%",
-            out.ping.loss_pct()
+            ping.loss_pct()
         );
         let mbps = out.mean_throughput_mbps();
         assert!(
             mbps > 70.0,
             "{kind}: baseline throughput {mbps:.1} Mb/s should be near line rate"
         );
-        let rtt = out.ping.avg_rtt_ms().unwrap();
+        let rtt = ping.avg_rtt_ms.unwrap();
         assert!(rtt < 30.0, "{kind}: baseline RTT {rtt:.2} ms too high");
     }
 }
@@ -35,21 +59,21 @@ fn suppression_deadlocks_pox_data_plane() {
     // POX attaches buffer_id to its flow mods: suppressing them discards
     // every first packet — the paper's asterisk (zero throughput,
     // infinite latency).
-    let out = run_flow_mod_suppression(ControllerKind::Pox, true, &Fidelity::quick());
-    assert!(out.phi1_fires > 0, "φ1 must fire");
-    assert!(out.ping_denied(), "POX ping should be fully denied");
+    let out = run_flow_mod_suppression(ControllerKind::Pox, true);
+    assert!(out.rule_fires("phi1") > 0, "φ1 must fire");
+    assert!(out.pings[0].denied(), "POX ping should be fully denied");
     assert!(out.iperf_denied(), "POX iperf should be fully denied");
 }
 
 #[test]
 fn suppression_degrades_but_does_not_kill_floodlight_and_ryu() {
     for kind in [ControllerKind::Floodlight, ControllerKind::Ryu] {
-        let baseline = run_flow_mod_suppression(kind, false, &Fidelity::quick());
-        let attacked = run_flow_mod_suppression(kind, true, &Fidelity::quick());
-        assert!(attacked.phi1_fires > 0, "{kind}: φ1 must fire");
+        let baseline = run_flow_mod_suppression(kind, false);
+        let attacked = run_flow_mod_suppression(kind, true);
+        assert!(attacked.rule_fires("phi1") > 0, "{kind}: φ1 must fire");
         // Service survives: packets still flow via per-packet PACKET_OUT.
         assert!(
-            !attacked.ping_denied(),
+            !attacked.pings[0].denied(),
             "{kind}: ping should survive suppression"
         );
         assert!(
@@ -63,8 +87,8 @@ fn suppression_degrades_but_does_not_kill_floodlight_and_ryu() {
             a_mbps < b_mbps / 4.0,
             "{kind}: attacked throughput {a_mbps:.1} should be far below baseline {b_mbps:.1}"
         );
-        let b_rtt = baseline.ping.avg_rtt_ms().unwrap();
-        let a_rtt = attacked.ping.avg_rtt_ms().unwrap();
+        let b_rtt = baseline.pings[0].avg_rtt_ms.unwrap();
+        let a_rtt = attacked.pings[0].avg_rtt_ms.unwrap();
         assert!(
             a_rtt > 2.0 * b_rtt,
             "{kind}: attacked RTT {a_rtt:.2} should be well above baseline {b_rtt:.2}"
@@ -83,19 +107,23 @@ fn suppression_degrades_but_does_not_kill_floodlight_and_ryu() {
 fn interruption_fail_safe_grants_unauthorized_access() {
     for kind in [ControllerKind::Floodlight, ControllerKind::Pox] {
         let out = run_connection_interruption(kind, FailMode::Safe);
-        assert_eq!(out.final_state, "sigma3", "{kind}: attack must engage");
-        assert!(out.phi2_fires > 0, "{kind}: φ2 must fire");
+        assert_eq!(
+            out.final_state.as_deref(),
+            Some("sigma3"),
+            "{kind}: attack must engage"
+        );
+        assert!(out.rule_fires("phi2") > 0, "{kind}: φ2 must fire");
         // Rows 1–2 (pre-attack): everything reachable.
-        assert!(out.ext_to_ext.accessible(), "{kind}: row 1");
-        assert!(out.int_to_ext_before.accessible(), "{kind}: row 2");
+        assert!(out.accessible("h2->h1 early"), "{kind}: row 1");
+        assert!(out.accessible("h6->h1 early"), "{kind}: row 2");
         // Row 3: the DMZ falls open — unauthorized increased access.
         assert!(
-            out.unauthorized_access(),
+            unauthorized_access(&out),
             "{kind}: fail-safe should let the external user in: {}",
-            out.ext_to_int
+            out.ping("h2->h3").unwrap()
         );
         // Row 4: legitimate traffic still flows.
-        assert!(!out.legitimate_dos(), "{kind}: row 4 should stay up");
+        assert!(!legitimate_dos(&out), "{kind}: row 4 should stay up");
     }
 }
 
@@ -103,20 +131,24 @@ fn interruption_fail_safe_grants_unauthorized_access() {
 fn interruption_fail_secure_denies_legitimate_traffic() {
     for kind in [ControllerKind::Floodlight, ControllerKind::Pox] {
         let out = run_connection_interruption(kind, FailMode::Secure);
-        assert_eq!(out.final_state, "sigma3", "{kind}: attack must engage");
-        assert!(out.ext_to_ext.accessible(), "{kind}: row 1");
-        assert!(out.int_to_ext_before.accessible(), "{kind}: row 2");
+        assert_eq!(
+            out.final_state.as_deref(),
+            Some("sigma3"),
+            "{kind}: attack must engage"
+        );
+        assert!(out.accessible("h2->h1 early"), "{kind}: row 1");
+        assert!(out.accessible("h6->h1 early"), "{kind}: row 2");
         // Row 3: the firewall holds.
         assert!(
-            !out.unauthorized_access(),
+            !unauthorized_access(&out),
             "{kind}: fail-secure must keep the external user out: {}",
-            out.ext_to_int
+            out.ping("h2->h3").unwrap()
         );
         // Row 4: at the price of a denial of service for insiders.
         assert!(
-            out.legitimate_dos(),
+            legitimate_dos(&out),
             "{kind}: fail-secure should deny legitimate traffic: {}",
-            out.int_to_ext_after
+            out.ping("h6->h1 late").unwrap()
         );
     }
 }
@@ -127,13 +159,25 @@ fn interruption_never_engages_against_ryu() {
     // connection is never interrupted — the paper's §VII-C4 anomaly.
     for mode in [FailMode::Safe, FailMode::Secure] {
         let out = run_connection_interruption(ControllerKind::Ryu, mode);
-        assert_eq!(out.final_state, "sigma2", "attack must stall in σ2");
-        assert_eq!(out.phi2_fires, 0);
-        assert!(out.ext_to_ext.accessible());
-        assert!(out.int_to_ext_before.accessible());
+        assert_eq!(
+            out.final_state.as_deref(),
+            Some("sigma2"),
+            "attack must stall in σ2"
+        );
+        assert_eq!(out.rule_fires("phi2"), 0);
+        assert!(out.accessible("h2->h1 early"));
+        assert!(out.accessible("h6->h1 early"));
         // The DMZ policy holds (enforced by Ryu's L2 deny rule)…
-        assert!(!out.unauthorized_access(), "{}", out.ext_to_int);
+        assert!(
+            !unauthorized_access(&out),
+            "{}",
+            out.ping("h2->h3").unwrap()
+        );
         // …and nothing is denied.
-        assert!(!out.legitimate_dos(), "{}", out.int_to_ext_after);
+        assert!(
+            !legitimate_dos(&out),
+            "{}",
+            out.ping("h6->h1 late").unwrap()
+        );
     }
 }

@@ -10,14 +10,14 @@
 
 use attain_controllers::ControllerKind;
 use attain_core::scenario;
-use attain_injector::harness::{attach_attack, build_case_study};
+use attain_injector::harness::{build_case_study, try_attach_attack};
 use attain_netsim::{FailMode, HostCommand, SimTime};
 use attain_openflow::frame_decode_count;
 
 #[test]
 fn interposed_sim_decodes_each_frame_at_most_once() {
     let mut sim = build_case_study(ControllerKind::Floodlight, FailMode::Secure);
-    let _exec = attach_attack(&mut sim, scenario::attacks::TRIVIAL_PASS);
+    try_attach_attack(&mut sim, scenario::attacks::TRIVIAL_PASS).expect("the attack attaches");
     let h1 = sim.node_id("h1").expect("case study has h1");
     sim.schedule_command(
         SimTime::from_secs(1),

@@ -62,7 +62,7 @@ impl ProbeStats {
 
     /// The fast-path RTT baseline: minimum warmup RTT, if any reply
     /// arrived.
-    pub fn baseline_ms(&self) -> Option<f64> {
+    pub(crate) fn baseline_ms(&self) -> Option<f64> {
         self.warmup_rtts
             .iter()
             .flatten()
@@ -77,7 +77,7 @@ impl ProbeStats {
 
     /// Whether sweep probe `i` classified as fast (entries resident).
     /// Lost probes are slow: a missing reply is never the fast path.
-    pub fn is_fast(&self, i: usize) -> bool {
+    pub(crate) fn is_fast(&self, i: usize) -> bool {
         match (self.sweep_rtts.get(i), self.baseline_ms()) {
             (Some(Some(rtt)), Some(base)) => *rtt <= base + SLOW_MARGIN_MS,
             _ => false,

@@ -19,7 +19,7 @@ pub enum IcmpKind {
 
 impl IcmpKind {
     /// Classifies a wire type byte.
-    pub fn from_type_byte(t: u8) -> IcmpKind {
+    pub(crate) fn from_type_byte(t: u8) -> IcmpKind {
         match t {
             0 => IcmpKind::EchoReply,
             8 => IcmpKind::EchoRequest,

@@ -23,22 +23,28 @@ fn main() {
 
     for mode in [FailMode::Safe, FailMode::Secure] {
         println!("running {kind} with s2 in {mode:?} mode…");
-        let out = run_connection_interruption(kind, mode);
-        println!("  ext→ext (t=30s):      {}", out.ext_to_ext);
-        println!("  int→ext (t=30s):      {}", out.int_to_ext_before);
-        println!("  ext→int (t=50s):      {}", out.ext_to_int);
-        println!("  int→ext (t=95s):      {}", out.int_to_ext_after);
+        let out = run_connection_interruption(kind, mode).expect("the experiment runs");
+        for (row, ping) in [
+            ("ext→ext (t=30s)", "h2->h1 early"),
+            ("int→ext (t=30s)", "h6->h1 early"),
+            ("ext→int (t=50s)", "h2->h3"),
+            ("int→ext (t=95s)", "h6->h1 late"),
+        ] {
+            let check = out.ping(ping).expect("the timeline schedules it");
+            println!("  {:<21} {check}", format!("{row}:"));
+        }
+        let final_state = out.final_state.as_deref().unwrap_or("-");
         println!(
-            "  attack ended in {} (φ2 fired {}×)",
-            out.final_state, out.phi2_fires
+            "  attack ended in {final_state} (φ2 fired {}×)",
+            out.rule_fires("phi2")
         );
-        if out.unauthorized_access() {
+        if out.accessible("h2->h3") {
             println!("  ⇒ unauthorized increased access");
         }
-        if out.legitimate_dos() {
+        if !out.accessible("h6->h1 late") {
             println!("  ⇒ denial of service against legitimate traffic");
         }
-        if out.final_state == "sigma2" {
+        if final_state == "sigma2" {
             println!("  ⇒ φ2 never matched this controller's flow-mod attributes (the Ryu case)");
         }
         println!();

@@ -9,6 +9,20 @@
 use attain::controllers::ControllerKind;
 use attain::core::scenario;
 use attain::injector::harness::{run_flow_mod_suppression, Fidelity};
+use attain::injector::RunRecord;
+
+/// One Figure 11 bar pair; `*` is the paper's denial-of-service mark.
+fn summary(o: &RunRecord) -> String {
+    let iperf = if o.iperf_denied() {
+        "*".to_string()
+    } else {
+        format!("{:.1} Mb/s", o.mean_throughput_mbps())
+    };
+    match o.pings[0].avg_rtt_ms {
+        Some(ms) => format!("iperf {iperf} ping {ms:.2} ms"),
+        None => format!("iperf {iperf} ping *"),
+    }
+}
 
 fn main() {
     let kind = match std::env::args().nth(1).as_deref() {
@@ -26,11 +40,11 @@ fn main() {
         iperf_secs: 5,
     };
     println!("baseline run ({kind})…");
-    let baseline = run_flow_mod_suppression(kind, false, &fidelity);
-    println!("  {baseline}");
+    let baseline = run_flow_mod_suppression(kind, false, &fidelity).expect("baseline runs");
+    println!("  {kind}/baseline: {}", summary(&baseline));
     println!("attacked run ({kind})…");
-    let attacked = run_flow_mod_suppression(kind, true, &fidelity);
-    println!("  {attacked}");
+    let attacked = run_flow_mod_suppression(kind, true, &fidelity).expect("attack runs");
+    println!("  {kind}/attack: {}", summary(&attacked));
 
     println!();
     println!(
@@ -42,9 +56,9 @@ fn main() {
         } else {
             0
         },
-        attacked.phi1_fires,
+        attacked.rule_fires("phi1"),
     );
-    if attacked.iperf_denied() || attacked.ping_denied() {
+    if attacked.iperf_denied() || attacked.pings[0].denied() {
         println!(
             "verdict: denial of service — {kind} releases buffered packets only via the \
              suppressed FLOW_MOD"

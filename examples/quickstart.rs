@@ -9,7 +9,7 @@ use attain::controllers::ControllerKind;
 use attain::core::dsl;
 use attain::core::exec::AttackExecutor;
 use attain::core::model::{AttackModel, CapabilitySet, SystemModel};
-use attain::injector::SimInjector;
+use attain::injector::harness::attach;
 use attain::netsim::{HostCommand, NetworkBuilder, SimTime};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -66,8 +66,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut sim = b.build();
 
     let exec = AttackExecutor::new(system.clone(), attack_model, compiled.attack)?;
-    let (injector, handle) = SimInjector::new(exec, &system, &sim);
-    sim.set_interposer(Box::new(injector));
+    let handle = attach(&mut sim, exec, &system);
 
     // 5. Workload: 20 pings h1 → h2.
     sim.schedule_command(

@@ -1,24 +1,23 @@
 //! The paper's future-work features, implemented: attack state graph
 //! templates (§X) and stochastic decision-making (§VIII-A), plus the
-//! monitors' combined experiment report (§VI-B3).
+//! monitors' run record (§VI-B3).
 //!
 //! A template-generated probabilistic flow-mod suppressor runs against
 //! the enterprise network; because its randomness derives from the
 //! injector's deterministic per-message entropy, the "random" run is
-//! exactly reproducible. The generated attack is also rendered back to
-//! DSL text — ready to save as a shareable `.atk` file.
+//! exactly reproducible. The generated attack is rendered back to DSL
+//! text — ready to save as a shareable `.atk` file — and it is that text
+//! the harness compiles and runs.
 //!
 //! ```sh
 //! cargo run --release --example stochastic_templates
 //! ```
 
 use attain::controllers::ControllerKind;
-use attain::core::exec::AttackExecutor;
 use attain::core::lang::templates;
 use attain::core::{dsl, scenario};
-use attain::injector::harness::build_case_study;
-use attain::injector::{ExperimentReport, SimInjector};
-use attain::netsim::{FailMode, HostCommand, SimTime};
+use attain::injector::harness::{run, schedule_ping, Scope};
+use attain::netsim::{FailMode, FaultPlan, RunBudget, SimTime};
 use attain::openflow::OfType;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -28,37 +27,37 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // §X template + §VIII-A stochastic extension: drop each FLOW_MOD
     // independently with probability 0.5.
     let attack = templates::suppress_type_with_probability(OfType::FlowMod, 0.5, conns);
+    let source = dsl::render(&attack, &sc.system)?;
     println!("generated attack, rendered back to DSL:\n");
-    println!("{}", dsl::render(&attack, &sc.system)?);
+    println!("{source}");
 
-    let run = || -> Result<ExperimentReport, Box<dyn std::error::Error>> {
-        let sc = scenario::enterprise_network();
-        let mut sim = build_case_study(ControllerKind::Floodlight, FailMode::Secure);
-        let exec = AttackExecutor::new(sc.system.clone(), sc.attack_model, attack.clone())?;
-        let (injector, handle) = SimInjector::new(exec, &sc.system, &sim);
-        sim.set_interposer(Box::new(injector));
-        let h1 = sim.node_id("h1").expect("case study has h1");
-        sim.schedule_command(
-            SimTime::from_secs(10),
-            HostCommand::Ping {
-                host: h1,
-                dst: "10.0.0.6".parse()?,
-                count: 30,
-                interval: SimTime::from_secs(1),
-                label: "h1->h6 under 50% suppression".into(),
+    let trial = || {
+        run(
+            Scope::Enterprise,
+            &source,
+            true,
+            ControllerKind::Floodlight,
+            FailMode::Secure,
+            &FaultPlan::default(),
+            &RunBudget::default(),
+            |sim, _| {
+                let label = "h1->h6 under 50% suppression";
+                schedule_ping(sim, SimTime::from_secs(10), "h1", "10.0.0.6", 30, label)?;
+                Ok(SimTime::from_secs(45))
             },
-        );
-        sim.run_until(SimTime::from_secs(45));
-        let exec = handle.lock();
-        Ok(ExperimentReport::collect(&sim, &exec))
+        )
     };
 
-    let report = run()?;
+    let report = trial()?;
     println!("{report}");
 
     // Stochastic, but reproducible: a second run is identical.
-    let again = run()?;
-    assert_eq!(report, again, "deterministic entropy ⇒ identical runs");
+    let again = trial()?;
+    assert_eq!(
+        (report.digest, &report.pings, &report.rule_fires),
+        (again.digest, &again.pings, &again.rule_fires),
+        "deterministic entropy ⇒ identical runs"
+    );
     println!("second run identical — stochastic attacks stay reproducible");
     Ok(())
 }

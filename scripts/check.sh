@@ -54,6 +54,10 @@ echo "== §VI-D rule scaling (scan grows with |Φ|, dispatcher stays flat)"
 cargo run --release -p attain-bench --bin rule_scalability \
   -- --json target/BENCH_rule_eval_check.json
 
+echo "== Figure 11 at paper fidelity against its golden (~35 s, exact in virtual time)"
+cargo run --release --quiet -p attain-bench --bin fig11 2>/dev/null \
+  | diff tests/golden/paper/fig11.txt -
+
 echo "== supervised execution (chaos cells contained, degraded-mode report)"
 cargo test -q -p attain-campaign --features test_faults
 if cargo run --release --bin campaign --features test_faults \

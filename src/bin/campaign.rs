@@ -2,8 +2,8 @@
 //! controller applications × both fail modes × a seed set, judged by
 //! the differential and golden-trace oracles.
 //!
-//! Usage: `cargo run --release --bin campaign [options]`; `USAGE` below
-//! lists the options and is printed, with exit status 2, for any
+//! Usage: `cargo run --release --bin campaign [options]`; `usage()`
+//! below lists the options and is printed, with exit status 2, for any
 //! malformed, valueless or unknown argument.
 //!
 //! The report's canonical bytes (wall-times zeroed) are byte-identical
@@ -17,18 +17,28 @@ use std::process::ExitCode;
 use std::str::FromStr;
 use std::time::Duration;
 
-const USAGE: &str = "\
+/// The option list; the `--smoke` sizes are read off the matrix itself.
+fn usage() -> String {
+    let smoke = Matrix::smoke();
+    format!(
+        "\
 usage: campaign [options]
   --jobs N           worker threads (default: available parallelism)
   --seeds N          seeds 1..=N instead of the default set
-  --smoke            the reduced CI matrix (3 attacks × 5 × 2 × 1 seed)
+  --smoke            the reduced CI matrix ({} attacks × {} × {} × {} seed)
   --only SPEC        attack=…,controller=…,fail=…,seed=… (any subset)
   --out PATH         report path (default CAMPAIGN_report.json)
   --update-golden    rewrite tests/golden/campaign/ from this run
   --golden PATH      golden digests file to verify/update
   --cell-timeout SEC wall-clock deadline per cell (default 120, 0 = off)
   --max-events N     deterministic event budget per cell (default: none)
-  --retries N        same-seed retries for timed-out cells (default 0)";
+  --retries N        same-seed retries for timed-out cells (default 0)",
+        smoke.attacks.len(),
+        smoke.controllers.len(),
+        smoke.fail_modes.len(),
+        smoke.seeds.len()
+    )
+}
 
 /// The command line, parsed and typed.
 #[derive(Default)]
@@ -81,7 +91,7 @@ fn main() -> ExitCode {
     let cli = match parse_cli(&args) {
         Ok(cli) => cli,
         Err(e) => {
-            eprintln!("{e}\n{USAGE}");
+            eprintln!("{e}\n{}", usage());
             return ExitCode::from(2);
         }
     };

@@ -1,9 +1,11 @@
 //! The `campaign` binary rejects a bad command line before running
 //! anything: usage on stderr, exit status 2, no cell executed.
 
+use attain::campaign::Matrix;
 use std::process::Command;
 
-fn rejected(args: &[&str]) {
+/// Runs `campaign` with a bad command line and returns its stderr.
+fn rejected(args: &[&str]) -> String {
     let out = Command::new(env!("CARGO_BIN_EXE_campaign"))
         .args(args)
         .output()
@@ -15,6 +17,7 @@ fn rejected(args: &[&str]) {
         !stderr.contains("cells on"),
         "{args:?} started the matrix: {stderr}"
     );
+    stderr.into_owned()
 }
 
 #[test]
@@ -30,4 +33,18 @@ fn valueless_trailing_flag_is_rejected() {
 #[test]
 fn unknown_flag_is_rejected() {
     rejected(&["--smoke", "--bogus"]);
+}
+
+#[test]
+fn usage_states_the_smoke_matrix_as_it_is() {
+    let stderr = rejected(&["--bogus"]);
+    let smoke_line = stderr
+        .lines()
+        .find(|l| l.trim_start().starts_with("--smoke"))
+        .expect("usage documents --smoke");
+    let attacks = Matrix::smoke().attacks.len();
+    assert!(
+        smoke_line.contains(&format!("({attacks} attacks ×")),
+        "usage says {smoke_line:?}; Matrix::smoke() keeps {attacks} attacks"
+    );
 }

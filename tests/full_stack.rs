@@ -6,8 +6,7 @@ use attain::controllers::ControllerKind;
 use attain::core::dsl;
 use attain::core::exec::AttackExecutor;
 use attain::core::scenario;
-use attain::injector::harness::build_simulation;
-use attain::injector::SimInjector;
+use attain::injector::harness::{attach, build_simulation};
 use attain::netsim::{FailMode, HostCommand, SimTime};
 
 const DOCUMENT: &str = r#"
@@ -61,15 +60,15 @@ fn self_contained_document_drives_a_simulation() {
 
     let mut sim = build_simulation(&doc.system, FailMode::Secure, |_| {
         ControllerKind::Floodlight.instantiate()
-    });
+    })
+    .expect("document builds");
     let exec = AttackExecutor::new(
         doc.system.clone(),
         doc.attack_model.clone(),
         compiled.attack.clone(),
     )
     .expect("attack validates");
-    let (injector, handle) = SimInjector::new(exec, &doc.system, &sim);
-    sim.set_interposer(Box::new(injector));
+    let handle = attach(&mut sim, exec, &doc.system);
 
     let h1 = sim.node_id("h1").expect("document declares h1");
     // First run: establishes flows; the attack blackholes the control
@@ -144,7 +143,8 @@ fn facade_reexports_cover_the_paper_pipeline() {
 fn all_three_controller_models_run_under_the_generic_builder() {
     let doc = dsl::compile_document(DOCUMENT).expect("document compiles");
     for kind in ControllerKind::ALL {
-        let mut sim = build_simulation(&doc.system, FailMode::Secure, |_| kind.instantiate());
+        let mut sim = build_simulation(&doc.system, FailMode::Secure, |_| kind.instantiate())
+            .expect("document builds");
         let h1 = sim.node_id("h1").expect("document declares h1");
         sim.schedule_command(
             SimTime::from_secs(5),
@@ -172,15 +172,15 @@ fn full_stack_is_deterministic() {
         let compiled = &doc.attacks[0];
         let mut sim = build_simulation(&doc.system, FailMode::Safe, |_| {
             ControllerKind::Pox.instantiate()
-        });
+        })
+        .expect("document builds");
         let exec = AttackExecutor::new(
             doc.system.clone(),
             doc.attack_model.clone(),
             compiled.attack.clone(),
         )
         .expect("attack validates");
-        let (injector, handle) = SimInjector::new(exec, &doc.system, &sim);
-        sim.set_interposer(Box::new(injector));
+        let handle = attach(&mut sim, exec, &doc.system);
         let h1 = sim.node_id("h1").expect("document declares h1");
         sim.schedule_command(
             SimTime::from_secs(3),

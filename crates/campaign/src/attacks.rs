@@ -63,24 +63,6 @@ pub fn all() -> Vec<AttackDef> {
         scope: Scope::SelfContained,
         table: None,
     });
-    // Chaos cells: the sources are the trivial baseline (so shared
-    // baselines stay healthy); `cell::run` intercepts the names and
-    // misbehaves only on the attacked half of the pair.
-    #[cfg(feature = "test_faults")]
-    {
-        v.push(AttackDef {
-            name: crate::cell::chaos::PANIC_CELL,
-            source: scenario::attacks::TRIVIAL_PASS,
-            scope: Scope::Enterprise,
-            table: None,
-        });
-        v.push(AttackDef {
-            name: crate::cell::chaos::LIVELOCK_CELL,
-            source: scenario::attacks::TRIVIAL_PASS,
-            scope: Scope::Enterprise,
-            table: None,
-        });
-    }
     v
 }
 
@@ -96,16 +78,7 @@ mod tests {
     #[test]
     fn inventory_covers_every_shipped_atk_file() {
         let names: Vec<_> = all().iter().map(|a| a.name).collect();
-        let expected = if cfg!(feature = "test_faults") {
-            13
-        } else {
-            11
-        };
-        assert_eq!(
-            names.len(),
-            expected,
-            "expected the eleven shipped attacks (plus chaos cells under test_faults)"
-        );
+        assert_eq!(names.len(), 11, "expected the eleven shipped attacks");
         assert_eq!(names[0], "trivial_pass", "baseline attack leads the matrix");
         assert!(names.contains(&"self_contained_demo"));
     }

@@ -81,17 +81,6 @@ pub(crate) fn run(
     attached: bool,
     budget: &RunBudget,
 ) -> Result<RunRecord, RunError> {
-    #[cfg(feature = "test_faults")]
-    if attached {
-        // The injected-fault cells misbehave only when attacked, so the
-        // shared enterprise baseline they reuse stays healthy.
-        if attack.name == chaos::PANIC_CELL {
-            panic!("{}", chaos::PANIC_MESSAGE);
-        }
-        if attack.name == chaos::LIVELOCK_CELL {
-            return chaos::run_livelock(kind, fail_mode, seed, budget);
-        }
-    }
     harness::run(
         attack.scope,
         attack.source,
@@ -138,68 +127,6 @@ pub fn run_baseline(
     seed: u64,
 ) -> Result<RunRecord, RunError> {
     run(attack, kind, fail_mode, seed, false, &RunBudget::default())
-}
-
-/// Deliberately misbehaving cells, compiled only under the
-/// `test_faults` feature: the campaign's own fault injection, proving
-/// the supervisor contains a panicking worker and a livelocked event
-/// loop while every healthy cell still completes.
-#[cfg(feature = "test_faults")]
-pub mod chaos {
-    use super::*;
-    use attain_netsim::{Interposer, InterposerActions, ProxiedMessage};
-
-    /// Attack name whose attacked runs panic the worker.
-    pub const PANIC_CELL: &str = "__panic_cell";
-    /// Attack name whose attacked runs stop advancing virtual time.
-    pub const LIVELOCK_CELL: &str = "__livelock_cell";
-    /// The fixed panic payload (fixed so reports stay byte-identical
-    /// across thread counts).
-    pub const PANIC_MESSAGE: &str = "injected chaos: deliberate worker panic";
-
-    /// An interposer that re-arms a wakeup at `now` forever: the event
-    /// loop spins at one virtual instant until the livelock detector
-    /// (or a wall-clock cancel) stops it.
-    struct Spin;
-
-    impl Interposer for Spin {
-        fn on_message(&mut self, msg: ProxiedMessage<'_>) -> InterposerActions {
-            let mut a = InterposerActions::pass(&msg);
-            a.wakeup = Some(msg.now);
-            a
-        }
-
-        fn on_wakeup(&mut self, now: SimTime) -> InterposerActions {
-            InterposerActions {
-                wakeup: Some(now),
-                ..InterposerActions::default()
-            }
-        }
-    }
-
-    pub(super) fn run_livelock(
-        kind: ControllerKind,
-        fail_mode: FailMode,
-        seed: u64,
-        budget: &RunBudget,
-    ) -> Result<RunRecord, RunError> {
-        harness::run(
-            harness::Scope::Enterprise,
-            "",
-            false,
-            kind,
-            fail_mode,
-            &FaultPlan::seeded(seed),
-            budget,
-            |sim, _| {
-                sim.set_interposer(Box::new(Spin));
-                enterprise_workload(sim, seed)
-            },
-        )?;
-        Err(RunError::Setup(
-            "livelock cell reached its horizon — the spin interposer never engaged".into(),
-        ))
-    }
 }
 
 #[cfg(test)]

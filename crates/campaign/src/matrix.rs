@@ -78,12 +78,6 @@ impl Matrix {
             "connection_interruption",
             "table_overflow",
             "fingerprint_then_attack",
-            // With chaos cells compiled in, the smoke matrix carries
-            // them too so CI exercises degraded-mode reporting.
-            #[cfg(feature = "test_faults")]
-            crate::cell::chaos::PANIC_CELL,
-            #[cfg(feature = "test_faults")]
-            crate::cell::chaos::LIVELOCK_CELL,
         ];
         Matrix {
             attacks: attacks::all()
@@ -214,12 +208,7 @@ mod tests {
     #[test]
     fn full_matrix_has_expected_shape() {
         let m = Matrix::full();
-        let attacks = if cfg!(feature = "test_faults") {
-            13
-        } else {
-            11
-        };
-        assert_eq!(m.cells().len(), attacks * 5 * 2 * 3);
+        assert_eq!(m.cells().len(), 11 * 5 * 2 * 3);
         let names: Vec<_> = m.cells().iter().map(|c| m.cell_name(c)).collect();
         assert_eq!(names[0], "trivial_pass/floodlight/safe/s1");
         // No duplicates.
@@ -256,7 +245,6 @@ mod tests {
         for cell in smoke.cells() {
             assert!(full_names.contains(&smoke.cell_name(&cell)));
         }
-        let attacks = if cfg!(feature = "test_faults") { 7 } else { 5 };
-        assert_eq!(smoke.cells().len(), attacks * 5 * 2);
+        assert_eq!(smoke.cells().len(), 5 * 5 * 2);
     }
 }

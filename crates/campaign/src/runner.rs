@@ -254,19 +254,14 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
+/// What the pool runs for each unit: [`run_cell`] in a campaign, a
+/// deliberately misbehaving stand-in in the supervision tests.
+type UnitFn<'a> = &'a (dyn Fn(&UnitSpec, &RunBudget) -> Result<RunRecord, RunError> + Sync);
+
 /// Runs one unit once, fully contained: panics become `Panicked`,
 /// errors become their statuses.
-fn attempt_unit(u: &UnitSpec, budget: &RunBudget) -> CellStatus {
-    let result = catch_unwind(AssertUnwindSafe(|| {
-        cell::run(
-            &u.attack,
-            u.controller,
-            u.fail_mode,
-            u.seed,
-            u.attacked,
-            budget,
-        )
-    }));
+fn attempt_unit(run_unit: UnitFn<'_>, u: &UnitSpec, budget: &RunBudget) -> CellStatus {
+    let result = catch_unwind(AssertUnwindSafe(|| run_unit(u, budget)));
     match result {
         Ok(Ok(record)) => CellStatus::Completed(record),
         Ok(Err(RunError::Halted(HaltReason::EventBudget { events }))) => {
@@ -292,7 +287,12 @@ fn attempt_unit(u: &UnitSpec, budget: &RunBudget) -> CellStatus {
 
 /// Runs one unit under supervision, retrying wall-clock timeouts with
 /// exponential backoff.
-fn run_supervised(u: &UnitSpec, cfg: &RunnerConfig, supervisor: Option<&Supervisor>) -> CellStatus {
+fn run_supervised(
+    run_unit: UnitFn<'_>,
+    u: &UnitSpec,
+    cfg: &RunnerConfig,
+    supervisor: Option<&Supervisor>,
+) -> CellStatus {
     let mut attempt = 0u32;
     loop {
         let token = CancelToken::new();
@@ -304,7 +304,7 @@ fn run_supervised(u: &UnitSpec, cfg: &RunnerConfig, supervisor: Option<&Supervis
             max_events_per_instant: Some(cfg.livelock_bound),
             cancel: Some(token),
         };
-        let status = attempt_unit(u, &budget);
+        let status = attempt_unit(run_unit, u, &budget);
         if status == CellStatus::TimedOut && attempt < cfg.retries {
             let backoff = cfg.retry_backoff.saturating_mul(1u32 << attempt.min(10));
             attempt += 1;
@@ -315,7 +315,7 @@ fn run_supervised(u: &UnitSpec, cfg: &RunnerConfig, supervisor: Option<&Supervis
     }
 }
 
-fn run_pool(units: &[UnitSpec], cfg: &RunnerConfig) -> Vec<CellStatus> {
+fn run_pool(run_unit: UnitFn<'_>, units: &[UnitSpec], cfg: &RunnerConfig) -> Vec<CellStatus> {
     let supervisor = cfg.cell_timeout.map(|_| Supervisor::spawn());
     // Per-slot storage: a panicking worker (even one that somehow
     // escapes `catch_unwind`) can poison nothing — every other slot
@@ -324,7 +324,7 @@ fn run_pool(units: &[UnitSpec], cfg: &RunnerConfig) -> Vec<CellStatus> {
     let jobs = cfg.jobs.max(1).min(units.len().max(1));
     if jobs <= 1 {
         for (i, u) in units.iter().enumerate() {
-            let _ = results[i].set(run_supervised(u, cfg, supervisor.as_ref()));
+            let _ = results[i].set(run_supervised(run_unit, u, cfg, supervisor.as_ref()));
         }
     } else {
         let cursor = AtomicUsize::new(0);
@@ -335,7 +335,8 @@ fn run_pool(units: &[UnitSpec], cfg: &RunnerConfig) -> Vec<CellStatus> {
                     if i >= units.len() {
                         break;
                     }
-                    let _ = results[i].set(run_supervised(&units[i], cfg, supervisor.as_ref()));
+                    let status = run_supervised(run_unit, &units[i], cfg, supervisor.as_ref());
+                    let _ = results[i].set(status);
                 });
             }
         });
@@ -358,6 +359,24 @@ pub fn run(matrix: &Matrix, jobs: usize) -> CampaignReport {
 
 /// Runs the whole campaign under an explicit [`RunnerConfig`].
 pub fn run_with(matrix: &Matrix, cfg: &RunnerConfig) -> CampaignReport {
+    run_units(matrix, cfg, &run_cell)
+}
+
+/// The campaign's unit: one cell run, attacked or baseline.
+fn run_cell(u: &UnitSpec, budget: &RunBudget) -> Result<RunRecord, RunError> {
+    cell::run(
+        &u.attack,
+        u.controller,
+        u.fail_mode,
+        u.seed,
+        u.attacked,
+        budget,
+    )
+}
+
+/// [`run_with`] over an arbitrary unit function: the runner's seam, so
+/// its supervision can be tested with units that panic or spin.
+fn run_units(matrix: &Matrix, cfg: &RunnerConfig, run_unit: UnitFn<'_>) -> CampaignReport {
     let started = Instant::now();
     let cells = matrix.cells();
 
@@ -395,7 +414,7 @@ pub fn run_with(matrix: &Matrix, cfg: &RunnerConfig) -> CampaignReport {
         });
     }
 
-    let results = run_pool(&units, cfg);
+    let results = run_pool(run_unit, &units, cfg);
 
     let mut reports = Vec::with_capacity(cells.len());
     for (i, cell) in cells.iter().enumerate() {
@@ -437,5 +456,200 @@ pub fn run_with(matrix: &Matrix, cfg: &RunnerConfig) -> CampaignReport {
         cells: reports,
         wall_ms_total: started.elapsed().as_millis() as u64,
         jobs: cfg.jobs.max(1),
+    }
+}
+
+/// Supervision contract, driven through the runner's unit seam: a
+/// panicking worker and a virtual-time livelock are contained and
+/// annotated while every healthy cell in the same campaign still
+/// completes, and the report bytes stay independent of the worker
+/// count.
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::attacks::{self, AttackDef};
+    use crate::report::CampaignReport;
+    use attain_core::scenario;
+    use attain_injector::harness::{self, schedule_ping};
+    use attain_netsim::{FaultPlan, Interposer, InterposerActions, ProxiedMessage, SimTime};
+
+    /// Attack name whose attacked runs panic the worker.
+    const PANIC_CELL: &str = "__panic_cell";
+    /// Attack name whose attacked runs stop advancing virtual time.
+    const LIVELOCK_CELL: &str = "__livelock_cell";
+    /// The fixed panic payload (fixed so reports stay byte-identical
+    /// across thread counts).
+    const PANIC_MESSAGE: &str = "injected chaos: deliberate worker panic";
+
+    /// A chaos attack: the trivial source, so the enterprise baseline
+    /// it shares with `trivial_pass` stays healthy.
+    fn chaos_attack(name: &'static str) -> AttackDef {
+        AttackDef {
+            name,
+            source: scenario::attacks::TRIVIAL_PASS,
+            scope: Scope::Enterprise,
+            table: None,
+        }
+    }
+
+    /// An interposer that re-arms a wakeup at `now` forever: the event
+    /// loop spins at one virtual instant until the livelock detector
+    /// (or a wall-clock cancel) stops it.
+    struct Spin;
+
+    impl Interposer for Spin {
+        fn on_message(&mut self, msg: ProxiedMessage<'_>) -> InterposerActions {
+            let mut a = InterposerActions::pass(&msg);
+            a.wakeup = Some(msg.now);
+            a
+        }
+
+        fn on_wakeup(&mut self, now: SimTime) -> InterposerActions {
+            InterposerActions {
+                wakeup: Some(now),
+                ..InterposerActions::default()
+            }
+        }
+    }
+
+    /// The campaign's unit, except that the chaos cells misbehave on
+    /// the attacked half of their pair.
+    fn chaos_unit(u: &UnitSpec, budget: &RunBudget) -> Result<RunRecord, RunError> {
+        match (u.attacked, u.attack.name) {
+            (true, PANIC_CELL) => panic!("{PANIC_MESSAGE}"),
+            (true, LIVELOCK_CELL) => spin(u, budget),
+            _ => run_cell(u, budget),
+        }
+    }
+
+    /// A run whose interposer never lets virtual time advance.
+    fn spin(u: &UnitSpec, budget: &RunBudget) -> Result<RunRecord, RunError> {
+        harness::run(
+            Scope::Enterprise,
+            "",
+            false,
+            u.controller,
+            u.fail_mode,
+            &FaultPlan::seeded(u.seed),
+            budget,
+            |sim, _| {
+                sim.set_interposer(Box::new(Spin));
+                schedule_ping(sim, SimTime::from_secs(10), "h1", "10.0.0.6", 1, "w1")?;
+                Ok(SimTime::from_secs(20))
+            },
+        )?;
+        Err(RunError::Setup(
+            "livelock cell reached its horizon — the spin interposer never engaged".into(),
+        ))
+    }
+
+    fn run_chaos(matrix: &Matrix, cfg: &RunnerConfig) -> CampaignReport {
+        run_units(matrix, cfg, &chaos_unit)
+    }
+
+    fn chaos_matrix() -> Matrix {
+        Matrix {
+            attacks: vec![
+                attacks::by_name("trivial_pass").expect("attack exists"),
+                chaos_attack(PANIC_CELL),
+                chaos_attack(LIVELOCK_CELL),
+            ],
+            controllers: vec![ControllerKind::Pox, ControllerKind::Ryu],
+            fail_modes: vec![FailMode::Secure],
+            seeds: vec![1],
+        }
+    }
+
+    #[test]
+    fn chaos_cells_are_contained_and_annotated() {
+        let matrix = chaos_matrix();
+        let report = run_chaos(&matrix, &RunnerConfig::new(2));
+        assert_eq!(report.cells.len(), 6);
+
+        for cell in &report.cells {
+            if cell.attack == PANIC_CELL {
+                match &cell.status {
+                    CellStatus::Panicked { msg } => assert_eq!(msg, PANIC_MESSAGE),
+                    other => panic!("{}: expected Panicked, got {other:?}", cell.name),
+                }
+                assert!(cell.observed.is_none(), "{} must be unjudged", cell.name);
+                assert!(!cell.pass);
+            } else if cell.attack == LIVELOCK_CELL {
+                match &cell.status {
+                    CellStatus::BudgetExhausted { livelock, events } => {
+                        assert!(*livelock, "{}: livelock detector must fire", cell.name);
+                        assert!(*events > 0);
+                    }
+                    other => panic!("{}: expected BudgetExhausted, got {other:?}", cell.name),
+                }
+                assert!(cell.observed.is_none(), "{} must be unjudged", cell.name);
+                assert!(!cell.pass);
+            } else {
+                // Healthy neighbours of chaos cells still complete and
+                // pass (trivial_pass shares its baseline with them).
+                assert!(
+                    matches!(cell.status, CellStatus::Completed(_)),
+                    "{}: expected Completed, got {:?}",
+                    cell.name,
+                    cell.status
+                );
+                assert!(cell.pass, "{} must pass", cell.name);
+            }
+        }
+        assert_eq!(report.unjudged(), 4);
+        assert_eq!(report.passed(), 2);
+
+        // Degraded mode is visible, machine-readable, and never aborts.
+        let json = report.canonical_json();
+        assert!(json.contains("\"status\": \"panicked\""), "{json}");
+        assert!(json.contains("\"status\": \"budget-exhausted\""), "{json}");
+        assert!(json.contains("\"verdict\": \"unjudged\""), "{json}");
+        assert!(json.contains(PANIC_MESSAGE), "{json}");
+        assert!(json.contains("livelock detected"), "{json}");
+        assert!(json.contains("\"unjudged\": 4"), "{json}");
+
+        // Unjudged cells never leak into the golden digests.
+        let golden = report.golden_digests();
+        assert_eq!(golden.lines().count(), 2, "{golden}");
+        assert!(!golden.contains(PANIC_CELL), "{golden}");
+        assert!(!golden.contains(LIVELOCK_CELL), "{golden}");
+    }
+
+    #[test]
+    fn chaos_report_is_byte_identical_across_thread_counts() {
+        let matrix = chaos_matrix();
+        let serial = run_chaos(&matrix, &RunnerConfig::new(1));
+        let parallel = run_chaos(&matrix, &RunnerConfig::new(4));
+        assert_eq!(
+            serial.canonical_json(),
+            parallel.canonical_json(),
+            "degraded-mode report bytes must not depend on the worker count"
+        );
+    }
+
+    #[test]
+    fn wall_clock_supervisor_cancels_a_livelocked_cell() {
+        let matrix = Matrix {
+            attacks: vec![chaos_attack(LIVELOCK_CELL)],
+            controllers: vec![ControllerKind::Pox],
+            fail_modes: vec![FailMode::Secure],
+            seeds: vec![1],
+        };
+        // Disarm the deterministic livelock detector so only the
+        // wall-clock deadline can stop the spin; exercise one same-seed
+        // retry too.
+        let mut cfg = RunnerConfig::new(1);
+        cfg.livelock_bound = u64::MAX;
+        cfg.cell_timeout = Some(Duration::from_millis(200));
+        cfg.retries = 1;
+        cfg.retry_backoff = Duration::from_millis(10);
+        let report = run_chaos(&matrix, &cfg);
+        assert_eq!(report.cells.len(), 1);
+        assert_eq!(report.cells[0].status, CellStatus::TimedOut);
+        assert!(report.cells[0].observed.is_none());
+        assert_eq!(report.unjudged(), 1);
+        let json = report.canonical_json();
+        assert!(json.contains("\"status\": \"timed-out\""), "{json}");
+        assert!(json.contains("cancelled by wall-clock deadline"), "{json}");
     }
 }

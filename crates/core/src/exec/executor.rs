@@ -218,7 +218,7 @@ pub enum DispatchMode {
     Scan,
     /// Use the [`CompiledRuleset`] to narrow each message to its
     /// candidate rules first. Produces bit-for-bit identical output;
-    /// the `dispatch_audit` feature checks that claim on every message.
+    /// every debug build checks that claim on every message.
     #[default]
     Compiled,
 }
@@ -496,7 +496,7 @@ impl AttackExecutor {
                     .state(previous)
                     .candidates(conn, &extract_view, &mut cands, &mut mask);
                 self.mask_scratch = mask;
-                #[cfg(feature = "dispatch_audit")]
+                #[cfg(debug_assertions)]
                 self.audit_candidates(
                     previous,
                     conn,
@@ -632,10 +632,10 @@ impl AttackExecutor {
         }
     }
 
-    /// `dispatch_audit` builds only: re-evaluates every rule the
-    /// dispatcher excluded, panicking unless the reference scan would
-    /// have skipped it silently too (condition falsy, nothing logged).
-    #[cfg(feature = "dispatch_audit")]
+    /// Debug builds only: re-evaluates every rule the dispatcher
+    /// excluded, panicking unless the reference scan would have skipped
+    /// it silently too (condition falsy, nothing logged).
+    #[cfg(debug_assertions)]
     #[allow(clippy::too_many_arguments)]
     fn audit_candidates(
         &self,

@@ -1,13 +1,9 @@
 //! Scalability sweep: how far the timer-wheel engine carries the
 //! simulator past the paper's eleven-node testbed.
 //!
-//! Usage:
-//!   cargo run --release --bin scalability [options]
-//!
-//!   --smoke            the capped CI sweep (fat-tree k=4 only)
-//!   --max-events N     deterministic event budget per row (default:
-//!                      50,000,000; smoke default 2,000,000)
-//!   --json PATH        also write the report as JSON
+//! Usage: `cargo run --release --bin scalability [options]`; `USAGE`
+//! below lists the options and is printed, with exit status 2, for any
+//! malformed, valueless or unknown argument.
 //!
 //! Each row builds a generated fabric (fat-tree or leaf-spine), installs
 //! proactive two-level prefix routes, schedules a seeded traffic matrix,
@@ -24,6 +20,7 @@ use attain_netsim::workload::{FlowKind, TrafficMatrix, TrafficPattern};
 use attain_netsim::{NetworkBuilder, RunBudget, SimTime, Simulation, TraceMode};
 use std::fmt::Write as _;
 use std::process::ExitCode;
+use std::str::FromStr;
 use std::time::Instant;
 
 /// One sweep row: a fabric plus a traffic matrix sized for it.
@@ -211,21 +208,55 @@ fn render_json(outcomes: &[Outcome]) -> String {
     s
 }
 
-fn arg_value(args: &[String], key: &str) -> Option<String> {
-    args.iter().position(|a| a == key).map(|i| {
-        args.get(i + 1)
-            .unwrap_or_else(|| panic!("{key} takes a value"))
-            .clone()
-    })
+const USAGE: &str = "\
+usage: scalability [options]
+  --smoke            the capped CI sweep (fat-tree k=4 only)
+  --max-events N     deterministic event budget per row (default:
+                     50,000,000; smoke default 2,000,000)
+  --json PATH        also write the report as JSON";
+
+/// The command line, parsed and typed.
+#[derive(Default)]
+struct Cli {
+    smoke: bool,
+    max_events: Option<u64>,
+    json_path: Option<String>,
+}
+
+/// The value following flag `name`, parsed as `T`.
+fn flag<T: FromStr>(name: &str, rest: &mut std::slice::Iter<'_, String>) -> Result<T, String> {
+    let raw = rest.next().ok_or(format!("{name} needs a value"))?;
+    raw.parse()
+        .map_err(|_| format!("{name}: invalid value {raw:?}"))
+}
+
+fn parse_cli(args: &[String]) -> Result<Cli, String> {
+    let mut cli = Cli::default();
+    let mut rest = args.iter();
+    while let Some(arg) = rest.next() {
+        match arg.as_str() {
+            "--smoke" => cli.smoke = true,
+            "--max-events" => cli.max_events = Some(flag(arg, &mut rest)?),
+            "--json" => cli.json_path = Some(flag(arg, &mut rest)?),
+            _ => return Err(format!("unknown argument {arg}")),
+        }
+    }
+    Ok(cli)
 }
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().collect();
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let max_events: u64 = arg_value(&args, "--max-events")
-        .map(|s| s.parse().expect("--max-events takes an integer"))
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let cli = match parse_cli(&args) {
+        Ok(cli) => cli,
+        Err(e) => {
+            eprintln!("{e}\n{USAGE}");
+            return ExitCode::from(2);
+        }
+    };
+    let smoke = cli.smoke;
+    let max_events = cli
+        .max_events
         .unwrap_or(if smoke { 2_000_000 } else { 50_000_000 });
-    let json_path = arg_value(&args, "--json");
 
     let mut outcomes = Vec::new();
     println!(
@@ -252,8 +283,11 @@ fn main() -> ExitCode {
         outcomes.push(o);
     }
 
-    if let Some(path) = json_path {
-        std::fs::write(&path, render_json(&outcomes)).expect("write json report");
+    if let Some(path) = cli.json_path {
+        if let Err(e) = std::fs::write(&path, render_json(&outcomes)) {
+            eprintln!("error: cannot write {path}: {e}");
+            return ExitCode::FAILURE;
+        }
         println!("wrote {path}");
     }
     ExitCode::SUCCESS

@@ -48,3 +48,32 @@ fn usage_states_the_smoke_matrix_as_it_is() {
         "usage says {smoke_line:?}; Matrix::smoke() keeps {attacks} attacks"
     );
 }
+
+/// A cell whose event budget runs out is reported unjudged and fails
+/// the run, without aborting it or being mistaken for a usage error.
+#[test]
+fn budget_exhausted_cell_is_unjudged_and_fails_the_run() {
+    let out_path = std::path::PathBuf::from(env!("CARGO_TARGET_TMPDIR"))
+        .join(format!("campaign-degraded-{}.json", std::process::id()));
+    let out = Command::new(env!("CARGO_BIN_EXE_campaign"))
+        .args([
+            "--only",
+            "attack=trivial_pass,controller=pox,fail=secure,seed=1",
+            "--max-events",
+            "10",
+            "--out",
+            out_path.to_str().expect("utf-8 path"),
+        ])
+        .output()
+        .expect("run campaign");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    let report = std::fs::read_to_string(&out_path).expect("report written");
+    let _ = std::fs::remove_file(&out_path);
+    assert!(
+        report.contains("\"status\": \"budget-exhausted\""),
+        "{report}"
+    );
+    assert!(report.contains("\"verdict\": \"unjudged\""), "{report}");
+    assert!(report.contains("\"unjudged\": 1"), "{report}");
+}

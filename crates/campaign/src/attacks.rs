@@ -10,8 +10,10 @@ pub use attain_injector::harness::Scope;
 use attain_netsim::EvictionPolicy;
 
 /// A per-cell flow-table bound: one switch runs with a finite table
-/// and an overflow policy, applied identically to the attacked run and
-/// its differential baseline (the bound is environment, not attack).
+/// and an overflow policy (the bound is environment, not attack). The
+/// campaign diffs the bounded cell against the shared enterprise
+/// baseline, which the bound leaves unchanged: unattacked, the workload
+/// never fills it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TableOverride {
     /// The switch whose table is bounded (by builder name).

@@ -90,9 +90,11 @@ pub(crate) fn run(
         &FaultPlan::seeded(seed),
         budget,
         |sim, document| {
-            // A table bound is part of the cell's environment: the
-            // baseline runs against the same bounded switch, so the
-            // diff isolates the attack, not the capacity.
+            // A table bound is part of the cell's environment. The
+            // runner diffs bounded cells against the shared, unbounded
+            // enterprise baseline, which is valid because unattacked the
+            // workload never fills the bound (`tests/campaign_conformance.rs`
+            // pins the two baselines equal in all 30 records).
             if let Some(t) = attack.table {
                 sim.set_table_config(t.switch, t.capacity, t.policy);
             }

@@ -311,6 +311,7 @@ mod tests {
             final_state: None,
             rule_fires: Vec::new(),
             faults: None,
+            fail_mode_read: false,
             wall_ms: 0,
         }
     }

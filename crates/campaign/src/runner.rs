@@ -4,9 +4,16 @@
 //!
 //! Determinism argument: each unit is a single-threaded seeded
 //! simulation (a pure function of its coordinates), workers only race
-//! for *which* unit to run next (an atomic cursor), and assembly
+//! for *which* twin group to run next (an atomic cursor), and assembly
 //! iterates the matrix — never the completion order. Hence the report
 //! is byte-identical for any `jobs ≥ 1`.
+//!
+//! Twin reuse: a twin group is the units that differ only in fail mode,
+//! run in order by one worker. A switch's fail mode has one read path,
+//! which marks the run ([`RunRecord::fail_mode_read`]); a completed run
+//! that never read it is the same computation under the other fail mode,
+//! so later twins take its record instead of running. Only a `Completed`
+//! record is reused: every other status makes the next twin run for real.
 //!
 //! Supervision argument: every unit runs inside `catch_unwind`, writes
 //! its [`CellStatus`] into a private `OnceLock` slot (no shared mutex
@@ -41,6 +48,9 @@ use std::time::{Duration, Instant};
 pub const DEFAULT_LIVELOCK_BOUND: u64 = 200_000;
 
 /// How one cell (or baseline) run ended.
+// `Completed` is the common case, not an outlier worth boxing: boxing
+// would add an allocation per unit and change the public constructor.
+#[allow(clippy::large_enum_variant)]
 #[derive(Debug, Clone, PartialEq)]
 pub enum CellStatus {
     /// The simulation reached its horizon and produced an outcome.
@@ -315,28 +325,62 @@ fn run_supervised(
     }
 }
 
-fn run_pool(run_unit: UnitFn<'_>, units: &[UnitSpec], cfg: &RunnerConfig) -> Vec<CellStatus> {
+/// Runs one twin group in order. After the first record that completed
+/// without reading a fail mode, every later twin takes a copy of it,
+/// with `wall_ms` 0 since no time was spent on it.
+fn run_group(
+    run_unit: UnitFn<'_>,
+    units: &[UnitSpec],
+    group: &[usize],
+    cfg: &RunnerConfig,
+    supervisor: Option<&Supervisor>,
+    results: &[OnceLock<CellStatus>],
+) {
+    let mut donor: Option<&RunRecord> = None;
+    for &i in group {
+        let status = match donor {
+            Some(record) => CellStatus::Completed(RunRecord {
+                wall_ms: 0,
+                ..record.clone()
+            }),
+            None => run_supervised(run_unit, &units[i], cfg, supervisor),
+        };
+        let _ = results[i].set(status);
+        if donor.is_none() {
+            donor = results[i]
+                .get()
+                .and_then(CellStatus::outcome)
+                .filter(|r| !r.fail_mode_read);
+        }
+    }
+}
+
+fn run_pool(
+    run_unit: UnitFn<'_>,
+    units: &[UnitSpec],
+    groups: &[Vec<usize>],
+    cfg: &RunnerConfig,
+) -> Vec<CellStatus> {
     let supervisor = cfg.cell_timeout.map(|_| Supervisor::spawn());
     // Per-slot storage: a panicking worker (even one that somehow
     // escapes `catch_unwind`) can poison nothing — every other slot
     // still fills and the merge proceeds.
     let results: Vec<OnceLock<CellStatus>> = (0..units.len()).map(|_| OnceLock::new()).collect();
-    let jobs = cfg.jobs.max(1).min(units.len().max(1));
+    let jobs = cfg.jobs.max(1).min(groups.len().max(1));
     if jobs <= 1 {
-        for (i, u) in units.iter().enumerate() {
-            let _ = results[i].set(run_supervised(run_unit, u, cfg, supervisor.as_ref()));
+        for group in groups {
+            run_group(run_unit, units, group, cfg, supervisor.as_ref(), &results);
         }
     } else {
         let cursor = AtomicUsize::new(0);
         std::thread::scope(|scope| {
             for _ in 0..jobs {
                 scope.spawn(|| loop {
-                    let i = cursor.fetch_add(1, Ordering::Relaxed);
-                    if i >= units.len() {
+                    let g = cursor.fetch_add(1, Ordering::Relaxed);
+                    let Some(group) = groups.get(g) else {
                         break;
-                    }
-                    let status = run_supervised(run_unit, &units[i], cfg, supervisor.as_ref());
-                    let _ = results[i].set(status);
+                    };
+                    run_group(run_unit, units, group, cfg, supervisor.as_ref(), &results);
                 });
             }
         });
@@ -413,8 +457,25 @@ fn run_units(matrix: &Matrix, cfg: &RunnerConfig, run_unit: UnitFn<'_>) -> Campa
             attacked: true,
         });
     }
+    // Twin groups: the units that differ only in fail mode, in
+    // `matrix.fail_modes` order (units were pushed in matrix order).
+    let mut group_of: BTreeMap<(bool, &str, &str, u64), usize> = BTreeMap::new();
+    let mut groups: Vec<Vec<usize>> = Vec::new();
+    for (i, u) in units.iter().enumerate() {
+        let name = if u.attacked {
+            u.attack.name
+        } else {
+            topology_key(&u.attack)
+        };
+        let key = (u.attacked, name, u.controller.slug(), u.seed);
+        let g = *group_of.entry(key).or_insert_with(|| {
+            groups.push(Vec::new());
+            groups.len() - 1
+        });
+        groups[g].push(i);
+    }
 
-    let results = run_pool(run_unit, &units, cfg);
+    let results = run_pool(run_unit, &units, &groups, cfg);
 
     let mut reports = Vec::with_capacity(cells.len());
     for (i, cell) in cells.iter().enumerate() {
@@ -625,6 +686,111 @@ mod tests {
             parallel.canonical_json(),
             "degraded-mode report bytes must not depend on the worker count"
         );
+    }
+
+    /// `trivial_pass` on POX under both fail modes, one seed: one
+    /// baseline twin pair and one attacked twin pair.
+    fn twin_matrix() -> Matrix {
+        Matrix {
+            attacks: vec![attacks::by_name("trivial_pass").expect("attack exists")],
+            controllers: vec![ControllerKind::Pox],
+            fail_modes: vec![FailMode::Safe, FailMode::Secure],
+            seeds: vec![1],
+        }
+    }
+
+    #[test]
+    fn a_panicking_safe_twin_leaves_its_secure_twin_to_run() {
+        let unit = |u: &UnitSpec, budget: &RunBudget| {
+            if u.attacked && u.fail_mode == FailMode::Safe {
+                panic!("{PANIC_MESSAGE}");
+            }
+            run_cell(u, budget)
+        };
+        let report = run_units(&twin_matrix(), &RunnerConfig::new(1), &unit);
+        let [safe, secure] = &report.cells[..] else {
+            panic!("expected two cells, got {}", report.cells.len());
+        };
+        assert!(
+            matches!(safe.status, CellStatus::Panicked { .. }),
+            "{:?}",
+            safe.status
+        );
+        assert!(
+            matches!(secure.status, CellStatus::Completed(_)),
+            "{:?}",
+            secure.status
+        );
+        assert!(secure.pass, "the secure twin is judged on its own run");
+    }
+
+    #[test]
+    fn twins_that_read_their_fail_mode_both_run() {
+        let calls = AtomicUsize::new(0);
+        let unit = |u: &UnitSpec, budget: &RunBudget| -> Result<RunRecord, RunError> {
+            calls.fetch_add(1, Ordering::Relaxed);
+            Ok(RunRecord {
+                fail_mode_read: true,
+                ..run_cell(u, budget)?
+            })
+        };
+        let report = run_units(&twin_matrix(), &RunnerConfig::new(1), &unit);
+        assert_eq!(calls.into_inner(), 4, "both baselines and both cells run");
+        assert_eq!(report.passed(), 2);
+    }
+
+    #[test]
+    fn an_unread_twin_runs_once_and_lends_its_record() {
+        let calls = AtomicUsize::new(0);
+        let unit = |u: &UnitSpec, budget: &RunBudget| -> Result<RunRecord, RunError> {
+            calls.fetch_add(1, Ordering::Relaxed);
+            Ok(RunRecord {
+                fail_mode_read: false,
+                wall_ms: 7,
+                ..run_cell(u, budget)?
+            })
+        };
+        let report = run_units(&twin_matrix(), &RunnerConfig::new(1), &unit);
+        assert_eq!(calls.into_inner(), 2, "one baseline and one cell run");
+        let safe = report.cells[0].outcome().expect("safe twin completes");
+        let secure = report.cells[1].outcome().expect("secure twin completes");
+        assert_eq!(safe.wall_ms, 7);
+        assert_eq!(
+            secure,
+            &RunRecord {
+                wall_ms: 0,
+                ..safe.clone()
+            }
+        );
+        assert_eq!(report.passed(), 2);
+    }
+
+    #[test]
+    fn twin_reuse_is_byte_identical_across_thread_counts() {
+        // Every reuse case in one matrix: a panicking safe twin (its
+        // secure twin runs), twins that read the fail mode (Ryu: both
+        // run) and twins that do not (POX: one runs).
+        let unit = |u: &UnitSpec, budget: &RunBudget| -> Result<RunRecord, RunError> {
+            if u.attacked && u.attack.name == PANIC_CELL && u.fail_mode == FailMode::Safe {
+                panic!("{PANIC_MESSAGE}");
+            }
+            let record = run_cell(u, budget)?;
+            Ok(RunRecord {
+                fail_mode_read: u.controller == ControllerKind::Ryu,
+                ..record
+            })
+        };
+        let matrix = Matrix {
+            attacks: vec![twin_matrix().attacks[0], chaos_attack(PANIC_CELL)],
+            controllers: vec![ControllerKind::Pox, ControllerKind::Ryu],
+            ..twin_matrix()
+        };
+        let serial = run_units(&matrix, &RunnerConfig::new(1), &unit);
+        let parallel = run_units(&matrix, &RunnerConfig::new(4), &unit);
+        assert_eq!(serial.canonical_json(), parallel.canonical_json());
+        assert_eq!(serial.cells.len(), 8);
+        assert_eq!(serial.unjudged(), 2, "the two panicking safe twins");
+        assert_eq!(serial.passed(), 6);
     }
 
     #[test]

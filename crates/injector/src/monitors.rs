@@ -93,6 +93,10 @@ pub struct RunRecord {
     /// Per-link / per-process fault accounting, for runs under a
     /// non-empty fault plan.
     pub faults: Option<FaultReport>,
+    /// Whether any switch's fail mode decided anything
+    /// ([`Simulation::fail_mode_read`]). When false, the same run under
+    /// the other fail mode yields this record again. Not rendered.
+    pub fail_mode_read: bool,
     /// Host wall-clock spent on the run, in milliseconds — the one
     /// field that differs between same-seed runs.
     pub wall_ms: u64,
@@ -138,6 +142,7 @@ impl RunRecord {
                     .collect()
             }),
             faults: None,
+            fail_mode_read: sim.fail_mode_read(),
             wall_ms: 0,
         }
     }

@@ -354,6 +354,16 @@ impl Simulation {
         }
     }
 
+    /// Whether any switch's fail mode has decided anything so far: a
+    /// table miss while disconnected, or entering fail mode. While this
+    /// is false the run is the same computation under either fail mode.
+    pub fn fail_mode_read(&self) -> bool {
+        self.nodes.iter().any(|n| match n {
+            Node::Switch(s) => s.fail_mode_read(),
+            Node::Host(_) => false,
+        })
+    }
+
     /// Per-link transmission and fault counters, in link-creation order.
     pub fn link_stats(&self) -> Vec<LinkStats> {
         self.links

@@ -81,7 +81,12 @@ pub struct Switch {
     name: String,
     dpid: DatapathId,
     ports: Vec<PortNo>,
+    /// Read only through [`Switch::fail_mode`], which marks it read.
     fail_mode: FailMode,
+    /// Sticky: set the first time the fail mode decides anything, and
+    /// never cleared (not even by `restart`). While false, this switch
+    /// has behaved identically under either fail mode.
+    fail_mode_read: bool,
     table: FlowTable,
     buffers: VecDeque<BufferedPacket>,
     next_buffer_id: u32,
@@ -105,6 +110,7 @@ impl Switch {
             dpid,
             ports: Vec::new(),
             fail_mode,
+            fail_mode_read: false,
             table: FlowTable::default(),
             buffers: VecDeque::new(),
             next_buffer_id: 1,
@@ -127,9 +133,17 @@ impl Switch {
         self.dpid
     }
 
-    /// The switch's fail mode.
-    pub fn fail_mode(&self) -> FailMode {
+    /// The switch's fail mode, for a decision that depends on it. The one
+    /// read path: it records that the mode was consulted.
+    fn fail_mode(&mut self) -> FailMode {
+        self.fail_mode_read = true;
         self.fail_mode
+    }
+
+    /// Whether the fail mode has decided anything yet (see
+    /// [`Simulation::fail_mode_read`](crate::Simulation::fail_mode_read)).
+    pub(crate) fn fail_mode_read(&self) -> bool {
+        self.fail_mode_read
     }
 
     /// The flow table (for assertions and stats).
@@ -273,7 +287,8 @@ impl Switch {
     /// reverts to defaults, and every control connection re-handshakes
     /// from scratch. Until a handshake completes the configured fail
     /// mode governs forwarding, exactly as after a liveness-declared
-    /// disconnect.
+    /// disconnect. Whether the fail mode was ever read survives: it
+    /// describes the run, not the process.
     pub(crate) fn restart(&mut self, now: SimTime, fx: &mut Vec<Effect>) {
         self.restarts += 1;
         self.table.clear();
@@ -312,7 +327,7 @@ impl Switch {
         if self.is_connected() {
             self.packet_in_miss(port, frame, fx);
         } else {
-            match self.fail_mode {
+            match self.fail_mode() {
                 FailMode::Safe => self.standalone_forward(&key, frame, port, fx),
                 FailMode::Secure => {
                     self.secure_drops += 1;
@@ -730,9 +745,10 @@ impl Switch {
         }
         if any_death && !self.is_connected() {
             self.mac_table.clear();
+            let standalone = self.fail_mode() == FailMode::Safe;
             fx.push(Effect::Trace(TraceKind::FailModeEntered {
                 switch: self.name.clone(),
-                standalone: self.fail_mode == FailMode::Safe,
+                standalone,
             }));
         }
         fx.push(Effect::Timer {
@@ -1615,6 +1631,45 @@ mod tests {
             "fail-safe must forward standalone while down"
         );
         assert_eq!(s.standalone_forwards, 1);
+    }
+
+    #[test]
+    fn connected_traffic_never_reads_the_fail_mode() {
+        let mut s = switch();
+        connect(&mut s);
+        let mut fx = Vec::new();
+        // A miss (PACKET_IN), a probe and a tick: none consult the mode.
+        s.handle_frame(PortNo(1), frame(1, 2), SimTime::ZERO, &mut fx);
+        s.tick(SimTime::from_secs(6), &mut fx);
+        assert!(s.is_connected());
+        assert!(!s.fail_mode_read());
+    }
+
+    #[test]
+    fn a_disconnected_miss_reads_the_fail_mode_in_both_modes() {
+        for mode in [FailMode::Safe, FailMode::Secure] {
+            let mut s = Switch::new("s1".into(), DatapathId(1), mode);
+            s.add_port(PortNo(1));
+            s.add_port(PortNo(2));
+            assert!(!s.fail_mode_read());
+            s.handle_frame(PortNo(1), frame(1, 2), SimTime::ZERO, &mut Vec::new());
+            assert!(s.fail_mode_read(), "{mode:?}");
+        }
+    }
+
+    #[test]
+    fn entering_fail_mode_reads_it_and_restart_keeps_the_mark() {
+        let mut s = switch();
+        connect(&mut s);
+        let mut fx = Vec::new();
+        s.tick(SimTime::from_secs(16), &mut fx);
+        assert!(fx
+            .iter()
+            .any(|e| matches!(e, Effect::Trace(TraceKind::FailModeEntered { .. }))));
+        assert!(s.fail_mode_read());
+        s.restart(SimTime::from_secs(17), &mut fx);
+        connect(&mut s);
+        assert!(s.fail_mode_read(), "restart must not clear the mark");
     }
 
     #[test]

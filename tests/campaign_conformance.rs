@@ -1,6 +1,6 @@
 //! The conformance campaign as a tier-1 regression surface.
 //!
-//! Three contracts:
+//! Five contracts:
 //!
 //! * **Golden-trace oracle** — the full matrix's per-cell trace digests
 //!   match `tests/golden/campaign/full.txt` (and the CI smoke subset
@@ -13,9 +13,14 @@
 //!   identical for `--jobs 1` and `--jobs N`.
 //! * **Baseline convergence** — in no-attack cells every controller
 //!   application converges the ping workload, under both fail modes.
+//! * **Twin reuse is sound** — a run that never read a switch's fail
+//!   mode equals its other-fail-mode twin, and exactly 24 cells read it.
+//! * **Shared baselines are sound** — `table_overflow`'s bounded
+//!   baseline equals the shared unbounded one it is diffed against.
 
 use attain::campaign::{attacks, cell, diff_golden, Matrix};
 use attain::controllers::ControllerKind;
+use attain::injector::RunRecord;
 use attain::netsim::FailMode;
 use std::path::Path;
 
@@ -60,6 +65,109 @@ fn full_matrix_matches_golden_digests_and_expectations() {
     );
     assert_eq!(report.unjudged(), 0, "every production cell must be judged");
     check_golden("tests/golden/campaign/full.txt", &report.golden_digests());
+
+    // The fail-mode axis decides something in exactly these 24 cells;
+    // every other cell's twin reused its record. The Ryu fingerprint
+    // cells read the mode of an always-secure switch and still come
+    // out the same under either, but the any-switch rule runs them both.
+    let mut read: Vec<&str> = report
+        .cells
+        .iter()
+        .filter(|c| c.outcome().is_some_and(|o| o.fail_mode_read))
+        .map(|c| c.name.as_str())
+        .collect();
+    let mut live = Vec::new();
+    for fail in ["safe", "secure"] {
+        for seed in 1..=3 {
+            for controller in ["floodlight", "pox", "beacon"] {
+                live.push(format!(
+                    "connection_interruption/{controller}/{fail}/s{seed}"
+                ));
+            }
+            live.push(format!("fingerprint_then_attack/ryu/{fail}/s{seed}"));
+        }
+    }
+    read.sort_unstable();
+    live.sort_unstable();
+    assert_eq!(read, live, "cells whose run read a fail mode");
+}
+
+/// A record with its one nondeterministic field cleared.
+fn timeless(record: &RunRecord) -> RunRecord {
+    RunRecord {
+        wall_ms: 0,
+        ..record.clone()
+    }
+}
+
+/// The runner's twin reuse is sound: for every smoke-matrix pair and its
+/// shared baseline pair, a safe run that never read its fail mode is the
+/// secure run, byte for byte, when both are actually made.
+#[test]
+fn an_unread_fail_mode_makes_the_twins_identical() {
+    let matrix = Matrix::smoke();
+    let trivial = attacks::by_name("trivial_pass").unwrap();
+    let mut unread = 0;
+    for &controller in &matrix.controllers {
+        for &seed in &matrix.seeds {
+            let baseline = |mode| cell::run_baseline(&trivial, controller, mode, seed);
+            let mut twins = vec![(
+                "baseline".to_string(),
+                baseline(FailMode::Safe),
+                baseline(FailMode::Secure),
+            )];
+            for attack in &matrix.attacks {
+                let run = |mode| cell::run_cell(attack, controller, mode, seed);
+                twins.push((
+                    attack.name.to_string(),
+                    run(FailMode::Safe),
+                    run(FailMode::Secure),
+                ));
+            }
+            for (name, safe, secure) in twins {
+                let (safe, secure) = (
+                    safe.expect("safe twin completes"),
+                    secure.expect("secure twin completes"),
+                );
+                if !safe.fail_mode_read {
+                    unread += 1;
+                    assert_eq!(
+                        timeless(&safe),
+                        timeless(&secure),
+                        "{name}/{controller}/s{seed}: unread fail mode, different runs"
+                    );
+                }
+            }
+        }
+    }
+    // 25 attacked pairs and 5 baseline pairs; connection_interruption
+    // (Floodlight, POX, Beacon) and Ryu's fingerprint cells read it.
+    assert_eq!(unread, 30 - 4);
+}
+
+/// `table_overflow` cells are diffed against the shared enterprise
+/// baseline, which has no table bound. That is only valid while the
+/// bound never changes an unattacked run.
+#[test]
+fn table_overflow_baseline_equals_the_shared_one() {
+    let bounded = attacks::by_name("table_overflow").unwrap();
+    let shared = attacks::by_name("trivial_pass").unwrap();
+    let mut compared = 0;
+    for kind in ControllerKind::CAMPAIGN {
+        for fail_mode in [FailMode::Safe, FailMode::Secure] {
+            for seed in attain::campaign::matrix::FULL_SEEDS {
+                let run =
+                    |a| cell::run_baseline(a, kind, fail_mode, seed).expect("baseline completes");
+                assert_eq!(
+                    timeless(&run(&bounded)),
+                    timeless(&run(&shared)),
+                    "{kind}/{fail_mode:?}/s{seed}: the table bound changed an unattacked run"
+                );
+                compared += 1;
+            }
+        }
+    }
+    assert_eq!(compared, 30);
 }
 
 #[test]

@@ -15,10 +15,10 @@
 //! cancellation token — so a runaway or malformed cell degrades into an
 //! annotated status instead of taking its worker (and the campaign) down.
 
-use crate::attacks::AttackDef;
+use crate::attacks::{AttackDef, TableOverride};
 use attain_controllers::ControllerKind;
 use attain_core::model::SystemModel;
-use attain_injector::harness::{self, schedule_ping, RunError};
+use attain_injector::harness::{self, schedule_ping, Armed, Compiled, RunError, ShadowRun};
 use attain_injector::RunRecord;
 use attain_netsim::{DetRng, FailMode, FaultPlan, RunBudget, SimTime, Simulation};
 
@@ -71,39 +71,108 @@ fn document_workload(
     Ok(SimTime::from_secs(40))
 }
 
+/// The cell's environment and workload: the attack's table bound, then
+/// the enterprise or document workload (all jittered by `seed`).
+fn schedule(
+    table: Option<TableOverride>,
+    seed: u64,
+) -> impl FnOnce(&mut Simulation, Option<&SystemModel>) -> Result<SimTime, RunError> {
+    move |sim, document| {
+        // A table bound is part of the cell's environment. The runner
+        // diffs bounded cells against the shared, unbounded enterprise
+        // baseline, which is valid because unattacked the workload never
+        // fills the bound (`tests/campaign_conformance.rs` pins the two
+        // baselines equal in all 30 records).
+        if let Some(t) = table {
+            if !sim.is_switch(t.switch) {
+                return Err(RunError::Setup(format!(
+                    "table bound names {:?}, which is not a switch",
+                    t.switch
+                )));
+            }
+            sim.set_table_config(t.switch, t.capacity, t.policy);
+        }
+        match document {
+            None => enterprise_workload(sim, seed),
+            Some(system) => document_workload(sim, system, seed),
+        }
+    }
+}
+
+/// An attack definition compiled once, for every unit of it.
+pub(crate) struct Prepared {
+    pub(crate) def: AttackDef,
+    /// `Err` when a self-contained document does not compile.
+    compiled: Result<Compiled, RunError>,
+}
+
+impl Prepared {
+    pub(crate) fn new(def: AttackDef) -> Prepared {
+        Prepared {
+            def,
+            compiled: Compiled::new(def.scope, def.source),
+        }
+    }
+
+    /// The compiled attack, if it can shadow `baseline`'s run: the same
+    /// environment (the same table bound; a bound rebuilds the table
+    /// before t = 0) and an attack to attach.
+    pub(crate) fn shadow_of(&self, baseline: &Prepared) -> Option<&Armed> {
+        if self.def.table != baseline.def.table {
+            return None;
+        }
+        self.compiled.as_ref().ok()?.attack.as_ref().ok()
+    }
+}
+
 /// Runs one unit — the attacked cell or, with `attached` false, its
 /// baseline — under the supervisor's `budget`.
 pub(crate) fn run(
-    attack: &AttackDef,
+    attack: &Prepared,
     kind: ControllerKind,
     fail_mode: FailMode,
     seed: u64,
     attached: bool,
     budget: &RunBudget,
 ) -> Result<RunRecord, RunError> {
-    harness::run(
-        attack.scope,
-        attack.source,
-        attached,
-        kind,
-        fail_mode,
-        &FaultPlan::seeded(seed),
-        budget,
-        |sim, document| {
-            // A table bound is part of the cell's environment. The
-            // runner diffs bounded cells against the shared, unbounded
-            // enterprise baseline, which is valid because unattacked the
-            // workload never fills the bound (`tests/campaign_conformance.rs`
-            // pins the two baselines equal in all 30 records).
-            if let Some(t) = attack.table {
-                sim.set_table_config(t.switch, t.capacity, t.policy);
-            }
-            match document {
-                None => enterprise_workload(sim, seed),
-                Some(system) => document_workload(sim, system, seed),
-            }
-        },
+    let compiled = attack.compiled.as_ref().map_err(Clone::clone)?;
+    let faults = FaultPlan::seeded(seed);
+    let schedule = schedule(attack.def.table, seed);
+    harness::run_compiled(
+        compiled, attached, kind, fail_mode, &faults, budget, schedule,
     )
+}
+
+/// Runs `baseline`'s baseline unit with the attacked units of `shadows`
+/// attached as shadows ([`harness::run_shadowed`]). One that is no
+/// [`shadow_of`](Prepared::shadow_of) it is [`ShadowRun::NotRun`].
+pub(crate) fn run_shadowed(
+    baseline: &Prepared,
+    shadows: &[&Prepared],
+    kind: ControllerKind,
+    fail_mode: FailMode,
+    seed: u64,
+    budget: &RunBudget,
+) -> (Result<RunRecord, RunError>, Vec<ShadowRun>) {
+    let mut runs: Vec<ShadowRun> = shadows.iter().map(|_| ShadowRun::NotRun).collect();
+    let compiled = match &baseline.compiled {
+        Ok(compiled) => compiled,
+        Err(e) => return (Err(e.clone()), runs),
+    };
+    let (slots, armed): (Vec<usize>, Vec<&Armed>) = shadows
+        .iter()
+        .enumerate()
+        .filter_map(|(i, s)| Some((i, s.shadow_of(baseline)?)))
+        .unzip();
+    let faults = FaultPlan::seeded(seed);
+    let schedule = schedule(baseline.def.table, seed);
+    let document = compiled.document.as_ref();
+    let (record, shared) =
+        harness::run_shadowed(document, kind, fail_mode, &faults, budget, &armed, schedule);
+    for (i, run) in slots.into_iter().zip(shared) {
+        runs[i] = run;
+    }
+    (record, runs)
 }
 
 /// Runs one attacked cell to completion, unbudgeted.
@@ -113,7 +182,8 @@ pub fn run_cell(
     fail_mode: FailMode,
     seed: u64,
 ) -> Result<RunRecord, RunError> {
-    run(attack, kind, fail_mode, seed, true, &RunBudget::default())
+    let attack = Prepared::new(*attack);
+    run(&attack, kind, fail_mode, seed, true, &RunBudget::default())
 }
 
 /// Runs the cell's differential baseline: the identical topology,
@@ -128,7 +198,8 @@ pub fn run_baseline(
     fail_mode: FailMode,
     seed: u64,
 ) -> Result<RunRecord, RunError> {
-    run(attack, kind, fail_mode, seed, false, &RunBudget::default())
+    let attack = Prepared::new(*attack);
+    run(&attack, kind, fail_mode, seed, false, &RunBudget::default())
 }
 
 #[cfg(test)]
@@ -191,7 +262,7 @@ mod tests {
 
     #[test]
     fn tight_event_budget_surfaces_as_budget_exhausted() {
-        let a = attacks::by_name("trivial_pass").unwrap();
+        let a = Prepared::new(attacks::by_name("trivial_pass").unwrap());
         let budget = RunBudget::default().with_max_events(10);
         let err = run(&a, ControllerKind::Pox, FailMode::Secure, 1, true, &budget)
             .expect_err("10 events cannot finish the workload");
@@ -203,7 +274,7 @@ mod tests {
 
     #[test]
     fn pre_cancelled_token_surfaces_as_cancelled() {
-        let a = attacks::by_name("trivial_pass").unwrap();
+        let a = Prepared::new(attacks::by_name("trivial_pass").unwrap());
         let token = CancelToken::new();
         token.cancel();
         let budget = RunBudget::default().with_cancel(token);

@@ -43,5 +43,5 @@ pub mod runner;
 pub use attacks::{AttackDef, Scope};
 pub use matrix::{CellId, Filter, Matrix};
 pub use oracle::Observed;
-pub use report::{diff_golden, CampaignReport, CellReport, ConfusionMatrix};
+pub use report::{diff_golden, CampaignReport, CellReport, ConfusionMatrix, RunShape};
 pub use runner::{run, run_with, CellStatus, RunnerConfig};

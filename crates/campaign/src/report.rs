@@ -16,7 +16,7 @@ use crate::runner::CellStatus;
 use attain_controllers::ControllerKind;
 use attain_injector::RunRecord;
 use attain_netsim::FailMode;
-use std::fmt::Write as _;
+use std::fmt::{self, Write as _};
 
 /// One classified cell.
 #[derive(Debug, Clone)]
@@ -91,6 +91,39 @@ impl ConfusionMatrix {
     }
 }
 
+/// Where a campaign's work went: how each of its units — every cell and
+/// each distinct baseline — was produced. Informational, like the wall
+/// times: a shared run that panics or times out moves its units to
+/// `standalone`, so this is not part of the canonical report.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct RunShape {
+    /// Baselines run with attacks attached as shadows: one per
+    /// environment run.
+    pub environments: usize,
+    /// Attacked units forked off their baseline at their first non-pass
+    /// decision. Their `wall_ms` counts only the fork's own run.
+    pub forked: usize,
+    /// Shadows that never diverged, so took their baseline's record
+    /// (`wall_ms` 0).
+    pub undiverged: usize,
+    /// Units run on their own.
+    pub standalone: usize,
+    /// Units that took their fail-mode twin's record (`wall_ms` 0).
+    pub reused: usize,
+}
+
+/// One line: `run shape: 30 environments, 111 forked, …`.
+impl fmt::Display for RunShape {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "run shape: {} environments, {} forked, {} never diverged, {} standalone, \
+             {} reused from a fail-mode twin",
+            self.environments, self.forked, self.undiverged, self.standalone, self.reused
+        )
+    }
+}
+
 /// A whole campaign run, in matrix order.
 #[derive(Debug)]
 pub struct CampaignReport {
@@ -98,6 +131,8 @@ pub struct CampaignReport {
     pub matrix: Matrix,
     /// One report per cell, in matrix order.
     pub cells: Vec<CellReport>,
+    /// How the units behind the cells were produced.
+    pub shape: RunShape,
     /// Total wall-clock for the run, in milliseconds.
     pub wall_ms_total: u64,
     /// Worker threads used (informational; must not affect canonical

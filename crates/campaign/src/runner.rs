@@ -8,12 +8,21 @@
 //! iterates the matrix — never the completion order. Hence the report
 //! is byte-identical for any `jobs ≥ 1`.
 //!
-//! Twin reuse: a twin group is the units that differ only in fail mode,
-//! run in order by one worker. A switch's fail mode has one read path,
-//! which marks the run ([`RunRecord::fail_mode_read`]); a completed run
-//! that never read it is the same computation under the other fail mode,
-//! so later twins take its record instead of running. Only a `Completed`
-//! record is reused: every other status makes the next twin run for real.
+//! Shared runs: an environment is a (topology, controller, fail mode,
+//! seed) tuple. Its baseline runs once with each of its attacks that
+//! can share that run attached as a shadow ([`harness::run_shadowed`]):
+//! a shadow's unit is a fork of the baseline from its first answer other
+//! than pass, or the baseline's own record if it never gives one. Either
+//! way it is the record its own run makes. An attack whose environment
+//! differs from its baseline's (a table bound) runs alone.
+//!
+//! Twin reuse: a twin group is the environments that differ only in fail
+//! mode, run in order by one worker. A switch's fail mode has one read
+//! path, which marks the run ([`RunRecord::fail_mode_read`]); a completed
+//! run that never read it is the same computation under the other fail
+//! mode, so its later twins take its record instead of running. Only a
+//! `Completed` record is reused: every other status makes the next twin
+//! run for real.
 //!
 //! Supervision argument: every unit runs inside `catch_unwind`, writes
 //! its [`CellStatus`] into a private `OnceLock` slot (no shared mutex
@@ -23,15 +32,20 @@
 //! Only wall-clock timeouts are retried (same seed, exponential
 //! backoff): they are the one nondeterministic failure mode, so a
 //! flaky host gets another chance while deterministic failures
-//! (panics, budget halts, setup errors) are reported as-is.
+//! (panics, budget halts, setup errors) are reported as-is. A shared run
+//! is one attempt for all of its units: if it panics or times out, each
+//! of them runs alone under that supervision, so no status depends on
+//! the sharing.
+//!
+//! [`harness::run_shadowed`]: attain_injector::harness::run_shadowed
 
 use crate::attacks::{AttackDef, Scope};
-use crate::cell;
+use crate::cell::{self, Prepared};
 use crate::matrix::{fail_slug, Matrix};
 use crate::oracle;
-use crate::report::{CampaignReport, CellReport};
+use crate::report::{CampaignReport, CellReport, RunShape};
 use attain_controllers::ControllerKind;
-use attain_injector::harness::RunError;
+use attain_injector::harness::{RunError, ShadowRun};
 use attain_injector::RunRecord;
 use attain_netsim::{CancelToken, FailMode, HaltReason, RunBudget};
 use std::cmp::Reverse;
@@ -151,12 +165,40 @@ impl RunnerConfig {
     }
 }
 
-struct UnitSpec {
-    attack: AttackDef,
+struct UnitSpec<'a> {
+    attack: &'a Prepared,
     controller: ControllerKind,
     fail_mode: FailMode,
     seed: u64,
     attacked: bool,
+}
+
+impl UnitSpec<'_> {
+    /// What the unit's fail-mode twins share within their twin group:
+    /// the baseline, or the attack's name.
+    fn twin(&self) -> (bool, &'static str) {
+        let name = if self.attacked {
+            self.attack.def.name
+        } else {
+            ""
+        };
+        (self.attacked, name)
+    }
+}
+
+/// How a unit's status was produced (the report's [`RunShape`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Made {
+    /// A baseline run with shadows attached.
+    Environment,
+    /// A shadow's fork.
+    Forked,
+    /// A shadow that never diverged.
+    Undiverged,
+    /// Run alone.
+    Alone,
+    /// Its fail-mode twin's record.
+    Reused,
 }
 
 /// Baselines are shared per topology: every enterprise attack diffs
@@ -264,57 +306,68 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// What the pool runs for each unit: [`run_cell`] in a campaign, a
-/// deliberately misbehaving stand-in in the supervision tests.
-type UnitFn<'a> = &'a (dyn Fn(&UnitSpec, &RunBudget) -> Result<RunRecord, RunError> + Sync);
+/// What the pool runs: a unit alone (no shadows), or a baseline unit
+/// with attacked units of its environment as shadows, answering one
+/// [`ShadowRun`] per shadow — [`run_cell`] in a campaign, a deliberately
+/// misbehaving stand-in in the supervision tests.
+type UnitFn<'a> = &'a (dyn Fn(
+    &UnitSpec<'_>,
+    &[&UnitSpec<'_>],
+    &RunBudget,
+) -> (Result<RunRecord, RunError>, Vec<ShadowRun>)
+         + Sync);
 
-/// Runs one unit once, fully contained: panics become `Panicked`,
-/// errors become their statuses.
-fn attempt_unit(run_unit: UnitFn<'_>, u: &UnitSpec, budget: &RunBudget) -> CellStatus {
-    let result = catch_unwind(AssertUnwindSafe(|| run_unit(u, budget)));
+/// The status of a run that returned.
+fn status(result: Result<RunRecord, RunError>) -> CellStatus {
     match result {
-        Ok(Ok(record)) => CellStatus::Completed(record),
-        Ok(Err(RunError::Halted(HaltReason::EventBudget { events }))) => {
-            CellStatus::BudgetExhausted {
-                events,
-                livelock: false,
-            }
-        }
-        Ok(Err(RunError::Halted(HaltReason::Livelock { events_at_instant }))) => {
+        Ok(record) => CellStatus::Completed(record),
+        Err(RunError::Halted(HaltReason::EventBudget { events })) => CellStatus::BudgetExhausted {
+            events,
+            livelock: false,
+        },
+        Err(RunError::Halted(HaltReason::Livelock { events_at_instant })) => {
             CellStatus::BudgetExhausted {
                 events: events_at_instant,
                 livelock: true,
             }
         }
-        Ok(Err(RunError::Halted(HaltReason::Cancelled))) => CellStatus::TimedOut,
+        Err(RunError::Halted(HaltReason::Cancelled)) => CellStatus::TimedOut,
         // `Setup`; a halt at the horizon is the `Ok` above.
-        Ok(Err(e)) => CellStatus::Failed { msg: e.to_string() },
-        Err(payload) => CellStatus::Panicked {
-            msg: panic_message(payload),
-        },
+        Err(e) => CellStatus::Failed { msg: e.to_string() },
     }
 }
 
-/// Runs one unit under supervision, retrying wall-clock timeouts with
+/// A fresh attempt's budget, with its wall-clock deadline registered.
+fn attempt_budget(cfg: &RunnerConfig, supervisor: Option<&Supervisor>) -> RunBudget {
+    let token = CancelToken::new();
+    if let (Some(sup), Some(timeout)) = (supervisor, cfg.cell_timeout) {
+        sup.register(Instant::now() + timeout, token.clone());
+    }
+    RunBudget {
+        max_events: cfg.max_events,
+        max_events_per_instant: Some(cfg.livelock_bound),
+        cancel: Some(token),
+    }
+}
+
+/// Runs one unit alone under supervision, fully contained (panics become
+/// `Panicked`, errors their statuses), retrying wall-clock timeouts with
 /// exponential backoff.
 fn run_supervised(
     run_unit: UnitFn<'_>,
-    u: &UnitSpec,
+    u: &UnitSpec<'_>,
     cfg: &RunnerConfig,
     supervisor: Option<&Supervisor>,
 ) -> CellStatus {
     let mut attempt = 0u32;
     loop {
-        let token = CancelToken::new();
-        if let (Some(sup), Some(timeout)) = (supervisor, cfg.cell_timeout) {
-            sup.register(Instant::now() + timeout, token.clone());
-        }
-        let budget = RunBudget {
-            max_events: cfg.max_events,
-            max_events_per_instant: Some(cfg.livelock_bound),
-            cancel: Some(token),
+        let budget = attempt_budget(cfg, supervisor);
+        let status = match catch_unwind(AssertUnwindSafe(|| run_unit(u, &[], &budget).0)) {
+            Ok(result) => status(result),
+            Err(payload) => CellStatus::Panicked {
+                msg: panic_message(payload),
+            },
         };
-        let status = attempt_unit(run_unit, u, &budget);
         if status == CellStatus::TimedOut && attempt < cfg.retries {
             let backoff = cfg.retry_backoff.saturating_mul(1u32 << attempt.min(10));
             attempt += 1;
@@ -325,51 +378,147 @@ fn run_supervised(
     }
 }
 
-/// Runs one twin group in order. After the first record that completed
-/// without reading a fail mode, every later twin takes a copy of it,
-/// with `wall_ms` 0 since no time was spent on it.
-fn run_group(
-    run_unit: UnitFn<'_>,
-    units: &[UnitSpec],
-    group: &[usize],
-    cfg: &RunnerConfig,
-    supervisor: Option<&Supervisor>,
-    results: &[OnceLock<CellStatus>],
-) {
-    let mut donor: Option<&RunRecord> = None;
-    for &i in group {
-        let status = match donor {
-            Some(record) => CellStatus::Completed(RunRecord {
-                wall_ms: 0,
-                ..record.clone()
-            }),
-            None => run_supervised(run_unit, &units[i], cfg, supervisor),
+/// The pool's shared state: every unit, its result slot, and how to run
+/// one.
+struct Pool<'a> {
+    run_unit: UnitFn<'a>,
+    units: &'a [UnitSpec<'a>],
+    cfg: &'a RunnerConfig,
+    supervisor: Option<&'a Supervisor>,
+    results: &'a [OnceLock<(CellStatus, Made)>],
+}
+
+impl Pool<'_> {
+    fn set(&self, i: usize, status: CellStatus, made: Made) {
+        let _ = self.results[i].set((status, made));
+    }
+
+    fn record(&self, i: usize) -> Option<&RunRecord> {
+        self.results[i]
+            .get()
+            .and_then(|(status, _)| status.outcome())
+    }
+
+    fn run_alone(&self, i: usize) {
+        let status = run_supervised(self.run_unit, &self.units[i], self.cfg, self.supervisor);
+        self.set(i, status, Made::Alone);
+    }
+
+    /// Runs one twin group: its environments in fail-mode order. A unit
+    /// whose earlier twin completed without reading a fail mode takes a
+    /// copy of that record, with `wall_ms` 0 since no time was spent on
+    /// it; the environment's other units run.
+    fn run_group(&self, group: &[Vec<usize>]) {
+        let mut donors: BTreeMap<(bool, &str), usize> = BTreeMap::new();
+        for env in group {
+            let mut todo = Vec::new();
+            for &i in env {
+                match donors
+                    .get(&self.units[i].twin())
+                    .and_then(|&d| self.record(d))
+                {
+                    Some(record) => {
+                        let record = RunRecord {
+                            wall_ms: 0,
+                            ..record.clone()
+                        };
+                        self.set(i, CellStatus::Completed(record), Made::Reused);
+                    }
+                    None => todo.push(i),
+                }
+            }
+            self.run_env(&todo);
+            for &i in &todo {
+                if self.record(i).is_some_and(|r| !r.fail_mode_read) {
+                    donors.entry(self.units[i].twin()).or_insert(i);
+                }
+            }
+        }
+    }
+
+    /// Runs the units of one environment that need running: its baseline,
+    /// if among them, with every attack that can share its run as a
+    /// shadow; the rest alone.
+    fn run_env(&self, todo: &[usize]) {
+        let alone = match todo.split_first() {
+            Some((&lead, rest)) if !self.units[lead].attacked => {
+                let baseline = self.units[lead].attack;
+                let (shadows, alone): (Vec<usize>, Vec<usize>) = rest
+                    .iter()
+                    .partition(|&&i| self.units[i].attack.shadow_of(baseline).is_some());
+                self.run_shared(lead, &shadows);
+                alone
+            }
+            _ => todo.to_vec(),
         };
-        let _ = results[i].set(status);
-        if donor.is_none() {
-            donor = results[i]
-                .get()
-                .and_then(CellStatus::outcome)
-                .filter(|r| !r.fail_mode_read);
+        for i in alone {
+            self.run_alone(i);
+        }
+    }
+
+    /// Runs `lead` with `shadows` attached as one supervised attempt. If
+    /// it panics or times out, every one of its units runs alone instead.
+    fn run_shared(&self, lead: usize, shadows: &[usize]) {
+        if shadows.is_empty() {
+            return self.run_alone(lead);
+        }
+        let budget = attempt_budget(self.cfg, self.supervisor);
+        let specs: Vec<&UnitSpec<'_>> = shadows.iter().map(|&i| &self.units[i]).collect();
+        let shared = catch_unwind(AssertUnwindSafe(|| {
+            (self.run_unit)(&self.units[lead], &specs, &budget)
+        }));
+        let cancelled = |r: &Result<RunRecord, RunError>| {
+            matches!(r, Err(RunError::Halted(HaltReason::Cancelled)))
+        };
+        let shared = shared.ok().filter(|(record, runs)| {
+            !cancelled(record)
+                && runs.iter().all(|run| match run {
+                    ShadowRun::Forked(r) | ShadowRun::Undiverged(r) => !cancelled(r),
+                    ShadowRun::NotRun => true,
+                })
+        });
+        let Some((record, runs)) = shared else {
+            for &i in std::iter::once(&lead).chain(shadows) {
+                self.run_alone(i);
+            }
+            return;
+        };
+        self.set(lead, status(record), Made::Environment);
+        for (&i, run) in shadows.iter().zip(runs) {
+            match run {
+                ShadowRun::Forked(r) => self.set(i, status(r), Made::Forked),
+                ShadowRun::Undiverged(r) => self.set(i, status(r), Made::Undiverged),
+                ShadowRun::NotRun => self.run_alone(i),
+            }
         }
     }
 }
 
+/// Runs every twin group on `cfg.jobs` workers; returns each unit's
+/// status and how it was made, in unit order.
 fn run_pool(
     run_unit: UnitFn<'_>,
-    units: &[UnitSpec],
-    groups: &[Vec<usize>],
+    units: &[UnitSpec<'_>],
+    groups: &[Vec<Vec<usize>>],
     cfg: &RunnerConfig,
-) -> Vec<CellStatus> {
+) -> Vec<(CellStatus, Made)> {
     let supervisor = cfg.cell_timeout.map(|_| Supervisor::spawn());
     // Per-slot storage: a panicking worker (even one that somehow
     // escapes `catch_unwind`) can poison nothing — every other slot
     // still fills and the merge proceeds.
-    let results: Vec<OnceLock<CellStatus>> = (0..units.len()).map(|_| OnceLock::new()).collect();
+    let results: Vec<OnceLock<(CellStatus, Made)>> =
+        (0..units.len()).map(|_| OnceLock::new()).collect();
+    let pool = Pool {
+        run_unit,
+        units,
+        cfg,
+        supervisor: supervisor.as_ref(),
+        results: &results,
+    };
     let jobs = cfg.jobs.max(1).min(groups.len().max(1));
     if jobs <= 1 {
         for group in groups {
-            run_group(run_unit, units, group, cfg, supervisor.as_ref(), &results);
+            pool.run_group(group);
         }
     } else {
         let cursor = AtomicUsize::new(0);
@@ -380,7 +529,7 @@ fn run_pool(
                     let Some(group) = groups.get(g) else {
                         break;
                     };
-                    run_group(run_unit, units, group, cfg, supervisor.as_ref(), &results);
+                    pool.run_group(group);
                 });
             }
         });
@@ -388,9 +537,12 @@ fn run_pool(
     results
         .into_iter()
         .map(|slot| {
-            slot.into_inner().unwrap_or(CellStatus::Panicked {
-                msg: "worker vanished before storing a result".into(),
-            })
+            slot.into_inner().unwrap_or((
+                CellStatus::Panicked {
+                    msg: "worker vanished before storing a result".into(),
+                },
+                Made::Alone,
+            ))
         })
         .collect()
 }
@@ -406,16 +558,20 @@ pub fn run_with(matrix: &Matrix, cfg: &RunnerConfig) -> CampaignReport {
     run_units(matrix, cfg, &run_cell)
 }
 
-/// The campaign's unit: one cell run, attacked or baseline.
-fn run_cell(u: &UnitSpec, budget: &RunBudget) -> Result<RunRecord, RunError> {
-    cell::run(
-        &u.attack,
-        u.controller,
-        u.fail_mode,
-        u.seed,
-        u.attacked,
-        budget,
-    )
+/// The campaign's unit function: one cell run, attacked or baseline,
+/// alone or with shadows.
+fn run_cell(
+    u: &UnitSpec<'_>,
+    shadows: &[&UnitSpec<'_>],
+    budget: &RunBudget,
+) -> (Result<RunRecord, RunError>, Vec<ShadowRun>) {
+    let (kind, fail_mode, seed) = (u.controller, u.fail_mode, u.seed);
+    if shadows.is_empty() {
+        let record = cell::run(u.attack, kind, fail_mode, seed, u.attacked, budget);
+        return (record, Vec::new());
+    }
+    let shadows: Vec<&Prepared> = shadows.iter().map(|s| s.attack).collect();
+    cell::run_shadowed(u.attack, &shadows, kind, fail_mode, seed, budget)
 }
 
 /// [`run_with`] over an arbitrary unit function: the runner's seam, so
@@ -423,71 +579,79 @@ fn run_cell(u: &UnitSpec, budget: &RunBudget) -> Result<RunRecord, RunError> {
 fn run_units(matrix: &Matrix, cfg: &RunnerConfig, run_unit: UnitFn<'_>) -> CampaignReport {
     let started = Instant::now();
     let cells = matrix.cells();
+    // Each attack is compiled once, for all of its units.
+    let prepared: Vec<Prepared> = matrix.attacks.iter().map(|&a| Prepared::new(a)).collect();
 
-    // One baseline unit per distinct (topology, controller, fail,
-    // seed), then every attacked cell in matrix order.
-    let mut units: Vec<UnitSpec> = Vec::new();
-    let mut baseline_slot: BTreeMap<(&str, &str, &str, u64), usize> = BTreeMap::new();
-    for cell in &cells {
-        let attack = matrix.attacks[cell.attack];
-        let key = (
-            topology_key(&attack),
-            cell.controller.slug(),
-            fail_slug(cell.fail_mode),
-            cell.seed,
-        );
-        baseline_slot.entry(key).or_insert_with(|| {
-            units.push(UnitSpec {
-                attack,
-                controller: cell.controller,
-                fail_mode: cell.fail_mode,
-                seed: cell.seed,
-                attacked: false,
-            });
-            units.len() - 1
-        });
-    }
+    // One baseline unit per environment — distinct (topology,
+    // controller, fail, seed) — then every attacked cell in matrix order.
+    // Environment `i` is baseline unit `i`, then its cells.
+    let mut units: Vec<UnitSpec<'_>> = Vec::new();
+    let mut envs: Vec<Vec<usize>> = Vec::new();
+    let mut env_of: BTreeMap<(&str, &str, &str, u64), usize> = BTreeMap::new();
+    let cell_env: Vec<usize> = cells
+        .iter()
+        .map(|cell| {
+            let key = (
+                topology_key(&matrix.attacks[cell.attack]),
+                cell.controller.slug(),
+                fail_slug(cell.fail_mode),
+                cell.seed,
+            );
+            *env_of.entry(key).or_insert_with(|| {
+                units.push(UnitSpec {
+                    attack: &prepared[cell.attack],
+                    controller: cell.controller,
+                    fail_mode: cell.fail_mode,
+                    seed: cell.seed,
+                    attacked: false,
+                });
+                envs.push(vec![units.len() - 1]);
+                envs.len() - 1
+            })
+        })
+        .collect();
     let first_cell_unit = units.len();
-    for cell in &cells {
+    for (cell, &env) in cells.iter().zip(&cell_env) {
         units.push(UnitSpec {
-            attack: matrix.attacks[cell.attack],
+            attack: &prepared[cell.attack],
             controller: cell.controller,
             fail_mode: cell.fail_mode,
             seed: cell.seed,
             attacked: true,
         });
+        envs[env].push(units.len() - 1);
     }
-    // Twin groups: the units that differ only in fail mode, in
-    // `matrix.fail_modes` order (units were pushed in matrix order).
-    let mut group_of: BTreeMap<(bool, &str, &str, u64), usize> = BTreeMap::new();
-    let mut groups: Vec<Vec<usize>> = Vec::new();
-    for (i, u) in units.iter().enumerate() {
-        let name = if u.attacked {
-            u.attack.name
-        } else {
-            topology_key(&u.attack)
-        };
-        let key = (u.attacked, name, u.controller.slug(), u.seed);
+    // Twin groups: the environments that differ only in fail mode, in
+    // `matrix.fail_modes` order (environments were made in matrix order).
+    let mut group_of: BTreeMap<(&str, &str, u64), usize> = BTreeMap::new();
+    let mut groups: Vec<Vec<Vec<usize>>> = Vec::new();
+    for env in envs {
+        let u = &units[env[0]];
+        let key = (topology_key(&u.attack.def), u.controller.slug(), u.seed);
         let g = *group_of.entry(key).or_insert_with(|| {
             groups.push(Vec::new());
             groups.len() - 1
         });
-        groups[g].push(i);
+        groups[g].push(env);
     }
 
     let results = run_pool(run_unit, &units, &groups, cfg);
 
+    let mut shape = RunShape::default();
+    for (_, made) in &results {
+        match made {
+            Made::Environment => shape.environments += 1,
+            Made::Forked => shape.forked += 1,
+            Made::Undiverged => shape.undiverged += 1,
+            Made::Alone => shape.standalone += 1,
+            Made::Reused => shape.reused += 1,
+        }
+    }
     let mut reports = Vec::with_capacity(cells.len());
     for (i, cell) in cells.iter().enumerate() {
         let attack = &matrix.attacks[cell.attack];
-        let key = (
-            topology_key(attack),
-            cell.controller.slug(),
-            fail_slug(cell.fail_mode),
-            cell.seed,
-        );
-        let status = results[first_cell_unit + i].clone();
-        let baseline = &results[baseline_slot[&key]];
+        let status = results[first_cell_unit + i].0.clone();
+        let baseline = &results[cell_env[i]].0;
         let observed = oracle::judge(&status, baseline);
         let expected = oracle::expected(attack.name, cell.controller, cell.fail_mode);
         let mut pass = observed.is_some_and(|o| expected.contains(&o));
@@ -515,6 +679,7 @@ fn run_units(matrix: &Matrix, cfg: &RunnerConfig, run_unit: UnitFn<'_>) -> Campa
     CampaignReport {
         matrix: matrix.clone(),
         cells: reports,
+        shape,
         wall_ms_total: started.elapsed().as_millis() as u64,
         jobs: cfg.jobs.max(1),
     }
@@ -573,18 +738,62 @@ mod tests {
         }
     }
 
-    /// The campaign's unit, except that the chaos cells misbehave on
-    /// the attacked half of their pair.
-    fn chaos_unit(u: &UnitSpec, budget: &RunBudget) -> Result<RunRecord, RunError> {
-        match (u.attacked, u.attack.name) {
+    /// The campaign's unit function, except that the chaos cells
+    /// misbehave on the attacked half of their pair. As shadows, a
+    /// panicking one takes its whole shared run down and a spinning one
+    /// spins in its fork.
+    fn chaos_unit(
+        u: &UnitSpec<'_>,
+        shadows: &[&UnitSpec<'_>],
+        budget: &RunBudget,
+    ) -> (Result<RunRecord, RunError>, Vec<ShadowRun>) {
+        let name = |s: &UnitSpec<'_>| s.attack.def.name;
+        match (u.attacked, name(u)) {
             (true, PANIC_CELL) => panic!("{PANIC_MESSAGE}"),
-            (true, LIVELOCK_CELL) => spin(u, budget),
-            _ => run_cell(u, budget),
+            (true, LIVELOCK_CELL) => return (spin(u, budget), Vec::new()),
+            _ => {}
         }
+        if shadows.iter().any(|s| name(s) == PANIC_CELL) {
+            panic!("{PANIC_MESSAGE}");
+        }
+        let tame: Vec<&UnitSpec<'_>> = shadows
+            .iter()
+            .copied()
+            .filter(|s| name(s) != LIVELOCK_CELL)
+            .collect();
+        let (record, tame_runs) = run_cell(u, &tame, budget);
+        let mut tame_runs = tame_runs.into_iter();
+        let runs = shadows
+            .iter()
+            .map(|s| match name(s) {
+                LIVELOCK_CELL => ShadowRun::Forked(spin(s, budget)),
+                _ => tame_runs.next().unwrap_or(ShadowRun::NotRun),
+            })
+            .collect();
+        (record, runs)
+    }
+
+    /// [`run_cell`] with `f` applied to every record it returns.
+    fn run_cell_then(
+        u: &UnitSpec<'_>,
+        shadows: &[&UnitSpec<'_>],
+        budget: &RunBudget,
+        f: impl Fn(RunRecord) -> RunRecord,
+    ) -> (Result<RunRecord, RunError>, Vec<ShadowRun>) {
+        let (record, runs) = run_cell(u, shadows, budget);
+        let runs = runs
+            .into_iter()
+            .map(|run| match run {
+                ShadowRun::Forked(r) => ShadowRun::Forked(r.map(&f)),
+                ShadowRun::Undiverged(r) => ShadowRun::Undiverged(r.map(&f)),
+                ShadowRun::NotRun => ShadowRun::NotRun,
+            })
+            .collect();
+        (record.map(&f), runs)
     }
 
     /// A run whose interposer never lets virtual time advance.
-    fn spin(u: &UnitSpec, budget: &RunBudget) -> Result<RunRecord, RunError> {
+    fn spin(u: &UnitSpec<'_>, budget: &RunBudget) -> Result<RunRecord, RunError> {
         harness::run(
             Scope::Enterprise,
             "",
@@ -701,11 +910,12 @@ mod tests {
 
     #[test]
     fn a_panicking_safe_twin_leaves_its_secure_twin_to_run() {
-        let unit = |u: &UnitSpec, budget: &RunBudget| {
-            if u.attacked && u.fail_mode == FailMode::Safe {
+        let unit = |u: &UnitSpec<'_>, shadows: &[&UnitSpec<'_>], budget: &RunBudget| {
+            let mut all = std::iter::once(u).chain(shadows.iter().copied());
+            if all.any(|s| s.attacked && s.fail_mode == FailMode::Safe) {
                 panic!("{PANIC_MESSAGE}");
             }
-            run_cell(u, budget)
+            run_cell(u, shadows, budget)
         };
         let report = run_units(&twin_matrix(), &RunnerConfig::new(1), &unit);
         let [safe, secure] = &report.cells[..] else {
@@ -722,36 +932,50 @@ mod tests {
             secure.status
         );
         assert!(secure.pass, "the secure twin is judged on its own run");
+        // The safe environment's shared run panicked, so both of its
+        // units ran alone; the secure baseline took its twin's record.
+        let shape = RunShape {
+            standalone: 3,
+            reused: 1,
+            ..RunShape::default()
+        };
+        assert_eq!(report.shape, shape);
     }
 
     #[test]
     fn twins_that_read_their_fail_mode_both_run() {
-        let calls = AtomicUsize::new(0);
-        let unit = |u: &UnitSpec, budget: &RunBudget| -> Result<RunRecord, RunError> {
-            calls.fetch_add(1, Ordering::Relaxed);
-            Ok(RunRecord {
+        let runs = AtomicUsize::new(0);
+        let unit = |u: &UnitSpec<'_>, shadows: &[&UnitSpec<'_>], budget: &RunBudget| {
+            runs.fetch_add(1 + shadows.len(), Ordering::Relaxed);
+            run_cell_then(u, shadows, budget, |r| RunRecord {
                 fail_mode_read: true,
-                ..run_cell(u, budget)?
+                ..r
             })
         };
         let report = run_units(&twin_matrix(), &RunnerConfig::new(1), &unit);
-        assert_eq!(calls.into_inner(), 4, "both baselines and both cells run");
+        assert_eq!(runs.into_inner(), 4, "both baselines and both cells run");
         assert_eq!(report.passed(), 2);
+        let shape = RunShape {
+            environments: 2,
+            undiverged: 2,
+            ..RunShape::default()
+        };
+        assert_eq!(report.shape, shape);
     }
 
     #[test]
     fn an_unread_twin_runs_once_and_lends_its_record() {
-        let calls = AtomicUsize::new(0);
-        let unit = |u: &UnitSpec, budget: &RunBudget| -> Result<RunRecord, RunError> {
-            calls.fetch_add(1, Ordering::Relaxed);
-            Ok(RunRecord {
+        let runs = AtomicUsize::new(0);
+        let unit = |u: &UnitSpec<'_>, shadows: &[&UnitSpec<'_>], budget: &RunBudget| {
+            runs.fetch_add(1 + shadows.len(), Ordering::Relaxed);
+            run_cell_then(u, shadows, budget, |r| RunRecord {
                 fail_mode_read: false,
                 wall_ms: 7,
-                ..run_cell(u, budget)?
+                ..r
             })
         };
         let report = run_units(&twin_matrix(), &RunnerConfig::new(1), &unit);
-        assert_eq!(calls.into_inner(), 2, "one baseline and one cell run");
+        assert_eq!(runs.into_inner(), 2, "one baseline and one cell run");
         let safe = report.cells[0].outcome().expect("safe twin completes");
         let secure = report.cells[1].outcome().expect("secure twin completes");
         assert_eq!(safe.wall_ms, 7);
@@ -770,14 +994,16 @@ mod tests {
         // Every reuse case in one matrix: a panicking safe twin (its
         // secure twin runs), twins that read the fail mode (Ryu: both
         // run) and twins that do not (POX: one runs).
-        let unit = |u: &UnitSpec, budget: &RunBudget| -> Result<RunRecord, RunError> {
-            if u.attacked && u.attack.name == PANIC_CELL && u.fail_mode == FailMode::Safe {
+        let unit = |u: &UnitSpec<'_>, shadows: &[&UnitSpec<'_>], budget: &RunBudget| {
+            let mut all = std::iter::once(u).chain(shadows.iter().copied());
+            if all.any(|s| {
+                s.attacked && s.attack.def.name == PANIC_CELL && s.fail_mode == FailMode::Safe
+            }) {
                 panic!("{PANIC_MESSAGE}");
             }
-            let record = run_cell(u, budget)?;
-            Ok(RunRecord {
+            run_cell_then(u, shadows, budget, |r| RunRecord {
                 fail_mode_read: u.controller == ControllerKind::Ryu,
-                ..record
+                ..r
             })
         };
         let matrix = Matrix {

@@ -155,6 +155,14 @@ impl Controller for DmzFirewall {
     fn processing_delay_us(&self) -> u64 {
         self.inner.processing_delay_us()
     }
+
+    fn fork(&self) -> Option<Box<dyn Controller>> {
+        Some(Box::new(DmzFirewall {
+            inner: self.inner.fork()?,
+            policy: self.policy.clone(),
+            deny_idle_timeout: self.deny_idle_timeout,
+        }))
+    }
 }
 
 #[cfg(test)]

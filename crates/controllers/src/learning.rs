@@ -180,7 +180,7 @@ impl ControllerKind {
 }
 
 /// The learning-switch application, behaving as its kind's row says.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct LearningSwitch {
     kind: ControllerKind,
     table: L2Table,
@@ -286,11 +286,15 @@ impl Controller for LearningSwitch {
     fn processing_delay_us(&self) -> u64 {
         self.kind.profile().processing_delay_us
     }
+
+    fn fork(&self) -> Option<Box<dyn Controller>> {
+        Some(Box::new(self.clone()))
+    }
 }
 
 /// The MAC learning table: one `(switch, MAC) → port` map, exactly what
 /// `l2_learning`/`simple_switch` keep per datapath.
-#[derive(Debug, Default)]
+#[derive(Debug, Default, Clone)]
 struct L2Table {
     entries: HashMap<(DatapathId, MacAddr), PortNo>,
 }

@@ -181,6 +181,13 @@ pub trait Controller: Send {
     fn processing_delay_us(&self) -> u64 {
         500
     }
+
+    /// An independent copy of this application in its current state, so
+    /// a simulation can fork; `None` (the default) for one that cannot
+    /// be copied, whose simulations then never fork.
+    fn fork(&self) -> Option<Box<dyn Controller>> {
+        None
+    }
 }
 
 #[cfg(test)]

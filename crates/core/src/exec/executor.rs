@@ -183,6 +183,7 @@ fn entropy_for(seed: u64, id: u64) -> f64 {
 /// The `FUZZMESSAGE` bit-flip stream: xorshift64* seeded through
 /// SplitMix64. Every `fuzz_control_plane` golden digest pins this exact
 /// sequence, `| 1` seeding and modulo reduction included.
+#[derive(Clone)]
 struct FuzzRng(u64);
 
 impl FuzzRng {
@@ -202,6 +203,7 @@ impl FuzzRng {
     }
 }
 
+#[derive(Clone)]
 struct HeldMessage {
     conn: ConnectionId,
     to_controller: bool,
@@ -224,6 +226,10 @@ pub enum DispatchMode {
 }
 
 /// The runtime attack executor (paper Algorithm 1 and §VI-B2).
+///
+/// A clone is an independent executor in the same state: cloning a
+/// fresh one is how an attack compiled once starts many runs.
+#[derive(Clone)]
 pub struct AttackExecutor {
     system: SystemModel,
     model: AttackModel,

@@ -98,7 +98,7 @@ impl fmt::Display for LogEvent {
 }
 
 /// The complete injection log plus per-rule fire counters.
-#[derive(Debug, Default)]
+#[derive(Debug, Default, Clone)]
 pub struct InjectionLog {
     events: Vec<LogEvent>,
     fire_counts: BTreeMap<String, u64>,

@@ -294,7 +294,7 @@ impl TimingPlan {
 /// The executor's timing state: one [`ConnTiming`] per connection that
 /// has seen a planned message type, plus the attack-state entry stamp
 /// backing `elapsed_in_state()`.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct TimingStore {
     plan: TimingPlan,
     conns: BTreeMap<usize, ConnTiming>,

@@ -3,10 +3,12 @@
 //! a self-contained document's own topology), attaches the attack, lets
 //! the caller schedule its timeline, drives the simulation to the
 //! horizon under a [`RunBudget`] and hands it to the monitors' one
-//! collector. The paper's own timelines (§VII-B behind Figure 11, §VII-C
-//! behind Table II, the fault-recovery scenario) live below it as the few
-//! lines that schedule their commands; the campaign's live in
-//! `attain_campaign::cell`.
+//! collector. [`run_shadowed`] is the same path for a baseline that
+//! carries attacks as shadows, each forked off where it first diverges
+//! (the campaign's shared runs). The paper's own timelines (§VII-B
+//! behind Figure 11, §VII-C behind Table II, the fault-recovery
+//! scenario) live below it as the few lines that schedule their
+//! commands; the campaign's live in `attain_campaign::cell`.
 
 use crate::monitors::RunRecord;
 use crate::sim::{SharedExecutor, SimInjector};
@@ -20,7 +22,8 @@ use attain_netsim::{
 };
 use attain_openflow::{DatapathId, PortNo};
 use std::fmt;
-use std::time::Instant;
+use std::net::Ipv4Addr;
+use std::time::{Duration, Instant};
 
 /// How an attack description binds to a system model.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -100,8 +103,8 @@ pub fn case_study_controller(kind: ControllerKind) -> Box<dyn Controller> {
         // The DMZ web server is trusted to reach inward (the Fig. 11
         // workloads run h1↔h6); Internet traffic via the gateway may
         // only reach the published destinations.
-        trusted_sources: ["10.0.0.1".parse().unwrap()].into_iter().collect(),
-        allowed_external_dsts: ["10.0.0.1".parse().unwrap(), "10.0.0.2".parse().unwrap()]
+        trusted_sources: [Ipv4Addr::new(10, 0, 0, 1)].into_iter().collect(),
+        allowed_external_dsts: [Ipv4Addr::new(10, 0, 0, 1), Ipv4Addr::new(10, 0, 0, 2)]
             .into_iter()
             .collect(),
     };
@@ -211,12 +214,91 @@ pub fn try_attach_attack(
     sim: &mut Simulation,
     attack_source: &str,
 ) -> Result<SharedExecutor, RunError> {
-    let sc = scenario::enterprise_network();
-    let compiled = dsl::compile(attack_source, &sc.system, &sc.attack_model)
-        .map_err(|e| RunError::Setup(format!("attack does not compile: {e}")))?;
-    let exec = AttackExecutor::new(sc.system.clone(), sc.attack_model, compiled.attack)
-        .map_err(|e| RunError::Setup(format!("attack does not validate: {e}")))?;
-    Ok(attach(sim, exec, &sc.system))
+    Ok(Armed::enterprise(attack_source)?.attach(sim))
+}
+
+/// An attack compiled against its system model and validated, once:
+/// every run that attaches it starts from a copy of its fresh executor.
+#[derive(Debug, Clone)]
+pub struct Armed {
+    system: SystemModel,
+    exec: AttackExecutor,
+}
+
+impl Armed {
+    /// Compiles `attack_source` against the enterprise scenario.
+    fn enterprise(attack_source: &str) -> Result<Armed, RunError> {
+        let sc = scenario::enterprise_network();
+        let compiled = dsl::compile(attack_source, &sc.system, &sc.attack_model)
+            .map_err(|e| RunError::Setup(format!("attack does not compile: {e}")))?;
+        let exec = AttackExecutor::new(sc.system.clone(), sc.attack_model, compiled.attack)
+            .map_err(|e| RunError::Setup(format!("attack does not validate: {e}")))?;
+        Ok(Armed {
+            system: sc.system,
+            exec,
+        })
+    }
+
+    /// Interposes a fresh copy of the attack on `sim` ([`attach`]).
+    fn attach(&self, sim: &mut Simulation) -> SharedExecutor {
+        attach(sim, self.exec.clone(), &self.system)
+    }
+}
+
+/// A source compiled once under its [`Scope`]: everything a run of it
+/// reads from `source`.
+#[derive(Debug, Clone)]
+pub struct Compiled {
+    /// The system model a self-contained document declares; `None` under
+    /// [`Scope::Enterprise`].
+    pub document: Option<SystemModel>,
+    /// The attack, or why the source yields no valid one (which fails
+    /// only the runs that attach it).
+    pub attack: Result<Armed, RunError>,
+}
+
+impl Compiled {
+    /// Compiles `source` under `scope`. The error is a self-contained
+    /// document that does not compile, which fails every run of it.
+    pub fn new(scope: Scope, source: &str) -> Result<Compiled, RunError> {
+        if scope == Scope::Enterprise {
+            return Ok(Compiled {
+                document: None,
+                attack: Armed::enterprise(source),
+            });
+        }
+        let doc = dsl::compile_document(source)
+            .map_err(|e| RunError::Setup(format!("document does not compile: {e}")))?;
+        let attack = match doc.attacks.into_iter().next() {
+            None => Err(RunError::Setup("document declares no attack".into())),
+            Some(compiled) => {
+                AttackExecutor::new(doc.system.clone(), doc.attack_model, compiled.attack)
+                    .map(|exec| Armed {
+                        system: doc.system.clone(),
+                        exec,
+                    })
+                    .map_err(|e| RunError::Setup(format!("attack does not validate: {e}")))
+            }
+        };
+        Ok(Compiled {
+            document: Some(doc.system),
+            attack,
+        })
+    }
+}
+
+/// How a shadow's run was made (see [`run_shadowed`]).
+#[derive(Debug)]
+pub enum ShadowRun {
+    /// The shadow diverged, and its fork ran on from there. The record's
+    /// `wall_ms` counts the fork alone.
+    Forked(Result<RunRecord, RunError>),
+    /// The shadow never diverged: the baseline's outcome, with the
+    /// shadow's own final state and rule fires, and `wall_ms` 0.
+    Undiverged(Result<RunRecord, RunError>),
+    /// The shared run stands in for no run of this attack: setup failed,
+    /// or it diverged where the simulation could not fork. Run it alone.
+    NotRun,
 }
 
 /// The one run path: build → attach → drive → collect.
@@ -225,7 +307,7 @@ pub fn try_attach_attack(
 /// case study with a `kind` controller and `s2` in `fail_mode`, or the
 /// topology a self-contained document declares, every switch in
 /// `fail_mode` under a bare `kind` controller — and, if `attached`,
-/// interposes the attack (an enterprise baseline never reads `source`).
+/// interposes the attack (a baseline ignores whether it compiles).
 /// Applies `faults` (the seed always, so same-seed runs share their
 /// per-link streams), then hands the simulation to `schedule`, which sees
 /// it before anything ran — the place for a table bound — together with
@@ -245,49 +327,136 @@ pub fn run(
     budget: &RunBudget,
     schedule: impl FnOnce(&mut Simulation, Option<&SystemModel>) -> Result<SimTime, RunError>,
 ) -> Result<RunRecord, RunError> {
+    let compiled = Compiled::new(scope, source)?;
+    run_compiled(
+        &compiled, attached, kind, fail_mode, faults, budget, schedule,
+    )
+}
+
+/// [`run`] of a source already [`Compiled`].
+#[allow(clippy::too_many_arguments)]
+pub fn run_compiled(
+    compiled: &Compiled,
+    attached: bool,
+    kind: ControllerKind,
+    fail_mode: FailMode,
+    faults: &FaultPlan,
+    budget: &RunBudget,
+    schedule: impl FnOnce(&mut Simulation, Option<&SystemModel>) -> Result<SimTime, RunError>,
+) -> Result<RunRecord, RunError> {
+    let lead = attached.then_some(&compiled.attack);
+    let document = compiled.document.as_ref();
+    drive(
+        document,
+        kind,
+        fail_mode,
+        faults,
+        budget,
+        lead,
+        &[],
+        schedule,
+    )
+    .0
+}
+
+/// [`run`] of a baseline — nothing interposed on `document`'s topology,
+/// or on the case study when `None` — with every `shadows` attack
+/// attached as a shadow ([`Simulation`]'s docs). Returns the baseline's
+/// outcome and, per shadow, the outcome [`run`] would give with that
+/// attack attached.
+#[allow(clippy::too_many_arguments)]
+pub fn run_shadowed(
+    document: Option<&SystemModel>,
+    kind: ControllerKind,
+    fail_mode: FailMode,
+    faults: &FaultPlan,
+    budget: &RunBudget,
+    shadows: &[&Armed],
+    schedule: impl FnOnce(&mut Simulation, Option<&SystemModel>) -> Result<SimTime, RunError>,
+) -> (Result<RunRecord, RunError>, Vec<ShadowRun>) {
+    drive(
+        document, kind, fail_mode, faults, budget, None, shadows, schedule,
+    )
+}
+
+/// Build → attach the `lead` → attach the `shadows` → drive → collect:
+/// [`run`] with no shadows, [`run_shadowed`] with no lead. Shadows are
+/// consulted only while nothing is interposed, so never both.
+#[allow(clippy::too_many_arguments)]
+fn drive(
+    document: Option<&SystemModel>,
+    kind: ControllerKind,
+    fail_mode: FailMode,
+    faults: &FaultPlan,
+    budget: &RunBudget,
+    lead: Option<&Result<Armed, RunError>>,
+    shadows: &[&Armed],
+    schedule: impl FnOnce(&mut Simulation, Option<&SystemModel>) -> Result<SimTime, RunError>,
+) -> (Result<RunRecord, RunError>, Vec<ShadowRun>) {
+    debug_assert!(lead.is_none() || shadows.is_empty());
     let started = Instant::now();
-    let (mut sim, exec, document) = match scope {
-        Scope::Enterprise => {
-            let mut sim = build_case_study(kind, fail_mode);
-            let exec = if attached {
-                Some(try_attach_attack(&mut sim, source)?)
-            } else {
-                None
-            };
-            (sim, exec, None)
+    let mut runs: Vec<ShadowRun> = shadows.iter().map(|_| ShadowRun::NotRun).collect();
+    let setup = || -> Result<_, RunError> {
+        let mut sim = match document {
+            None => build_case_study(kind, fail_mode),
+            Some(system) => build_simulation(system, fail_mode, |_| kind.instantiate())?,
+        };
+        let exec = match lead {
+            Some(attack) => Some(attack.as_ref().map_err(Clone::clone)?.attach(&mut sim)),
+            None => None,
+        };
+        let mut handles = Vec::with_capacity(shadows.len());
+        for (id, attack) in shadows.iter().enumerate() {
+            let (injector, handle) = SimInjector::new(attack.exec.clone(), &attack.system, &sim);
+            sim.add_shadow(id, Box::new(injector));
+            handles.push(handle);
         }
-        Scope::SelfContained => {
-            let doc = dsl::compile_document(source)
-                .map_err(|e| RunError::Setup(format!("document does not compile: {e}")))?;
-            let mut sim = build_simulation(&doc.system, fail_mode, |_| kind.instantiate())?;
-            let exec = if attached {
-                let compiled = doc
-                    .attacks
-                    .into_iter()
-                    .next()
-                    .ok_or_else(|| RunError::Setup("document declares no attack".into()))?;
-                let exec =
-                    AttackExecutor::new(doc.system.clone(), doc.attack_model, compiled.attack)
-                        .map_err(|e| RunError::Setup(format!("attack does not validate: {e}")))?;
-                Some(attach(&mut sim, exec, &doc.system))
-            } else {
-                None
-            };
-            (sim, exec, Some(doc.system))
-        }
+        sim.apply_fault_plan(faults);
+        let horizon = schedule(&mut sim, document)?;
+        sim.set_run_budget(budget.clone());
+        Ok((sim, exec, handles, horizon))
     };
-    sim.apply_fault_plan(faults);
-    let horizon = schedule(&mut sim, document.as_ref())?;
-    sim.set_run_budget(budget.clone());
-    match sim.run_until(horizon) {
-        HaltReason::Horizon => {}
-        halt => return Err(RunError::Halted(halt)),
+    let (mut sim, exec, handles, horizon) = match setup() {
+        Ok(ready) => ready,
+        Err(e) => return (Err(e), runs),
+    };
+    let mut forks_wall = Duration::ZERO;
+    let halt = sim.run_forking(horizon, |id, mut fork| {
+        let forked = Instant::now();
+        let halt = fork.run_until(horizon);
+        let wall = forked.elapsed();
+        runs[id] = ShadowRun::Forked(collect(&fork, halt, Some(&handles[id]), faults, wall));
+        forks_wall += wall;
+    });
+    let wall = started.elapsed().saturating_sub(forks_wall);
+    let record = collect(&sim, halt, exec.as_ref(), faults, wall);
+    for id in sim.shadow_ids() {
+        let exec = handles[id].lock();
+        runs[id] = ShadowRun::Undiverged(record.clone().map(|r| RunRecord {
+            wall_ms: 0,
+            ..r.attributed(Some(&exec))
+        }));
     }
-    let mut record = RunRecord::collect(&sim, exec.as_ref().map(|e| e.lock()).as_deref());
+    (record, runs)
+}
+
+/// The outcome of `sim` halted for `halt` with `exec` attached, `wall`
+/// having been spent on it.
+fn collect(
+    sim: &Simulation,
+    halt: HaltReason,
+    exec: Option<&SharedExecutor>,
+    faults: &FaultPlan,
+    wall: Duration,
+) -> Result<RunRecord, RunError> {
+    if halt != HaltReason::Horizon {
+        return Err(RunError::Halted(halt));
+    }
+    let mut record = RunRecord::collect(sim, exec.map(|e| e.lock()).as_deref());
     if !faults.events.is_empty() {
         record.faults = Some(sim.fault_report());
     }
-    record.wall_ms = started.elapsed().as_millis() as u64;
+    record.wall_ms = wall.as_millis() as u64;
     Ok(record)
 }
 

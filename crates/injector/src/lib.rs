@@ -17,6 +17,9 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs, unreachable_pub)]
+// Hostile peers and malformed sources are typed errors here, never
+// panics. Tests may still unwrap.
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod harness;
 pub mod monitors;

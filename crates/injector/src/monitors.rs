@@ -134,6 +134,19 @@ impl RunRecord {
                 })
                 .collect(),
             iperfs: sim.iperf_stats(),
+            final_state: None,
+            rule_fires: Vec::new(),
+            faults: None,
+            fail_mode_read: sim.fail_mode_read(),
+            wall_ms: 0,
+        }
+        .attributed(exec)
+    }
+
+    /// This record with `exec`'s final state and rule fires in place of
+    /// its own: what an executor that saw the same run would report.
+    pub(crate) fn attributed(self, exec: Option<&AttackExecutor>) -> RunRecord {
+        RunRecord {
             final_state: exec.map(|e| e.current_state_name().to_string()),
             rule_fires: exec.map_or_else(Vec::new, |e| {
                 e.log()
@@ -141,9 +154,7 @@ impl RunRecord {
                     .map(|(name, n)| (name.to_string(), n))
                     .collect()
             }),
-            faults: None,
-            fail_mode_read: sim.fail_mode_read(),
-            wall_ms: 0,
+            ..self
         }
     }
 

@@ -44,8 +44,6 @@
 //! plan — and has no executor here: the proxy counts each one it
 //! discards in [`ProxyStats::faults_discarded`].
 
-#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
-
 use crate::lock;
 use attain_core::exec::{AttackExecutor, ExecOutput, InjectorInput};
 use attain_core::model::ConnectionId;

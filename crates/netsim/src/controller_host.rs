@@ -24,7 +24,7 @@ enum Phase {
     Up,
 }
 
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct CtrlConn {
     conn: ConnId,
     phase: Phase,
@@ -85,6 +85,21 @@ impl ControllerHost {
             restarts: 0,
             decode_failures: 0,
         }
+    }
+
+    /// A copy of this process in its current state, or `None` when its
+    /// application cannot fork ([`Controller::fork`]).
+    pub(crate) fn fork(&self) -> Option<ControllerHost> {
+        Some(ControllerHost {
+            name: self.name.clone(),
+            app: self.app.fork()?,
+            conns: self.conns.clone(),
+            busy_until: self.busy_until,
+            alive: self.alive,
+            crashes: self.crashes,
+            restarts: self.restarts,
+            decode_failures: self.decode_failures,
+        })
     }
 
     /// The controller's name (e.g. `c1`).

@@ -74,7 +74,7 @@ pub enum TimerToken {
 pub struct FrameRef(pub(crate) u32);
 
 /// An event payload.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub enum EventKind {
     /// A data-plane frame arrives at `node` on `port`.
     Frame {
@@ -163,6 +163,7 @@ pub(crate) enum Effect {
 #[derive(Debug, Clone, Copy, Default)]
 pub struct SchedulerConfig;
 
+#[derive(Clone)]
 struct QueuedEvent {
     time: SimTime,
     seq: u64,
@@ -202,6 +203,7 @@ const LEVELS: usize = 8;
 /// `> cursor`. `peek_time`/`pop` therefore only ever look at `ready`,
 /// and `refill` maintains the invariant by draining or cascading the
 /// slot with the smallest covered time range whenever `ready` runs dry.
+#[derive(Clone)]
 pub struct EventQueue {
     /// `slots[level * SLOTS + slot]`; unsorted buckets.
     slots: Vec<Vec<QueuedEvent>>,
@@ -433,7 +435,7 @@ impl fmt::Debug for EventQueue {
 /// (time, `seq`, and an [`EventKind`] as wide as its widest variant,
 /// the 80-byte `HostCommand` of `Command`), and wheel cascades move
 /// index math, not packet buffers.
-#[derive(Debug, Default)]
+#[derive(Debug, Default, Clone)]
 pub(crate) struct FrameArena {
     slots: Vec<Vec<u8>>,
     free: Vec<u32>,

@@ -78,7 +78,7 @@ pub(crate) struct SegmentOut {
 // Server
 // ---------------------------------------------------------------------------
 
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct ServerConn {
     rcv_nxt: u32,
     bytes: u64,
@@ -86,7 +86,7 @@ struct ServerConn {
 
 /// An `iperf -s` instance: accepts connections on a port and ACKs
 /// whatever arrives.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub(crate) struct IperfServerApp {
     port: u16,
     conns: BTreeMap<(Ipv4Addr, u16), ServerConn>,
@@ -173,7 +173,7 @@ enum ClientState {
 }
 
 /// An `iperf -c` instance: a fixed-window bulk sender.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub(crate) struct IperfClientApp {
     label: String,
     dst: Ipv4Addr,

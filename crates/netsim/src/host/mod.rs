@@ -25,7 +25,7 @@ pub(crate) const HOST_PORT: PortNo = PortNo(1);
 const ARP_RETRY: SimTime = SimTime::from_secs(1);
 const ARP_MAX_RETRIES: u32 = 5;
 
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct PendingArp {
     /// Frames waiting for resolution, destination MAC left as broadcast
     /// and patched on flush.
@@ -33,7 +33,7 @@ struct PendingArp {
     retries: u32,
 }
 
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 enum App {
     Ping(PingApp),
     IperfServer(IperfServerApp),
@@ -42,7 +42,7 @@ enum App {
 }
 
 /// A simulated end host.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct Host {
     name: String,
     mac: MacAddr,

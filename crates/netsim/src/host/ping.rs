@@ -61,7 +61,7 @@ impl PingStats {
 }
 
 /// A running `ping` instance on a host.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub(crate) struct PingApp {
     label: String,
     dst: Ipv4Addr,

@@ -138,7 +138,7 @@ enum Phase {
 }
 
 /// A running capacity-inference probe on a host.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub(crate) struct CapacityProbeApp {
     label: String,
     dst: Ipv4Addr,

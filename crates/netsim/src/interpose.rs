@@ -99,6 +99,23 @@ impl InterposerActions {
             wakeup: None,
         }
     }
+
+    /// Whether these actions are exactly [`InterposerActions::pass`] of
+    /// `msg`: the same bytes on the same connection, undelayed, and
+    /// nothing else. Applying them schedules what no interposer would.
+    pub(crate) fn is_pass(&self, msg: &ProxiedMessage<'_>) -> bool {
+        match &self.deliveries[..] {
+            [d] => {
+                self.commands.is_empty()
+                    && self.wakeup.is_none()
+                    && d.conn == msg.conn
+                    && d.direction == msg.direction
+                    && d.extra_delay == SimTime::ZERO
+                    && d.frame == *msg.frame
+            }
+            _ => false,
+        }
+    }
 }
 
 /// A control-plane interposer (the runtime injector's seat).

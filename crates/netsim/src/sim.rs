@@ -20,7 +20,7 @@ use attain_openflow::{FlowMod, Frame, PortNo};
 use std::collections::HashMap;
 
 /// A node: an end host or a switch.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub(crate) enum Node {
     /// An end host.
     Host(Host),
@@ -30,7 +30,7 @@ pub(crate) enum Node {
 }
 
 /// One control-plane connection of the relation `N_C`.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub(crate) struct Connection {
     pub controller: usize,
     pub switch: NodeId,
@@ -53,6 +53,16 @@ pub struct ConnInfo {
 ///
 /// Built with [`NetworkBuilder`](crate::NetworkBuilder); driven with
 /// [`Simulation::run_until`]; interrogated through the stats accessors.
+///
+/// A simulation with no interposer can carry **shadows**
+/// ([`Simulation::add_shadow`]): interposers that see every proxied
+/// message but whose answers are not applied. While a shadow answers
+/// [`InterposerActions::pass`] the run is the one it would make with
+/// that shadow interposed, since `pass` schedules exactly the delivery
+/// the interposer-free path does. At its first other answer the
+/// simulation forks: the copy takes the shadow as its interposer,
+/// applies the answer, and goes on as that shadow's own run
+/// ([`Simulation::run_forking`]).
 pub struct Simulation {
     now: SimTime,
     queue: EventQueue,
@@ -62,6 +72,13 @@ pub struct Simulation {
     pub(crate) controllers: Vec<ControllerHost>,
     pub(crate) connections: Vec<Connection>,
     interposer: Option<Box<dyn Interposer>>,
+    /// Shadows that have not diverged yet, by caller-chosen id.
+    shadows: Vec<(usize, Box<dyn Interposer>)>,
+    /// Forks made by the event being dispatched, not yet handed over.
+    forks: Vec<(usize, Simulation)>,
+    /// Set on a fork: it was copied in the middle of a dispatch, and the
+    /// next `run_until` first finishes that event's bookkeeping.
+    mid_dispatch: bool,
     trace: Trace,
     names: HashMap<String, NodeId>,
     /// In-flight data-plane frame payloads (see [`FrameArena`]).
@@ -111,6 +128,9 @@ impl Simulation {
             controllers,
             connections,
             interposer: None,
+            shadows: Vec::new(),
+            forks: Vec::new(),
+            mid_dispatch: false,
             trace: Trace::new(),
             names,
             arena: FrameArena::with_capacity(arena_hint),
@@ -165,6 +185,20 @@ impl Simulation {
         self.interposer = Some(interposer);
     }
 
+    /// Attaches `shadow` under `id` (see the type docs). Shadows are
+    /// consulted only while no interposer is installed.
+    pub fn add_shadow(&mut self, id: usize, shadow: Box<dyn Interposer>) {
+        self.shadows.push((id, shadow));
+    }
+
+    /// The ids of the shadows that have not diverged so far. A shadow
+    /// that diverged where the simulation could not fork (a controller
+    /// without [`Controller::fork`](attain_controllers::Controller::fork))
+    /// is neither here nor handed to [`Simulation::run_forking`].
+    pub fn shadow_ids(&self) -> impl Iterator<Item = usize> + '_ {
+        self.shadows.iter().map(|(id, _)| *id)
+    }
+
     /// Schedules a workload command at absolute time `at`; an `at`
     /// already in the past runs at the current instant, so virtual time
     /// never moves backwards.
@@ -185,7 +219,8 @@ impl Simulation {
     ///
     /// # Panics
     ///
-    /// Panics if `switch` is unknown or names a host.
+    /// Panics if `switch` is unknown or names a host
+    /// ([`Simulation::is_switch`] checks first).
     pub fn set_table_config(&mut self, switch: &str, capacity: usize, policy: EvictionPolicy) {
         let id = self
             .names
@@ -246,9 +281,30 @@ impl Simulation {
     /// [`TraceKind::RunHalted`] event, and stick — further calls return
     /// the same reason without dispatching. Cancellation is wall-clock
     /// driven and leaves the trace untouched.
+    ///
+    /// Forks made by shadows are dropped; [`Simulation::run_forking`]
+    /// keeps them.
     pub fn run_until(&mut self, t: SimTime) -> HaltReason {
+        self.run_forking(t, |_, _| {})
+    }
+
+    /// [`Simulation::run_until`], handing each fork to `on_fork` with its
+    /// shadow's id as soon as the event that made it is dispatched, so
+    /// forks never pile up beside this simulation. A fork is paused
+    /// inside the dispatch where its shadow diverged, with its shadow's
+    /// answer applied; its own `run_until` resumes it there.
+    pub fn run_forking(
+        &mut self,
+        t: SimTime,
+        mut on_fork: impl FnMut(usize, Simulation),
+    ) -> HaltReason {
         if let Some(reason) = self.halted {
             return reason;
+        }
+        if std::mem::take(&mut self.mid_dispatch) {
+            if let Some(reason) = self.dispatched() {
+                return reason;
+            }
         }
         while let Some(next) = self.queue.peek_time() {
             if next > t {
@@ -277,20 +333,68 @@ impl Simulation {
             }
             self.now = time;
             self.dispatch(kind);
-            self.events_dispatched += 1;
-            self.instant_events += 1;
-            if let Some(max) = self.budget.max_events_per_instant {
-                if self.instant_events >= max {
-                    let reason = HaltReason::Livelock {
-                        events_at_instant: self.instant_events,
-                    };
-                    self.halt(reason, "livelock");
-                    return reason;
+            if !self.forks.is_empty() {
+                for (id, fork) in self.forks.drain(..) {
+                    on_fork(id, fork);
                 }
+            }
+            if let Some(reason) = self.dispatched() {
+                return reason;
             }
         }
         self.now = self.now.max(t);
         HaltReason::Horizon
+    }
+
+    /// The dispatch loop's step after each event: counts it and applies
+    /// the per-instant bound.
+    fn dispatched(&mut self) -> Option<HaltReason> {
+        self.events_dispatched += 1;
+        self.instant_events += 1;
+        let max = self.budget.max_events_per_instant?;
+        if self.instant_events < max {
+            return None;
+        }
+        let reason = HaltReason::Livelock {
+            events_at_instant: self.instant_events,
+        };
+        self.halt(reason, "livelock");
+        Some(reason)
+    }
+
+    /// A copy of this simulation's state, without its interposer or
+    /// shadows, marked to resume inside the current dispatch; `None` when
+    /// a controller cannot fork. Checkpoints the trace first, so neither
+    /// copy hashes the shared events twice.
+    fn fork(&mut self) -> Option<Simulation> {
+        let controllers = self
+            .controllers
+            .iter()
+            .map(ControllerHost::fork)
+            .collect::<Option<Vec<_>>>()?;
+        self.trace.checkpoint();
+        Some(Simulation {
+            now: self.now,
+            queue: self.queue.clone(),
+            nodes: self.nodes.clone(),
+            links: self.links.clone(),
+            port_map: self.port_map.clone(),
+            controllers,
+            connections: self.connections.clone(),
+            interposer: None,
+            shadows: Vec::new(),
+            forks: Vec::new(),
+            mid_dispatch: true,
+            trace: self.trace.clone(),
+            names: self.names.clone(),
+            arena: self.arena.clone(),
+            peak_pending: self.peak_pending,
+            frames_dropped: self.frames_dropped,
+            budget: self.budget.clone(),
+            events_dispatched: self.events_dispatched,
+            instant_events: self.instant_events,
+            halted: self.halted,
+        })
     }
 
     fn halt(&mut self, reason: HaltReason, slug: &'static str) {
@@ -309,6 +413,12 @@ impl Simulation {
     /// The node id of the named host or switch.
     pub fn node_id(&self, name: &str) -> Option<NodeId> {
         self.names.get(name).copied()
+    }
+
+    /// Whether `name` names a switch.
+    pub fn is_switch(&self, name: &str) -> bool {
+        self.node_id(name)
+            .is_some_and(|id| matches!(self.nodes[id.0], Node::Switch(_)))
     }
 
     /// The named host.
@@ -651,6 +761,14 @@ impl Simulation {
                 self.apply_interposer_actions(actions);
             }
             None => {
+                if !self.shadows.is_empty() {
+                    self.consult_shadows(ProxiedMessage {
+                        conn,
+                        direction,
+                        frame: &frame,
+                        now: self.now,
+                    });
+                }
                 let latency = self.connections[conn.0].latency;
                 self.queue.schedule(
                     self.now + latency,
@@ -660,6 +778,27 @@ impl Simulation {
                         frame,
                     },
                 );
+            }
+        }
+    }
+
+    /// Offers `msg` to every shadow. One that answers anything but pass
+    /// leaves the shadow list and, when the simulation can fork, becomes
+    /// the interposer of a fork with its answer applied — the state its
+    /// own run has at this point, since every earlier answer was pass.
+    fn consult_shadows(&mut self, msg: ProxiedMessage<'_>) {
+        let mut i = 0;
+        while i < self.shadows.len() {
+            let actions = self.shadows[i].1.on_message(msg);
+            if actions.is_pass(&msg) {
+                i += 1;
+                continue;
+            }
+            let (id, shadow) = self.shadows.remove(i);
+            if let Some(mut fork) = self.fork() {
+                fork.interposer = Some(shadow);
+                fork.apply_interposer_actions(actions);
+                self.forks.push((id, fork));
             }
         }
     }
@@ -926,5 +1065,191 @@ impl Simulation {
                 Effect::Trace(kind) => self.trace.push(self.now, kind),
             }
         }
+    }
+}
+
+/// Shadows and forks: a shadow's run, forked at its first answer other
+/// than pass, is the run it makes interposed from t = 0.
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::interpose::PassThrough;
+    use crate::{NetworkBuilder, TraceDigest};
+    use attain_controllers::{Controller, ControllerKind, Outbox};
+    use attain_openflow::{DatapathId, PacketIn, SwitchFeatures};
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Arc;
+
+    const HORIZON: SimTime = SimTime::from_secs(20);
+
+    /// Two hosts on one switch under `app`, with h1 pinging h2 from t = 5.
+    fn network(app: Box<dyn Controller>) -> Simulation {
+        let mut b = NetworkBuilder::new();
+        let h1 = b.host("h1", "10.0.0.1");
+        let h2 = b.host("h2", "10.0.0.2");
+        let s1 = b.switch("s1");
+        b.link(h1, s1);
+        b.link(h2, s1);
+        let c1 = b.controller("c1", app);
+        b.control(c1, s1);
+        let mut sim = b.build();
+        sim.schedule_command(
+            SimTime::from_secs(5),
+            HostCommand::Ping {
+                host: h1,
+                dst: "10.0.0.2".parse().expect("an address"),
+                count: 5,
+                interval: SimTime::from_secs(1),
+                label: "ping".into(),
+            },
+        );
+        sim
+    }
+
+    fn pox() -> Simulation {
+        network(ControllerKind::Pox.instantiate())
+    }
+
+    /// Answers every control message with pass, except that `alter`
+    /// rewrites its answer to the `n`-th (1-based); counts what it has
+    /// seen in `seen`.
+    struct AlterNth {
+        n: usize,
+        seen: Arc<AtomicUsize>,
+        alter: fn(&mut InterposerActions, SimTime),
+    }
+
+    impl Interposer for AlterNth {
+        fn on_message(&mut self, msg: ProxiedMessage<'_>) -> InterposerActions {
+            let mut actions = InterposerActions::pass(&msg);
+            if self.seen.fetch_add(1, Ordering::Relaxed) + 1 == self.n {
+                (self.alter)(&mut actions, msg.now);
+            }
+            actions
+        }
+    }
+
+    /// The run `interposer` makes attached from t = 0: its digest and
+    /// events dispatched.
+    fn alone(mut sim: Simulation, interposer: Box<dyn Interposer>) -> (TraceDigest, u64) {
+        sim.set_interposer(interposer);
+        assert_eq!(sim.run_until(HORIZON), HaltReason::Horizon);
+        (sim.trace().digest(), sim.events_dispatched())
+    }
+
+    /// Runs `sim` with `shadow` attached; returns the baseline, the
+    /// forks run to the horizon (digest and events), and the messages
+    /// the shadow had seen when each fork was handed over.
+    fn shadowed(
+        mut sim: Simulation,
+        shadow: Box<dyn Interposer>,
+        seen: &AtomicUsize,
+    ) -> (Simulation, Vec<(TraceDigest, u64, usize)>) {
+        sim.add_shadow(7, shadow);
+        let mut forks = Vec::new();
+        let halt = sim.run_forking(HORIZON, |id, mut fork| {
+            assert_eq!(id, 7);
+            let at = seen.load(Ordering::Relaxed);
+            assert_eq!(fork.run_until(HORIZON), HaltReason::Horizon);
+            forks.push((fork.trace().digest(), fork.events_dispatched(), at));
+        });
+        assert_eq!(halt, HaltReason::Horizon);
+        (sim, forks)
+    }
+
+    /// A shadow altering its answer to the `n`-th message forks exactly
+    /// once, at that message, into the run it makes attached from t = 0;
+    /// returns the baseline it left.
+    fn forks_once_at(n: usize, alter: fn(&mut InterposerActions, SimTime)) -> Simulation {
+        let shadow = |seen: &Arc<AtomicUsize>| {
+            Box::new(AlterNth {
+                n,
+                seen: Arc::clone(seen),
+                alter,
+            })
+        };
+        let (digest, events) = alone(pox(), shadow(&Arc::new(AtomicUsize::new(0))));
+        let seen = Arc::new(AtomicUsize::new(0));
+        let (sim, forks) = shadowed(pox(), shadow(&seen), &seen);
+        assert_eq!(forks, [(digest, events, n)], "altered message #{n}");
+        assert_eq!(sim.shadow_ids().count(), 0);
+        sim
+    }
+
+    #[test]
+    fn a_pass_through_shadow_never_forks_and_ends_with_the_baseline_digest() {
+        let mut baseline = pox();
+        baseline.run_until(HORIZON);
+        let (sim, forks) = shadowed(pox(), Box::new(PassThrough), &AtomicUsize::new(0));
+        assert!(forks.is_empty());
+        assert_eq!(sim.shadow_ids().collect::<Vec<_>>(), [7]);
+        assert_eq!(sim.trace().digest(), baseline.trace().digest());
+        assert_eq!(sim.events_dispatched(), baseline.events_dispatched());
+        assert_eq!(
+            alone(pox(), Box::new(PassThrough)).0,
+            baseline.trace().digest()
+        );
+    }
+
+    #[test]
+    fn a_shadow_dropping_the_nth_message_forks_once_into_its_own_run() {
+        for n in [1, 5, 12] {
+            let baseline = forks_once_at(n, |a, _| a.deliveries.clear());
+            let mut unshadowed = pox();
+            unshadowed.run_until(HORIZON);
+            assert_eq!(baseline.trace().digest(), unshadowed.trace().digest());
+        }
+    }
+
+    #[test]
+    fn a_shadow_asking_for_a_wakeup_forks_at_that_message() {
+        forks_once_at(4, |a, now| a.wakeup = Some(now + SimTime::from_millis(1)));
+    }
+
+    #[test]
+    fn a_delayed_duplicated_or_commanding_answer_forks_at_its_message() {
+        forks_once_at(6, |a, _| {
+            a.deliveries[0].extra_delay = SimTime::from_millis(2)
+        });
+        forks_once_at(6, |a, _| a.deliveries.push(a.deliveries[0].clone()));
+        forks_once_at(6, |a, _| {
+            a.commands.push(HostCommand::Marker {
+                label: "shadow".into(),
+            })
+        });
+    }
+
+    /// A learning switch that cannot be copied.
+    struct Unforkable(Box<dyn Controller>);
+
+    impl Controller for Unforkable {
+        fn kind(&self) -> ControllerKind {
+            self.0.kind()
+        }
+
+        fn on_switch_connect(&mut self, dpid: DatapathId, f: &SwitchFeatures, out: &mut Outbox) {
+            self.0.on_switch_connect(dpid, f, out);
+        }
+
+        fn on_packet_in(&mut self, dpid: DatapathId, pi: &PacketIn, out: &mut Outbox) {
+            self.0.on_packet_in(dpid, pi, out);
+        }
+    }
+
+    #[test]
+    fn a_shadow_that_diverges_where_no_fork_is_possible_is_dropped() {
+        let app = || Box::new(Unforkable(ControllerKind::Pox.instantiate()));
+        let seen = Arc::new(AtomicUsize::new(0));
+        let shadow = Box::new(AlterNth {
+            n: 3,
+            seen: Arc::clone(&seen),
+            alter: |a, _| a.deliveries.clear(),
+        });
+        let (sim, forks) = shadowed(network(app()), shadow, &seen);
+        assert!(forks.is_empty());
+        assert_eq!(sim.shadow_ids().count(), 0, "neither forked nor kept");
+        let mut baseline = network(app());
+        baseline.run_until(HORIZON);
+        assert_eq!(sim.trace().digest(), baseline.trace().digest());
     }
 }

@@ -235,13 +235,13 @@ const NIL: SlotId = SlotId::MAX;
 type Words = [u64; 5];
 
 /// An arena slot: a generation counter plus the occupant, if any.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct Slot {
     gen: u32,
     occ: Option<Occupied>,
 }
 
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct Occupied {
     entry: FlowEntry,
     /// Insertion sequence number: the entry's place in every observable
@@ -262,7 +262,7 @@ fn occupant_mut(slots: &mut [Slot], id: SlotId) -> &mut Occupied {
 }
 
 /// The entries whose compiled matches share one mask.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct Subtable {
     mask: Words,
     /// At least the rank of every member. It rises with inserts and is
@@ -280,7 +280,7 @@ const VICTIM_SLACK: usize = 8;
 
 /// The flow table of one simulated switch (see the module docs for the
 /// classifier structure).
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct FlowTable {
     slots: Vec<Slot>,
     free: Vec<SlotId>,

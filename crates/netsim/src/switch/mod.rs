@@ -66,7 +66,7 @@ enum ConnPhase {
     Dead,
 }
 
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct SwitchConn {
     conn: ConnId,
     phase: ConnPhase,
@@ -76,7 +76,7 @@ struct SwitchConn {
 }
 
 /// A simulated OpenFlow 1.0 switch (the OVS v1.9.3 model).
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct Switch {
     name: String,
     dpid: DatapathId,

@@ -350,18 +350,29 @@ impl TraceDigest {
 #[derive(Debug, Clone)]
 struct Fnv1a(u64);
 
+impl Default for Fnv1a {
+    fn default() -> Fnv1a {
+        Fnv1a(Self::OFFSET)
+    }
+}
+
 impl Fnv1a {
     const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
     const PRIME: u64 = 0x0000_0100_0000_01b3;
-
-    fn new() -> Fnv1a {
-        Fnv1a(Self::OFFSET)
-    }
 
     fn update(&mut self, bytes: &[u8]) {
         for &b in bytes {
             self.0 ^= u64::from(b);
             self.0 = self.0.wrapping_mul(Self::PRIME);
+        }
+    }
+
+    /// Hashes `events` as [`Trace::digest`] does: each rendered, then a
+    /// newline.
+    fn events(&mut self, events: &[TraceEvent]) {
+        for e in events {
+            e.render(self).expect("the hasher accepts every write");
+            self.update(b"\n");
         }
     }
 }
@@ -375,9 +386,13 @@ impl fmt::Write for Fnv1a {
 }
 
 /// The simulation's event log plus aggregate control-plane counters.
-#[derive(Debug, Default)]
+#[derive(Debug, Default, Clone)]
 pub struct Trace {
     events: Vec<TraceEvent>,
+    /// `events[..folded]` are already hashed into `prefix` (see
+    /// [`Trace::checkpoint`]).
+    folded: usize,
+    prefix: Fnv1a,
     /// Per `(connection, direction, type)` message counts — the paper's
     /// "increased control plane traffic" metric. A `BTreeMap` so every
     /// iteration (reports, digests) is deterministically ordered without
@@ -468,13 +483,19 @@ impl Trace {
     /// and therefore the digest. Runs that disable event recording still
     /// digest their counters.
     pub fn digest(&self) -> TraceDigest {
-        let mut h = Fnv1a::new();
-        for e in &self.events {
-            e.render(&mut h).expect("the hasher accepts every write");
-            h.update(b"\n");
-        }
+        let mut h = self.prefix.clone();
+        h.events(&self.events[self.folded..]);
         self.digest_counters(&mut h);
         TraceDigest(h.0)
+    }
+
+    /// Folds every event recorded so far into a kept hash state, from
+    /// which [`Trace::digest`] resumes. The digest does not change; a
+    /// clone taken after a checkpoint (a forked simulation's trace) does
+    /// not hash the shared events again.
+    pub fn checkpoint(&mut self) {
+        self.prefix.events(&self.events[self.folded..]);
+        self.folded = self.events.len();
     }
 
     /// Digests the counters alone, skipping per-event records.
@@ -486,7 +507,7 @@ impl Trace {
     /// recorded), which is what lets 100k-flow counters-only runs be
     /// checked against full-trace reference runs.
     pub fn counter_digest(&self) -> TraceDigest {
-        let mut h = Fnv1a::new();
+        let mut h = Fnv1a::default();
         self.digest_counters(&mut h);
         TraceDigest(h.0)
     }
@@ -790,6 +811,35 @@ mod tests {
         assert_eq!(t.events().len(), 13);
         assert_eq!(t.digest().to_string(), "ecb38e0996b59c73");
         assert_eq!(t.counter_digest().to_string(), "36f4318b9456abfc");
+    }
+
+    #[test]
+    fn checkpoints_do_not_change_the_digest_of_a_trace_or_its_clones() {
+        let msg = |len| TraceKind::ControlMessage {
+            conn: ConnId(0),
+            direction: Direction::SwitchToController,
+            of_type: Some(OfType::PacketIn),
+            len,
+        };
+        let mut plain = Trace::new();
+        let mut folded = Trace::new();
+        for len in 0..6 {
+            for t in [&mut plain, &mut folded] {
+                t.push(SimTime::from_secs(len as u64), msg(len));
+            }
+            if len % 2 == 0 {
+                folded.checkpoint();
+            }
+            assert_eq!(folded.digest(), plain.digest(), "after {len}");
+        }
+        let mut fork = folded.clone();
+        folded.checkpoint();
+        for t in [&mut plain, &mut fork] {
+            t.push(SimTime::from_secs(9), TraceKind::Marker("suffix".into()));
+        }
+        assert_eq!(fork.digest(), plain.digest());
+        assert_eq!(fork.events(), plain.events());
+        assert_ne!(folded.digest(), plain.digest());
     }
 
     #[test]

@@ -138,6 +138,7 @@ fn main() -> ExitCode {
     cfg.max_events = cli.max_events;
     cfg.retries = cli.retries.unwrap_or(0);
     let report = attain::campaign::run_with(&matrix, &cfg);
+    eprintln!("{}", report.shape);
     std::fs::write(&out, report.to_json(true)).expect("report written");
     eprintln!(
         "{}/{} cells pass, {} unjudged ({} ms); report: {out}",

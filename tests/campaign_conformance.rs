@@ -1,6 +1,6 @@
 //! The conformance campaign as a tier-1 regression surface.
 //!
-//! Five contracts:
+//! Six contracts:
 //!
 //! * **Golden-trace oracle** — the full matrix's per-cell trace digests
 //!   match `tests/golden/campaign/full.txt` (and the CI smoke subset
@@ -17,8 +17,11 @@
 //!   mode equals its other-fail-mode twin, and exactly 24 cells read it.
 //! * **Shared baselines are sound** — `table_overflow`'s bounded
 //!   baseline equals the shared unbounded one it is diffed against.
+//! * **Shared runs are sound** — every unit the runner forked off its
+//!   baseline, or gave its baseline's record because it never diverged,
+//!   equals the unit run alone.
 
-use attain::campaign::{attacks, cell, diff_golden, Matrix};
+use attain::campaign::{attacks, cell, diff_golden, Matrix, RunShape};
 use attain::controllers::ControllerKind;
 use attain::injector::RunRecord;
 use attain::netsim::FailMode;
@@ -143,6 +146,35 @@ fn an_unread_fail_mode_makes_the_twins_identical() {
     // 25 attacked pairs and 5 baseline pairs; connection_interruption
     // (Floodlight, POX, Beacon) and Ryu's fingerprint cells read it.
     assert_eq!(unread, 30 - 4);
+}
+
+/// The licence to fork: on the smoke matrix, every cell the runner made
+/// — forked off its baseline, given the baseline's record as a shadow
+/// that never diverged, reused from its twin or run alone — equals a
+/// standalone run of the same cell, field by field except `wall_ms`.
+#[test]
+fn shared_runs_equal_standalone_runs() {
+    let matrix = Matrix::smoke();
+    let report = attain::campaign::run(&matrix, 1);
+    // Each fail-safe environment shares its baseline's run with every
+    // attack but `table_overflow`. Fail-secure, the baselines and the
+    // units whose twin never read its fail mode are reused, and the four
+    // that read it run alone.
+    let shape = RunShape {
+        environments: 5,
+        forked: 13,
+        undiverged: 7,
+        standalone: 5 + 4,
+        reused: 5 + 21,
+    };
+    assert_eq!(report.shape, shape, "{}", report.shape);
+    for (cell, id) in report.cells.iter().zip(matrix.cells()) {
+        let attack = &matrix.attacks[id.attack];
+        let alone = cell::run_cell(attack, id.controller, id.fail_mode, id.seed)
+            .expect("cell completes alone");
+        let shared = cell.outcome().expect("cell completes in the campaign");
+        assert_eq!(timeless(shared), timeless(&alone), "{}", cell.name);
+    }
 }
 
 /// `table_overflow` cells are diffed against the shared enterprise

@@ -18,7 +18,7 @@
 use crate::attacks::{AttackDef, TableOverride};
 use attain_controllers::ControllerKind;
 use attain_core::model::SystemModel;
-use attain_injector::harness::{self, schedule_ping, Armed, Compiled, RunError, ShadowRun};
+use attain_injector::harness::{self, schedule_ping, Armed, Compiled, RunError, Shared};
 use attain_injector::RunRecord;
 use attain_netsim::{DetRng, FailMode, FaultPlan, RunBudget, SimTime, Simulation};
 
@@ -125,8 +125,8 @@ impl Prepared {
     }
 }
 
-/// Runs one unit — the attacked cell or, with `attached` false, its
-/// baseline — under the supervisor's `budget`.
+/// Runs one unit alone in one fail mode — the attacked cell or, with
+/// `attached` false, its baseline — under the supervisor's `budget`.
 pub(crate) fn run(
     attack: &Prepared,
     kind: ControllerKind,
@@ -135,44 +135,30 @@ pub(crate) fn run(
     attached: bool,
     budget: &RunBudget,
 ) -> Result<RunRecord, RunError> {
-    let compiled = attack.compiled.as_ref().map_err(Clone::clone)?;
-    let faults = FaultPlan::seeded(seed);
-    let schedule = schedule(attack.def.table, seed);
-    harness::run_compiled(
-        compiled, attached, kind, fail_mode, &faults, budget, schedule,
-    )
+    // One fail mode asked for, one record answered.
+    run_shared(attack, attached, &[], kind, &[fail_mode], seed, budget)
+        .leads()
+        .remove(0)
 }
 
-/// Runs `baseline`'s baseline unit with the attacked units of `shadows`
-/// attached as shadows ([`harness::run_shadowed`]). One that is no
-/// [`shadow_of`](Prepared::shadow_of) it is [`ShadowRun::NotRun`].
-pub(crate) fn run_shadowed(
-    baseline: &Prepared,
-    shadows: &[&Prepared],
+/// Runs `lead`'s units — its attacked cells or, with `attached` false,
+/// its baseline — under every mode of `fail_modes` at once, with
+/// `shadows`, each a [`shadow_of`](Prepared::shadow_of) the lead,
+/// attached as shadows ([`harness::run_shared`]).
+pub(crate) fn run_shared(
+    lead: &Prepared,
+    attached: bool,
+    shadows: &[&Armed],
     kind: ControllerKind,
-    fail_mode: FailMode,
+    fail_modes: &[FailMode],
     seed: u64,
     budget: &RunBudget,
-) -> (Result<RunRecord, RunError>, Vec<ShadowRun>) {
-    let mut runs: Vec<ShadowRun> = shadows.iter().map(|_| ShadowRun::NotRun).collect();
-    let compiled = match &baseline.compiled {
-        Ok(compiled) => compiled,
-        Err(e) => return (Err(e.clone()), runs),
-    };
-    let (slots, armed): (Vec<usize>, Vec<&Armed>) = shadows
-        .iter()
-        .enumerate()
-        .filter_map(|(i, s)| Some((i, s.shadow_of(baseline)?)))
-        .unzip();
-    let faults = FaultPlan::seeded(seed);
-    let schedule = schedule(baseline.def.table, seed);
-    let document = compiled.document.as_ref();
-    let (record, shared) =
-        harness::run_shadowed(document, kind, fail_mode, &faults, budget, &armed, schedule);
-    for (i, run) in slots.into_iter().zip(shared) {
-        runs[i] = run;
-    }
-    (record, runs)
+) -> Shared {
+    let (faults, schedule) = (FaultPlan::seeded(seed), schedule(lead.def.table, seed));
+    let compiled = &lead.compiled;
+    harness::run_shared(
+        compiled, attached, kind, fail_modes, &faults, budget, shadows, schedule,
+    )
 }
 
 /// Runs one attacked cell to completion, unbudgeted.

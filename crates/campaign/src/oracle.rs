@@ -311,7 +311,6 @@ mod tests {
             final_state: None,
             rule_fires: Vec::new(),
             faults: None,
-            fail_mode_read: false,
             wall_ms: 0,
         }
     }

@@ -91,35 +91,38 @@ impl ConfusionMatrix {
     }
 }
 
-/// Where a campaign's work went: how each of its units — every cell and
-/// each distinct baseline — was produced. Informational, like the wall
-/// times: a shared run that panics or times out moves its units to
-/// `standalone`, so this is not part of the canonical report.
+/// Where a campaign's work went: how the runs behind its units — every
+/// cell and each distinct baseline, in each fail mode — were made. A run
+/// stands for every fail mode of the matrix until it splits. This is
+/// informational, like the wall times: a shared run that panics or times
+/// out moves its units to `standalone`, so it is not part of the
+/// canonical report.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RunShape {
     /// Baselines run with attacks attached as shadows: one per
-    /// environment run.
+    /// environment.
     pub environments: usize,
-    /// Attacked units forked off their baseline at their first non-pass
+    /// Shadows forked off their baseline at their first non-pass
     /// decision. Their `wall_ms` counts only the fork's own run.
     pub forked: usize,
-    /// Shadows that never diverged, so took their baseline's record
+    /// Shadows that never diverged, so took their baseline's records
     /// (`wall_ms` 0).
     pub undiverged: usize,
-    /// Units run on their own.
+    /// Runs with no shadows: an attack whose environment differs from
+    /// its baseline's, or a unit run alone in its one fail mode.
     pub standalone: usize,
-    /// Units that took their fail-mode twin's record (`wall_ms` 0).
-    pub reused: usize,
+    /// Runs that split where a switch first consulted its fail mode.
+    pub splits: usize,
 }
 
-/// One line: `run shape: 30 environments, 111 forked, …`.
+/// One line: `run shape: 30 environments, 120 forked, …`.
 impl fmt::Display for RunShape {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
             "run shape: {} environments, {} forked, {} never diverged, {} standalone, \
-             {} reused from a fail-mode twin",
-            self.environments, self.forked, self.undiverged, self.standalone, self.reused
+             {} split on the fail mode",
+            self.environments, self.forked, self.undiverged, self.standalone, self.splits
         )
     }
 }

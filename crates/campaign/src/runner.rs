@@ -4,25 +4,20 @@
 //!
 //! Determinism argument: each unit is a single-threaded seeded
 //! simulation (a pure function of its coordinates), workers only race
-//! for *which* twin group to run next (an atomic cursor), and assembly
+//! for *which* environment to run next (an atomic cursor), and assembly
 //! iterates the matrix — never the completion order. Hence the report
 //! is byte-identical for any `jobs ≥ 1`.
 //!
-//! Shared runs: an environment is a (topology, controller, fail mode,
-//! seed) tuple. Its baseline runs once with each of its attacks that
-//! can share that run attached as a shadow ([`harness::run_shadowed`]):
-//! a shadow's unit is a fork of the baseline from its first answer other
-//! than pass, or the baseline's own record if it never gives one. Either
-//! way it is the record its own run makes. An attack whose environment
-//! differs from its baseline's (a table bound) runs alone.
-//!
-//! Twin reuse: a twin group is the environments that differ only in fail
-//! mode, run in order by one worker. A switch's fail mode has one read
-//! path, which marks the run ([`RunRecord::fail_mode_read`]); a completed
-//! run that never read it is the same computation under the other fail
-//! mode, so its later twins take its record instead of running. Only a
-//! `Completed` record is reused: every other status makes the next twin
-//! run for real.
+//! Shared runs: an environment is a (topology, controller, seed) tuple.
+//! Its baseline runs once, for every fail mode of the matrix at once,
+//! with each of its attacks that can share that run attached as a shadow
+//! ([`harness::run_shared`]): a shadow's units are a fork of the baseline
+//! from its first answer other than pass, or the baseline's own records
+//! if it never gives one. A run, fork or not, is one run for both fail
+//! modes until a switch first consults its mode, and splits into two
+//! there. Either way each unit gets the record its own run makes. An
+//! attack whose environment differs from its baseline's (a table bound)
+//! runs alone, still for every fail mode at once.
 //!
 //! Supervision argument: every unit runs inside `catch_unwind`, writes
 //! its [`CellStatus`] into a private `OnceLock` slot (no shared mutex
@@ -34,25 +29,25 @@
 //! flaky host gets another chance while deterministic failures
 //! (panics, budget halts, setup errors) are reported as-is. A shared run
 //! is one attempt for all of its units: if it panics or times out, each
-//! of them runs alone under that supervision, so no status depends on
-//! the sharing.
+//! of them runs alone in its one fail mode under that supervision, so no
+//! status depends on the sharing.
 //!
-//! [`harness::run_shadowed`]: attain_injector::harness::run_shadowed
+//! [`harness::run_shared`]: attain_injector::harness::run_shared
 
 use crate::attacks::{AttackDef, Scope};
 use crate::cell::{self, Prepared};
-use crate::matrix::{fail_slug, Matrix};
+use crate::matrix::Matrix;
 use crate::oracle;
 use crate::report::{CampaignReport, CellReport, RunShape};
 use attain_controllers::ControllerKind;
-use attain_injector::harness::{RunError, ShadowRun};
+use attain_injector::harness::{ModeRuns, RunError, ShadowRun, Shared};
 use attain_injector::RunRecord;
 use attain_netsim::{CancelToken, FailMode, HaltReason, RunBudget};
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{mpsc, OnceLock};
+use std::sync::{mpsc, Mutex, OnceLock, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -60,6 +55,10 @@ use std::time::{Duration, Instant};
 /// a healthy cell dispatches at one virtual time, small enough to trip
 /// a genuine livelock in milliseconds.
 pub const DEFAULT_LIVELOCK_BOUND: u64 = 200_000;
+
+/// Backoff before the first retry of a timed-out unit; doubles per
+/// further attempt.
+const RETRY_BACKOFF: Duration = Duration::from_millis(100);
 
 /// How one cell (or baseline) run ended.
 // `Completed` is the common case, not an outlier worth boxing: boxing
@@ -144,10 +143,9 @@ pub struct RunnerConfig {
     /// Deterministic cap on events at one virtual instant.
     pub livelock_bound: u64,
     /// Same-seed retries for timed-out units (the one nondeterministic
-    /// failure mode). Deterministic failures are never retried.
+    /// failure mode), after a backoff that doubles per attempt.
+    /// Deterministic failures are never retried.
     pub retries: u32,
-    /// Backoff before the first retry; doubles per further attempt.
-    pub retry_backoff: Duration,
 }
 
 impl RunnerConfig {
@@ -160,45 +158,17 @@ impl RunnerConfig {
             max_events: None,
             livelock_bound: DEFAULT_LIVELOCK_BOUND,
             retries: 0,
-            retry_backoff: Duration::from_millis(100),
         }
     }
 }
 
+/// One cell, or one baseline, in one fail mode.
 struct UnitSpec<'a> {
     attack: &'a Prepared,
     controller: ControllerKind,
     fail_mode: FailMode,
     seed: u64,
     attacked: bool,
-}
-
-impl UnitSpec<'_> {
-    /// What the unit's fail-mode twins share within their twin group:
-    /// the baseline, or the attack's name.
-    fn twin(&self) -> (bool, &'static str) {
-        let name = if self.attacked {
-            self.attack.def.name
-        } else {
-            ""
-        };
-        (self.attacked, name)
-    }
-}
-
-/// How a unit's status was produced (the report's [`RunShape`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Made {
-    /// A baseline run with shadows attached.
-    Environment,
-    /// A shadow's fork.
-    Forked,
-    /// A shadow that never diverged.
-    Undiverged,
-    /// Run alone.
-    Alone,
-    /// Its fail-mode twin's record.
-    Reused,
 }
 
 /// Baselines are shared per topology: every enterprise attack diffs
@@ -306,16 +276,13 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// What the pool runs: a unit alone (no shadows), or a baseline unit
-/// with attacked units of its environment as shadows, answering one
-/// [`ShadowRun`] per shadow — [`run_cell`] in a campaign, a deliberately
-/// misbehaving stand-in in the supervision tests.
-type UnitFn<'a> = &'a (dyn Fn(
-    &UnitSpec<'_>,
-    &[&UnitSpec<'_>],
-    &RunBudget,
-) -> (Result<RunRecord, RunError>, Vec<ShadowRun>)
-         + Sync);
+/// What the pool runs: one run of a lead — the units of one attack, or
+/// of a baseline, one per fail mode the run stands for — with the
+/// attacks of the other units as shadows, answering the lead's outcome
+/// and one [`ShadowRun`] per shadow for each of those modes. It is
+/// [`run_cell`] in a campaign, and a deliberately misbehaving stand-in in
+/// the supervision tests.
+type UnitFn<'a> = &'a (dyn Fn(&[&UnitSpec<'_>], &[&UnitSpec<'_>], &RunBudget) -> Shared + Sync);
 
 /// The status of a run that returned.
 fn status(result: Result<RunRecord, RunError>) -> CellStatus {
@@ -350,9 +317,9 @@ fn attempt_budget(cfg: &RunnerConfig, supervisor: Option<&Supervisor>) -> RunBud
     }
 }
 
-/// Runs one unit alone under supervision, fully contained (panics become
-/// `Panicked`, errors their statuses), retrying wall-clock timeouts with
-/// exponential backoff.
+/// Runs one unit alone in its one fail mode under supervision, fully
+/// contained (panics become `Panicked`, errors their statuses), retrying
+/// wall-clock timeouts with exponential backoff.
 fn run_supervised(
     run_unit: UnitFn<'_>,
     u: &UnitSpec<'_>,
@@ -362,14 +329,16 @@ fn run_supervised(
     let mut attempt = 0u32;
     loop {
         let budget = attempt_budget(cfg, supervisor);
-        let status = match catch_unwind(AssertUnwindSafe(|| run_unit(u, &[], &budget).0)) {
+        // One fail mode asked for, one record answered.
+        let alone = || run_unit(&[u], &[], &budget).leads().remove(0);
+        let status = match catch_unwind(AssertUnwindSafe(alone)) {
             Ok(result) => status(result),
             Err(payload) => CellStatus::Panicked {
                 msg: panic_message(payload),
             },
         };
         if status == CellStatus::TimedOut && attempt < cfg.retries {
-            let backoff = cfg.retry_backoff.saturating_mul(1u32 << attempt.min(10));
+            let backoff = RETRY_BACKOFF.saturating_mul(1u32 << attempt.min(10));
             attempt += 1;
             std::thread::sleep(backoff);
             continue;
@@ -385,166 +354,162 @@ struct Pool<'a> {
     units: &'a [UnitSpec<'a>],
     cfg: &'a RunnerConfig,
     supervisor: Option<&'a Supervisor>,
-    results: &'a [OnceLock<(CellStatus, Made)>],
+    results: &'a [OnceLock<CellStatus>],
+    /// How the runs went so far; a sum, so independent of their order.
+    shape: Mutex<RunShape>,
 }
 
 impl Pool<'_> {
-    fn set(&self, i: usize, status: CellStatus, made: Made) {
-        let _ = self.results[i].set((status, made));
+    fn set(&self, i: usize, status: CellStatus) {
+        let _ = self.results[i].set(status);
     }
 
-    fn record(&self, i: usize) -> Option<&RunRecord> {
-        self.results[i]
-            .get()
-            .and_then(|(status, _)| status.outcome())
+    fn count(&self, f: impl FnOnce(&mut RunShape)) {
+        f(&mut self.shape.lock().unwrap_or_else(PoisonError::into_inner));
     }
 
     fn run_alone(&self, i: usize) {
         let status = run_supervised(self.run_unit, &self.units[i], self.cfg, self.supervisor);
-        self.set(i, status, Made::Alone);
+        self.set(i, status);
+        self.count(|shape| shape.standalone += 1);
     }
 
-    /// Runs one twin group: its environments in fail-mode order. A unit
-    /// whose earlier twin completed without reading a fail mode takes a
-    /// copy of that record, with `wall_ms` 0 since no time was spent on
-    /// it; the environment's other units run.
-    fn run_group(&self, group: &[Vec<usize>]) {
-        let mut donors: BTreeMap<(bool, &str), usize> = BTreeMap::new();
-        for env in group {
-            let mut todo = Vec::new();
-            for &i in env {
-                match donors
-                    .get(&self.units[i].twin())
-                    .and_then(|&d| self.record(d))
-                {
-                    Some(record) => {
-                        let record = RunRecord {
-                            wall_ms: 0,
-                            ..record.clone()
-                        };
-                        self.set(i, CellStatus::Completed(record), Made::Reused);
-                    }
-                    None => todo.push(i),
-                }
-            }
-            self.run_env(&todo);
-            for &i in &todo {
-                if self.record(i).is_some_and(|r| !r.fail_mode_read) {
-                    donors.entry(self.units[i].twin()).or_insert(i);
-                }
-            }
-        }
-    }
-
-    /// Runs the units of one environment that need running: its baseline,
-    /// if among them, with every attack that can share its run as a
-    /// shadow; the rest alone.
-    fn run_env(&self, todo: &[usize]) {
-        let alone = match todo.split_first() {
-            Some((&lead, rest)) if !self.units[lead].attacked => {
-                let baseline = self.units[lead].attack;
-                let (shadows, alone): (Vec<usize>, Vec<usize>) = rest
-                    .iter()
-                    .partition(|&&i| self.units[i].attack.shadow_of(baseline).is_some());
-                self.run_shared(lead, &shadows);
-                alone
-            }
-            _ => todo.to_vec(),
+    /// Runs one environment: its baseline, with every attack that can
+    /// share its run as a shadow, then every other attack on its own.
+    /// `env` lists the baseline's units, then each attack's, one unit
+    /// per fail mode in matrix order.
+    fn run_env(&self, env: &[Vec<usize>]) {
+        let Some((baseline, attacks)) = env.split_first() else {
+            return;
         };
-        for i in alone {
-            self.run_alone(i);
+        let lead = self.units[baseline[0]].attack;
+        let (shadows, alone): (Vec<&Vec<usize>>, Vec<&Vec<usize>>) = attacks
+            .iter()
+            .partition(|units| self.units[units[0]].attack.shadow_of(lead).is_some());
+        self.run_shared(baseline, &shadows);
+        for attack in alone {
+            self.run_shared(attack, &[]);
         }
     }
 
-    /// Runs `lead` with `shadows` attached as one supervised attempt. If
-    /// it panics or times out, every one of its units runs alone instead.
-    fn run_shared(&self, lead: usize, shadows: &[usize]) {
-        if shadows.is_empty() {
-            return self.run_alone(lead);
-        }
+    /// Runs `lead`, for all of its units' fail modes at once, with
+    /// `shadows` attached, as one supervised attempt. If it panics or
+    /// times out, or a split could not fork, each of its units runs alone
+    /// in its one fail mode instead.
+    fn run_shared(&self, lead: &[usize], shadows: &[&Vec<usize>]) {
         let budget = attempt_budget(self.cfg, self.supervisor);
-        let specs: Vec<&UnitSpec<'_>> = shadows.iter().map(|&i| &self.units[i]).collect();
+        let leads: Vec<&UnitSpec<'_>> = lead.iter().map(|&i| &self.units[i]).collect();
+        let specs: Vec<&UnitSpec<'_>> = shadows.iter().map(|s| &self.units[s[0]]).collect();
         let shared = catch_unwind(AssertUnwindSafe(|| {
-            (self.run_unit)(&self.units[lead], &specs, &budget)
+            (self.run_unit)(&leads, &specs, &budget)
         }));
         let cancelled = |r: &Result<RunRecord, RunError>| {
             matches!(r, Err(RunError::Halted(HaltReason::Cancelled)))
         };
-        let shared = shared.ok().filter(|(record, runs)| {
-            !cancelled(record)
+        let sound = |(lead, runs): &ModeRuns| {
+            !cancelled(lead)
                 && runs.iter().all(|run| match run {
                     ShadowRun::Forked(r) | ShadowRun::Undiverged(r) => !cancelled(r),
                     ShadowRun::NotRun => true,
                 })
+        };
+        let shared = shared.ok().and_then(|shared| {
+            let modes = shared.modes.into_iter().collect::<Option<Vec<_>>>()?;
+            modes.iter().all(sound).then_some((modes, shared.splits))
         });
-        let Some((record, runs)) = shared else {
-            for &i in std::iter::once(&lead).chain(shadows) {
+        let Some((modes, splits)) = shared else {
+            for &i in lead.iter().chain(shadows.iter().copied().flatten()) {
                 self.run_alone(i);
             }
             return;
         };
-        self.set(lead, status(record), Made::Environment);
-        for (&i, run) in shadows.iter().zip(runs) {
-            match run {
-                ShadowRun::Forked(r) => self.set(i, status(r), Made::Forked),
-                ShadowRun::Undiverged(r) => self.set(i, status(r), Made::Undiverged),
-                ShadowRun::NotRun => self.run_alone(i),
+        // Per shadow: whether it forked anywhere, and whether it never
+        // diverged somewhere.
+        let mut made = vec![(false, false); shadows.len()];
+        for (m, (&i, (record, runs))) in lead.iter().zip(modes).enumerate() {
+            self.set(i, status(record));
+            for ((units, run), made) in shadows.iter().zip(runs).zip(&mut made) {
+                match run {
+                    ShadowRun::Forked(r) => {
+                        made.0 = true;
+                        self.set(units[m], status(r));
+                    }
+                    ShadowRun::Undiverged(r) => {
+                        made.1 = true;
+                        self.set(units[m], status(r));
+                    }
+                    ShadowRun::NotRun => self.run_alone(units[m]),
+                }
             }
         }
+        self.count(|shape| {
+            if shadows.is_empty() {
+                shape.standalone += 1;
+            } else {
+                shape.environments += 1;
+            }
+            shape.splits += splits;
+            for (forked, undiverged) in made {
+                shape.forked += usize::from(forked);
+                shape.undiverged += usize::from(undiverged && !forked);
+            }
+        });
     }
 }
 
-/// Runs every twin group on `cfg.jobs` workers; returns each unit's
-/// status and how it was made, in unit order.
+/// Runs every environment on `cfg.jobs` workers; returns each unit's
+/// status, in unit order, and how the runs went.
 fn run_pool(
     run_unit: UnitFn<'_>,
     units: &[UnitSpec<'_>],
-    groups: &[Vec<Vec<usize>>],
+    envs: &[Vec<Vec<usize>>],
     cfg: &RunnerConfig,
-) -> Vec<(CellStatus, Made)> {
+) -> (Vec<CellStatus>, RunShape) {
     let supervisor = cfg.cell_timeout.map(|_| Supervisor::spawn());
     // Per-slot storage: a panicking worker (even one that somehow
     // escapes `catch_unwind`) can poison nothing — every other slot
     // still fills and the merge proceeds.
-    let results: Vec<OnceLock<(CellStatus, Made)>> =
-        (0..units.len()).map(|_| OnceLock::new()).collect();
+    let results: Vec<OnceLock<CellStatus>> = (0..units.len()).map(|_| OnceLock::new()).collect();
     let pool = Pool {
         run_unit,
         units,
         cfg,
         supervisor: supervisor.as_ref(),
         results: &results,
+        shape: Mutex::new(RunShape::default()),
     };
-    let jobs = cfg.jobs.max(1).min(groups.len().max(1));
+    let jobs = cfg.jobs.max(1).min(envs.len().max(1));
     if jobs <= 1 {
-        for group in groups {
-            pool.run_group(group);
+        for env in envs {
+            pool.run_env(env);
         }
     } else {
         let cursor = AtomicUsize::new(0);
         std::thread::scope(|scope| {
             for _ in 0..jobs {
                 scope.spawn(|| loop {
-                    let g = cursor.fetch_add(1, Ordering::Relaxed);
-                    let Some(group) = groups.get(g) else {
+                    let e = cursor.fetch_add(1, Ordering::Relaxed);
+                    let Some(env) = envs.get(e) else {
                         break;
                     };
-                    pool.run_group(group);
+                    pool.run_env(env);
                 });
             }
         });
     }
-    results
+    let shape = pool
+        .shape
+        .into_inner()
+        .unwrap_or_else(PoisonError::into_inner);
+    let statuses = results
         .into_iter()
         .map(|slot| {
-            slot.into_inner().unwrap_or((
-                CellStatus::Panicked {
-                    msg: "worker vanished before storing a result".into(),
-                },
-                Made::Alone,
-            ))
+            slot.into_inner().unwrap_or(CellStatus::Panicked {
+                msg: "worker vanished before storing a result".into(),
+            })
         })
-        .collect()
+        .collect();
+    (statuses, shape)
 }
 
 /// Runs the whole campaign on `jobs` worker threads with default
@@ -558,20 +523,23 @@ pub fn run_with(matrix: &Matrix, cfg: &RunnerConfig) -> CampaignReport {
     run_units(matrix, cfg, &run_cell)
 }
 
-/// The campaign's unit function: one cell run, attacked or baseline,
-/// alone or with shadows.
-fn run_cell(
-    u: &UnitSpec<'_>,
-    shadows: &[&UnitSpec<'_>],
-    budget: &RunBudget,
-) -> (Result<RunRecord, RunError>, Vec<ShadowRun>) {
-    let (kind, fail_mode, seed) = (u.controller, u.fail_mode, u.seed);
-    if shadows.is_empty() {
-        let record = cell::run(u.attack, kind, fail_mode, seed, u.attacked, budget);
-        return (record, Vec::new());
-    }
-    let shadows: Vec<&Prepared> = shadows.iter().map(|s| s.attack).collect();
-    cell::run_shadowed(u.attack, &shadows, kind, fail_mode, seed, budget)
+/// The campaign's unit function: one run of an attack's cells or of a
+/// baseline, in the fail modes of `lead`, alone or with shadows.
+fn run_cell(lead: &[&UnitSpec<'_>], shadows: &[&UnitSpec<'_>], budget: &RunBudget) -> Shared {
+    let modes: Vec<FailMode> = lead.iter().map(|u| u.fail_mode).collect();
+    let Some(u) = lead.first() else {
+        return Shared {
+            modes: Vec::new(),
+            splits: 0,
+        };
+    };
+    // The pool only asks attacks that can shadow the lead to.
+    let shadows: Vec<_> = shadows
+        .iter()
+        .filter_map(|s| s.attack.shadow_of(u.attack))
+        .collect();
+    let (kind, seed) = (u.controller, u.seed);
+    cell::run_shared(u.attack, u.attacked, &shadows, kind, &modes, seed, budget)
 }
 
 /// [`run_with`] over an arbitrary unit function: the runner's seam, so
@@ -582,76 +550,57 @@ fn run_units(matrix: &Matrix, cfg: &RunnerConfig, run_unit: UnitFn<'_>) -> Campa
     // Each attack is compiled once, for all of its units.
     let prepared: Vec<Prepared> = matrix.attacks.iter().map(|&a| Prepared::new(a)).collect();
 
-    // One baseline unit per environment — distinct (topology,
-    // controller, fail, seed) — then every attacked cell in matrix order.
-    // Environment `i` is baseline unit `i`, then its cells.
+    // One environment per distinct (topology, controller, seed): its
+    // baseline's units, then each attack's, one unit per fail mode in
+    // matrix order (the order the matrix enumerates a cell's modes in).
     let mut units: Vec<UnitSpec<'_>> = Vec::new();
-    let mut envs: Vec<Vec<usize>> = Vec::new();
-    let mut env_of: BTreeMap<(&str, &str, &str, u64), usize> = BTreeMap::new();
-    let cell_env: Vec<usize> = cells
-        .iter()
-        .map(|cell| {
-            let key = (
-                topology_key(&matrix.attacks[cell.attack]),
-                cell.controller.slug(),
-                fail_slug(cell.fail_mode),
-                cell.seed,
-            );
-            *env_of.entry(key).or_insert_with(|| {
-                units.push(UnitSpec {
-                    attack: &prepared[cell.attack],
-                    controller: cell.controller,
-                    fail_mode: cell.fail_mode,
-                    seed: cell.seed,
-                    attacked: false,
-                });
-                envs.push(vec![units.len() - 1]);
-                envs.len() - 1
-            })
-        })
-        .collect();
-    let first_cell_unit = units.len();
-    for (cell, &env) in cells.iter().zip(&cell_env) {
-        units.push(UnitSpec {
-            attack: &prepared[cell.attack],
+    let mut envs: Vec<Vec<Vec<usize>>> = Vec::new();
+    let mut env_of: BTreeMap<(&str, &str, u64), usize> = BTreeMap::new();
+    // Per cell: its unit and its baseline's.
+    let mut cell_units: Vec<(usize, usize)> = Vec::with_capacity(cells.len());
+    for cell in &cells {
+        let attack = &prepared[cell.attack];
+        let key = (topology_key(&attack.def), cell.controller.slug(), cell.seed);
+        let env = *env_of.entry(key).or_insert_with(|| {
+            envs.push(vec![Vec::new()]);
+            envs.len() - 1
+        });
+        let spec = |attacked| UnitSpec {
+            attack,
             controller: cell.controller,
             fail_mode: cell.fail_mode,
             seed: cell.seed,
-            attacked: true,
+            attacked,
+        };
+        let env = &mut envs[env];
+        let mode = cell.fail_mode;
+        let found = env[0].iter().copied().find(|&b| units[b].fail_mode == mode);
+        // The environment's first attack makes its baseline's units.
+        let baseline = found.unwrap_or_else(|| {
+            units.push(spec(false));
+            env[0].push(units.len() - 1);
+            units.len() - 1
         });
-        envs[env].push(units.len() - 1);
-    }
-    // Twin groups: the environments that differ only in fail mode, in
-    // `matrix.fail_modes` order (environments were made in matrix order).
-    let mut group_of: BTreeMap<(&str, &str, u64), usize> = BTreeMap::new();
-    let mut groups: Vec<Vec<Vec<usize>>> = Vec::new();
-    for env in envs {
-        let u = &units[env[0]];
-        let key = (topology_key(&u.attack.def), u.controller.slug(), u.seed);
-        let g = *group_of.entry(key).or_insert_with(|| {
-            groups.push(Vec::new());
-            groups.len() - 1
-        });
-        groups[g].push(env);
-    }
-
-    let results = run_pool(run_unit, &units, &groups, cfg);
-
-    let mut shape = RunShape::default();
-    for (_, made) in &results {
-        match made {
-            Made::Environment => shape.environments += 1,
-            Made::Forked => shape.forked += 1,
-            Made::Undiverged => shape.undiverged += 1,
-            Made::Alone => shape.standalone += 1,
-            Made::Reused => shape.reused += 1,
+        units.push(spec(true));
+        let u = units.len() - 1;
+        let name = attack.def.name;
+        match env[1..]
+            .iter_mut()
+            .find(|a| units[a[0]].attack.def.name == name)
+        {
+            Some(group) => group.push(u),
+            None => env.push(vec![u]),
         }
+        cell_units.push((u, baseline));
     }
+
+    let (results, shape) = run_pool(run_unit, &units, &envs, cfg);
+
     let mut reports = Vec::with_capacity(cells.len());
-    for (i, cell) in cells.iter().enumerate() {
+    for (cell, &(unit, baseline)) in cells.iter().zip(&cell_units) {
         let attack = &matrix.attacks[cell.attack];
-        let status = results[first_cell_unit + i].0.clone();
-        let baseline = &results[cell_env[i]].0;
+        let status = results[unit].clone();
+        let baseline = &results[baseline];
         let observed = oracle::judge(&status, baseline);
         let expected = oracle::expected(attack.name, cell.controller, cell.fail_mode);
         let mut pass = observed.is_some_and(|o| expected.contains(&o));
@@ -742,15 +691,17 @@ mod tests {
     /// misbehave on the attacked half of their pair. As shadows, a
     /// panicking one takes its whole shared run down and a spinning one
     /// spins in its fork.
-    fn chaos_unit(
-        u: &UnitSpec<'_>,
-        shadows: &[&UnitSpec<'_>],
-        budget: &RunBudget,
-    ) -> (Result<RunRecord, RunError>, Vec<ShadowRun>) {
+    fn chaos_unit(lead: &[&UnitSpec<'_>], shadows: &[&UnitSpec<'_>], budget: &RunBudget) -> Shared {
         let name = |s: &UnitSpec<'_>| s.attack.def.name;
-        match (u.attacked, name(u)) {
-            (true, PANIC_CELL) => panic!("{PANIC_MESSAGE}"),
-            (true, LIVELOCK_CELL) => return (spin(u, budget), Vec::new()),
+        match lead.first().map(|u| (u.attacked, name(u))) {
+            Some((true, PANIC_CELL)) => panic!("{PANIC_MESSAGE}"),
+            Some((true, LIVELOCK_CELL)) => {
+                let modes = lead.iter().map(|u| Some((spin(u, budget), Vec::new())));
+                return Shared {
+                    modes: modes.collect(),
+                    splits: 0,
+                };
+            }
             _ => {}
         }
         if shadows.iter().any(|s| name(s) == PANIC_CELL) {
@@ -761,45 +712,30 @@ mod tests {
             .copied()
             .filter(|s| name(s) != LIVELOCK_CELL)
             .collect();
-        let (record, tame_runs) = run_cell(u, &tame, budget);
-        let mut tame_runs = tame_runs.into_iter();
-        let runs = shadows
-            .iter()
-            .map(|s| match name(s) {
-                LIVELOCK_CELL => ShadowRun::Forked(spin(s, budget)),
-                _ => tame_runs.next().unwrap_or(ShadowRun::NotRun),
-            })
-            .collect();
-        (record, runs)
+        let mut shared = run_cell(lead, &tame, budget);
+        for (mode, u) in shared.modes.iter_mut().zip(lead) {
+            let Some((_, runs)) = mode else { continue };
+            let mut tame_runs = std::mem::take(runs).into_iter();
+            *runs = shadows
+                .iter()
+                .map(|s| match name(s) {
+                    LIVELOCK_CELL => ShadowRun::Forked(spin(u, budget)),
+                    _ => tame_runs.next().unwrap_or(ShadowRun::NotRun),
+                })
+                .collect();
+        }
+        shared
     }
 
-    /// [`run_cell`] with `f` applied to every record it returns.
-    fn run_cell_then(
-        u: &UnitSpec<'_>,
-        shadows: &[&UnitSpec<'_>],
-        budget: &RunBudget,
-        f: impl Fn(RunRecord) -> RunRecord,
-    ) -> (Result<RunRecord, RunError>, Vec<ShadowRun>) {
-        let (record, runs) = run_cell(u, shadows, budget);
-        let runs = runs
-            .into_iter()
-            .map(|run| match run {
-                ShadowRun::Forked(r) => ShadowRun::Forked(r.map(&f)),
-                ShadowRun::Undiverged(r) => ShadowRun::Undiverged(r.map(&f)),
-                ShadowRun::NotRun => ShadowRun::NotRun,
-            })
-            .collect();
-        (record.map(&f), runs)
-    }
-
-    /// A run whose interposer never lets virtual time advance.
+    /// A run in `u`'s environment whose interposer never lets virtual
+    /// time advance.
     fn spin(u: &UnitSpec<'_>, budget: &RunBudget) -> Result<RunRecord, RunError> {
         harness::run(
             Scope::Enterprise,
             "",
             false,
             u.controller,
-            u.fail_mode,
+            &[u.fail_mode],
             &FaultPlan::seeded(u.seed),
             budget,
             |sim, _| {
@@ -807,7 +743,8 @@ mod tests {
                 schedule_ping(sim, SimTime::from_secs(10), "h1", "10.0.0.6", 1, "w1")?;
                 Ok(SimTime::from_secs(20))
             },
-        )?;
+        )
+        .remove(0)?;
         Err(RunError::Setup(
             "livelock cell reached its horizon — the spin interposer never engaged".into(),
         ))
@@ -898,8 +835,8 @@ mod tests {
     }
 
     /// `trivial_pass` on POX under both fail modes, one seed: one
-    /// baseline twin pair and one attacked twin pair.
-    fn twin_matrix() -> Matrix {
+    /// environment, whose baseline and attacked units are twin pairs.
+    fn pair_matrix() -> Matrix {
         Matrix {
             attacks: vec![attacks::by_name("trivial_pass").expect("attack exists")],
             controllers: vec![ControllerKind::Pox],
@@ -908,16 +845,23 @@ mod tests {
         }
     }
 
+    /// Whether a run of `lead` with `shadows` makes a unit of `attack`
+    /// run fail-safe.
+    fn runs_safe(lead: &[&UnitSpec<'_>], shadows: &[&UnitSpec<'_>], attack: &str) -> bool {
+        let safe = lead.iter().any(|u| u.fail_mode == FailMode::Safe);
+        let mut attacked = lead.iter().filter(|u| u.attacked).chain(shadows);
+        safe && attacked.any(|u| u.attack.def.name == attack)
+    }
+
     #[test]
     fn a_panicking_safe_twin_leaves_its_secure_twin_to_run() {
-        let unit = |u: &UnitSpec<'_>, shadows: &[&UnitSpec<'_>], budget: &RunBudget| {
-            let mut all = std::iter::once(u).chain(shadows.iter().copied());
-            if all.any(|s| s.attacked && s.fail_mode == FailMode::Safe) {
+        let unit = |lead: &[&UnitSpec<'_>], shadows: &[&UnitSpec<'_>], budget: &RunBudget| {
+            if runs_safe(lead, shadows, "trivial_pass") {
                 panic!("{PANIC_MESSAGE}");
             }
-            run_cell(u, shadows, budget)
+            run_cell(lead, shadows, budget)
         };
-        let report = run_units(&twin_matrix(), &RunnerConfig::new(1), &unit);
+        let report = run_units(&pair_matrix(), &RunnerConfig::new(1), &unit);
         let [safe, secure] = &report.cells[..] else {
             panic!("expected two cells, got {}", report.cells.len());
         };
@@ -932,32 +876,10 @@ mod tests {
             secure.status
         );
         assert!(secure.pass, "the secure twin is judged on its own run");
-        // The safe environment's shared run panicked, so both of its
-        // units ran alone; the secure baseline took its twin's record.
+        // The environment's run for both fail modes panicked, so each of
+        // its four units ran alone in its one mode.
         let shape = RunShape {
-            standalone: 3,
-            reused: 1,
-            ..RunShape::default()
-        };
-        assert_eq!(report.shape, shape);
-    }
-
-    #[test]
-    fn twins_that_read_their_fail_mode_both_run() {
-        let runs = AtomicUsize::new(0);
-        let unit = |u: &UnitSpec<'_>, shadows: &[&UnitSpec<'_>], budget: &RunBudget| {
-            runs.fetch_add(1 + shadows.len(), Ordering::Relaxed);
-            run_cell_then(u, shadows, budget, |r| RunRecord {
-                fail_mode_read: true,
-                ..r
-            })
-        };
-        let report = run_units(&twin_matrix(), &RunnerConfig::new(1), &unit);
-        assert_eq!(runs.into_inner(), 4, "both baselines and both cells run");
-        assert_eq!(report.passed(), 2);
-        let shape = RunShape {
-            environments: 2,
-            undiverged: 2,
+            standalone: 4,
             ..RunShape::default()
         };
         assert_eq!(report.shape, shape);
@@ -966,19 +888,18 @@ mod tests {
     #[test]
     fn an_unread_twin_runs_once_and_lends_its_record() {
         let runs = AtomicUsize::new(0);
-        let unit = |u: &UnitSpec<'_>, shadows: &[&UnitSpec<'_>], budget: &RunBudget| {
-            runs.fetch_add(1 + shadows.len(), Ordering::Relaxed);
-            run_cell_then(u, shadows, budget, |r| RunRecord {
-                fail_mode_read: false,
-                wall_ms: 7,
-                ..r
-            })
+        let unit = |lead: &[&UnitSpec<'_>], shadows: &[&UnitSpec<'_>], budget: &RunBudget| {
+            runs.fetch_add(1, Ordering::Relaxed);
+            run_cell(lead, shadows, budget)
         };
-        let report = run_units(&twin_matrix(), &RunnerConfig::new(1), &unit);
-        assert_eq!(runs.into_inner(), 2, "one baseline and one cell run");
+        let report = run_units(&pair_matrix(), &RunnerConfig::new(1), &unit);
+        assert_eq!(
+            runs.into_inner(),
+            1,
+            "one run for both modes and both units"
+        );
         let safe = report.cells[0].outcome().expect("safe twin completes");
         let secure = report.cells[1].outcome().expect("secure twin completes");
-        assert_eq!(safe.wall_ms, 7);
         assert_eq!(
             secure,
             &RunRecord {
@@ -987,36 +908,44 @@ mod tests {
             }
         );
         assert_eq!(report.passed(), 2);
+        let shape = RunShape {
+            environments: 1,
+            undiverged: 1,
+            ..RunShape::default()
+        };
+        assert_eq!(report.shape, shape);
     }
 
     #[test]
-    fn twin_reuse_is_byte_identical_across_thread_counts() {
-        // Every reuse case in one matrix: a panicking safe twin (its
-        // secure twin runs), twins that read the fail mode (Ryu: both
-        // run) and twins that do not (POX: one runs).
-        let unit = |u: &UnitSpec<'_>, shadows: &[&UnitSpec<'_>], budget: &RunBudget| {
-            let mut all = std::iter::once(u).chain(shadows.iter().copied());
-            if all.any(|s| {
-                s.attacked && s.attack.def.name == PANIC_CELL && s.fail_mode == FailMode::Safe
-            }) {
+    fn shared_runs_are_byte_identical_across_thread_counts() {
+        // Ryu's shared run panics, so each of its units runs alone in its
+        // mode (the panicking safe twin panics again), beside POX's, which
+        // completes for both modes at once.
+        let unit = |lead: &[&UnitSpec<'_>], shadows: &[&UnitSpec<'_>], budget: &RunBudget| {
+            let ryu = lead.iter().any(|u| u.controller == ControllerKind::Ryu);
+            if ryu && runs_safe(lead, shadows, PANIC_CELL) {
                 panic!("{PANIC_MESSAGE}");
             }
-            run_cell_then(u, shadows, budget, |r| RunRecord {
-                fail_mode_read: u.controller == ControllerKind::Ryu,
-                ..r
-            })
+            run_cell(lead, shadows, budget)
         };
         let matrix = Matrix {
-            attacks: vec![twin_matrix().attacks[0], chaos_attack(PANIC_CELL)],
+            attacks: vec![pair_matrix().attacks[0], chaos_attack(PANIC_CELL)],
             controllers: vec![ControllerKind::Pox, ControllerKind::Ryu],
-            ..twin_matrix()
+            ..pair_matrix()
         };
         let serial = run_units(&matrix, &RunnerConfig::new(1), &unit);
         let parallel = run_units(&matrix, &RunnerConfig::new(4), &unit);
         assert_eq!(serial.canonical_json(), parallel.canonical_json());
         assert_eq!(serial.cells.len(), 8);
-        assert_eq!(serial.unjudged(), 2, "the two panicking safe twins");
-        assert_eq!(serial.passed(), 6);
+        assert_eq!(serial.unjudged(), 1, "Ryu's panicking safe twin");
+        assert_eq!(serial.passed(), 7);
+        let shape = RunShape {
+            environments: 1,
+            undiverged: 2,
+            standalone: 6,
+            ..RunShape::default()
+        };
+        assert_eq!((serial.shape, parallel.shape), (shape, shape));
     }
 
     #[test]
@@ -1034,7 +963,6 @@ mod tests {
         cfg.livelock_bound = u64::MAX;
         cfg.cell_timeout = Some(Duration::from_millis(200));
         cfg.retries = 1;
-        cfg.retry_backoff = Duration::from_millis(10);
         let report = run_chaos(&matrix, &cfg);
         assert_eq!(report.cells.len(), 1);
         assert_eq!(report.cells[0].status, CellStatus::TimedOut);

@@ -241,10 +241,10 @@ pub struct AttackExecutor {
     /// connection-scope source for the scan path).
     ruleset: CompiledRuleset,
     mode: DispatchMode,
-    /// Reused candidate-index buffer: dispatch allocates nothing in
-    /// steady state.
+    /// Candidate-index buffer kept across messages: dispatch allocates
+    /// nothing in steady state.
     cand_scratch: Vec<u32>,
-    /// Reused bitmask accumulator for candidate extraction.
+    /// Bitmask accumulator for candidate extraction, kept likewise.
     mask_scratch: Vec<u64>,
     current: usize,
     deques: DequeStore,

@@ -3,12 +3,13 @@
 //! a self-contained document's own topology), attaches the attack, lets
 //! the caller schedule its timeline, drives the simulation to the
 //! horizon under a [`RunBudget`] and hands it to the monitors' one
-//! collector. [`run_shadowed`] is the same path for a baseline that
-//! carries attacks as shadows, each forked off where it first diverges
-//! (the campaign's shared runs). The paper's own timelines (§VII-B
-//! behind Figure 11, §VII-C behind Table II, the fault-recovery
-//! scenario) live below it as the few lines that schedule their
-//! commands; the campaign's live in `attain_campaign::cell`.
+//! collector, once for every fail mode asked for: one run until a switch
+//! first consults its mode, two from there. [`run_shared`] is the same
+//! path for a baseline that carries attacks as shadows, each forked off
+//! where it first diverges (the campaign's shared runs). The paper's own
+//! timelines (§VII-B behind Figure 11, §VII-C behind Table II, the
+//! fault-recovery scenario) live below it as the few lines that schedule
+//! their commands; the campaign's live in `attain_campaign::cell`.
 
 use crate::monitors::RunRecord;
 use crate::sim::{SharedExecutor, SimInjector};
@@ -17,8 +18,8 @@ use attain_core::exec::AttackExecutor;
 use attain_core::model::{NodeRef, SystemModel};
 use attain_core::{dsl, scenario};
 use attain_netsim::{
-    FailMode, FaultPlan, HaltReason, HostCommand, NetworkBuilder, NodeId, RunBudget, SimTime,
-    Simulation,
+    FailMode, FaultPlan, Fork, HaltReason, HostCommand, Interposer, NetworkBuilder, NodeId,
+    RunBudget, SimTime, Simulation,
 };
 use attain_openflow::{DatapathId, PortNo};
 use std::fmt;
@@ -214,7 +215,8 @@ pub fn try_attach_attack(
     sim: &mut Simulation,
     attack_source: &str,
 ) -> Result<SharedExecutor, RunError> {
-    Ok(Armed::enterprise(attack_source)?.attach(sim))
+    let armed = Armed::enterprise(attack_source)?;
+    Ok(attach(sim, armed.exec, &armed.system))
 }
 
 /// An attack compiled against its system model and validated, once:
@@ -237,11 +239,6 @@ impl Armed {
             system: sc.system,
             exec,
         })
-    }
-
-    /// Interposes a fresh copy of the attack on `sim` ([`attach`]).
-    fn attach(&self, sim: &mut Simulation) -> SharedExecutor {
-        attach(sim, self.exec.clone(), &self.system)
     }
 }
 
@@ -287,7 +284,7 @@ impl Compiled {
     }
 }
 
-/// How a shadow's run was made (see [`run_shadowed`]).
+/// How a shadow's run was made (see [`run_shared`]).
 #[derive(Debug)]
 pub enum ShadowRun {
     /// The shadow diverged, and its fork ran on from there. The record's
@@ -301,19 +298,52 @@ pub enum ShadowRun {
     NotRun,
 }
 
+/// What a shared run made under one fail mode: the lead's outcome and
+/// each shadow's run.
+pub type ModeRuns = (Outcome, Vec<ShadowRun>);
+
+/// A run's record, or why it made none.
+type Outcome = Result<RunRecord, RunError>;
+
+/// What one shared run made under each fail mode it was asked for.
+#[derive(Debug)]
+pub struct Shared {
+    /// One entry per requested fail mode, in order. `None` where that
+    /// mode's side of a split was never made, because a controller cannot
+    /// fork: run its units alone.
+    pub modes: Vec<Option<ModeRuns>>,
+    /// How often the run, or a fork of it, split on the fail mode.
+    pub splits: usize,
+}
+
+impl Shared {
+    /// The lead's outcome under each requested fail mode, in order. A
+    /// side that was never made is a [`RunError::Setup`].
+    pub fn leads(self) -> Vec<Result<RunRecord, RunError>> {
+        let unforkable =
+            || RunError::Setup("a controller cannot fork, so the run cannot split".into());
+        let lead =
+            |mode: Option<ModeRuns>| mode.map_or_else(|| Err(unforkable()), |(lead, _)| lead);
+        self.modes.into_iter().map(lead).collect()
+    }
+}
+
 /// The one run path: build → attach → drive → collect.
 ///
 /// Builds the network `source` binds to under `scope` — the enterprise
-/// case study with a `kind` controller and `s2` in `fail_mode`, or the
-/// topology a self-contained document declares, every switch in
-/// `fail_mode` under a bare `kind` controller — and, if `attached`,
-/// interposes the attack (a baseline ignores whether it compiles).
-/// Applies `faults` (the seed always, so same-seed runs share their
-/// per-link streams), then hands the simulation to `schedule`, which sees
-/// it before anything ran — the place for a table bound — together with
-/// the document's system model (`None` under [`Scope::Enterprise`]), and
-/// returns the horizon. Runs to that horizon under `budget` and collects
-/// the [`RunRecord`], with a fault report iff `faults` planned any event.
+/// case study with a `kind` controller and `s2` in the fail mode, or the
+/// topology a self-contained document declares, every switch in the fail
+/// mode under a bare `kind` controller — and, if `attached`, interposes
+/// the attack (a baseline ignores whether it compiles). Applies `faults`
+/// (the seed always, so same-seed runs share their per-link streams),
+/// then hands the simulation to `schedule`, which sees it before anything
+/// ran — the place for a table bound — together with the document's
+/// system model (`None` under [`Scope::Enterprise`]), and returns the
+/// horizon. Runs to that horizon under `budget` and collects one
+/// [`RunRecord`] per mode of `fail_modes`, each with a fault report iff
+/// `faults` planned any event. Both fail modes are one run until a switch
+/// first consults its mode, and two from there
+/// ([`Simulation::defer_fail_mode`]).
 ///
 /// Nothing a caller can pass panics: every failure is a [`RunError`].
 #[allow(clippy::too_many_arguments)]
@@ -322,122 +352,202 @@ pub fn run(
     source: &str,
     attached: bool,
     kind: ControllerKind,
-    fail_mode: FailMode,
+    fail_modes: &[FailMode],
     faults: &FaultPlan,
     budget: &RunBudget,
     schedule: impl FnOnce(&mut Simulation, Option<&SystemModel>) -> Result<SimTime, RunError>,
-) -> Result<RunRecord, RunError> {
-    let compiled = Compiled::new(scope, source)?;
-    run_compiled(
-        &compiled, attached, kind, fail_mode, faults, budget, schedule,
-    )
-}
-
-/// [`run`] of a source already [`Compiled`].
-#[allow(clippy::too_many_arguments)]
-pub fn run_compiled(
-    compiled: &Compiled,
-    attached: bool,
-    kind: ControllerKind,
-    fail_mode: FailMode,
-    faults: &FaultPlan,
-    budget: &RunBudget,
-    schedule: impl FnOnce(&mut Simulation, Option<&SystemModel>) -> Result<SimTime, RunError>,
-) -> Result<RunRecord, RunError> {
-    let lead = attached.then_some(&compiled.attack);
-    let document = compiled.document.as_ref();
-    drive(
-        document,
+) -> Vec<Result<RunRecord, RunError>> {
+    let compiled = Compiled::new(scope, source);
+    let shared = run_shared(
+        &compiled,
+        attached,
         kind,
-        fail_mode,
+        fail_modes,
         faults,
         budget,
-        lead,
         &[],
         schedule,
-    )
-    .0
+    );
+    shared.leads()
 }
 
-/// [`run`] of a baseline — nothing interposed on `document`'s topology,
-/// or on the case study when `None` — with every `shadows` attack
-/// attached as a shadow ([`Simulation`]'s docs). Returns the baseline's
-/// outcome and, per shadow, the outcome [`run`] would give with that
-/// attack attached.
+/// [`run`] of a source already compiled, with every `shadows` attack
+/// attached as a shadow ([`Simulation`]'s docs) when nothing is
+/// `attached`: shadows are consulted only while nothing is interposed.
+/// Returns what [`run`] would give, and for each shadow and mode what
+/// [`run`] would give with that attack attached.
 #[allow(clippy::too_many_arguments)]
-pub fn run_shadowed(
-    document: Option<&SystemModel>,
+pub fn run_shared(
+    compiled: &Result<Compiled, RunError>,
+    attached: bool,
     kind: ControllerKind,
-    fail_mode: FailMode,
+    fail_modes: &[FailMode],
     faults: &FaultPlan,
     budget: &RunBudget,
     shadows: &[&Armed],
     schedule: impl FnOnce(&mut Simulation, Option<&SystemModel>) -> Result<SimTime, RunError>,
-) -> (Result<RunRecord, RunError>, Vec<ShadowRun>) {
-    drive(
-        document, kind, fail_mode, faults, budget, None, shadows, schedule,
-    )
-}
-
-/// Build → attach the `lead` → attach the `shadows` → drive → collect:
-/// [`run`] with no shadows, [`run_shadowed`] with no lead. Shadows are
-/// consulted only while nothing is interposed, so never both.
-#[allow(clippy::too_many_arguments)]
-fn drive(
-    document: Option<&SystemModel>,
-    kind: ControllerKind,
-    fail_mode: FailMode,
-    faults: &FaultPlan,
-    budget: &RunBudget,
-    lead: Option<&Result<Armed, RunError>>,
-    shadows: &[&Armed],
-    schedule: impl FnOnce(&mut Simulation, Option<&SystemModel>) -> Result<SimTime, RunError>,
-) -> (Result<RunRecord, RunError>, Vec<ShadowRun>) {
-    debug_assert!(lead.is_none() || shadows.is_empty());
+) -> Shared {
+    debug_assert!(!attached || shadows.is_empty());
     let started = Instant::now();
-    let mut runs: Vec<ShadowRun> = shadows.iter().map(|_| ShadowRun::NotRun).collect();
+    let both = fail_modes.contains(&FailMode::Safe) && fail_modes.contains(&FailMode::Secure);
+    let mode = match fail_modes.first() {
+        Some(&mode) if !both => mode,
+        _ => FailMode::Safe,
+    };
     let setup = || -> Result<_, RunError> {
+        let compiled = compiled.as_ref().map_err(Clone::clone)?;
+        let document = compiled.document.as_ref();
         let mut sim = match document {
-            None => build_case_study(kind, fail_mode),
-            Some(system) => build_simulation(system, fail_mode, |_| kind.instantiate())?,
+            None => build_case_study(kind, mode),
+            Some(system) => build_simulation(system, mode, |_| kind.instantiate())?,
         };
-        let exec = match lead {
-            Some(attack) => Some(attack.as_ref().map_err(Clone::clone)?.attach(&mut sim)),
-            None => None,
-        };
-        let mut handles = Vec::with_capacity(shadows.len());
-        for (id, attack) in shadows.iter().enumerate() {
-            let (injector, handle) = SimInjector::new(attack.exec.clone(), &attack.system, &sim);
-            sim.add_shadow(id, Box::new(injector));
-            handles.push(handle);
+        if both {
+            sim.defer_fail_mode();
+        }
+        let mut lead = None;
+        if attached {
+            let armed = compiled.attack.as_ref().map_err(Clone::clone)?;
+            let (injector, attached) = inject(armed.exec.clone(), &armed.system, &sim);
+            sim.set_interposer(injector);
+            lead = Some(attached);
+        }
+        let mut attached = Vec::with_capacity(shadows.len());
+        for (id, armed) in shadows.iter().enumerate() {
+            let (injector, shadow) = inject(armed.exec.clone(), &armed.system, &sim);
+            sim.add_shadow(id, injector);
+            attached.push((id, shadow));
         }
         sim.apply_fault_plan(faults);
         let horizon = schedule(&mut sim, document)?;
         sim.set_run_budget(budget.clone());
-        Ok((sim, exec, handles, horizon))
+        Ok((sim, lead, attached, horizon))
     };
-    let (mut sim, exec, handles, horizon) = match setup() {
-        Ok(ready) => ready,
-        Err(e) => return (Err(e), runs),
+    let not_run = || shadows.iter().map(|_| ShadowRun::NotRun).collect();
+    let mut drive = Drive {
+        modes: fail_modes,
+        faults,
+        horizon: SimTime::ZERO,
+        made: fail_modes.iter().map(|_| (None, not_run())).collect(),
+        splits: 0,
     };
-    let mut forks_wall = Duration::ZERO;
-    let halt = sim.run_forking(horizon, |id, mut fork| {
-        let forked = Instant::now();
-        let halt = fork.run_until(horizon);
-        let wall = forked.elapsed();
-        runs[id] = ShadowRun::Forked(collect(&fork, halt, Some(&handles[id]), faults, wall));
-        forks_wall += wall;
-    });
-    let wall = started.elapsed().saturating_sub(forks_wall);
-    let record = collect(&sim, halt, exec.as_ref(), faults, wall);
-    for id in sim.shadow_ids() {
-        let exec = handles[id].lock();
-        runs[id] = ShadowRun::Undiverged(record.clone().map(|r| RunRecord {
-            wall_ms: 0,
-            ..r.attributed(Some(&exec))
-        }));
+    match setup() {
+        Ok((sim, lead, attached, horizon)) => {
+            drive.horizon = horizon;
+            let side = (!both).then_some(mode);
+            drive.finish(sim, None, lead, attached, side, started);
+        }
+        Err(e) => drive
+            .made
+            .iter_mut()
+            .for_each(|(lead, _)| *lead = Some(Err(e.clone()))),
     }
-    (record, runs)
+    let modes = drive.made.into_iter();
+    Shared {
+        modes: modes.map(|(lead, runs)| Some((lead?, runs))).collect(),
+        splits: drive.splits,
+    }
+}
+
+/// An attack's executor on one simulation, with the model it was
+/// compiled against.
+type Attached<'a> = (SharedExecutor, &'a SystemModel);
+
+/// An injector of `exec` for `sim`. Built from a copy of another
+/// injector's executor, it carries on exactly where that one is: the
+/// executor is an injector's only mutable state.
+fn inject<'a>(
+    exec: AttackExecutor,
+    system: &'a SystemModel,
+    sim: &Simulation,
+) -> (Box<dyn Interposer>, Attached<'a>) {
+    let (injector, handle) = SimInjector::new(exec, system, sim);
+    (Box::new(injector), (handle, system))
+}
+
+/// One shared run in progress: what its simulations share, and what they
+/// have made so far (see [`Shared`]).
+struct Drive<'a> {
+    modes: &'a [FailMode],
+    faults: &'a FaultPlan,
+    horizon: SimTime,
+    /// Per requested fail mode: the lead's record, once made, and each
+    /// shadow's run.
+    made: Vec<(Option<Outcome>, Vec<ShadowRun>)>,
+    splits: usize,
+}
+
+impl<'a> Drive<'a> {
+    /// Runs `sim` to the horizon, finishing every fork it hands over the
+    /// same way, and files its records: the baseline, a shadow's fork and
+    /// the fail-secure side of a split alike. `whose` is the shadow whose
+    /// fork `sim` is (`None`: the lead's run), `lead` the executor
+    /// interposed on it, `attached` the shadows still on it, `side` the
+    /// fail mode it stands for (`None`: every requested one) and `started`
+    /// when its own wall-clock time began.
+    fn finish(
+        &mut self,
+        mut sim: Simulation,
+        whose: Option<usize>,
+        lead: Option<Attached<'a>>,
+        attached: Vec<(usize, Attached<'a>)>,
+        mut side: Option<FailMode>,
+        started: Instant,
+    ) {
+        let undecided = sim.is_undecided();
+        let shadow = |id: usize| attached.iter().find(|(i, _)| *i == id);
+        let copy = |(handle, system): &Attached<'a>, sim: &Simulation| {
+            inject(handle.lock().clone(), system, sim)
+        };
+        let mut nested = Duration::ZERO;
+        let halt = sim.run_forking(self.horizon, |made, mut fork| {
+            let forked = Instant::now();
+            match made {
+                Fork::Shadow(id) => {
+                    let lead = shadow(id).map(|(_, s)| s.clone());
+                    self.finish(fork, Some(id), lead, Vec::new(), side, forked);
+                }
+                Fork::FailSecure(live) => {
+                    self.splits += 1;
+                    side = Some(FailMode::Safe);
+                    let lead = lead.as_ref().map(|lead| {
+                        let (injector, lead) = copy(lead, &fork);
+                        fork.set_interposer(injector);
+                        lead
+                    });
+                    let mut copies = Vec::new();
+                    for (id, s) in live.into_iter().filter_map(shadow) {
+                        let (injector, s) = copy(s, &fork);
+                        fork.add_shadow(*id, injector);
+                        copies.push((*id, s));
+                    }
+                    let secure = Some(FailMode::Secure);
+                    self.finish(fork, whose, lead, copies, secure, forked);
+                }
+            }
+            nested += forked.elapsed();
+        });
+        // A split with no copy (a controller cannot fork) left it fail-safe.
+        if undecided && !sim.is_undecided() {
+            side = Some(FailMode::Safe);
+        }
+        let wall = started.elapsed().saturating_sub(nested);
+        let record = collect(&sim, halt, lead.as_ref().map(|(h, _)| h), self.faults, wall);
+        let modes = self.modes.iter().zip(&mut self.made);
+        for (_, (lead, runs)) in modes.filter(|(mode, _)| side.is_none_or(|s| s == **mode)) {
+            match whose {
+                None => *lead = Some(record.clone()),
+                Some(id) => runs[id] = ShadowRun::Forked(record.clone()),
+            }
+            for (id, (handle, _)) in sim.shadow_ids().filter_map(shadow) {
+                let exec = handle.lock();
+                let attributed = |r: RunRecord| RunRecord {
+                    wall_ms: 0,
+                    ..r.attributed(Some(&exec))
+                };
+                runs[*id] = ShadowRun::Undiverged(record.clone().map(attributed));
+            }
+        }
+    }
 }
 
 /// The outcome of `sim` halted for `halt` with `exec` attached, `wall`
@@ -491,26 +601,31 @@ pub fn schedule_ping(
     Ok(())
 }
 
-/// Runs an enterprise attack under no faults and no budget: the shape of
-/// all three paper timelines below.
-fn run_case_study(
+/// Runs an enterprise attack under no budget, one record per mode of
+/// `fail_modes`: the shape of all three paper timelines below.
+fn run_case_study<const N: usize>(
     source: &str,
     kind: ControllerKind,
-    fail_mode: FailMode,
+    fail_modes: [FailMode; N],
     faults: &FaultPlan,
     timeline: impl FnOnce(&mut Simulation) -> Result<SimTime, RunError>,
-) -> Result<RunRecord, RunError> {
+) -> Result<[RunRecord; N], RunError> {
     let budget = RunBudget::default();
-    run(
+    let schedule = |sim: &mut Simulation, _: Option<&SystemModel>| timeline(sim);
+    let records = run(
         Scope::Enterprise,
         source,
         true,
         kind,
-        fail_mode,
+        &fail_modes,
         faults,
         &budget,
-        |sim, _| timeline(sim),
-    )
+        schedule,
+    );
+    let records: Vec<RunRecord> = records.into_iter().collect::<Result<_, _>>()?;
+    records
+        .try_into()
+        .map_err(|_| RunError::Setup("a fail mode went without a record".into()))
 }
 
 /// Runs the §VII-B experiment (one bar group of Figure 11): `t=0`
@@ -532,7 +647,7 @@ pub fn run_flow_mod_suppression(
         scenario::attacks::TRIVIAL_PASS
     };
     let faults = FaultPlan::default();
-    run_case_study(source, kind, FailMode::Secure, &faults, |sim| {
+    let [record] = run_case_study(source, kind, [FailMode::Secure], &faults, |sim| {
         let (h1, h6) = (host_id(sim, "h1")?, host_id(sim, "h6")?);
         let h6_ip = address("10.0.0.6")?;
         let (secs, pings) = (SimTime::from_secs, fidelity.ping_trials);
@@ -560,24 +675,24 @@ pub fn run_flow_mod_suppression(
             );
         }
         Ok(iperf_start + secs(1 + fidelity.iperf_trials as u64 * period + 15))
-    })
+    })?;
+    Ok(record)
 }
 
-/// Runs the §VII-C experiment (one column pair of Table II): `t=0` fail
-/// mode set, controller and injector up, then the table's four access
-/// checks — `t=30 s` external→external `h2->h1 early` and
-/// internal→external `h6->h1 early` (10 s each), `t=50 s`
-/// external→internal `h2->h3` (60 s — the trigger and the
-/// "unauthorized increased access" row), `t=95 s` internal→external
-/// `h6->h1 late` (10 s — inaccessible means "denial of service against
-/// legitimate traffic"). `final_state` is σ3 once the interruption
-/// engaged, σ2 where φ2 never fired (the Ryu case).
-pub fn run_connection_interruption(
-    kind: ControllerKind,
-    fail_mode: FailMode,
-) -> Result<RunRecord, RunError> {
+/// Runs the §VII-C experiment (one column pair of Table II) and returns
+/// its fail-safe and fail-secure records, in that order: `t=0`
+/// controller and injector up, then the table's four access checks —
+/// `t=30 s` external→external `h2->h1 early` and internal→external
+/// `h6->h1 early` (10 s each), `t=50 s` external→internal `h2->h3` (60 s —
+/// the trigger and the "unauthorized increased access" row), `t=95 s`
+/// internal→external `h6->h1 late` (10 s — inaccessible means "denial of
+/// service against legitimate traffic"). The two modes are one run until
+/// the interruption makes `s2` consult its fail mode. `final_state` is σ3
+/// once the interruption engaged, σ2 where φ2 never fired (the Ryu case).
+pub fn run_connection_interruption(kind: ControllerKind) -> Result<[RunRecord; 2], RunError> {
     let source = scenario::attacks::CONNECTION_INTERRUPTION;
-    run_case_study(source, kind, fail_mode, &FaultPlan::default(), |sim| {
+    let modes = [FailMode::Safe, FailMode::Secure];
+    run_case_study(source, kind, modes, &FaultPlan::default(), |sim| {
         let secs = SimTime::from_secs;
         schedule_ping(sim, secs(30), "h2", "10.0.0.1", 10, "h2->h1 early")?;
         schedule_ping(sim, secs(30), "h6", "10.0.0.1", 10, "h6->h1 early")?;
@@ -615,12 +730,13 @@ pub fn run_fault_recovery(
             .map_err(|e| RunError::Setup(e.to_string()))?;
     }
     let source = scenario::attacks::CONNECTION_INTERRUPTION;
-    run_case_study(source, kind, fail_mode, &plan, |sim| {
+    let [record] = run_case_study(source, kind, [fail_mode], &plan, |sim| {
         let secs = SimTime::from_secs;
         schedule_ping(sim, secs(30), "h6", "10.0.0.1", 10, "before")?;
         schedule_ping(sim, secs(50), "h2", "10.0.0.3", 30, "trigger")?;
         schedule_ping(sim, secs(61), "h6", "10.0.0.1", 8, "during")?;
         schedule_ping(sim, secs(95), "h6", "10.0.0.1", 10, "after")?;
         Ok(secs(115))
-    })
+    })?;
+    Ok(record)
 }

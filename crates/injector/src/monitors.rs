@@ -93,10 +93,6 @@ pub struct RunRecord {
     /// Per-link / per-process fault accounting, for runs under a
     /// non-empty fault plan.
     pub faults: Option<FaultReport>,
-    /// Whether any switch's fail mode decided anything
-    /// ([`Simulation::fail_mode_read`]). When false, the same run under
-    /// the other fail mode yields this record again. Not rendered.
-    pub fail_mode_read: bool,
     /// Host wall-clock spent on the run, in milliseconds — the one
     /// field that differs between same-seed runs.
     pub wall_ms: u64,
@@ -137,7 +133,6 @@ impl RunRecord {
             final_state: None,
             rule_fires: Vec::new(),
             faults: None,
-            fail_mode_read: sim.fail_mode_read(),
             wall_ms: 0,
         }
         .attributed(exec)
@@ -304,7 +299,7 @@ mod tests {
             scenario::attacks::FLOW_MOD_SUPPRESSION,
             true,
             ControllerKind::Pox,
-            FailMode::Secure,
+            &[FailMode::Secure],
             &FaultPlan::default(),
             &RunBudget::default(),
             |sim, _| {
@@ -312,6 +307,7 @@ mod tests {
                 Ok(SimTime::from_secs(15))
             },
         )
+        .remove(0)
         .expect("the run reaches its horizon");
         assert!(record.events > 0);
         assert!(record.packet_ins > 0 && record.flow_mods > 0);

@@ -27,7 +27,13 @@ impl SharedExecutor {
 /// Maps between the attack model's [`ConnectionId`]s (named `(c, s)`
 /// pairs of `N_C`) and the simulator's [`ConnId`]s by component name, so
 /// an attack compiled against a [`SystemModel`] drives the corresponding
-/// simulated network.
+/// simulated network. A `SYSCMD` or fault that does not parse, or names
+/// an unknown host, is dropped.
+///
+/// The executor is the injector's only mutable state; everything else
+/// is derived from the system model and the simulation's names. So an
+/// injector built by [`SimInjector::new`] from a copy of the executor,
+/// on a copy of the simulation, carries on exactly where this one is.
 pub struct SimInjector {
     exec: SharedExecutor,
     /// Core connection index → simulator connection.
@@ -36,8 +42,6 @@ pub struct SimInjector {
     to_core: HashMap<ConnId, ConnectionId>,
     /// Host name → simulator node (for `SYSCMD` translation).
     hosts: HashMap<String, NodeId>,
-    /// `SYSCMD` lines that failed to parse, kept for diagnostics.
-    pub rejected_commands: Vec<String>,
 }
 
 impl std::fmt::Debug for SimInjector {
@@ -90,12 +94,11 @@ impl SimInjector {
             to_sim,
             to_core,
             hosts,
-            rejected_commands: Vec::new(),
         };
         (injector, exec)
     }
 
-    fn convert(&mut self, out: ExecOutput) -> InterposerActions {
+    fn convert(&self, out: ExecOutput) -> InterposerActions {
         let mut actions = InterposerActions::default();
         for d in out.deliveries {
             let Some(&sim_conn) = self.to_sim.get(d.conn.0) else {
@@ -112,23 +115,16 @@ impl SimInjector {
                 extra_delay: SimTime::from_nanos(d.extra_delay_ns),
             });
         }
-        for (host, cmd) in out.commands {
-            match self.hosts.get(&host) {
-                Some(&node) => match HostCommand::parse(node, &cmd) {
-                    Ok(command) => actions.commands.push(command),
-                    Err(e) => self.rejected_commands.push(e.to_string()),
-                },
-                None => self
-                    .rejected_commands
-                    .push(format!("unknown host {host} in syscmd {cmd:?}")),
-            }
-        }
-        for spec in out.faults {
-            match attain_netsim::FaultSpec::parse(&spec) {
-                Ok(fault) => actions.commands.push(HostCommand::Fault(fault)),
-                Err(e) => self.rejected_commands.push(e.to_string()),
-            }
-        }
+        let commands = out.commands.iter().filter_map(|(host, cmd)| {
+            let node = *self.hosts.get(host)?;
+            HostCommand::parse(node, cmd).ok()
+        });
+        actions.commands.extend(commands);
+        let faults = out.faults.iter().filter_map(|spec| {
+            let fault = attain_netsim::FaultSpec::parse(spec).ok()?;
+            Some(HostCommand::Fault(fault))
+        });
+        actions.commands.extend(faults);
         actions.wakeup = out.wakeup_ns.map(SimTime::from_nanos);
         actions
     }

@@ -4,15 +4,16 @@
 use attain_controllers::ControllerKind;
 use attain_injector::harness::{self, Fidelity};
 use attain_injector::RunRecord;
-use attain_netsim::FailMode;
 
 fn run_flow_mod_suppression(kind: ControllerKind, attacked: bool) -> RunRecord {
     harness::run_flow_mod_suppression(kind, attacked, &Fidelity::quick())
         .expect("the §VII-B timeline runs")
 }
 
-fn run_connection_interruption(kind: ControllerKind, fail_mode: FailMode) -> RunRecord {
-    harness::run_connection_interruption(kind, fail_mode).expect("the §VII-C timeline runs")
+/// The §VII-C timeline's fail-safe and fail-secure records, from one run
+/// that splits at the interruption.
+fn run_connection_interruption(kind: ControllerKind) -> [RunRecord; 2] {
+    harness::run_connection_interruption(kind).expect("the §VII-C timeline runs")
 }
 
 /// Table II row 3: the external user reached an internal host.
@@ -106,7 +107,7 @@ fn suppression_degrades_but_does_not_kill_floodlight_and_ryu() {
 #[test]
 fn interruption_fail_safe_grants_unauthorized_access() {
     for kind in [ControllerKind::Floodlight, ControllerKind::Pox] {
-        let out = run_connection_interruption(kind, FailMode::Safe);
+        let [out, _] = run_connection_interruption(kind);
         assert_eq!(
             out.final_state.as_deref(),
             Some("sigma3"),
@@ -130,7 +131,7 @@ fn interruption_fail_safe_grants_unauthorized_access() {
 #[test]
 fn interruption_fail_secure_denies_legitimate_traffic() {
     for kind in [ControllerKind::Floodlight, ControllerKind::Pox] {
-        let out = run_connection_interruption(kind, FailMode::Secure);
+        let [_, out] = run_connection_interruption(kind);
         assert_eq!(
             out.final_state.as_deref(),
             Some("sigma3"),
@@ -157,8 +158,7 @@ fn interruption_fail_secure_denies_legitimate_traffic() {
 fn interruption_never_engages_against_ryu() {
     // Ryu's flow-mod matches carry no nw_src, so φ2 never fires and the
     // connection is never interrupted — the paper's §VII-C4 anomaly.
-    for mode in [FailMode::Safe, FailMode::Secure] {
-        let out = run_connection_interruption(ControllerKind::Ryu, mode);
+    for out in run_connection_interruption(ControllerKind::Ryu) {
         assert_eq!(
             out.final_state.as_deref(),
             Some("sigma2"),

@@ -323,6 +323,11 @@ impl EventQueue {
         self.ready.last().map(|e| e.time)
     }
 
+    /// The earliest event, time and payload, without removing it.
+    pub fn peek(&self) -> Option<(SimTime, &EventKind)> {
+        self.ready.last().map(|e| (e.time, &e.kind))
+    }
+
     /// Number of pending events.
     pub fn len(&self) -> usize {
         self.len

@@ -95,7 +95,7 @@ pub use interpose::{
     Delivery, Direction, Interposer, InterposerActions, PassThrough, ProxiedMessage,
 };
 pub use link::{Link, LinkEnd, TxOutcome};
-pub use sim::{ConnInfo, Simulation};
+pub use sim::{ConnInfo, Fork, Simulation};
 pub use switch::{
     ApplyOutcome, EvictionPolicy, FailMode, FlowEntry, FlowModError, FlowTable, Switch,
 };

@@ -12,7 +12,7 @@ use crate::fault::{
 use crate::host::Host;
 use crate::interpose::{Direction, Interposer, InterposerActions, ProxiedMessage};
 use crate::link::{Link, TxOutcome};
-use crate::switch::{ApplyOutcome, EvictionPolicy, FlowModError, Switch};
+use crate::switch::{ApplyOutcome, EvictionPolicy, FailMode, FlowModError, Switch};
 use crate::time::SimTime;
 use crate::trace::{Trace, TraceKind, TraceMode};
 use crate::{IperfStats, PingStats, ProbeStats};
@@ -49,6 +49,18 @@ pub struct ConnInfo {
     pub switch: String,
 }
 
+/// A fork handed over by [`Simulation::run_forking`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Fork {
+    /// The run of the shadow attached under this id, from its first
+    /// answer other than pass, with the shadow as its interposer.
+    Shadow(usize),
+    /// The fail-secure side of a split ([`Simulation::defer_fail_mode`]),
+    /// with no interposer and no shadows: the simulation that split keeps
+    /// them, whose ids these are, and goes on fail-safe.
+    FailSecure(Vec<usize>),
+}
+
 /// The assembled network simulation.
 ///
 /// Built with [`NetworkBuilder`](crate::NetworkBuilder); driven with
@@ -63,6 +75,10 @@ pub struct ConnInfo {
 /// simulation forks: the copy takes the shadow as its interposer,
 /// applies the answer, and goes on as that shadow's own run
 /// ([`Simulation::run_forking`]).
+///
+/// A simulation can also stand for both fail modes at once until a
+/// switch first consults its mode, and split there
+/// ([`Simulation::defer_fail_mode`]).
 pub struct Simulation {
     now: SimTime,
     queue: EventQueue,
@@ -79,6 +95,9 @@ pub struct Simulation {
     /// Set on a fork: it was copied in the middle of a dispatch, and the
     /// next `run_until` first finishes that event's bookkeeping.
     mid_dispatch: bool,
+    /// Whether some switch's fail mode is deferred: the one test the
+    /// dispatch loop adds per event.
+    undecided: bool,
     trace: Trace,
     names: HashMap<String, NodeId>,
     /// In-flight data-plane frame payloads (see [`FrameArena`]).
@@ -131,6 +150,7 @@ impl Simulation {
             shadows: Vec::new(),
             forks: Vec::new(),
             mid_dispatch: false,
+            undecided: false,
             trace: Trace::new(),
             names,
             arena: FrameArena::with_capacity(arena_hint),
@@ -197,6 +217,30 @@ impl Simulation {
     /// is neither here nor handed to [`Simulation::run_forking`].
     pub fn shadow_ids(&self) -> impl Iterator<Item = usize> + '_ {
         self.shadows.iter().map(|(id, _)| *id)
+    }
+
+    /// Defers the mode of every fail-safe switch, so that this one run
+    /// stands for the fail-safe and the fail-secure run. Both are the
+    /// same computation until an undecided switch first consults its
+    /// mode: a table miss while disconnected, or entering fail mode.
+    /// Just before the event that would, [`Simulation::run_forking`]
+    /// splits: a copy whose undecided switches are fail-secure is handed
+    /// over as [`Fork::FailSecure`], and this simulation goes on with
+    /// them fail-safe. Where a controller cannot fork there is no copy,
+    /// and this goes on as the fail-safe run alone. Call before driving
+    /// the simulation.
+    pub fn defer_fail_mode(&mut self) {
+        for node in &mut self.nodes {
+            if let Node::Switch(s) = node {
+                self.undecided |= s.defer_fail_mode();
+            }
+        }
+    }
+
+    /// Whether some switch's fail mode is still deferred: the run has not
+    /// split, so it is the run under either fail mode.
+    pub fn is_undecided(&self) -> bool {
+        self.undecided
     }
 
     /// Schedules a workload command at absolute time `at`; an `at`
@@ -282,21 +326,22 @@ impl Simulation {
     /// the same reason without dispatching. Cancellation is wall-clock
     /// driven and leaves the trace untouched.
     ///
-    /// Forks made by shadows are dropped; [`Simulation::run_forking`]
-    /// keeps them.
+    /// Forks made by shadows, and the fail-secure side of a split, are
+    /// dropped; [`Simulation::run_forking`] keeps them.
     pub fn run_until(&mut self, t: SimTime) -> HaltReason {
         self.run_forking(t, |_, _| {})
     }
 
-    /// [`Simulation::run_until`], handing each fork to `on_fork` with its
-    /// shadow's id as soon as the event that made it is dispatched, so
-    /// forks never pile up beside this simulation. A fork is paused
-    /// inside the dispatch where its shadow diverged, with its shadow's
-    /// answer applied; its own `run_until` resumes it there.
+    /// [`Simulation::run_until`], handing each fork to `on_fork` as soon
+    /// as it is made, so forks never pile up beside this simulation. A
+    /// shadow's fork is paused inside the dispatch where its shadow
+    /// diverged, with the shadow's answer applied; the fail-secure side
+    /// of a split is paused just before the event that made it split.
+    /// Either one's own `run_until` resumes it there.
     pub fn run_forking(
         &mut self,
         t: SimTime,
-        mut on_fork: impl FnMut(usize, Simulation),
+        mut on_fork: impl FnMut(Fork, Simulation),
     ) -> HaltReason {
         if let Some(reason) = self.halted {
             return reason;
@@ -306,10 +351,11 @@ impl Simulation {
                 return reason;
             }
         }
-        while let Some(next) = self.queue.peek_time() {
+        while let Some((next, kind)) = self.queue.peek() {
             if next > t {
                 break;
             }
+            let split = self.undecided && self.reads_fail_mode(next, kind);
             self.peak_pending = self.peak_pending.max(self.queue.len());
             if let Some(token) = &self.budget.cancel {
                 if token.is_cancelled() {
@@ -327,6 +373,9 @@ impl Simulation {
                     return reason;
                 }
             }
+            if split {
+                self.split(&mut on_fork);
+            }
             let (time, kind) = self.queue.pop().expect("peeked event");
             if time > self.now {
                 self.instant_events = 0;
@@ -335,7 +384,7 @@ impl Simulation {
             self.dispatch(kind);
             if !self.forks.is_empty() {
                 for (id, fork) in self.forks.drain(..) {
-                    on_fork(id, fork);
+                    on_fork(Fork::Shadow(id), fork);
                 }
             }
             if let Some(reason) = self.dispatched() {
@@ -362,10 +411,49 @@ impl Simulation {
         Some(reason)
     }
 
+    /// Whether dispatching `kind` at `time` may make an undecided switch
+    /// consult its fail mode: the two reads in `switch/mod.rs`.
+    fn reads_fail_mode(&self, time: SimTime, kind: &EventKind) -> bool {
+        let switch = |node: &NodeId| match &self.nodes[node.0] {
+            Node::Switch(s) => Some(s),
+            Node::Host(_) => None,
+        };
+        match kind {
+            EventKind::Frame { node, .. } => {
+                switch(node).is_some_and(|s| s.frame_reads_fail_mode())
+            }
+            EventKind::NodeTimer {
+                node,
+                token: TimerToken::SwitchTick,
+            } => switch(node).is_some_and(|s| s.tick_reads_fail_mode(time)),
+            _ => false,
+        }
+    }
+
+    /// Splits before an event that reads an undecided fail mode (see
+    /// [`Simulation::defer_fail_mode`]).
+    fn split(&mut self, on_fork: &mut impl FnMut(Fork, Simulation)) {
+        let copy = self.fork();
+        self.decide(FailMode::Safe);
+        if let Some(mut copy) = copy {
+            copy.decide(FailMode::Secure);
+            on_fork(Fork::FailSecure(self.shadow_ids().collect()), copy);
+        }
+    }
+
+    /// Settles every deferred fail mode as `mode`.
+    fn decide(&mut self, mode: FailMode) {
+        self.undecided = false;
+        for node in &mut self.nodes {
+            if let Node::Switch(s) = node {
+                s.decide_fail_mode(mode);
+            }
+        }
+    }
+
     /// A copy of this simulation's state, without its interposer or
-    /// shadows, marked to resume inside the current dispatch; `None` when
-    /// a controller cannot fork. Checkpoints the trace first, so neither
-    /// copy hashes the shared events twice.
+    /// shadows; `None` when a controller cannot fork. Checkpoints the
+    /// trace first, so neither copy hashes the shared events twice.
     fn fork(&mut self) -> Option<Simulation> {
         let controllers = self
             .controllers
@@ -384,7 +472,8 @@ impl Simulation {
             interposer: None,
             shadows: Vec::new(),
             forks: Vec::new(),
-            mid_dispatch: true,
+            mid_dispatch: false,
+            undecided: self.undecided,
             trace: self.trace.clone(),
             names: self.names.clone(),
             arena: self.arena.clone(),
@@ -462,16 +551,6 @@ impl Simulation {
             Node::Host(h) => h.name(),
             Node::Switch(s) => s.name(),
         }
-    }
-
-    /// Whether any switch's fail mode has decided anything so far: a
-    /// table miss while disconnected, or entering fail mode. While this
-    /// is false the run is the same computation under either fail mode.
-    pub fn fail_mode_read(&self) -> bool {
-        self.nodes.iter().any(|n| match n {
-            Node::Switch(s) => s.fail_mode_read(),
-            Node::Host(_) => false,
-        })
     }
 
     /// Per-link transmission and fault counters, in link-creation order.
@@ -796,6 +875,7 @@ impl Simulation {
             }
             let (id, shadow) = self.shadows.remove(i);
             if let Some(mut fork) = self.fork() {
+                fork.mid_dispatch = true;
                 fork.interposer = Some(shadow);
                 fork.apply_interposer_actions(actions);
                 self.forks.push((id, fork));
@@ -1082,32 +1162,45 @@ mod tests {
 
     const HORIZON: SimTime = SimTime::from_secs(20);
 
-    /// Two hosts on one switch under `app`, with h1 pinging h2 from t = 5.
-    fn network(app: Box<dyn Controller>) -> Simulation {
+    /// Two hosts on one switch in `mode` under `app`, with h1 pinging h2
+    /// from t = 5 and again from t = 30. If `crash`, the controller
+    /// crashes at t = 10, so `s1` declares it dead about 15 s later and
+    /// enters its fail mode.
+    fn network(app: Box<dyn Controller>, mode: FailMode, crash: bool) -> Simulation {
         let mut b = NetworkBuilder::new();
         let h1 = b.host("h1", "10.0.0.1");
         let h2 = b.host("h2", "10.0.0.2");
-        let s1 = b.switch("s1");
+        let s1 = b.switch_with_mode("s1", mode);
         b.link(h1, s1);
         b.link(h2, s1);
         let c1 = b.controller("c1", app);
         b.control(c1, s1);
         let mut sim = b.build();
-        sim.schedule_command(
-            SimTime::from_secs(5),
-            HostCommand::Ping {
+        for (at, count) in [(5, 5), (30, 10)] {
+            let ping = HostCommand::Ping {
                 host: h1,
                 dst: "10.0.0.2".parse().expect("an address"),
-                count: 5,
+                count,
                 interval: SimTime::from_secs(1),
-                label: "ping".into(),
-            },
-        );
+                label: format!("ping at {at}"),
+            };
+            sim.schedule_command(SimTime::from_secs(at), ping);
+        }
+        let mut plan = FaultPlan::seeded(1);
+        if crash {
+            let at = SimTime::from_secs(10);
+            plan.at_str(at, "controller c1 crash").expect("a fault");
+        }
+        sim.apply_fault_plan(&plan);
         sim
     }
 
     fn pox() -> Simulation {
-        network(ControllerKind::Pox.instantiate())
+        pox_in(FailMode::Secure, false)
+    }
+
+    fn pox_in(mode: FailMode, crash: bool) -> Simulation {
+        network(ControllerKind::Pox.instantiate(), mode, crash)
     }
 
     /// Answers every control message with pass, except that `alter`
@@ -1147,8 +1240,8 @@ mod tests {
     ) -> (Simulation, Vec<(TraceDigest, u64, usize)>) {
         sim.add_shadow(7, shadow);
         let mut forks = Vec::new();
-        let halt = sim.run_forking(HORIZON, |id, mut fork| {
-            assert_eq!(id, 7);
+        let halt = sim.run_forking(HORIZON, |made, mut fork| {
+            assert_eq!(made, Fork::Shadow(7));
             let at = seen.load(Ordering::Relaxed);
             assert_eq!(fork.run_until(HORIZON), HaltReason::Horizon);
             forks.push((fork.trace().digest(), fork.events_dispatched(), at));
@@ -1245,11 +1338,106 @@ mod tests {
             seen: Arc::clone(&seen),
             alter: |a, _| a.deliveries.clear(),
         });
-        let (sim, forks) = shadowed(network(app()), shadow, &seen);
+        let secure = || network(app(), FailMode::Secure, false);
+        let (sim, forks) = shadowed(secure(), shadow, &seen);
         assert!(forks.is_empty());
         assert_eq!(sim.shadow_ids().count(), 0, "neither forked nor kept");
-        let mut baseline = network(app());
+        let mut baseline = secure();
         baseline.run_until(HORIZON);
         assert_eq!(sim.trace().digest(), baseline.trace().digest());
+    }
+
+    // ---- fail-mode splits ---------------------------------------------
+
+    const LONG: SimTime = SimTime::from_secs(50);
+
+    /// What two runs are compared on.
+    type Outcome = (TraceDigest, u64, Vec<PingStats>, u64);
+
+    fn outcome(sim: &Simulation) -> Outcome {
+        sim.switch("s1").flow_table().check_invariants();
+        let (digest, events) = (sim.trace().digest(), sim.events_dispatched());
+        (digest, events, sim.ping_stats(), sim.frames_dropped)
+    }
+
+    /// `sim` run to [`LONG`] as it is.
+    fn fixed(mut sim: Simulation) -> Outcome {
+        assert_eq!(sim.run_until(LONG), HaltReason::Horizon);
+        outcome(&sim)
+    }
+
+    /// `sim` run deferred to [`LONG`], and the outcomes of the fail-secure
+    /// sides it split off.
+    fn deferred(mut sim: Simulation) -> (Simulation, Vec<Outcome>) {
+        sim.defer_fail_mode();
+        let mut copies = Vec::new();
+        let halt = sim.run_forking(LONG, |made, copy| {
+            assert_eq!(made, Fork::FailSecure(vec![]));
+            copies.push(fixed(copy));
+        });
+        assert_eq!(halt, HaltReason::Horizon);
+        (sim, copies)
+    }
+
+    #[test]
+    fn a_deferred_run_splits_once_into_both_fixed_mode_runs() {
+        let (safe, copies) = deferred(pox_in(FailMode::Safe, true));
+        assert!(!safe.is_undecided());
+        assert_eq!(copies, [fixed(pox_in(FailMode::Secure, true))]);
+        assert_eq!(outcome(&safe), fixed(pox_in(FailMode::Safe, true)));
+        assert_ne!(outcome(&safe), copies[0], "the fail mode decides something");
+    }
+
+    #[test]
+    fn a_deferred_run_that_never_disconnects_never_splits() {
+        let (both, copies) = deferred(pox_in(FailMode::Safe, false));
+        assert!(copies.is_empty() && both.is_undecided());
+        for mode in [FailMode::Safe, FailMode::Secure] {
+            assert_eq!(outcome(&both), fixed(pox_in(mode, false)), "{mode:?}");
+        }
+    }
+
+    #[test]
+    fn a_disconnected_miss_on_an_always_secure_switch_does_not_split() {
+        let (sim, copies) = deferred(pox_in(FailMode::Secure, true));
+        assert!(copies.is_empty() && !sim.is_undecided());
+        assert!(sim.fault_report().switches[0].secure_drops > 0, "a miss");
+        assert_eq!(outcome(&sim), fixed(pox_in(FailMode::Secure, true)));
+    }
+
+    #[test]
+    fn a_shadows_fork_splits_into_the_attack_attached_under_each_mode() {
+        let drop_third = || {
+            let seen = Arc::new(AtomicUsize::new(0));
+            let alter = |a: &mut InterposerActions, _| a.deliveries.clear();
+            Box::new(AlterNth { n: 3, seen, alter })
+        };
+        let attached = |mode| {
+            let mut sim = pox_in(mode, true);
+            sim.set_interposer(drop_third());
+            fixed(sim)
+        };
+        let mut sim = pox_in(FailMode::Safe, true);
+        sim.defer_fail_mode();
+        sim.add_shadow(7, drop_third());
+        let mut halves = Vec::new();
+        sim.run_forking(LONG, |made, mut fork| {
+            if made == Fork::FailSecure(vec![]) {
+                return; // the baseline's own split, long after the shadow left
+            }
+            assert!(fork.is_undecided(), "forked before the crash");
+            let halt = fork.run_forking(LONG, |made, mut copy| {
+                assert_eq!(made, Fork::FailSecure(vec![]));
+                // Past its third message the shadow answers pass to
+                // everything, which is what `PassThrough` answers.
+                copy.set_interposer(Box::new(PassThrough));
+                halves.push(fixed(copy));
+            });
+            assert_eq!(halt, HaltReason::Horizon);
+            halves.insert(0, outcome(&fork));
+        });
+        let want = [attached(FailMode::Safe), attached(FailMode::Secure)];
+        assert_eq!(halves, want);
+        assert_ne!(want[0], want[1]);
     }
 }

@@ -1271,7 +1271,7 @@ mod tests {
 
     /// `m` with a reserved wildcard bit set: a distinct `Match` that
     /// compiles to the same mask and value words.
-    fn twin(mut m: Match) -> Match {
+    fn alias(mut m: Match) -> Match {
         m.wildcards = Wildcards(m.wildcards.0 | 1 << 23);
         m
     }
@@ -1286,11 +1286,11 @@ mod tests {
     #[test]
     fn bucket_chain_orders_by_priority_then_age() {
         // Four entries in one bucket: one match at priorities 3, 9 and 5,
-        // and its twin at 9. The lookup must follow (priority desc, age)
+        // and its alias at 9. The lookup must follow (priority desc, age)
         // whatever the insertion order, also as entries leave.
         let mut t = FlowTable::default();
         let m = Match::exact_in_port(PortNo(1));
-        for (m, priority, port) in [(m, 3, 13), (m, 9, 19), (twin(m), 9, 29), (m, 5, 15)] {
+        for (m, priority, port) in [(m, 3, 13), (m, 9, 19), (alias(m), 9, 29), (m, 5, 15)] {
             t.apply(&fm(m, priority, port), SimTime::ZERO).unwrap();
             t.check_invariants();
         }
@@ -1300,7 +1300,7 @@ mod tests {
         assert_eq!(&winner(&mut t)[..], &out(19));
         delete_strict(&mut t, m, 9);
         assert_eq!(&winner(&mut t)[..], &out(29));
-        delete_strict(&mut t, twin(m), 9);
+        delete_strict(&mut t, alias(m), 9);
         assert_eq!(&winner(&mut t)[..], &out(15));
         delete_strict(&mut t, m, 3); // the chain's tail
         assert_eq!(&winner(&mut t)[..], &out(15));

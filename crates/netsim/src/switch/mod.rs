@@ -81,12 +81,12 @@ pub struct Switch {
     name: String,
     dpid: DatapathId,
     ports: Vec<PortNo>,
-    /// Read only through [`Switch::fail_mode`], which marks it read.
+    /// Read only through [`Switch::fail_mode`].
     fail_mode: FailMode,
-    /// Sticky: set the first time the fail mode decides anything, and
-    /// never cleared (not even by `restart`). While false, this switch
-    /// has behaved identically under either fail mode.
-    fail_mode_read: bool,
+    /// Built fail-safe in a run that defers the choice: the run splits
+    /// before this switch first consults its mode
+    /// ([`Simulation::defer_fail_mode`](crate::Simulation::defer_fail_mode)).
+    undecided: bool,
     table: FlowTable,
     buffers: VecDeque<BufferedPacket>,
     next_buffer_id: u32,
@@ -110,7 +110,7 @@ impl Switch {
             dpid,
             ports: Vec::new(),
             fail_mode,
-            fail_mode_read: false,
+            undecided: false,
             table: FlowTable::default(),
             buffers: VecDeque::new(),
             next_buffer_id: 1,
@@ -134,16 +134,44 @@ impl Switch {
     }
 
     /// The switch's fail mode, for a decision that depends on it. The one
-    /// read path: it records that the mode was consulted.
-    fn fail_mode(&mut self) -> FailMode {
-        self.fail_mode_read = true;
+    /// read path: a deferring run splits before an undecided switch gets
+    /// here, which the audit holds in debug builds.
+    fn fail_mode(&self) -> FailMode {
+        debug_assert!(
+            !self.undecided,
+            "{} consulted its fail mode undecided: a split predicate missed the read",
+            self.name
+        );
         self.fail_mode
     }
 
-    /// Whether the fail mode has decided anything yet (see
-    /// [`Simulation::fail_mode_read`](crate::Simulation::fail_mode_read)).
-    pub(crate) fn fail_mode_read(&self) -> bool {
-        self.fail_mode_read
+    /// Defers the mode of a fail-safe switch, returning whether it did; a
+    /// fail-secure switch is the same on both sides of a split.
+    pub(crate) fn defer_fail_mode(&mut self) -> bool {
+        self.undecided = self.fail_mode == FailMode::Safe;
+        self.undecided
+    }
+
+    /// Settles a deferred mode as `mode`; a decided switch keeps its own.
+    pub(crate) fn decide_fail_mode(&mut self, mode: FailMode) {
+        if std::mem::take(&mut self.undecided) {
+            self.fail_mode = mode;
+        }
+    }
+
+    /// Whether a frame arriving now may consult an undecided mode: a
+    /// table miss while disconnected does.
+    pub(crate) fn frame_reads_fail_mode(&self) -> bool {
+        self.undecided && !self.is_connected()
+    }
+
+    /// Whether [`Switch::tick`] at `now` consults an undecided mode: some
+    /// connection that is up has been silent for [`DEAD_AFTER`], and none
+    /// would stay up.
+    pub(crate) fn tick_reads_fail_mode(&self, now: SimTime) -> bool {
+        let mut up = self.conns.iter().filter(|c| c.phase == ConnPhase::Up);
+        let dead = |c: &SwitchConn| now.saturating_sub(c.last_rx) >= DEAD_AFTER;
+        self.undecided && up.clone().next().is_some() && up.all(dead)
     }
 
     /// The flow table (for assertions and stats).
@@ -287,8 +315,8 @@ impl Switch {
     /// reverts to defaults, and every control connection re-handshakes
     /// from scratch. Until a handshake completes the configured fail
     /// mode governs forwarding, exactly as after a liveness-declared
-    /// disconnect. Whether the fail mode was ever read survives: it
-    /// describes the run, not the process.
+    /// disconnect. A decided or deferred fail mode survives: it is
+    /// configuration, not process state.
     pub(crate) fn restart(&mut self, now: SimTime, fx: &mut Vec<Effect>) {
         self.restarts += 1;
         self.table.clear();
@@ -1633,43 +1661,81 @@ mod tests {
         assert_eq!(s.standalone_forwards, 1);
     }
 
+    /// [`switch`] built fail-safe, with its mode deferred.
+    fn undecided() -> Switch {
+        let mut s = Switch::new("s1".into(), DatapathId(1), FailMode::Safe);
+        s.add_port(PortNo(1));
+        s.add_port(PortNo(2));
+        s.add_conn(ConnId(0));
+        assert!(s.defer_fail_mode());
+        s
+    }
+
     #[test]
     fn connected_traffic_never_reads_the_fail_mode() {
-        let mut s = switch();
+        // Undecided, so the debug audit panics on any read the predicates
+        // do not flag.
+        let mut s = undecided();
         connect(&mut s);
         let mut fx = Vec::new();
         // A miss (PACKET_IN), a probe and a tick: none consult the mode.
+        assert!(!s.frame_reads_fail_mode());
         s.handle_frame(PortNo(1), frame(1, 2), SimTime::ZERO, &mut fx);
+        assert!(!s.tick_reads_fail_mode(SimTime::from_secs(6)));
         s.tick(SimTime::from_secs(6), &mut fx);
         assert!(s.is_connected());
-        assert!(!s.fail_mode_read());
     }
 
     #[test]
     fn a_disconnected_miss_reads_the_fail_mode_in_both_modes() {
-        for mode in [FailMode::Safe, FailMode::Secure] {
-            let mut s = Switch::new("s1".into(), DatapathId(1), mode);
-            s.add_port(PortNo(1));
-            s.add_port(PortNo(2));
-            assert!(!s.fail_mode_read());
+        for (mode, forwards) in [(FailMode::Safe, 1), (FailMode::Secure, 0)] {
+            let mut s = undecided();
+            assert!(s.frame_reads_fail_mode(), "a frame before the handshake");
+            s.decide_fail_mode(mode);
+            assert!(!s.frame_reads_fail_mode(), "{mode:?} is decided");
             s.handle_frame(PortNo(1), frame(1, 2), SimTime::ZERO, &mut Vec::new());
-            assert!(s.fail_mode_read(), "{mode:?}");
+            assert_eq!(s.standalone_forwards, forwards, "{mode:?}");
         }
+        // An always-secure switch is the same on both sides of a split,
+        // so it never defers and its misses flag nothing.
+        let mut s = switch();
+        assert!(!s.defer_fail_mode());
+        assert!(!s.frame_reads_fail_mode());
     }
 
     #[test]
-    fn entering_fail_mode_reads_it_and_restart_keeps_the_mark() {
-        let mut s = switch();
+    fn entering_fail_mode_is_flagged_and_restart_keeps_the_decision() {
+        let mut s = undecided();
+        s.add_conn(ConnId(1));
         connect(&mut s);
+        let secs = SimTime::from_secs;
+        assert!(!s.tick_reads_fail_mode(secs(14)), "silent, not yet dead");
+        assert!(s.tick_reads_fail_mode(secs(15)), "the live connection dies");
+        // A second connection that is up and alive keeps the switch
+        // connected, so the same silence enters no fail mode.
+        let mut two = s.clone();
         let mut fx = Vec::new();
-        s.tick(SimTime::from_secs(16), &mut fx);
-        assert!(fx
-            .iter()
-            .any(|e| matches!(e, Effect::Trace(TraceKind::FailModeEntered { .. }))));
-        assert!(s.fail_mode_read());
-        s.restart(SimTime::from_secs(17), &mut fx);
-        connect(&mut s);
-        assert!(s.fail_mode_read(), "restart must not clear the mark");
+        two.start_connect(ConnId(1), secs(10), &mut fx);
+        let features = Frame::from_message(OfMessage::FeaturesRequest, 2);
+        two.handle_control(ConnId(1), &features, secs(10), &mut fx);
+        assert!(!two.tick_reads_fail_mode(secs(15)));
+        two.tick(secs(15), &mut fx);
+        assert!(two.is_connected());
+
+        s.decide_fail_mode(FailMode::Safe);
+        fx.clear();
+        s.tick(secs(16), &mut fx);
+        assert!(fx.iter().any(|e| matches!(
+            e,
+            Effect::Trace(TraceKind::FailModeEntered {
+                standalone: true,
+                ..
+            })
+        )));
+        s.restart(secs(17), &mut fx);
+        assert!(!s.frame_reads_fail_mode(), "restart keeps the decision");
+        s.handle_frame(PortNo(1), frame(1, 2), secs(17), &mut fx);
+        assert_eq!(s.standalone_forwards, 1);
     }
 
     #[test]

@@ -21,9 +21,10 @@ fn main() {
     println!("{}", scenario::attacks::CONNECTION_INTERRUPTION.trim());
     println!();
 
-    for mode in [FailMode::Safe, FailMode::Secure] {
+    // One run for both modes: it splits where s2 first consults its mode.
+    let outs = run_connection_interruption(kind).expect("the experiment runs");
+    for (mode, out) in [FailMode::Safe, FailMode::Secure].into_iter().zip(outs) {
         println!("running {kind} with s2 in {mode:?} mode…");
-        let out = run_connection_interruption(kind, mode).expect("the experiment runs");
         for (row, ping) in [
             ("ext→ext (t=30s)", "h2->h1 early"),
             ("int→ext (t=30s)", "h6->h1 early"),

@@ -37,7 +37,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             &source,
             true,
             ControllerKind::Floodlight,
-            FailMode::Secure,
+            &[FailMode::Secure],
             &FaultPlan::default(),
             &RunBudget::default(),
             |sim, _| {
@@ -46,6 +46,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 Ok(SimTime::from_secs(45))
             },
         )
+        .remove(0)
     };
 
     let report = trial()?;

@@ -13,8 +13,9 @@
 //!   identical for `--jobs 1` and `--jobs N`.
 //! * **Baseline convergence** — in no-attack cells every controller
 //!   application converges the ping workload, under both fail modes.
-//! * **Twin reuse is sound** — a run that never read a switch's fail
-//!   mode equals its other-fail-mode twin, and exactly 24 cells read it.
+//! * **Fail-mode splits are sound** — the fail-mode axis changes the
+//!   records of exactly 18 cells, and two fixed-mode runs differ only
+//!   where the shared run splits.
 //! * **Shared baselines are sound** — `table_overflow`'s bounded
 //!   baseline equals the shared unbounded one it is diffed against.
 //! * **Shared runs are sound** — every unit the runner forked off its
@@ -69,30 +70,41 @@ fn full_matrix_matches_golden_digests_and_expectations() {
     assert_eq!(report.unjudged(), 0, "every production cell must be judged");
     check_golden("tests/golden/campaign/full.txt", &report.golden_digests());
 
-    // The fail-mode axis decides something in exactly these 24 cells;
-    // every other cell's twin reused its record. The Ryu fingerprint
-    // cells read the mode of an always-secure switch and still come
-    // out the same under either, but the any-switch rule runs them both.
-    let mut read: Vec<&str> = report
+    // The fail-mode axis changes a record in exactly these 18 cells: the
+    // interruption leaves the fail-safe DMZ switch `s2` without its
+    // controller, so each of their runs split there. The Ryu fingerprint
+    // cells sever only the always-secure `s1`, which never defers its
+    // mode, so their runs never split and each pair is one record.
+    let record = |name: &str| {
+        let cell = report.cells.iter().find(|c| c.name == name);
+        cell.and_then(|c| c.outcome()).map(timeless)
+    };
+    let mut differ: Vec<&str> = report
         .cells
         .iter()
-        .filter(|c| c.outcome().is_some_and(|o| o.fail_mode_read))
+        .filter(|c| {
+            let twin = match c.fail_mode {
+                FailMode::Safe => c.name.replace("/safe/", "/secure/"),
+                FailMode::Secure => c.name.replace("/secure/", "/safe/"),
+            };
+            record(&c.name) != record(&twin)
+        })
         .map(|c| c.name.as_str())
         .collect();
-    let mut live = Vec::new();
+    let mut split = Vec::new();
     for fail in ["safe", "secure"] {
         for seed in 1..=3 {
             for controller in ["floodlight", "pox", "beacon"] {
-                live.push(format!(
+                split.push(format!(
                     "connection_interruption/{controller}/{fail}/s{seed}"
                 ));
             }
-            live.push(format!("fingerprint_then_attack/ryu/{fail}/s{seed}"));
         }
     }
-    read.sort_unstable();
-    live.sort_unstable();
-    assert_eq!(read, live, "cells whose run read a fail mode");
+    differ.sort_unstable();
+    split.sort_unstable();
+    assert_eq!(differ, split, "cells whose two fail modes differ");
+    assert_eq!(report.shape.splits, 9, "{}", report.shape);
 }
 
 /// A record with its one nondeterministic field cleared.
@@ -103,14 +115,16 @@ fn timeless(record: &RunRecord) -> RunRecord {
     }
 }
 
-/// The runner's twin reuse is sound: for every smoke-matrix pair and its
-/// shared baseline pair, a safe run that never read its fail mode is the
-/// secure run, byte for byte, when both are actually made.
+/// The split rule is sound: a run stands for both fail modes until a
+/// switch first consults its mode. For every smoke-matrix pair and its
+/// shared baseline pair, both runs made from t = 0, one per mode, are
+/// one record, byte for byte, except the three pairs whose shared run
+/// splits (`shared_runs_equal_standalone_runs` pins that count).
 #[test]
 fn an_unread_fail_mode_makes_the_twins_identical() {
     let matrix = Matrix::smoke();
     let trivial = attacks::by_name("trivial_pass").unwrap();
-    let mut unread = 0;
+    let mut differ = Vec::new();
     for &controller in &matrix.controllers {
         for &seed in &matrix.seeds {
             let baseline = |mode| cell::run_baseline(&trivial, controller, mode, seed);
@@ -132,40 +146,40 @@ fn an_unread_fail_mode_makes_the_twins_identical() {
                     safe.expect("safe twin completes"),
                     secure.expect("secure twin completes"),
                 );
-                if !safe.fail_mode_read {
-                    unread += 1;
-                    assert_eq!(
-                        timeless(&safe),
-                        timeless(&secure),
-                        "{name}/{controller}/s{seed}: unread fail mode, different runs"
-                    );
+                if timeless(&safe) != timeless(&secure) {
+                    differ.push(format!("{name}/{}/s{seed}", controller.slug()));
                 }
             }
         }
     }
-    // 25 attacked pairs and 5 baseline pairs; connection_interruption
-    // (Floodlight, POX, Beacon) and Ryu's fingerprint cells read it.
-    assert_eq!(unread, 30 - 4);
+    // Of 25 attacked pairs and 5 baseline pairs, only the interruption's
+    // leaves a fail-safe switch without its controller.
+    let split: Vec<String> = ["floodlight", "pox", "beacon"]
+        .map(|c| format!("connection_interruption/{c}/s1"))
+        .into();
+    assert_eq!(differ, split);
 }
 
 /// The licence to fork: on the smoke matrix, every cell the runner made
 /// — forked off its baseline, given the baseline's record as a shadow
-/// that never diverged, reused from its twin or run alone — equals a
-/// standalone run of the same cell, field by field except `wall_ms`.
+/// that never diverged, taken from a run that never split or from the
+/// fail-secure side of one that did, or run alone — equals a standalone
+/// run of the same cell in its one fail mode, field by field except
+/// `wall_ms`.
 #[test]
 fn shared_runs_equal_standalone_runs() {
     let matrix = Matrix::smoke();
     let report = attain::campaign::run(&matrix, 1);
-    // Each fail-safe environment shares its baseline's run with every
-    // attack but `table_overflow`. Fail-secure, the baselines and the
-    // units whose twin never read its fail mode are reused, and the four
-    // that read it run alone.
+    // Each environment runs once for both fail modes and shares its
+    // baseline's run with every attack but `table_overflow`, which runs
+    // alone, also for both modes. The interruption's forks on
+    // Floodlight, POX and Beacon split.
     let shape = RunShape {
         environments: 5,
         forked: 13,
         undiverged: 7,
-        standalone: 5 + 4,
-        reused: 5 + 21,
+        standalone: 5,
+        splits: 3,
     };
     assert_eq!(report.shape, shape, "{}", report.shape);
     for (cell, id) in report.cells.iter().zip(matrix.cells()) {

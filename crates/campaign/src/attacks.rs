@@ -49,7 +49,7 @@ pub struct AttackDef {
 /// Every shipped attack, in matrix order: the ten enterprise attacks
 /// in their `scenario::attacks::ALL` order, then the self-contained
 /// demo document.
-pub fn all() -> Vec<AttackDef> {
+pub(crate) fn all() -> Vec<AttackDef> {
     let mut v: Vec<AttackDef> = scenario::attacks::ALL
         .iter()
         .map(|&(name, source)| AttackDef {

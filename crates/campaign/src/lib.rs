@@ -13,11 +13,11 @@
 //! where each cell is an isolated, seeded, virtual-time simulation run
 //! on a worker pool ([`runner::run`]) and judged by:
 //!
-//! * the **differential oracle** ([`oracle::classify`]) — the attacked
+//! * the **differential oracle** (`oracle::classify`) — the attacked
 //!   run diffed against a same-seed baseline (no interposer) and
 //!   classified Silent / ControlPlane / Degraded / Denial, then checked
 //!   against the behaviour-derived expectations table
-//!   ([`oracle::expected`]);
+//!   (`oracle::expected`);
 //! * the **golden-trace oracle** — each cell's control-plane trace
 //!   digest pinned under `tests/golden/campaign/`, so any semantic
 //!   drift in the DSL pipeline, the injector, a controller model, or

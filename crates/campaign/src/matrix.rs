@@ -14,7 +14,7 @@ use std::fmt;
 pub const FULL_SEEDS: [u64; 3] = [1, 2, 3];
 
 /// Renders a fail mode as its cell-name / filter slug.
-pub fn fail_slug(mode: FailMode) -> &'static str {
+pub(crate) fn fail_slug(mode: FailMode) -> &'static str {
     match mode {
         FailMode::Safe => "safe",
         FailMode::Secure => "secure",
@@ -113,7 +113,7 @@ impl Matrix {
     }
 
     /// The cell's report / golden-file name.
-    pub fn cell_name(&self, cell: &CellId) -> String {
+    pub(crate) fn cell_name(&self, cell: &CellId) -> String {
         format!(
             "{}/{}/{}/s{}",
             self.attacks[cell.attack].name,

@@ -13,7 +13,7 @@
 //! * [`Observed::Silent`] — byte-identical trace: the attack left no
 //!   observable footprint at the proxy.
 //!
-//! The classification is compared against [`expected`], the campaign's
+//! The classification is compared against `expected`, the campaign's
 //! expectations table. The table is *derived* from the controllers'
 //! behavioural predicates (`releases_buffer_via_flow_mod`,
 //! `flow_mod_exposes_nw_src`, `installs_flows`,
@@ -68,7 +68,7 @@ impl fmt::Display for Observed {
 }
 
 /// Classifies an attacked run against its same-seed baseline.
-pub fn classify(attacked: &RunRecord, baseline: &RunRecord) -> Observed {
+fn classify(attacked: &RunRecord, baseline: &RunRecord) -> Observed {
     // Primary workload: the `w*` windows (h1→h6 / web→db). The trigger
     // and probe runs are deviation evidence but not "the service".
     let primary = |o: &RunRecord| -> (u32, u32) {
@@ -154,7 +154,11 @@ pub fn fingerprint_prediction(outcome: &RunRecord) -> Option<ControllerKind> {
 /// the interruption into unauthorized access, fail-secure into a DoS
 /// on legitimate traffic — both Degraded) but never the class itself,
 /// which the table makes explicit by ignoring it.
-pub fn expected(attack: &str, kind: ControllerKind, _fail_mode: FailMode) -> &'static [Observed] {
+pub(crate) fn expected(
+    attack: &str,
+    kind: ControllerKind,
+    _fail_mode: FailMode,
+) -> &'static [Observed] {
     match attack {
         // The Figure 5 no-op: pass-through interposition is
         // timing-transparent, so the diff against the interposer-free

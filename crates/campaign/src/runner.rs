@@ -51,10 +51,10 @@ use std::sync::{mpsc, Mutex, OnceLock, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// Default per-instant event bound: orders of magnitude above anything
+/// Per-instant event bound: orders of magnitude above anything
 /// a healthy cell dispatches at one virtual time, small enough to trip
 /// a genuine livelock in milliseconds.
-pub const DEFAULT_LIVELOCK_BOUND: u64 = 200_000;
+const LIVELOCK_BOUND: u64 = 200_000;
 
 /// Backoff before the first retry of a timed-out unit; doubles per
 /// further attempt.
@@ -95,7 +95,7 @@ pub enum CellStatus {
 
 impl CellStatus {
     /// The outcome, when the run completed.
-    pub fn outcome(&self) -> Option<&RunRecord> {
+    pub(crate) fn outcome(&self) -> Option<&RunRecord> {
         match self {
             CellStatus::Completed(o) => Some(o),
             _ => None,
@@ -140,8 +140,6 @@ pub struct RunnerConfig {
     pub cell_timeout: Option<Duration>,
     /// Deterministic cap on total simulator events per unit.
     pub max_events: Option<u64>,
-    /// Deterministic cap on events at one virtual instant.
-    pub livelock_bound: u64,
     /// Same-seed retries for timed-out units (the one nondeterministic
     /// failure mode), after a backoff that doubles per attempt.
     /// Deterministic failures are never retried.
@@ -149,14 +147,12 @@ pub struct RunnerConfig {
 }
 
 impl RunnerConfig {
-    /// Defaults: no wall-clock timeout, no event cap, the stock
-    /// livelock bound, no retries.
+    /// Defaults: no wall-clock timeout, no event cap, no retries.
     pub fn new(jobs: usize) -> RunnerConfig {
         RunnerConfig {
             jobs,
             cell_timeout: None,
             max_events: None,
-            livelock_bound: DEFAULT_LIVELOCK_BOUND,
             retries: 0,
         }
     }
@@ -312,7 +308,7 @@ fn attempt_budget(cfg: &RunnerConfig, supervisor: Option<&Supervisor>) -> RunBud
     }
     RunBudget {
         max_events: cfg.max_events,
-        max_events_per_instant: Some(cfg.livelock_bound),
+        max_events_per_instant: Some(LIVELOCK_BOUND),
         cancel: Some(token),
     }
 }
@@ -667,21 +663,22 @@ mod tests {
         }
     }
 
-    /// An interposer that re-arms a wakeup at `now` forever: the event
-    /// loop spins at one virtual instant until the livelock detector
-    /// (or a wall-clock cancel) stops it.
-    struct Spin;
+    /// An interposer that re-arms a wakeup `.0` after `now` forever. At
+    /// a zero step the event loop spins at one virtual instant until the
+    /// livelock detector (or a wall-clock cancel) stops it; at a positive
+    /// step virtual time creeps on, so only a wall-clock cancel can.
+    struct Spin(SimTime);
 
     impl Interposer for Spin {
         fn on_message(&mut self, msg: ProxiedMessage<'_>) -> InterposerActions {
             let mut a = InterposerActions::pass(&msg);
-            a.wakeup = Some(msg.now);
+            a.wakeup = Some(msg.now + self.0);
             a
         }
 
         fn on_wakeup(&mut self, now: SimTime) -> InterposerActions {
             InterposerActions {
-                wakeup: Some(now),
+                wakeup: Some(now + self.0),
                 ..InterposerActions::default()
             }
         }
@@ -690,13 +687,20 @@ mod tests {
     /// The campaign's unit function, except that the chaos cells
     /// misbehave on the attacked half of their pair. As shadows, a
     /// panicking one takes its whole shared run down and a spinning one
-    /// spins in its fork.
-    fn chaos_unit(lead: &[&UnitSpec<'_>], shadows: &[&UnitSpec<'_>], budget: &RunBudget) -> Shared {
+    /// spins in its fork, re-arming its wakeups `step` apart.
+    fn chaos_unit(
+        lead: &[&UnitSpec<'_>],
+        shadows: &[&UnitSpec<'_>],
+        budget: &RunBudget,
+        step: SimTime,
+    ) -> Shared {
         let name = |s: &UnitSpec<'_>| s.attack.def.name;
         match lead.first().map(|u| (u.attacked, name(u))) {
             Some((true, PANIC_CELL)) => panic!("{PANIC_MESSAGE}"),
             Some((true, LIVELOCK_CELL)) => {
-                let modes = lead.iter().map(|u| Some((spin(u, budget), Vec::new())));
+                let modes = lead
+                    .iter()
+                    .map(|u| Some((spin(u, budget, step), Vec::new())));
                 return Shared {
                     modes: modes.collect(),
                     splits: 0,
@@ -719,7 +723,7 @@ mod tests {
             *runs = shadows
                 .iter()
                 .map(|s| match name(s) {
-                    LIVELOCK_CELL => ShadowRun::Forked(spin(u, budget)),
+                    LIVELOCK_CELL => ShadowRun::Forked(spin(u, budget, step)),
                     _ => tame_runs.next().unwrap_or(ShadowRun::NotRun),
                 })
                 .collect();
@@ -727,9 +731,8 @@ mod tests {
         shared
     }
 
-    /// A run in `u`'s environment whose interposer never lets virtual
-    /// time advance.
-    fn spin(u: &UnitSpec<'_>, budget: &RunBudget) -> Result<RunRecord, RunError> {
+    /// A run in `u`'s environment whose interposer spins with `step`.
+    fn spin(u: &UnitSpec<'_>, budget: &RunBudget, step: SimTime) -> Result<RunRecord, RunError> {
         harness::run(
             Scope::Enterprise,
             "",
@@ -739,7 +742,7 @@ mod tests {
             &FaultPlan::seeded(u.seed),
             budget,
             |sim, _| {
-                sim.set_interposer(Box::new(Spin));
+                sim.set_interposer(Box::new(Spin(step)));
                 schedule_ping(sim, SimTime::from_secs(10), "h1", "10.0.0.6", 1, "w1")?;
                 Ok(SimTime::from_secs(20))
             },
@@ -750,8 +753,10 @@ mod tests {
         ))
     }
 
-    fn run_chaos(matrix: &Matrix, cfg: &RunnerConfig) -> CampaignReport {
-        run_units(matrix, cfg, &chaos_unit)
+    fn run_chaos(matrix: &Matrix, cfg: &RunnerConfig, step: SimTime) -> CampaignReport {
+        run_units(matrix, cfg, &|lead, shadows, budget| {
+            chaos_unit(lead, shadows, budget, step)
+        })
     }
 
     fn chaos_matrix() -> Matrix {
@@ -770,7 +775,7 @@ mod tests {
     #[test]
     fn chaos_cells_are_contained_and_annotated() {
         let matrix = chaos_matrix();
-        let report = run_chaos(&matrix, &RunnerConfig::new(2));
+        let report = run_chaos(&matrix, &RunnerConfig::new(2), SimTime::ZERO);
         assert_eq!(report.cells.len(), 6);
 
         for cell in &report.cells {
@@ -825,8 +830,8 @@ mod tests {
     #[test]
     fn chaos_report_is_byte_identical_across_thread_counts() {
         let matrix = chaos_matrix();
-        let serial = run_chaos(&matrix, &RunnerConfig::new(1));
-        let parallel = run_chaos(&matrix, &RunnerConfig::new(4));
+        let serial = run_chaos(&matrix, &RunnerConfig::new(1), SimTime::ZERO);
+        let parallel = run_chaos(&matrix, &RunnerConfig::new(4), SimTime::ZERO);
         assert_eq!(
             serial.canonical_json(),
             parallel.canonical_json(),
@@ -956,14 +961,13 @@ mod tests {
             fail_modes: vec![FailMode::Secure],
             seeds: vec![1],
         };
-        // Disarm the deterministic livelock detector so only the
-        // wall-clock deadline can stop the spin; exercise one same-seed
-        // retry too.
+        // A 1 ns step keeps virtual time advancing, so the livelock
+        // detector never fires and only the wall-clock deadline can stop
+        // the spin; exercise one same-seed retry too.
         let mut cfg = RunnerConfig::new(1);
-        cfg.livelock_bound = u64::MAX;
         cfg.cell_timeout = Some(Duration::from_millis(200));
         cfg.retries = 1;
-        let report = run_chaos(&matrix, &cfg);
+        let report = run_chaos(&matrix, &cfg, SimTime::from_nanos(1));
         assert_eq!(report.cells.len(), 1);
         assert_eq!(report.cells[0].status, CellStatus::TimedOut);
         assert!(report.cells[0].observed.is_none());

@@ -123,16 +123,6 @@ impl Outbox {
         self.msgs.push((dpid, msg));
     }
 
-    /// Number of queued messages.
-    pub fn len(&self) -> usize {
-        self.msgs.len()
-    }
-
-    /// Whether nothing is queued.
-    pub fn is_empty(&self) -> bool {
-        self.msgs.is_empty()
-    }
-
     /// Drains the queued messages in send order.
     pub fn drain(&mut self) -> Vec<(DatapathId, OfMessage)> {
         std::mem::take(&mut self.msgs)
@@ -197,14 +187,14 @@ mod tests {
     #[test]
     fn outbox_preserves_send_order() {
         let mut out = Outbox::new();
-        assert!(out.is_empty());
+        assert!(out.msgs.is_empty());
         out.send(DatapathId(1), OfMessage::BarrierRequest);
         out.send(DatapathId(2), OfMessage::Hello);
-        assert_eq!(out.len(), 2);
+        assert_eq!(out.msgs.len(), 2);
         let drained = out.drain();
         assert_eq!(drained[0].0, DatapathId(1));
         assert_eq!(drained[1].0, DatapathId(2));
-        assert!(out.is_empty());
+        assert!(out.msgs.is_empty());
     }
 
     #[test]

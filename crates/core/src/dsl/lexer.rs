@@ -119,7 +119,7 @@ pub struct DslError {
 
 impl DslError {
     /// Creates an error at `line`.
-    pub fn new(line: u32, message: impl Into<String>) -> DslError {
+    pub(crate) fn new(line: u32, message: impl Into<String>) -> DslError {
         DslError {
             line,
             message: message.into(),

@@ -306,12 +306,6 @@ mod tests {
         let sc = scenario::enterprise_network();
         let conns: Vec<_> = sc.system.connections().map(|(id, _, _)| id).collect();
         let generated = [
-            templates::suppress_type(OfType::FlowMod, conns.clone()),
-            templates::after_sequence(
-                &[OfType::PacketIn, OfType::FlowMod],
-                vec![crate::lang::AttackAction::Drop],
-                conns.clone(),
-            ),
             templates::after_count(
                 OfType::FlowMod,
                 7,

@@ -344,7 +344,7 @@ impl CompiledState {
 
     /// Whether rule `rule` watches `conn` — O(1), the compiled form of
     /// `Rule::connections.contains(&conn)`.
-    pub fn rule_watches(&self, rule: usize, conn: ConnectionId) -> bool {
+    pub(crate) fn rule_watches(&self, rule: usize, conn: ConnectionId) -> bool {
         self.conn_scope
             .get(conn.0)
             .is_some_and(|mask| has_bit(mask, rule))
@@ -358,7 +358,7 @@ impl CompiledState {
     /// a narrower grant would wrongly exclude rules (debug-asserted).
     /// `scratch` is caller-provided so steady-state dispatch allocates
     /// nothing.
-    pub fn candidates(
+    pub(crate) fn candidates(
         &self,
         conn: ConnectionId,
         view: &MessageView<'_>,
@@ -435,12 +435,14 @@ impl CompiledRuleset {
     }
 
     /// The compiled dispatcher for state `idx`.
-    pub fn state(&self, idx: usize) -> &CompiledState {
+    pub(crate) fn state(&self, idx: usize) -> &CompiledState {
         &self.states[idx]
     }
 
-    /// Per-class dispatch counts over the whole attack.
-    pub fn summary(&self) -> DispatchSummary {
+    /// Per-class dispatch counts over the whole attack (the unit tests'
+    /// view of how each rule was indexed).
+    #[cfg(test)]
+    pub(crate) fn summary(&self) -> DispatchSummary {
         self.summary
     }
 }

@@ -331,11 +331,6 @@ impl AttackExecutor {
         &self.log
     }
 
-    /// The attack under execution.
-    pub fn attack(&self) -> &Attack {
-        &self.attack
-    }
-
     /// The deque store (for tests and monitors).
     pub fn deques(&self) -> &DequeStore {
         &self.deques

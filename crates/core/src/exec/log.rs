@@ -106,12 +106,12 @@ pub struct InjectionLog {
 
 impl InjectionLog {
     /// Creates an empty log.
-    pub fn new() -> InjectionLog {
+    pub(crate) fn new() -> InjectionLog {
         InjectionLog::default()
     }
 
     /// Appends an event.
-    pub fn push(&mut self, time_ns: u64, kind: LogKind) {
+    pub(crate) fn push(&mut self, time_ns: u64, kind: LogKind) {
         if let LogKind::RuleMatched { rule, .. } = &kind {
             *self.fire_counts.entry(rule.clone()).or_insert(0) += 1;
         }

@@ -117,7 +117,7 @@ impl AttackAction {
     /// action requires exactly its capability; deque/control actions are
     /// free, except that storing/emitting whole messages respectively
     /// need to read and re-send them).
-    pub fn required_capabilities(&self) -> CapabilitySet {
+    pub(crate) fn required_capabilities(&self) -> CapabilitySet {
         let mut caps = CapabilitySet::new();
         match self {
             AttackAction::Drop => caps.insert(Capability::DropMessage),
@@ -156,7 +156,7 @@ impl AttackAction {
     }
 
     /// Whether this is a `GOTOSTATE` (drives attack-state-graph edges).
-    pub fn goto_target(&self) -> Option<usize> {
+    pub(crate) fn goto_target(&self) -> Option<usize> {
         match self {
             AttackAction::GoToState(t) => Some(*t),
             _ => None,

@@ -140,7 +140,7 @@ impl Expr {
 
     /// Evaluates to a [`Value`] with no timing state attached
     /// (timing-free expressions behave identically; timing stats read
-    /// through [`TimingCtx::detached`]).
+    /// through `TimingCtx::detached`).
     ///
     /// # Errors
     ///
@@ -157,7 +157,7 @@ impl Expr {
     ///
     /// As [`Expr::eval`], plus [`EvalError::NoSample`] for timing
     /// statistics whose pair has no sample yet.
-    pub fn eval_with(
+    pub(crate) fn eval_with(
         &self,
         msg: &MessageView<'_>,
         deques: &DequeStore,
@@ -280,7 +280,7 @@ impl Expr {
     /// Calls `f` on this expression and every sub-expression (used by
     /// [`TimingPlan`](crate::lang::timing::TimingPlan) to discover the
     /// pairs an attack observes).
-    pub fn for_each(&self, f: &mut impl FnMut(&Expr)) {
+    pub(crate) fn for_each(&self, f: &mut impl FnMut(&Expr)) {
         f(self);
         match self {
             Expr::Lit(_)

@@ -73,16 +73,6 @@ impl DequeStore {
     pub fn len(&self, name: &str) -> usize {
         self.deques.get(name).map(|d| d.len()).unwrap_or(0)
     }
-
-    /// Whether δ is empty or absent.
-    pub fn is_empty(&self, name: &str) -> bool {
-        self.len(name) == 0
-    }
-
-    /// Names of all deques touched so far.
-    pub fn names(&self) -> impl Iterator<Item = &str> {
-        self.deques.keys().map(String::as_str)
-    }
 }
 
 #[cfg(test)]
@@ -130,7 +120,6 @@ mod tests {
         let mut d = DequeStore::new();
         assert_eq!(d.examine_front("ghost"), Value::None);
         assert_eq!(d.pop("ghost"), Value::None);
-        assert!(d.is_empty("ghost"));
         assert_eq!(d.len("ghost"), 0);
     }
 
@@ -152,7 +141,7 @@ mod tests {
         let mut d = DequeStore::new();
         d.append("b", Value::Int(1));
         d.append("a", Value::Int(2));
-        let names: Vec<_> = d.names().collect();
+        let names: Vec<_> = d.deques.keys().map(String::as_str).collect();
         assert_eq!(names, vec!["a", "b"]); // deterministic order
     }
 }

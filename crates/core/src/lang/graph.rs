@@ -35,7 +35,7 @@ pub struct AttackStateGraph {
 
 impl AttackStateGraph {
     /// Derives the graph from an attack.
-    pub fn from_attack(attack: &Attack) -> AttackStateGraph {
+    pub(crate) fn from_attack(attack: &Attack) -> AttackStateGraph {
         let mut edges: Vec<GraphEdge> = Vec::new();
         for (i, state) in attack.states.iter().enumerate() {
             for rule in &state.rules {

@@ -69,14 +69,14 @@ pub enum Guard {
         /// The normalized comparison.
         op: CmpOp,
         /// The literal threshold as a float (the language compares
-        /// numerics through [`Value::as_float`]).
+        /// numerics through `Value::as_float`).
         threshold: f64,
     },
 }
 
 impl Guard {
     /// The property this guard anchors on, if it reads one.
-    pub fn property(&self) -> Option<&Property> {
+    pub(crate) fn property(&self) -> Option<&Property> {
         match self {
             Guard::Never => None,
             Guard::Eq { prop, .. } | Guard::In { prop, .. } | Guard::Cmp { prop, .. } => Some(prop),
@@ -206,7 +206,7 @@ fn cmp_guard(a: &Expr, b: &Expr, direct: CmpOp, flipped: CmpOp) -> Option<Guard>
 /// A hashable key whose equality coincides exactly with the language's
 /// `lang_eq` on indexable values: numerics collapse to their `f64`
 /// image (the language compares `Int`/`Float` cross-kind through
-/// [`Value::as_float`]), everything else keys on its own variant.
+/// `Value::as_float`), everything else keys on its own variant.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum ValueKey {
     /// A numeric value, keyed by canonical `f64` bits (`-0.0` folds
@@ -234,7 +234,7 @@ impl ValueKey {
     /// mirroring `NaN != x` — index builders must still reject them
     /// (see `literal_is_indexable`) because `NaN != NaN` would be
     /// violated by bucket lookup.
-    pub fn of(value: &Value) -> Option<ValueKey> {
+    pub(crate) fn of(value: &Value) -> Option<ValueKey> {
         Some(match value {
             Value::Int(_) | Value::Float(_) => {
                 let x = value.as_float().expect("numeric kinds convert");

@@ -41,7 +41,7 @@ impl Property {
     /// The capability required to *read* this property (§V-A: metadata
     /// properties need `READMESSAGEMETADATA`, payload properties need
     /// `READMESSAGE`).
-    pub fn required_capability(&self) -> Capability {
+    pub(crate) fn required_capability(&self) -> Capability {
         match self {
             Property::Source
             | Property::Destination
@@ -132,7 +132,7 @@ impl MessageView<'_> {
     ///
     /// Fails when the capability is missing, the payload does not parse
     /// (payload properties only), or the type-option path does not exist.
-    pub fn read(&self, prop: &Property) -> Result<Value, PropertyError> {
+    pub(crate) fn read(&self, prop: &Property) -> Result<Value, PropertyError> {
         let needed = prop.required_capability();
         if !self.granted.contains(needed) {
             return Err(PropertyError::CapabilityDenied {

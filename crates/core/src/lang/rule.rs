@@ -29,7 +29,7 @@ pub struct Rule {
 
 impl Rule {
     /// The capabilities actually exercised by the condition and actions.
-    pub fn exercised_capabilities(&self) -> CapabilitySet {
+    pub(crate) fn exercised_capabilities(&self) -> CapabilitySet {
         let mut caps = self.condition.required_capabilities();
         for a in &self.actions {
             caps = caps.union(&a.required_capabilities());
@@ -38,7 +38,7 @@ impl Rule {
     }
 
     /// `GOTOSTATE` targets named by this rule's actions.
-    pub fn goto_targets(&self) -> impl Iterator<Item = usize> + '_ {
+    pub(crate) fn goto_targets(&self) -> impl Iterator<Item = usize> + '_ {
         self.actions.iter().filter_map(|a| a.goto_target())
     }
 }

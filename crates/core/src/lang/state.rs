@@ -67,7 +67,7 @@ impl Attack {
     /// # Errors
     ///
     /// Returns [`AttackError`] naming the violated constraint.
-    pub fn validate(&self) -> Result<(), AttackError> {
+    pub(crate) fn validate(&self) -> Result<(), AttackError> {
         if self.states.is_empty() {
             return Err(AttackError::NoStates);
         }
@@ -91,7 +91,7 @@ impl Attack {
 
     /// State indices with no outgoing transition to a *different* state —
     /// the absorbing states `σ_absorbing` (§V-F2).
-    pub fn absorbing_states(&self) -> Vec<usize> {
+    pub(crate) fn absorbing_states(&self) -> Vec<usize> {
         self.states
             .iter()
             .enumerate()
@@ -106,7 +106,7 @@ impl Attack {
     }
 
     /// End-state indices (absorbing states with no rules, §V-F3).
-    pub fn end_states(&self) -> Vec<usize> {
+    pub(crate) fn end_states(&self) -> Vec<usize> {
         self.states
             .iter()
             .enumerate()
@@ -115,13 +115,8 @@ impl Attack {
             .collect()
     }
 
-    /// Looks up a state index by name.
-    pub fn state_index(&self, name: &str) -> Option<usize> {
-        self.states.iter().position(|s| s.name == name)
-    }
-
     /// The attack's states.
-    pub fn states(&self) -> &[AttackState] {
+    pub(crate) fn states(&self) -> &[AttackState] {
         &self.states
     }
 }
@@ -193,8 +188,6 @@ mod tests {
         a.validate().unwrap();
         assert_eq!(a.absorbing_states(), vec![2]);
         assert!(a.end_states().is_empty()); // σ3 has rules: absorbing, not end
-        assert_eq!(a.state_index("sigma2"), Some(1));
-        assert_eq!(a.state_index("sigma9"), None);
     }
 
     #[test]

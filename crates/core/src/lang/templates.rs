@@ -14,66 +14,6 @@ fn type_is(t: OfType) -> Expr {
     Expr::eq(Expr::Prop(Property::Type), Expr::Lit(Value::MsgType(t)))
 }
 
-/// A single-state attack that drops every message of type `t` on the
-/// given connections — the Figure 10 pattern generalized over message
-/// types.
-pub fn suppress_type(t: OfType, connections: Vec<ConnectionId>) -> Attack {
-    Attack {
-        name: format!("suppress_{}", t.spec_name().to_lowercase()),
-        states: vec![AttackState {
-            name: "suppress".into(),
-            rules: vec![Rule {
-                name: "phi1".into(),
-                connections,
-                required: CapabilitySet::no_tls(),
-                condition: type_is(t),
-                actions: vec![AttackAction::Drop],
-            }],
-        }],
-        start: 0,
-    }
-}
-
-/// A chain of history states (the Figure 6 pattern): pass messages until
-/// the types in `sequence` have been observed in order, then apply
-/// `payload` actions to every message of the final type.
-pub fn after_sequence(
-    sequence: &[OfType],
-    payload: Vec<AttackAction>,
-    connections: Vec<ConnectionId>,
-) -> Attack {
-    assert!(!sequence.is_empty(), "sequence must name at least one type");
-    let mut states = Vec::with_capacity(sequence.len() + 1);
-    for (i, t) in sequence.iter().enumerate() {
-        states.push(AttackState {
-            name: format!("wait_{}_{}", i, t.spec_name().to_lowercase()),
-            rules: vec![Rule {
-                name: format!("advance{i}"),
-                connections: connections.clone(),
-                required: CapabilitySet::no_tls(),
-                condition: type_is(*t),
-                actions: vec![AttackAction::Pass, AttackAction::GoToState(i + 1)],
-            }],
-        });
-    }
-    let last = *sequence.last().expect("non-empty sequence");
-    states.push(AttackState {
-        name: "armed".into(),
-        rules: vec![Rule {
-            name: "strike".into(),
-            connections,
-            required: CapabilitySet::no_tls(),
-            condition: type_is(last),
-            actions: payload,
-        }],
-    });
-    Attack {
-        name: "after_sequence".into(),
-        states,
-        start: 0,
-    }
-}
-
 /// The §VIII-B counter pattern as a template: let `n` messages of type
 /// `t` through, then apply `payload` actions to every further one — one
 /// state and O(1) storage regardless of `n`.
@@ -148,9 +88,9 @@ pub fn after_count(
     }
 }
 
-/// A stochastic variant of [`suppress_type`] (the §VIII-A future-work
-/// extension): drop each matching message independently with probability
-/// `p`, using the executor's deterministic per-message entropy so runs
+/// A single-state attack that drops each message of type `t` on the
+/// given connections independently with probability `p` (the §VIII-A
+/// future-work extension of the Figure 10 pattern), using the executor's deterministic per-message entropy so runs
 /// stay reproducible.
 ///
 /// # Panics
@@ -187,39 +127,9 @@ pub fn suppress_type_with_probability(t: OfType, p: f64, connections: Vec<Connec
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::lang::AttackStateGraph;
 
     fn conns() -> Vec<ConnectionId> {
         vec![ConnectionId(0)]
-    }
-
-    #[test]
-    fn suppress_type_is_the_figure_10_shape() {
-        let a = suppress_type(OfType::FlowMod, conns());
-        a.validate().expect("template validates");
-        assert_eq!(a.states.len(), 1);
-        assert_eq!(a.absorbing_states(), vec![0]);
-    }
-
-    #[test]
-    fn after_sequence_builds_a_chain() {
-        let a = after_sequence(
-            &[OfType::PacketIn, OfType::FlowMod],
-            vec![AttackAction::Drop],
-            conns(),
-        );
-        a.validate().expect("template validates");
-        assert_eq!(a.states.len(), 3);
-        let g = AttackStateGraph::from_attack(&a);
-        assert_eq!(g.edges.len(), 2);
-        assert!(g.unreachable_states().is_empty());
-        assert_eq!(g.absorbing, vec![2]);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one type")]
-    fn after_sequence_rejects_empty() {
-        after_sequence(&[], vec![], conns());
     }
 
     #[test]

@@ -56,7 +56,7 @@ pub enum TimingStat {
 
 impl TimingStat {
     /// Stable lowercase name, for error messages.
-    pub fn name(self) -> &'static str {
+    fn name(self) -> &'static str {
         match self {
             TimingStat::Last => "last",
             TimingStat::Mean => "mean",
@@ -95,13 +95,8 @@ impl PairSamples {
         self.total
     }
 
-    /// Current ring occupancy.
-    pub fn len(&self) -> usize {
-        self.ring.len()
-    }
-
     /// Whether the ring holds no samples.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.ring.is_empty()
     }
 }
@@ -160,7 +155,7 @@ impl<'a> TimingCtx<'a> {
     /// `elapsed_in_state()` reads 0, every other stat is
     /// [`EvalError::NoSample`]. Used by the plain [`Expr::eval`]
     /// wrapper and by callers outside the executor (tests, tools).
-    pub fn detached() -> Self {
+    pub(crate) fn detached() -> Self {
         TimingCtx {
             conn: None,
             elapsed_in_state_ns: 0,
@@ -168,7 +163,7 @@ impl<'a> TimingCtx<'a> {
     }
 
     /// Nanoseconds since the current attack state was entered.
-    pub fn elapsed_in_state_ns(&self) -> u64 {
+    pub(crate) fn elapsed_in_state_ns(&self) -> u64 {
         self.elapsed_in_state_ns
     }
 
@@ -178,7 +173,7 @@ impl<'a> TimingCtx<'a> {
     ///
     /// [`EvalError::NoSample`] when `stat` is `Last`/`Mean`/`StdDev` and
     /// the pair has no sample yet (`Count` never fails: it reads 0).
-    pub fn read(
+    pub(crate) fn read(
         &self,
         req: OfType,
         resp: OfType,
@@ -237,14 +232,9 @@ pub struct TimingPlan {
 }
 
 impl TimingPlan {
-    /// An empty plan: no observation, timing stats all read as absent.
-    pub fn empty() -> Self {
-        TimingPlan::default()
-    }
-
     /// Walks every rule condition and every expression-bearing action
     /// in the attack, collecting the timing pairs it names.
-    pub fn from_attack(attack: &Attack) -> Self {
+    pub(crate) fn from_attack(attack: &Attack) -> Self {
         let mut caps: BTreeMap<(OfType, OfType), usize> = BTreeMap::new();
         let mut visit = |e: &Expr| {
             if let Expr::Timing {
@@ -281,13 +271,8 @@ impl TimingPlan {
     }
 
     /// Whether the plan tracks nothing.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.pairs.is_empty()
-    }
-
-    /// The tracked pairs with their ring capacities.
-    pub fn pairs(&self) -> &[((OfType, OfType), usize)] {
-        &self.pairs
     }
 }
 
@@ -304,7 +289,7 @@ pub struct TimingStore {
 impl TimingStore {
     /// A store driven by the given plan; `elapsed_in_state()` starts
     /// counting from virtual time 0.
-    pub fn new(plan: TimingPlan) -> Self {
+    pub(crate) fn new(plan: TimingPlan) -> Self {
         TimingStore {
             plan,
             conns: BTreeMap::new(),
@@ -315,14 +300,14 @@ impl TimingStore {
     /// `true` when the plan tracks no pairs — the executor then skips
     /// [`TimingStore::observe`] entirely (timing-free attacks pay
     /// nothing and change nothing).
-    pub fn is_passive(&self) -> bool {
+    pub(crate) fn is_passive(&self) -> bool {
         self.plan.is_empty()
     }
 
     /// Records one message arrival. Samples are computed *before* the
     /// arrival stamp for `of_type` is updated, so a pair with
     /// `req == resp` yields consecutive-arrival gaps (inter-arrival).
-    pub fn observe(&mut self, conn: ConnectionId, of_type: OfType, now_ns: u64) {
+    pub(crate) fn observe(&mut self, conn: ConnectionId, of_type: OfType, now_ns: u64) {
         if self.plan.is_empty() {
             return;
         }
@@ -354,12 +339,12 @@ impl TimingStore {
 
     /// Re-stamps the `elapsed_in_state()` origin (the executor calls
     /// this on every `GOTOSTATE` that changes state).
-    pub fn enter_state(&mut self, now_ns: u64) {
+    pub(crate) fn enter_state(&mut self, now_ns: u64) {
         self.state_entered_ns = now_ns;
     }
 
     /// The evaluation view for one connection at one instant.
-    pub fn ctx(&self, conn: ConnectionId, now_ns: u64) -> TimingCtx<'_> {
+    pub(crate) fn ctx(&self, conn: ConnectionId, now_ns: u64) -> TimingCtx<'_> {
         TimingCtx {
             conn: self.conns.get(&conn.0),
             elapsed_in_state_ns: now_ns.saturating_sub(self.state_entered_ns),
@@ -368,7 +353,7 @@ impl TimingStore {
 
     /// Drops all timing state for a connection (teardown / generation
     /// epoch bump). Returns whether anything was held.
-    pub fn release_connection(&mut self, conn: ConnectionId) -> bool {
+    pub(crate) fn release_connection(&mut self, conn: ConnectionId) -> bool {
         self.conns.remove(&conn.0).is_some()
     }
 
@@ -482,7 +467,7 @@ mod tests {
         }
         let conn = store.connection(c).unwrap();
         let samples = conn.pair(OfType::EchoRequest, OfType::EchoReply).unwrap();
-        assert_eq!(samples.len(), 3, "ring capped at the plan window");
+        assert_eq!(samples.ring.len(), 3, "ring capped at the plan window");
         assert_eq!(samples.total(), 10, "count is the monotonic total");
         let ctx = store.ctx(c, 99_999);
         // Most recent 2 of the 3 retained samples: 108, 109.
@@ -540,7 +525,7 @@ mod tests {
 
     #[test]
     fn passive_store_observes_nothing() {
-        let mut store = TimingStore::new(TimingPlan::empty());
+        let mut store = TimingStore::new(TimingPlan::default());
         assert!(store.is_passive());
         store.observe(ConnectionId(0), OfType::PacketIn, 1);
         assert_eq!(store.tracked_connections(), 0);
@@ -548,7 +533,7 @@ mod tests {
 
     #[test]
     fn elapsed_in_state_restamps_on_enter() {
-        let mut store = TimingStore::new(TimingPlan::empty());
+        let mut store = TimingStore::new(TimingPlan::default());
         assert_eq!(store.ctx(ConnectionId(0), 500).elapsed_in_state_ns(), 500);
         store.enter_state(400);
         assert_eq!(store.ctx(ConnectionId(0), 500).elapsed_in_state_ns(), 100);
@@ -563,9 +548,9 @@ mod tests {
             (OfType::PacketIn, OfType::FlowMod, 32),
             (OfType::PacketIn, OfType::PacketIn, 1),
         ]);
-        assert_eq!(plan.pairs().len(), 2);
+        assert_eq!(plan.pairs.len(), 2);
         let cap = plan
-            .pairs()
+            .pairs
             .iter()
             .find(|(p, _)| *p == (OfType::PacketIn, OfType::FlowMod))
             .unwrap()

@@ -56,7 +56,7 @@ impl Value {
     }
 
     /// The value as an integer, if numeric.
-    pub fn as_int(&self) -> Option<i64> {
+    pub(crate) fn as_int(&self) -> Option<i64> {
         match self {
             Value::Int(i) => Some(*i),
             Value::Float(f) => Some(*f as i64),
@@ -65,7 +65,7 @@ impl Value {
     }
 
     /// The value as a float, if numeric.
-    pub fn as_float(&self) -> Option<f64> {
+    pub(crate) fn as_float(&self) -> Option<f64> {
         match self {
             Value::Int(i) => Some(*i as f64),
             Value::Float(f) => Some(*f),
@@ -75,7 +75,7 @@ impl Value {
 
     /// Language equality (`=`): numeric values compare across Int/Float;
     /// everything else compares within its own kind.
-    pub fn lang_eq(&self, other: &Value) -> bool {
+    pub(crate) fn lang_eq(&self, other: &Value) -> bool {
         match (self, other) {
             (Value::Int(_) | Value::Float(_), Value::Int(_) | Value::Float(_)) => {
                 self.as_float() == other.as_float()
@@ -85,7 +85,7 @@ impl Value {
     }
 
     /// A short name for the value's kind, for error messages.
-    pub fn kind(&self) -> &'static str {
+    pub(crate) fn kind(&self) -> &'static str {
         match self {
             Value::Int(_) => "int",
             Value::Float(_) => "float",

@@ -40,12 +40,6 @@ impl AttackModel {
         }
     }
 
-    /// Grants nothing anywhere (the attacker has compromised no
-    /// connection).
-    pub fn none(system: &SystemModel) -> AttackModel {
-        AttackModel::uniform(system, CapabilitySet::EMPTY)
-    }
-
     /// Sets the capabilities on one connection.
     ///
     /// # Panics
@@ -117,7 +111,7 @@ mod tests {
     #[test]
     fn out_of_range_is_empty() {
         let m = system();
-        let am = AttackModel::none(&m);
+        let am = AttackModel::uniform(&m, CapabilitySet::EMPTY);
         assert_eq!(am.get(ConnectionId(9)), CapabilitySet::EMPTY);
         assert!(!am.is_empty());
     }

@@ -50,7 +50,7 @@ impl Capability {
     ];
 
     /// The paper's name, e.g. `DROPMESSAGE`.
-    pub fn spec_name(&self) -> &'static str {
+    fn spec_name(&self) -> &'static str {
         match self {
             Capability::DropMessage => "DROPMESSAGE",
             Capability::PassMessage => "PASSMESSAGE",
@@ -66,7 +66,7 @@ impl Capability {
     }
 
     /// The DSL's snake_case name, e.g. `drop_message`.
-    pub fn dsl_name(&self) -> &'static str {
+    pub(crate) fn dsl_name(&self) -> &'static str {
         match self {
             Capability::DropMessage => "drop_message",
             Capability::PassMessage => "pass_message",
@@ -104,7 +104,7 @@ impl CapabilitySet {
     pub const EMPTY: CapabilitySet = CapabilitySet(0);
 
     /// Creates an empty set.
-    pub fn new() -> CapabilitySet {
+    pub(crate) fn new() -> CapabilitySet {
         CapabilitySet::EMPTY
     }
 
@@ -133,12 +133,12 @@ impl CapabilitySet {
     }
 
     /// Adds a capability.
-    pub fn insert(&mut self, c: Capability) {
+    pub(crate) fn insert(&mut self, c: Capability) {
         self.0 |= 1 << (c as u16);
     }
 
     /// Removes a capability.
-    pub fn remove(&mut self, c: Capability) {
+    fn remove(&mut self, c: Capability) {
         self.0 &= !(1 << (c as u16));
     }
 
@@ -153,30 +153,33 @@ impl CapabilitySet {
     }
 
     /// Set union.
-    pub fn union(&self, other: &CapabilitySet) -> CapabilitySet {
+    pub(crate) fn union(&self, other: &CapabilitySet) -> CapabilitySet {
         CapabilitySet(self.0 | other.0)
     }
 
     /// Capabilities in `other` but not in `self` (for error messages).
-    pub fn missing_from(&self, other: &CapabilitySet) -> Vec<Capability> {
+    pub(crate) fn missing_from(&self, other: &CapabilitySet) -> Vec<Capability> {
         Capability::ALL
             .into_iter()
             .filter(|c| other.contains(*c) && !self.contains(*c))
             .collect()
     }
 
-    /// Number of capabilities in the set.
-    pub fn len(&self) -> usize {
+    /// Number of capabilities in the set (the unit tests' count of what
+    /// a rule or action requires).
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
         self.0.count_ones() as usize
     }
 
     /// Whether the set is empty.
-    pub fn is_empty(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_empty(&self) -> bool {
         self.0 == 0
     }
 
     /// Iterates the members in Table I order.
-    pub fn iter(&self) -> impl Iterator<Item = Capability> + '_ {
+    pub(crate) fn iter(&self) -> impl Iterator<Item = Capability> + '_ {
         Capability::ALL.into_iter().filter(|c| self.contains(*c))
     }
 }

@@ -346,12 +346,12 @@ impl SystemModel {
     /// # Panics
     ///
     /// Panics if `id` is out of range.
-    pub fn connection(&self, id: ConnectionId) -> (ControllerId, SwitchId) {
+    pub(crate) fn connection(&self, id: ConnectionId) -> (ControllerId, SwitchId) {
         self.control_plane[id.0]
     }
 
     /// Resolves a component name to a [`NodeRef`].
-    pub fn resolve(&self, name: &str) -> Option<NodeRef> {
+    pub(crate) fn resolve(&self, name: &str) -> Option<NodeRef> {
         if let Some(i) = self.controllers.iter().position(|c| c.name == name) {
             return Some(NodeRef::Controller(ControllerId(i)));
         }

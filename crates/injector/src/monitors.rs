@@ -4,7 +4,7 @@
 //! The paper places `iperf`/`tcpdump`-style monitors throughout the
 //! testbed. Here the raw feeds already exist — the simulator's
 //! [`Trace`](attain_netsim::Trace), the hosts' ping/iperf statistics, and the executor's
-//! [`InjectionLog`](attain_core::exec::InjectionLog) — and [`RunRecord::collect`] is the one place that
+//! [`InjectionLog`](attain_core::exec::InjectionLog) — and `RunRecord::collect` is the one place that
 //! walks them: every number in the Figure 11 / Table II binaries, the
 //! fault-recovery report and the campaign's oracles is read off the one
 //! [`RunRecord`] it returns.
@@ -47,7 +47,7 @@ impl PingRow {
     /// of trials succeeded at some point during the window — the paper's
     /// fail-safe rows count as accessible even though the first seconds
     /// of the window predate the failover).
-    pub fn accessible(&self) -> bool {
+    fn accessible(&self) -> bool {
         self.transmitted > 0 && self.received * 4 > self.transmitted
     }
 }
@@ -102,7 +102,7 @@ impl RunRecord {
     /// Collects the record of a finished simulation and the executor
     /// that was attached to it, if any. `faults` and `wall_ms` are the
     /// run path's to fill in ([`harness::run`](crate::harness::run)).
-    pub fn collect(sim: &Simulation, exec: Option<&AttackExecutor>) -> RunRecord {
+    pub(crate) fn collect(sim: &Simulation, exec: Option<&AttackExecutor>) -> RunRecord {
         let (mut packet_ins, mut flow_mods, mut control_total) = (0, 0, 0);
         for (_, direction, of_type, n) in sim.trace().counters() {
             control_total += n;
@@ -159,7 +159,7 @@ impl RunRecord {
     }
 
     /// Whether the ping run `label` found its target
-    /// [accessible](PingRow::accessible) (`false` if no such run).
+    /// accessible (`false` if no such run).
     pub fn accessible(&self, label: &str) -> bool {
         self.ping(label).is_some_and(PingRow::accessible)
     }

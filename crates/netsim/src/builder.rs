@@ -234,7 +234,12 @@ impl NetworkBuilder {
 
     /// Connects two nodes with explicit link parameters, returning the
     /// assigned `(port_on_a, port_on_b)`.
-    pub fn link_with(&mut self, a: NodeId, b: NodeId, params: LinkParams) -> (PortNo, PortNo) {
+    pub(crate) fn link_with(
+        &mut self,
+        a: NodeId,
+        b: NodeId,
+        params: LinkParams,
+    ) -> (PortNo, PortNo) {
         let mut assign = |id: NodeId| -> PortNo {
             match self.next_port.get_mut(id.0) {
                 Some(n) => {

@@ -103,13 +103,8 @@ impl ControllerHost {
     }
 
     /// The controller's name (e.g. `c1`).
-    pub fn name(&self) -> &str {
+    pub(crate) fn name(&self) -> &str {
         &self.name
-    }
-
-    /// The hosted application's kind.
-    pub fn kind(&self) -> attain_controllers::ControllerKind {
-        self.app.kind()
     }
 
     pub(crate) fn add_conn(&mut self, conn: ConnId) {
@@ -124,7 +119,7 @@ impl ControllerHost {
     }
 
     /// Whether the process is running (not crashed by a fault).
-    pub fn is_alive(&self) -> bool {
+    pub(crate) fn is_alive(&self) -> bool {
         self.alive
     }
 
@@ -346,7 +341,8 @@ impl ControllerHost {
     }
 
     /// Whether the connection has completed its handshake.
-    pub fn is_up(&self, conn: ConnId) -> bool {
+    #[cfg(test)]
+    fn is_up(&self, conn: ConnId) -> bool {
         self.conn_index(conn)
             .map(|i| self.conns[i].phase == Phase::Up)
             .unwrap_or(false)

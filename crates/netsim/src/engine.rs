@@ -200,7 +200,7 @@ const LEVELS: usize = 8;
 /// Invariant: every event whose level-0 slot index is `<= cursor` lives
 /// in `ready` (sorted descending by `(time, seq)`, popped from the
 /// back); every event still parked in a wheel slot has a level-0 index
-/// `> cursor`. `peek_time`/`pop` therefore only ever look at `ready`,
+/// `> cursor`. `peek`/`pop` therefore only ever look at `ready`,
 /// and `refill` maintains the invariant by draining or cascading the
 /// slot with the smallest covered time range whenever `ready` runs dry.
 #[derive(Clone)]
@@ -229,7 +229,7 @@ impl Default for EventQueue {
 
 impl EventQueue {
     /// Creates an empty queue.
-    pub fn new() -> EventQueue {
+    pub(crate) fn new() -> EventQueue {
         let mut slots = Vec::with_capacity(LEVELS * SLOTS);
         slots.resize_with(LEVELS * SLOTS, Vec::new);
         EventQueue {
@@ -318,24 +318,14 @@ impl EventQueue {
         Some((ev.time, ev.kind))
     }
 
-    /// Time of the earliest event without removing it.
-    pub fn peek_time(&self) -> Option<SimTime> {
-        self.ready.last().map(|e| e.time)
-    }
-
     /// The earliest event, time and payload, without removing it.
-    pub fn peek(&self) -> Option<(SimTime, &EventKind)> {
+    pub(crate) fn peek(&self) -> Option<(SimTime, &EventKind)> {
         self.ready.last().map(|e| (e.time, &e.kind))
     }
 
     /// Number of pending events.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.len
-    }
-
-    /// Whether no events are pending.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
     }
 
     /// Restores the `ready`-nonempty-unless-empty invariant: repeatedly
@@ -548,9 +538,8 @@ mod tests {
     fn peek_does_not_consume() {
         let mut q = EventQueue::new();
         q.schedule(SimTime::from_secs(7), EventKind::InterposerWake);
-        assert_eq!(q.peek_time(), Some(SimTime::from_secs(7)));
+        assert_eq!(q.peek().map(|(t, _)| t), Some(SimTime::from_secs(7)));
         assert_eq!(q.len(), 1);
-        assert!(!q.is_empty());
     }
 
     /// A tiny deterministic generator (xorshift64*) for differential
@@ -606,7 +595,7 @@ mod tests {
     }
 
     /// Drives the wheel and the heap model through the same bursty
-    /// schedule/pop workload and compares `pop()`, `peek_time()` and
+    /// schedule/pop workload and compares `pop()`, the earliest time and
     /// `len()` after every step.
     #[test]
     fn wheel_matches_heap_model_step_by_step() {
@@ -636,7 +625,7 @@ mod tests {
                     now = got.expect("just scheduled").0 .0;
                 }
                 assert_eq!(
-                    wheel.peek_time(),
+                    wheel.peek().map(|(t, _)| t),
                     model.peek_time(),
                     "seed {seed} step {step}"
                 );
@@ -645,10 +634,14 @@ mod tests {
             while let Some(want) = model.pop() {
                 let got = wheel.pop().map(|(t, k)| (t, node_of(&k)));
                 assert_eq!(got, Some(want), "seed {seed} drain");
-                assert_eq!(wheel.peek_time(), model.peek_time(), "seed {seed} drain");
+                assert_eq!(
+                    wheel.peek().map(|(t, _)| t),
+                    model.peek_time(),
+                    "seed {seed} drain"
+                );
                 assert_eq!(wheel.len(), model.heap.len(), "seed {seed} drain");
             }
-            assert!(wheel.is_empty() && wheel.pop().is_none());
+            assert!(wheel.len() == 0 && wheel.pop().is_none());
         }
     }
 

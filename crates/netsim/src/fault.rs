@@ -63,7 +63,7 @@ impl DetRng {
     }
 
     /// `true` with probability `pct`/100.
-    pub fn chance(&mut self, pct: u8) -> bool {
+    pub(crate) fn chance(&mut self, pct: u8) -> bool {
         if pct == 0 {
             return false;
         }
@@ -74,7 +74,7 @@ impl DetRng {
     }
 
     /// A value in `0..bound` (`0` when `bound` is `0`).
-    pub fn below(&mut self, bound: u64) -> u64 {
+    pub(crate) fn below(&mut self, bound: u64) -> u64 {
         if bound == 0 {
             0
         } else {
@@ -350,7 +350,7 @@ impl FaultPlan {
     }
 
     /// Schedules `spec` at absolute virtual time `at`.
-    pub fn at(&mut self, at: SimTime, spec: FaultSpec) -> &mut Self {
+    fn at(&mut self, at: SimTime, spec: FaultSpec) -> &mut Self {
         self.events.push((at, spec));
         self
     }

@@ -73,22 +73,22 @@ impl Host {
     }
 
     /// The host's name (e.g. `h1`).
-    pub fn name(&self) -> &str {
+    pub(crate) fn name(&self) -> &str {
         &self.name
     }
 
     /// The host's IPv4 address.
-    pub fn ip(&self) -> Ipv4Addr {
+    pub(crate) fn ip(&self) -> Ipv4Addr {
         self.ip
     }
 
     /// The host's MAC address.
-    pub fn mac(&self) -> MacAddr {
+    pub(crate) fn mac(&self) -> MacAddr {
         self.mac
     }
 
     /// Completed and in-progress ping runs, in start order.
-    pub fn ping_stats(&self) -> Vec<PingStats> {
+    pub(crate) fn ping_stats(&self) -> Vec<PingStats> {
         self.apps
             .iter()
             .filter_map(|a| match a {
@@ -99,7 +99,7 @@ impl Host {
     }
 
     /// Completed and in-progress iperf client runs, in start order.
-    pub fn iperf_stats(&self) -> Vec<IperfStats> {
+    pub(crate) fn iperf_stats(&self) -> Vec<IperfStats> {
         self.apps
             .iter()
             .filter_map(|a| match a {
@@ -110,7 +110,7 @@ impl Host {
     }
 
     /// Completed and in-progress capacity-probe runs, in start order.
-    pub fn probe_stats(&self) -> Vec<ProbeStats> {
+    pub(crate) fn probe_stats(&self) -> Vec<ProbeStats> {
         self.apps
             .iter()
             .filter_map(|a| match a {

@@ -30,14 +30,6 @@ impl PingStats {
         self.rtts.iter().filter(|r| r.is_some()).count() as u32
     }
 
-    /// Loss percentage (100 when nothing was sent back, 0 on no data).
-    pub fn loss_pct(&self) -> f64 {
-        if self.transmitted == 0 {
-            return 0.0;
-        }
-        100.0 * (self.transmitted - self.received()) as f64 / self.transmitted as f64
-    }
-
     /// Per-trial RTTs in milliseconds (`None` = lost).
     pub fn rtts_ms(&self) -> &[Option<f64>] {
         &self.rtts
@@ -182,7 +174,6 @@ mod tests {
         let st = p.stats();
         assert_eq!(st.transmitted(), 3);
         assert_eq!(st.received(), 2);
-        assert!((st.loss_pct() - 33.333).abs() < 0.01);
         assert_eq!(st.rtts_ms(), [Some(2.0), None, Some(3.0)]);
         assert!((st.avg_rtt_ms().unwrap() - 2.5).abs() < 1e-9);
         assert!(!st.is_denial_of_service());
@@ -196,7 +187,6 @@ mod tests {
         let st = p.stats();
         assert!(st.is_denial_of_service());
         assert_eq!(st.avg_rtt_ms(), None);
-        assert_eq!(st.loss_pct(), 100.0);
     }
 
     #[test]

@@ -21,16 +21,6 @@ pub enum Direction {
     ControllerToSwitch,
 }
 
-impl Direction {
-    /// The opposite direction.
-    pub fn reverse(&self) -> Direction {
-        match self {
-            Direction::SwitchToController => Direction::ControllerToSwitch,
-            Direction::ControllerToSwitch => Direction::SwitchToController,
-        }
-    }
-}
-
 impl fmt::Display for Direction {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -174,17 +164,5 @@ mod tests {
     fn drop_message_produces_nothing() {
         let a = InterposerActions::drop_message();
         assert!(a.deliveries.is_empty());
-    }
-
-    #[test]
-    fn direction_reverse() {
-        assert_eq!(
-            Direction::SwitchToController.reverse(),
-            Direction::ControllerToSwitch
-        );
-        assert_eq!(
-            Direction::ControllerToSwitch.reverse(),
-            Direction::SwitchToController
-        );
     }
 }

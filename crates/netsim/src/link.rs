@@ -23,10 +23,10 @@ pub struct LinkEnd {
 /// `max_queue_delay` are dropped (drop-tail), bounding buffer memory the
 /// way a real NIC ring does.
 ///
-/// The fault layer can sever a link ([`Link::set_down`]), override its
-/// characteristics ([`Link::degrade`]), and impose seeded per-frame loss
-/// and corruption ([`Link::set_loss`], [`Link::set_corrupt`]); nominal
-/// characteristics are remembered so [`Link::restore`] undoes a degrade.
+/// The fault layer can sever a link (`Link::set_down`), override its
+/// characteristics (`Link::degrade`), and impose seeded per-frame loss
+/// and corruption (`Link::set_loss`, `Link::set_corrupt`); nominal
+/// characteristics are remembered so `Link::restore` undoes a degrade.
 #[derive(Debug, Clone)]
 pub struct Link {
     /// First endpoint.
@@ -109,14 +109,14 @@ impl Link {
     // ---- fault state --------------------------------------------------
 
     /// Whether the link is currently up.
-    pub fn is_up(&self) -> bool {
+    pub(crate) fn is_up(&self) -> bool {
         self.up
     }
 
     /// Severs the link. Frames queued in the transmitters are discarded
     /// (the serializers idle), and offers while down are counted in
     /// [`Link::down_drops`]. Returns `true` on an up→down transition.
-    pub fn set_down(&mut self) -> bool {
+    pub(crate) fn set_down(&mut self) -> bool {
         if !self.up {
             return false;
         }
@@ -128,7 +128,7 @@ impl Link {
     }
 
     /// Restores a severed link. Returns `true` on a down→up transition.
-    pub fn set_up(&mut self) -> bool {
+    pub(crate) fn set_up(&mut self) -> bool {
         if self.up {
             return false;
         }
@@ -138,7 +138,7 @@ impl Link {
 
     /// Overrides bandwidth and/or delay (a degrade fault). `None` keeps
     /// the current value.
-    pub fn degrade(&mut self, bandwidth_bps: Option<u64>, delay: Option<SimTime>) {
+    pub(crate) fn degrade(&mut self, bandwidth_bps: Option<u64>, delay: Option<SimTime>) {
         if let Some(bw) = bandwidth_bps {
             self.bandwidth_bps = bw.max(1);
         }
@@ -148,7 +148,7 @@ impl Link {
     }
 
     /// Restores nominal bandwidth/delay and clears loss/corruption.
-    pub fn restore(&mut self) {
+    pub(crate) fn restore(&mut self) {
         self.bandwidth_bps = self.base_bandwidth_bps;
         self.delay = self.base_delay;
         self.loss_pct = 0;
@@ -156,18 +156,18 @@ impl Link {
     }
 
     /// Sets the per-frame loss probability in percent.
-    pub fn set_loss(&mut self, pct: u8) {
+    pub(crate) fn set_loss(&mut self, pct: u8) {
         self.loss_pct = pct.min(100);
     }
 
     /// Sets the per-frame corruption probability in percent.
-    pub fn set_corrupt(&mut self, pct: u8) {
+    pub(crate) fn set_corrupt(&mut self, pct: u8) {
         self.corrupt_pct = pct.min(100);
     }
 
     /// Re-derives this link's random stream from the scenario seed and
     /// the link's index (so per-link streams are decorrelated).
-    pub fn reseed(&mut self, scenario_seed: u64, link_index: usize) {
+    pub(crate) fn reseed(&mut self, scenario_seed: u64, link_index: usize) {
         self.rng = DetRng::new(scenario_seed ^ ((link_index as u64 + 1).wrapping_mul(0x9e37)));
     }
 
@@ -178,7 +178,7 @@ impl Link {
     ///
     /// The random stream advances only for configured processes, so
     /// fault-free links stay byte-identical to pre-fault builds.
-    pub fn stochastic(&mut self, frame: &mut [u8]) -> bool {
+    pub(crate) fn stochastic(&mut self, frame: &mut [u8]) -> bool {
         if self.loss_pct > 0 && self.rng.chance(self.loss_pct) {
             self.lost += 1;
             return false;
@@ -192,7 +192,7 @@ impl Link {
     }
 
     /// The far end relative to `node`, if `node` is attached.
-    pub fn opposite(&self, node: NodeId) -> Option<LinkEnd> {
+    pub(crate) fn opposite(&self, node: NodeId) -> Option<LinkEnd> {
         if self.a.node == node {
             Some(self.b)
         } else if self.b.node == node {

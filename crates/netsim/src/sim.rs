@@ -515,7 +515,8 @@ impl Simulation {
     /// # Panics
     ///
     /// Panics if `name` is not a host.
-    pub fn host(&self, name: &str) -> &Host {
+    #[cfg(test)]
+    pub(crate) fn host(&self, name: &str) -> &Host {
         match &self.nodes[self.names[name].0] {
             Node::Host(h) => h,
             Node::Switch(_) => panic!("{name} is a switch, not a host"),
@@ -532,18 +533,6 @@ impl Simulation {
             Node::Switch(s) => s,
             Node::Host(_) => panic!("{name} is a host, not a switch"),
         }
-    }
-
-    /// The named controller host.
-    ///
-    /// # Panics
-    ///
-    /// Panics if no controller has that name.
-    pub fn controller(&self, name: &str) -> &ControllerHost {
-        self.controllers
-            .iter()
-            .find(|c| c.name() == name)
-            .unwrap_or_else(|| panic!("no controller named {name}"))
     }
 
     fn node_name(&self, id: NodeId) -> &str {
@@ -663,34 +652,15 @@ impl Simulation {
         self.trace.set_mode(mode);
     }
 
-    /// Installs a flow entry directly into the named switch's table, as
+    /// Installs a flow entry directly into a switch's table, as
     /// proactive provisioning would — no control-plane round trip and no
     /// `FlowInstalled` trace event, so a pre-provisioned fabric digests
     /// identically regardless of how many routes were pushed.
     ///
     /// # Panics
     ///
-    /// Panics if `switch` is unknown or names a host.
-    pub fn install_flow(
-        &mut self,
-        switch: &str,
-        fm: &FlowMod,
-    ) -> Result<ApplyOutcome, FlowModError> {
-        let id = self
-            .names
-            .get(switch)
-            .copied()
-            .unwrap_or_else(|| panic!("no node named {switch}"));
-        self.install_flow_at(id, fm)
-    }
-
-    /// [`Simulation::install_flow`] by node id (generators hold ids, not
-    /// names).
-    ///
-    /// # Panics
-    ///
     /// Panics if `switch` names a host.
-    pub fn install_flow_at(
+    pub(crate) fn install_flow_at(
         &mut self,
         switch: NodeId,
         fm: &FlowMod,

@@ -18,7 +18,7 @@
 //!   allocates nothing. A subtable is dropped when its last entry
 //!   leaves.
 //! * **Precedence.** The winner is the admitting entry with the highest
-//!   [rank](FlowEntry::rank) `(is_exact, priority)`, oldest first on
+//!   rank `(is_exact, priority)`, oldest first on
 //!   ties — OpenFlow 1.0 §3.4: a fully-specified entry outranks every
 //!   wildcarded one. Subtables are kept sorted by an upper bound of
 //!   their members' rank and the search stops at the first subtable
@@ -125,11 +125,6 @@ impl FlowEntry {
     /// Whether the entry's match has no wildcards at all.
     pub fn is_exact(&self) -> bool {
         self.rank.0
-    }
-
-    /// The `(is_exact, priority)` rank ordering entries during lookup.
-    pub fn rank(&self) -> (bool, u16) {
-        self.rank
     }
 
     /// Whether the entry outputs to `port` (for delete `out_port`
@@ -314,7 +309,7 @@ impl Default for FlowTable {
 impl FlowTable {
     /// Creates an empty table holding at most `capacity` entries that
     /// rejects adds when full ([`EvictionPolicy::Reject`]).
-    pub fn new(capacity: usize) -> FlowTable {
+    pub(crate) fn new(capacity: usize) -> FlowTable {
         FlowTable::with_policy(capacity, EvictionPolicy::Reject)
     }
 
@@ -729,7 +724,7 @@ impl FlowTable {
     }
 
     /// Removes every entry (used when a switch resets).
-    pub fn clear(&mut self) {
+    pub(crate) fn clear(&mut self) {
         self.slots.clear();
         self.free.clear();
         self.by_seq.clear();
@@ -765,6 +760,8 @@ impl FlowTable {
                 i == 0 || self.subtables[i - 1].max_rank >= st.max_rank,
                 "subtables out of rank order"
             );
+            // This walk only asserts, so its order cannot reach an output.
+            #[allow(clippy::iter_over_hash_type)]
             for (value, &head) in &st.buckets {
                 let mut order = None;
                 let mut id = head;

@@ -124,12 +124,13 @@ impl Switch {
     }
 
     /// The switch's name (e.g. `s2`).
-    pub fn name(&self) -> &str {
+    pub(crate) fn name(&self) -> &str {
         &self.name
     }
 
     /// The switch's datapath id.
-    pub fn dpid(&self) -> DatapathId {
+    #[cfg(test)]
+    pub(crate) fn dpid(&self) -> DatapathId {
         self.dpid
     }
 

@@ -72,7 +72,7 @@ pub enum Action {
 
 impl Action {
     /// Wire length of this action in bytes (always a multiple of 8).
-    pub fn wire_len(&self) -> usize {
+    pub(crate) fn wire_len(&self) -> usize {
         match self {
             Action::Output { .. }
             | Action::SetVlanVid(_)
@@ -89,7 +89,7 @@ impl Action {
     }
 
     /// Encodes the action (header + body) into `w`.
-    pub fn encode(&self, w: &mut Writer) {
+    fn encode(&self, w: &mut Writer) {
         match self {
             Action::Output { port, max_len } => {
                 w.u16(OFPAT_OUTPUT);
@@ -176,7 +176,7 @@ impl Action {
     ///
     /// Fails on truncation, a length inconsistent with the action type, or
     /// an unknown action type.
-    pub fn decode(r: &mut Reader<'_>) -> Result<Action, CodecError> {
+    fn decode(r: &mut Reader<'_>) -> Result<Action, CodecError> {
         let ty = r.u16()?;
         let len = r.u16()? as usize;
         if len < 8 || !len.is_multiple_of(8) {
@@ -261,7 +261,10 @@ impl Action {
     ///
     /// Fails if the actions do not tile `total_len` exactly or any action
     /// is malformed.
-    pub fn decode_list(r: &mut Reader<'_>, total_len: usize) -> Result<Vec<Action>, CodecError> {
+    pub(crate) fn decode_list(
+        r: &mut Reader<'_>,
+        total_len: usize,
+    ) -> Result<Vec<Action>, CodecError> {
         let mut sub = r.sub(total_len, "action list")?;
         let mut out = Vec::new();
         while sub.remaining() > 0 {
@@ -271,7 +274,7 @@ impl Action {
     }
 
     /// Encodes a slice of actions, returning the bytes written.
-    pub fn encode_list(actions: &[Action], w: &mut Writer) -> usize {
+    pub(crate) fn encode_list(actions: &[Action], w: &mut Writer) -> usize {
         let before = w.len();
         for a in actions {
             a.encode(w);

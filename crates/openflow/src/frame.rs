@@ -132,17 +132,6 @@ impl Frame {
             .err()
     }
 
-    /// The message's transaction id, read from the header without
-    /// triggering a body decode. `None` if the buffer is shorter than a
-    /// header.
-    pub fn xid(&self) -> Option<Xid> {
-        let b = self.bytes();
-        if b.len() < OFP_HEADER_LEN {
-            return None;
-        }
-        Some(u32::from_be_bytes([b[4], b[5], b[6], b[7]]))
-    }
-
     /// The message type, via the (memoized) full decode — `None` for
     /// bytes that do not parse, matching what a fresh
     /// `OfMessage::decode` would conclude.
@@ -253,7 +242,6 @@ mod tests {
         let (m, xid) = f.decoded().expect("pre-seeded");
         assert_eq!(m, &OfMessage::Hello);
         assert_eq!(*xid, 42);
-        assert_eq!(f.xid(), Some(42));
         // Bytes are exactly what encode would produce.
         assert_eq!(f.bytes(), OfMessage::Hello.encode(42).as_slice());
     }
@@ -283,7 +271,6 @@ mod tests {
             failure.unwrap()
         ));
         assert_eq!(f.of_type(), None);
-        assert_eq!(f.xid(), None); // shorter than a header
     }
 
     #[test]

@@ -72,7 +72,7 @@ impl OfType {
     /// # Errors
     ///
     /// Returns [`CodecError::BadValue`] for values above 21.
-    pub fn from_wire(v: u8) -> Result<OfType, CodecError> {
+    fn from_wire(v: u8) -> Result<OfType, CodecError> {
         OfType::ALL
             .get(v as usize)
             .copied()
@@ -142,7 +142,7 @@ impl OfHeader {
     ///
     /// Fails on truncation, an unknown version byte, an unknown type, or a
     /// length field smaller than the header itself.
-    pub fn decode(buf: &[u8]) -> Result<OfHeader, CodecError> {
+    pub(crate) fn decode(buf: &[u8]) -> Result<OfHeader, CodecError> {
         let mut r = Reader::new(buf, "ofp_header");
         let version = r.u8()?;
         if version != OFP_VERSION {
@@ -166,7 +166,7 @@ impl OfHeader {
     }
 
     /// Encodes the header into `w`.
-    pub fn encode(&self, w: &mut Writer) {
+    pub(crate) fn encode(&self, w: &mut Writer) {
         w.u8(self.version);
         w.u8(self.of_type as u8);
         w.u16(self.length);

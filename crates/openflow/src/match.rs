@@ -104,7 +104,7 @@ impl Wildcards {
     /// Whether no field is wildcarded at all: every flag clear and both
     /// address prefix counts zero. Exact-match entries outrank every
     /// wildcarded entry regardless of priority (OpenFlow 1.0 §3.4).
-    pub fn is_exact(&self) -> bool {
+    fn is_exact(&self) -> bool {
         self.0 & Self::FIELD_FLAGS == 0
             && self.nw_src_ignored_bits() == 0
             && self.nw_dst_ignored_bits() == 0
@@ -264,7 +264,7 @@ impl Match {
     }
 
     /// Whether this match constrains every field (see
-    /// [`Wildcards::is_exact`]).
+    /// `Wildcards::is_exact`).
     pub fn is_exact(&self) -> bool {
         self.wildcards.is_exact()
     }
@@ -570,7 +570,7 @@ pub struct MatchBits {
 
 impl MatchBits {
     /// Compiles `m` (see [`Match::compile`]).
-    pub fn compile(m: &Match) -> MatchBits {
+    fn compile(m: &Match) -> MatchBits {
         let w = m.wildcards;
         let mut mask = [0u64; 5];
         let f = |bit: u32, field_mask: u64| if w.has(bit) { 0 } else { field_mask };

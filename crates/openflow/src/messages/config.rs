@@ -28,7 +28,7 @@ impl SwitchConfig {
     /// # Errors
     ///
     /// Fails on truncation.
-    pub fn decode(r: &mut Reader<'_>) -> Result<SwitchConfig, CodecError> {
+    pub(crate) fn decode(r: &mut Reader<'_>) -> Result<SwitchConfig, CodecError> {
         Ok(SwitchConfig {
             flags: r.u16()?,
             miss_send_len: r.u16()?,
@@ -36,7 +36,7 @@ impl SwitchConfig {
     }
 
     /// Encodes the body into `w`.
-    pub fn encode(&self, w: &mut Writer) {
+    pub(crate) fn encode(&self, w: &mut Writer) {
         w.u16(self.flags);
         w.u16(self.miss_send_len);
     }

@@ -106,7 +106,7 @@ impl ErrorMsg {
     /// # Errors
     ///
     /// Fails on truncation or an undefined error category.
-    pub fn decode(r: &mut Reader<'_>) -> Result<ErrorMsg, CodecError> {
+    pub(crate) fn decode(r: &mut Reader<'_>) -> Result<ErrorMsg, CodecError> {
         let error_type = ErrorType::from_wire(r.u16()?)?;
         let code = r.u16()?;
         let data = r.rest().to_vec();
@@ -118,7 +118,7 @@ impl ErrorMsg {
     }
 
     /// Encodes the body into `w`.
-    pub fn encode(&self, w: &mut Writer) {
+    pub(crate) fn encode(&self, w: &mut Writer) {
         w.u16(self.error_type as u16);
         w.u16(self.code);
         w.bytes(&self.data);

@@ -54,7 +54,7 @@ impl PhyPort {
     /// # Errors
     ///
     /// Fails on truncation.
-    pub fn decode(r: &mut Reader<'_>) -> Result<PhyPort, CodecError> {
+    pub(crate) fn decode(r: &mut Reader<'_>) -> Result<PhyPort, CodecError> {
         let port_no = PortNo(r.u16()?);
         let hw_addr = MacAddr(r.array::<6>()?);
         let raw_name = r.array::<16>()?;
@@ -74,7 +74,7 @@ impl PhyPort {
     }
 
     /// Encodes the port into `w` (exactly 48 bytes).
-    pub fn encode(&self, w: &mut Writer) {
+    pub(crate) fn encode(&self, w: &mut Writer) {
         w.u16(self.port_no.0);
         w.bytes(&self.hw_addr.0);
         let mut name = [0u8; 16];
@@ -115,7 +115,7 @@ impl SwitchFeatures {
     ///
     /// Fails on truncation or if the trailing bytes are not a whole number
     /// of `ofp_phy_port` records.
-    pub fn decode(r: &mut Reader<'_>) -> Result<SwitchFeatures, CodecError> {
+    pub(crate) fn decode(r: &mut Reader<'_>) -> Result<SwitchFeatures, CodecError> {
         let datapath_id = DatapathId(r.u64()?);
         let n_buffers = r.u32()?;
         let n_tables = r.u8()?;
@@ -143,7 +143,7 @@ impl SwitchFeatures {
     }
 
     /// Encodes the body into `w`.
-    pub fn encode(&self, w: &mut Writer) {
+    pub(crate) fn encode(&self, w: &mut Writer) {
         w.u64(self.datapath_id.0);
         w.u32(self.n_buffers);
         w.u8(self.n_tables);

@@ -135,7 +135,7 @@ impl FlowMod {
     /// # Errors
     ///
     /// Fails on truncation, an undefined command, or malformed actions.
-    pub fn decode(r: &mut Reader<'_>) -> Result<FlowMod, CodecError> {
+    pub(crate) fn decode(r: &mut Reader<'_>) -> Result<FlowMod, CodecError> {
         let m = Match::decode(r)?;
         let cookie = r.u64()?;
         let command = FlowModCommand::from_wire(r.u16()?)?;
@@ -162,7 +162,7 @@ impl FlowMod {
     }
 
     /// Encodes the body into `w`.
-    pub fn encode(&self, w: &mut Writer) {
+    pub(crate) fn encode(&self, w: &mut Writer) {
         self.r#match.encode(w);
         w.u64(self.cookie);
         w.u16(self.command as u16);

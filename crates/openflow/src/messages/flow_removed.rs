@@ -69,7 +69,7 @@ impl FlowRemoved {
     /// # Errors
     ///
     /// Fails on truncation or an undefined reason.
-    pub fn decode(r: &mut Reader<'_>) -> Result<FlowRemoved, CodecError> {
+    pub(crate) fn decode(r: &mut Reader<'_>) -> Result<FlowRemoved, CodecError> {
         let m = Match::decode(r)?;
         let cookie = r.u64()?;
         let priority = r.u16()?;
@@ -95,7 +95,7 @@ impl FlowRemoved {
     }
 
     /// Encodes the body into `w`.
-    pub fn encode(&self, w: &mut Writer) {
+    pub(crate) fn encode(&self, w: &mut Writer) {
         self.r#match.encode(w);
         w.u64(self.cookie);
         w.u16(self.priority);

@@ -54,7 +54,7 @@ impl PacketIn {
     /// # Errors
     ///
     /// Fails on truncation or an undefined reason.
-    pub fn decode(r: &mut Reader<'_>) -> Result<PacketIn, CodecError> {
+    pub(crate) fn decode(r: &mut Reader<'_>) -> Result<PacketIn, CodecError> {
         let buffer_id = buffer_id_from_wire(r.u32()?);
         let total_len = r.u16()?;
         let in_port = PortNo(r.u16()?);
@@ -71,7 +71,7 @@ impl PacketIn {
     }
 
     /// Encodes the body into `w`.
-    pub fn encode(&self, w: &mut Writer) {
+    pub(crate) fn encode(&self, w: &mut Writer) {
         w.u32(buffer_id_to_wire(self.buffer_id));
         w.u16(self.total_len);
         w.u16(self.in_port.0);

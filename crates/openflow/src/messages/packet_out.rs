@@ -29,7 +29,7 @@ impl PacketOut {
     /// # Errors
     ///
     /// Fails on truncation or malformed actions.
-    pub fn decode(r: &mut Reader<'_>) -> Result<PacketOut, CodecError> {
+    pub(crate) fn decode(r: &mut Reader<'_>) -> Result<PacketOut, CodecError> {
         let buffer_id = buffer_id_from_wire(r.u32()?);
         let in_port = PortNo(r.u16()?);
         let actions_len = r.u16()? as usize;
@@ -44,7 +44,7 @@ impl PacketOut {
     }
 
     /// Encodes the body into `w`.
-    pub fn encode(&self, w: &mut Writer) {
+    pub(crate) fn encode(&self, w: &mut Writer) {
         w.u32(buffer_id_to_wire(self.buffer_id));
         w.u16(self.in_port.0);
         let len: usize = self.actions.iter().map(Action::wire_len).sum();

@@ -23,7 +23,7 @@ impl PortStatusReason {
     /// # Errors
     ///
     /// Returns [`CodecError::BadValue`] for values above 2.
-    pub fn from_wire(v: u8) -> Result<PortStatusReason, CodecError> {
+    fn from_wire(v: u8) -> Result<PortStatusReason, CodecError> {
         match v {
             0 => Ok(PortStatusReason::Add),
             1 => Ok(PortStatusReason::Delete),
@@ -51,7 +51,7 @@ impl PortStatus {
     /// # Errors
     ///
     /// Fails on truncation or an undefined reason.
-    pub fn decode(r: &mut Reader<'_>) -> Result<PortStatus, CodecError> {
+    pub(crate) fn decode(r: &mut Reader<'_>) -> Result<PortStatus, CodecError> {
         let reason = PortStatusReason::from_wire(r.u8()?)?;
         r.skip(7)?;
         let desc = PhyPort::decode(r)?;
@@ -59,7 +59,7 @@ impl PortStatus {
     }
 
     /// Encodes the body into `w`.
-    pub fn encode(&self, w: &mut Writer) {
+    pub(crate) fn encode(&self, w: &mut Writer) {
         w.u8(self.reason as u8);
         w.pad(7);
         self.desc.encode(w);
@@ -87,7 +87,7 @@ impl PortMod {
     /// # Errors
     ///
     /// Fails on truncation.
-    pub fn decode(r: &mut Reader<'_>) -> Result<PortMod, CodecError> {
+    pub(crate) fn decode(r: &mut Reader<'_>) -> Result<PortMod, CodecError> {
         let port_no = PortNo(r.u16()?);
         let hw_addr = MacAddr(r.array::<6>()?);
         let config = r.u32()?;
@@ -104,7 +104,7 @@ impl PortMod {
     }
 
     /// Encodes the body into `w`.
-    pub fn encode(&self, w: &mut Writer) {
+    pub(crate) fn encode(&self, w: &mut Writer) {
         w.u16(self.port_no.0);
         w.bytes(&self.hw_addr.0);
         w.u32(self.config);

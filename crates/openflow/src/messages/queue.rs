@@ -22,7 +22,7 @@ impl QueueConfig {
     /// # Errors
     ///
     /// Fails on truncation or inconsistent property lengths.
-    pub fn decode(r: &mut Reader<'_>) -> Result<QueueConfig, CodecError> {
+    fn decode(r: &mut Reader<'_>) -> Result<QueueConfig, CodecError> {
         let queue_id = r.u32()?;
         let len = r.u16()? as usize;
         r.skip(2)?;
@@ -54,7 +54,7 @@ impl QueueConfig {
     }
 
     /// Encodes the queue into `w`.
-    pub fn encode(&self, w: &mut Writer) {
+    fn encode(&self, w: &mut Writer) {
         w.u32(self.queue_id);
         let len = if self.min_rate.is_some() { 8 + 16 } else { 8 };
         w.u16(len as u16);

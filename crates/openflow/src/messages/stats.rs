@@ -86,7 +86,7 @@ impl StatsBody {
     /// # Errors
     ///
     /// Fails on truncation or an unknown statistics type.
-    pub fn decode(r: &mut Reader<'_>) -> Result<StatsBody, CodecError> {
+    pub(crate) fn decode(r: &mut Reader<'_>) -> Result<StatsBody, CodecError> {
         let ty = r.u16()?;
         let _flags = r.u16()?;
         Ok(match ty {
@@ -134,7 +134,7 @@ impl StatsBody {
     }
 
     /// Encodes the full request body into `w`.
-    pub fn encode(&self, w: &mut Writer) {
+    pub(crate) fn encode(&self, w: &mut Writer) {
         w.u16(self.stats_type());
         w.u16(0); // flags: none defined for requests
         match self {
@@ -312,7 +312,7 @@ impl StatsReplyBody {
     ///
     /// Fails on truncation, an unknown statistics type, or malformed
     /// records.
-    pub fn decode(r: &mut Reader<'_>) -> Result<StatsReplyBody, CodecError> {
+    pub(crate) fn decode(r: &mut Reader<'_>) -> Result<StatsReplyBody, CodecError> {
         let ty = r.u16()?;
         let _flags = r.u16()?;
         Ok(match ty {
@@ -454,7 +454,7 @@ impl StatsReplyBody {
     }
 
     /// Encodes the full reply body into `w`.
-    pub fn encode(&self, w: &mut Writer) {
+    pub(crate) fn encode(&self, w: &mut Writer) {
         w.u16(self.stats_type());
         w.u16(0); // flags: no OFPSF_REPLY_MORE continuation
         match self {

@@ -21,7 +21,7 @@ impl ArpOperation {
     /// # Errors
     ///
     /// Returns [`CodecError::BadValue`] for operations other than 1 or 2.
-    pub fn from_wire(v: u16) -> Result<ArpOperation, CodecError> {
+    fn from_wire(v: u16) -> Result<ArpOperation, CodecError> {
         match v {
             1 => Ok(ArpOperation::Request),
             2 => Ok(ArpOperation::Reply),
@@ -55,7 +55,7 @@ impl Arp {
     ///
     /// Fails on truncation, a non-Ethernet/IPv4 header, or a bad
     /// operation.
-    pub fn decode(buf: &[u8]) -> Result<Arp, CodecError> {
+    pub(crate) fn decode(buf: &[u8]) -> Result<Arp, CodecError> {
         let mut r = Reader::new(buf, "arp");
         let htype = r.u16()?;
         let ptype = r.u16()?;
@@ -82,7 +82,7 @@ impl Arp {
     }
 
     /// Encodes the packet into `w`.
-    pub fn encode(&self, w: &mut Writer) {
+    pub(crate) fn encode(&self, w: &mut Writer) {
         w.u16(1); // Ethernet
         w.u16(0x0800); // IPv4
         w.u8(6);

@@ -57,7 +57,7 @@ impl Icmp {
     /// # Errors
     ///
     /// Fails on truncation or a bad checksum.
-    pub fn decode(buf: &[u8]) -> Result<Icmp, CodecError> {
+    pub(crate) fn decode(buf: &[u8]) -> Result<Icmp, CodecError> {
         if internet_checksum(buf) != 0 {
             return Err(CodecError::BadValue {
                 field: "icmp.checksum",
@@ -81,7 +81,7 @@ impl Icmp {
     }
 
     /// Encodes the message into `w`, computing the checksum.
-    pub fn encode(&self, w: &mut Writer) {
+    pub(crate) fn encode(&self, w: &mut Writer) {
         let mut m = Writer::new();
         m.u8(self.icmp_type);
         m.u8(self.code);

@@ -48,7 +48,7 @@ impl Ipv4 {
     ///
     /// Fails on truncation, a bad version/IHL, a total length that does
     /// not fit, or a bad header checksum.
-    pub fn decode(buf: &[u8]) -> Result<Ipv4, CodecError> {
+    pub(crate) fn decode(buf: &[u8]) -> Result<Ipv4, CodecError> {
         let mut r = Reader::new(buf, "ipv4");
         let ver_ihl = r.u8()?;
         if ver_ihl >> 4 != 4 {
@@ -105,7 +105,7 @@ impl Ipv4 {
     }
 
     /// Encodes the packet into `w`, computing the header checksum.
-    pub fn encode(&self, w: &mut Writer) {
+    pub(crate) fn encode(&self, w: &mut Writer) {
         let mut body = Writer::new();
         match &self.payload {
             IpPayload::Icmp(i) => i.encode(&mut body),

@@ -91,7 +91,7 @@ impl Tcp {
     /// # Errors
     ///
     /// Fails on truncation or a data offset smaller than 5 words.
-    pub fn decode(buf: &[u8]) -> Result<Tcp, CodecError> {
+    pub(crate) fn decode(buf: &[u8]) -> Result<Tcp, CodecError> {
         let mut r = Reader::new(buf, "tcp");
         let src_port = r.u16()?;
         let dst_port = r.u16()?;
@@ -123,7 +123,7 @@ impl Tcp {
     }
 
     /// Encodes the segment into `w`.
-    pub fn encode(&self, w: &mut Writer) {
+    pub(crate) fn encode(&self, w: &mut Writer) {
         w.u16(self.src_port);
         w.u16(self.dst_port);
         w.u32(self.seq);

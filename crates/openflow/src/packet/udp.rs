@@ -20,7 +20,7 @@ impl Udp {
     /// # Errors
     ///
     /// Fails on truncation or a length field inconsistent with the buffer.
-    pub fn decode(buf: &[u8]) -> Result<Udp, CodecError> {
+    pub(crate) fn decode(buf: &[u8]) -> Result<Udp, CodecError> {
         let mut r = Reader::new(buf, "udp");
         let src_port = r.u16()?;
         let dst_port = r.u16()?;
@@ -41,7 +41,7 @@ impl Udp {
     }
 
     /// Encodes the datagram into `w`.
-    pub fn encode(&self, w: &mut Writer) {
+    pub(crate) fn encode(&self, w: &mut Writer) {
         w.u16(self.src_port);
         w.u16(self.dst_port);
         w.u16((8 + self.payload.len()) as u16);

@@ -36,11 +36,6 @@ impl MacAddr {
     pub fn is_multicast(&self) -> bool {
         self.0[0] & 0x01 != 0
     }
-
-    /// Raw bytes.
-    pub fn octets(&self) -> [u8; 6] {
-        self.0
-    }
 }
 
 impl fmt::Display for MacAddr {

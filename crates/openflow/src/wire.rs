@@ -30,11 +30,6 @@ impl<'a> Reader<'a> {
         self.buf.len() - self.pos
     }
 
-    /// Current read offset from the start of the buffer.
-    pub fn position(&self) -> usize {
-        self.pos
-    }
-
     fn take(&mut self, n: usize) -> Result<&'a [u8], CodecError> {
         if self.remaining() < n {
             return Err(CodecError::Truncated {
@@ -49,24 +44,24 @@ impl<'a> Reader<'a> {
     }
 
     /// Reads one byte.
-    pub fn u8(&mut self) -> Result<u8, CodecError> {
+    pub(crate) fn u8(&mut self) -> Result<u8, CodecError> {
         Ok(self.take(1)?[0])
     }
 
     /// Reads a big-endian `u16`.
-    pub fn u16(&mut self) -> Result<u16, CodecError> {
+    pub(crate) fn u16(&mut self) -> Result<u16, CodecError> {
         let b = self.take(2)?;
         Ok(u16::from_be_bytes([b[0], b[1]]))
     }
 
     /// Reads a big-endian `u32`.
-    pub fn u32(&mut self) -> Result<u32, CodecError> {
+    pub(crate) fn u32(&mut self) -> Result<u32, CodecError> {
         let b = self.take(4)?;
         Ok(u32::from_be_bytes([b[0], b[1], b[2], b[3]]))
     }
 
     /// Reads a big-endian `u64`.
-    pub fn u64(&mut self) -> Result<u64, CodecError> {
+    pub(crate) fn u64(&mut self) -> Result<u64, CodecError> {
         let b = self.take(8)?;
         let mut a = [0u8; 8];
         a.copy_from_slice(b);
@@ -74,7 +69,7 @@ impl<'a> Reader<'a> {
     }
 
     /// Reads a fixed-size byte array.
-    pub fn array<const N: usize>(&mut self) -> Result<[u8; N], CodecError> {
+    pub(crate) fn array<const N: usize>(&mut self) -> Result<[u8; N], CodecError> {
         let b = self.take(N)?;
         let mut a = [0u8; N];
         a.copy_from_slice(b);
@@ -82,24 +77,24 @@ impl<'a> Reader<'a> {
     }
 
     /// Reads `n` bytes as a slice borrowed from the input.
-    pub fn bytes(&mut self, n: usize) -> Result<&'a [u8], CodecError> {
+    pub(crate) fn bytes(&mut self, n: usize) -> Result<&'a [u8], CodecError> {
         self.take(n)
     }
 
     /// Reads all remaining bytes.
-    pub fn rest(&mut self) -> &'a [u8] {
+    pub(crate) fn rest(&mut self) -> &'a [u8] {
         let s = &self.buf[self.pos..];
         self.pos = self.buf.len();
         s
     }
 
     /// Skips `n` padding bytes.
-    pub fn skip(&mut self, n: usize) -> Result<(), CodecError> {
+    pub(crate) fn skip(&mut self, n: usize) -> Result<(), CodecError> {
         self.take(n).map(|_| ())
     }
 
     /// Fails with [`CodecError::TrailingBytes`] unless fully consumed.
-    pub fn expect_end(&self) -> Result<(), CodecError> {
+    pub(crate) fn expect_end(&self) -> Result<(), CodecError> {
         if self.remaining() != 0 {
             return Err(CodecError::TrailingBytes {
                 context: self.context,
@@ -110,7 +105,11 @@ impl<'a> Reader<'a> {
     }
 
     /// Returns a sub-reader over the next `n` bytes (consuming them here).
-    pub fn sub(&mut self, n: usize, context: &'static str) -> Result<Reader<'a>, CodecError> {
+    pub(crate) fn sub(
+        &mut self,
+        n: usize,
+        context: &'static str,
+    ) -> Result<Reader<'a>, CodecError> {
         Ok(Reader::new(self.take(n)?, context))
     }
 }
@@ -131,49 +130,44 @@ impl Writer {
     }
 
     /// Creates a writer with `cap` bytes pre-reserved.
-    pub fn with_capacity(cap: usize) -> Self {
+    pub(crate) fn with_capacity(cap: usize) -> Self {
         Writer {
             buf: Vec::with_capacity(cap),
         }
     }
 
     /// Bytes written so far.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.buf.len()
     }
 
-    /// Whether nothing has been written.
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
-    }
-
     /// Writes one byte.
-    pub fn u8(&mut self, v: u8) {
+    pub(crate) fn u8(&mut self, v: u8) {
         self.buf.push(v);
     }
 
     /// Writes a big-endian `u16`.
-    pub fn u16(&mut self, v: u16) {
+    pub(crate) fn u16(&mut self, v: u16) {
         self.buf.extend_from_slice(&v.to_be_bytes());
     }
 
     /// Writes a big-endian `u32`.
-    pub fn u32(&mut self, v: u32) {
+    pub(crate) fn u32(&mut self, v: u32) {
         self.buf.extend_from_slice(&v.to_be_bytes());
     }
 
     /// Writes a big-endian `u64`.
-    pub fn u64(&mut self, v: u64) {
+    pub(crate) fn u64(&mut self, v: u64) {
         self.buf.extend_from_slice(&v.to_be_bytes());
     }
 
     /// Writes a byte slice verbatim.
-    pub fn bytes(&mut self, v: &[u8]) {
+    pub(crate) fn bytes(&mut self, v: &[u8]) {
         self.buf.extend_from_slice(v);
     }
 
     /// Writes `n` zero bytes of padding.
-    pub fn pad(&mut self, n: usize) {
+    pub(crate) fn pad(&mut self, n: usize) {
         self.buf.resize(self.buf.len() + n, 0);
     }
 
@@ -184,7 +178,7 @@ impl Writer {
     /// # Panics
     ///
     /// Panics if `offset + 2` exceeds the bytes written so far.
-    pub fn patch_u16(&mut self, offset: usize, v: u16) {
+    pub(crate) fn patch_u16(&mut self, offset: usize, v: u16) {
         let b = v.to_be_bytes();
         self.buf[offset] = b[0];
         self.buf[offset + 1] = b[1];
@@ -193,11 +187,6 @@ impl Writer {
     /// Consumes the writer and returns the written bytes.
     pub fn into_vec(self) -> Vec<u8> {
         self.buf
-    }
-
-    /// View of the bytes written so far.
-    pub fn as_slice(&self) -> &[u8] {
-        &self.buf
     }
 }
 
@@ -265,7 +254,7 @@ mod tests {
         w.u32(0x0102_0304);
         w.bytes(&[5, 6]);
         w.pad(2);
-        let written = w.as_slice().as_ptr();
+        let written = w.buf.as_ptr();
         let v = w.into_vec();
         assert_eq!(v, [1, 2, 3, 4, 5, 6, 0, 0]);
         assert_eq!(v.as_ptr(), written, "into_vec must not reallocate");

@@ -10,8 +10,9 @@ cargo fmt --all --check
 # include!d at the controllers crate root, so cargo fmt does not reach it
 rustfmt --check --edition 2021 crates/controllers/src/wire_tests.rs
 
-echo "== cargo clippy (deny warnings, flag redundant clones)"
-cargo clippy --workspace --all-targets -- -D warnings -W clippy::redundant_clone
+echo "== cargo clippy (deny warnings, flag redundant clones and hash-order walks)"
+cargo clippy --workspace --all-targets -- -D warnings -W clippy::redundant_clone \
+  -D clippy::iter_over_hash_type
 
 echo "== cargo build --release"
 cargo build --release --workspace
@@ -42,11 +43,11 @@ for workload in campaign_full ctrl_path table_churn fabric_large; do
 done
 
 echo "== §VI-D rule scaling (scan grows with |Φ|, dispatcher stays flat)"
-cargo run --release -p attain-bench --bin rule_scalability \
+cargo run --release --bin rule_scalability \
   -- --json target/BENCH_rule_eval_check.json
 
 echo "== Figure 11 at paper fidelity against its golden (~35 s, exact in virtual time)"
-cargo run --release --quiet -p attain-bench --bin fig11 2>/dev/null \
+cargo run --release --quiet --bin fig11 2>/dev/null \
   | diff tests/golden/paper/fig11.txt -
 
 echo "all checks passed"

@@ -12,9 +12,11 @@
 //! exhausted its budget), or the golden digests drifted. Incomplete
 //! cells are annotated in the report, never aborted on.
 
+mod common;
+
 use attain::campaign::{diff_golden, Filter, Matrix, RunnerConfig};
+use common::flag;
 use std::process::ExitCode;
-use std::str::FromStr;
 use std::time::Duration;
 
 /// The option list; the `--smoke` sizes are read off the matrix itself.
@@ -53,13 +55,6 @@ struct Cli {
     cell_timeout: Option<u64>,
     max_events: Option<u64>,
     retries: Option<u32>,
-}
-
-/// The value following flag `name`, parsed as `T`.
-fn flag<T: FromStr>(name: &str, rest: &mut std::slice::Iter<'_, String>) -> Result<T, String> {
-    let raw = rest.next().ok_or(format!("{name} needs a value"))?;
-    raw.parse()
-        .map_err(|_| format!("{name}: invalid value {raw:?}"))
 }
 
 fn parse_cli(args: &[String]) -> Result<Cli, String> {

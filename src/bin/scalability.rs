@@ -12,15 +12,17 @@
 //! pending-event depth. The largest row reaches 1,024 switches and
 //! 100,000 concurrent flows.
 
+mod common;
+
 use attain_netsim::topo::{
     fat_tree, install_fat_tree_routes, install_leaf_spine_routes, leaf_spine, FatTreeParams,
     LeafSpineParams, Topology,
 };
 use attain_netsim::workload::{FlowKind, TrafficMatrix, TrafficPattern};
 use attain_netsim::{NetworkBuilder, RunBudget, SimTime, Simulation, TraceMode};
+use common::flag;
 use std::fmt::Write as _;
 use std::process::ExitCode;
-use std::str::FromStr;
 use std::time::Instant;
 
 /// One sweep row: a fabric plus a traffic matrix sized for it.
@@ -221,13 +223,6 @@ struct Cli {
     smoke: bool,
     max_events: Option<u64>,
     json_path: Option<String>,
-}
-
-/// The value following flag `name`, parsed as `T`.
-fn flag<T: FromStr>(name: &str, rest: &mut std::slice::Iter<'_, String>) -> Result<T, String> {
-    let raw = rest.next().ok_or(format!("{name} needs a value"))?;
-    raw.parse()
-        .map_err(|_| format!("{name}: invalid value {raw:?}"))
 }
 
 fn parse_cli(args: &[String]) -> Result<Cli, String> {

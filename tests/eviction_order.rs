@@ -1,7 +1,7 @@
 //! Simulation-level pins on the flow table's observable order: which
 //! entries a full table evicts, and which entry each packet hits.
 //!
-//! The unit-level differential test (`flow_table_differential.rs`)
+//! The unit-level differential test (`crates/netsim/tests/proptest_netsim.rs`)
 //! compares the classifier with a reference scan one operation at a
 //! time; these runs pin the same contract end to end, through
 //! controller, switch pipeline and trace. Every constant below was

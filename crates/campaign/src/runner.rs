@@ -390,8 +390,8 @@ impl Pool<'_> {
 
     /// Runs `lead`, for all of its units' fail modes at once, with
     /// `shadows` attached, as one supervised attempt. If it panics or
-    /// times out, or a split could not fork, each of its units runs alone
-    /// in its one fail mode instead.
+    /// times out, each of its units runs alone in its one fail mode
+    /// instead.
     fn run_shared(&self, lead: &[usize], shadows: &[&Vec<usize>]) {
         let budget = attempt_budget(self.cfg, self.supervisor);
         let leads: Vec<&UnitSpec<'_>> = lead.iter().map(|&i| &self.units[i]).collect();
@@ -406,14 +406,10 @@ impl Pool<'_> {
             !cancelled(lead)
                 && runs.iter().all(|run| match run {
                     ShadowRun::Forked(r) | ShadowRun::Undiverged(r) => !cancelled(r),
-                    ShadowRun::NotRun => true,
                 })
         };
-        let shared = shared.ok().and_then(|shared| {
-            let modes = shared.modes.into_iter().collect::<Option<Vec<_>>>()?;
-            modes.iter().all(sound).then_some((modes, shared.splits))
-        });
-        let Some((modes, splits)) = shared else {
+        let shared = shared.ok().filter(|shared| shared.modes.iter().all(sound));
+        let Some(Shared { modes, splits }) = shared else {
             for &i in lead.iter().chain(shadows.iter().copied().flatten()) {
                 self.run_alone(i);
             }
@@ -425,17 +421,12 @@ impl Pool<'_> {
         for (m, (&i, (record, runs))) in lead.iter().zip(modes).enumerate() {
             self.set(i, status(record));
             for ((units, run), made) in shadows.iter().zip(runs).zip(&mut made) {
-                match run {
-                    ShadowRun::Forked(r) => {
-                        made.0 = true;
-                        self.set(units[m], status(r));
-                    }
-                    ShadowRun::Undiverged(r) => {
-                        made.1 = true;
-                        self.set(units[m], status(r));
-                    }
-                    ShadowRun::NotRun => self.run_alone(units[m]),
-                }
+                let (r, how) = match run {
+                    ShadowRun::Forked(r) => (r, &mut made.0),
+                    ShadowRun::Undiverged(r) => (r, &mut made.1),
+                };
+                *how = true;
+                self.set(units[m], status(r));
             }
         }
         self.count(|shape| {
@@ -638,11 +629,13 @@ fn run_units(matrix: &Matrix, cfg: &RunnerConfig, run_unit: UnitFn<'_>) -> Campa
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::attacks::{self, AttackDef};
+    use crate::attacks::{self, AttackDef, TableOverride};
     use crate::report::CampaignReport;
     use attain_core::scenario;
     use attain_injector::harness::{self, schedule_ping};
-    use attain_netsim::{FaultPlan, Interposer, InterposerActions, ProxiedMessage, SimTime};
+    use attain_netsim::{
+        EvictionPolicy, FaultPlan, Interposer, InterposerActions, ProxiedMessage, SimTime,
+    };
 
     /// Attack name whose attacked runs panic the worker.
     const PANIC_CELL: &str = "__panic_cell";
@@ -698,9 +691,7 @@ mod tests {
         match lead.first().map(|u| (u.attacked, name(u))) {
             Some((true, PANIC_CELL)) => panic!("{PANIC_MESSAGE}"),
             Some((true, LIVELOCK_CELL)) => {
-                let modes = lead
-                    .iter()
-                    .map(|u| Some((spin(u, budget, step), Vec::new())));
+                let modes = lead.iter().map(|u| (spin(u, budget, step), Vec::new()));
                 return Shared {
                     modes: modes.collect(),
                     splits: 0,
@@ -717,14 +708,13 @@ mod tests {
             .filter(|s| name(s) != LIVELOCK_CELL)
             .collect();
         let mut shared = run_cell(lead, &tame, budget);
-        for (mode, u) in shared.modes.iter_mut().zip(lead) {
-            let Some((_, runs)) = mode else { continue };
+        for ((_, runs), u) in shared.modes.iter_mut().zip(lead) {
             let mut tame_runs = std::mem::take(runs).into_iter();
             *runs = shadows
                 .iter()
                 .map(|s| match name(s) {
                     LIVELOCK_CELL => ShadowRun::Forked(spin(u, budget, step)),
-                    _ => tame_runs.next().unwrap_or(ShadowRun::NotRun),
+                    _ => tame_runs.next().expect("a run per tame shadow"),
                 })
                 .collect();
         }
@@ -951,6 +941,53 @@ mod tests {
             ..RunShape::default()
         };
         assert_eq!((serial.shape, parallel.shape), (shape, shape));
+    }
+
+    #[test]
+    fn a_shared_setup_failure_fails_every_unit_as_its_own_run_would() {
+        // Two attacks bounded alike share the baseline's environment, so
+        // both shadow it; the bound names a host, so its setup fails.
+        let bounded = |name| {
+            let table = Some(TableOverride {
+                switch: "h1",
+                capacity: 8,
+                policy: EvictionPolicy::EvictLru,
+            });
+            Prepared::new(AttackDef {
+                table,
+                ..attacks::by_name(name).expect("attack exists")
+            })
+        };
+        let (a, b) = (bounded("trivial_pass"), bounded("flow_mod_suppression"));
+        assert!(b.shadow_of(&a).is_some() && a.shadow_of(&a).is_some());
+        // The baseline's units, then each attack's, one per fail mode.
+        let mut units = Vec::new();
+        for (attack, attacked) in [(&a, false), (&a, true), (&b, true)] {
+            for fail_mode in [FailMode::Safe, FailMode::Secure] {
+                let (controller, seed) = (ControllerKind::Pox, 1);
+                units.push(UnitSpec {
+                    attack,
+                    controller,
+                    fail_mode,
+                    seed,
+                    attacked,
+                });
+            }
+        }
+        let envs = [vec![vec![0, 1], vec![2, 3], vec![4, 5]]];
+        let (statuses, shape) = run_pool(&run_cell, &units, &envs, &RunnerConfig::new(1));
+        for (u, got) in units.iter().zip(&statuses) {
+            let (kind, mode, budget) = (u.controller, u.fail_mode, RunBudget::default());
+            let alone = cell::run(u.attack, kind, mode, u.seed, u.attacked, &budget);
+            assert!(matches!(got, CellStatus::Failed { .. }), "{got:?}");
+            assert_eq!(*got, status(alone));
+        }
+        let shape_of_one_run = RunShape {
+            environments: 1,
+            undiverged: 2,
+            ..RunShape::default()
+        };
+        assert_eq!(shape, shape_of_one_run);
     }
 
     #[test]

@@ -22,8 +22,10 @@ use attain_netsim::{
     RunBudget, SimTime, Simulation,
 };
 use attain_openflow::{DatapathId, PortNo};
+use std::any::Any;
 use std::fmt;
 use std::net::Ipv4Addr;
+use std::sync::MutexGuard;
 use std::time::{Duration, Instant};
 
 /// How an attack description binds to a system model.
@@ -291,11 +293,9 @@ pub enum ShadowRun {
     /// `wall_ms` counts the fork alone.
     Forked(Result<RunRecord, RunError>),
     /// The shadow never diverged: the baseline's outcome, with the
-    /// shadow's own final state and rule fires, and `wall_ms` 0.
+    /// shadow's own final state and rule fires, and `wall_ms` 0. A setup
+    /// failure is this too: the shadow shares the baseline's setup.
     Undiverged(Result<RunRecord, RunError>),
-    /// The shared run stands in for no run of this attack: setup failed,
-    /// or it diverged where the simulation could not fork. Run it alone.
-    NotRun,
 }
 
 /// What a shared run made under one fail mode: the lead's outcome and
@@ -308,23 +308,16 @@ type Outcome = Result<RunRecord, RunError>;
 /// What one shared run made under each fail mode it was asked for.
 #[derive(Debug)]
 pub struct Shared {
-    /// One entry per requested fail mode, in order. `None` where that
-    /// mode's side of a split was never made, because a controller cannot
-    /// fork: run its units alone.
-    pub modes: Vec<Option<ModeRuns>>,
+    /// One entry per requested fail mode, in order.
+    pub modes: Vec<ModeRuns>,
     /// How often the run, or a fork of it, split on the fail mode.
     pub splits: usize,
 }
 
 impl Shared {
-    /// The lead's outcome under each requested fail mode, in order. A
-    /// side that was never made is a [`RunError::Setup`].
+    /// The lead's outcome under each requested fail mode, in order.
     pub fn leads(self) -> Vec<Result<RunRecord, RunError>> {
-        let unforkable =
-            || RunError::Setup("a controller cannot fork, so the run cannot split".into());
-        let lead =
-            |mode: Option<ModeRuns>| mode.map_or_else(|| Err(unforkable()), |(lead, _)| lead);
-        self.modes.into_iter().map(lead).collect()
+        self.modes.into_iter().map(|(lead, _)| lead).collect()
     }
 }
 
@@ -343,7 +336,8 @@ impl Shared {
 /// [`RunRecord`] per mode of `fail_modes`, each with a fault report iff
 /// `faults` planned any event. Both fail modes are one run until a switch
 /// first consults its mode, and two from there
-/// ([`Simulation::defer_fail_mode`]).
+/// ([`Simulation::defer_fail_mode`]): the controller and injectors built
+/// here always fork, and so must an interposer `schedule` installs.
 ///
 /// Nothing a caller can pass panics: every failure is a [`RunError`].
 #[allow(clippy::too_many_arguments)]
@@ -404,64 +398,44 @@ pub fn run_shared(
         if both {
             sim.defer_fail_mode();
         }
-        let mut lead = None;
         if attached {
             let armed = compiled.attack.as_ref().map_err(Clone::clone)?;
-            let (injector, attached) = inject(armed.exec.clone(), &armed.system, &sim);
-            sim.set_interposer(injector);
-            lead = Some(attached);
+            attach(&mut sim, armed.exec.clone(), &armed.system);
         }
-        let mut attached = Vec::with_capacity(shadows.len());
         for (id, armed) in shadows.iter().enumerate() {
-            let (injector, shadow) = inject(armed.exec.clone(), &armed.system, &sim);
-            sim.add_shadow(id, injector);
-            attached.push((id, shadow));
+            let (injector, _) = SimInjector::new(armed.exec.clone(), &armed.system, &sim);
+            sim.add_shadow(id, Box::new(injector));
         }
         sim.apply_fault_plan(faults);
         let horizon = schedule(&mut sim, document)?;
         sim.set_run_budget(budget.clone());
-        Ok((sim, lead, attached, horizon))
+        Ok((sim, horizon))
     };
-    let not_run = || shadows.iter().map(|_| ShadowRun::NotRun).collect();
+    // Every slot filled with `e`, each shadow's run made by `run`.
+    let filled = |e: RunError, run: fn(Outcome) -> ShadowRun| {
+        let runs = || shadows.iter().map(|_| run(Err(e.clone()))).collect();
+        let modes = fail_modes.iter().map(|_| (Err(e.clone()), runs()));
+        Shared {
+            modes: modes.collect(),
+            splits: 0,
+        }
+    };
+    let (sim, horizon) = match setup() {
+        Ok(setup) => setup,
+        // The error each unit's own run would hit: a shadow shares the
+        // lead's topology, table bound and workload.
+        Err(e) => return filled(e, ShadowRun::Undiverged),
+    };
+    // A slot left unfilled is a fork that could not be made.
+    let unforked = RunError::Setup("the run could not fork".into());
     let mut drive = Drive {
         modes: fail_modes,
         faults,
-        horizon: SimTime::ZERO,
-        made: fail_modes.iter().map(|_| (None, not_run())).collect(),
-        splits: 0,
+        horizon,
+        made: filled(unforked, ShadowRun::Forked),
     };
-    match setup() {
-        Ok((sim, lead, attached, horizon)) => {
-            drive.horizon = horizon;
-            let side = (!both).then_some(mode);
-            drive.finish(sim, None, lead, attached, side, started);
-        }
-        Err(e) => drive
-            .made
-            .iter_mut()
-            .for_each(|(lead, _)| *lead = Some(Err(e.clone()))),
-    }
-    let modes = drive.made.into_iter();
-    Shared {
-        modes: modes.map(|(lead, runs)| Some((lead?, runs))).collect(),
-        splits: drive.splits,
-    }
-}
-
-/// An attack's executor on one simulation, with the model it was
-/// compiled against.
-type Attached<'a> = (SharedExecutor, &'a SystemModel);
-
-/// An injector of `exec` for `sim`. Built from a copy of another
-/// injector's executor, it carries on exactly where that one is: the
-/// executor is an injector's only mutable state.
-fn inject<'a>(
-    exec: AttackExecutor,
-    system: &'a SystemModel,
-    sim: &Simulation,
-) -> (Box<dyn Interposer>, Attached<'a>) {
-    let (injector, handle) = SimInjector::new(exec, system, sim);
-    (Box::new(injector), (handle, system))
+    drive.finish(sim, None, (!both).then_some(mode), started);
+    drive.made
 }
 
 /// One shared run in progress: what its simulations share, and what they
@@ -470,99 +444,77 @@ struct Drive<'a> {
     modes: &'a [FailMode],
     faults: &'a FaultPlan,
     horizon: SimTime,
-    /// Per requested fail mode: the lead's record, once made, and each
-    /// shadow's run.
-    made: Vec<(Option<Outcome>, Vec<ShadowRun>)>,
-    splits: usize,
+    made: Shared,
 }
 
-impl<'a> Drive<'a> {
+impl Drive<'_> {
     /// Runs `sim` to the horizon, finishing every fork it hands over the
     /// same way, and files its records: the baseline, a shadow's fork and
     /// the fail-secure side of a split alike. `whose` is the shadow whose
-    /// fork `sim` is (`None`: the lead's run), `lead` the executor
-    /// interposed on it, `attached` the shadows still on it, `side` the
-    /// fail mode it stands for (`None`: every requested one) and `started`
-    /// when its own wall-clock time began.
+    /// fork `sim` is (`None`: the lead's run), `side` the fail mode it
+    /// stands for (`None`: every requested one) and `started` when its
+    /// own wall-clock time began. The executors are read back from `sim`:
+    /// a fork carries its own copies.
     fn finish(
         &mut self,
         mut sim: Simulation,
         whose: Option<usize>,
-        lead: Option<Attached<'a>>,
-        attached: Vec<(usize, Attached<'a>)>,
         mut side: Option<FailMode>,
         started: Instant,
     ) {
-        let undecided = sim.is_undecided();
-        let shadow = |id: usize| attached.iter().find(|(i, _)| *i == id);
-        let copy = |(handle, system): &Attached<'a>, sim: &Simulation| {
-            inject(handle.lock().clone(), system, sim)
-        };
         let mut nested = Duration::ZERO;
-        let halt = sim.run_forking(self.horizon, |made, mut fork| {
+        let halt = sim.run_forking(self.horizon, |made, fork| {
             let forked = Instant::now();
             match made {
-                Fork::Shadow(id) => {
-                    let lead = shadow(id).map(|(_, s)| s.clone());
-                    self.finish(fork, Some(id), lead, Vec::new(), side, forked);
-                }
-                Fork::FailSecure(live) => {
-                    self.splits += 1;
+                Fork::Shadow(id) => self.finish(fork, Some(id), side, forked),
+                Fork::FailSecure => {
+                    self.made.splits += 1;
                     side = Some(FailMode::Safe);
-                    let lead = lead.as_ref().map(|lead| {
-                        let (injector, lead) = copy(lead, &fork);
-                        fork.set_interposer(injector);
-                        lead
-                    });
-                    let mut copies = Vec::new();
-                    for (id, s) in live.into_iter().filter_map(shadow) {
-                        let (injector, s) = copy(s, &fork);
-                        fork.add_shadow(*id, injector);
-                        copies.push((*id, s));
-                    }
-                    let secure = Some(FailMode::Secure);
-                    self.finish(fork, whose, lead, copies, secure, forked);
+                    self.finish(fork, whose, Some(FailMode::Secure), forked);
                 }
             }
             nested += forked.elapsed();
         });
-        // A split with no copy (a controller cannot fork) left it fail-safe.
-        if undecided && !sim.is_undecided() {
-            side = Some(FailMode::Safe);
-        }
         let wall = started.elapsed().saturating_sub(nested);
-        let record = collect(&sim, halt, lead.as_ref().map(|(h, _)| h), self.faults, wall);
-        let modes = self.modes.iter().zip(&mut self.made);
+        let record = collect(&sim, halt, self.faults, wall);
+        let modes = self.modes.iter().zip(&mut self.made.modes);
         for (_, (lead, runs)) in modes.filter(|(mode, _)| side.is_none_or(|s| s == **mode)) {
             match whose {
-                None => *lead = Some(record.clone()),
+                None => *lead = record.clone(),
                 Some(id) => runs[id] = ShadowRun::Forked(record.clone()),
             }
-            for (id, (handle, _)) in sim.shadow_ids().filter_map(shadow) {
-                let exec = handle.lock();
+            for (id, shadow) in sim.shadows() {
+                let exec = executor(Some(shadow));
                 let attributed = |r: RunRecord| RunRecord {
                     wall_ms: 0,
-                    ..r.attributed(Some(&exec))
+                    ..r.attributed(exec.as_deref())
                 };
-                runs[*id] = ShadowRun::Undiverged(record.clone().map(attributed));
+                runs[id] = ShadowRun::Undiverged(record.clone().map(attributed));
             }
         }
     }
 }
 
-/// The outcome of `sim` halted for `halt` with `exec` attached, `wall`
-/// having been spent on it.
+/// The executor of `interposer`, if it is an attack's injector.
+fn executor(interposer: Option<&dyn Interposer>) -> Option<MutexGuard<'_, AttackExecutor>> {
+    let interposer: &dyn Any = interposer?;
+    interposer
+        .downcast_ref::<SimInjector>()
+        .map(SimInjector::executor)
+}
+
+/// The outcome of `sim` halted for `halt`, `wall` having been spent on
+/// it, attributed to the executor interposed on it.
 fn collect(
     sim: &Simulation,
     halt: HaltReason,
-    exec: Option<&SharedExecutor>,
     faults: &FaultPlan,
     wall: Duration,
 ) -> Result<RunRecord, RunError> {
     if halt != HaltReason::Horizon {
         return Err(RunError::Halted(halt));
     }
-    let mut record = RunRecord::collect(sim, exec.map(|e| e.lock()).as_deref());
+    let mut record = RunRecord::collect(sim, executor(sim.interposer()).as_deref());
     if !faults.events.is_empty() {
         record.faults = Some(sim.fault_report());
     }

@@ -16,6 +16,10 @@ use std::sync::{Arc, Mutex, MutexGuard};
 pub struct SharedExecutor(Arc<Mutex<AttackExecutor>>);
 
 impl SharedExecutor {
+    fn new(exec: AttackExecutor) -> SharedExecutor {
+        SharedExecutor(Arc::new(Mutex::new(exec)))
+    }
+
     /// Locks the executor (recovering it if a holder panicked).
     pub fn lock(&self) -> MutexGuard<'_, AttackExecutor> {
         crate::lock(&self.0)
@@ -31,9 +35,9 @@ impl SharedExecutor {
 /// an unknown host, is dropped.
 ///
 /// The executor is the injector's only mutable state; everything else
-/// is derived from the system model and the simulation's names. So an
-/// injector built by [`SimInjector::new`] from a copy of the executor,
-/// on a copy of the simulation, carries on exactly where this one is.
+/// is derived from the system model and the simulation's names. So a
+/// fork, which copies the executor into a handle of its own, carries on
+/// exactly where this one is without sharing anything with it.
 pub struct SimInjector {
     exec: SharedExecutor,
     /// Core connection index → simulator connection.
@@ -88,7 +92,7 @@ impl SimInjector {
                 hosts.insert(h.name.clone(), id);
             }
         }
-        let exec = SharedExecutor(Arc::new(Mutex::new(exec)));
+        let exec = SharedExecutor::new(exec);
         let injector = SimInjector {
             exec: exec.clone(),
             to_sim,
@@ -96,6 +100,11 @@ impl SimInjector {
             hosts,
         };
         (injector, exec)
+    }
+
+    /// Locks this injector's executor.
+    pub(crate) fn executor(&self) -> MutexGuard<'_, AttackExecutor> {
+        self.exec.lock()
     }
 
     fn convert(&self, out: ExecOutput) -> InterposerActions {
@@ -155,5 +164,51 @@ impl Interposer for SimInjector {
             exec.on_wakeup(now.as_nanos())
         };
         self.convert(out)
+    }
+
+    fn fork(&self) -> Option<Box<dyn Interposer>> {
+        Some(Box::new(SimInjector {
+            exec: SharedExecutor::new(self.executor().clone()),
+            to_sim: self.to_sim.clone(),
+            to_core: self.to_core.clone(),
+            hosts: self.hosts.clone(),
+        }))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::harness::build_case_study;
+    use attain_controllers::ControllerKind;
+    use attain_core::{dsl, scenario};
+    use attain_netsim::FailMode;
+    use attain_openflow::{Frame, OfMessage};
+
+    #[test]
+    fn a_forked_injector_owns_its_executor() {
+        let sc = scenario::enterprise_network();
+        let source = scenario::attacks::CONNECTION_INTERRUPTION;
+        let compiled = dsl::compile(source, &sc.system, &sc.attack_model).expect("compiles");
+        let exec = AttackExecutor::new(sc.system.clone(), sc.attack_model, compiled.attack)
+            .expect("validates");
+        let sim = build_case_study(ControllerKind::Pox, FailMode::Secure);
+        let (original, _) = SimInjector::new(exec, &sc.system, &sim);
+        let mut copy = original.fork().expect("an injector forks");
+        let s2 = sim.conn_infos().into_iter().find(|c| c.switch == "s2");
+        let hello = Frame::new(OfMessage::Hello.encode(1));
+        copy.on_message(ProxiedMessage {
+            conn: s2.expect("s2 has a control connection").id,
+            direction: Direction::SwitchToController,
+            frame: &hello,
+            now: SimTime::from_secs(1),
+        });
+        let copied: &dyn std::any::Any = &*copy;
+        let copied = copied.downcast_ref::<SimInjector>().expect("a SimInjector");
+        assert_eq!(copied.executor().current_state_name(), "sigma2");
+        assert_eq!(copied.executor().log().rule_fires("phi1"), 1);
+        let exec = original.executor();
+        assert_eq!(exec.current_state_name(), "sigma1");
+        assert!(exec.log().events().is_empty());
     }
 }

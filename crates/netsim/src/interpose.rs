@@ -10,6 +10,7 @@ use crate::command::HostCommand;
 use crate::engine::ConnId;
 use crate::time::SimTime;
 use attain_openflow::Frame;
+use std::any::Any;
 use std::fmt;
 
 /// Which way a control-plane message is travelling.
@@ -112,8 +113,9 @@ impl InterposerActions {
 ///
 /// Implementations must be deterministic; the simulator calls them in
 /// total message order, which is the property the paper's single,
-/// centralized injector instance provides (§VI-C).
-pub trait Interposer: Send {
+/// centralized injector instance provides (§VI-C). `Any` lets a caller
+/// read its own interposer back out of a finished simulation.
+pub trait Interposer: Send + Any {
     /// A message arrived at the proxy; decide its fate.
     fn on_message(&mut self, msg: ProxiedMessage<'_>) -> InterposerActions;
 
@@ -121,6 +123,13 @@ pub trait Interposer: Send {
     fn on_wakeup(&mut self, now: SimTime) -> InterposerActions {
         let _ = now;
         InterposerActions::default()
+    }
+
+    /// An independent copy of this interposer in its current state, so
+    /// a simulation carrying it can fork; `None` (the default) for one
+    /// that cannot be copied, whose simulations then never fork.
+    fn fork(&self) -> Option<Box<dyn Interposer>> {
+        None
     }
 }
 
@@ -132,6 +141,10 @@ pub struct PassThrough;
 impl Interposer for PassThrough {
     fn on_message(&mut self, msg: ProxiedMessage<'_>) -> InterposerActions {
         InterposerActions::pass(&msg)
+    }
+
+    fn fork(&self) -> Option<Box<dyn Interposer>> {
+        Some(Box::new(*self))
     }
 }
 

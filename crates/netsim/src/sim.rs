@@ -56,9 +56,9 @@ pub enum Fork {
     /// answer other than pass, with the shadow as its interposer.
     Shadow(usize),
     /// The fail-secure side of a split ([`Simulation::defer_fail_mode`]),
-    /// with no interposer and no shadows: the simulation that split keeps
-    /// them, whose ids these are, and goes on fail-safe.
-    FailSecure(Vec<usize>),
+    /// carrying forks of the interposer and of every live shadow; the
+    /// simulation that split goes on fail-safe.
+    FailSecure,
 }
 
 /// The assembled network simulation.
@@ -211,12 +211,17 @@ impl Simulation {
         self.shadows.push((id, shadow));
     }
 
-    /// The ids of the shadows that have not diverged so far. A shadow
-    /// that diverged where the simulation could not fork (a controller
-    /// without [`Controller::fork`](attain_controllers::Controller::fork))
-    /// is neither here nor handed to [`Simulation::run_forking`].
-    pub fn shadow_ids(&self) -> impl Iterator<Item = usize> + '_ {
-        self.shadows.iter().map(|(id, _)| *id)
+    /// The installed interposer, if any.
+    pub fn interposer(&self) -> Option<&dyn Interposer> {
+        self.interposer.as_deref()
+    }
+
+    /// The shadows that have not diverged so far, with their ids. A
+    /// shadow that diverged where the simulation could not fork (a
+    /// controller or interposer without a `fork`) is neither here nor
+    /// handed to [`Simulation::run_forking`].
+    pub fn shadows(&self) -> impl Iterator<Item = (usize, &dyn Interposer)> + '_ {
+        self.shadows.iter().map(|(id, s)| (*id, &**s))
     }
 
     /// Defers the mode of every fail-safe switch, so that this one run
@@ -226,21 +231,16 @@ impl Simulation {
     /// Just before the event that would, [`Simulation::run_forking`]
     /// splits: a copy whose undecided switches are fail-secure is handed
     /// over as [`Fork::FailSecure`], and this simulation goes on with
-    /// them fail-safe. Where a controller cannot fork there is no copy,
-    /// and this goes on as the fail-safe run alone. Call before driving
-    /// the simulation.
+    /// them fail-safe. The copy carries a fork of the interposer and of
+    /// every live shadow. Where a controller or interposer cannot fork
+    /// there is no copy, and this goes on as the fail-safe run alone.
+    /// Call before driving the simulation.
     pub fn defer_fail_mode(&mut self) {
         for node in &mut self.nodes {
             if let Node::Switch(s) = node {
                 self.undecided |= s.defer_fail_mode();
             }
         }
-    }
-
-    /// Whether some switch's fail mode is still deferred: the run has not
-    /// split, so it is the run under either fail mode.
-    pub fn is_undecided(&self) -> bool {
-        self.undecided
     }
 
     /// Schedules a workload command at absolute time `at`; an `at`
@@ -437,7 +437,7 @@ impl Simulation {
         self.decide(FailMode::Safe);
         if let Some(mut copy) = copy {
             copy.decide(FailMode::Secure);
-            on_fork(Fork::FailSecure(self.shadow_ids().collect()), copy);
+            on_fork(Fork::FailSecure, copy);
         }
     }
 
@@ -451,14 +451,24 @@ impl Simulation {
         }
     }
 
-    /// A copy of this simulation's state, without its interposer or
-    /// shadows; `None` when a controller cannot fork. Checkpoints the
-    /// trace first, so neither copy hashes the shared events twice.
+    /// A complete copy of this simulation, its interposer and shadows
+    /// forked too; `None` when a controller or one of those cannot fork.
+    /// Checkpoints the trace first, so neither copy hashes the shared
+    /// events twice.
     fn fork(&mut self) -> Option<Simulation> {
         let controllers = self
             .controllers
             .iter()
             .map(ControllerHost::fork)
+            .collect::<Option<Vec<_>>>()?;
+        let interposer = match &self.interposer {
+            Some(interposer) => Some(interposer.fork()?),
+            None => None,
+        };
+        let shadows = self
+            .shadows
+            .iter()
+            .map(|(id, shadow)| Some((*id, shadow.fork()?)))
             .collect::<Option<Vec<_>>>()?;
         self.trace.checkpoint();
         Some(Simulation {
@@ -469,8 +479,8 @@ impl Simulation {
             port_map: self.port_map.clone(),
             controllers,
             connections: self.connections.clone(),
-            interposer: None,
-            shadows: Vec::new(),
+            interposer,
+            shadows,
             forks: Vec::new(),
             mid_dispatch: false,
             undecided: self.undecided,
@@ -835,15 +845,17 @@ impl Simulation {
     /// leaves the shadow list and, when the simulation can fork, becomes
     /// the interposer of a fork with its answer applied — the state its
     /// own run has at this point, since every earlier answer was pass.
+    /// The list is out of `self` meanwhile, so no fork carries shadows.
     fn consult_shadows(&mut self, msg: ProxiedMessage<'_>) {
+        let mut shadows = std::mem::take(&mut self.shadows);
         let mut i = 0;
-        while i < self.shadows.len() {
-            let actions = self.shadows[i].1.on_message(msg);
+        while i < shadows.len() {
+            let actions = shadows[i].1.on_message(msg);
             if actions.is_pass(&msg) {
                 i += 1;
                 continue;
             }
-            let (id, shadow) = self.shadows.remove(i);
+            let (id, shadow) = shadows.remove(i);
             if let Some(mut fork) = self.fork() {
                 fork.mid_dispatch = true;
                 fork.interposer = Some(shadow);
@@ -851,6 +863,7 @@ impl Simulation {
                 self.forks.push((id, fork));
             }
         }
+        self.shadows = shadows;
     }
 
     fn apply_interposer_actions(&mut self, actions: InterposerActions) {
@@ -1190,6 +1203,14 @@ mod tests {
             }
             actions
         }
+
+        fn fork(&self) -> Option<Box<dyn Interposer>> {
+            let seen = self.seen.load(Ordering::Relaxed);
+            Some(Box::new(AlterNth {
+                seen: Arc::new(AtomicUsize::new(seen)),
+                ..*self
+            }))
+        }
     }
 
     /// The run `interposer` makes attached from t = 0: its digest and
@@ -1235,7 +1256,7 @@ mod tests {
         let seen = Arc::new(AtomicUsize::new(0));
         let (sim, forks) = shadowed(pox(), shadow(&seen), &seen);
         assert_eq!(forks, [(digest, events, n)], "altered message #{n}");
-        assert_eq!(sim.shadow_ids().count(), 0);
+        assert_eq!(sim.shadows().count(), 0);
         sim
     }
 
@@ -1245,7 +1266,8 @@ mod tests {
         baseline.run_until(HORIZON);
         let (sim, forks) = shadowed(pox(), Box::new(PassThrough), &AtomicUsize::new(0));
         assert!(forks.is_empty());
-        assert_eq!(sim.shadow_ids().collect::<Vec<_>>(), [7]);
+        let ids: Vec<usize> = sim.shadows().map(|(id, _)| id).collect();
+        assert_eq!(ids, [7]);
         assert_eq!(sim.trace().digest(), baseline.trace().digest());
         assert_eq!(sim.events_dispatched(), baseline.events_dispatched());
         assert_eq!(
@@ -1311,7 +1333,7 @@ mod tests {
         let secure = || network(app(), FailMode::Secure, false);
         let (sim, forks) = shadowed(secure(), shadow, &seen);
         assert!(forks.is_empty());
-        assert_eq!(sim.shadow_ids().count(), 0, "neither forked nor kept");
+        assert_eq!(sim.shadows().count(), 0, "neither forked nor kept");
         let mut baseline = secure();
         baseline.run_until(HORIZON);
         assert_eq!(sim.trace().digest(), baseline.trace().digest());
@@ -1342,7 +1364,7 @@ mod tests {
         sim.defer_fail_mode();
         let mut copies = Vec::new();
         let halt = sim.run_forking(LONG, |made, copy| {
-            assert_eq!(made, Fork::FailSecure(vec![]));
+            assert_eq!(made, Fork::FailSecure);
             copies.push(fixed(copy));
         });
         assert_eq!(halt, HaltReason::Horizon);
@@ -1352,7 +1374,7 @@ mod tests {
     #[test]
     fn a_deferred_run_splits_once_into_both_fixed_mode_runs() {
         let (safe, copies) = deferred(pox_in(FailMode::Safe, true));
-        assert!(!safe.is_undecided());
+        assert!(!safe.undecided);
         assert_eq!(copies, [fixed(pox_in(FailMode::Secure, true))]);
         assert_eq!(outcome(&safe), fixed(pox_in(FailMode::Safe, true)));
         assert_ne!(outcome(&safe), copies[0], "the fail mode decides something");
@@ -1361,7 +1383,7 @@ mod tests {
     #[test]
     fn a_deferred_run_that_never_disconnects_never_splits() {
         let (both, copies) = deferred(pox_in(FailMode::Safe, false));
-        assert!(copies.is_empty() && both.is_undecided());
+        assert!(copies.is_empty() && both.undecided);
         for mode in [FailMode::Safe, FailMode::Secure] {
             assert_eq!(outcome(&both), fixed(pox_in(mode, false)), "{mode:?}");
         }
@@ -1370,7 +1392,7 @@ mod tests {
     #[test]
     fn a_disconnected_miss_on_an_always_secure_switch_does_not_split() {
         let (sim, copies) = deferred(pox_in(FailMode::Secure, true));
-        assert!(copies.is_empty() && !sim.is_undecided());
+        assert!(copies.is_empty() && !sim.undecided);
         assert!(sim.fault_report().switches[0].secure_drops > 0, "a miss");
         assert_eq!(outcome(&sim), fixed(pox_in(FailMode::Secure, true)));
     }
@@ -1392,15 +1414,12 @@ mod tests {
         sim.add_shadow(7, drop_third());
         let mut halves = Vec::new();
         sim.run_forking(LONG, |made, mut fork| {
-            if made == Fork::FailSecure(vec![]) {
+            if made == Fork::FailSecure {
                 return; // the baseline's own split, long after the shadow left
             }
-            assert!(fork.is_undecided(), "forked before the crash");
-            let halt = fork.run_forking(LONG, |made, mut copy| {
-                assert_eq!(made, Fork::FailSecure(vec![]));
-                // Past its third message the shadow answers pass to
-                // everything, which is what `PassThrough` answers.
-                copy.set_interposer(Box::new(PassThrough));
+            assert!(fork.undecided, "forked before the crash");
+            let halt = fork.run_forking(LONG, |made, copy| {
+                assert_eq!(made, Fork::FailSecure);
                 halves.push(fixed(copy));
             });
             assert_eq!(halt, HaltReason::Horizon);
@@ -1409,5 +1428,55 @@ mod tests {
         let want = [attached(FailMode::Safe), attached(FailMode::Secure)];
         assert_eq!(halves, want);
         assert_ne!(want[0], want[1]);
+    }
+
+    /// A shadow still live at a split goes, forked, with the fail-secure
+    /// side. Diverging after the crash on either side, it forks into the
+    /// run it makes attached from t = 0 under that side's mode.
+    #[test]
+    fn a_split_carries_its_live_shadows_to_both_sides() {
+        // Message 23 is the first reconnect HELLO, after the split.
+        let drop_23rd = || {
+            let seen = Arc::new(AtomicUsize::new(0));
+            let alter = |a: &mut InterposerActions, _| a.deliveries.clear();
+            Box::new(AlterNth { n: 23, seen, alter })
+        };
+        let attached = |mode| {
+            let mut sim = pox_in(mode, true);
+            sim.set_interposer(drop_23rd());
+            fixed(sim)
+        };
+        let mut sim = pox_in(FailMode::Safe, true);
+        sim.defer_fail_mode();
+        sim.add_shadow(7, drop_23rd());
+        let mut forks = Vec::new();
+        let halt = sim.run_forking(LONG, |made, mut copy| match made {
+            Fork::Shadow(id) => {
+                assert_eq!(id, 7);
+                forks.push((FailMode::Safe, fixed(copy)));
+            }
+            Fork::FailSecure => {
+                let ids: Vec<usize> = copy.shadows().map(|(id, _)| id).collect();
+                assert_eq!(ids, [7], "the live shadow goes with the copy");
+                let halt = copy.run_forking(LONG, |made, fork| {
+                    assert_eq!(made, Fork::Shadow(7));
+                    forks.push((FailMode::Secure, fixed(fork)));
+                });
+                assert_eq!(halt, HaltReason::Horizon);
+            }
+        });
+        assert_eq!(halt, HaltReason::Horizon);
+        assert_eq!(sim.shadows().count(), 0);
+        let want = [
+            (FailMode::Secure, attached(FailMode::Secure)),
+            (FailMode::Safe, attached(FailMode::Safe)),
+        ];
+        assert_eq!(forks, want);
+        assert_ne!(want[0].1, want[1].1);
+        assert_ne!(
+            want[1].1,
+            fixed(pox_in(FailMode::Safe, true)),
+            "it diverged"
+        );
     }
 }

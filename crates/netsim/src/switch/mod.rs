@@ -166,13 +166,18 @@ impl Switch {
         self.undecided && !self.is_connected()
     }
 
-    /// Whether [`Switch::tick`] at `now` consults an undecided mode: some
+    /// Whether [`Switch::tick`] at `now` consults an undecided mode.
+    pub(crate) fn tick_reads_fail_mode(&self, now: SimTime) -> bool {
+        self.undecided && self.enters_fail_mode(now)
+    }
+
+    /// Whether a tick at `now` enters fail mode, and so reads it: some
     /// connection that is up has been silent for [`DEAD_AFTER`], and none
     /// would stay up.
-    pub(crate) fn tick_reads_fail_mode(&self, now: SimTime) -> bool {
+    fn enters_fail_mode(&self, now: SimTime) -> bool {
         let mut up = self.conns.iter().filter(|c| c.phase == ConnPhase::Up);
         let dead = |c: &SwitchConn| now.saturating_sub(c.last_rx) >= DEAD_AFTER;
-        self.undecided && up.clone().next().is_some() && up.all(dead)
+        up.clone().next().is_some() && up.all(dead)
     }
 
     /// The flow table (for assertions and stats).
@@ -348,12 +353,14 @@ impl Switch {
         now: SimTime,
         fx: &mut Vec<Effect>,
     ) {
+        // What `frame_reads_fail_mode` tests, before anything changes.
+        let connected = self.is_connected();
         let key = packet::flow_key(&frame, port);
         if let Some(actions) = self.table.lookup(&key, frame.len(), now) {
             self.execute_actions(&actions, Cow::Owned(frame), port, now, fx);
             return;
         }
-        if self.is_connected() {
+        if connected {
             self.packet_in_miss(port, frame, fx);
         } else {
             match self.fail_mode() {
@@ -742,6 +749,8 @@ impl Switch {
 
     /// The 1 Hz housekeeping sweep: flow expiry and liveness probing.
     pub(crate) fn tick(&mut self, now: SimTime, fx: &mut Vec<Effect>) {
+        // What `tick_reads_fail_mode` tests, before any death is marked.
+        let enters_fail_mode = self.enters_fail_mode(now);
         for (entry, reason) in self.table.expire(now) {
             if entry.send_flow_rem {
                 self.notify_flow_removed(entry, reason, now, fx);
@@ -764,7 +773,6 @@ impl Switch {
         for conn in probes {
             self.send(conn, OfMessage::EchoRequest(b"attain-probe".to_vec()), fx);
         }
-        let any_death = !deaths.is_empty();
         for conn in deaths {
             fx.push(Effect::Trace(TraceKind::ConnectionDead { conn }));
             fx.push(Effect::Timer {
@@ -772,7 +780,7 @@ impl Switch {
                 token: TimerToken::Connect { conn },
             });
         }
-        if any_death && !self.is_connected() {
+        if enters_fail_mode {
             self.mac_table.clear();
             let standalone = self.fail_mode() == FailMode::Safe;
             fx.push(Effect::Trace(TraceKind::FailModeEntered {

@@ -49,6 +49,9 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs, unreachable_pub)]
+// Malformed wire bytes are typed errors here, never panics. Tests may
+// still unwrap.
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 mod actions;
 mod error;

@@ -114,6 +114,9 @@ impl OfMessage {
     /// untrusted size should use [`OfMessage::try_encode`], which
     /// returns [`CodecError::Oversize`] instead of producing a frame
     /// whose declared length silently disagrees with its contents.
+    // The documented `# Panics` contract above; `try_encode` is the
+    // fallible form.
+    #[allow(clippy::expect_used)]
     pub fn encode(&self, xid: Xid) -> Vec<u8> {
         self.try_encode(xid)
             .expect("message exceeds the OpenFlow frame size limit (use try_encode)")

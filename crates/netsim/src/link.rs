@@ -192,6 +192,7 @@ impl Link {
     }
 
     /// The far end relative to `node`, if `node` is attached.
+    #[cfg(test)]
     pub(crate) fn opposite(&self, node: NodeId) -> Option<LinkEnd> {
         if self.a.node == node {
             Some(self.b)
@@ -235,6 +236,60 @@ impl Link {
         *busy = start + tx;
         *tx_count += 1;
         TxOutcome::Arrives(start + tx + self.delay)
+    }
+}
+
+/// Where a frame sent out of one port goes: the link and its far end.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Hop {
+    /// Index of the link in the simulation's link list.
+    pub link: usize,
+    /// The end a frame sent out of this port arrives at.
+    pub far: LinkEnd,
+}
+
+/// Every linked port's [`Hop`], addressed by index: node `n`'s ports
+/// `1..=k` are the run `hops[starts[n]..starts[n + 1]]`, in port order.
+/// Ports are numbered densely in link order, so a run has no holes.
+/// Built once, with the links.
+#[derive(Debug, Clone)]
+pub(crate) struct PortTable {
+    starts: Vec<usize>,
+    hops: Vec<Hop>,
+}
+
+impl PortTable {
+    /// The table for `links`, where node `n` has ports `1..=ports[n]`
+    /// and each is an end of exactly one link.
+    pub(crate) fn new(ports: &[u16], links: &[Link]) -> PortTable {
+        let mut starts = Vec::with_capacity(ports.len() + 1);
+        starts.push(0);
+        for &n in ports {
+            starts.push(starts[starts.len() - 1] + usize::from(n));
+        }
+        let unset = Hop {
+            link: usize::MAX,
+            far: LinkEnd {
+                node: NodeId(usize::MAX),
+                port: PortNo::NONE,
+            },
+        };
+        let mut hops = vec![unset; starts[ports.len()]];
+        for (link, l) in links.iter().enumerate() {
+            for (near, far) in [(l.a, l.b), (l.b, l.a)] {
+                hops[starts[near.node.0] + usize::from(near.port.0) - 1] = Hop { link, far };
+            }
+        }
+        debug_assert!(!hops.contains(&unset), "a port without a link");
+        PortTable { starts, hops }
+    }
+
+    /// The hop out of `node`'s `port`; `None` for a port with no link
+    /// (port 0, one past the node's last, or a reserved port).
+    #[inline]
+    pub(crate) fn get(&self, node: NodeId, port: PortNo) -> Option<Hop> {
+        let run = &self.hops[self.starts[node.0]..self.starts[node.0 + 1]];
+        run.get(usize::from(port.0).checked_sub(1)?).copied()
     }
 }
 

@@ -11,12 +11,12 @@ use crate::fault::{
 };
 use crate::host::Host;
 use crate::interpose::{Direction, Interposer, InterposerActions, ProxiedMessage};
-use crate::link::{Link, TxOutcome};
+use crate::link::{Hop, Link, PortTable, TxOutcome};
 use crate::switch::{ApplyOutcome, EvictionPolicy, FailMode, FlowModError, Switch};
 use crate::time::SimTime;
 use crate::trace::{Trace, TraceKind, TraceMode};
 use crate::{IperfStats, PingStats, ProbeStats};
-use attain_openflow::{FlowMod, Frame, PortNo};
+use attain_openflow::{FlowMod, Frame};
 use std::collections::HashMap;
 
 /// A node: an end host or a switch.
@@ -84,7 +84,8 @@ pub struct Simulation {
     queue: EventQueue,
     pub(crate) nodes: Vec<Node>,
     pub(crate) links: Vec<Link>,
-    pub(crate) port_map: HashMap<(NodeId, PortNo), usize>,
+    /// Each port's link and far end (see [`PortTable`]).
+    pub(crate) ports: PortTable,
     pub(crate) controllers: Vec<ControllerHost>,
     pub(crate) connections: Vec<Connection>,
     interposer: Option<Box<dyn Interposer>>,
@@ -92,6 +93,10 @@ pub struct Simulation {
     shadows: Vec<(usize, Box<dyn Interposer>)>,
     /// Forks made by the event being dispatched, not yet handed over.
     forks: Vec<(usize, Simulation)>,
+    /// The effects of the event being dispatched: filled by a node,
+    /// drained by [`Simulation::apply_effects`], so one buffer serves
+    /// every event.
+    fx: Vec<Effect>,
     /// Set on a fork: it was copied in the middle of a dispatch, and the
     /// next `run_until` first finishes that event's bookkeeping.
     mid_dispatch: bool,
@@ -132,7 +137,7 @@ impl Simulation {
     pub(crate) fn assemble(
         nodes: Vec<Node>,
         links: Vec<Link>,
-        port_map: HashMap<(NodeId, PortNo), usize>,
+        ports: PortTable,
         controllers: Vec<ControllerHost>,
         connections: Vec<Connection>,
         names: HashMap<String, NodeId>,
@@ -143,12 +148,13 @@ impl Simulation {
             queue: EventQueue::new(),
             nodes,
             links,
-            port_map,
+            ports,
             controllers,
             connections,
             interposer: None,
             shadows: Vec::new(),
             forks: Vec::new(),
+            fx: Vec::new(),
             mid_dispatch: false,
             undecided: false,
             trace: Trace::new(),
@@ -376,6 +382,8 @@ impl Simulation {
             if split {
                 self.split(&mut on_fork);
             }
+            // `peek` just returned this event.
+            #[allow(clippy::expect_used)]
             let (time, kind) = self.queue.pop().expect("peeked event");
             if time > self.now {
                 self.instant_events = 0;
@@ -476,12 +484,13 @@ impl Simulation {
             queue: self.queue.clone(),
             nodes: self.nodes.clone(),
             links: self.links.clone(),
-            port_map: self.port_map.clone(),
+            ports: self.ports.clone(),
             controllers,
             connections: self.connections.clone(),
             interposer,
             shadows,
             forks: Vec::new(),
+            fx: Vec::new(),
             mid_dispatch: false,
             undecided: self.undecided,
             trace: self.trace.clone(),
@@ -703,24 +712,25 @@ impl Simulation {
     // ---- dispatch -----------------------------------------------------
 
     fn dispatch(&mut self, kind: EventKind) {
+        debug_assert!(self.fx.is_empty(), "effects left from the last event");
         match kind {
             EventKind::Frame { node, port, frame } => {
                 let frame = self.arena.take(frame);
                 // A frame still in flight when its link was severed never
                 // arrives: the LinkDown fault discards it at delivery.
-                if let Some(&link_idx) = self.port_map.get(&(node, port)) {
-                    let link = &mut self.links[link_idx];
+                if let Some(hop) = self.ports.get(node, port) {
+                    let link = &mut self.links[hop.link];
                     if !link.is_up() {
                         link.down_drops += 1;
                         return;
                     }
                 }
-                let mut fx = Vec::new();
+                let fx = &mut self.fx;
                 match &mut self.nodes[node.0] {
-                    Node::Host(h) => h.handle_frame(&frame, self.now, &mut fx),
-                    Node::Switch(s) => s.handle_frame(port, frame, self.now, &mut fx),
+                    Node::Host(h) => h.handle_frame(&frame, self.now, fx),
+                    Node::Switch(s) => s.handle_frame(port, frame, self.now, fx),
                 }
-                self.apply_effects(node, fx);
+                self.apply_effects(node);
             }
             EventKind::ProxyIngress {
                 conn,
@@ -753,27 +763,26 @@ impl Simulation {
                 }
                 Direction::ControllerToSwitch => {
                     let node = self.connections[conn.0].switch;
-                    let mut fx = Vec::new();
                     if let Node::Switch(s) = &mut self.nodes[node.0] {
-                        s.handle_control(conn, &frame, self.now, &mut fx);
+                        s.handle_control(conn, &frame, self.now, &mut self.fx);
                     }
-                    self.apply_effects(node, fx);
+                    self.apply_effects(node);
                 }
             },
             EventKind::NodeTimer { node, token } => {
-                let mut fx = Vec::new();
+                let fx = &mut self.fx;
                 match (&mut self.nodes[node.0], token) {
-                    (Node::Switch(s), TimerToken::SwitchTick) => s.tick(self.now, &mut fx),
+                    (Node::Switch(s), TimerToken::SwitchTick) => s.tick(self.now, fx),
                     (Node::Switch(s), TimerToken::Connect { conn }) => {
-                        s.start_connect(conn, self.now, &mut fx)
+                        s.start_connect(conn, self.now, fx)
                     }
                     (Node::Switch(s), TimerToken::HandshakeDeadline { conn, attempt }) => {
-                        s.handshake_deadline(conn, attempt, self.now, &mut fx)
+                        s.handshake_deadline(conn, attempt, self.now, fx)
                     }
-                    (Node::Host(h), token) => h.handle_timer(token, self.now, &mut fx),
+                    (Node::Host(h), token) => h.handle_timer(token, self.now, fx),
                     _ => {}
                 }
-                self.apply_effects(node, fx);
+                self.apply_effects(node);
             }
             EventKind::ControllerTimer { ctrl, .. } => {
                 self.controllers[ctrl].tick(self.now);
@@ -899,11 +908,10 @@ impl Simulation {
                 interval,
                 label,
             } => {
-                let mut fx = Vec::new();
                 if let Node::Host(h) = &mut self.nodes[host.0] {
-                    h.start_ping(dst, count, interval, label, self.now, &mut fx);
+                    h.start_ping(dst, count, interval, label, self.now, &mut self.fx);
                 }
-                self.apply_effects(host, fx);
+                self.apply_effects(host);
             }
             HostCommand::IperfServer { host, port } => {
                 if let Node::Host(h) = &mut self.nodes[host.0] {
@@ -917,11 +925,10 @@ impl Simulation {
                 gap,
                 label,
             } => {
-                let mut fx = Vec::new();
                 if let Node::Host(h) = &mut self.nodes[host.0] {
-                    h.start_probe(dst, fill as usize, gap, label, self.now, &mut fx);
+                    h.start_probe(dst, fill as usize, gap, label, self.now, &mut self.fx);
                 }
-                self.apply_effects(host, fx);
+                self.apply_effects(host);
             }
             HostCommand::IperfClient {
                 host,
@@ -930,11 +937,10 @@ impl Simulation {
                 duration,
                 label,
             } => {
-                let mut fx = Vec::new();
                 if let Node::Host(h) = &mut self.nodes[host.0] {
-                    h.start_iperf_client(dst, port, duration, label, self.now, &mut fx);
+                    h.start_iperf_client(dst, port, duration, label, self.now, &mut self.fx);
                 }
-                self.apply_effects(host, fx);
+                self.apply_effects(host);
             }
             HostCommand::Marker { label } => {
                 self.trace.push(self.now, TraceKind::Marker(label));
@@ -1069,12 +1075,11 @@ impl Simulation {
                     );
                     return;
                 };
-                let mut fx = Vec::new();
                 if let Node::Switch(s) = &mut self.nodes[node.0] {
-                    s.restart(self.now, &mut fx);
+                    s.restart(self.now, &mut self.fx);
                     self.trace.push(self.now, TraceKind::Fault { target, what });
                 }
-                self.apply_effects(node, fx);
+                self.apply_effects(node);
             }
             (FaultTarget::Switch(_), _) => {
                 // Unreachable through the parser; ignore quietly.
@@ -1082,21 +1087,23 @@ impl Simulation {
         }
     }
 
-    fn apply_effects(&mut self, node: NodeId, effects: Vec<Effect>) {
-        for effect in effects {
+    /// Applies, in order, and drains the effects `node` left in the
+    /// effect buffer.
+    fn apply_effects(&mut self, node: NodeId) {
+        let mut effects = std::mem::take(&mut self.fx);
+        for effect in effects.drain(..) {
             match effect {
                 Effect::Frame { out_port, frame } => {
-                    let Some(&link_idx) = self.port_map.get(&(node, out_port)) else {
+                    let Some(Hop { link, far }) = self.ports.get(node, out_port) else {
                         continue; // unconnected port
                     };
-                    let link = &mut self.links[link_idx];
+                    let link = &mut self.links[link];
                     match link.transmit(node, frame.len(), self.now) {
                         TxOutcome::Arrives(at) => {
                             let mut frame = frame;
                             if !link.stochastic(&mut frame) {
                                 continue; // lost; counted on the link
                             }
-                            let far = link.opposite(node).expect("node attached");
                             let frame = self.arena.store(frame);
                             self.queue.schedule(
                                 at,
@@ -1128,6 +1135,7 @@ impl Simulation {
                 Effect::Trace(kind) => self.trace.push(self.now, kind),
             }
         }
+        self.fx = effects;
     }
 }
 

@@ -70,6 +70,7 @@ use attain_openflow::{
 use std::cmp::Reverse;
 use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, BinaryHeap, HashMap};
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
 
 /// One installed flow entry.
@@ -229,6 +230,43 @@ const NIL: SlotId = SlotId::MAX;
 /// [`FlowKeyBits`]).
 type Words = [u64; 5];
 
+/// FxHash's multiply-rotate function (as in rustc): a few cycles a word
+/// against SipHash's rounds. It is not keyed, so crafted keys could
+/// collide, but a bucket map holds at most the table's capacity.
+#[derive(Debug, Default, Clone, Copy)]
+struct FxHasher(u64);
+
+impl FxHasher {
+    const SEED: u64 = 0x51_7c_c1_b7_27_22_0a_95;
+}
+
+impl Hasher for FxHasher {
+    #[inline]
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            let word = u64::from_le_bytes(word);
+            self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(Self::SEED);
+        }
+    }
+
+    /// Folds the high half of one more product into the low half. A
+    /// product carries bits only upward, so FxHash's low bits, which pick
+    /// the bucket, would ignore the high bits of the last word hashed:
+    /// 1,000 spine routes differing only in `nw_dst` would share 32
+    /// buckets.
+    #[inline]
+    fn finish(&self) -> u64 {
+        let product = u128::from(self.0) * u128::from(Self::SEED);
+        product as u64 ^ (product >> 64) as u64
+    }
+}
+
+/// Masked value words → bucket head, hashed with [`FxHasher`]. Nothing
+/// iterates it but the assertions in [`FlowTable::check_invariants`].
+type Buckets = HashMap<Words, SlotId, BuildHasherDefault<FxHasher>>;
+
 /// An arena slot: a generation counter plus the occupant, if any.
 #[derive(Debug, Clone)]
 struct Slot {
@@ -248,10 +286,14 @@ struct Occupied {
 
 /// The occupant of slot `id` (free functions, so callers can hold other
 /// fields of the table borrowed).
+// Every id reached through an index names an occupied slot.
+#[allow(clippy::expect_used)]
 fn occupant(slots: &[Slot], id: SlotId) -> &Occupied {
     slots[id as usize].occ.as_ref().expect("stale slot id")
 }
 
+// Every id reached through an index names an occupied slot.
+#[allow(clippy::expect_used)]
 fn occupant_mut(slots: &mut [Slot], id: SlotId) -> &mut Occupied {
     slots[id as usize].occ.as_mut().expect("stale slot id")
 }
@@ -266,7 +308,7 @@ struct Subtable {
     max_rank: (bool, u16),
     /// Masked value words → head of the chain of entries carrying them,
     /// sorted by `(priority desc, seq asc)`.
-    buckets: HashMap<Words, SlotId>,
+    buckets: Buckets,
 }
 
 /// Orphaned victim triples tolerated beyond the live ones before the
@@ -578,6 +620,8 @@ impl FlowTable {
     /// slot and every index.
     fn insert(&mut self, entry: FlowEntry, bits: &MatchBits) {
         let id = self.free.pop().unwrap_or_else(|| {
+            // One slot per entry: 2^32 entries do not fit in memory first.
+            #[allow(clippy::expect_used)]
             let id = SlotId::try_from(self.slots.len()).expect("slot ids fit 32 bits");
             assert_ne!(id, NIL, "slot ids fit 32 bits");
             self.slots.push(Slot { gen: 0, occ: None });
@@ -596,7 +640,7 @@ impl FlowTable {
             self.subtables.push(Subtable {
                 mask: *bits.mask(),
                 max_rank: entry.rank,
-                buckets: HashMap::new(),
+                buckets: Buckets::default(),
             });
             self.subtables.len() - 1
         });
@@ -654,6 +698,8 @@ impl FlowTable {
 
     /// Unlinks slot `id` from every index and returns its entry (its
     /// heap triples are left to be discarded when they surface).
+    // A live slot is in the seq index, its mask's subtable and its bucket.
+    #[allow(clippy::expect_used)]
     fn remove(&mut self, id: SlotId) -> FlowEntry {
         let slot = &mut self.slots[id as usize];
         let occ = slot.occ.take().expect("stale slot id");

@@ -260,15 +260,13 @@ impl Switch {
             .filter(|c| c.phase == ConnPhase::Up)
             .map(|c| c.conn)
             .collect();
-        let mut msg = Some(msg);
-        for (i, conn) in up.iter().enumerate() {
-            let m = if i + 1 == up.len() {
-                msg.take().expect("message still held")
-            } else {
-                msg.as_ref().expect("message still held").clone()
-            };
-            self.send(*conn, m, fx);
+        let Some((&last, rest)) = up.split_last() else {
+            return;
+        };
+        for &conn in rest {
+            self.send(conn, msg.clone(), fx);
         }
+        self.send(last, msg, fx);
     }
 
     /// Begins (or retries) the OpenFlow handshake on `conn`.
@@ -525,7 +523,6 @@ impl Switch {
         let Some((msg, xid)) = frame.decoded() else {
             // Fuzzed/garbled message: answer with an ERROR, as a real
             // switch would, and carry on.
-            let e = frame.decode_error().expect("decode just failed");
             fx.push(Effect::Trace(TraceKind::DecodeFailure {
                 conn,
                 direction: Direction::ControllerToSwitch,
@@ -534,8 +531,8 @@ impl Switch {
                 conn,
                 OfMessage::Error(ErrorMsg {
                     error_type: ErrorType::BadRequest,
-                    code: match e {
-                        CodecError::BadVersion(_) => bad_request::BAD_VERSION,
+                    code: match frame.decode_error() {
+                        Some(CodecError::BadVersion(_)) => bad_request::BAD_VERSION,
                         _ => bad_request::BAD_TYPE,
                     },
                     data: frame.bytes()[..frame.len().min(64)].to_vec(),

@@ -100,7 +100,7 @@ pub(crate) fn write_decimal<W: fmt::Write>(out: &mut W, mut n: u64) -> fmt::Resu
             break;
         }
     }
-    out.write_str(std::str::from_utf8(&buf[at..]).expect("ASCII digits"))
+    out.write_str(std::str::from_utf8(&buf[at..]).map_err(|_| fmt::Error)?)
 }
 
 impl SimTime {
@@ -123,7 +123,7 @@ impl SimTime {
         write_decimal(out, ms / 1_000)?;
         let digit = |n: u64| b'0' + (n % 10) as u8;
         let tail = [b'.', digit(ms / 100), digit(ms / 10), digit(ms), b's'];
-        out.write_str(std::str::from_utf8(&tail).expect("ASCII digits"))
+        out.write_str(std::str::from_utf8(&tail).map_err(|_| fmt::Error)?)
     }
 }
 

@@ -360,6 +360,8 @@ impl Fnv1a {
     /// newline.
     fn events(&mut self, events: &[TraceEvent]) {
         for e in events {
+            // `Fnv1a::write_str` never fails.
+            #[allow(clippy::expect_used)]
             e.render(self).expect("the hasher accepts every write");
             self.update(b"\n");
         }

@@ -46,7 +46,14 @@ echo "== §VI-D rule scaling (scan grows with |Φ|, dispatcher stays flat)"
 cargo run --release --bin rule_scalability \
   -- --json target/BENCH_rule_eval_check.json
 
-echo "== Figure 11 at paper fidelity against its golden (~35 s, exact in virtual time)"
+echo "== scalability sweep: every row's deterministic columns against the committed report (~10 s)"
+cargo run --release --quiet --bin scalability -- --json target/BENCH_scalability_check.json >/dev/null
+deterministic() {
+  sed -E -e 's/"wall_ms": [0-9.]+, "events_per_sec": [0-9]+, //' -e '/"wall_clock_commit"/d' "$1"
+}
+diff <(deterministic BENCH_scalability.json) <(deterministic target/BENCH_scalability_check.json)
+
+echo "== Figure 11 at paper fidelity against its golden (~22 s, exact in virtual time)"
 cargo run --release --quiet --bin fig11 2>/dev/null \
   | diff tests/golden/paper/fig11.txt -
 

@@ -108,7 +108,7 @@ fn sweep_rows(smoke: bool) -> Vec<Row> {
         },
     ];
     if smoke {
-        rows.into_iter().take(1).collect()
+        rows.into_iter().take(2).collect()
     } else {
         rows
     }
@@ -212,7 +212,7 @@ fn render_json(outcomes: &[Outcome]) -> String {
 
 const USAGE: &str = "\
 usage: scalability [options]
-  --smoke            the capped CI sweep (fat-tree k=4 only)
+  --smoke            the capped CI sweep (fat-tree k=4 and k=8 only)
   --max-events N     deterministic event budget per row (default:
                      50,000,000; smoke default 2,000,000)
   --json PATH        also write the report as JSON";

@@ -1,6 +1,6 @@
 //! The `scalability` binary: a bad command line is usage and exit
-//! status 2 before any row runs, and the smoke row's deterministic
-//! columns match the `fat-tree k=4` row of the committed
+//! status 2 before any row runs, and the smoke rows' deterministic
+//! columns match the `fat-tree k=4` and `k=8` rows of the committed
 //! `BENCH_scalability.json`.
 
 use std::path::PathBuf;
@@ -89,22 +89,23 @@ fn smoke_row_matches_the_committed_benchmark() {
     ))
     .expect("committed BENCH_scalability.json");
 
-    let name = "fat-tree k=4";
-    let (fresh, committed) = (row(&fresh, name), row(&committed, name));
-    // Everything but the wall-clock columns is a function of the code.
-    for key in [
-        "switches",
-        "hosts",
-        "flows",
-        "routes",
-        "events",
-        "peak_pending",
-        "pings_sent",
-        "pings_received",
-        "halt",
-    ] {
-        assert_eq!(field(fresh, key), field(committed, key), "{name} {key}");
+    for name in ["fat-tree k=4", "fat-tree k=8"] {
+        let (fresh, committed) = (row(&fresh, name), row(&committed, name));
+        // Everything but the wall-clock columns is a function of the code.
+        for key in [
+            "switches",
+            "hosts",
+            "flows",
+            "routes",
+            "events",
+            "peak_pending",
+            "pings_sent",
+            "pings_received",
+            "halt",
+        ] {
+            assert_eq!(field(fresh, key), field(committed, key), "{name} {key}");
+        }
+        assert_eq!(field(fresh, "halt"), "Horizon");
+        assert_eq!(field(fresh, "pings_received"), field(fresh, "pings_sent"));
     }
-    assert_eq!(field(fresh, "halt"), "Horizon");
-    assert_eq!(field(fresh, "pings_received"), field(fresh, "pings_sent"));
 }

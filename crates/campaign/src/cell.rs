@@ -11,8 +11,8 @@
 //! campaign's environment (the seed, the attack's table bound) and its
 //! jittered workload; this module holds only those. Every setup failure
 //! is a [`RunError`] rather than a panic, and the simulation runs against
-//! the supervisor's [`RunBudget`] — deterministic event caps and a
-//! cancellation token — so a runaway or malformed cell degrades into an
+//! the runner's [`RunBudget`] — deterministic event caps and a
+//! wall-clock deadline — so a runaway or malformed cell degrades into an
 //! annotated status instead of taking its worker (and the campaign) down.
 
 use crate::attacks::{AttackDef, TableOverride};
@@ -126,7 +126,7 @@ impl Prepared {
 }
 
 /// Runs one unit alone in one fail mode — the attacked cell or, with
-/// `attached` false, its baseline — under the supervisor's `budget`.
+/// `attached` false, its baseline — under the runner's `budget`.
 pub(crate) fn run(
     attack: &Prepared,
     kind: ControllerKind,
@@ -192,7 +192,8 @@ pub fn run_baseline(
 mod tests {
     use super::*;
     use crate::attacks;
-    use attain_netsim::{CancelToken, HaltReason};
+    use attain_netsim::HaltReason;
+    use std::time::Instant;
 
     fn run_ok(
         attack: &AttackDef,
@@ -261,11 +262,9 @@ mod tests {
     #[test]
     fn pre_cancelled_token_surfaces_as_cancelled() {
         let a = Prepared::new(attacks::by_name("trivial_pass").unwrap());
-        let token = CancelToken::new();
-        token.cancel();
-        let budget = RunBudget::default().with_cancel(token);
+        let budget = RunBudget::default().with_deadline(Instant::now());
         let err = run(&a, ControllerKind::Pox, FailMode::Secure, 1, true, &budget)
-            .expect_err("a cancelled token must stop the run");
+            .expect_err("a passed deadline must stop the run");
         assert_eq!(err, RunError::Halted(HaltReason::Cancelled));
     }
 }

@@ -1,4 +1,4 @@
-//! The supervised worker pool: executes every cell (and each distinct
+//! The worker pool: executes every cell (and each distinct
 //! baseline exactly once) across `jobs` threads, then merges results
 //! back in matrix order.
 //!
@@ -19,18 +19,14 @@
 //! attack whose environment differs from its baseline's (a table bound)
 //! runs alone, still for every fail mode at once.
 //!
-//! Supervision argument: every unit runs inside `catch_unwind`, writes
-//! its [`CellStatus`] into a private `OnceLock` slot (no shared mutex
-//! to poison), and is bounded three ways — a deterministic event
-//! budget, a deterministic livelock detector, and a wall-clock
-//! deadline heap that cancels overrunners through a [`CancelToken`].
-//! Only wall-clock timeouts are retried (same seed, exponential
-//! backoff): they are the one nondeterministic failure mode, so a
-//! flaky host gets another chance while deterministic failures
-//! (panics, budget halts, setup errors) are reported as-is. A shared run
-//! is one attempt for all of its units: if it panics or times out, each
-//! of them runs alone in its one fail mode under that supervision, so no
-//! status depends on the sharing.
+//! Containment argument: every run sits inside `catch_unwind`, each unit
+//! writes its [`CellStatus`] into a private `OnceLock` slot (no shared
+//! mutex to poison), and every run is bounded three ways by its
+//! [`RunBudget`] — a deterministic event budget, a deterministic
+//! livelock detector, and a wall-clock deadline the event loop reads
+//! itself. A shared run is one attempt for all of its units: if it
+//! panics or times out, each of them runs alone in its one fail mode
+//! with a fresh deadline, so no status depends on the sharing.
 //!
 //! [`harness::run_shared`]: attain_injector::harness::run_shared
 
@@ -42,23 +38,17 @@ use crate::report::{CampaignReport, CellReport, RunShape};
 use attain_controllers::ControllerKind;
 use attain_injector::harness::{ModeRuns, RunError, ShadowRun, Shared};
 use attain_injector::RunRecord;
-use attain_netsim::{CancelToken, FailMode, HaltReason, RunBudget};
-use std::cmp::Reverse;
-use std::collections::{BTreeMap, BinaryHeap};
+use attain_netsim::{FailMode, HaltReason, RunBudget};
+use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{mpsc, Mutex, OnceLock, PoisonError};
-use std::thread::JoinHandle;
+use std::sync::{Mutex, OnceLock, PoisonError};
 use std::time::{Duration, Instant};
 
 /// Per-instant event bound: orders of magnitude above anything
 /// a healthy cell dispatches at one virtual time, small enough to trip
 /// a genuine livelock in milliseconds.
 const LIVELOCK_BOUND: u64 = 200_000;
-
-/// Backoff before the first retry of a timed-out unit; doubles per
-/// further attempt.
-const RETRY_BACKOFF: Duration = Duration::from_millis(100);
 
 /// How one cell (or baseline) run ended.
 // `Completed` is the common case, not an outlier worth boxing: boxing
@@ -80,8 +70,7 @@ pub enum CellStatus {
         /// The panic payload (or a placeholder for non-string payloads).
         msg: String,
     },
-    /// The supervisor's wall-clock deadline cancelled the run (after
-    /// any configured retries).
+    /// The run's wall-clock deadline passed.
     TimedOut,
     /// A deterministic run budget halted the simulation.
     BudgetExhausted {
@@ -130,30 +119,25 @@ impl CellStatus {
     }
 }
 
-/// Supervision knobs for a campaign run.
+/// Bounds and parallelism for a campaign run.
 #[derive(Debug, Clone)]
 pub struct RunnerConfig {
     /// Worker threads.
     pub jobs: usize,
-    /// Wall-clock deadline per unit attempt; `None` disables the
-    /// supervisor thread entirely.
+    /// Wall-clock time each run may take, from its start; `None` runs
+    /// without a deadline.
     pub cell_timeout: Option<Duration>,
     /// Deterministic cap on total simulator events per unit.
     pub max_events: Option<u64>,
-    /// Same-seed retries for timed-out units (the one nondeterministic
-    /// failure mode), after a backoff that doubles per attempt.
-    /// Deterministic failures are never retried.
-    pub retries: u32,
 }
 
 impl RunnerConfig {
-    /// Defaults: no wall-clock timeout, no event cap, no retries.
+    /// Defaults: no wall-clock timeout, no event cap.
     pub fn new(jobs: usize) -> RunnerConfig {
         RunnerConfig {
             jobs,
             cell_timeout: None,
             max_events: None,
-            retries: 0,
         }
     }
 }
@@ -178,88 +162,6 @@ fn topology_key(attack: &AttackDef) -> &'static str {
     }
 }
 
-// ---- wall-clock deadline supervisor ---------------------------------------
-
-struct Deadline {
-    due: Instant,
-    seq: u64,
-    token: CancelToken,
-}
-
-impl PartialEq for Deadline {
-    fn eq(&self, other: &Self) -> bool {
-        (self.due, self.seq) == (other.due, other.seq)
-    }
-}
-impl Eq for Deadline {}
-impl PartialOrd for Deadline {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for Deadline {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.due, self.seq).cmp(&(other.due, other.seq))
-    }
-}
-
-/// One thread holding a deadline min-heap; workers register `(due,
-/// token)` pairs and the thread cancels whatever overruns. Dropping
-/// the supervisor closes the channel and joins the thread.
-struct Supervisor {
-    tx: Option<mpsc::Sender<Deadline>>,
-    handle: Option<JoinHandle<()>>,
-    seq: AtomicUsize,
-}
-
-impl Supervisor {
-    fn spawn() -> Supervisor {
-        let (tx, rx) = mpsc::channel::<Deadline>();
-        let handle = std::thread::spawn(move || {
-            let mut heap: BinaryHeap<Reverse<Deadline>> = BinaryHeap::new();
-            loop {
-                let wait = match heap.peek() {
-                    Some(Reverse(d)) => d.due.saturating_duration_since(Instant::now()),
-                    None => Duration::from_secs(3600),
-                };
-                match rx.recv_timeout(wait) {
-                    Ok(d) => heap.push(Reverse(d)),
-                    Err(mpsc::RecvTimeoutError::Timeout) => {}
-                    // All workers done; pending deadlines are moot.
-                    Err(mpsc::RecvTimeoutError::Disconnected) => return,
-                }
-                let now = Instant::now();
-                while heap.peek().is_some_and(|Reverse(d)| d.due <= now) {
-                    if let Some(Reverse(d)) = heap.pop() {
-                        d.token.cancel();
-                    }
-                }
-            }
-        });
-        Supervisor {
-            tx: Some(tx),
-            handle: Some(handle),
-            seq: AtomicUsize::new(0),
-        }
-    }
-
-    fn register(&self, due: Instant, token: CancelToken) {
-        if let Some(tx) = &self.tx {
-            let seq = self.seq.fetch_add(1, Ordering::Relaxed) as u64;
-            let _ = tx.send(Deadline { due, seq, token });
-        }
-    }
-}
-
-impl Drop for Supervisor {
-    fn drop(&mut self) {
-        drop(self.tx.take());
-        if let Some(handle) = self.handle.take() {
-            let _ = handle.join();
-        }
-    }
-}
-
 // ---- the pool -------------------------------------------------------------
 
 fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
@@ -277,7 +179,7 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 /// attacks of the other units as shadows, answering the lead's outcome
 /// and one [`ShadowRun`] per shadow for each of those modes. It is
 /// [`run_cell`] in a campaign, and a deliberately misbehaving stand-in in
-/// the supervision tests.
+/// the containment tests.
 type UnitFn<'a> = &'a (dyn Fn(&[&UnitSpec<'_>], &[&UnitSpec<'_>], &RunBudget) -> Shared + Sync);
 
 /// The status of a run that returned.
@@ -300,46 +202,12 @@ fn status(result: Result<RunRecord, RunError>) -> CellStatus {
     }
 }
 
-/// A fresh attempt's budget, with its wall-clock deadline registered.
-fn attempt_budget(cfg: &RunnerConfig, supervisor: Option<&Supervisor>) -> RunBudget {
-    let token = CancelToken::new();
-    if let (Some(sup), Some(timeout)) = (supervisor, cfg.cell_timeout) {
-        sup.register(Instant::now() + timeout, token.clone());
-    }
+/// A fresh run's budget: its deadline counts from now.
+fn attempt_budget(cfg: &RunnerConfig) -> RunBudget {
     RunBudget {
         max_events: cfg.max_events,
         max_events_per_instant: Some(LIVELOCK_BOUND),
-        cancel: Some(token),
-    }
-}
-
-/// Runs one unit alone in its one fail mode under supervision, fully
-/// contained (panics become `Panicked`, errors their statuses), retrying
-/// wall-clock timeouts with exponential backoff.
-fn run_supervised(
-    run_unit: UnitFn<'_>,
-    u: &UnitSpec<'_>,
-    cfg: &RunnerConfig,
-    supervisor: Option<&Supervisor>,
-) -> CellStatus {
-    let mut attempt = 0u32;
-    loop {
-        let budget = attempt_budget(cfg, supervisor);
-        // One fail mode asked for, one record answered.
-        let alone = || run_unit(&[u], &[], &budget).leads().remove(0);
-        let status = match catch_unwind(AssertUnwindSafe(alone)) {
-            Ok(result) => status(result),
-            Err(payload) => CellStatus::Panicked {
-                msg: panic_message(payload),
-            },
-        };
-        if status == CellStatus::TimedOut && attempt < cfg.retries {
-            let backoff = RETRY_BACKOFF.saturating_mul(1u32 << attempt.min(10));
-            attempt += 1;
-            std::thread::sleep(backoff);
-            continue;
-        }
-        return status;
+        deadline: cfg.cell_timeout.map(|t| Instant::now() + t),
     }
 }
 
@@ -349,7 +217,6 @@ struct Pool<'a> {
     run_unit: UnitFn<'a>,
     units: &'a [UnitSpec<'a>],
     cfg: &'a RunnerConfig,
-    supervisor: Option<&'a Supervisor>,
     results: &'a [OnceLock<CellStatus>],
     /// How the runs went so far; a sum, so independent of their order.
     shape: Mutex<RunShape>,
@@ -364,8 +231,22 @@ impl Pool<'_> {
         f(&mut self.shape.lock().unwrap_or_else(PoisonError::into_inner));
     }
 
+    /// Runs unit `i` alone in its one fail mode, fully contained: a panic
+    /// becomes `Panicked`, an error its status.
     fn run_alone(&self, i: usize) {
-        let status = run_supervised(self.run_unit, &self.units[i], self.cfg, self.supervisor);
+        let budget = attempt_budget(self.cfg);
+        // One fail mode asked for, one record answered.
+        let alone = || {
+            (self.run_unit)(&[&self.units[i]], &[], &budget)
+                .leads()
+                .remove(0)
+        };
+        let status = match catch_unwind(AssertUnwindSafe(alone)) {
+            Ok(result) => status(result),
+            Err(payload) => CellStatus::Panicked {
+                msg: panic_message(payload),
+            },
+        };
         self.set(i, status);
         self.count(|shape| shape.standalone += 1);
     }
@@ -389,11 +270,11 @@ impl Pool<'_> {
     }
 
     /// Runs `lead`, for all of its units' fail modes at once, with
-    /// `shadows` attached, as one supervised attempt. If it panics or
+    /// `shadows` attached, as one attempt. If it panics or
     /// times out, each of its units runs alone in its one fail mode
     /// instead.
     fn run_shared(&self, lead: &[usize], shadows: &[&Vec<usize>]) {
-        let budget = attempt_budget(self.cfg, self.supervisor);
+        let budget = attempt_budget(self.cfg);
         let leads: Vec<&UnitSpec<'_>> = lead.iter().map(|&i| &self.units[i]).collect();
         let specs: Vec<&UnitSpec<'_>> = shadows.iter().map(|s| &self.units[s[0]]).collect();
         let shared = catch_unwind(AssertUnwindSafe(|| {
@@ -452,7 +333,6 @@ fn run_pool(
     envs: &[Vec<Vec<usize>>],
     cfg: &RunnerConfig,
 ) -> (Vec<CellStatus>, RunShape) {
-    let supervisor = cfg.cell_timeout.map(|_| Supervisor::spawn());
     // Per-slot storage: a panicking worker (even one that somehow
     // escapes `catch_unwind`) can poison nothing — every other slot
     // still fills and the merge proceeds.
@@ -461,7 +341,6 @@ fn run_pool(
         run_unit,
         units,
         cfg,
-        supervisor: supervisor.as_ref(),
         results: &results,
         shape: Mutex::new(RunShape::default()),
     };
@@ -499,8 +378,8 @@ fn run_pool(
     (statuses, shape)
 }
 
-/// Runs the whole campaign on `jobs` worker threads with default
-/// supervision (deterministic livelock bound only).
+/// Runs the whole campaign on `jobs` worker threads with the default
+/// bounds (deterministic livelock bound only).
 pub fn run(matrix: &Matrix, jobs: usize) -> CampaignReport {
     run_with(matrix, &RunnerConfig::new(jobs))
 }
@@ -530,7 +409,7 @@ fn run_cell(lead: &[&UnitSpec<'_>], shadows: &[&UnitSpec<'_>], budget: &RunBudge
 }
 
 /// [`run_with`] over an arbitrary unit function: the runner's seam, so
-/// its supervision can be tested with units that panic or spin.
+/// its containment can be tested with units that panic or spin.
 fn run_units(matrix: &Matrix, cfg: &RunnerConfig, run_unit: UnitFn<'_>) -> CampaignReport {
     let started = Instant::now();
     let cells = matrix.cells();
@@ -621,7 +500,7 @@ fn run_units(matrix: &Matrix, cfg: &RunnerConfig, run_unit: UnitFn<'_>) -> Campa
     }
 }
 
-/// Supervision contract, driven through the runner's unit seam: a
+/// Containment contract, driven through the runner's unit seam: a
 /// panicking worker and a virtual-time livelock are contained and
 /// annotated while every healthy cell in the same campaign still
 /// completes, and the report bytes stay independent of the worker
@@ -658,8 +537,8 @@ mod tests {
 
     /// An interposer that re-arms a wakeup `.0` after `now` forever. At
     /// a zero step the event loop spins at one virtual instant until the
-    /// livelock detector (or a wall-clock cancel) stops it; at a positive
-    /// step virtual time creeps on, so only a wall-clock cancel can.
+    /// livelock detector (or the wall-clock deadline) stops it; at a
+    /// positive step virtual time creeps on, so only the deadline can.
     struct Spin(SimTime);
 
     impl Interposer for Spin {
@@ -1000,10 +879,9 @@ mod tests {
         };
         // A 1 ns step keeps virtual time advancing, so the livelock
         // detector never fires and only the wall-clock deadline can stop
-        // the spin; exercise one same-seed retry too.
+        // the spin.
         let mut cfg = RunnerConfig::new(1);
         cfg.cell_timeout = Some(Duration::from_millis(200));
-        cfg.retries = 1;
         let report = run_chaos(&matrix, &cfg, SimTime::from_nanos(1));
         assert_eq!(report.cells.len(), 1);
         assert_eq!(report.cells[0].status, CellStatus::TimedOut);

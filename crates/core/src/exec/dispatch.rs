@@ -97,6 +97,8 @@ impl BoundIndex {
         if raw.is_empty() {
             return BoundIndex::default();
         }
+        // `anchor_guard` keeps only finite thresholds.
+        #[allow(clippy::expect_used)]
         raw.sort_by(|a, b| {
             (a.0, a.1)
                 .partial_cmp(&(b.0, b.1))
@@ -110,7 +112,9 @@ impl BoundIndex {
                 entries.push((t, s));
                 entry_masks.push(empty_mask(words));
             }
-            set_bit(entry_masks.last_mut().expect("just pushed"), rule);
+            if let Some(mask) = entry_masks.last_mut() {
+                set_bit(mask, rule);
+            }
         }
         let n = entries.len();
         let mut masks = vec![empty_mask(words); n + 1];

@@ -237,7 +237,7 @@ impl ValueKey {
     pub(crate) fn of(value: &Value) -> Option<ValueKey> {
         Some(match value {
             Value::Int(_) | Value::Float(_) => {
-                let x = value.as_float().expect("numeric kinds convert");
+                let x = value.as_float()?;
                 ValueKey::Num(if x == 0.0 {
                     0.0f64.to_bits()
                 } else {

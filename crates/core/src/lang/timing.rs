@@ -188,9 +188,11 @@ impl<'a> TimingCtx<'a> {
             .filter(|s| !s.is_empty())
             .ok_or(EvalError::NoSample { stat: stat.name() })?;
         match stat {
-            TimingStat::Last => Ok(Value::Int(
-                *samples.ring.back().expect("non-empty ring") as i64
-            )),
+            TimingStat::Last => samples
+                .ring
+                .back()
+                .map(|&last| Value::Int(last as i64))
+                .ok_or(EvalError::NoSample { stat: stat.name() }),
             TimingStat::Mean => Ok(Value::Float(Self::mean(samples, window))),
             TimingStat::StdDev => {
                 let mean = Self::mean(samples, window);

@@ -60,6 +60,9 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs, unreachable_pub)]
+// Malformed sources and models are typed errors here, never panics.
+// Tests may still unwrap.
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod dsl;
 pub mod exec;

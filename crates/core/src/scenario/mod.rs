@@ -26,6 +26,8 @@ fn ip(last: u8) -> Ipv4Addr {
 /// The paper's Figure 3 example data plane: three hosts, two switches
 /// (`h1`,`h2` on `s1`; `s1`–`s2`; `h3` on `s2`), plus one controller so
 /// the model validates.
+// A fixed topology, which `figure3_matches_paper_shape` pins.
+#[allow(clippy::expect_used)]
 pub fn figure3_network() -> Scenario {
     let mut m = SystemModel::new();
     let c1 = m.add_controller("c1").expect("fresh model");
@@ -57,6 +59,8 @@ pub fn figure3_network() -> Scenario {
 /// The paper's Figure 4 example control plane: two controllers, four
 /// switches, `N_C = {(c1,s1..s4), (c2,s3), (c2,s4)}` (hosts added so the
 /// model validates).
+// A fixed topology, which `figure4_has_six_connections` pins.
+#[allow(clippy::expect_used)]
 pub fn figure4_network() -> Scenario {
     let mut m = SystemModel::new();
     let c1 = m.add_controller("c1").expect("fresh model");
@@ -94,6 +98,8 @@ pub fn figure4_network() -> Scenario {
 /// simulator's assignment so attack descriptions can name either.
 /// All control connections are plain TCP (`Γ_NoTLS`), as in the
 /// experiments.
+// A fixed topology, which `enterprise_matches_figures_8_and_9` pins.
+#[allow(clippy::expect_used)]
 pub fn enterprise_network() -> Scenario {
     let mut m = SystemModel::new();
     let c1 = m.add_controller("c1").expect("fresh model");

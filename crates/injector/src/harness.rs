@@ -48,7 +48,7 @@ pub enum RunError {
     Setup(String),
     /// The simulation stopped short of its horizon (never
     /// [`HaltReason::Horizon`]): a deterministic budget tripped or the
-    /// supervisor's cancellation token fired.
+    /// budget's wall-clock deadline passed.
     Halted(HaltReason),
 }
 

@@ -181,7 +181,7 @@ impl std::fmt::Display for RouteHealth {
     }
 }
 
-/// One route's health snapshot ([`TcpProxy::route_health`]).
+/// One route's health snapshot (`TcpProxy::route_health`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RouteHealthSnapshot {
     /// Route index (position in the `spawn` route list).

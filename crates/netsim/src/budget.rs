@@ -1,9 +1,9 @@
-//! Deterministic run budgets and cooperative cancellation.
+//! Deterministic run budgets and the wall-clock deadline.
 //!
 //! A campaign runs hundreds of simulations unattended; one cell whose
 //! event loop stops advancing virtual time must not hang its worker
-//! forever. The supervisor has two distinct tools here, chosen by what
-//! they cost determinism:
+//! forever. [`RunBudget`] bounds a run three ways, and the event loop
+//! compares all three itself. They differ in what they cost determinism:
 //!
 //! * **Budgets** ([`RunBudget::max_events`],
 //!   [`RunBudget::max_events_per_instant`]) are counted in dispatched
@@ -11,41 +11,19 @@
 //!   the same event, at the same virtual time, on every same-seed run,
 //!   so it is recorded in the trace ([`TraceKind::RunHalted`]) and
 //!   participates in golden digests.
-//! * **Cancellation** ([`CancelToken`]) is the wall-clock escape hatch:
-//!   an external watchdog flips the token and the event loop notices on
-//!   its next iteration. *When* that happens depends on host scheduling,
-//!   so a cancelled run is never traced or digested — the cell is
-//!   reported as timed out, not judged.
+//! * **The deadline** ([`RunBudget::deadline`]) is the wall-clock escape
+//!   hatch: the event loop reads the clock on entry and once per 1,024
+//!   dispatched events, and halts with [`HaltReason::Cancelled`] once
+//!   the instant has passed. *When* that happens depends on the host, so
+//!   a cancelled run is never traced or digested — the cell is reported
+//!   as timed out, not judged.
 //!
 //! [`TraceKind::RunHalted`]: crate::trace::TraceKind::RunHalted
 
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::time::Instant;
 
-/// A shared flag an external supervisor flips to stop a running
-/// simulation cooperatively. Cloning shares the flag.
-#[derive(Debug, Clone, Default)]
-pub struct CancelToken(Arc<AtomicBool>);
-
-impl CancelToken {
-    /// A fresh, uncancelled token.
-    pub fn new() -> CancelToken {
-        CancelToken::default()
-    }
-
-    /// Requests cancellation. Idempotent; safe from any thread.
-    pub fn cancel(&self) {
-        self.0.store(true, Ordering::Release);
-    }
-
-    /// Whether cancellation has been requested.
-    pub(crate) fn is_cancelled(&self) -> bool {
-        self.0.load(Ordering::Acquire)
-    }
-}
-
-/// Bounds on a simulation run. The default budget is unlimited and
-/// uncancellable — exactly the pre-supervision behaviour.
+/// Bounds on a simulation run. The default budget is unlimited and has
+/// no deadline. A fork copies its parent's budget, deadline included.
 #[derive(Debug, Clone, Default)]
 pub struct RunBudget {
     /// Halt after this many dispatched events, total across the run.
@@ -54,8 +32,8 @@ pub struct RunBudget {
     /// instant — the livelock detector. A healthy simulation advances
     /// time; an event loop rescheduling itself at `now` does not.
     pub max_events_per_instant: Option<u64>,
-    /// Cooperative cancellation, checked in the event loop.
-    pub cancel: Option<CancelToken>,
+    /// The wall-clock instant after which the run halts as cancelled.
+    pub deadline: Option<Instant>,
 }
 
 impl RunBudget {
@@ -76,9 +54,9 @@ impl RunBudget {
         self
     }
 
-    /// Attaches a cancellation token.
-    pub fn with_cancel(mut self, token: CancelToken) -> RunBudget {
-        self.cancel = Some(token);
+    /// Halts the run, untraced, once `deadline` has passed.
+    pub fn with_deadline(mut self, deadline: Instant) -> RunBudget {
+        self.deadline = Some(deadline);
         self
     }
 }
@@ -99,7 +77,7 @@ pub enum HaltReason {
         /// Events dispatched at the stuck instant.
         events_at_instant: u64,
     },
-    /// The cancellation token fired. Wall-clock-driven; never traced.
+    /// The wall-clock deadline passed. Host-driven; never traced.
     Cancelled,
 }
 
@@ -109,13 +87,11 @@ mod tests {
 
     #[test]
     fn token_clones_share_the_flag() {
-        let a = CancelToken::new();
+        // A fork clones its parent's budget: both halt at one instant.
+        let a = RunBudget::unlimited().with_deadline(Instant::now());
         let b = a.clone();
-        assert!(!a.is_cancelled());
-        b.cancel();
-        assert!(a.is_cancelled());
-        a.cancel(); // idempotent
-        assert!(b.is_cancelled());
+        assert!(a.deadline.is_some());
+        assert_eq!(b.deadline, a.deadline);
     }
 
     #[test]
@@ -125,6 +101,6 @@ mod tests {
             .with_livelock_bound(4);
         assert_eq!(b.max_events, Some(10));
         assert_eq!(b.max_events_per_instant, Some(4));
-        assert!(b.cancel.is_none());
+        assert!(b.deadline.is_none());
     }
 }

@@ -7,7 +7,7 @@
 //! schedule time, so its order is exactly that of a binary heap over the
 //! same key; the unit tests below check it against one step by step.
 //!
-//! Data-plane payloads are arena-allocated ([`FrameArena`]): a queued
+//! Data-plane payloads are arena-allocated (`FrameArena`): a queued
 //! frame event carries a 4-byte [`FrameRef`] instead of the `Vec<u8>`
 //! itself, so queue records stay small and wheel cascades move index
 //! math, not packet buffers.
@@ -68,7 +68,7 @@ pub enum TimerToken {
 }
 
 /// An opaque handle to a data-plane frame payload parked in the
-/// simulation's [`FrameArena`]. Stored in queued events in place of the
+/// simulation's `FrameArena`. Stored in queued events in place of the
 /// payload itself so scheduler records stay small and flat.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct FrameRef(pub(crate) u32);

@@ -78,7 +78,7 @@ pub mod topo;
 mod trace;
 pub mod workload;
 
-pub use budget::{CancelToken, HaltReason, RunBudget};
+pub use budget::{HaltReason, RunBudget};
 pub use builder::{BuildError, ControllerRef, LinkParams, NetworkBuilder};
 pub use command::{HostCommand, ParseCommandError};
 pub use controller_host::ControllerHost;

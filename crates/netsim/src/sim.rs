@@ -18,6 +18,11 @@ use crate::trace::{Trace, TraceKind, TraceMode};
 use crate::{IperfStats, PingStats, ProbeStats};
 use attain_openflow::{FlowMod, Frame};
 use std::collections::HashMap;
+use std::time::Instant;
+
+/// Dispatched events between two reads of the clock, when the budget
+/// has a deadline.
+const DEADLINE_STRIDE: u64 = 1_024;
 
 /// A node: an end host or a switch.
 #[derive(Debug, Clone)]
@@ -115,7 +120,7 @@ pub struct Simulation {
     events_dispatched: u64,
     /// Events dispatched at the current instant (livelock detector).
     instant_events: u64,
-    /// Sticky: once a budget halt or cancellation fires, further
+    /// Sticky: once a budget halt or the deadline fires, further
     /// `run_until` calls return the same reason without dispatching.
     halted: Option<HaltReason>,
 }
@@ -318,7 +323,7 @@ impl Simulation {
         self.peak_pending.max(self.queue.len())
     }
 
-    /// The sticky halt reason, if a budget or cancellation ever fired.
+    /// The sticky halt reason, if a budget or the deadline ever fired.
     pub fn halt_reason(&self) -> Option<HaltReason> {
         self.halted
     }
@@ -329,8 +334,9 @@ impl Simulation {
     /// Budget halts (event cap, livelock detector) are deterministic:
     /// they trip after the same event on every same-seed run, record a
     /// [`TraceKind::RunHalted`] event, and stick — further calls return
-    /// the same reason without dispatching. Cancellation is wall-clock
-    /// driven and leaves the trace untouched.
+    /// the same reason without dispatching. A passed deadline is read
+    /// off the wall clock, on entry and once per 1,024 events, so it
+    /// halts as [`HaltReason::Cancelled`] and leaves the trace untouched.
     ///
     /// Forks made by shadows, and the fail-secure side of a split, are
     /// dropped; [`Simulation::run_forking`] keeps them.
@@ -352,6 +358,9 @@ impl Simulation {
         if let Some(reason) = self.halted {
             return reason;
         }
+        if self.past_deadline() {
+            return HaltReason::Cancelled;
+        }
         if std::mem::take(&mut self.mid_dispatch) {
             if let Some(reason) = self.dispatched() {
                 return reason;
@@ -363,12 +372,11 @@ impl Simulation {
             }
             let split = self.undecided && self.reads_fail_mode(next, kind);
             self.peak_pending = self.peak_pending.max(self.queue.len());
-            if let Some(token) = &self.budget.cancel {
-                if token.is_cancelled() {
-                    // Nondeterministic by nature — do not trace it.
-                    self.halted = Some(HaltReason::Cancelled);
-                    return HaltReason::Cancelled;
-                }
+            if self.budget.deadline.is_some()
+                && self.events_dispatched.is_multiple_of(DEADLINE_STRIDE)
+                && self.past_deadline()
+            {
+                return HaltReason::Cancelled;
             }
             if let Some(max) = self.budget.max_events {
                 if self.events_dispatched >= max {
@@ -401,6 +409,16 @@ impl Simulation {
         }
         self.now = self.now.max(t);
         HaltReason::Horizon
+    }
+
+    /// Whether the deadline has passed; if so, the halt sticks. It is
+    /// host-driven, so it is not traced.
+    fn past_deadline(&mut self) -> bool {
+        let past = self.budget.deadline.is_some_and(|d| Instant::now() >= d);
+        if past {
+            self.halted = Some(HaltReason::Cancelled);
+        }
+        past
     }
 
     /// The dispatch loop's step after each event: counts it and applies

@@ -117,7 +117,7 @@ pub enum TraceKind {
     /// The run halted before its horizon on a deterministic budget
     /// (total event cap or the per-instant livelock detector). Counted
     /// in virtual-time quantities only, so it digests identically on
-    /// every same-seed run. Wall-clock cancellations are deliberately
+    /// every same-seed run. A passed wall-clock deadline is deliberately
     /// *not* traced.
     RunHalted {
         /// Which bound tripped: `"event-budget"` or `"livelock"`.

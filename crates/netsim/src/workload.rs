@@ -1,7 +1,7 @@
 //! Traffic-matrix workload generators.
 //!
 //! ROADMAP item 1 models "millions of users" as aggregate flow churn: a
-//! [`TrafficMatrix`] turns a generated [`Topology`](crate::topo::Topology)
+//! [`TrafficMatrix`] turns a generated [`Topology`]
 //! into many concurrent ping or iperf flows whose endpoints follow a
 //! pattern (uniform, hotspot, permutation) and whose start times follow
 //! a seeded heavy-tailed inter-arrival process. Everything is scheduled

@@ -1,11 +1,12 @@
 //! Run-budget semantics: deterministic halts, livelock detection, and
-//! cooperative cancellation.
+//! the wall-clock deadline.
 
 use attain_controllers::ControllerKind;
 use attain_netsim::{
-    CancelToken, HaltReason, HostCommand, Interposer, InterposerActions, NetworkBuilder,
-    ProxiedMessage, RunBudget, SimTime, TraceKind,
+    HaltReason, HostCommand, Interposer, InterposerActions, NetworkBuilder, ProxiedMessage,
+    RunBudget, SimTime, TraceKind,
 };
+use std::time::Instant;
 
 fn build(budget: RunBudget) -> attain_netsim::Simulation {
     let mut b = NetworkBuilder::new();
@@ -136,13 +137,13 @@ fn healthy_runs_never_trip_the_livelock_bound() {
 
 #[test]
 fn cancellation_stops_the_run_without_touching_the_trace() {
-    let token = CancelToken::new();
-    let mut sim = build(RunBudget::unlimited().with_cancel(token.clone()));
-    // Run half way, snapshot, cancel, try to continue.
+    let mut sim = build(RunBudget::unlimited());
+    // Run half way, snapshot, pass the deadline, try to continue.
     assert_eq!(sim.run_until(SimTime::from_secs(8)), HaltReason::Horizon);
-    let digest = sim.trace().digest();
-    token.cancel();
+    let (digest, events) = (sim.trace().digest(), sim.events_dispatched());
+    sim.set_run_budget(RunBudget::unlimited().with_deadline(Instant::now()));
     assert_eq!(sim.run_until(SimTime::from_secs(20)), HaltReason::Cancelled);
+    assert_eq!(sim.events_dispatched(), events, "nothing dispatched");
     assert_eq!(sim.run_until(SimTime::from_secs(30)), HaltReason::Cancelled);
     // No RunHalted event, no digest change: wall-clock interruptions
     // never contaminate golden traces.

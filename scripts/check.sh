@@ -14,6 +14,10 @@ echo "== cargo clippy (deny warnings, flag redundant clones and hash-order walks
 cargo clippy --workspace --all-targets -- -D warnings -W clippy::redundant_clone \
   -D clippy::iter_over_hash_type
 
+echo "== cargo doc (deny warnings: no broken, private or redundant intra-doc links)"
+# vendor/proptest is a stand-in with its own ambiguous links; not ours to lint.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --exclude proptest --no-deps
+
 echo "== cargo build --release"
 cargo build --release --workspace
 

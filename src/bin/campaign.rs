@@ -33,8 +33,7 @@ usage: campaign [options]
   --update-golden    rewrite tests/golden/campaign/ from this run
   --golden PATH      golden digests file to verify/update
   --cell-timeout SEC wall-clock deadline per cell (default 120, 0 = off)
-  --max-events N     deterministic event budget per cell (default: none)
-  --retries N        same-seed retries for timed-out cells (default 0)",
+  --max-events N     deterministic event budget per cell (default: none)",
         smoke.attacks.len(),
         smoke.controllers.len(),
         smoke.fail_modes.len(),
@@ -54,7 +53,6 @@ struct Cli {
     golden: Option<String>,
     cell_timeout: Option<u64>,
     max_events: Option<u64>,
-    retries: Option<u32>,
 }
 
 fn parse_cli(args: &[String]) -> Result<Cli, String> {
@@ -74,11 +72,16 @@ fn parse_cli(args: &[String]) -> Result<Cli, String> {
             "--golden" => cli.golden = Some(flag(arg, &mut rest)?),
             "--cell-timeout" => cli.cell_timeout = Some(flag(arg, &mut rest)?),
             "--max-events" => cli.max_events = Some(flag(arg, &mut rest)?),
-            "--retries" => cli.retries = Some(flag(arg, &mut rest)?),
             _ => return Err(format!("unknown argument {arg}")),
         }
     }
     Ok(cli)
+}
+
+/// An output path that cannot be written ends the run with status 1.
+fn cannot_write(path: &str, e: &std::io::Error) -> ExitCode {
+    eprintln!("campaign: cannot write {path}: {e}");
+    ExitCode::FAILURE
 }
 
 fn main() -> ExitCode {
@@ -131,10 +134,11 @@ fn main() -> ExitCode {
     let mut cfg = RunnerConfig::new(jobs);
     cfg.cell_timeout = (cell_timeout > 0).then(|| Duration::from_secs(cell_timeout));
     cfg.max_events = cli.max_events;
-    cfg.retries = cli.retries.unwrap_or(0);
     let report = attain::campaign::run_with(&matrix, &cfg);
     eprintln!("{}", report.shape);
-    std::fs::write(&out, report.to_json(true)).expect("report written");
+    if let Err(e) = std::fs::write(&out, report.to_json(true)) {
+        return cannot_write(&out, &e);
+    }
     eprintln!(
         "{}/{} cells pass, {} unjudged ({} ms); report: {out}",
         report.passed(),
@@ -166,10 +170,13 @@ fn main() -> ExitCode {
 
     let fresh = report.golden_digests();
     if update_golden {
-        if let Some(dir) = std::path::Path::new(&golden_path).parent() {
-            std::fs::create_dir_all(dir).expect("golden dir created");
+        let written = std::path::Path::new(&golden_path)
+            .parent()
+            .map_or(Ok(()), std::fs::create_dir_all)
+            .and_then(|()| std::fs::write(&golden_path, &fresh));
+        if let Err(e) = written {
+            return cannot_write(&golden_path, &e);
         }
-        std::fs::write(&golden_path, &fresh).expect("golden file written");
         eprintln!("golden digests updated: {golden_path}");
     } else {
         match std::fs::read_to_string(&golden_path) {

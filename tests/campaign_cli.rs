@@ -27,7 +27,12 @@ fn malformed_value_is_usage_not_a_panic() {
 
 #[test]
 fn valueless_trailing_flag_is_rejected() {
-    rejected(&["--smoke", "--retries"]);
+    rejected(&["--smoke", "--max-events"]);
+}
+
+#[test]
+fn retries_flag_is_gone() {
+    rejected(&["--retries", "1"]);
 }
 
 #[test]
@@ -76,4 +81,29 @@ fn budget_exhausted_cell_is_unjudged_and_fails_the_run() {
     );
     assert!(report.contains("\"verdict\": \"unjudged\""), "{report}");
     assert!(report.contains("\"unjudged\": 1"), "{report}");
+}
+
+/// A report path that cannot be written is an error with exit status 1,
+/// naming the path, not a panic.
+#[test]
+fn unwritable_out_path_is_an_error_not_a_panic() {
+    let out_path = std::path::PathBuf::from(env!("CARGO_TARGET_TMPDIR"))
+        .join(format!("campaign-missing-dir-{}", std::process::id()))
+        .join("report.json");
+    let out_path = out_path.to_str().expect("utf-8 path");
+    let out = Command::new(env!("CARGO_BIN_EXE_campaign"))
+        .args([
+            "--only",
+            "attack=trivial_pass,controller=pox,fail=secure,seed=1",
+            "--out",
+            out_path,
+        ])
+        .output()
+        .expect("run campaign");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(
+        stderr.contains(&format!("campaign: cannot write {out_path}")),
+        "{stderr}"
+    );
 }

@@ -105,6 +105,18 @@ fn full_matrix_matches_golden_digests_and_expectations() {
     split.sort_unstable();
     assert_eq!(differ, split, "cells whose two fail modes differ");
     assert_eq!(report.shape.splits, 9, "{}", report.shape);
+    let shape = report.shape.to_string();
+    assert!(
+        experiments().contains(&shape),
+        "EXPERIMENTS.md must print the full matrix's `{shape}`"
+    );
+}
+
+/// EXPERIMENTS.md with its line breaks folded, so that a sentence it
+/// wraps reads as one line.
+fn experiments() -> String {
+    let text = include_str!("../EXPERIMENTS.md");
+    text.split_whitespace().collect::<Vec<_>>().join(" ")
 }
 
 /// A record with its one nondeterministic field cleared.
@@ -182,6 +194,21 @@ fn shared_runs_equal_standalone_runs() {
         splits: 3,
     };
     assert_eq!(report.shape, shape, "{}", report.shape);
+    let RunShape {
+        environments,
+        forked,
+        undiverged,
+        standalone,
+        splits,
+    } = shape;
+    let prose = format!(
+        "{environments} environments, {forked} forked, {undiverged} never diverged, \
+         {standalone} standalone and {splits} splits"
+    );
+    assert!(
+        experiments().contains(&prose),
+        "EXPERIMENTS.md must state the smoke shape as {prose:?}"
+    );
     for (cell, id) in report.cells.iter().zip(matrix.cells()) {
         let attack = &matrix.attacks[id.attack];
         let alone = cell::run_cell(attack, id.controller, id.fail_mode, id.seed)

@@ -26,7 +26,7 @@ pub mod monitors;
 mod sim;
 pub mod tcp;
 
-pub use monitors::{PingRow, ProxyLifecycleReport, RunRecord};
+pub use monitors::{PingRow, RunRecord};
 pub use sim::{SharedExecutor, SimInjector};
 pub use tcp::{RouteHealth, RouteHealthSnapshot};
 

@@ -9,7 +9,6 @@
 //! fault-recovery report and the campaign's oracles is read off the one
 //! [`RunRecord`] it returns.
 
-use crate::tcp::{ProxyStats, RouteHealthSnapshot, TcpProxy};
 use attain_core::exec::AttackExecutor;
 use attain_netsim::{Direction, FaultReport, IperfStats, Simulation, TraceDigest};
 use attain_openflow::OfType;
@@ -227,66 +226,8 @@ impl fmt::Display for RunRecord {
     }
 }
 
-/// The monitor view of a live TCP deployment (§VI-B2): the proxy's
-/// connection-lifecycle counters, rendered alongside the run's
-/// [`RunRecord`] when the injector ran on real sockets.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ProxyLifecycleReport {
-    /// Lifecycle counters snapshotted from the proxy.
-    pub stats: ProxyStats,
-    /// Per-route reconnect-supervisor health, in route order.
-    pub routes: Vec<RouteHealthSnapshot>,
-}
-
-impl ProxyLifecycleReport {
-    /// Snapshots a running (or just shut down) proxy.
-    pub fn collect(proxy: &TcpProxy) -> ProxyLifecycleReport {
-        ProxyLifecycleReport {
-            stats: proxy.stats(),
-            routes: proxy.route_health(),
-        }
-    }
-}
-
-impl fmt::Display for ProxyLifecycleReport {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(f, "=== proxy lifecycle ===")?;
-        writeln!(
-            f,
-            "sessions: {} opened, {} closed, {} live",
-            self.stats.sessions_opened, self.stats.sessions_closed, self.stats.live_sessions
-        )?;
-        writeln!(
-            f,
-            "dropped: {} stale-epoch, {} dead-target, {} overflow",
-            self.stats.stale_epoch_dropped,
-            self.stats.dead_target_dropped,
-            self.stats.overflow_dropped
-        )?;
-        writeln!(
-            f,
-            "faults: {} discarded (no environment to apply them to)",
-            self.stats.faults_discarded
-        )?;
-        writeln!(
-            f,
-            "reconnect supervision: {} dial failures, {} backoff windows, {} absorbed",
-            self.stats.dial_failures, self.stats.backoff_events, self.stats.backoff_rejected
-        )?;
-        for r in &self.routes {
-            writeln!(
-                f,
-                "route {}: {} ({} consecutive failures)",
-                r.route, r.health, r.consecutive_failures
-            )?;
-        }
-        Ok(())
-    }
-}
-
 #[cfg(test)]
 mod tests {
-    use super::*;
     use crate::harness::{run, schedule_ping, Scope};
     use attain_controllers::ControllerKind;
     use attain_core::scenario;
@@ -334,47 +275,5 @@ mod tests {
             text.contains(&format!("{} PACKET_IN", record.packet_ins)),
             "{text}"
         );
-    }
-
-    #[test]
-    fn proxy_lifecycle_report_renders_counters() {
-        use crate::tcp::{ProxyRoute, TcpProxy};
-        use attain_core::model::ConnectionId;
-        use attain_core::{dsl, scenario};
-
-        let sc = scenario::enterprise_network();
-        let compiled = dsl::compile(
-            scenario::attacks::TRIVIAL_PASS,
-            &sc.system,
-            &sc.attack_model,
-        )
-        .expect("compiles");
-        let exec =
-            attain_core::exec::AttackExecutor::new(sc.system, sc.attack_model, compiled.attack)
-                .expect("valid attack");
-        let proxy = TcpProxy::spawn(
-            exec,
-            vec![ProxyRoute {
-                listen: "127.0.0.1:0".parse().expect("addr"),
-                controller: "127.0.0.1:1".parse().expect("addr"),
-                conn: ConnectionId(0),
-            }],
-            None,
-        )
-        .expect("binds");
-        let report = ProxyLifecycleReport::collect(&proxy);
-        assert_eq!(report.stats.sessions_opened, 0);
-        assert_eq!(report.stats.stale_epoch_dropped, 0);
-        assert_eq!(report.stats.dead_target_dropped, 0);
-        assert_eq!(report.routes.len(), 1);
-        assert_eq!(report.routes[0].health, crate::tcp::RouteHealth::Idle);
-        assert_eq!(report.routes[0].consecutive_failures, 0);
-        let text = report.to_string();
-        assert!(text.contains("proxy lifecycle"));
-        assert!(text.contains("0 opened, 0 closed, 0 live"));
-        assert!(text.contains("faults: 0 discarded"));
-        assert!(text.contains("reconnect supervision"));
-        assert!(text.contains("route 0: idle"));
-        proxy.shutdown();
     }
 }

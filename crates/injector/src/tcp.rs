@@ -16,14 +16,18 @@
 //! sockets and both write sinks; it is registered atomically when the
 //! controller dial succeeds and unregistered atomically the moment any
 //! of its four worker loops observes the connection dying, a reconnect
-//! replaces it, or a fault severs it. Deliveries carry the epoch they
-//! were addressed to, so bytes belonging to a dead session are counted
-//! and dropped instead of being written into a successor session —
-//! reconnect storms can never interleave stale traffic into a fresh
-//! control channel, and no sink outlives its session.
+//! replaces it, a fault severs it, or shutdown drains it. Whichever of
+//! those ends it, one close path severs its sockets, counts it, and
+//! drops the executor's per-connection state, so a successor session
+//! never inherits its predecessor's timing samples or held messages.
+//! Deliveries carry the epoch they were addressed to, so bytes
+//! belonging to a dead session are counted and dropped instead of being
+//! written into a successor session — reconnect storms can never
+//! interleave stale traffic into a fresh control channel, and no sink
+//! outlives its session.
 //!
 //! Delayed deliveries (`DELAYMESSAGE`) and executor wakeups (`SLEEP`)
-//! are owned by a single timer thread holding a min-heap ordered by
+//! are owned by a single timer thread holding one map ordered by
 //! `(deadline, seq)`, where `seq` is the executor's emission sequence
 //! number — equal-delay deliveries therefore fire in executor order,
 //! and an attack delaying thousands of messages costs one OS thread,
@@ -48,12 +52,11 @@ use crate::lock;
 use attain_core::exec::{AttackExecutor, ExecOutput, InjectorInput};
 use attain_core::model::ConnectionId;
 use attain_openflow::{Frame, OfMessage};
-use std::cmp::Reverse;
-use std::collections::binary_heap::PeekMut;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::{BTreeMap, HashMap};
+use std::fmt;
 use std::io::{self, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender, SyncSender, TrySendError};
 use std::sync::{Arc, Mutex};
 use std::thread::{self, JoinHandle};
@@ -124,7 +127,9 @@ impl FaultAction {
     }
 }
 
-/// Lifecycle counters exposed by [`TcpProxy::stats`].
+/// The proxy's lifecycle counters and per-route health
+/// ([`TcpProxy::stats`]). Its `Display` is the lifecycle report of a
+/// real-socket deployment, the §VI-B3 monitors' view of the proxy.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ProxyStats {
     /// Sessions registered (one per accepted switch connection that
@@ -153,6 +158,42 @@ pub struct ProxyStats {
     pub backoff_rejected: u64,
     /// Sessions currently registered.
     pub live_sessions: usize,
+    /// Each route's reconnect-supervisor health, in route order.
+    pub routes: Vec<RouteHealthSnapshot>,
+}
+
+impl fmt::Display for ProxyStats {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        writeln!(f, "=== proxy lifecycle ===")?;
+        writeln!(
+            f,
+            "sessions: {} opened, {} closed, {} live",
+            self.sessions_opened, self.sessions_closed, self.live_sessions
+        )?;
+        writeln!(
+            f,
+            "dropped: {} stale-epoch, {} dead-target, {} overflow",
+            self.stale_epoch_dropped, self.dead_target_dropped, self.overflow_dropped
+        )?;
+        writeln!(
+            f,
+            "faults: {} discarded (no environment to apply them to)",
+            self.faults_discarded
+        )?;
+        writeln!(
+            f,
+            "reconnect supervision: {} dial failures, {} backoff windows, {} absorbed",
+            self.dial_failures, self.backoff_events, self.backoff_rejected
+        )?;
+        for (i, r) in self.routes.iter().enumerate() {
+            writeln!(
+                f,
+                "route {i}: {} ({} consecutive failures)",
+                r.health, r.consecutive_failures
+            )?;
+        }
+        Ok(())
+    }
 }
 
 /// Controller-side health of one proxied route, as judged by the
@@ -170,22 +211,20 @@ pub enum RouteHealth {
     HeldDown,
 }
 
-impl std::fmt::Display for RouteHealth {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            RouteHealth::Idle => write!(f, "idle"),
-            RouteHealth::Up => write!(f, "up"),
-            RouteHealth::Backoff => write!(f, "backoff"),
-            RouteHealth::HeldDown => write!(f, "held-down"),
-        }
+impl fmt::Display for RouteHealth {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(match self {
+            RouteHealth::Idle => "idle",
+            RouteHealth::Up => "up",
+            RouteHealth::Backoff => "backoff",
+            RouteHealth::HeldDown => "held-down",
+        })
     }
 }
 
-/// One route's health snapshot (`TcpProxy::route_health`).
+/// One route's health in a [`ProxyStats`] snapshot.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RouteHealthSnapshot {
-    /// Route index (position in the `spawn` route list).
-    pub route: usize,
     /// Supervisor-visible state.
     pub health: RouteHealth,
     /// Consecutive controller-dial failures (resets on success/restore).
@@ -230,66 +269,56 @@ impl Session {
             &self.sw_tx
         }
     }
-
-    fn sever(&self) {
-        let _ = self.switch_sock.shutdown(Shutdown::Both);
-        let _ = self.controller_sock.shutdown(Shutdown::Both);
-    }
 }
 
-/// Per-route runtime state (fault-harness visible).
-struct RouteState {
-    conn: usize,
-    controller: SocketAddr,
-    /// The actually bound listen address (used to wake the acceptor).
-    listen: SocketAddr,
+/// One route's reconnect supervision, read and written as one value.
+#[derive(Default)]
+struct Supervision {
     /// While set, reconnect attempts are accepted and immediately
     /// dropped — the hold-down window of a sustained interruption.
-    held: AtomicBool,
+    held: bool,
     /// Consecutive failed controller dials (and hold-down rejections);
     /// drives the exponential backoff window.
-    dial_failures: AtomicU32,
-    /// While `Some` and in the future, the acceptor absorbs reconnect
-    /// attempts without dialing the controller.
-    backoff_until: Mutex<Option<Instant>>,
+    failures: u32,
+    /// While in the future, the acceptor absorbs reconnect attempts
+    /// without dialing the controller.
+    backoff_until: Option<Instant>,
 }
 
-impl RouteState {
-    /// Arms (or extends) the exponential backoff window and returns its
-    /// length: `BASE * 2^(failures-1)`, capped.
-    fn arm_backoff(&self) -> Duration {
-        let failures = self.dial_failures.fetch_add(1, Ordering::Relaxed) + 1;
-        let exp = failures.saturating_sub(1).min(16);
-        let window = RECONNECT_BACKOFF_BASE
-            .saturating_mul(1u32 << exp)
-            .min(RECONNECT_BACKOFF_CAP);
-        *lock(&self.backoff_until) = Some(Instant::now() + window);
-        window
-    }
-
-    /// Clears backoff state (successful dial or harness restore).
-    fn clear_backoff(&self) {
-        self.dial_failures.store(0, Ordering::Relaxed);
-        *lock(&self.backoff_until) = None;
-    }
-
-    /// Whether a backoff window is currently open.
+impl Supervision {
     fn in_backoff(&self) -> bool {
-        lock(&self.backoff_until).is_some_and(|until| Instant::now() < until)
+        self.backoff_until
+            .is_some_and(|until| Instant::now() < until)
+    }
+
+    /// Ends a failure run: the next reconnect attempt dials at once.
+    fn clear_backoff(&mut self) {
+        self.failures = 0;
+        self.backoff_until = None;
     }
 }
 
-#[derive(Default)]
-struct Counters {
-    sessions_opened: AtomicU64,
-    sessions_closed: AtomicU64,
-    stale_epoch_dropped: AtomicU64,
-    dead_target_dropped: AtomicU64,
-    overflow_dropped: AtomicU64,
-    faults_discarded: AtomicU64,
-    dial_failures: AtomicU64,
-    backoff_events: AtomicU64,
-    backoff_rejected: AtomicU64,
+/// Everything the proxy counts and supervises, behind one leaf lock (a
+/// lock never held while taking another).
+struct Ledger {
+    /// The live counters; `routes` is filled in by each snapshot.
+    stats: ProxyStats,
+    /// Per-route supervision, in route order.
+    supervision: Vec<Supervision>,
+}
+
+impl Ledger {
+    /// Arms (or extends) `route`'s exponential backoff window,
+    /// `BASE * 2^(failures-1)` capped, and counts it.
+    fn arm_backoff(&mut self, route: usize) {
+        let s = &mut self.supervision[route];
+        s.failures = s.failures.saturating_add(1);
+        let window = RECONNECT_BACKOFF_BASE
+            .saturating_mul(1 << (s.failures - 1).min(16))
+            .min(RECONNECT_BACKOFF_CAP);
+        s.backoff_until = Some(Instant::now() + window);
+        self.stats.backoff_events += 1;
+    }
 }
 
 /// An event owned by the timer thread.
@@ -307,41 +336,15 @@ enum TimedEvent {
     Fault(FaultAction),
 }
 
-struct TimerEntry {
-    due: Instant,
-    /// Executor emission sequence for deliveries ([`u64::MAX`] for
-    /// wakeups and faults, which fire after same-instant deliveries).
-    seq: u64,
-    /// Proxy-local tie-break making the ordering total.
-    uid: u64,
-    event: TimedEvent,
-}
-
-impl TimerEntry {
-    fn key(&self) -> (Instant, u64, u64) {
-        (self.due, self.seq, self.uid)
-    }
-}
-
-impl PartialEq for TimerEntry {
-    fn eq(&self, other: &Self) -> bool {
-        self.key() == other.key()
-    }
-}
-impl Eq for TimerEntry {}
-impl PartialOrd for TimerEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for TimerEntry {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.key().cmp(&other.key())
-    }
-}
+/// The timer's order: deadline, then the executor emission sequence
+/// for deliveries ([`u64::MAX`] for wakeups and faults, which fire after
+/// same-instant deliveries), then arrival at the timer thread, which
+/// makes every key unique.
+type TimerKey = (Instant, u64, u64);
 
 enum TimerCmd {
-    Schedule(TimerEntry),
+    /// Fire the event at the deadline, in sequence order.
+    Schedule(Instant, u64, TimedEvent),
     Stop,
 }
 
@@ -351,14 +354,13 @@ struct Shared {
     /// unregistration are atomic with session start/end; there is never
     /// a sink in this map whose loops are gone.
     sessions: Mutex<HashMap<usize, Session>>,
-    routes: Vec<RouteState>,
+    routes: Vec<ProxyRoute>,
+    ledger: Mutex<Ledger>,
     start: Instant,
     shutdown: AtomicBool,
     syscmd: Option<SysCmdHandler>,
     timer_tx: Sender<TimerCmd>,
     next_epoch: AtomicU64,
-    next_uid: AtomicU64,
-    counters: Counters,
     /// Session worker loops and the timer thread, joined at shutdown.
     workers: Mutex<Vec<JoinHandle<()>>>,
 }
@@ -368,22 +370,16 @@ impl Shared {
         self.start.elapsed().as_nanos() as u64
     }
 
-    fn route(&self, idx: usize) -> &RouteState {
+    fn route(&self, idx: usize) -> &ProxyRoute {
         self.routes
             .get(idx)
             .unwrap_or_else(|| panic!("fault names route {idx}, proxy has {}", self.routes.len()))
     }
 
     fn schedule(&self, due: Instant, seq: u64, event: TimedEvent) {
-        let entry = TimerEntry {
-            due,
-            seq,
-            uid: self.next_uid.fetch_add(1, Ordering::Relaxed),
-            event,
-        };
         // A failed send means the timer already stopped (shutdown);
         // pending work is deliberately discarded then.
-        let _ = self.timer_tx.send(TimerCmd::Schedule(entry));
+        let _ = self.timer_tx.send(TimerCmd::Schedule(due, seq, event));
     }
 
     /// Delivers `frame` to `conn`'s session iff it is still the session
@@ -402,15 +398,11 @@ impl Shared {
             match sessions.get(&conn) {
                 Some(s) if s.epoch == epoch => s.sink(to_controller).clone(),
                 Some(_) => {
-                    self.counters
-                        .stale_epoch_dropped
-                        .fetch_add(1, Ordering::Relaxed);
+                    lock(&self.ledger).stats.stale_epoch_dropped += 1;
                     return;
                 }
                 None => {
-                    self.counters
-                        .dead_target_dropped
-                        .fetch_add(1, Ordering::Relaxed);
+                    lock(&self.ledger).stats.dead_target_dropped += 1;
                     return;
                 }
             }
@@ -418,22 +410,14 @@ impl Shared {
         if blocking {
             if sink.send(frame).is_err() {
                 // The session died between lookup and send.
-                self.counters
-                    .stale_epoch_dropped
-                    .fetch_add(1, Ordering::Relaxed);
+                lock(&self.ledger).stats.stale_epoch_dropped += 1;
             }
         } else {
             match sink.try_send(frame) {
                 Ok(()) => {}
-                Err(TrySendError::Full(_)) => {
-                    self.counters
-                        .overflow_dropped
-                        .fetch_add(1, Ordering::Relaxed);
-                }
+                Err(TrySendError::Full(_)) => lock(&self.ledger).stats.overflow_dropped += 1,
                 Err(TrySendError::Disconnected(_)) => {
-                    self.counters
-                        .stale_epoch_dropped
-                        .fetch_add(1, Ordering::Relaxed);
+                    lock(&self.ledger).stats.stale_epoch_dropped += 1;
                 }
             }
         }
@@ -454,9 +438,7 @@ impl Shared {
                 _ => lock(&self.sessions).get(&d.conn.0).map(|s| s.epoch),
             };
             let Some(epoch) = epoch else {
-                self.counters
-                    .dead_target_dropped
-                    .fetch_add(1, Ordering::Relaxed);
+                lock(&self.ledger).stats.dead_target_dropped += 1;
                 continue;
             };
             if d.extra_delay_ns == 0 {
@@ -479,9 +461,9 @@ impl Shared {
                 handler(&host, &cmd);
             }
         }
-        self.counters
-            .faults_discarded
-            .fetch_add(out.faults.len() as u64, Ordering::Relaxed);
+        if !out.faults.is_empty() {
+            lock(&self.ledger).stats.faults_discarded += out.faults.len() as u64;
+        }
         if let Some(wake_ns) = out.wakeup_ns {
             let now_ns = self.now_ns();
             let due = Instant::now() + Duration::from_nanos(wake_ns.saturating_sub(now_ns));
@@ -528,71 +510,54 @@ impl Shared {
     }
 
     fn apply_fault(&self, action: FaultAction) {
+        let conn = self.route(action.route()).conn.0;
         match action {
-            FaultAction::Sever { route } => self.sever_route(route),
-            FaultAction::HoldDown { route } => {
-                self.route(route).held.store(true, Ordering::SeqCst);
-                self.sever_route(route);
-            }
+            FaultAction::Sever { .. } => {}
+            FaultAction::HoldDown { route } => lock(&self.ledger).supervision[route].held = true,
             FaultAction::Restore { route } => {
-                let r = self.route(route);
-                r.held.store(false, Ordering::SeqCst);
                 // A restored route starts clean: the next reconnect
                 // attempt dials immediately, whatever churn the
                 // hold-down absorbed.
-                r.clear_backoff();
+                lock(&self.ledger).supervision[route] = Supervision::default();
+                return;
             }
         }
-    }
-
-    fn sever_route(&self, route: usize) {
-        let conn = self.route(route).conn;
-        let old = lock(&self.sessions).remove(&conn);
-        if let Some(s) = old {
-            s.sever();
-            self.counters
-                .sessions_closed
-                .fetch_add(1, Ordering::Relaxed);
-            // The connection is gone: drop the executor's per-connection
-            // state (timing rings, held messages) so the successor epoch
-            // starts from scratch. Taken after the sessions lock is
-            // released — exec-then-sessions is the lock order elsewhere.
-            lock(&self.exec).release_connection(ConnectionId(conn));
-        }
+        let severed = lock(&self.sessions).remove_entry(&conn);
+        self.close(severed);
     }
 
     /// Ends `conn`'s session iff it is still the one of `epoch`
     /// (idempotent across the session's four loops; a successor session
     /// is never touched).
     fn end_session(&self, conn: usize, epoch: Epoch) {
-        let old = {
+        let ended = {
             let mut sessions = lock(&self.sessions);
             match sessions.get(&conn) {
-                Some(s) if s.epoch == epoch => sessions.remove(&conn),
+                Some(s) if s.epoch == epoch => sessions.remove_entry(&conn),
                 _ => None,
             }
         };
-        if let Some(s) = old {
-            s.sever();
-            self.counters
-                .sessions_closed
-                .fetch_add(1, Ordering::Relaxed);
-            // As in `sever_route`: a reconnect must never inherit stale
-            // timing samples from the ended epoch.
-            lock(&self.exec).release_connection(ConnectionId(conn));
-        }
+        self.close(ended);
     }
 
-    fn close_all_sessions(&self) {
-        let drained: Vec<Session> = {
-            let mut sessions = lock(&self.sessions);
-            sessions.drain().map(|(_, s)| s).collect()
-        };
-        for s in &drained {
-            s.sever();
-            self.counters
-                .sessions_closed
-                .fetch_add(1, Ordering::Relaxed);
+    /// The one way a session ends, whatever ended it (a loop seeing its
+    /// socket die, a reconnect replacing it, a fault, shutdown): both
+    /// sockets are severed, the session is counted closed, and the
+    /// executor's per-connection state (timing rings, held messages) is
+    /// dropped so a successor on the same connection starts from
+    /// scratch. `ended` is already out of the session map, and the
+    /// sessions lock released: exec-then-sessions is the lock order
+    /// elsewhere.
+    fn close(&self, ended: impl IntoIterator<Item = (usize, Session)>) {
+        for (conn, session) in ended {
+            let _ = session.switch_sock.shutdown(Shutdown::Both);
+            let _ = session.controller_sock.shutdown(Shutdown::Both);
+            {
+                let mut ledger = lock(&self.ledger);
+                ledger.stats.sessions_closed += 1;
+                ledger.stats.live_sessions -= 1;
+            }
+            lock(&self.exec).release_connection(ConnectionId(conn));
         }
     }
 
@@ -605,45 +570,65 @@ impl Shared {
     }
 
     fn stats(&self) -> ProxyStats {
+        // Sessions, then the ledger: a route reads `Up` exactly when
+        // its session is counted live.
+        let sessions = lock(&self.sessions);
+        let ledger = lock(&self.ledger);
+        let routes = self
+            .routes
+            .iter()
+            .zip(&ledger.supervision)
+            .map(|(route, s)| RouteHealthSnapshot {
+                health: if s.held {
+                    RouteHealth::HeldDown
+                } else if s.in_backoff() {
+                    RouteHealth::Backoff
+                } else if sessions.contains_key(&route.conn.0) {
+                    RouteHealth::Up
+                } else {
+                    RouteHealth::Idle
+                },
+                consecutive_failures: s.failures,
+            })
+            .collect();
         ProxyStats {
-            sessions_opened: self.counters.sessions_opened.load(Ordering::Relaxed),
-            sessions_closed: self.counters.sessions_closed.load(Ordering::Relaxed),
-            stale_epoch_dropped: self.counters.stale_epoch_dropped.load(Ordering::Relaxed),
-            dead_target_dropped: self.counters.dead_target_dropped.load(Ordering::Relaxed),
-            overflow_dropped: self.counters.overflow_dropped.load(Ordering::Relaxed),
-            faults_discarded: self.counters.faults_discarded.load(Ordering::Relaxed),
-            dial_failures: self.counters.dial_failures.load(Ordering::Relaxed),
-            backoff_events: self.counters.backoff_events.load(Ordering::Relaxed),
-            backoff_rejected: self.counters.backoff_rejected.load(Ordering::Relaxed),
-            live_sessions: lock(&self.sessions).len(),
+            routes,
+            ..ledger.stats.clone()
         }
     }
 
-    /// Arms `route`'s backoff window and counts the event.
-    fn note_backoff(&self, route_idx: usize) {
-        self.route(route_idx).arm_backoff();
-        self.counters.backoff_events.fetch_add(1, Ordering::Relaxed);
+    /// Whether the acceptor may dial the controller for a switch
+    /// connection it just accepted on `route`. A held-down route refuses
+    /// it under the same exponential backoff as dial failures, so a
+    /// hammering switch cannot spin the acceptor; a route inside a
+    /// backoff window absorbs it without dialing a controller just found
+    /// unreachable.
+    fn admit(&self, route: usize) -> bool {
+        let mut ledger = lock(&self.ledger);
+        if ledger.supervision[route].held {
+            ledger.arm_backoff(route);
+            false
+        } else if ledger.supervision[route].in_backoff() {
+            ledger.stats.backoff_rejected += 1;
+            false
+        } else {
+            true
+        }
     }
 
     /// Sleeps out `route`'s backoff window in small slices, waking early
     /// on shutdown or when the window is cleared (harness restore).
-    fn wait_backoff(&self, route_idx: usize) {
+    fn wait_backoff(&self, route: usize) {
         const SLICE: Duration = Duration::from_millis(10);
-        loop {
-            if self.shutdown.load(Ordering::SeqCst) {
+        while !self.shutdown.load(Ordering::SeqCst) {
+            let Some(until) = lock(&self.ledger).supervision[route].backoff_until else {
+                return;
+            };
+            let left = until.saturating_duration_since(Instant::now());
+            if left.is_zero() {
                 return;
             }
-            let until = *lock(&self.route(route_idx).backoff_until);
-            match until {
-                Some(t) => {
-                    let now = Instant::now();
-                    if now >= t {
-                        return;
-                    }
-                    thread::sleep((t - now).min(SLICE));
-                }
-                None => return,
-            }
+            thread::sleep(left.min(SLICE));
         }
     }
 }
@@ -661,8 +646,8 @@ pub struct TcpProxy {
     acceptors: Mutex<Vec<JoinHandle<()>>>,
 }
 
-impl std::fmt::Debug for TcpProxy {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+impl fmt::Debug for TcpProxy {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("TcpProxy")
             .field("listen_addrs", &self.listen_addrs)
             .finish()
@@ -695,32 +680,24 @@ impl TcpProxy {
         listeners: Vec<TcpListener>,
         syscmd: Option<SysCmdHandler>,
     ) -> io::Result<TcpProxy> {
-        let mut listen_addrs = Vec::with_capacity(routes.len());
-        let mut route_states = Vec::with_capacity(routes.len());
-        for (route, listener) in routes.iter().zip(&listeners) {
-            let addr = listener.local_addr()?;
-            listen_addrs.push(addr);
-            route_states.push(RouteState {
-                conn: route.conn.0,
-                controller: route.controller,
-                listen: addr,
-                held: AtomicBool::new(false),
-                dial_failures: AtomicU32::new(0),
-                backoff_until: Mutex::new(None),
-            });
-        }
+        let listen_addrs = listeners
+            .iter()
+            .map(TcpListener::local_addr)
+            .collect::<io::Result<Vec<_>>>()?;
         let (timer_tx, timer_rx) = mpsc::channel();
         let shared = Arc::new(Shared {
             exec: Mutex::new(exec),
             sessions: Mutex::new(HashMap::new()),
-            routes: route_states,
+            ledger: Mutex::new(Ledger {
+                stats: ProxyStats::default(),
+                supervision: routes.iter().map(|_| Supervision::default()).collect(),
+            }),
+            routes: routes.to_vec(),
             start: Instant::now(),
             shutdown: AtomicBool::new(false),
             syscmd,
             timer_tx,
             next_epoch: AtomicU64::new(1),
-            next_uid: AtomicU64::new(0),
-            counters: Counters::default(),
             workers: Mutex::new(Vec::new()),
         });
         {
@@ -758,8 +735,8 @@ impl TcpProxy {
         if first {
             // Wake each acceptor parked in `accept()`: the flag is
             // checked right after the dummy connection is accepted.
-            for route in &self.shared.routes {
-                let _ = TcpStream::connect(route.listen);
+            for addr in &self.listen_addrs {
+                let _ = TcpStream::connect(addr);
             }
         }
         let mut joined = 0;
@@ -770,7 +747,8 @@ impl TcpProxy {
         // Past this point no acceptor is alive, so no new session (or
         // worker thread) can be created.
         if first {
-            self.shared.close_all_sessions();
+            let drained: Vec<(usize, Session)> = lock(&self.shared.sessions).drain().collect();
+            self.shared.close(drained);
             let _ = self.shared.timer_tx.send(TimerCmd::Stop);
         }
         loop {
@@ -816,36 +794,9 @@ impl TcpProxy {
             .schedule(Instant::now() + after, u64::MAX, TimedEvent::Fault(action));
     }
 
-    /// Current lifecycle counters.
+    /// Current lifecycle counters and per-route health.
     pub fn stats(&self) -> ProxyStats {
         self.shared.stats()
-    }
-
-    /// Per-route health as the reconnect supervisor sees it, in route
-    /// order.
-    pub(crate) fn route_health(&self) -> Vec<RouteHealthSnapshot> {
-        let sessions = lock(&self.shared.sessions);
-        self.shared
-            .routes
-            .iter()
-            .enumerate()
-            .map(|(i, r)| {
-                let health = if r.held.load(Ordering::SeqCst) {
-                    RouteHealth::HeldDown
-                } else if r.in_backoff() {
-                    RouteHealth::Backoff
-                } else if sessions.contains_key(&r.conn) {
-                    RouteHealth::Up
-                } else {
-                    RouteHealth::Idle
-                };
-                RouteHealthSnapshot {
-                    route: i,
-                    health,
-                    consecutive_failures: r.dial_failures.load(Ordering::Relaxed),
-                }
-            })
-            .collect()
     }
 
     /// Locks and inspects the executor (e.g. for its injection log).
@@ -855,41 +806,29 @@ impl TcpProxy {
 }
 
 fn timer_loop(shared: Arc<Shared>, rx: Receiver<TimerCmd>) {
-    let mut heap: BinaryHeap<Reverse<TimerEntry>> = BinaryHeap::new();
+    let mut pending: BTreeMap<TimerKey, TimedEvent> = BTreeMap::new();
+    let mut arrivals = 0;
     loop {
-        let cmd = if let Some(Reverse(next)) = heap.peek() {
-            let now = Instant::now();
-            if next.due <= now {
-                None
-            } else {
-                match rx.recv_timeout(next.due - now) {
-                    Ok(cmd) => Some(cmd),
-                    Err(RecvTimeoutError::Timeout) => None,
-                    Err(RecvTimeoutError::Disconnected) => return,
-                }
-            }
-        } else {
-            match rx.recv() {
-                Ok(cmd) => Some(cmd),
-                Err(_) => return,
-            }
+        let wait = pending
+            .first_key_value()
+            .map(|(&(due, ..), _)| due.saturating_duration_since(Instant::now()));
+        let cmd = match wait {
+            Some(wait) if wait.is_zero() => Err(RecvTimeoutError::Timeout),
+            Some(wait) => rx.recv_timeout(wait),
+            None => rx.recv().map_err(|_| RecvTimeoutError::Disconnected),
         };
         match cmd {
-            Some(TimerCmd::Stop) => return,
-            Some(TimerCmd::Schedule(entry)) => {
-                heap.push(Reverse(entry));
-                continue;
+            Ok(TimerCmd::Schedule(due, seq, event)) => {
+                pending.insert((due, seq, arrivals), event);
+                arrivals += 1;
             }
-            None => {}
-        }
-        // Fire everything due, in (deadline, seq) order.
-        let now = Instant::now();
-        while let Some(next) = heap.peek_mut() {
-            if next.0.due > now {
-                break;
+            // The first entry is due: fire it, and go round for the next.
+            Err(RecvTimeoutError::Timeout) => {
+                if let Some((_, event)) = pending.pop_first() {
+                    shared.fire(event);
+                }
             }
-            let Reverse(entry) = PeekMut::pop(next);
-            shared.fire(entry.event);
+            Ok(TimerCmd::Stop) | Err(RecvTimeoutError::Disconnected) => return,
         }
     }
 }
@@ -905,48 +844,29 @@ fn accept_loop(shared: Arc<Shared>, listener: TcpListener, route_idx: usize) {
         let Ok((switch_sock, _)) = accepted else {
             // ECONNABORTED, EMFILE and their kin pass; back off as for
             // a failed dial so a persistent one cannot spin this thread.
-            shared.note_backoff(route_idx);
+            lock(&shared.ledger).arm_backoff(route_idx);
             shared.wait_backoff(route_idx);
             continue;
         };
+        if !shared.admit(route_idx) {
+            drop(switch_sock);
+            shared.wait_backoff(route_idx);
+            continue;
+        }
         let route = &shared.routes[route_idx];
-        if route.held.load(Ordering::SeqCst) {
-            // Hold-down window: the interruption is sustained, so the
-            // switch's reconnect attempt is accepted and dropped — but
-            // under the same exponential backoff as dial failures, so a
-            // hammering switch cannot spin this acceptor.
-            drop(switch_sock);
-            shared.note_backoff(route_idx);
-            shared.wait_backoff(route_idx);
-            continue;
-        }
-        if route.in_backoff() {
-            // Still inside a window armed by an earlier failure: absorb
-            // the attempt without dialing a controller we just found
-            // unreachable.
-            drop(switch_sock);
-            shared
-                .counters
-                .backoff_rejected
-                .fetch_add(1, Ordering::Relaxed);
-            shared.wait_backoff(route_idx);
-            continue;
-        }
         let Ok(controller_sock) =
             TcpStream::connect_timeout(&route.controller, CONTROLLER_DIAL_TIMEOUT)
         else {
             // Controller unreachable or silent: drop the switch
             // connection (it will retry, as a real switch does) and back
             // off before dialing again.
-            shared
-                .counters
-                .dial_failures
-                .fetch_add(1, Ordering::Relaxed);
-            shared.note_backoff(route_idx);
+            let mut ledger = lock(&shared.ledger);
+            ledger.stats.dial_failures += 1;
+            ledger.arm_backoff(route_idx);
             continue;
         };
-        route.clear_backoff();
-        start_session(&shared, route.conn, switch_sock, controller_sock);
+        lock(&shared.ledger).supervision[route_idx].clear_backoff();
+        start_session(&shared, route.conn.0, switch_sock, controller_sock);
     }
 }
 
@@ -986,23 +906,21 @@ fn start_session(
         switch_sock: sw_keep,
         controller_sock: ctrl_keep,
     };
-    {
+    let replaced = {
         let mut sessions = lock(&shared.sessions);
-        if let Some(old) = sessions.insert(conn, session) {
-            // The switch reconnected before the old session's loops
-            // noticed the disconnect: replace it atomically so no stale
-            // sink survives and the old epoch's deliveries die.
-            old.sever();
-            shared
-                .counters
-                .sessions_closed
-                .fetch_add(1, Ordering::Relaxed);
-        }
-    }
-    shared
-        .counters
-        .sessions_opened
-        .fetch_add(1, Ordering::Relaxed);
+        let replaced = sessions.insert(conn, session);
+        // Counted under the sessions lock, so no close of this session
+        // can be counted first.
+        let mut ledger = lock(&shared.ledger);
+        ledger.stats.sessions_opened += 1;
+        ledger.stats.live_sessions += 1;
+        replaced
+    };
+    // The switch reconnected before the old session's loops noticed the
+    // disconnect: it was replaced atomically, so no stale sink survives
+    // and the old epoch's deliveries die. It ends here, before this
+    // session's loops start, so none of its state reaches them.
+    shared.close(replaced.map(|old| (conn, old)));
     let spawned = (|| {
         let s = Arc::clone(shared);
         shared.spawn_worker("write-ctrl", move || {
@@ -1309,7 +1227,7 @@ mod tests {
         proxy.apply_fault(FaultAction::HoldDown { route: 0 });
         proxy.schedule_fault(Duration::ZERO, FaultAction::Restore { route: 0 });
         let deadline = Instant::now() + Duration::from_secs(5);
-        while proxy.route_health()[0].health == RouteHealth::HeldDown {
+        while proxy.stats().routes[0].health == RouteHealth::HeldDown {
             assert!(Instant::now() < deadline, "scheduled restore never fired");
             thread::sleep(Duration::from_millis(5));
         }
@@ -1361,20 +1279,42 @@ mod tests {
     fn timer_entries_order_by_deadline_then_seq() {
         let t0 = Instant::now();
         let t1 = t0 + Duration::from_millis(5);
-        let entry = |due, seq, uid| TimerEntry {
-            due,
-            seq,
-            uid,
-            event: TimedEvent::Wakeup,
-        };
-        let mut heap = BinaryHeap::new();
-        heap.push(Reverse(entry(t1, 2, 0)));
-        heap.push(Reverse(entry(t0, 9, 1)));
-        heap.push(Reverse(entry(t1, 1, 2)));
-        let popped: Vec<(Instant, u64)> = std::iter::from_fn(|| heap.pop())
-            .map(|Reverse(e)| (e.due, e.seq))
+        let mut pending: BTreeMap<TimerKey, TimedEvent> = BTreeMap::new();
+        pending.insert((t1, 2, 0), TimedEvent::Wakeup);
+        pending.insert((t0, 9, 1), TimedEvent::Wakeup);
+        pending.insert((t1, 1, 2), TimedEvent::Wakeup);
+        let popped: Vec<(Instant, u64)> = std::iter::from_fn(|| pending.pop_first())
+            .map(|((due, seq, _), _)| (due, seq))
             .collect();
         // Earliest deadline first; equal deadlines in executor order.
         assert_eq!(popped, vec![(t0, 9), (t1, 1), (t1, 2)]);
+    }
+
+    #[test]
+    fn proxy_lifecycle_report_renders_counters() {
+        let proxy = TcpProxy::spawn(
+            executor(scenario::attacks::TRIVIAL_PASS),
+            vec![ProxyRoute {
+                listen: "127.0.0.1:0".parse().expect("addr"),
+                controller: "127.0.0.1:1".parse().expect("addr"),
+                conn: ConnectionId(0),
+            }],
+            None,
+        )
+        .expect("binds");
+        let report = proxy.stats();
+        assert_eq!(report.sessions_opened, 0);
+        assert_eq!(report.stale_epoch_dropped, 0);
+        assert_eq!(report.dead_target_dropped, 0);
+        assert_eq!(report.routes.len(), 1);
+        assert_eq!(report.routes[0].health, RouteHealth::Idle);
+        assert_eq!(report.routes[0].consecutive_failures, 0);
+        let text = report.to_string();
+        assert!(text.contains("proxy lifecycle"));
+        assert!(text.contains("0 opened, 0 closed, 0 live"));
+        assert!(text.contains("faults: 0 discarded"));
+        assert!(text.contains("reconnect supervision"));
+        assert!(text.contains("route 0: idle"));
+        proxy.shutdown();
     }
 }

@@ -6,7 +6,6 @@ use attain_core::exec::AttackExecutor;
 use attain_core::model::ConnectionId;
 use attain_core::{dsl, scenario};
 use attain_injector::tcp::{FaultAction, ProxyRoute, TcpProxy};
-use attain_injector::ProxyLifecycleReport;
 use attain_openflow::OfMessage;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -270,7 +269,7 @@ fn dsl_faults_are_counted_as_discarded_not_silently_dropped() {
     // The barrier came out after both echoes were dispatched: two rule
     // fires, two faults each.
     assert_eq!(proxy.stats().faults_discarded, 4);
-    let report = ProxyLifecycleReport::collect(&proxy).to_string();
+    let report = proxy.stats().to_string();
     assert!(report.contains("faults: 4 discarded"), "{report}");
     proxy.shutdown();
 }
@@ -430,6 +429,137 @@ fn timing_state_is_released_on_teardown_and_not_inherited_on_reconnect() {
     assert!(wait_until(Duration::from_secs(5), || {
         proxy.with_executor(|e| e.timing().tracked_connections()) == 0
     }));
+    proxy.shutdown();
+}
+
+/// Samples of the `(ECHO_REQUEST, ECHO_REQUEST)` pair the executor holds
+/// for the first connection (`None` before its first echo).
+fn echo_pair_samples(proxy: &TcpProxy) -> Option<u64> {
+    use attain_openflow::OfType;
+    proxy.with_executor(|e| {
+        e.timing()
+            .connection(ConnectionId(0))
+            .and_then(|c| c.pair(OfType::EchoRequest, OfType::EchoRequest))
+            .map(|s| s.total())
+    })
+}
+
+/// Connects a switch through the proxy and completes the HELLO exchange.
+fn handshake(listen: SocketAddr, ctrl_rx: &mpsc::Receiver<OfMessage>, xid: u32) -> TcpStream {
+    let mut switch = TcpStream::connect(listen).unwrap();
+    switch.write_all(&OfMessage::Hello.encode(xid)).unwrap();
+    assert_eq!(
+        ctrl_rx.recv_timeout(Duration::from_secs(5)).unwrap(),
+        OfMessage::Hello
+    );
+    assert_eq!(read_one(&mut switch), Some(OfMessage::Hello));
+    switch
+}
+
+/// A switch that reconnects while its old session is still registered
+/// replaces that session, and the successor starts from fresh executor
+/// state: the replaced session's timing samples end with it.
+#[test]
+fn replaced_session_does_not_hand_its_timing_state_to_the_successor() {
+    let (ctrl_addr, ctrl_rx) = fake_controller();
+    let proxy = spawn_proxy(WATCH_TIMING, ctrl_addr);
+    let listen = proxy.listen_addrs[0];
+
+    // First session: two echoes give the tracked pair a real sample.
+    let mut switch1 = handshake(listen, &ctrl_rx, 1);
+    for (payload, xid) in [(1, 2), (2, 3)] {
+        switch1
+            .write_all(&OfMessage::EchoRequest(vec![payload]).encode(xid))
+            .unwrap();
+        assert_eq!(
+            ctrl_rx.recv_timeout(Duration::from_secs(5)).unwrap(),
+            OfMessage::EchoRequest(vec![payload])
+        );
+    }
+    assert!(wait_until(Duration::from_secs(5), || {
+        echo_pair_samples(&proxy).is_some_and(|n| n >= 1)
+    }));
+
+    // A second switch connects while the first never closed: its
+    // session replaces the first one, which the proxy severs.
+    let mut switch2 = handshake(listen, &ctrl_rx, 4);
+    assert_eq!(read_one(&mut switch1), None, "replaced session still open");
+    let stats = proxy.stats();
+    assert_eq!((stats.sessions_opened, stats.sessions_closed), (2, 1));
+    assert_eq!(stats.live_sessions, 1);
+
+    // The successor's first echo lands in a fresh ring: one arrival,
+    // zero samples.
+    switch2
+        .write_all(&OfMessage::EchoRequest(vec![3]).encode(5))
+        .unwrap();
+    assert!(wait_until(Duration::from_secs(5), || {
+        echo_pair_samples(&proxy).is_some()
+    }));
+    assert_eq!(
+        echo_pair_samples(&proxy),
+        Some(0),
+        "the replacing session inherited the replaced one's timing samples"
+    );
+    proxy.shutdown();
+}
+
+/// `shutdown()` ends every live session through the same close path as
+/// a disconnect, so no per-connection executor state outlives it.
+#[test]
+fn shutdown_releases_per_connection_executor_state() {
+    let (ctrl_addr, ctrl_rx) = fake_controller();
+    let proxy = spawn_proxy(WATCH_TIMING, ctrl_addr);
+    let mut switch = handshake(proxy.listen_addrs[0], &ctrl_rx, 1);
+    switch
+        .write_all(&OfMessage::EchoRequest(vec![1]).encode(2))
+        .unwrap();
+    assert!(wait_until(Duration::from_secs(5), || {
+        proxy.with_executor(|e| e.timing().tracked_connections()) == 1
+    }));
+
+    let report = proxy.shutdown();
+    assert_eq!(report.stats.live_sessions, 0);
+    assert_eq!(report.stats.sessions_closed, 1);
+    assert_eq!(
+        proxy.with_executor(|e| e.timing().tracked_connections()),
+        0,
+        "a session's timing state outlived shutdown"
+    );
+}
+
+/// A hostile switch sends a header the proxy cannot frame — a wrong
+/// version byte, or a length field under the 8-byte header. Its session
+/// is reset, nothing it sent after the bad header reaches the
+/// controller, and the route serves the next switch.
+#[test]
+fn unframeable_header_resets_the_session_and_the_route_serves_the_next_switch() {
+    let (ctrl_addr, ctrl_rx) = fake_controller();
+    let proxy = spawn_proxy(scenario::attacks::TRIVIAL_PASS, ctrl_addr);
+    let listen = proxy.listen_addrs[0];
+
+    let mut wrong_version = OfMessage::EchoRequest(vec![1]).encode(2);
+    wrong_version[0] = 0x04;
+    let mut short_length = OfMessage::EchoRequest(vec![1]).encode(2);
+    short_length[2..4].copy_from_slice(&4u16.to_be_bytes());
+    for (closed, mut batch) in (1..).zip([wrong_version, short_length]) {
+        let mut switch = handshake(listen, &ctrl_rx, 1);
+        // A well-formed message rides behind the bad header.
+        batch.extend(OfMessage::EchoRequest(vec![9]).encode(3));
+        switch.write_all(&batch).unwrap();
+        assert_eq!(read_one(&mut switch), None, "the session was not reset");
+        assert!(wait_until(Duration::from_secs(5), || {
+            proxy.stats().live_sessions == 0
+        }));
+        assert_eq!(proxy.stats().sessions_closed, closed);
+    }
+
+    // The next switch is served, and the controller's next message is
+    // its HELLO: neither bad header nor the echo behind it got through.
+    let _switch = handshake(listen, &ctrl_rx, 4);
+    assert!(ctrl_rx.try_recv().is_err());
+    let stats = proxy.stats();
+    assert_eq!((stats.sessions_opened, stats.live_sessions), (3, 1));
     proxy.shutdown();
 }
 

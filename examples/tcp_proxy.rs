@@ -96,13 +96,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         );
     });
     let report = proxy.shutdown();
-    println!(
-        "[proxy] shutdown joined {} threads; {} session(s) opened, {} closed, {} live",
-        report.threads_joined,
-        report.stats.sessions_opened,
-        report.stats.sessions_closed,
-        report.stats.live_sessions
-    );
+    println!("[proxy] shutdown joined {} threads", report.threads_joined);
+    print!("{}", report.stats);
     println!("the FLOW_MOD never reached the switch — suppression works on real sockets");
     Ok(())
 }

@@ -24,6 +24,13 @@ cargo build --release --workspace
 echo "== cargo test"
 cargo test --workspace -q
 
+echo "== every example runs to a zero exit in release (tier-1 only compiles them; ~7 s)"
+for example in examples/*.rs; do
+  name=$(basename "$example" .rs)
+  echo "-- $name"
+  cargo run --release --quiet --example "$name" >/dev/null
+done
+
 echo "== benchmark package builds against the facade"
 cargo build --release --offline --manifest-path attain_bench/Cargo.toml
 

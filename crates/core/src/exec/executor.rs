@@ -4,12 +4,11 @@
 use crate::exec::dispatch::CompiledRuleset;
 use crate::exec::log::{InjectionLog, LogKind};
 use crate::exec::modifier;
-use crate::lang::Attack;
 use crate::lang::{
-    AttackAction, DequeEnd, DequeStore, MessageView, StoredMessage, TimingPlan, TimingStore, Value,
+    Attack, AttackAction, DequeEnd, DequeStore, EvalError, Expr, MessageView, Rule, StoredMessage,
+    TimingPlan, TimingStore, Value,
 };
-use crate::model::AttackModel;
-use crate::model::{Capability, CapabilitySet};
+use crate::model::{AttackModel, Capability, CapabilitySet};
 use crate::model::{ConnectionId, NodeRef, SystemModel};
 use attain_openflow::Frame;
 use std::collections::VecDeque;
@@ -54,6 +53,32 @@ pub struct OutMessage {
     derived: bool,
 }
 
+impl OutMessage {
+    /// The message `view` shows, forwarded as it arrived.
+    fn original(view: &MessageView<'_>) -> OutMessage {
+        OutMessage {
+            conn: view.conn,
+            to_controller: matches!(view.source, NodeRef::Switch(_)),
+            frame: view.frame.clone(),
+            extra_delay_ns: 0,
+            seq: 0,
+            derived: true,
+        }
+    }
+
+    /// A message the attack adds, which `DROPMESSAGE` leaves alone.
+    fn injected(conn: ConnectionId, to_controller: bool, frame: Frame) -> OutMessage {
+        OutMessage {
+            conn,
+            to_controller,
+            frame,
+            extra_delay_ns: 0,
+            seq: 0,
+            derived: false,
+        }
+    }
+}
+
 /// Everything one executor step produced.
 #[derive(Debug, Default, PartialEq, Eq)]
 pub struct ExecOutput {
@@ -65,6 +90,13 @@ pub struct ExecOutput {
     pub faults: Vec<String>,
     /// Absolute time the executor wants a wakeup at (for `SLEEP`).
     pub wakeup_ns: Option<u64>,
+}
+
+impl ExecOutput {
+    /// The deliveries derived from the step's input message.
+    fn derived(&mut self) -> impl Iterator<Item = &mut OutMessage> {
+        self.deliveries.iter_mut().filter(|m| m.derived)
+    }
 }
 
 /// Why an executor could not be constructed.
@@ -203,14 +235,6 @@ impl FuzzRng {
     }
 }
 
-#[derive(Clone)]
-struct HeldMessage {
-    conn: ConnectionId,
-    to_controller: bool,
-    frame: Frame,
-    id: u64,
-}
-
 /// How the executor finds the rules to evaluate for a message.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum DispatchMode {
@@ -228,15 +252,19 @@ pub enum DispatchMode {
 /// The runtime attack executor (paper Algorithm 1 and §VI-B2).
 ///
 /// A clone is an independent executor in the same state: cloning a
-/// fresh one is how an attack compiled once starts many runs.
+/// fresh one is how an attack compiled once starts many runs. The rule
+/// lists are shared between clones, never copied.
 #[derive(Clone)]
 pub struct AttackExecutor {
     system: SystemModel,
+    /// Read only by debug builds, which check each fired action against
+    /// it: `new` proved every rule fits it.
     model: AttackModel,
-    attack: Attack,
-    /// Per-state rule lists, shared so the hot path avoids cloning rule
-    /// bodies on every message.
-    rules_by_state: Vec<Arc<[crate::lang::Rule]>>,
+    /// The attack's name.
+    name: String,
+    /// Each state's name and rules: the executor's only copy of the
+    /// attack.
+    states: Vec<(String, Arc<[Rule]>)>,
     /// The compiled per-state dispatch indexes (also the O(1)
     /// connection-scope source for the scan path).
     ruleset: CompiledRuleset,
@@ -252,7 +280,8 @@ pub struct AttackExecutor {
     /// Passive (and free) when the attack names no timing pairs.
     timing: TimingStore,
     sleep_until_ns: Option<u64>,
-    held: VecDeque<HeldMessage>,
+    /// Messages that arrived during a `SLEEP`, with their ids.
+    held: VecDeque<(u64, InjectorInput)>,
     log: InjectionLog,
     next_msg_id: u64,
     /// Next value of [`OutMessage::seq`]; stamped onto every delivery in
@@ -266,7 +295,7 @@ pub struct AttackExecutor {
 impl fmt::Debug for AttackExecutor {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("AttackExecutor")
-            .field("attack", &self.attack.name)
+            .field("attack", &self.name)
             .field("current_state", &self.current)
             .field("held", &self.held.len())
             .finish()
@@ -277,6 +306,10 @@ impl AttackExecutor {
     /// Builds an executor, validating the attack first (line 2 of
     /// Algorithm 1 initializes `σ_current ← σ_start`).
     ///
+    /// Validation is the executor's capability proof: every rule's
+    /// actions need no more than the model grants on each connection
+    /// the rule watches, so firing them needs no further check.
+    ///
     /// # Errors
     ///
     /// Returns [`ExecutorError`] if validation fails.
@@ -286,19 +319,21 @@ impl AttackExecutor {
         attack: Attack,
     ) -> Result<AttackExecutor, ExecutorError> {
         validate_attack(&system, &model, &attack)?;
-        let start = attack.start;
-        let rules_by_state = attack
-            .states
-            .iter()
-            .map(|s| Arc::from(s.rules.as_slice()))
-            .collect();
         let ruleset = CompiledRuleset::compile(&attack, system.connection_count());
         let timing = TimingStore::new(TimingPlan::from_attack(&attack));
+        let Attack {
+            name,
+            states,
+            start,
+        } = attack;
         Ok(AttackExecutor {
             system,
             model,
-            attack,
-            rules_by_state,
+            name,
+            states: states
+                .into_iter()
+                .map(|s| (s.name, Arc::from(s.rules)))
+                .collect(),
             ruleset,
             mode: DispatchMode::default(),
             cand_scratch: Vec::new(),
@@ -316,6 +351,11 @@ impl AttackExecutor {
         })
     }
 
+    /// The system model the attack was validated against.
+    pub fn system(&self) -> &SystemModel {
+        &self.system
+    }
+
     /// Index of the current attack state.
     pub fn current_state(&self) -> usize {
         self.current
@@ -323,7 +363,7 @@ impl AttackExecutor {
 
     /// Name of the current attack state.
     pub fn current_state_name(&self) -> &str {
-        &self.attack.states[self.current].name
+        &self.states[self.current].0
     }
 
     /// The injection log.
@@ -348,7 +388,7 @@ impl AttackExecutor {
     /// samples.
     pub fn release_connection(&mut self, conn: ConnectionId) {
         self.timing.release_connection(conn);
-        self.held.retain(|h| h.conn != conn);
+        self.held.retain(|(_, h)| h.conn != conn);
     }
 
     /// Switches the rule dispatch strategy (builder-style; the default
@@ -356,15 +396,6 @@ impl AttackExecutor {
     pub fn with_dispatch_mode(mut self, mode: DispatchMode) -> AttackExecutor {
         self.mode = mode;
         self
-    }
-
-    fn endpoints(&self, conn: ConnectionId, to_controller: bool) -> (NodeRef, NodeRef) {
-        let (c, s) = self.system.connection(conn);
-        if to_controller {
-            (NodeRef::Switch(s), NodeRef::Controller(c))
-        } else {
-            (NodeRef::Controller(c), NodeRef::Switch(s))
-        }
     }
 
     /// Algorithm 1, lines 4–21: processes one asynchronous incoming
@@ -376,13 +407,8 @@ impl AttackExecutor {
         // replayed, in order, at wake time. Holding is a refcount bump.
         if let Some(until) = self.sleep_until_ns {
             if input.now_ns < until {
-                self.held.push_back(HeldMessage {
-                    conn: input.conn,
-                    to_controller: input.to_controller,
-                    frame: input.frame,
-                    id,
-                });
                 self.log.push(input.now_ns, LogKind::Held { msg_id: id });
+                self.held.push_back((id, input));
                 return ExecOutput {
                     wakeup_ns: Some(until),
                     ..ExecOutput::default()
@@ -390,13 +416,7 @@ impl AttackExecutor {
             }
             self.sleep_until_ns = None;
         }
-        self.process(
-            input.conn,
-            input.to_controller,
-            &input.frame,
-            input.now_ns,
-            id,
-        )
+        self.process(&input, input.now_ns, id)
     }
 
     /// A requested wakeup fired: drains held messages (unless a new
@@ -410,8 +430,10 @@ impl AttackExecutor {
             }
             self.sleep_until_ns = None;
         }
-        while let Some(held) = self.held.pop_front() {
-            let out = self.process(held.conn, held.to_controller, &held.frame, now_ns, held.id);
+        // Each held message gets an output of its own: `DROPMESSAGE`
+        // removes only the current message's derived deliveries.
+        while let Some((id, held)) = self.held.pop_front() {
+            let out = self.process(&held, now_ns, id);
             total.deliveries.extend(out.deliveries);
             total.commands.extend(out.commands);
             total.faults.extend(out.faults);
@@ -424,28 +446,32 @@ impl AttackExecutor {
         total
     }
 
-    fn process(
-        &mut self,
-        conn: ConnectionId,
-        to_controller: bool,
-        frame: &Frame,
-        now_ns: u64,
-        id: u64,
-    ) -> ExecOutput {
-        // Line 5: msg_out ← [msg_in] — a shared handle, not a copy.
-        let mut out = vec![OutMessage {
+    /// Algorithm 1's body for message `id`, arriving (or replayed) at
+    /// `now_ns`.
+    fn process(&mut self, input: &InjectorInput, now_ns: u64, id: u64) -> ExecOutput {
+        let (conn, frame) = (input.conn, &input.frame);
+        let (c, s) = self.system.connection(conn);
+        let (c, s) = (NodeRef::Controller(c), NodeRef::Switch(s));
+        let (source, destination) = if input.to_controller { (s, c) } else { (c, s) };
+        // The message's one view. It carries the full set Γ, which the
+        // dispatcher's guard extraction reads under: every rule those
+        // reads act for was validated to hold what they need. Each rule
+        // narrows it to its own declared set.
+        let view = MessageView {
             conn,
-            to_controller,
-            frame: frame.clone(),
-            extra_delay_ns: 0,
-            seq: 0,
-            derived: true,
-        }];
-        let mut commands = Vec::new();
-        let mut faults = Vec::new();
-        let mut wakeup = None;
-
-        let (source, destination) = self.endpoints(conn, to_controller);
+            source,
+            destination,
+            timestamp_ns: now_ns,
+            id,
+            frame,
+            granted: CapabilitySet::no_tls(),
+            entropy: entropy_for(self.entropy_seed, id),
+        };
+        // Line 5: msg_out ← [msg_in] — a shared handle, not a copy.
+        let mut out = ExecOutput {
+            deliveries: vec![OutMessage::original(&view)],
+            ..ExecOutput::default()
+        };
 
         // Timing observation happens before rule evaluation, so a rule
         // firing on a response type sees the sample this very message
@@ -466,11 +492,11 @@ impl AttackExecutor {
         // every rule watching `conn`; the compiled path narrows that to
         // the candidate rules first. Candidate order is rule order, so
         // both modes evaluate the same rules in the same sequence.
-        let rules = Arc::clone(&self.rules_by_state[previous]);
+        let rules = Arc::clone(&self.states[previous].1);
         let mut cands = std::mem::take(&mut self.cand_scratch);
+        let state = self.ruleset.state(previous);
         match self.mode {
             DispatchMode::Scan => {
-                let state = self.ruleset.state(previous);
                 cands.clear();
                 cands.extend(
                     (0..rules.len())
@@ -479,177 +505,108 @@ impl AttackExecutor {
                 );
             }
             DispatchMode::Compiled => {
-                // Guard extraction reads act on behalf of rules that
-                // were validated to hold the needed capabilities, so
-                // the extraction view carries the full set Γ.
-                let extract_view = MessageView {
-                    conn,
-                    source,
-                    destination,
-                    timestamp_ns: now_ns,
-                    id,
-                    frame,
-                    granted: CapabilitySet::no_tls(),
-                    entropy: entropy_for(self.entropy_seed, id),
-                };
-                let mut mask = std::mem::take(&mut self.mask_scratch);
-                self.ruleset
-                    .state(previous)
-                    .candidates(conn, &extract_view, &mut cands, &mut mask);
-                self.mask_scratch = mask;
+                state.candidates(conn, &view, &mut cands, &mut self.mask_scratch);
                 #[cfg(debug_assertions)]
-                self.audit_candidates(
-                    previous,
-                    conn,
-                    &rules,
-                    &cands,
-                    source,
-                    destination,
-                    frame,
-                    now_ns,
-                    id,
-                );
+                self.audit_candidates(previous, &rules, &cands, &view);
             }
         }
         for &i in &cands {
-            self.eval_rule(
-                &rules[i as usize],
-                previous,
-                conn,
-                source,
-                destination,
-                frame,
-                now_ns,
-                id,
-                &mut out,
-                &mut commands,
-                &mut faults,
-                &mut wakeup,
-            );
+            self.eval_rule(&rules[i as usize], previous, &view, &mut out);
         }
         self.cand_scratch = cands;
 
         // Stamp the surviving list in emission order: the sequence an
         // asynchronous deployment must preserve among equal deadlines.
-        for m in &mut out {
+        for m in &mut out.deliveries {
             m.seq = self.next_delivery_seq;
             self.next_delivery_seq += 1;
         }
-        ExecOutput {
-            deliveries: out,
-            commands,
-            faults,
-            wakeup_ns: wakeup,
+        out
+    }
+
+    /// Evaluates `e` against a message, the deques and its connection's
+    /// timing state.
+    fn eval(&self, e: &Expr, view: &MessageView<'_>) -> Result<Value, EvalError> {
+        e.eval_with(
+            view,
+            &self.deques,
+            self.timing.ctx(view.conn, view.timestamp_ns),
+        )
+    }
+
+    /// Evaluates a `DELAY`/`SLEEP` argument: non-negative seconds, as
+    /// nanoseconds.
+    fn eval_ns(&self, e: &Expr, view: &MessageView<'_>, action: &str) -> Result<u64, String> {
+        let v = self.eval(e, view).map_err(|e| e.to_string())?;
+        match v.as_float() {
+            Some(secs) if secs >= 0.0 => Ok((secs * 1e9) as u64),
+            _ => Err(format!("{action} of non-time value {v}")),
         }
     }
 
     /// Evaluates one rule against one message and runs its actions on a
     /// match — the body of Algorithm 1's per-rule loop.
-    #[allow(clippy::too_many_arguments)]
     fn eval_rule(
         &mut self,
-        rule: &crate::lang::Rule,
+        rule: &Rule,
         previous: usize,
-        conn: ConnectionId,
-        source: NodeRef,
-        destination: NodeRef,
-        frame: &Frame,
-        now_ns: u64,
-        id: u64,
-        out: &mut Vec<OutMessage>,
-        commands: &mut Vec<(String, String)>,
-        faults: &mut Vec<String>,
-        wakeup: &mut Option<u64>,
+        view: &MessageView<'_>,
+        out: &mut ExecOutput,
     ) {
         let view = MessageView {
-            conn,
-            source,
-            destination,
-            timestamp_ns: now_ns,
-            id,
-            frame,
             granted: rule.required,
-            entropy: entropy_for(self.entropy_seed, id),
+            ..*view
         };
-        match rule
-            .condition
-            .eval_with(&view, &self.deques, self.timing.ctx(conn, now_ns))
-        {
+        let now_ns = view.timestamp_ns;
+        match self.eval(&rule.condition, &view) {
             Ok(v) if v.truthy() => {}
             Ok(_) => return,
-            Err(e) => {
-                self.log.push(
-                    now_ns,
-                    LogKind::ActionError {
-                        rule: rule.name.clone(),
-                        error: e.to_string(),
-                    },
-                );
-                return;
-            }
+            Err(e) => return self.log_error(now_ns, rule, e.to_string()),
         }
         self.log.push(
             now_ns,
             LogKind::RuleMatched {
                 state: previous,
                 rule: rule.name.clone(),
-                msg_id: id,
+                msg_id: view.id,
             },
         );
         // Lines 10–16: run the rule's actions.
         for action in &rule.actions {
-            // Defense in depth: the compiler already checked this.
-            let needed = action.required_capabilities();
-            let granted = self.model.get(conn);
-            if !granted.is_superset_of(&needed) {
-                if let Some(missing) = granted.missing_from(&needed).first() {
-                    self.log.push(
-                        now_ns,
-                        LogKind::CapabilityViolation {
-                            rule: rule.name.clone(),
-                            missing: *missing,
-                        },
-                    );
-                }
-                continue;
+            debug_assert!(
+                self.model
+                    .get(view.conn)
+                    .is_superset_of(&action.required_capabilities()),
+                "rule {} fires {action} on {} beyond the attack model's grant, \
+                 which validation at construction rules out",
+                rule.name,
+                view.conn,
+            );
+            if let Err(error) = self.apply_action(action, rule, &view, out) {
+                self.log_error(now_ns, rule, error);
             }
-            if let AttackAction::GoToState(target) = action {
-                if *target != self.current {
-                    self.log.push(
-                        now_ns,
-                        LogKind::Transition {
-                            from: self.current,
-                            to: *target,
-                        },
-                    );
-                    self.current = *target;
-                    // `elapsed_in_state()` restarts on every transition
-                    // to a different state.
-                    self.timing.enter_state(now_ns);
-                }
-                continue;
-            }
-            self.apply_action(action, rule, &view, out, commands, faults, wakeup, now_ns);
         }
+    }
+
+    /// Logs a failed condition or action as the rule's error; the run
+    /// goes on.
+    fn log_error(&mut self, now_ns: u64, rule: &Rule, error: String) {
+        let rule = rule.name.clone();
+        self.log.push(now_ns, LogKind::ActionError { rule, error });
     }
 
     /// Debug builds only: re-evaluates every rule the dispatcher
     /// excluded, panicking unless the reference scan would have skipped
     /// it silently too (condition falsy, nothing logged).
     #[cfg(debug_assertions)]
-    #[allow(clippy::too_many_arguments)]
     fn audit_candidates(
         &self,
         previous: usize,
-        conn: ConnectionId,
-        rules: &[crate::lang::Rule],
+        rules: &[Rule],
         candidates: &[u32],
-        source: NodeRef,
-        destination: NodeRef,
-        frame: &Frame,
-        now_ns: u64,
-        id: u64,
+        view: &MessageView<'_>,
     ) {
+        let (conn, id, now_ns) = (view.conn, view.id, view.timestamp_ns);
         let state = self.ruleset.state(previous);
         for (i, rule) in rules.iter().enumerate() {
             let is_candidate = candidates.contains(&(i as u32));
@@ -666,22 +623,13 @@ impl AttackExecutor {
                 continue;
             }
             let view = MessageView {
-                conn,
-                source,
-                destination,
-                timestamp_ns: now_ns,
-                id,
-                frame,
                 granted: rule.required,
-                entropy: entropy_for(self.entropy_seed, id),
+                ..*view
             };
             // Exclusion is sound only when the anchor conjunct is falsy,
             // which short-circuits the scan before any deque read — so
             // evaluating here, before this pass's actions, is exact.
-            match rule
-                .condition
-                .eval_with(&view, &self.deques, self.timing.ctx(conn, now_ns))
-            {
+            match self.eval(&rule.condition, &view) {
                 Ok(v) if !v.truthy() => {}
                 other => panic!(
                     "dispatch_audit: rule {} (state {previous}, msg {id} at {now_ns}ns) \
@@ -692,73 +640,52 @@ impl AttackExecutor {
         }
     }
 
-    #[allow(clippy::too_many_arguments)]
+    /// Runs one action of a matched rule. An `Err` is logged as the
+    /// rule's [`LogKind::ActionError`].
     fn apply_action(
         &mut self,
         action: &AttackAction,
-        rule: &crate::lang::Rule,
+        rule: &Rule,
         view: &MessageView<'_>,
-        out: &mut Vec<OutMessage>,
-        commands: &mut Vec<(String, String)>,
-        faults: &mut Vec<String>,
-        wakeup: &mut Option<u64>,
-        now_ns: u64,
-    ) {
-        let log_err = |log: &mut InjectionLog, e: String| {
-            log.push(
-                now_ns,
-                LogKind::ActionError {
-                    rule: rule.name.clone(),
-                    error: e,
-                },
-            );
-        };
+        out: &mut ExecOutput,
+    ) -> Result<(), String> {
+        let now_ns = view.timestamp_ns;
         match action {
-            AttackAction::GoToState(_) => unreachable!("handled by caller"),
-            AttackAction::Drop => out.retain(|m| !m.derived),
+            AttackAction::GoToState(target) => {
+                if *target != self.current {
+                    self.log.push(
+                        now_ns,
+                        LogKind::Transition {
+                            from: self.current,
+                            to: *target,
+                        },
+                    );
+                    self.current = *target;
+                    // `elapsed_in_state()` restarts on every transition
+                    // to a different state.
+                    self.timing.enter_state(now_ns);
+                }
+            }
+            AttackAction::Drop => out.deliveries.retain(|m| !m.derived),
             AttackAction::Pass => {
-                if !out.iter().any(|m| m.derived) {
-                    out.push(OutMessage {
-                        conn: view.conn,
-                        to_controller: matches!(view.source, NodeRef::Switch(_)),
-                        frame: view.frame.clone(),
-                        extra_delay_ns: 0,
-                        seq: 0,
-                        derived: true,
-                    });
+                if !out.deliveries.iter().any(|m| m.derived) {
+                    out.deliveries.push(OutMessage::original(view));
                 }
             }
             AttackAction::Delay(e) => {
-                match e.eval_with(view, &self.deques, self.timing.ctx(view.conn, now_ns)) {
-                    Ok(v) => match v.as_float() {
-                        Some(secs) if secs >= 0.0 => {
-                            let ns = (secs * 1e9) as u64;
-                            for m in out.iter_mut().filter(|m| m.derived) {
-                                m.extra_delay_ns += ns;
-                            }
-                        }
-                        _ => log_err(&mut self.log, format!("delay of non-time value {v}")),
-                    },
-                    Err(e) => log_err(&mut self.log, e.to_string()),
+                let ns = self.eval_ns(e, view, "delay")?;
+                for m in out.derived() {
+                    m.extra_delay_ns += ns;
                 }
             }
             AttackAction::Duplicate => {
                 // Cloning an OutMessage shares its frame: DUPLICATEMESSAGE
                 // is a refcount bump, not a buffer copy.
-                let template =
-                    out.iter()
-                        .rev()
-                        .find(|m| m.derived)
-                        .cloned()
-                        .unwrap_or(OutMessage {
-                            conn: view.conn,
-                            to_controller: matches!(view.source, NodeRef::Switch(_)),
-                            frame: view.frame.clone(),
-                            extra_delay_ns: 0,
-                            seq: 0,
-                            derived: true,
-                        });
-                out.push(template);
+                let template = match out.deliveries.iter().rev().find(|m| m.derived) {
+                    Some(m) => m.clone(),
+                    None => OutMessage::original(view),
+                };
+                out.deliveries.push(template);
             }
             AttackAction::ReadMetadata => {
                 let summary = format!(
@@ -779,10 +706,7 @@ impl AttackExecutor {
             }
             AttackAction::Read => {
                 let summary = match view.frame.message() {
-                    Some(m) => {
-                        let s = format!("{m:?}");
-                        s.chars().take(200).collect()
-                    }
+                    Some(m) => format!("{m:?}").chars().take(200).collect(),
                     None => "<unparseable>".to_string(),
                 };
                 self.log.push(
@@ -795,50 +719,37 @@ impl AttackExecutor {
             }
             AttackAction::ModifyMetadata { field, value } => {
                 if field != "destination" {
-                    log_err(&mut self.log, format!("unsupported metadata field {field}"));
-                    return;
+                    return Err(format!("unsupported metadata field {field}"));
                 }
-                let v =
-                    match value.eval_with(view, &self.deques, self.timing.ctx(view.conn, now_ns)) {
-                        Ok(v) => v,
-                        Err(e) => return log_err(&mut self.log, e.to_string()),
-                    };
+                let v = self.eval(value, view).map_err(|e| e.to_string())?;
                 let Value::Addr(target) = v else {
-                    return log_err(
-                        &mut self.log,
-                        format!("destination must be a component, got {v}"),
-                    );
+                    return Err(format!("destination must be a component, got {v}"));
                 };
                 // Redirect derived copies onto a connection whose far end
                 // is the named component.
-                let redirect = self
+                let (conn, to_controller) = self
                     .system
                     .connections()
                     .find_map(|(id, c, s)| match target {
                         NodeRef::Controller(tc) if tc == c => Some((id, true)),
                         NodeRef::Switch(ts) if ts == s => Some((id, false)),
                         _ => None,
-                    });
-                match redirect {
-                    Some((conn, to_controller)) => {
-                        for m in out.iter_mut().filter(|m| m.derived) {
-                            m.conn = conn;
-                            m.to_controller = to_controller;
-                        }
-                    }
-                    None => log_err(
-                        &mut self.log,
+                    })
+                    .ok_or_else(|| {
                         format!(
                             "no control connection reaches {}",
                             self.system.name_of(target)
-                        ),
-                    ),
+                        )
+                    })?;
+                for m in out.derived() {
+                    m.conn = conn;
+                    m.to_controller = to_controller;
                 }
             }
             AttackAction::Fuzz { flips } => {
                 // Copy-on-write: the shared frame stays intact; the
                 // mutated copy becomes a fresh frame.
-                for m in out.iter_mut().filter(|m| m.derived) {
+                for m in out.derived() {
                     if m.frame.is_empty() {
                         continue;
                     }
@@ -851,16 +762,13 @@ impl AttackExecutor {
                 }
             }
             AttackAction::Modify { field, value } => {
-                let v =
-                    match value.eval_with(view, &self.deques, self.timing.ctx(view.conn, now_ns)) {
-                        Ok(v) => v,
-                        Err(e) => return log_err(&mut self.log, e.to_string()),
-                    };
-                // Copy-on-write, as for FUZZMESSAGE.
-                for m in out.iter_mut().filter(|m| m.derived) {
+                let v = self.eval(value, view).map_err(|e| e.to_string())?;
+                // Copy-on-write, as for FUZZMESSAGE. Each copy that cannot
+                // be rewritten logs an error of its own.
+                for m in out.derived() {
                     match modifier::set_field(m.frame.bytes(), field, &v) {
                         Ok(b) => m.frame = Frame::new(b),
-                        Err(e) => log_err(&mut self.log, e.to_string()),
+                        Err(e) => self.log_error(now_ns, rule, e.to_string()),
                     }
                 }
             }
@@ -869,27 +777,17 @@ impl AttackExecutor {
                 to_controller,
                 frame,
             } => {
-                out.push(OutMessage {
-                    conn: *conn,
-                    to_controller: *to_controller,
-                    frame: frame.clone(),
-                    extra_delay_ns: 0,
-                    seq: 0,
-                    derived: false,
-                });
+                out.deliveries
+                    .push(OutMessage::injected(*conn, *to_controller, frame.clone()));
                 self.log.push(now_ns, LogKind::Injected { conn: conn.0 });
             }
             AttackAction::Prepend { deque, value } => {
-                match value.eval_with(view, &self.deques, self.timing.ctx(view.conn, now_ns)) {
-                    Ok(v) => self.deques.prepend(deque, v),
-                    Err(e) => log_err(&mut self.log, e.to_string()),
-                }
+                let v = self.eval(value, view).map_err(|e| e.to_string())?;
+                self.deques.prepend(deque, v);
             }
             AttackAction::Append { deque, value } => {
-                match value.eval_with(view, &self.deques, self.timing.ctx(view.conn, now_ns)) {
-                    Ok(v) => self.deques.append(deque, v),
-                    Err(e) => log_err(&mut self.log, e.to_string()),
-                }
+                let v = self.eval(value, view).map_err(|e| e.to_string())?;
+                self.deques.append(deque, v);
             }
             AttackAction::Shift(d) => {
                 self.deques.shift(d);
@@ -915,38 +813,26 @@ impl AttackExecutor {
                     DequeEnd::End => self.deques.pop(deque),
                 };
                 match v {
-                    Value::Message(m) => out.push(OutMessage {
-                        conn: ConnectionId(m.conn),
-                        to_controller: m.to_controller,
-                        frame: m.frame,
-                        extra_delay_ns: 0,
-                        seq: 0,
-                        derived: false,
-                    }),
+                    Value::Message(m) => out.deliveries.push(OutMessage::injected(
+                        ConnectionId(m.conn),
+                        m.to_controller,
+                        m.frame,
+                    )),
                     Value::None => {}
-                    other => log_err(
-                        &mut self.log,
-                        format!(
+                    other => {
+                        return Err(format!(
                             "deque {deque} held a {} where a message was expected",
                             other.kind()
-                        ),
-                    ),
+                        ))
+                    }
                 }
             }
             AttackAction::Sleep(e) => {
-                match e.eval_with(view, &self.deques, self.timing.ctx(view.conn, now_ns)) {
-                    Ok(v) => match v.as_float() {
-                        Some(secs) if secs >= 0.0 => {
-                            let until = now_ns + (secs * 1e9) as u64;
-                            self.sleep_until_ns = Some(until);
-                            *wakeup = Some(until);
-                            self.log
-                                .push(now_ns, LogKind::SleepStart { until_ns: until });
-                        }
-                        _ => log_err(&mut self.log, format!("sleep of non-time value {v}")),
-                    },
-                    Err(e) => log_err(&mut self.log, e.to_string()),
-                }
+                let until = now_ns + self.eval_ns(e, view, "sleep")?;
+                self.sleep_until_ns = Some(until);
+                out.wakeup_ns = Some(until);
+                self.log
+                    .push(now_ns, LogKind::SleepStart { until_ns: until });
             }
             AttackAction::SysCmd { host, cmd } => {
                 self.log.push(
@@ -956,12 +842,13 @@ impl AttackExecutor {
                         cmd: cmd.clone(),
                     },
                 );
-                commands.push((host.clone(), cmd.clone()));
+                out.commands.push((host.clone(), cmd.clone()));
             }
             AttackAction::Fault { spec } => {
                 self.log.push(now_ns, LogKind::Fault { spec: spec.clone() });
-                faults.push(spec.clone());
+                out.faults.push(spec.clone());
             }
         }
+        Ok(())
     }
 }

@@ -1,7 +1,6 @@
 //! The injection log: rule notifications and records, as the paper's
 //! injector logged them (§VII-A2).
 
-use crate::model::Capability;
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -44,14 +43,6 @@ pub enum LogKind {
         rule: String,
         /// Rendered error.
         error: String,
-    },
-    /// A capability check failed at runtime (defense in depth; the
-    /// compiler should have rejected this).
-    CapabilityViolation {
-        /// Rule name.
-        rule: String,
-        /// The missing capability.
-        missing: Capability,
     },
     /// A new message was injected.
     Injected {

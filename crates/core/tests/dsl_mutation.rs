@@ -1,0 +1,134 @@
+//! The DSL front end against hostile text: every shipped `.atk` file,
+//! mutated by a seeded stream of character edits, goes through
+//! `compile_document`, `compile_all` (against the enterprise scenario)
+//! and `render` of whatever compiles. Arbitrary bytes go the same way
+//! after `String::from_utf8_lossy`. A mutant may be refused with a
+//! `DslError`; nothing may panic.
+
+use attain_core::model::{AttackModel, SystemModel};
+use attain_core::{dsl, scenario};
+use std::collections::BTreeSet;
+use std::panic::{catch_unwind, AssertUnwindSafe};
+
+/// Mutants per shipped file, and arbitrary byte strings in all.
+const MUTANTS_PER_FILE: u64 = 400;
+const BYTE_STRINGS: u64 = 400;
+
+/// SplitMix64: the seeded stream behind every mutation.
+struct Rng(u64);
+
+impl Rng {
+    fn next(&mut self) -> u64 {
+        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    /// A value in `0..n` (`n > 0`).
+    fn below(&mut self, n: usize) -> usize {
+        (self.next() % n as u64) as usize
+    }
+}
+
+/// Every shipped attack description, by file name, in name order.
+fn shipped() -> Vec<(String, String)> {
+    let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../../attacks");
+    let mut files: Vec<_> = std::fs::read_dir(dir)
+        .expect("attacks/ is readable")
+        .map(|e| e.expect("a directory entry").path())
+        .filter(|p| p.extension().is_some_and(|x| x == "atk"))
+        .map(|p| {
+            let text = std::fs::read_to_string(&p).expect("an .atk file is UTF-8");
+            (p.display().to_string(), text)
+        })
+        .collect();
+    files.sort();
+    files
+}
+
+/// One to four edits: insert, delete or replace a character drawn from
+/// `alphabet`, or delete a span of up to eight characters.
+fn mutate(source: &str, alphabet: &[char], rng: &mut Rng) -> String {
+    let mut text: Vec<char> = source.chars().collect();
+    for _ in 0..1 + rng.below(4) {
+        let at = rng.below(text.len() + 1);
+        let c = alphabet[rng.below(alphabet.len())];
+        match rng.below(4) {
+            0 => text.insert(at, c),
+            _ if at == text.len() => {}
+            1 => {
+                text.remove(at);
+            }
+            2 => text[at] = c,
+            _ => {
+                let end = (at + 1 + rng.below(8)).min(text.len());
+                text.drain(at..end);
+            }
+        }
+    }
+    text.into_iter().collect()
+}
+
+/// Runs `text` through every front-end entry point, rendering whatever
+/// compiles, and fails the test naming `origin` and the text on a panic.
+/// Returns how many attacks rendered.
+fn front_end(text: &str, system: &SystemModel, model: &AttackModel, origin: &str) -> usize {
+    let run = catch_unwind(AssertUnwindSafe(|| {
+        let mut rendered = 0;
+        if let Ok(doc) = dsl::compile_document(text) {
+            for a in &doc.attacks {
+                rendered += usize::from(dsl::render(&a.attack, &doc.system).is_ok());
+            }
+        }
+        if let Ok(attacks) = dsl::compile_all(text, system, model) {
+            for a in &attacks {
+                rendered += usize::from(dsl::render(&a.attack, system).is_ok());
+            }
+        }
+        rendered
+    }));
+    run.unwrap_or_else(|_| panic!("{origin}: the DSL front end panicked on\n{text}"))
+}
+
+#[test]
+fn mutated_shipped_attacks_never_panic_the_front_end() {
+    let sc = scenario::enterprise_network();
+    let files = shipped();
+    assert!(files.len() >= 11, "expected every shipped .atk file");
+    let alphabet: Vec<char> = files
+        .iter()
+        .flat_map(|(_, text)| text.chars())
+        .collect::<BTreeSet<_>>()
+        .into_iter()
+        .collect();
+    let mut rendered = 0;
+    for (seed, (name, source)) in (0u64..).zip(&files) {
+        let mut rng = Rng(seed);
+        for i in 0..MUTANTS_PER_FILE {
+            let mutant = mutate(source, &alphabet, &mut rng);
+            let origin = format!("{name} mutant {i} (seed {seed})");
+            rendered += front_end(&mutant, &sc.system, &sc.attack_model, &origin);
+        }
+    }
+    // The stream must reach the compiler and renderer, not stop at the
+    // lexer: over a quarter of the mutants compile and render today.
+    let mutants = files.len() * MUTANTS_PER_FILE as usize;
+    assert!(
+        rendered * 10 >= mutants,
+        "only {rendered} of {mutants} mutants rendered"
+    );
+}
+
+#[test]
+fn arbitrary_bytes_never_panic_the_front_end() {
+    let sc = scenario::enterprise_network();
+    let mut rng = Rng(0xA77A_1D5E);
+    for i in 0..BYTE_STRINGS {
+        let bytes: Vec<u8> = (0..rng.below(256)).map(|_| rng.next() as u8).collect();
+        let text = String::from_utf8_lossy(&bytes);
+        let origin = format!("byte string {i}");
+        front_end(&text, &sc.system, &sc.attack_model, &origin);
+    }
+}

@@ -420,3 +420,67 @@ fn templates_compose_with_the_executor() {
     assert_eq!(passed, 5);
     assert_eq!(exec.current_state_name(), "strike");
 }
+
+/// `AttackExecutor::new` is where the capability proof is made: a rule
+/// must declare every capability its actions use, the attack model must
+/// grant that declared set on every connection the rule watches, and
+/// those connections must exist. The executor fires actions without
+/// checking again, so each hand-built violation must be refused here.
+#[test]
+fn new_refuses_each_capability_violation() {
+    use attain_core::exec::ExecutorError;
+    use attain_core::lang::{Attack, AttackAction, AttackState, Expr, Rule, Value};
+    use attain_core::model::{AttackModel, Capability, CapabilitySet};
+
+    let sc = scenario::enterprise_network();
+    let caps = |c: &[Capability]| c.iter().copied().collect::<CapabilitySet>();
+    let drop = caps(&[Capability::DropMessage]);
+    let attack = |conn: usize, required: CapabilitySet| Attack {
+        name: "hand_built".into(),
+        states: vec![AttackState {
+            name: "sigma1".into(),
+            rules: vec![Rule {
+                name: "phi1".into(),
+                connections: vec![ConnectionId(conn)],
+                required,
+                condition: Expr::Lit(Value::Bool(true)),
+                actions: vec![AttackAction::Drop],
+            }],
+        }],
+        start: 0,
+    };
+    let new = |model: &AttackModel, attack: Attack| {
+        AttackExecutor::new(sc.system.clone(), model.clone(), attack).map(|_| ())
+    };
+    // The model grants only DROPMESSAGE on connection 1.
+    let mut model = sc.attack_model.clone();
+    model.set(ConnectionId(1), drop);
+
+    assert_eq!(new(&model, attack(1, drop)), Ok(()));
+    assert_eq!(
+        new(
+            &model,
+            attack(1, caps(&[Capability::DropMessage, Capability::PassMessage]))
+        ),
+        Err(ExecutorError::NotGranted {
+            rule: "phi1".into(),
+            conn: ConnectionId(1),
+            missing: vec![Capability::PassMessage],
+        }),
+    );
+    assert_eq!(
+        new(&model, attack(0, caps(&[Capability::PassMessage]))),
+        Err(ExecutorError::RuleUnderDeclared {
+            rule: "phi1".into(),
+            missing: vec![Capability::DropMessage],
+        }),
+    );
+    let outside = sc.system.connection_count();
+    assert_eq!(
+        new(&model, attack(outside, drop)),
+        Err(ExecutorError::UnknownConnection {
+            rule: "phi1".into(),
+            conn: ConnectionId(outside),
+        }),
+    );
+}

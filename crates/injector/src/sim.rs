@@ -42,8 +42,9 @@ pub struct SimInjector {
     exec: SharedExecutor,
     /// Core connection index → simulator connection.
     to_sim: Vec<ConnId>,
-    /// Simulator connection → core connection index.
-    to_core: HashMap<ConnId, ConnectionId>,
+    /// Simulator connection (dense ids, indexed by `ConnId.0`) → core
+    /// connection index, `None` outside the attack's system model.
+    to_core: Vec<Option<ConnectionId>>,
     /// Host name → simulator node (for `SYSCMD` translation).
     hosts: HashMap<String, NodeId>,
 }
@@ -73,7 +74,7 @@ impl SimInjector {
     ) -> (SimInjector, SharedExecutor) {
         let infos = sim.conn_infos();
         let mut to_sim = Vec::with_capacity(system.connection_count());
-        let mut to_core = HashMap::new();
+        let mut to_core = vec![None; infos.len()];
         for (core_id, c, s) in system.connections() {
             let c_name = system.name_of(attain_core::model::NodeRef::Controller(c));
             let s_name = system.name_of(attain_core::model::NodeRef::Switch(s));
@@ -84,7 +85,7 @@ impl SimInjector {
                     panic!("connection ({c_name}, {s_name}) has no simulated counterpart")
                 });
             to_sim.push(info.id);
-            to_core.insert(info.id, core_id);
+            to_core[info.id.0] = Some(core_id);
         }
         let mut hosts = HashMap::new();
         for (_, h) in system.hosts() {
@@ -141,7 +142,7 @@ impl SimInjector {
 
 impl Interposer for SimInjector {
     fn on_message(&mut self, msg: ProxiedMessage<'_>) -> InterposerActions {
-        let Some(&core_conn) = self.to_core.get(&msg.conn) else {
+        let Some(&Some(core_conn)) = self.to_core.get(msg.conn.0) else {
             // A connection outside the attack's system model: the proxy
             // forwards it untouched.
             return InterposerActions::pass(&msg);

@@ -659,13 +659,28 @@ impl TcpProxy {
     ///
     /// # Errors
     ///
-    /// Fails if a listener cannot bind or a thread cannot be spawned;
-    /// threads already started are stopped and joined first.
+    /// Fails with [`io::ErrorKind::InvalidInput`], before binding
+    /// anything, if a route names a connection outside the executor's
+    /// system model or two routes name one connection. Otherwise fails
+    /// if a listener cannot bind or a thread cannot be spawned; threads
+    /// already started are stopped and joined first.
     pub fn spawn(
         exec: AttackExecutor,
         routes: Vec<ProxyRoute>,
         syscmd: Option<SysCmdHandler>,
     ) -> io::Result<TcpProxy> {
+        let conns = exec.system().connection_count();
+        for (i, route) in routes.iter().enumerate() {
+            let refusal = if route.conn.0 >= conns {
+                format!("outside the system model's {conns} connections")
+            } else if routes[..i].iter().any(|r| r.conn == route.conn) {
+                "already proxied by an earlier route".to_string()
+            } else {
+                continue;
+            };
+            let msg = format!("route {i}: connection {} is {refusal}", route.conn);
+            return Err(io::Error::new(io::ErrorKind::InvalidInput, msg));
+        }
         let listeners = routes
             .iter()
             .map(|route| TcpListener::bind(route.listen))

@@ -7,7 +7,7 @@ use attain_core::model::ConnectionId;
 use attain_core::{dsl, scenario};
 use attain_injector::tcp::{FaultAction, ProxyRoute, TcpProxy};
 use attain_openflow::OfMessage;
-use std::io::{Read, Write};
+use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::mpsc;
 use std::thread;
@@ -561,6 +561,52 @@ fn unframeable_header_resets_the_session_and_the_route_serves_the_next_switch() 
     let stats = proxy.stats();
     assert_eq!((stats.sessions_opened, stats.live_sessions), (3, 1));
     proxy.shutdown();
+}
+
+/// Spawns a `TRIVIAL_PASS` proxy with one route per entry of `conns`,
+/// the first listening on an address already in use, and returns the
+/// error the spawn fails with.
+fn refused_spawn(conns: &[usize]) -> io::Error {
+    let taken = TcpListener::bind("127.0.0.1:0").unwrap();
+    let taken_addr = taken.local_addr().unwrap();
+    let routes = (0..)
+        .zip(conns)
+        .map(|(i, &conn)| ProxyRoute {
+            listen: if i == 0 {
+                taken_addr
+            } else {
+                "127.0.0.1:0".parse().unwrap()
+            },
+            // Never dialled: the spawn fails first.
+            controller: taken_addr,
+            conn: ConnectionId(conn),
+        })
+        .collect();
+    TcpProxy::spawn(executor(scenario::attacks::TRIVIAL_PASS), routes, None).unwrap_err()
+}
+
+/// A route naming a connection outside the attack's system model is
+/// refused at spawn, before anything binds (its listen address is taken,
+/// so binding first would fail differently). It used to be accepted, and the
+/// first message then panicked the session's reader thread.
+#[test]
+fn spawn_refuses_a_route_outside_the_system_model() {
+    let err = refused_spawn(&[99]);
+    assert_eq!(err.kind(), io::ErrorKind::InvalidInput, "{err}");
+    assert!(
+        err.to_string().contains("outside the system model"),
+        "{err}"
+    );
+}
+
+/// Two routes naming one connection are refused at spawn, before
+/// anything binds. They used to be accepted, and the second route's
+/// switch then closed the first route's session.
+#[test]
+fn spawn_refuses_two_routes_on_one_connection() {
+    let err = refused_spawn(&[0, 0]);
+    assert_eq!(err.kind(), io::ErrorKind::InvalidInput, "{err}");
+    assert!(err.to_string().contains("already proxied"), "{err}");
 }
 
 /// The §VII-B interruption scenario over real sockets: sever and hold

@@ -5,6 +5,13 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+# Every benchmark build rewrites attain_bench/Cargo.lock, which is tracked
+# and stale: keep a copy and put it back however the script exits, so a
+# run leaves the tree as it found it.
+bench_lock=$(mktemp)
+cp attain_bench/Cargo.lock "$bench_lock"
+trap 'cp "$bench_lock" attain_bench/Cargo.lock; rm -f "$bench_lock"' EXIT
+
 echo "== cargo fmt --check"
 cargo fmt --all --check
 # include!d at the controllers crate root, so cargo fmt does not reach it

@@ -18,6 +18,8 @@ pub struct Document {
 /// `system { … }`.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct SystemBlock {
+    /// Line of the `system` keyword.
+    pub line: u32,
     /// Statements in order.
     pub stmts: Vec<SystemStmt>,
 }
@@ -96,6 +98,8 @@ pub enum CapClass {
 /// `capabilities { … }`.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct CapabilitiesBlock {
+    /// Line of the `capabilities` keyword.
+    pub line: u32,
     /// `default CLASS;`
     pub default: Option<(CapClass, u32)>,
     /// `(c1, s2): CLASS;` overrides.

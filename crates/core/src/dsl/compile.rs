@@ -60,7 +60,7 @@ pub fn compile(
 ) -> Result<CompiledAttack, DslError> {
     let mut attacks = compile_all(source, system, model)?;
     if attacks.is_empty() {
-        return Err(DslError::new(0, "source contains no attack block"));
+        return Err(DslError::new(1, "source contains no attack block"));
     }
     Ok(attacks.remove(0))
 }
@@ -76,9 +76,13 @@ pub fn compile_all(
     model: &AttackModel,
 ) -> Result<Vec<CompiledAttack>, DslError> {
     let doc = parser::parse(source)?;
-    if doc.system.is_some() || doc.capabilities.is_some() {
+    let model_lines = [
+        doc.system.as_ref().map(|b| b.line),
+        doc.capabilities.as_ref().map(|b| b.line),
+    ];
+    if let Some(line) = model_lines.into_iter().flatten().min() {
         return Err(DslError::new(
-            0,
+            line,
             "attack-only source expected; use compile_document for self-contained files",
         ));
     }
@@ -97,7 +101,7 @@ pub fn compile_all(
 pub fn compile_document(source: &str) -> Result<CompiledDocument, DslError> {
     let doc = parser::parse(source)?;
     let Some(system_block) = &doc.system else {
-        return Err(DslError::new(0, "document has no system block"));
+        return Err(DslError::new(1, "document has no system block"));
     };
     let system = compile_system(system_block)?;
     let attack_model = match &doc.capabilities {
@@ -220,7 +224,7 @@ fn compile_system(block: &SystemBlock) -> Result<SystemModel, DslError> {
     }
     system
         .validate()
-        .map_err(|e| DslError::new(0, e.to_string()))?;
+        .map_err(|e| DslError::new(block.line, e.to_string()))?;
     Ok(system)
 }
 
@@ -1051,5 +1055,40 @@ mod tests {
         assert_eq!(s1.ports, vec![1, 2]);
         let (_, s2) = doc.system.switches().nth(1).unwrap();
         assert_eq!(s2.ports, vec![1, 2]);
+    }
+
+    #[test]
+    fn model_block_in_attack_only_source_names_its_line() {
+        let doc = compile_document(SELF_CONTAINED).unwrap();
+        let capabilities_first = "\n\ncapabilities {\n    default tls;\n}\nsystem {\n}\n";
+        let err = compile(capabilities_first, &doc.system, &doc.attack_model).unwrap_err();
+        assert!(err.message.contains("attack-only source expected"), "{err}");
+        assert_eq!(err.line, 3, "the first model block's keyword line");
+        let err = compile_all("\nsystem {\n}\n", &doc.system, &doc.attack_model).unwrap_err();
+        assert_eq!(err.line, 2);
+    }
+
+    #[test]
+    fn invalid_system_names_its_block_line() {
+        let source = "# a one-host system\n\nsystem {\n    controller c1;\n    switch s1;\n    host h1 ip 10.0.0.1;\n}\n";
+        let err = compile_document(source).unwrap_err();
+        assert!(err.message.contains("|H| must be >= 2"), "{err}");
+        assert_eq!(err.line, 3, "the `system` keyword line");
+        assert_eq!(err.to_string(), format!("line 3: {}", err.message));
+    }
+
+    #[test]
+    fn missing_attack_block_is_reported_at_line_one() {
+        let doc = compile_document(SELF_CONTAINED).unwrap();
+        let err = compile("\n# nothing here\n", &doc.system, &doc.attack_model).unwrap_err();
+        assert!(err.message.contains("no attack block"), "{err}");
+        assert_eq!(err.line, 1);
+    }
+
+    #[test]
+    fn missing_system_block_is_reported_at_line_one() {
+        let err = compile_document("\n\ncapabilities {\n    default tls;\n}\n").unwrap_err();
+        assert!(err.message.contains("no system block"), "{err}");
+        assert_eq!(err.line, 1);
     }
 }

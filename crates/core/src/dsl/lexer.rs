@@ -111,7 +111,7 @@ pub(crate) struct Token {
 /// A lexing/parsing/compilation error with its source line.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DslError {
-    /// 1-based source line (0 when unknown).
+    /// 1-based source line.
     pub line: u32,
     /// Human-readable message.
     pub message: String,
@@ -129,11 +129,7 @@ impl DslError {
 
 impl fmt::Display for DslError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if self.line > 0 {
-            write!(f, "line {}: {}", self.line, self.message)
-        } else {
-            write!(f, "{}", self.message)
-        }
+        write!(f, "line {}: {}", self.line, self.message)
     }
 }
 

@@ -25,15 +25,17 @@ pub fn parse(source: &str) -> Result<Document, DslError> {
                 if doc.system.is_some() {
                     return Err(p.err("duplicate system block"));
                 }
+                let line = p.line();
                 p.bump();
-                doc.system = Some(p.system_block()?);
+                doc.system = Some(p.system_block(line)?);
             }
             Tok::Ident(kw) if kw == "capabilities" => {
                 if doc.capabilities.is_some() {
                     return Err(p.err("duplicate capabilities block"));
                 }
+                let line = p.line();
                 p.bump();
-                doc.capabilities = Some(p.capabilities_block()?);
+                doc.capabilities = Some(p.capabilities_block(line)?);
             }
             Tok::Ident(kw) if kw == "attack" => {
                 p.bump();
@@ -119,7 +121,7 @@ impl Parser {
 
     // ---- system -------------------------------------------------------
 
-    fn system_block(&mut self) -> Result<SystemBlock, DslError> {
+    fn system_block(&mut self, line: u32) -> Result<SystemBlock, DslError> {
         self.expect(Tok::LBrace)?;
         let mut stmts = Vec::new();
         while *self.peek() != Tok::RBrace {
@@ -187,7 +189,7 @@ impl Parser {
             }
         }
         self.expect(Tok::RBrace)?;
-        Ok(SystemBlock { stmts })
+        Ok(SystemBlock { line, stmts })
     }
 
     fn endpoint(&mut self) -> Result<Endpoint, DslError> {
@@ -246,9 +248,12 @@ impl Parser {
         }
     }
 
-    fn capabilities_block(&mut self) -> Result<CapabilitiesBlock, DslError> {
+    fn capabilities_block(&mut self, line: u32) -> Result<CapabilitiesBlock, DslError> {
         self.expect(Tok::LBrace)?;
-        let mut block = CapabilitiesBlock::default();
+        let mut block = CapabilitiesBlock {
+            line,
+            ..CapabilitiesBlock::default()
+        };
         while *self.peek() != Tok::RBrace {
             let line = self.line();
             if self.at_keyword("default") {

@@ -8,7 +8,7 @@ use crate::messages::{
     StatsBody, StatsReplyBody, SwitchConfig, SwitchFeatures,
 };
 use crate::types::{PortNo, Xid};
-use crate::wire::{Reader, Writer};
+use crate::wire::{with_scratch, Reader, Writer};
 
 /// A decoded OpenFlow 1.0 message (header type + typed body).
 ///
@@ -124,57 +124,65 @@ impl OfMessage {
 
     /// Encodes header + body, failing if the message cannot fit a frame.
     ///
+    /// The message is written into this thread's scratch writer and
+    /// copied out once, into a buffer of exactly its length.
+    ///
     /// # Errors
     ///
     /// Returns [`CodecError::Oversize`] when the encoded size exceeds
     /// `u16::MAX` — the header's length field would otherwise truncate
     /// and desynchronize the peer's framer.
     pub fn try_encode(&self, xid: Xid) -> Result<Vec<u8>, CodecError> {
-        let mut w = Writer::with_capacity(64);
-        // Placeholder header; length patched after the body is written.
+        with_scratch(|w| {
+            self.encode_into(xid, w);
+            let len = w.len();
+            if len > u16::MAX as usize {
+                return Err(CodecError::Oversize {
+                    context: "ofp message",
+                    len,
+                });
+            }
+            w.patch_u16(2, len as u16);
+            Ok(w.written_since(0).to_vec())
+        })
+    }
+
+    /// Writes header + body into `w`, the header's length left 0.
+    fn encode_into(&self, xid: Xid, w: &mut Writer) {
         OfHeader {
             version: OFP_VERSION,
             of_type: self.of_type(),
             length: 0,
             xid,
         }
-        .encode(&mut w);
+        .encode(w);
         match self {
             OfMessage::Hello
             | OfMessage::FeaturesRequest
             | OfMessage::GetConfigRequest
             | OfMessage::BarrierRequest
             | OfMessage::BarrierReply => {}
-            OfMessage::Error(e) => e.encode(&mut w),
+            OfMessage::Error(e) => e.encode(w),
             OfMessage::EchoRequest(b) | OfMessage::EchoReply(b) => w.bytes(b),
             OfMessage::Vendor { vendor, body } => {
                 w.u32(*vendor);
                 w.bytes(body);
             }
-            OfMessage::FeaturesReply(f) => f.encode(&mut w),
-            OfMessage::GetConfigReply(c) | OfMessage::SetConfig(c) => c.encode(&mut w),
-            OfMessage::PacketIn(p) => p.encode(&mut w),
-            OfMessage::FlowRemoved(fr) => fr.encode(&mut w),
-            OfMessage::PortStatus(ps) => ps.encode(&mut w),
-            OfMessage::PacketOut(p) => p.encode(&mut w),
-            OfMessage::FlowMod(fm) => fm.encode(&mut w),
-            OfMessage::PortMod(pm) => pm.encode(&mut w),
-            OfMessage::StatsRequest(s) => s.encode(&mut w),
-            OfMessage::StatsReply(s) => s.encode(&mut w),
-            OfMessage::QueueGetConfigRequest { port } => queue_codec::encode_request(*port, &mut w),
+            OfMessage::FeaturesReply(f) => f.encode(w),
+            OfMessage::GetConfigReply(c) | OfMessage::SetConfig(c) => c.encode(w),
+            OfMessage::PacketIn(p) => p.encode(w),
+            OfMessage::FlowRemoved(fr) => fr.encode(w),
+            OfMessage::PortStatus(ps) => ps.encode(w),
+            OfMessage::PacketOut(p) => p.encode(w),
+            OfMessage::FlowMod(fm) => fm.encode(w),
+            OfMessage::PortMod(pm) => pm.encode(w),
+            OfMessage::StatsRequest(s) => s.encode(w),
+            OfMessage::StatsReply(s) => s.encode(w),
+            OfMessage::QueueGetConfigRequest { port } => queue_codec::encode_request(*port, w),
             OfMessage::QueueGetConfigReply { port, queues } => {
-                queue_codec::encode_reply(*port, queues, &mut w)
+                queue_codec::encode_reply(*port, queues, w)
             }
         }
-        let len = w.len();
-        if len > u16::MAX as usize {
-            return Err(CodecError::Oversize {
-                context: "ofp message",
-                len,
-            });
-        }
-        w.patch_u16(2, len as u16);
-        Ok(w.into_vec())
     }
 
     /// Decodes a complete message (header + body) from `buf`.

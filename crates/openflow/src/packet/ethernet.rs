@@ -85,9 +85,10 @@ impl Ethernet {
     }
 
     /// Encodes the frame to bytes (no trailing FCS; minimum-size padding
-    /// is the simulator's concern, not the codec's).
+    /// is the simulator's concern, not the codec's), in one buffer of
+    /// exactly [`Ethernet::wire_len`] bytes.
     pub fn encode(&self) -> Vec<u8> {
-        let mut w = Writer::with_capacity(64);
+        let mut w = Writer::with_capacity(self.wire_len());
         w.bytes(&self.dst.0);
         w.bytes(&self.src.0);
         if let Some(tci) = self.vlan {
@@ -103,9 +104,14 @@ impl Ethernet {
         w.into_vec()
     }
 
-    /// Total encoded length in bytes.
+    /// Total encoded length in bytes, computed without encoding.
     pub fn wire_len(&self) -> usize {
-        self.encode().len()
+        let l2 = if self.vlan.is_some() { 18 } else { 14 };
+        l2 + match &self.payload {
+            Payload::Arp(_) => 28,
+            Payload::Ipv4(ip) => ip.wire_len(),
+            Payload::Other(b) => b.len(),
+        }
     }
 }
 

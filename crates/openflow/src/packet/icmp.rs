@@ -80,19 +80,18 @@ impl Icmp {
         })
     }
 
-    /// Encodes the message into `w`, computing the checksum.
+    /// Encodes the message into `w`, then patches the checksum over the
+    /// bytes just written.
     pub(crate) fn encode(&self, w: &mut Writer) {
-        let mut m = Writer::new();
-        m.u8(self.icmp_type);
-        m.u8(self.code);
-        m.u16(0);
-        m.u16(self.identifier);
-        m.u16(self.sequence);
-        m.bytes(&self.payload);
-        let mut v = m.into_vec();
-        let csum = internet_checksum(&v);
-        v[2..4].copy_from_slice(&csum.to_be_bytes());
-        w.bytes(&v);
+        let start = w.len();
+        w.u8(self.icmp_type);
+        w.u8(self.code);
+        w.u16(0); // checksum placeholder
+        w.u16(self.identifier);
+        w.u16(self.sequence);
+        w.bytes(&self.payload);
+        let csum = internet_checksum(w.written_since(start));
+        w.patch_u16(start + 2, csum);
     }
 }
 

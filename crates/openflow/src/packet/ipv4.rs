@@ -104,35 +104,39 @@ impl Ipv4 {
         })
     }
 
-    /// Encodes the packet into `w`, computing the header checksum.
-    pub(crate) fn encode(&self, w: &mut Writer) {
-        let mut body = Writer::new();
-        match &self.payload {
-            IpPayload::Icmp(i) => i.encode(&mut body),
-            IpPayload::Tcp(t) => t.encode(&mut body),
-            IpPayload::Udp(u) => u.encode(&mut body),
-            IpPayload::Other(b) => body.bytes(b),
+    /// Encoded length: the 20-byte header plus the payload.
+    pub(crate) fn wire_len(&self) -> usize {
+        20 + match &self.payload {
+            IpPayload::Icmp(i) => 8 + i.payload.len(),
+            IpPayload::Tcp(t) => 20 + t.payload.len(),
+            IpPayload::Udp(u) => 8 + u.payload.len(),
+            IpPayload::Other(b) => b.len(),
         }
-        let body = body.into_vec();
-        let total_len = 20 + body.len();
+    }
 
-        let mut hdr = Writer::with_capacity(20);
-        hdr.u8(0x45); // version 4, IHL 5
-        hdr.u8(self.tos);
-        hdr.u16(total_len as u16);
-        hdr.u16(self.identification);
-        hdr.u16(0x4000); // don't fragment
-        hdr.u8(self.ttl);
-        hdr.u8(self.protocol);
-        hdr.u16(0); // checksum placeholder
-        hdr.bytes(&self.src.octets());
-        hdr.bytes(&self.dst.octets());
-        let mut hdr = hdr.into_vec();
-        let csum = internet_checksum(&hdr);
-        hdr[10..12].copy_from_slice(&csum.to_be_bytes());
-
-        w.bytes(&hdr);
-        w.bytes(&body);
+    /// Encodes the packet into `w`, then patches the total length and
+    /// the header checksum over the bytes just written.
+    pub(crate) fn encode(&self, w: &mut Writer) {
+        let start = w.len();
+        w.u8(0x45); // version 4, IHL 5
+        w.u8(self.tos);
+        w.u16(0); // total length, patched below
+        w.u16(self.identification);
+        w.u16(0x4000); // don't fragment
+        w.u8(self.ttl);
+        w.u8(self.protocol);
+        w.u16(0); // checksum placeholder
+        w.bytes(&self.src.octets());
+        w.bytes(&self.dst.octets());
+        match &self.payload {
+            IpPayload::Icmp(i) => i.encode(w),
+            IpPayload::Tcp(t) => t.encode(w),
+            IpPayload::Udp(u) => u.encode(w),
+            IpPayload::Other(b) => w.bytes(b),
+        }
+        w.patch_u16(start + 2, (w.len() - start) as u16);
+        let csum = internet_checksum(&w.written_since(start)[..20]);
+        w.patch_u16(start + 10, csum);
     }
 }
 

@@ -1,6 +1,7 @@
 //! Big-endian cursor primitives shared by the OpenFlow and packet codecs.
 
 use crate::error::CodecError;
+use std::cell::Cell;
 
 /// A bounds-checked big-endian reader over a byte slice.
 ///
@@ -184,10 +185,45 @@ impl Writer {
         self.buf[offset + 1] = b[1];
     }
 
+    /// The bytes written from `offset` on: what an encoder just wrote,
+    /// for a checksum over it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `offset` exceeds the bytes written so far.
+    pub(crate) fn written_since(&self, offset: usize) -> &[u8] {
+        &self.buf[offset..]
+    }
+
     /// Consumes the writer and returns the written bytes.
     pub fn into_vec(self) -> Vec<u8> {
         self.buf
     }
+}
+
+/// A scratch buffer that grew past the largest OpenFlow frame is dropped
+/// rather than kept for the thread's lifetime.
+const SCRATCH_KEEP: usize = u16::MAX as usize + 1;
+
+thread_local! {
+    /// The buffer [`with_scratch`] lends out, one per thread.
+    static SCRATCH: Cell<Vec<u8>> = const { Cell::new(Vec::new()) };
+}
+
+/// Lends this thread's scratch writer, emptied, to `f` and takes it back
+/// afterwards, so encoding into it allocates only while it grows to the
+/// largest message the thread has written. A nested call finds the slot
+/// empty and lends a fresh writer, so encoders may nest.
+pub(crate) fn with_scratch<R>(f: impl FnOnce(&mut Writer) -> R) -> R {
+    let mut w = Writer {
+        buf: SCRATCH.take(),
+    };
+    w.buf.clear();
+    let out = f(&mut w);
+    if w.buf.capacity() <= SCRATCH_KEEP {
+        SCRATCH.set(w.buf);
+    }
+    out
 }
 
 #[cfg(test)]
@@ -258,6 +294,34 @@ mod tests {
         let v = w.into_vec();
         assert_eq!(v, [1, 2, 3, 4, 5, 6, 0, 0]);
         assert_eq!(v.as_ptr(), written, "into_vec must not reallocate");
+    }
+
+    #[test]
+    fn scratch_is_reused_and_nests() {
+        let outer = with_scratch(|w| {
+            w.bytes(&[1, 2, 3]);
+            let inner = with_scratch(|v| {
+                assert_eq!(v.len(), 0, "a nested writer starts empty");
+                v.u16(0x0405);
+                v.written_since(0).to_vec()
+            });
+            assert_eq!(inner, [4, 5]);
+            w.u8(6);
+            (w.written_since(0).to_vec(), w.buf.as_ptr())
+        });
+        assert_eq!(outer.0, [1, 2, 3, 6]);
+        let again = with_scratch(|w| {
+            assert_eq!(w.len(), 0, "the scratch writer is lent out empty");
+            w.buf.as_ptr()
+        });
+        assert_eq!(again, outer.1, "the outer buffer went back to the slot");
+    }
+
+    #[test]
+    fn scratch_past_the_largest_frame_is_not_kept() {
+        with_scratch(|w| w.pad(SCRATCH_KEEP + 1));
+        let kept = with_scratch(|w| w.buf.capacity());
+        assert_eq!(kept, 0, "an oversize buffer must not stay with the thread");
     }
 
     #[test]

@@ -31,6 +31,9 @@ cargo build --release --workspace
 echo "== cargo test"
 cargo test --workspace -q
 
+echo "== cargo test --release (encoders inlined: the allocation pins must hold there too)"
+cargo test --workspace --release -q
+
 echo "== every example runs to a zero exit in release (tier-1 only compiles them; ~7 s)"
 for example in examples/*.rs; do
   name=$(basename "$example" .rs)

@@ -11,8 +11,9 @@
 //! fault-recovery scenario) live below it as the few lines that schedule
 //! their commands; the campaign's live in `attain_campaign::cell`.
 
+use crate::binding::{Refusal, SharedExecutor};
 use crate::monitors::RunRecord;
-use crate::sim::{SharedExecutor, SimInjector};
+use crate::sim::SimInjector;
 use attain_controllers::{Controller, ControllerKind, DmzFirewall, DmzPolicy};
 use attain_core::exec::AttackExecutor;
 use attain_core::model::{NodeRef, SystemModel};
@@ -62,6 +63,12 @@ impl fmt::Display for RunError {
 }
 
 impl std::error::Error for RunError {}
+
+impl From<Refusal> for RunError {
+    fn from(refusal: Refusal) -> RunError {
+        RunError::Setup(format!("attack does not attach: {refusal}"))
+    }
+}
 
 /// Experiment sizing: the paper's full §VII-B timeline or a scaled-down
 /// variant for tests.
@@ -114,37 +121,21 @@ pub fn case_study_controller(kind: ControllerKind) -> Box<dyn Controller> {
     Box::new(DmzFirewall::new(kind.instantiate(), policy))
 }
 
-/// Builds the Figure 8/9 enterprise network in the simulator: six hosts,
-/// four switches, one controller of `kind` behind the DMZ firewall
-/// policy, with `s2` in the requested fail mode.
-///
-/// Component names, addresses, and port numbers mirror
-/// [`scenario::enterprise_network`], so attacks compiled against that
-/// scenario drive this simulation.
+/// Builds the Figure 8/9 enterprise network in the simulator:
+/// [`build_simulation`] of [`scenario::enterprise_network`], so attacks
+/// compiled against that scenario drive it, with one controller of
+/// `kind` behind the DMZ firewall policy, `s2` in the requested fail
+/// mode and the other switches fail-secure.
+// A fixed model that `build_case_study_mirrors_the_scenario` pins.
+#[allow(clippy::expect_used)]
 pub fn build_case_study(kind: ControllerKind, s2_fail_mode: FailMode) -> Simulation {
-    let mut b = NetworkBuilder::new();
-    let h: Vec<_> = (1..=6)
-        .map(|i| b.host(&format!("h{i}"), &format!("10.0.0.{i}")))
-        .collect();
-    let s1 = b.switch("s1");
-    let s2 = b.switch_with_mode("s2", s2_fail_mode);
-    let s3 = b.switch("s3");
-    let s4 = b.switch("s4");
-    // Link order fixes port numbers; must match the scenario (Fig. 8).
-    b.link(h[0], s1); // s1 p1
-    b.link(h[1], s1); // s1 p2
-    b.link(s1, s2); // s1 p3 — s2 p1 (the firewall's external port)
-    b.link(s2, s3); // s2 p2 — s3 p1
-    b.link(h[2], s3); // s3 p2
-    b.link(h[3], s3); // s3 p3
-    b.link(s3, s4); // s3 p4 — s4 p1
-    b.link(h[4], s4); // s4 p2
-    b.link(h[5], s4); // s4 p3
-    let c1 = b.controller("c1", case_study_controller(kind));
-    for s in [s1, s2, s3, s4] {
-        b.control(c1, s);
-    }
-    b.build()
+    let system = scenario::enterprise_network().system;
+    let mode = |switch: &str| match switch {
+        "s2" => s2_fail_mode,
+        _ => FailMode::Secure,
+    };
+    build_simulation(&system, mode, |_| case_study_controller(kind))
+        .expect("the enterprise scenario builds")
 }
 
 /// Builds a simulator network from an arbitrary attack-model
@@ -152,8 +143,9 @@ pub fn build_case_study(kind: ControllerKind, s2_fail_mode: FailMode) -> Simulat
 /// connections all mirror the model, so a self-contained DSL document
 /// becomes a runnable network.
 ///
-/// Every switch gets `fail_mode`; every host needs an IP in the model
-/// (the simulator cannot run an IP network without one).
+/// Each switch gets the fail mode `fail_mode` names for it; every host
+/// needs an IP in the model (the simulator cannot run an IP network
+/// without one).
 /// `make_controller` is invoked once per controller in id order.
 ///
 /// Port numbers are assigned in data-plane edge order (as the DSL's
@@ -163,7 +155,7 @@ pub fn build_case_study(kind: ControllerKind, s2_fail_mode: FailMode) -> Simulat
 /// scenario does) when attacks match on `in_port`.
 pub fn build_simulation(
     system: &SystemModel,
-    fail_mode: FailMode,
+    fail_mode: impl Fn(&str) -> FailMode,
     mut make_controller: impl FnMut(&str) -> Box<dyn Controller>,
 ) -> Result<Simulation, RunError> {
     let mut b = NetworkBuilder::new();
@@ -178,7 +170,7 @@ pub fn build_simulation(
         host_ids.push(b.host(&h.name, &ip.to_string()));
     }
     for (_, s) in system.switches() {
-        switch_ids.push(b.switch_with_mode(&s.name, fail_mode));
+        switch_ids.push(b.switch_with_mode(&s.name, fail_mode(&s.name)));
     }
     for edge in system.data_plane() {
         let node = |r: NodeRef| match r {
@@ -202,23 +194,29 @@ pub fn build_simulation(
 }
 
 /// Interposes `exec` on every control connection of `sim` that `system`
-/// names — the paper's proxy placement. Returns the shared executor
-/// handle for log inspection after the run.
-pub fn attach(sim: &mut Simulation, exec: AttackExecutor, system: &SystemModel) -> SharedExecutor {
-    let (injector, handle) = SimInjector::new(exec, system, sim);
+/// names — the paper's proxy placement — and returns the shared executor
+/// handle for log inspection after the run. A simulation that lacks one
+/// of `system`'s connections is a [`RunError::Setup`] naming it.
+pub fn attach(
+    sim: &mut Simulation,
+    exec: AttackExecutor,
+    system: &SystemModel,
+) -> Result<SharedExecutor, RunError> {
+    let (injector, handle) = SimInjector::bind(exec, system, sim)?;
     sim.set_interposer(Box::new(injector));
-    handle
+    Ok(handle)
 }
 
 /// Compiles `attack_source` against the enterprise scenario and
-/// [`attach`]es it to `sim`. A malformed attack is a [`RunError::Setup`]:
-/// in a campaign, one `Failed` cell rather than a dead worker.
+/// [`attach`]es it to `sim`. A malformed attack, or a simulation without
+/// one of the scenario's connections, is a [`RunError::Setup`]: in a
+/// campaign, one `Failed` cell rather than a dead worker.
 pub fn try_attach_attack(
     sim: &mut Simulation,
     attack_source: &str,
 ) -> Result<SharedExecutor, RunError> {
     let armed = Armed::enterprise(attack_source)?;
-    Ok(attach(sim, armed.exec, &armed.system))
+    attach(sim, armed.exec, &armed.system)
 }
 
 /// An attack compiled against its system model and validated, once:
@@ -393,17 +391,17 @@ pub fn run_shared(
         let document = compiled.document.as_ref();
         let mut sim = match document {
             None => build_case_study(kind, mode),
-            Some(system) => build_simulation(system, mode, |_| kind.instantiate())?,
+            Some(system) => build_simulation(system, |_| mode, |_| kind.instantiate())?,
         };
         if both {
             sim.defer_fail_mode();
         }
         if attached {
             let armed = compiled.attack.as_ref().map_err(Clone::clone)?;
-            attach(&mut sim, armed.exec.clone(), &armed.system);
+            attach(&mut sim, armed.exec.clone(), &armed.system)?;
         }
         for (id, armed) in shadows.iter().enumerate() {
-            let (injector, _) = SimInjector::new(armed.exec.clone(), &armed.system, &sim);
+            let (injector, _) = SimInjector::bind(armed.exec.clone(), &armed.system, &sim)?;
             sim.add_shadow(id, Box::new(injector));
         }
         sim.apply_fault_plan(faults);

@@ -1,19 +1,21 @@
-//! The ATTAIN runtime attack injector (paper §VI).
+//! The ATTAIN runtime attack injector (paper §VI): one executor core,
+//! two transports. A private core binds an
+//! [`AttackExecutor`](attain_core::exec::AttackExecutor) to a
+//! transport's dense connection indices and steps it (Algorithm 1); the
+//! [`SimInjector`] (every connection of an [`attain_netsim::Simulation`],
+//! in the total order of §VI-C) and the threaded [`tcp`] proxy keep only
+//! their clock, their byte pipe and the far end of each effect:
 //!
-//! Two deployments of the same [`attain_core::exec::AttackExecutor`]:
-//!
-//! * [`SimInjector`] — interposes on every control-plane connection of
-//!   an [`attain_netsim::Simulation`], exactly where the paper's proxy
-//!   sits ("switches point at the proxy as their controller"). A single
-//!   executor instance sees every connection's messages, giving the
-//!   total order of §VI-C.
-//! * [`tcp`] — a real threaded TCP proxy over `std::net` sockets, for
-//!   running attacks against OpenFlow speakers outside the simulator.
+//! | effect    | [`SimInjector`], virtual time    | [`tcp::TcpProxy`], wall clock      |
+//! |-----------|----------------------------------|------------------------------------|
+//! | `SYSCMD`  | parsed into a `HostCommand`, run | handed to its `SysCmdHandler`      |
+//! | `fault`   | parsed into a `FaultSpec`, run   | counted in `faults_discarded`      |
+//! | `delay`   | extra delay on the control link  | the timer thread, `(due, seq)`     |
+//! | wakeup    | an event at the asked-for time   | a timer-thread entry               |
 //!
 //! Plus the experiment [`harness`] — the one build → attach → drive →
-//! collect path ([`harness::run`]) and the paper's §VII timelines on it
-//! (Figure 11's flow-modification suppression, Table II's connection
-//! interruption) — and the [`monitors`]' one [`RunRecord`] of a run.
+//! collect path ([`harness::run`]) and the paper's §VII timelines on it —
+//! and the [`monitors`]' one [`RunRecord`] of a run.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs, unreachable_pub)]
@@ -21,13 +23,15 @@
 // panics. Tests may still unwrap.
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
+mod binding;
 pub mod harness;
 pub mod monitors;
 mod sim;
 pub mod tcp;
 
+pub use binding::SharedExecutor;
 pub use monitors::{PingRow, RunRecord};
-pub use sim::{SharedExecutor, SimInjector};
+pub use sim::SimInjector;
 pub use tcp::{RouteHealth, RouteHealthSnapshot};
 
 use std::sync::{Mutex, MutexGuard, PoisonError};

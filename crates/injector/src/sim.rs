@@ -1,60 +1,31 @@
-//! The simulated deployment: an [`AttackExecutor`] as a
-//! [`netsim::Interposer`](attain_netsim::Interposer).
+//! The simulated deployment: the executor's [`Binding`] as a
+//! [`netsim::Interposer`](attain_netsim::Interposer), whose clock is
+//! virtual time and whose byte pipe is the [`InterposerActions`] each
+//! step answers (the crate docs tabulate what each effect becomes).
 
-use attain_core::exec::{AttackExecutor, ExecOutput, InjectorInput};
-use attain_core::model::{ConnectionId, SystemModel};
+use crate::binding::{Binding, Effect, Refusal, SharedExecutor};
+use attain_core::exec::AttackExecutor;
+use attain_core::model::SystemModel;
 use attain_netsim::{
-    ConnId, Delivery, Direction, HostCommand, Interposer, InterposerActions, NodeId,
+    ConnId, Delivery, Direction, FaultSpec, HostCommand, Interposer, InterposerActions, NodeId,
     ProxiedMessage, SimTime, Simulation,
 };
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex, MutexGuard};
-
-/// Shared handle to the executor, kept by the harness so the injection
-/// log can be inspected after the simulation consumed the interposer.
-#[derive(Debug, Clone)]
-pub struct SharedExecutor(Arc<Mutex<AttackExecutor>>);
-
-impl SharedExecutor {
-    fn new(exec: AttackExecutor) -> SharedExecutor {
-        SharedExecutor(Arc::new(Mutex::new(exec)))
-    }
-
-    /// Locks the executor (recovering it if a holder panicked).
-    pub fn lock(&self) -> MutexGuard<'_, AttackExecutor> {
-        crate::lock(&self.0)
-    }
-}
+use std::sync::MutexGuard;
 
 /// The runtime injector, interposed on a simulation's control plane.
 ///
-/// Maps between the attack model's [`ConnectionId`]s (named `(c, s)`
-/// pairs of `N_C`) and the simulator's [`ConnId`]s by component name, so
-/// an attack compiled against a [`SystemModel`] drives the corresponding
-/// simulated network. A `SYSCMD` or fault that does not parse, or names
-/// an unknown host, is dropped.
-///
-/// The executor is the injector's only mutable state; everything else
-/// is derived from the system model and the simulation's names. So a
-/// fork, which copies the executor into a handle of its own, carries on
-/// exactly where this one is without sharing anything with it.
+/// Binds each simulated connection ([`ConnId`]) to the `N_C` element of
+/// the same `(controller, switch)` names, so an attack compiled against
+/// a [`SystemModel`] drives the corresponding simulated network. A
+/// `SYSCMD` or fault that does not parse, or names an unknown host, is
+/// dropped. The executor is the only mutable state, so a fork, which
+/// copies it, shares nothing with this injector.
+#[derive(Debug)]
 pub struct SimInjector {
-    exec: SharedExecutor,
-    /// Core connection index → simulator connection.
-    to_sim: Vec<ConnId>,
-    /// Simulator connection (dense ids, indexed by `ConnId.0`) → core
-    /// connection index, `None` outside the attack's system model.
-    to_core: Vec<Option<ConnectionId>>,
+    binding: Binding,
     /// Host name → simulator node (for `SYSCMD` translation).
     hosts: HashMap<String, NodeId>,
-}
-
-impl std::fmt::Debug for SimInjector {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("SimInjector")
-            .field("connections", &self.to_sim.len())
-            .finish()
-    }
 }
 
 impl SimInjector {
@@ -64,114 +35,100 @@ impl SimInjector {
     ///
     /// # Panics
     ///
-    /// Panics if a connection of the executor's system model has no
-    /// simulated counterpart (controller or switch name mismatch) — a
-    /// configuration error a test harness should fail loudly on.
+    /// Panics if a connection of the system model has no simulated
+    /// counterpart (a controller or switch name mismatch).
     pub fn new(
         exec: AttackExecutor,
         system: &SystemModel,
         sim: &Simulation,
     ) -> (SimInjector, SharedExecutor) {
+        SimInjector::bind(exec, system, sim).unwrap_or_else(|refusal| panic!("{refusal}"))
+    }
+
+    /// [`SimInjector::new`], refusing a simulation that lacks one of the
+    /// model's connections instead of panicking.
+    pub(crate) fn bind(
+        exec: AttackExecutor,
+        system: &SystemModel,
+        sim: &Simulation,
+    ) -> Result<(SimInjector, SharedExecutor), Refusal> {
         let infos = sim.conn_infos();
-        let mut to_sim = Vec::with_capacity(system.connection_count());
-        let mut to_core = vec![None; infos.len()];
-        for (core_id, c, s) in system.connections() {
-            let c_name = system.name_of(attain_core::model::NodeRef::Controller(c));
-            let s_name = system.name_of(attain_core::model::NodeRef::Switch(s));
-            let info = infos
-                .iter()
-                .find(|i| i.controller == c_name && i.switch == s_name)
-                .unwrap_or_else(|| {
-                    panic!("connection ({c_name}, {s_name}) has no simulated counterpart")
-                });
-            to_sim.push(info.id);
-            to_core[info.id.0] = Some(core_id);
-        }
-        let mut hosts = HashMap::new();
-        for (_, h) in system.hosts() {
-            if let Some(id) = sim.node_id(&h.name) {
-                hosts.insert(h.name.clone(), id);
-            }
-        }
-        let exec = SharedExecutor::new(exec);
-        let injector = SimInjector {
-            exec: exec.clone(),
-            to_sim,
-            to_core,
-            hosts,
-        };
-        (injector, exec)
+        let paired = infos
+            .iter()
+            .map(|i| system.connection_by_names(&i.controller, &i.switch));
+        let binding = Binding::new(exec, paired.collect())?.complete()?;
+        let hosts = system
+            .hosts()
+            .filter_map(|(_, h)| Some((h.name.clone(), sim.node_id(&h.name)?)));
+        let handle = binding.exec.clone();
+        let hosts = hosts.collect();
+        Ok((SimInjector { binding, hosts }, handle))
     }
 
     /// Locks this injector's executor.
     pub(crate) fn executor(&self) -> MutexGuard<'_, AttackExecutor> {
-        self.exec.lock()
+        self.binding.exec.lock()
     }
 
-    fn convert(&self, out: ExecOutput) -> InterposerActions {
-        let mut actions = InterposerActions::default();
-        for d in out.deliveries {
-            let Some(&sim_conn) = self.to_sim.get(d.conn.0) else {
-                continue; // injected onto a connection the sim lacks
-            };
-            actions.deliveries.push(Delivery {
-                conn: sim_conn,
-                direction: if d.to_controller {
-                    Direction::SwitchToController
-                } else {
-                    Direction::ControllerToSwitch
-                },
-                frame: d.frame,
-                extra_delay: SimTime::from_nanos(d.extra_delay_ns),
-            });
+    /// Adds what `effect` asks of the simulation to `actions`.
+    fn apply(&self, actions: &mut InterposerActions, effect: Effect) {
+        match effect {
+            Effect::Deliver(conn, to_controller, frame, delay_ns, _) => {
+                actions.deliveries.push(Delivery {
+                    conn: ConnId(conn),
+                    direction: match to_controller {
+                        true => Direction::SwitchToController,
+                        false => Direction::ControllerToSwitch,
+                    },
+                    frame,
+                    extra_delay: SimTime::from_nanos(delay_ns),
+                });
+            }
+            // The binding is complete: every model connection is
+            // one of the simulation's.
+            Effect::Unrouted => {}
+            Effect::SysCmd(host, cmd) => {
+                let node = self.hosts.get(&host);
+                actions
+                    .commands
+                    .extend(node.and_then(|&h| HostCommand::parse(h, &cmd).ok()));
+            }
+            Effect::Fault(spec) => {
+                let fault = FaultSpec::parse(&spec).ok().map(HostCommand::Fault);
+                actions.commands.extend(fault);
+            }
+            Effect::Wakeup(ns) => actions.wakeup = Some(SimTime::from_nanos(ns)),
         }
-        let commands = out.commands.iter().filter_map(|(host, cmd)| {
-            let node = *self.hosts.get(host)?;
-            HostCommand::parse(node, cmd).ok()
-        });
-        actions.commands.extend(commands);
-        let faults = out.faults.iter().filter_map(|spec| {
-            let fault = attain_netsim::FaultSpec::parse(spec).ok()?;
-            Some(HostCommand::Fault(fault))
-        });
-        actions.commands.extend(faults);
-        actions.wakeup = out.wakeup_ns.map(SimTime::from_nanos);
-        actions
     }
 }
 
 impl Interposer for SimInjector {
     fn on_message(&mut self, msg: ProxiedMessage<'_>) -> InterposerActions {
-        let Some(&Some(core_conn)) = self.to_core.get(msg.conn.0) else {
+        let mut actions = InterposerActions::default();
+        let to_controller = msg.direction == Direction::SwitchToController;
+        let (frame, now) = (msg.frame.clone(), || msg.now.as_nanos());
+        let sink = |effect| self.apply(&mut actions, effect);
+        match self
+            .binding
+            .on_message(msg.conn.0, to_controller, frame, now, sink)
+        {
+            true => actions,
             // A connection outside the attack's system model: the proxy
             // forwards it untouched.
-            return InterposerActions::pass(&msg);
-        };
-        let out = {
-            let mut exec = self.exec.lock();
-            exec.on_message(InjectorInput {
-                conn: core_conn,
-                to_controller: msg.direction == Direction::SwitchToController,
-                frame: msg.frame.clone(),
-                now_ns: msg.now.as_nanos(),
-            })
-        };
-        self.convert(out)
+            false => InterposerActions::pass(&msg),
+        }
     }
 
     fn on_wakeup(&mut self, now: SimTime) -> InterposerActions {
-        let out = {
-            let mut exec = self.exec.lock();
-            exec.on_wakeup(now.as_nanos())
-        };
-        self.convert(out)
+        let mut actions = InterposerActions::default();
+        let sink = |effect| self.apply(&mut actions, effect);
+        self.binding.on_wakeup(|| now.as_nanos(), sink);
+        actions
     }
 
     fn fork(&self) -> Option<Box<dyn Interposer>> {
         Some(Box::new(SimInjector {
-            exec: SharedExecutor::new(self.executor().clone()),
-            to_sim: self.to_sim.clone(),
-            to_core: self.to_core.clone(),
+            binding: self.binding.fork(),
             hosts: self.hosts.clone(),
         }))
     }

@@ -2,57 +2,23 @@
 //!
 //! The paper's proxy "operates as a server for switch connections and as
 //! a client for controller connections" (§VI-B2). [`TcpProxy`] does the
-//! same over `std::net` sockets: each [`ProxyRoute`] binds a listening
-//! socket for one expected switch and names the controller address to
-//! dial, plus the attack-model [`ConnectionId`] that pair represents.
-//! Every OpenFlow message crossing either direction is framed, fed to
-//! the shared [`AttackExecutor`], and the executor's verdicts (drop,
-//! delay, modify, inject, …) are applied on the wire.
-//!
-//! # Connection lifecycle
-//!
-//! Each accepted switch connection becomes a **session** stamped with a
-//! process-wide *epoch* (a generation counter). A session owns both
-//! sockets and both write sinks; it is registered atomically when the
-//! controller dial succeeds and unregistered atomically the moment any
-//! of its four worker loops observes the connection dying, a reconnect
-//! replaces it, a fault severs it, or shutdown drains it. Whichever of
-//! those ends it, one close path severs its sockets, counts it, and
-//! drops the executor's per-connection state, so a successor session
-//! never inherits its predecessor's timing samples or held messages.
-//! Deliveries carry the epoch they were addressed to, so bytes
-//! belonging to a dead session are counted and dropped instead of being
-//! written into a successor session — reconnect storms can never
-//! interleave stale traffic into a fresh control channel, and no sink
-//! outlives its session.
-//!
-//! Delayed deliveries (`DELAYMESSAGE`) and executor wakeups (`SLEEP`)
-//! are owned by a single timer thread holding one map ordered by
-//! `(deadline, seq)`, where `seq` is the executor's emission sequence
-//! number — equal-delay deliveries therefore fire in executor order,
-//! and an attack delaying thousands of messages costs one OS thread,
-//! not one per message.
-//!
-//! Write sinks are bounded ([`WRITE_QUEUE_CAP`]) with an explicit
-//! overflow policy: the message path blocks (backpressure propagates to
-//! the reading socket, as TCP flow control would), while the timer
-//! thread never blocks — a full queue drops the delivery and increments
-//! [`ProxyStats::overflow_dropped`].
-//!
-//! The proxy doubles as the paper's §VII connection-interruption fault
-//! harness: [`FaultAction`]s sever a route, hold it down so reconnects
-//! are refused, and restore it — immediately via
-//! [`TcpProxy::apply_fault`] or at a scheduled offset via
-//! [`TcpProxy::schedule_fault`]. The DSL's `fault("…")` action is a
-//! different thing — an environment fault for the simulator's fault
-//! plan — and has no executor here: the proxy counts each one it
-//! discards in [`ProxyStats::faults_discarded`].
+//! same over `std::net` sockets, one [`ProxyRoute`] per switch. A route's
+//! index is its connection in the executor's binding (the crate docs):
+//! a session, a delivery and a [`FaultAction`] all name a route. Each
+//! accepted switch connection is a **session** with an *epoch* never
+//! reused; one close path ends every session and drops the executor's
+//! state for its route, and a delivery addressed to a dead epoch is
+//! dropped. Delayed deliveries and wakeups wait on one timer thread in
+//! `(deadline, seq)` order. DESIGN.md §3.5 states these invariants in
+//! full. [`FaultAction`]s replay the §VII connection-interruption
+//! timeline on a route, now or on the timer.
 
+use crate::binding::{Binding, Effect};
 use crate::lock;
-use attain_core::exec::{AttackExecutor, ExecOutput, InjectorInput};
+use attain_core::exec::AttackExecutor;
 use attain_core::model::ConnectionId;
 use attain_openflow::{Frame, OfMessage};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::fmt;
 use std::io::{self, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
@@ -74,9 +40,8 @@ pub const RECONNECT_BACKOFF_BASE: Duration = Duration::from_millis(50);
 pub const RECONNECT_BACKOFF_CAP: Duration = Duration::from_secs(2);
 
 /// Longest the acceptor waits for the controller to answer a dial (one
-/// SYN retransmission on a stock kernel). A dial that times out is a
-/// dial failure like any other; it also bounds how long `shutdown()`
-/// can wait on an acceptor parked in `connect`.
+/// SYN retransmission on a stock kernel): a dial failure like any other
+/// after that, which also bounds `shutdown()`'s wait on the acceptor.
 pub const CONTROLLER_DIAL_TIMEOUT: Duration = Duration::from_secs(2);
 
 /// One proxied control-plane connection: where the switch will connect,
@@ -118,12 +83,19 @@ pub enum FaultAction {
 }
 
 impl FaultAction {
-    fn route(self) -> usize {
-        match self {
+    /// The route this names, one of the proxy's `routes`: a fault naming
+    /// another is harness misuse, and panics.
+    fn route(self, routes: usize) -> usize {
+        let route = match self {
             FaultAction::Sever { route }
             | FaultAction::HoldDown { route }
             | FaultAction::Restore { route } => route,
-        }
+        };
+        assert!(
+            route < routes,
+            "fault names route {route}, proxy has {routes}"
+        );
+        route
     }
 }
 
@@ -140,14 +112,12 @@ pub struct ProxyStats {
     /// Deliveries dropped because their session epoch was no longer the
     /// live one — bytes from a dead session never reach its successor.
     pub stale_epoch_dropped: u64,
-    /// Deliveries dropped because their target connection had no live
-    /// session at all.
+    /// Deliveries dropped because their target route had no session.
     pub dead_target_dropped: u64,
     /// Timer-path deliveries dropped because the write queue was full.
     pub overflow_dropped: u64,
-    /// DSL `fault("…")` actions the executor emitted and the proxy
-    /// discarded: environment faults are a simulator facility, and this
-    /// deployment has nothing to apply them to.
+    /// DSL `fault("…")` actions discarded: environment faults are the
+    /// simulator's, and this deployment has nothing to apply them to.
     pub faults_discarded: u64,
     /// Controller dials that failed (connection refused/unreachable).
     pub dial_failures: u64,
@@ -234,54 +204,34 @@ pub struct RouteHealthSnapshot {
 /// What [`TcpProxy::shutdown`] accomplished.
 #[derive(Debug, Clone)]
 pub struct ShutdownReport {
-    /// Worker threads joined by this call (acceptors, session loops,
-    /// and the timer thread).
+    /// Threads joined by this call (acceptors, session loops, timer).
     pub threads_joined: usize,
-    /// Final lifecycle counters; `live_sessions` is 0 after a clean
-    /// shutdown.
+    /// Final counters; `live_sessions` is 0 after a clean shutdown.
     pub stats: ProxyStats,
 }
 
-/// Session generation number: strictly increasing across the proxy's
-/// lifetime, never reused.
+/// Session generation number: strictly increasing, never reused.
 type Epoch = u64;
 
 /// One live proxied switch–controller connection pair.
 struct Session {
     epoch: Epoch,
-    /// Sink feeding the controller-side write loop. Queued frames share
-    /// their buffers with the executor's stores — enqueueing is a
-    /// refcount bump, not a byte copy.
-    ctrl_tx: SyncSender<Frame>,
-    /// Sink feeding the switch-side write loop.
-    sw_tx: SyncSender<Frame>,
-    /// Socket handles kept for severing: `shutdown()` here unblocks any
-    /// loop parked in `read`/`write` on the same underlying socket.
-    switch_sock: TcpStream,
-    controller_sock: TcpStream,
-}
-
-impl Session {
-    fn sink(&self, to_controller: bool) -> &SyncSender<Frame> {
-        if to_controller {
-            &self.ctrl_tx
-        } else {
-            &self.sw_tx
-        }
-    }
+    /// The switch-side and controller-side write loops' sinks, indexed
+    /// by `to_controller`. A queued frame shares its buffer.
+    sinks: [SyncSender<Frame>; 2],
+    /// The switch and controller sockets, kept for severing, which
+    /// unblocks any loop parked in `read`/`write` on them.
+    socks: [TcpStream; 2],
 }
 
 /// One route's reconnect supervision, read and written as one value.
 #[derive(Default)]
 struct Supervision {
-    /// While set, reconnect attempts are accepted and immediately
-    /// dropped — the hold-down window of a sustained interruption.
+    /// Held down: reconnect attempts are accepted and dropped.
     held: bool,
-    /// Consecutive failed controller dials (and hold-down rejections);
-    /// drives the exponential backoff window.
+    /// Consecutive failed dials (and hold-down rejections).
     failures: u32,
-    /// While in the future, the acceptor absorbs reconnect attempts
-    /// without dialing the controller.
+    /// Until then, reconnect attempts are absorbed without a dial.
     backoff_until: Option<Instant>,
 }
 
@@ -289,12 +239,6 @@ impl Supervision {
     fn in_backoff(&self) -> bool {
         self.backoff_until
             .is_some_and(|until| Instant::now() < until)
-    }
-
-    /// Ends a failure run: the next reconnect attempt dials at once.
-    fn clear_backoff(&mut self) {
-        self.failures = 0;
-        self.backoff_until = None;
     }
 }
 
@@ -323,13 +267,9 @@ impl Ledger {
 
 /// An event owned by the timer thread.
 enum TimedEvent {
-    /// A `DELAYMESSAGE` delivery addressed to a specific session epoch.
-    Delivery {
-        conn: usize,
-        to_controller: bool,
-        epoch: Epoch,
-        frame: Frame,
-    },
+    /// A `DELAYMESSAGE` delivery: `frame` to the session of `epoch` on
+    /// `route`, toward the controller if so marked.
+    Delivery(usize, bool, Epoch, Frame),
     /// An executor `SLEEP` wakeup.
     Wakeup,
     /// A scheduled fault-harness action.
@@ -349,12 +289,14 @@ enum TimerCmd {
 }
 
 struct Shared {
-    exec: Mutex<AttackExecutor>,
-    /// Live sessions keyed by connection index. Registration and
-    /// unregistration are atomic with session start/end; there is never
-    /// a sink in this map whose loops are gone.
-    sessions: Mutex<HashMap<usize, Session>>,
-    routes: Vec<ProxyRoute>,
+    /// The executor, its transport connections the routes.
+    binding: Binding,
+    /// The live session of each route. Registration and unregistration
+    /// are atomic with session start/end; there is never a sink here
+    /// whose loops are gone.
+    sessions: Mutex<Vec<Option<Session>>>,
+    /// Each route's controller address, in route order.
+    controllers: Vec<SocketAddr>,
     ledger: Mutex<Ledger>,
     start: Instant,
     shutdown: AtomicBool,
@@ -370,220 +312,133 @@ impl Shared {
         self.start.elapsed().as_nanos() as u64
     }
 
-    fn route(&self, idx: usize) -> &ProxyRoute {
-        self.routes
-            .get(idx)
-            .unwrap_or_else(|| panic!("fault names route {idx}, proxy has {}", self.routes.len()))
-    }
-
     fn schedule(&self, due: Instant, seq: u64, event: TimedEvent) {
-        // A failed send means the timer already stopped (shutdown);
-        // pending work is deliberately discarded then.
+        // Fails only once the timer stopped (shutdown): work is dropped.
         let _ = self.timer_tx.send(TimerCmd::Schedule(due, seq, event));
     }
 
-    /// Delivers `frame` to `conn`'s session iff it is still the session
+    /// Delivers `frame` to `route`'s session iff it is still the session
     /// of `epoch`. `blocking` selects the overflow policy: the message
     /// path blocks for backpressure, the timer path drops on overflow.
     fn deliver(
         &self,
-        conn: usize,
+        route: usize,
         to_controller: bool,
         epoch: Epoch,
         frame: Frame,
         blocking: bool,
     ) {
-        let sink = {
-            let sessions = lock(&self.sessions);
-            match sessions.get(&conn) {
-                Some(s) if s.epoch == epoch => s.sink(to_controller).clone(),
-                Some(_) => {
-                    lock(&self.ledger).stats.stale_epoch_dropped += 1;
-                    return;
-                }
-                None => {
-                    lock(&self.ledger).stats.dead_target_dropped += 1;
-                    return;
-                }
-            }
+        let sink = match &lock(&self.sessions)[route] {
+            Some(s) if s.epoch == epoch => s.sinks[usize::from(to_controller)].clone(),
+            Some(_) => return lock(&self.ledger).stats.stale_epoch_dropped += 1,
+            None => return lock(&self.ledger).stats.dead_target_dropped += 1,
         };
-        if blocking {
-            if sink.send(frame).is_err() {
-                // The session died between lookup and send.
-                lock(&self.ledger).stats.stale_epoch_dropped += 1;
-            }
-        } else {
-            match sink.try_send(frame) {
-                Ok(()) => {}
-                Err(TrySendError::Full(_)) => lock(&self.ledger).stats.overflow_dropped += 1,
-                Err(TrySendError::Disconnected(_)) => {
-                    lock(&self.ledger).stats.stale_epoch_dropped += 1;
-                }
-            }
-        }
-    }
-
-    /// Applies one executor output. `origin` names the session whose
-    /// message triggered it (None for wakeups); `blocking` is the
-    /// immediate-delivery overflow policy of the calling context.
-    fn dispatch(self: &Arc<Self>, out: ExecOutput, origin: Option<(usize, Epoch)>, blocking: bool) {
-        for d in out.deliveries {
-            // A delivery back onto the originating connection is pinned
-            // to the originating epoch: if that session died, the bytes
-            // die with it. Cross-connection deliveries (INJECTNEWMESSAGE,
-            // MODIFYMESSAGEMETADATA redirects) address whatever session
-            // is live on the target now.
-            let epoch = match origin {
-                Some((conn, epoch)) if conn == d.conn.0 => Some(epoch),
-                _ => lock(&self.sessions).get(&d.conn.0).map(|s| s.epoch),
-            };
-            let Some(epoch) = epoch else {
-                lock(&self.ledger).stats.dead_target_dropped += 1;
-                continue;
-            };
-            if d.extra_delay_ns == 0 {
-                self.deliver(d.conn.0, d.to_controller, epoch, d.frame, blocking);
-            } else {
-                self.schedule(
-                    Instant::now() + Duration::from_nanos(d.extra_delay_ns),
-                    d.seq,
-                    TimedEvent::Delivery {
-                        conn: d.conn.0,
-                        to_controller: d.to_controller,
-                        epoch,
-                        frame: d.frame,
-                    },
-                );
-            }
-        }
-        for (host, cmd) in out.commands {
-            if let Some(handler) = &self.syscmd {
-                handler(&host, &cmd);
-            }
-        }
-        if !out.faults.is_empty() {
-            lock(&self.ledger).stats.faults_discarded += out.faults.len() as u64;
-        }
-        if let Some(wake_ns) = out.wakeup_ns {
-            let now_ns = self.now_ns();
-            let due = Instant::now() + Duration::from_nanos(wake_ns.saturating_sub(now_ns));
-            self.schedule(due, u64::MAX, TimedEvent::Wakeup);
-        }
-    }
-
-    fn on_message(
-        self: &Arc<Self>,
-        conn: ConnectionId,
-        epoch: Epoch,
-        to_controller: bool,
-        frame: Frame,
-    ) {
-        let out = {
-            let mut exec = lock(&self.exec);
-            exec.on_message(InjectorInput {
-                conn,
-                to_controller,
-                frame,
-                now_ns: self.now_ns(),
-            })
+        // A blocking send fails only if the session died since the lookup.
+        let sent = match blocking {
+            true => sink
+                .send(frame)
+                .map_err(|e| TrySendError::Disconnected(e.0)),
+            false => sink.try_send(frame),
         };
-        self.dispatch(out, Some((conn.0, epoch)), true);
+        match sent {
+            Ok(()) => {}
+            Err(TrySendError::Full(_)) => lock(&self.ledger).stats.overflow_dropped += 1,
+            Err(TrySendError::Disconnected(_)) => lock(&self.ledger).stats.stale_epoch_dropped += 1,
+        }
     }
 
-    fn fire(self: &Arc<Self>, event: TimedEvent) {
-        match event {
-            TimedEvent::Delivery {
-                conn,
-                to_controller,
-                epoch,
-                frame,
-            } => self.deliver(conn, to_controller, epoch, frame, false),
-            TimedEvent::Wakeup => {
-                let out = {
-                    let mut exec = lock(&self.exec);
-                    exec.on_wakeup(self.now_ns())
+    /// Applies one effect of an executor step. `origin` names the
+    /// session whose message triggered it (None for wakeups); `blocking`
+    /// is the immediate-delivery overflow policy of the calling context.
+    fn apply(&self, effect: Effect, origin: Option<(usize, Epoch)>, blocking: bool) {
+        match effect {
+            Effect::Deliver(route, to_controller, frame, delay_ns, seq) => {
+                // Pinned to the originating session if back onto its
+                // route; else to whichever session is live there now.
+                let epoch = match origin {
+                    Some((from, epoch)) if from == route => Some(epoch),
+                    _ => lock(&self.sessions)[route].as_ref().map(|s| s.epoch),
                 };
-                self.dispatch(out, None, false);
+                let Some(epoch) = epoch else {
+                    return lock(&self.ledger).stats.dead_target_dropped += 1;
+                };
+                if delay_ns == 0 {
+                    self.deliver(route, to_controller, epoch, frame, blocking);
+                } else {
+                    let due = Instant::now() + Duration::from_nanos(delay_ns);
+                    let event = TimedEvent::Delivery(route, to_controller, epoch, frame);
+                    self.schedule(due, seq, event);
+                }
             }
-            TimedEvent::Fault(action) => self.apply_fault(action),
+            // No route stands for the target connection.
+            Effect::Unrouted => lock(&self.ledger).stats.dead_target_dropped += 1,
+            Effect::SysCmd(host, cmd) => {
+                if let Some(handler) = &self.syscmd {
+                    handler(&host, &cmd);
+                }
+            }
+            Effect::Fault(_) => lock(&self.ledger).stats.faults_discarded += 1,
+            Effect::Wakeup(wake_ns) => {
+                let wait = wake_ns.saturating_sub(self.now_ns());
+                let due = Instant::now() + Duration::from_nanos(wait);
+                self.schedule(due, u64::MAX, TimedEvent::Wakeup);
+            }
         }
     }
 
     fn apply_fault(&self, action: FaultAction) {
-        let conn = self.route(action.route()).conn.0;
+        let route = action.route(self.controllers.len());
         match action {
             FaultAction::Sever { .. } => {}
-            FaultAction::HoldDown { route } => lock(&self.ledger).supervision[route].held = true,
-            FaultAction::Restore { route } => {
-                // A restored route starts clean: the next reconnect
-                // attempt dials immediately, whatever churn the
-                // hold-down absorbed.
+            FaultAction::HoldDown { .. } => lock(&self.ledger).supervision[route].held = true,
+            FaultAction::Restore { .. } => {
+                // A restored route starts clean: the next reconnect dials.
                 lock(&self.ledger).supervision[route] = Supervision::default();
                 return;
             }
         }
-        let severed = lock(&self.sessions).remove_entry(&conn);
-        self.close(severed);
+        let severed = lock(&self.sessions)[route].take();
+        self.close(route, severed);
     }
 
-    /// Ends `conn`'s session iff it is still the one of `epoch`
-    /// (idempotent across the session's four loops; a successor session
-    /// is never touched).
-    fn end_session(&self, conn: usize, epoch: Epoch) {
-        let ended = {
-            let mut sessions = lock(&self.sessions);
-            match sessions.get(&conn) {
-                Some(s) if s.epoch == epoch => sessions.remove_entry(&conn),
-                _ => None,
-            }
-        };
-        self.close(ended);
+    /// Ends `route`'s session iff it is still the one of `epoch`: once for
+    /// all four of its loops, never a successor.
+    fn end_session(&self, route: usize, epoch: Epoch) {
+        let ended = lock(&self.sessions)[route].take_if(|s| s.epoch == epoch);
+        self.close(route, ended);
     }
 
-    /// The one way a session ends, whatever ended it (a loop seeing its
-    /// socket die, a reconnect replacing it, a fault, shutdown): both
-    /// sockets are severed, the session is counted closed, and the
-    /// executor's per-connection state (timing rings, held messages) is
-    /// dropped so a successor on the same connection starts from
-    /// scratch. `ended` is already out of the session map, and the
-    /// sessions lock released: exec-then-sessions is the lock order
-    /// elsewhere.
-    fn close(&self, ended: impl IntoIterator<Item = (usize, Session)>) {
-        for (conn, session) in ended {
-            let _ = session.switch_sock.shutdown(Shutdown::Both);
-            let _ = session.controller_sock.shutdown(Shutdown::Both);
-            {
-                let mut ledger = lock(&self.ledger);
-                ledger.stats.sessions_closed += 1;
-                ledger.stats.live_sessions -= 1;
-            }
-            lock(&self.exec).release_connection(ConnectionId(conn));
+    /// The one way a session ends, whatever ended it: sockets severed,
+    /// counted closed, the executor's state for the route dropped. `ended`
+    /// is out of the map and its lock released (exec, then sessions).
+    fn close(&self, route: usize, ended: Option<Session>) {
+        let Some(session) = ended else { return };
+        for sock in &session.socks {
+            let _ = sock.shutdown(Shutdown::Both);
         }
+        {
+            let stats = &mut lock(&self.ledger).stats;
+            stats.sessions_closed += 1;
+            stats.live_sessions -= 1;
+        }
+        self.binding.release(route);
     }
 
     fn spawn_worker(&self, name: &str, f: impl FnOnce() + Send + 'static) -> io::Result<()> {
-        let handle = thread::Builder::new()
-            .name(format!("attain-proxy-{name}"))
-            .spawn(f)?;
-        lock(&self.workers).push(handle);
-        Ok(())
+        spawn_into(&self.workers, name, f)
     }
 
     fn stats(&self) -> ProxyStats {
-        // Sessions, then the ledger: a route reads `Up` exactly when
-        // its session is counted live.
+        // Sessions, then the ledger: `Up` exactly when counted live.
         let sessions = lock(&self.sessions);
         let ledger = lock(&self.ledger);
-        let routes = self
-            .routes
-            .iter()
-            .zip(&ledger.supervision)
+        let routes = (ledger.supervision.iter().enumerate())
             .map(|(route, s)| RouteHealthSnapshot {
                 health: if s.held {
                     RouteHealth::HeldDown
                 } else if s.in_backoff() {
                     RouteHealth::Backoff
-                } else if sessions.contains_key(&route.conn.0) {
+                } else if sessions[route].is_some() {
                     RouteHealth::Up
                 } else {
                     RouteHealth::Idle
@@ -597,23 +452,21 @@ impl Shared {
         }
     }
 
-    /// Whether the acceptor may dial the controller for a switch
-    /// connection it just accepted on `route`. A held-down route refuses
-    /// it under the same exponential backoff as dial failures, so a
-    /// hammering switch cannot spin the acceptor; a route inside a
-    /// backoff window absorbs it without dialing a controller just found
-    /// unreachable.
+    /// Whether the acceptor may dial for a switch just accepted on
+    /// `route`: not while held down (which arms the backoff, so a
+    /// hammering switch cannot spin it) or inside a backoff window.
     fn admit(&self, route: usize) -> bool {
         let mut ledger = lock(&self.ledger);
-        if ledger.supervision[route].held {
+        let (held, waiting) = (
+            ledger.supervision[route].held,
+            ledger.supervision[route].in_backoff(),
+        );
+        if held {
             ledger.arm_backoff(route);
-            false
-        } else if ledger.supervision[route].in_backoff() {
+        } else if waiting {
             ledger.stats.backoff_rejected += 1;
-            false
-        } else {
-            true
         }
+        !held && !waiting
     }
 
     /// Sleeps out `route`'s backoff window in small slices, waking early
@@ -621,10 +474,10 @@ impl Shared {
     fn wait_backoff(&self, route: usize) {
         const SLICE: Duration = Duration::from_millis(10);
         while !self.shutdown.load(Ordering::SeqCst) {
-            let Some(until) = lock(&self.ledger).supervision[route].backoff_until else {
-                return;
-            };
-            let left = until.saturating_duration_since(Instant::now());
+            let until = lock(&self.ledger).supervision[route].backoff_until;
+            let left = until.map_or(Duration::ZERO, |t| {
+                t.saturating_duration_since(Instant::now())
+            });
             if left.is_zero() {
                 return;
             }
@@ -669,29 +522,22 @@ impl TcpProxy {
         routes: Vec<ProxyRoute>,
         syscmd: Option<SysCmdHandler>,
     ) -> io::Result<TcpProxy> {
-        let conns = exec.system().connection_count();
-        for (i, route) in routes.iter().enumerate() {
-            let refusal = if route.conn.0 >= conns {
-                format!("outside the system model's {conns} connections")
-            } else if routes[..i].iter().any(|r| r.conn == route.conn) {
-                "already proxied by an earlier route".to_string()
-            } else {
-                continue;
-            };
-            let msg = format!("route {i}: connection {} is {refusal}", route.conn);
-            return Err(io::Error::new(io::ErrorKind::InvalidInput, msg));
-        }
+        let to_model = routes.iter().map(|route| Some(route.conn)).collect();
+        let binding = Binding::new(exec, to_model)
+            .map_err(|refusal| io::Error::new(io::ErrorKind::InvalidInput, refusal.to_string()))?;
         let listeners = routes
             .iter()
             .map(|route| TcpListener::bind(route.listen))
             .collect::<io::Result<Vec<_>>>()?;
-        TcpProxy::start(exec, &routes, listeners, syscmd)
+        let controllers = routes.iter().map(|route| route.controller).collect();
+        TcpProxy::start(binding, controllers, listeners, syscmd)
     }
 
-    /// Starts the proxy on already bound `listeners`, one per route.
+    /// Starts the proxy on already bound `listeners`, one per route of
+    /// `binding`, whose controllers listen on `controllers`.
     fn start(
-        exec: AttackExecutor,
-        routes: &[ProxyRoute],
+        binding: Binding,
+        controllers: Vec<SocketAddr>,
         listeners: Vec<TcpListener>,
         syscmd: Option<SysCmdHandler>,
     ) -> io::Result<TcpProxy> {
@@ -701,13 +547,13 @@ impl TcpProxy {
             .collect::<io::Result<Vec<_>>>()?;
         let (timer_tx, timer_rx) = mpsc::channel();
         let shared = Arc::new(Shared {
-            exec: Mutex::new(exec),
-            sessions: Mutex::new(HashMap::new()),
+            binding,
+            sessions: Mutex::new(controllers.iter().map(|_| None).collect()),
             ledger: Mutex::new(Ledger {
                 stats: ProxyStats::default(),
-                supervision: routes.iter().map(|_| Supervision::default()).collect(),
+                supervision: controllers.iter().map(|_| Supervision::default()).collect(),
             }),
-            routes: routes.to_vec(),
+            controllers,
             start: Instant::now(),
             shutdown: AtomicBool::new(false),
             syscmd,
@@ -715,41 +561,31 @@ impl TcpProxy {
             next_epoch: AtomicU64::new(1),
             workers: Mutex::new(Vec::new()),
         });
-        {
-            let timer_shared = Arc::clone(&shared);
-            shared.spawn_worker("timer", move || timer_loop(timer_shared, timer_rx))?;
-        }
+        let timer = Arc::clone(&shared);
+        shared.spawn_worker("timer", move || timer_loop(timer, timer_rx))?;
         let proxy = TcpProxy {
             shared,
             listen_addrs,
             acceptors: Mutex::new(Vec::with_capacity(listeners.len())),
         };
-        for (route_idx, listener) in listeners.into_iter().enumerate() {
+        for (route, listener) in listeners.into_iter().enumerate() {
             let shared = Arc::clone(&proxy.shared);
-            let spawned = thread::Builder::new()
-                .name(format!("attain-proxy-accept-{route_idx}"))
-                .spawn(move || accept_loop(shared, listener, route_idx));
-            match spawned {
-                Ok(handle) => lock(&proxy.acceptors).push(handle),
-                Err(e) => {
-                    proxy.shutdown();
-                    return Err(e);
-                }
+            let accept = move || accept_loop(shared, listener, route);
+            if let Err(e) = spawn_into(&proxy.acceptors, &format!("accept-{route}"), accept) {
+                proxy.shutdown();
+                return Err(e);
             }
         }
         Ok(proxy)
     }
 
-    /// Stops the proxy and joins every worker thread: severs all
-    /// sessions (unblocking loops parked in `read`/`write`), wakes the
-    /// acceptors, stops the timer, and joins until no worker remains.
-    /// Idempotent; later calls join any stragglers and return the final
-    /// counters.
+    /// Stops the proxy: wakes the acceptors, severs every session, stops
+    /// the timer and joins every thread. Idempotent; a later call joins
+    /// any stragglers.
     pub fn shutdown(&self) -> ShutdownReport {
         let first = !self.shared.shutdown.swap(true, Ordering::SeqCst);
         if first {
-            // Wake each acceptor parked in `accept()`: the flag is
-            // checked right after the dummy connection is accepted.
+            // Wake each acceptor: it checks the flag after `accept()`.
             for addr in &self.listen_addrs {
                 let _ = TcpStream::connect(addr);
             }
@@ -759,22 +595,19 @@ impl TcpProxy {
             let _ = handle.join();
             joined += 1;
         }
-        // Past this point no acceptor is alive, so no new session (or
-        // worker thread) can be created.
+        // No acceptor is left to start a session (or a worker).
         if first {
-            let drained: Vec<(usize, Session)> = lock(&self.shared.sessions).drain().collect();
-            self.shared.close(drained);
+            for route in 0..self.listen_addrs.len() {
+                let drained = lock(&self.shared.sessions)[route].take();
+                self.shared.close(route, drained);
+            }
             let _ = self.shared.timer_tx.send(TimerCmd::Stop);
         }
         loop {
-            let handles: Vec<JoinHandle<()>> = lock(&self.shared.workers).drain(..).collect();
-            if handles.is_empty() {
-                break;
-            }
-            for handle in handles {
-                let _ = handle.join();
-                joined += 1;
-            }
+            let next = lock(&self.shared.workers).pop();
+            let Some(handle) = next else { break };
+            let _ = handle.join();
+            joined += 1;
         }
         ShutdownReport {
             threads_joined: joined,
@@ -786,25 +619,20 @@ impl TcpProxy {
     ///
     /// # Panics
     ///
-    /// Panics if the action names a route index the proxy does not have
-    /// — harness misuse.
+    /// Panics if the action names a route the proxy does not have.
     pub fn apply_fault(&self, action: FaultAction) {
         self.shared.apply_fault(action);
     }
 
-    /// Schedules a fault `after` the current instant on the proxy's
-    /// timer thread (the §VII experiment timelines: sever at `t=X`,
-    /// restore at `t=Y`).
+    /// Schedules a fault `after` now on the proxy's timer thread (the
+    /// §VII timelines: sever at `t=X`, restore at `t=Y`).
     ///
     /// # Panics
     ///
-    /// Panics here, on the caller's thread, if the action names a route
-    /// index the proxy does not have: checked when the fault fired, the
-    /// panic would kill the timer thread and silently discard every
-    /// later delayed delivery and wakeup.
+    /// Panics here if the action names a route the proxy does not have:
+    /// on the timer thread, the panic would lose every later event.
     pub fn schedule_fault(&self, after: Duration, action: FaultAction) {
-        // Looked up only for its panic.
-        self.shared.route(action.route());
+        action.route(self.shared.controllers.len());
         self.shared
             .schedule(Instant::now() + after, u64::MAX, TimedEvent::Fault(action));
     }
@@ -816,8 +644,22 @@ impl TcpProxy {
 
     /// Locks and inspects the executor (e.g. for its injection log).
     pub fn with_executor<T>(&self, f: impl FnOnce(&AttackExecutor) -> T) -> T {
-        f(&lock(&self.shared.exec))
+        f(&self.shared.binding.exec.lock())
     }
+}
+
+/// Starts `f` on a thread named after `name` and keeps its handle in
+/// `handles`, for shutdown to join.
+fn spawn_into(
+    handles: &Mutex<Vec<JoinHandle<()>>>,
+    name: &str,
+    f: impl FnOnce() + Send + 'static,
+) -> io::Result<()> {
+    let handle = thread::Builder::new()
+        .name(format!("attain-proxy-{name}"))
+        .spawn(f)?;
+    lock(handles).push(handle);
+    Ok(())
 }
 
 fn timer_loop(shared: Arc<Shared>, rx: Receiver<TimerCmd>) {
@@ -838,11 +680,17 @@ fn timer_loop(shared: Arc<Shared>, rx: Receiver<TimerCmd>) {
                 arrivals += 1;
             }
             // The first entry is due: fire it, and go round for the next.
-            Err(RecvTimeoutError::Timeout) => {
-                if let Some((_, event)) = pending.pop_first() {
-                    shared.fire(event);
+            Err(RecvTimeoutError::Timeout) => match pending.pop_first() {
+                Some((_, TimedEvent::Delivery(route, to_controller, epoch, frame))) => {
+                    shared.deliver(route, to_controller, epoch, frame, false);
                 }
-            }
+                Some((_, TimedEvent::Wakeup)) => {
+                    let sink = |effect| shared.apply(effect, None, false);
+                    shared.binding.on_wakeup(|| shared.now_ns(), sink);
+                }
+                Some((_, TimedEvent::Fault(action))) => shared.apply_fault(action),
+                None => {}
+            },
             Ok(TimerCmd::Stop) | Err(RecvTimeoutError::Disconnected) => return,
         }
     }
@@ -868,30 +716,28 @@ fn accept_loop(shared: Arc<Shared>, listener: TcpListener, route_idx: usize) {
             shared.wait_backoff(route_idx);
             continue;
         }
-        let route = &shared.routes[route_idx];
-        let Ok(controller_sock) =
-            TcpStream::connect_timeout(&route.controller, CONTROLLER_DIAL_TIMEOUT)
+        let controller = &shared.controllers[route_idx];
+        let Ok(controller_sock) = TcpStream::connect_timeout(controller, CONTROLLER_DIAL_TIMEOUT)
         else {
-            // Controller unreachable or silent: drop the switch
-            // connection (it will retry, as a real switch does) and back
-            // off before dialing again.
+            // Controller unreachable or silent: drop the switch (it will
+            // retry, as a real switch does) and back off.
             let mut ledger = lock(&shared.ledger);
             ledger.stats.dial_failures += 1;
             ledger.arm_backoff(route_idx);
             continue;
         };
-        lock(&shared.ledger).supervision[route_idx].clear_backoff();
-        start_session(&shared, route.conn.0, switch_sock, controller_sock);
+        {
+            // The failure run is over: the next reconnect dials at once.
+            let supervision = &mut lock(&shared.ledger).supervision[route_idx];
+            (supervision.failures, supervision.backoff_until) = (0, None);
+        }
+        start_session(&shared, route_idx, switch_sock, controller_sock);
     }
 }
 
-/// Every socket the proxy creates becomes a session's through here:
-/// Nagle off, then the handles for the read loop, the write loop and
-/// for severing, all sharing the one underlying socket.
-///
-/// The proxy writes one frame per `write`. With Nagle on, the second of
-/// two back-to-back small frames (FLOW_MOD then PACKET_OUT — every
-/// reactive flow set-up) waits for the peer's delayed ACK, ~40 ms.
+/// Every session socket passes here: Nagle off (one frame per `write`
+/// would otherwise wait ~40 ms for the peer's delayed ACK), then handles
+/// for the read loop, the write loop and severing.
 fn session_handles(sock: TcpStream) -> io::Result<[TcpStream; 3]> {
     sock.set_nodelay(true)?;
     Ok([sock.try_clone()?, sock.try_clone()?, sock])
@@ -899,12 +745,11 @@ fn session_handles(sock: TcpStream) -> io::Result<[TcpStream; 3]> {
 
 fn start_session(
     shared: &Arc<Shared>,
-    conn: usize,
+    route: usize,
     switch_sock: TcpStream,
     controller_sock: TcpStream,
 ) {
-    // A socket that refuses means it already died, so the switch simply
-    // retries.
+    // A socket that refuses already died: the switch retries.
     let (Ok([sw_keep, sw_write, switch_sock]), Ok([ctrl_keep, ctrl_write, controller_sock])) = (
         session_handles(switch_sock),
         session_handles(controller_sock),
@@ -916,50 +761,44 @@ fn start_session(
     let (sw_tx, sw_rx) = mpsc::sync_channel::<Frame>(WRITE_QUEUE_CAP);
     let session = Session {
         epoch,
-        ctrl_tx,
-        sw_tx,
-        switch_sock: sw_keep,
-        controller_sock: ctrl_keep,
+        sinks: [sw_tx, ctrl_tx],
+        socks: [sw_keep, ctrl_keep],
     };
     let replaced = {
         let mut sessions = lock(&shared.sessions);
-        let replaced = sessions.insert(conn, session);
-        // Counted under the sessions lock, so no close of this session
-        // can be counted first.
+        let replaced = sessions[route].replace(session);
+        // Under the sessions lock: no close of it is counted first.
         let mut ledger = lock(&shared.ledger);
         ledger.stats.sessions_opened += 1;
         ledger.stats.live_sessions += 1;
         replaced
     };
-    // The switch reconnected before the old session's loops noticed the
-    // disconnect: it was replaced atomically, so no stale sink survives
-    // and the old epoch's deliveries die. It ends here, before this
-    // session's loops start, so none of its state reaches them.
-    shared.close(replaced.map(|old| (conn, old)));
+    // A reconnect replaced the old session atomically: its sinks and its
+    // epoch's deliveries die, before this session's loops start.
+    shared.close(route, replaced);
     let spawned = (|| {
-        let s = Arc::clone(shared);
-        shared.spawn_worker("write-ctrl", move || {
-            write_loop(s, ctrl_write, ctrl_rx, conn, epoch)
-        })?;
-        let s = Arc::clone(shared);
-        shared.spawn_worker("write-switch", move || {
-            write_loop(s, sw_write, sw_rx, conn, epoch)
-        })?;
-        let s = Arc::clone(shared);
-        shared.spawn_worker("read-switch", move || {
-            read_loop(s, switch_sock, ConnectionId(conn), epoch, true)
-        })?;
-        let s = Arc::clone(shared);
-        shared.spawn_worker("read-ctrl", move || {
-            read_loop(s, controller_sock, ConnectionId(conn), epoch, false)
-        })
+        for (name, sock, rx) in [
+            ("write-ctrl", ctrl_write, ctrl_rx),
+            ("write-switch", sw_write, sw_rx),
+        ] {
+            let s = Arc::clone(shared);
+            shared.spawn_worker(name, move || write_loop(s, sock, rx, route, epoch))?;
+        }
+        for (name, sock, to_controller) in [
+            ("read-switch", switch_sock, true),
+            ("read-ctrl", controller_sock, false),
+        ] {
+            let s = Arc::clone(shared);
+            shared.spawn_worker(name, move || {
+                read_loop(s, sock, route, epoch, to_controller)
+            })?;
+        }
+        io::Result::Ok(())
     })();
-    // A session short of a worker is severed (the loops already running
-    // see their sockets die; the switch retries), and a shutdown that
-    // raced session creation must not leave the new session running
-    // unsupervised.
+    // A session short of a worker is severed (the switch retries), and
+    // so is one a racing shutdown would leave unsupervised.
     if spawned.is_err() || shared.shutdown.load(Ordering::SeqCst) {
-        shared.end_session(conn, epoch);
+        shared.end_session(route, epoch);
     }
 }
 
@@ -967,14 +806,13 @@ fn write_loop(
     shared: Arc<Shared>,
     mut sock: TcpStream,
     rx: Receiver<Frame>,
-    conn: usize,
+    route: usize,
     epoch: Epoch,
 ) {
     while let Ok(frame) = rx.recv() {
         if sock.write_all(frame.bytes()).is_err() {
-            // Socket is gone: tear the session down so the peer loops
-            // unblock and the sinks unregister.
-            shared.end_session(conn, epoch);
+            // Socket gone: end the session, unblocking the other loops.
+            shared.end_session(route, epoch);
             return;
         }
     }
@@ -984,7 +822,7 @@ fn write_loop(
 fn read_loop(
     shared: Arc<Shared>,
     mut sock: TcpStream,
-    conn: ConnectionId,
+    route: usize,
     epoch: Epoch,
     to_controller: bool,
 ) {
@@ -1006,13 +844,17 @@ fn read_loop(
             match OfMessage::frame_len(&buf[start..]) {
                 Ok(Some(len)) => {
                     let frame = Frame::new(buf[start..start + len].to_vec());
-                    shared.on_message(conn, epoch, to_controller, frame);
+                    let now = || shared.now_ns();
+                    let sink = |effect| shared.apply(effect, Some((route, epoch)), true);
+                    // `spawn` bound every route, so the executor answers.
+                    shared
+                        .binding
+                        .on_message(route, to_controller, frame, now, sink);
                     start += len;
                 }
                 Ok(None) => break,
                 Err(_) => {
-                    // Unframeable garbage (bad version byte): reset the
-                    // connection, as a real proxy would.
+                    // Unframeable garbage: reset, as a real proxy would.
                     break 'outer;
                 }
             }
@@ -1022,7 +864,7 @@ fn read_loop(
             buf.truncate(buf.len() - start);
         }
     }
-    shared.end_session(conn.0, epoch);
+    shared.end_session(route, epoch);
 }
 
 #[cfg(test)]
@@ -1266,13 +1108,12 @@ mod tests {
         // Linux the accepted socket does not inherit the mode.)
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         listener.set_nonblocking(true).unwrap();
-        let proxy = TcpProxy::start(
+        let binding = Binding::new(
             executor(scenario::attacks::TRIVIAL_PASS),
-            &[route(ctrl_addr)],
-            vec![listener],
-            None,
-        )
-        .unwrap();
+            vec![Some(ConnectionId(0))],
+        );
+        let proxy =
+            TcpProxy::start(binding.unwrap(), vec![ctrl_addr], vec![listener], None).unwrap();
         let deadline = Instant::now() + Duration::from_secs(5);
         while proxy.stats().backoff_events == 0 {
             assert!(Instant::now() < deadline, "accept never failed");

@@ -38,11 +38,13 @@ fn attacked_sim(
     let compiled = dsl::compile(source, &system, &model).expect("attack compiles");
     let exec =
         AttackExecutor::new(system.clone(), model, compiled.attack).expect("attack validates");
-    let mut sim = build_simulation(&system, FailMode::Secure, |_| {
-        ControllerKind::Floodlight.instantiate()
-    })
+    let mut sim = build_simulation(
+        &system,
+        |_| FailMode::Secure,
+        |_| ControllerKind::Floodlight.instantiate(),
+    )
     .expect("the small system builds");
-    let handle = attach(&mut sim, exec, &system);
+    let handle = attach(&mut sim, exec, &system).expect("the small system has its connections");
     (sim, handle)
 }
 

@@ -181,3 +181,51 @@ fn interruption_never_engages_against_ryu() {
         );
     }
 }
+
+/// The case-study network is the enterprise scenario's: every host and
+/// switch by name, and the simulation's connection `i` is the model's
+/// connection `i`, so an attack's connection ids need no translation.
+#[test]
+fn build_case_study_mirrors_the_scenario() {
+    use attain_core::model::NodeRef;
+    let system = attain_core::scenario::enterprise_network().system;
+    let sim = harness::build_case_study(ControllerKind::Pox, attain_netsim::FailMode::Safe);
+    let pairs: Vec<(String, String)> = system
+        .connections()
+        .map(|(_, c, s)| {
+            let name = |r| system.name_of(r).to_string();
+            (name(NodeRef::Controller(c)), name(NodeRef::Switch(s)))
+        })
+        .collect();
+    let sim_pairs: Vec<(String, String)> = sim
+        .conn_infos()
+        .into_iter()
+        .map(|i| (i.controller, i.switch))
+        .collect();
+    assert_eq!(sim_pairs, pairs);
+    for (_, h) in system.hosts() {
+        assert!(sim.node_id(&h.name).is_some(), "{} missing", h.name);
+    }
+    for (_, s) in system.switches() {
+        assert!(sim.is_switch(&s.name), "{} missing", s.name);
+    }
+}
+
+/// A simulation without one of the scenario's connections is a setup
+/// error naming it, not a panic.
+#[test]
+fn try_attach_attack_refuses_a_network_without_s2() {
+    let mut b = attain_netsim::NetworkBuilder::new();
+    let h1 = b.host("h1", "10.0.0.1");
+    let s1 = b.switch("s1");
+    b.link(h1, s1);
+    let c1 = b.controller("c1", ControllerKind::Pox.instantiate());
+    b.control(c1, s1);
+    let mut sim = b.build();
+    let source = attain_core::scenario::attacks::TRIVIAL_PASS;
+    let err = harness::try_attach_attack(&mut sim, source).expect_err("s2 is missing");
+    let harness::RunError::Setup(msg) = &err else {
+        panic!("not a setup error: {err:?}");
+    };
+    assert!(msg.contains("(c1, s2)"), "{msg}");
+}

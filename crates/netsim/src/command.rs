@@ -11,6 +11,7 @@ use crate::fault::FaultSpec;
 use crate::time::SimTime;
 use std::fmt;
 use std::net::Ipv4Addr;
+use std::str::FromStr;
 
 /// The default `iperf` TCP port.
 pub(crate) const IPERF_PORT: u16 = 5001;
@@ -106,161 +107,120 @@ impl HostCommand {
     ///
     /// Returns [`ParseCommandError`] for anything else.
     pub fn parse(host: NodeId, cmd: &str) -> Result<HostCommand, ParseCommandError> {
-        let err = || ParseCommandError(cmd.to_string());
-        let tokens: Vec<&str> = cmd.split_whitespace().collect();
-        match tokens.first().copied() {
+        let mut args = Args {
+            cmd,
+            tokens: cmd.split_whitespace(),
+        };
+        let label = cmd.to_string();
+        match args.tokens.next() {
             Some("ping") => {
-                let mut count = 4u32;
-                let mut interval = SimTime::from_secs(1);
-                let mut dst: Option<Ipv4Addr> = None;
-                let mut i = 1;
-                while i < tokens.len() {
-                    match tokens[i] {
-                        "-c" => {
-                            count = tokens
-                                .get(i + 1)
-                                .ok_or_else(err)?
-                                .parse()
-                                .map_err(|_| err())?;
-                            i += 2;
-                        }
-                        "-i" => {
-                            let secs: f64 = tokens
-                                .get(i + 1)
-                                .ok_or_else(err)?
-                                .parse()
-                                .map_err(|_| err())?;
-                            if !(secs.is_finite() && secs > 0.0) {
-                                return Err(err());
-                            }
-                            interval = SimTime::from_secs_f64(secs);
-                            i += 2;
-                        }
-                        addr => {
-                            dst = Some(addr.parse().map_err(|_| err())?);
-                            i += 1;
-                        }
+                let (mut count, mut interval, mut dst) = (4, SimTime::from_secs(1), None);
+                while let Some(token) = args.tokens.next() {
+                    match token {
+                        "-c" => count = args.value()?,
+                        "-i" => interval = args.secs()?,
+                        addr => dst = Some(args.parse(addr)?),
                     }
                 }
-                let dst = dst.ok_or_else(err)?;
+                let dst = dst.ok_or_else(|| args.err())?;
                 Ok(HostCommand::Ping {
                     host,
                     dst,
                     count,
                     interval,
-                    label: cmd.to_string(),
+                    label,
                 })
             }
             Some("iperf") => {
-                let mut server = false;
-                let mut dst: Option<Ipv4Addr> = None;
-                let mut port = IPERF_PORT;
-                let mut duration = SimTime::from_secs(10);
-                let mut i = 1;
-                while i < tokens.len() {
-                    match tokens[i] {
-                        "-s" => {
-                            server = true;
-                            i += 1;
-                        }
-                        "-c" => {
-                            dst = Some(
-                                tokens
-                                    .get(i + 1)
-                                    .ok_or_else(err)?
-                                    .parse()
-                                    .map_err(|_| err())?,
-                            );
-                            i += 2;
-                        }
-                        "-p" => {
-                            port = tokens
-                                .get(i + 1)
-                                .ok_or_else(err)?
-                                .parse()
-                                .map_err(|_| err())?;
-                            i += 2;
-                        }
-                        "-t" => {
-                            let secs: u64 = tokens
-                                .get(i + 1)
-                                .ok_or_else(err)?
-                                .parse()
-                                .map_err(|_| err())?;
-                            duration = SimTime::from_secs(secs);
-                            i += 2;
-                        }
-                        _ => return Err(err()),
+                let (mut server, mut dst, mut port, mut secs) = (false, None, IPERF_PORT, 10);
+                while let Some(token) = args.tokens.next() {
+                    match token {
+                        "-s" => server = true,
+                        "-c" => dst = Some(args.value()?),
+                        "-p" => port = args.value()?,
+                        "-t" => secs = args.value()?,
+                        _ => return Err(args.err()),
                     }
                 }
                 if server {
-                    Ok(HostCommand::IperfServer { host, port })
-                } else {
-                    let dst = dst.ok_or_else(err)?;
-                    Ok(HostCommand::IperfClient {
-                        host,
-                        dst,
-                        port,
-                        duration,
-                        label: cmd.to_string(),
-                    })
+                    return Ok(HostCommand::IperfServer { host, port });
                 }
+                let dst = dst.ok_or_else(|| args.err())?;
+                let duration = SimTime::from_secs(secs);
+                Ok(HostCommand::IperfClient {
+                    host,
+                    dst,
+                    port,
+                    duration,
+                    label,
+                })
             }
             Some("capprobe") => {
-                let mut fill = 256u32;
-                let mut gap = SimTime::from_millis(50);
-                let mut dst: Option<Ipv4Addr> = None;
-                let mut i = 1;
-                while i < tokens.len() {
-                    match tokens[i] {
+                let (mut fill, mut gap, mut dst) = (256, SimTime::from_millis(50), None);
+                while let Some(token) = args.tokens.next() {
+                    match token {
                         "-n" => {
-                            fill = tokens
-                                .get(i + 1)
-                                .ok_or_else(err)?
-                                .parse()
-                                .map_err(|_| err())?;
+                            fill = args.value()?;
                             if fill == 0 {
-                                return Err(err());
+                                return Err(args.err());
                             }
-                            i += 2;
                         }
-                        "-i" => {
-                            let secs: f64 = tokens
-                                .get(i + 1)
-                                .ok_or_else(err)?
-                                .parse()
-                                .map_err(|_| err())?;
-                            if !(secs.is_finite() && secs > 0.0) {
-                                return Err(err());
-                            }
-                            gap = SimTime::from_secs_f64(secs);
-                            i += 2;
-                        }
-                        addr => {
-                            dst = Some(addr.parse().map_err(|_| err())?);
-                            i += 1;
-                        }
+                        "-i" => gap = args.secs()?,
+                        addr => dst = Some(args.parse(addr)?),
                     }
                 }
-                let dst = dst.ok_or_else(err)?;
+                let dst = dst.ok_or_else(|| args.err())?;
                 Ok(HostCommand::Probe {
                     host,
                     dst,
                     fill,
                     gap,
-                    label: cmd.to_string(),
+                    label,
                 })
             }
             Some("echo") => Ok(HostCommand::Marker {
-                label: tokens[1..].join(" "),
+                label: args.tokens.collect::<Vec<_>>().join(" "),
             }),
             Some("fault") => {
                 let spec = cmd.trim_start().strip_prefix("fault").unwrap_or("");
                 FaultSpec::parse(spec)
                     .map(HostCommand::Fault)
-                    .map_err(|_| err())
+                    .map_err(|_| args.err())
             }
-            _ => Err(err()),
+            _ => Err(args.err()),
+        }
+    }
+}
+
+/// The arguments of one command line, read token by token: each arm of
+/// [`HostCommand::parse`] names its flags, and this reads their values.
+struct Args<'a> {
+    cmd: &'a str,
+    tokens: std::str::SplitWhitespace<'a>,
+}
+
+impl Args<'_> {
+    /// The whole line, refused.
+    fn err(&self) -> ParseCommandError {
+        ParseCommandError(self.cmd.to_string())
+    }
+
+    fn parse<T: FromStr>(&self, token: &str) -> Result<T, ParseCommandError> {
+        token.parse().map_err(|_| self.err())
+    }
+
+    /// The value after a flag.
+    fn value<T: FromStr>(&mut self) -> Result<T, ParseCommandError> {
+        let token = self.tokens.next().ok_or_else(|| self.err())?;
+        self.parse(token)
+    }
+
+    /// The value after a flag, as a finite, positive number of seconds.
+    fn secs(&mut self) -> Result<SimTime, ParseCommandError> {
+        let secs: f64 = self.value()?;
+        match secs.is_finite() && secs > 0.0 {
+            true => Ok(SimTime::from_secs_f64(secs)),
+            false => Err(self.err()),
         }
     }
 }
@@ -390,5 +350,10 @@ mod tests {
         assert!(HostCommand::parse(NodeId(0), "iperf -c notanip").is_err());
         assert!(HostCommand::parse(NodeId(0), "ping -i -1 10.0.0.1").is_err());
         assert!(HostCommand::parse(NodeId(0), "").is_err());
+        assert!(HostCommand::parse(NodeId(0), "ping -c").is_err());
+        assert!(HostCommand::parse(NodeId(0), "iperf -x").is_err());
+        assert!(HostCommand::parse(NodeId(0), "iperf -p 70000 -c 10.0.0.1").is_err());
+        assert!(HostCommand::parse(NodeId(0), "capprobe -i 0 10.0.0.6").is_err());
+        assert!(HostCommand::parse(NodeId(0), "ping -c many 10.0.0.1").is_err());
     }
 }

@@ -66,7 +66,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut sim = b.build();
 
     let exec = AttackExecutor::new(system.clone(), attack_model, compiled.attack)?;
-    let handle = attach(&mut sim, exec, &system);
+    let handle = attach(&mut sim, exec, &system)?;
 
     // 5. Workload: 20 pings h1 → h2.
     sim.schedule_command(

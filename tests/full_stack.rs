@@ -58,9 +58,11 @@ fn self_contained_document_drives_a_simulation() {
     let compiled = &doc.attacks[0];
     assert_eq!(compiled.graph.vertices, vec!["count_up", "blackhole"]);
 
-    let mut sim = build_simulation(&doc.system, FailMode::Secure, |_| {
-        ControllerKind::Floodlight.instantiate()
-    })
+    let mut sim = build_simulation(
+        &doc.system,
+        |_| FailMode::Secure,
+        |_| ControllerKind::Floodlight.instantiate(),
+    )
     .expect("document builds");
     let exec = AttackExecutor::new(
         doc.system.clone(),
@@ -68,7 +70,8 @@ fn self_contained_document_drives_a_simulation() {
         compiled.attack.clone(),
     )
     .expect("attack validates");
-    let handle = attach(&mut sim, exec, &doc.system);
+    let handle =
+        attach(&mut sim, exec, &doc.system).expect("the document's network has its connections");
 
     let h1 = sim.node_id("h1").expect("document declares h1");
     // First run: establishes flows; the attack blackholes the control
@@ -143,7 +146,7 @@ fn facade_reexports_cover_the_paper_pipeline() {
 fn all_three_controller_models_run_under_the_generic_builder() {
     let doc = dsl::compile_document(DOCUMENT).expect("document compiles");
     for kind in ControllerKind::ALL {
-        let mut sim = build_simulation(&doc.system, FailMode::Secure, |_| kind.instantiate())
+        let mut sim = build_simulation(&doc.system, |_| FailMode::Secure, |_| kind.instantiate())
             .expect("document builds");
         let h1 = sim.node_id("h1").expect("document declares h1");
         sim.schedule_command(
@@ -170,9 +173,11 @@ fn full_stack_is_deterministic() {
     let run = || {
         let doc = dsl::compile_document(DOCUMENT).expect("document compiles");
         let compiled = &doc.attacks[0];
-        let mut sim = build_simulation(&doc.system, FailMode::Safe, |_| {
-            ControllerKind::Pox.instantiate()
-        })
+        let mut sim = build_simulation(
+            &doc.system,
+            |_| FailMode::Safe,
+            |_| ControllerKind::Pox.instantiate(),
+        )
         .expect("document builds");
         let exec = AttackExecutor::new(
             doc.system.clone(),
@@ -180,7 +185,8 @@ fn full_stack_is_deterministic() {
             compiled.attack.clone(),
         )
         .expect("attack validates");
-        let handle = attach(&mut sim, exec, &doc.system);
+        let handle = attach(&mut sim, exec, &doc.system)
+            .expect("the document's network has its connections");
         let h1 = sim.node_id("h1").expect("document declares h1");
         sim.schedule_command(
             SimTime::from_secs(3),

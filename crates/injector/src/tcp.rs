@@ -29,7 +29,9 @@ use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
 /// Capacity of each per-direction write queue. The message path blocks
-/// when a queue is full (backpressure); the timer path drops instead.
+/// when a queue is full (backpressure); the timer path drops instead. The
+/// timer holds at most as many delayed deliveries per route, and drops
+/// one past that.
 pub const WRITE_QUEUE_CAP: usize = 1024;
 
 /// First backoff window armed after a failed controller dial (or a
@@ -114,7 +116,9 @@ pub struct ProxyStats {
     pub stale_epoch_dropped: u64,
     /// Deliveries dropped because their target route had no session.
     pub dead_target_dropped: u64,
-    /// Timer-path deliveries dropped because the write queue was full.
+    /// Timer-path deliveries dropped because the write queue was full,
+    /// or because the timer already held [`WRITE_QUEUE_CAP`] delayed
+    /// deliveries for their route.
     pub overflow_dropped: u64,
     /// DSL `fault("…")` actions discarded: environment faults are the
     /// simulator's, and this deployment has nothing to apply them to.
@@ -664,6 +668,9 @@ fn spawn_into(
 
 fn timer_loop(shared: Arc<Shared>, rx: Receiver<TimerCmd>) {
     let mut pending: BTreeMap<TimerKey, TimedEvent> = BTreeMap::new();
+    // Delayed deliveries held per route: a flood under `delay` would
+    // otherwise grow the map by its rate × the delay.
+    let mut held = vec![0; shared.controllers.len()];
     let mut arrivals = 0;
     loop {
         let wait = pending
@@ -676,12 +683,20 @@ fn timer_loop(shared: Arc<Shared>, rx: Receiver<TimerCmd>) {
         };
         match cmd {
             Ok(TimerCmd::Schedule(due, seq, event)) => {
+                if let TimedEvent::Delivery(route, ..) = &event {
+                    if held[*route] == WRITE_QUEUE_CAP {
+                        lock(&shared.ledger).stats.overflow_dropped += 1;
+                        continue;
+                    }
+                    held[*route] += 1;
+                }
                 pending.insert((due, seq, arrivals), event);
                 arrivals += 1;
             }
             // The first entry is due: fire it, and go round for the next.
             Err(RecvTimeoutError::Timeout) => match pending.pop_first() {
                 Some((_, TimedEvent::Delivery(route, to_controller, epoch, frame))) => {
+                    held[route] -= 1;
                     shared.deliver(route, to_controller, epoch, frame, false);
                 }
                 Some((_, TimedEvent::Wakeup)) => {

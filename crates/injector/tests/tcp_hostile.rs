@@ -1,11 +1,12 @@
 //! Hostile peers on the real proxy: a switch that never reads while its
-//! controller floods it must cost its own route, never another one, and
-//! never the timer thread.
+//! controller floods it, or a controller flooding a route under a long
+//! `delay`, must cost its own route, never another one, and never the
+//! timer thread.
 
 use attain_core::exec::AttackExecutor;
 use attain_core::model::ConnectionId;
 use attain_core::{dsl, scenario};
-use attain_injector::tcp::{ProxyRoute, TcpProxy};
+use attain_injector::tcp::{ProxyRoute, TcpProxy, WRITE_QUEUE_CAP};
 use attain_openflow::OfMessage;
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
@@ -20,6 +21,18 @@ attack delay_echo {
         rule hold on all requires no_tls {
             when msg.type == ECHO_REQUEST
             do { delay(msg, 0.01); }
+        }
+    }
+}
+"#;
+
+/// Delays every `ECHO_REQUEST`, on any connection, by 5 s.
+const DELAY_ECHO_5S: &str = r#"
+attack delay_echo_5s {
+    start state sigma1 {
+        rule hold on all requires no_tls {
+            when msg.type == ECHO_REQUEST
+            do { delay(msg, 5.0); }
         }
     }
 }
@@ -57,22 +70,27 @@ fn session(proxy: &TcpProxy, controller: &TcpListener, route: usize) -> (TcpStre
     }
 }
 
-fn read_one(sock: &mut TcpStream) -> OfMessage {
-    sock.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+/// The next message on `sock`, which must come `within` the given time.
+fn read_within(sock: &mut TcpStream, within: Duration) -> OfMessage {
+    sock.set_read_timeout(Some(within)).unwrap();
     let mut buf = Vec::new();
     let mut chunk = [0u8; 1024];
     loop {
         if let Ok(Some(len)) = OfMessage::frame_len(&buf) {
             return OfMessage::decode(&buf[..len]).unwrap().0;
         }
-        let n = sock.read(&mut chunk).expect("a frame within 5 s");
+        let n = sock.read(&mut chunk).expect("a frame in time");
         assert!(n > 0, "connection closed early");
         buf.extend_from_slice(&chunk[..n]);
     }
 }
 
-#[test]
-fn a_switch_that_never_reads_stalls_only_its_own_route() {
+fn read_one(sock: &mut TcpStream) -> OfMessage {
+    read_within(sock, Duration::from_secs(5))
+}
+
+/// A proxy under `source` with two routes, and the controllers' listeners.
+fn two_routes(source: &str) -> (TcpProxy, [TcpListener; 2]) {
     let controllers = [(); 2].map(|_| TcpListener::bind("127.0.0.1:0").unwrap());
     let routes = (0..2)
         .map(|conn| ProxyRoute {
@@ -81,7 +99,26 @@ fn a_switch_that_never_reads_stalls_only_its_own_route() {
             conn: ConnectionId(conn),
         })
         .collect();
-    let proxy = TcpProxy::spawn(executor(DELAY_ECHO), routes, None).unwrap();
+    let proxy = TcpProxy::spawn(executor(source), routes, None).unwrap();
+    (proxy, controllers)
+}
+
+/// Shuts `proxy` down and checks it joined every thread within 5 s.
+fn shutdown_within_5s(proxy: TcpProxy) -> attain_injector::tcp::ShutdownReport {
+    let started = Instant::now();
+    let report = proxy.shutdown();
+    assert!(
+        started.elapsed() < Duration::from_secs(5),
+        "shutdown took {:?}",
+        started.elapsed()
+    );
+    assert_eq!(report.stats.live_sessions, 0);
+    report
+}
+
+#[test]
+fn a_switch_that_never_reads_stalls_only_its_own_route() {
+    let (proxy, controllers) = two_routes(DELAY_ECHO);
 
     // Route 0: the switch never reads; its controller floods it with
     // delayed echo requests until the proxy shuts the socket.
@@ -115,17 +152,58 @@ fn a_switch_that_never_reads_stalls_only_its_own_route() {
         .unwrap();
     assert_eq!(read_one(&mut controller), OfMessage::EchoRequest(vec![3]));
 
-    let started = Instant::now();
-    let report = proxy.shutdown();
-    assert!(
-        started.elapsed() < Duration::from_secs(5),
-        "shutdown took {:?}",
-        started.elapsed()
-    );
+    let report = shutdown_within_5s(proxy);
     assert!(report.stats.overflow_dropped > 0);
-    assert_eq!(report.stats.live_sessions, 0);
     // Two acceptors, the timer and four loops per session.
     assert!(report.threads_joined >= 11, "{report:?}");
     flood.join().unwrap();
     drop(stalled_switch);
+}
+
+#[test]
+fn a_delayed_flood_is_bounded_per_route_in_the_timer() {
+    let (proxy, controllers) = two_routes(DELAY_ECHO_5S);
+
+    // Route 0: its controller sends more echo requests than the timer
+    // holds for one route, each delayed 5 s.
+    let flood = WRITE_QUEUE_CAP + 476;
+    let (_switch, mut flooding) = session(&proxy, &controllers[0], 0);
+    let started = Instant::now();
+    let echo = OfMessage::EchoRequest(vec![0xab; 8]).encode(7);
+    for _ in 0..flood {
+        flooding.write_all(&echo).unwrap();
+    }
+    // Nothing is due before 5 s, so no write queue can have overflowed:
+    // every drop is the timer's own bound.
+    let excess = (flood - WRITE_QUEUE_CAP) as u64;
+    while proxy.stats().overflow_dropped < excess {
+        assert!(
+            started.elapsed() < Duration::from_secs(5),
+            "the timer held the whole flood"
+        );
+        thread::sleep(Duration::from_millis(5));
+    }
+    assert!(started.elapsed() < Duration::from_secs(5));
+    assert_eq!(proxy.stats().overflow_dropped, excess);
+
+    // Route 1's delayed deliveries still go through, in both directions.
+    let (mut switch, mut controller) = session(&proxy, &controllers[1], 1);
+    controller
+        .write_all(&OfMessage::EchoRequest(vec![2]).encode(2))
+        .unwrap();
+    switch
+        .write_all(&OfMessage::EchoRequest(vec![3]).encode(3))
+        .unwrap();
+    let within = Duration::from_secs(10);
+    assert_eq!(
+        read_within(&mut switch, within),
+        OfMessage::EchoRequest(vec![2])
+    );
+    assert_eq!(
+        read_within(&mut controller, within),
+        OfMessage::EchoRequest(vec![3])
+    );
+
+    let report = shutdown_within_5s(proxy);
+    assert!(report.stats.overflow_dropped >= excess);
 }

@@ -122,6 +122,9 @@ fn spawn_proxy(source: &str, controller: SocketAddr) -> TcpProxy {
 }
 
 fn read_one(sock: &mut TcpStream) -> Option<OfMessage> {
+    // `None` means closed, and the assertions lean on it: a silent open
+    // socket must fail the test, never pass for a closed one or hang it.
+    sock.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
     let mut buf = Vec::new();
     let mut chunk = [0u8; 1024];
     loop {
@@ -130,7 +133,16 @@ fn read_one(sock: &mut TcpStream) -> Option<OfMessage> {
             return Some(OfMessage::decode(&frame).unwrap().0);
         }
         match sock.read(&mut chunk) {
-            Ok(0) | Err(_) => return None,
+            Ok(0) => return None,
+            Err(e)
+                if matches!(
+                    e.kind(),
+                    io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
+                ) =>
+            {
+                panic!("no message and no close within 5 s")
+            }
+            Err(_) => return None,
             Ok(n) => buf.extend_from_slice(&chunk[..n]),
         }
     }

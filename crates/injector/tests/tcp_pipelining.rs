@@ -65,8 +65,28 @@ fn rig(source: &str) -> (TcpProxy, TcpStream, TcpStream) {
     )
     .unwrap();
     let switch = tuned(TcpStream::connect(proxy.listen_addrs[0]).unwrap());
-    let controller = tuned(listener.accept().unwrap().0);
+    let controller = tuned(accept_within_5s(&listener));
     (proxy, switch, controller)
+}
+
+/// The connection the proxy dials to `listener`: a proxy that never
+/// dials fails the test instead of hanging it.
+fn accept_within_5s(listener: &TcpListener) -> TcpStream {
+    listener.set_nonblocking(true).unwrap();
+    let deadline = Instant::now() + Duration::from_secs(5);
+    loop {
+        match listener.accept() {
+            Ok((sock, _)) => {
+                sock.set_nonblocking(false).unwrap();
+                return sock;
+            }
+            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
+                assert!(Instant::now() < deadline, "the proxy never dialled");
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            Err(e) => panic!("accept: {e}"),
+        }
+    }
 }
 
 /// 64 frames back to back, every other one an ECHO_REQUEST and the rest

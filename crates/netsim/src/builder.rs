@@ -9,7 +9,7 @@
 //! time with its context.
 
 use crate::controller_host::ControllerHost;
-use crate::engine::NodeId;
+use crate::engine::{ConnId, NodeId};
 use crate::host::Host;
 use crate::link::{Link, LinkEnd, PortTable};
 use crate::sim::{Connection, Node, Simulation};
@@ -346,7 +346,7 @@ impl NetworkBuilder {
         let mac_hint = host_count.min(4096);
 
         let mut names = HashMap::with_capacity(self.nodes.len());
-        let mut nodes: Vec<Node> = Vec::with_capacity(self.nodes.len());
+        let mut nodes: Vec<Node> = Vec::with_capacity(self.nodes.len() + self.controllers.len());
         let mut dpid = 0u64;
         for (i, spec) in self.nodes.into_iter().enumerate() {
             let id = NodeId(i);
@@ -395,27 +395,32 @@ impl NetworkBuilder {
                 params.delay,
             ));
         }
-        let ports = PortTable::new(&self.next_port, &links);
+        // Controllers come after every host and switch, and have no ports.
+        let first_controller = nodes.len();
+        for (name, app) in self.controllers {
+            nodes.push(Node::Controller(ControllerHost::new(name, app)));
+        }
+        let mut next_port = self.next_port;
+        next_port.resize(nodes.len(), 0);
+        let ports = PortTable::new(&next_port, &links);
 
-        let mut controllers: Vec<ControllerHost> = self
-            .controllers
-            .into_iter()
-            .map(|(name, app)| ControllerHost::new(name, app))
-            .collect();
         let mut connections = Vec::with_capacity(self.controls.len());
         for (i, (ctrl, switch, latency)) in self.controls.into_iter().enumerate() {
+            let controller = NodeId(first_controller + ctrl.0);
             if let Node::Switch(s) = &mut nodes[switch.0] {
-                s.add_conn(crate::engine::ConnId(i));
+                s.add_conn(ConnId(i));
             }
-            controllers[ctrl.0].add_conn(crate::engine::ConnId(i));
+            if let Node::Controller(c) = &mut nodes[controller.0] {
+                c.add_conn(ConnId(i));
+            }
             connections.push(Connection {
-                controller: ctrl.0,
+                controller,
                 switch,
                 latency,
             });
         }
 
-        let mut sim = Simulation::assemble(nodes, links, ports, controllers, connections, names);
+        let mut sim = Simulation::assemble(nodes, links, ports, connections, names);
         // Every link gets its own loss/corruption stream even when the
         // scenario never names a seed.
         sim.set_fault_seed(0);

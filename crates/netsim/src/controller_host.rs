@@ -1,8 +1,10 @@
 //! Hosts a [`Controller`] implementation on simulated control-plane
 //! connections: OpenFlow handshake, liveness, and a serial processing
-//! model for the controller's event loop.
+//! model for the controller's event loop. A controller is one more node
+//! of the simulation: like a switch, it answers a control message or a
+//! timer by writing [`Effect`]s.
 
-use crate::engine::ConnId;
+use crate::engine::{ConnId, Effect, TimerToken};
 use crate::interpose::Direction;
 use crate::time::SimTime;
 use crate::trace::TraceKind;
@@ -33,15 +35,6 @@ struct CtrlConn {
     next_xid: Xid,
     /// Consecutive undecodable deliveries (reset by any good message).
     decode_fails: u32,
-}
-
-/// A message the controller wants delivered, with its departure time
-/// (after queueing behind the controller's serial event loop).
-#[derive(Debug)]
-pub(crate) struct CtrlSend {
-    pub conn: ConnId,
-    pub frame: Frame,
-    pub depart: SimTime,
 }
 
 /// A controller process: platform runtime + hosted application.
@@ -177,39 +170,64 @@ impl ControllerHost {
         depart
     }
 
-    fn drain_outbox(&mut self, out: &mut Outbox, depart: SimTime, sends: &mut Vec<CtrlSend>) {
+    /// Sends, departing `at`, the frame `encode` makes with connection
+    /// `i`'s next xid: the one place the controller writes
+    /// [`Effect::Control`].
+    fn send(
+        &mut self,
+        i: usize,
+        at: SimTime,
+        fx: &mut Vec<Effect>,
+        encode: impl FnOnce(Xid) -> Option<Frame>,
+    ) {
+        let c = &mut self.conns[i];
+        let xid = c.next_xid;
+        c.next_xid += 1;
+        if let Some(frame) = encode(xid) {
+            fx.push(Effect::Control {
+                conn: c.conn,
+                frame,
+                at,
+            });
+        }
+    }
+
+    /// Runs one application handler through the serial event loop and
+    /// sends what it emitted to each addressed switch that is up.
+    fn run_app(
+        &mut self,
+        now: SimTime,
+        fx: &mut Vec<Effect>,
+        handler: impl FnOnce(&mut dyn Controller, &mut Outbox),
+    ) {
+        let depart = self.depart_time(now);
+        let mut out = Outbox::new();
+        handler(&mut *self.app, &mut out);
         for (dpid, msg) in out.drain() {
             let up = self
                 .conns
-                .iter_mut()
-                .find(|c| c.dpid == Some(dpid) && c.phase == Phase::Up);
-            if let Some(c) = up {
-                let xid = c.next_xid;
-                c.next_xid += 1;
-                sends.push(CtrlSend {
-                    conn: c.conn,
-                    frame: Frame::from_message(msg, xid),
-                    depart,
-                });
+                .iter()
+                .position(|c| c.dpid == Some(dpid) && c.phase == Phase::Up);
+            if let Some(i) = up {
+                self.send(i, depart, fx, |xid| Some(Frame::from_message(msg, xid)));
             }
         }
     }
 
-    /// An encoded message arrived from a switch on `conn`. Trace records
-    /// (decode failures, connection resets) are pushed onto `traces`.
+    /// An encoded message arrived from a switch on `conn`.
     pub(crate) fn handle_control(
         &mut self,
         conn: ConnId,
         frame: &Frame,
         now: SimTime,
-        traces: &mut Vec<TraceKind>,
-    ) -> Vec<CtrlSend> {
+        fx: &mut Vec<Effect>,
+    ) {
         if !self.alive {
             // A crashed process reads nothing off its sockets.
-            return Vec::new();
+            return;
         }
         let Some(i) = self.conn_index(conn) else {
-            return Vec::new();
+            return;
         };
         self.conns[i].last_rx = now;
         let Some((msg, _xid)) = frame.decoded() else {
@@ -219,10 +237,10 @@ impl ControllerHost {
             // connection is reset rather than left "up" forever.
             self.decode_failures += 1;
             self.conns[i].decode_fails += 1;
-            traces.push(TraceKind::DecodeFailure {
+            fx.push(Effect::Trace(TraceKind::DecodeFailure {
                 conn,
                 direction: Direction::SwitchToController,
-            });
+            }));
             if self.conns[i].decode_fails >= MAX_DECODE_FAILURES {
                 let failures = self.conns[i].decode_fails;
                 self.conns[i].phase = Phase::WaitHello;
@@ -230,45 +248,35 @@ impl ControllerHost {
                 if let Some(dpid) = self.conns[i].dpid.take() {
                     self.app.on_switch_disconnect(dpid);
                 }
-                traces.push(TraceKind::ConnectionReset { conn, failures });
+                fx.push(Effect::Trace(TraceKind::ConnectionReset { conn, failures }));
             }
-            return Vec::new();
+            return;
         };
         self.conns[i].decode_fails = 0;
-        let mut sends = Vec::new();
+        // The switch's dpid, once its handshake is done.
+        let up = self.conns[i]
+            .dpid
+            .filter(|_| self.conns[i].phase == Phase::Up);
         match msg {
             OfMessage::Hello => {
                 // A HELLO in any phase (re)starts the handshake.
-                if self.conns[i].phase == Phase::Up {
-                    if let Some(dpid) = self.conns[i].dpid {
-                        self.app.on_switch_disconnect(dpid);
-                    }
+                if let Some(dpid) = up {
+                    self.app.on_switch_disconnect(dpid);
                 }
                 self.conns[i].phase = Phase::WaitFeatures;
                 let depart = self.depart_time(now);
                 for reply in [OfMessage::Hello, OfMessage::FeaturesRequest] {
-                    let xid = {
-                        let c = &mut self.conns[i];
-                        let x = c.next_xid;
-                        c.next_xid += 1;
-                        x
-                    };
-                    sends.push(CtrlSend {
-                        conn,
-                        frame: Frame::from_message(reply, xid),
-                        depart,
-                    });
+                    self.send(i, depart, fx, |xid| Some(Frame::from_message(reply, xid)));
                 }
             }
             OfMessage::FeaturesReply(features) => {
                 if self.conns[i].phase == Phase::WaitFeatures {
+                    let dpid = features.datapath_id;
                     self.conns[i].phase = Phase::Up;
-                    self.conns[i].dpid = Some(features.datapath_id);
-                    let depart = self.depart_time(now);
-                    let mut out = Outbox::new();
-                    self.app
-                        .on_switch_connect(features.datapath_id, features, &mut out);
-                    self.drain_outbox(&mut out, depart, &mut sends);
+                    self.conns[i].dpid = Some(dpid);
+                    self.run_app(now, fx, |app, out| {
+                        app.on_switch_connect(dpid, features, out)
+                    });
                 }
             }
             OfMessage::EchoRequest(_) => {
@@ -276,56 +284,38 @@ impl ControllerHost {
                 // The reply is the request with the header's type and xid
                 // patched: same body, no decode→re-encode round trip.
                 let depart = self.depart_time(now);
-                let xid = {
-                    let c = &mut self.conns[i];
-                    let x = c.next_xid;
-                    c.next_xid += 1;
-                    x
-                };
-                if let Some(reply) = frame.patched_reply(OfType::EchoReply, xid) {
-                    sends.push(CtrlSend {
-                        conn,
-                        frame: reply,
-                        depart,
+                self.send(i, depart, fx, |xid| {
+                    frame.patched_reply(OfType::EchoReply, xid)
+                });
+            }
+            OfMessage::EchoReply(_) => {}
+            // Anything else is the application's, once the switch is up.
+            msg => {
+                if let Some(dpid) = up {
+                    self.run_app(now, fx, |app, out| match msg {
+                        OfMessage::PacketIn(pi) => app.on_packet_in(dpid, pi, out),
+                        other => app.on_message(dpid, other, out),
                     });
                 }
             }
-            OfMessage::EchoReply(_) => {}
-            OfMessage::PacketIn(pi) => {
-                if self.conns[i].phase == Phase::Up {
-                    if let Some(dpid) = self.conns[i].dpid {
-                        let depart = self.depart_time(now);
-                        let mut out = Outbox::new();
-                        self.app.on_packet_in(dpid, pi, &mut out);
-                        self.drain_outbox(&mut out, depart, &mut sends);
-                    }
-                }
-            }
-            other => {
-                if self.conns[i].phase == Phase::Up {
-                    if let Some(dpid) = self.conns[i].dpid {
-                        let depart = self.depart_time(now);
-                        let mut out = Outbox::new();
-                        self.app.on_message(dpid, other, &mut out);
-                        self.drain_outbox(&mut out, depart, &mut sends);
-                    }
-                }
-            }
         }
-        sends
     }
 
-    /// Periodic liveness sweep: declares silent switches disconnected.
-    pub(crate) fn tick(&mut self, now: SimTime) {
+    /// The periodic liveness sweep: declares silent switches
+    /// disconnected, and re-arms itself in 2 s whether or not the process
+    /// is alive.
+    pub(crate) fn tick(&mut self, now: SimTime, fx: &mut Vec<Effect>) {
+        fx.push(Effect::Timer {
+            at: now + SimTime::from_secs(2),
+            token: TimerToken::ControllerTick,
+        });
         if !self.alive {
             return;
         }
-        for i in 0..self.conns.len() {
-            if self.conns[i].phase == Phase::Up
-                && now.saturating_sub(self.conns[i].last_rx) >= DEAD_AFTER
-            {
-                self.conns[i].phase = Phase::WaitHello;
-                if let Some(dpid) = self.conns[i].dpid.take() {
+        for c in &mut self.conns {
+            if c.phase == Phase::Up && now.saturating_sub(c.last_rx) >= DEAD_AFTER {
+                c.phase = Phase::WaitHello;
+                if let Some(dpid) = c.dpid.take() {
                     self.app.on_switch_disconnect(dpid);
                 }
             }
@@ -364,110 +354,96 @@ mod tests {
         h
     }
 
+    /// Delivers `msg` on connection 0 at `now`; returns the messages sent
+    /// with their departure times.
+    fn deliver(h: &mut ControllerHost, msg: OfMessage, now: SimTime) -> Vec<(OfMessage, SimTime)> {
+        let mut fx = Vec::new();
+        h.handle_control(ConnId(0), &Frame::from_message(msg, 1), now, &mut fx);
+        fx.into_iter()
+            .map(|e| match e {
+                Effect::Control { frame, at, .. } => (frame.message().unwrap().clone(), at),
+                other => panic!("not a send: {other:?}"),
+            })
+            .collect()
+    }
+
+    /// `h` with its connection's handshake done at t = 0.
+    fn connected() -> ControllerHost {
+        let mut h = host();
+        deliver(&mut h, OfMessage::Hello, SimTime::ZERO);
+        deliver(&mut h, OfMessage::FeaturesReply(features(7)), SimTime::ZERO);
+        h
+    }
+
     #[test]
     fn hello_yields_hello_and_features_request() {
         let mut h = host();
-        let sends = h.handle_control(
-            ConnId(0),
-            &Frame::from_message(OfMessage::Hello, 1),
-            SimTime::ZERO,
-            &mut Vec::new(),
-        );
-        let types: Vec<_> = sends
-            .iter()
-            .map(|s| s.frame.message().unwrap().clone())
+        let sent: Vec<_> = deliver(&mut h, OfMessage::Hello, SimTime::ZERO)
+            .into_iter()
+            .map(|(msg, _)| msg)
             .collect();
-        assert_eq!(types[0], OfMessage::Hello);
-        assert_eq!(types[1], OfMessage::FeaturesRequest);
+        assert_eq!(sent, [OfMessage::Hello, OfMessage::FeaturesRequest]);
         assert!(!h.is_up(ConnId(0)));
     }
 
     #[test]
     fn features_reply_completes_handshake() {
         let mut h = host();
-        h.handle_control(
-            ConnId(0),
-            &Frame::from_message(OfMessage::Hello, 1),
-            SimTime::ZERO,
-            &mut Vec::new(),
-        );
-        h.handle_control(
-            ConnId(0),
-            &Frame::from_message(OfMessage::FeaturesReply(features(7)), 2),
-            SimTime::from_millis(1),
-            &mut Vec::new(),
-        );
+        deliver(&mut h, OfMessage::Hello, SimTime::ZERO);
+        let reply = OfMessage::FeaturesReply(features(7));
+        deliver(&mut h, reply, SimTime::from_millis(1));
         assert!(h.is_up(ConnId(0)));
     }
 
     #[test]
     fn echo_request_is_answered_without_the_app() {
         let mut h = host();
-        let sends = h.handle_control(
-            ConnId(0),
-            &Frame::from_message(OfMessage::EchoRequest(vec![9]), 3),
-            SimTime::ZERO,
-            &mut Vec::new(),
-        );
-        assert_eq!(sends.len(), 1);
-        assert_eq!(
-            sends[0].frame.message(),
-            Some(&OfMessage::EchoReply(vec![9]))
-        );
+        let sent = deliver(&mut h, OfMessage::EchoRequest(vec![9]), SimTime::ZERO);
+        assert_eq!(sent.len(), 1);
+        assert_eq!(sent[0].0, OfMessage::EchoReply(vec![9]));
     }
 
     #[test]
     fn serial_processing_queues_departures() {
-        let mut h = host();
-        h.handle_control(
-            ConnId(0),
-            &Frame::from_message(OfMessage::Hello, 1),
-            SimTime::ZERO,
-            &mut Vec::new(),
-        );
-        h.handle_control(
-            ConnId(0),
-            &Frame::from_message(OfMessage::FeaturesReply(features(7)), 2),
-            SimTime::ZERO,
-            &mut Vec::new(),
-        );
+        let mut h = connected();
         // Two echo requests arriving at the same instant depart one
         // processing quantum apart.
-        let s1 = h.handle_control(
-            ConnId(0),
-            &Frame::from_message(OfMessage::EchoRequest(vec![1]), 3),
-            SimTime::from_secs(1),
-            &mut Vec::new(),
-        );
-        let s2 = h.handle_control(
-            ConnId(0),
-            &Frame::from_message(OfMessage::EchoRequest(vec![2]), 4),
-            SimTime::from_secs(1),
-            &mut Vec::new(),
-        );
-        assert!(s2[0].depart > s1[0].depart);
-        let quantum = s2[0].depart - s1[0].depart;
+        let now = SimTime::from_secs(1);
+        let s1 = deliver(&mut h, OfMessage::EchoRequest(vec![1]), now);
+        let s2 = deliver(&mut h, OfMessage::EchoRequest(vec![2]), now);
+        assert!(s2[0].1 > s1[0].1);
+        let quantum = s2[0].1 - s1[0].1;
         assert_eq!(quantum, SimTime::from_micros(300)); // Floodlight's delay
     }
 
     #[test]
     fn silence_disconnects_the_switch() {
-        let mut h = host();
-        h.handle_control(
-            ConnId(0),
-            &Frame::from_message(OfMessage::Hello, 1),
-            SimTime::ZERO,
-            &mut Vec::new(),
-        );
-        h.handle_control(
-            ConnId(0),
-            &Frame::from_message(OfMessage::FeaturesReply(features(7)), 2),
-            SimTime::ZERO,
-            &mut Vec::new(),
-        );
+        let mut h = connected();
         assert!(h.is_up(ConnId(0)));
-        h.tick(SimTime::from_secs(20));
+        h.tick(SimTime::from_secs(20), &mut Vec::new());
         assert!(!h.is_up(ConnId(0)));
+    }
+
+    #[test]
+    fn the_liveness_tick_rearms_itself_alive_or_crashed() {
+        let mut h = host();
+        for crashed in [false, true] {
+            if crashed {
+                h.crash();
+            }
+            let mut fx = Vec::new();
+            h.tick(SimTime::from_secs(4), &mut fx);
+            assert!(
+                matches!(
+                    fx[..],
+                    [Effect::Timer {
+                        at,
+                        token: TimerToken::ControllerTick
+                    }] if at == SimTime::from_secs(6)
+                ),
+                "crashed: {crashed}, {fx:?}"
+            );
+        }
     }
 
     #[test]
@@ -480,24 +456,28 @@ mod tests {
             reason: attain_openflow::PacketInReason::NoMatch,
             data: vec![],
         });
-        let sends = h.handle_control(
-            ConnId(0),
-            &Frame::from_message(pi, 9),
-            SimTime::ZERO,
-            &mut Vec::new(),
-        );
-        assert!(sends.is_empty());
+        assert!(deliver(&mut h, pi, SimTime::ZERO).is_empty());
     }
 
     #[test]
     fn garbage_bytes_are_dropped_silently() {
         let mut h = host();
-        let sends = h.handle_control(
+        let mut fx = Vec::new();
+        h.handle_control(
             ConnId(0),
             &Frame::new(vec![0xde, 0xad]),
             SimTime::ZERO,
-            &mut Vec::new(),
+            &mut fx,
         );
-        assert!(sends.is_empty());
+        assert!(
+            matches!(
+                fx[..],
+                [Effect::Trace(TraceKind::DecodeFailure {
+                    conn: ConnId(0),
+                    direction: Direction::SwitchToController
+                })]
+            ),
+            "{fx:?}"
+        );
     }
 }

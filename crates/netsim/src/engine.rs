@@ -18,7 +18,7 @@ use crate::time::SimTime;
 use attain_openflow::{Frame, PortNo};
 use std::fmt;
 
-/// Index of a node (host or switch) in the simulation.
+/// Index of a node (host, switch or controller) in the simulation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct NodeId(pub usize);
 
@@ -112,13 +112,6 @@ pub enum EventKind {
         /// What the timer means.
         token: TimerToken,
     },
-    /// A controller-owned timer fires.
-    ControllerTimer {
-        /// Controller index.
-        ctrl: usize,
-        /// What the timer means.
-        token: TimerToken,
-    },
     /// A scheduled workload command executes.
     Command(HostCommand),
     /// The interposer asked to be woken (attack `SLEEP` support).
@@ -137,13 +130,16 @@ pub(crate) enum Effect {
         /// Raw frame.
         frame: Vec<u8>,
     },
-    /// Send an OpenFlow message on a control connection (from the
-    /// handling node's side of it).
+    /// Send an OpenFlow message on a control connection from the
+    /// handling node's side of it: a switch sends at once, a controller
+    /// when its serial event loop gets to the message.
     Control {
         /// The connection.
         conn: ConnId,
         /// Encoded message.
         frame: Frame,
+        /// Departure time.
+        at: SimTime,
     },
     /// Arm a timer owned by the handling node.
     Timer {

@@ -7,6 +7,7 @@
 //! measure how the *network* (and the attacks against its control plane)
 //! shapes throughput, not congestion-control dynamics.
 
+use super::AppSend;
 use crate::time::SimTime;
 use attain_openflow::packet::{Tcp, TcpFlags};
 use std::collections::BTreeMap;
@@ -222,10 +223,6 @@ impl IperfClientApp {
         }
     }
 
-    pub(crate) fn dst(&self) -> Ipv4Addr {
-        self.dst
-    }
-
     pub(crate) fn src_port(&self) -> u16 {
         self.src_port
     }
@@ -277,10 +274,18 @@ impl IperfClientApp {
         out
     }
 
+    /// The app timer fired: [`IperfClientApp::tick`]'s segments, to the
+    /// server.
+    pub(crate) fn on_timer(&mut self, now: SimTime) -> (AppSend, Option<SimTime>) {
+        let (segs, next) = self.tick(now);
+        let dst = self.dst;
+        (AppSend::Tcp { dst, segs }, next)
+    }
+
     /// The client's periodic tick: SYN retries, retransmission, and
     /// completion checks. Returns segments to send and the next tick (or
     /// `None` when done).
-    pub(crate) fn on_timer(&mut self, now: SimTime) -> (Vec<SegmentOut>, Option<SimTime>) {
+    fn tick(&mut self, now: SimTime) -> (Vec<SegmentOut>, Option<SimTime>) {
         match self.state {
             ClientState::SynSent => {
                 if self.syn_attempts >= SYN_MAX_ATTEMPTS {
@@ -449,7 +454,7 @@ mod tests {
         let mut now = SimTime::ZERO;
         let mut syns = 0;
         loop {
-            let (segs, next) = c.on_timer(now);
+            let (segs, next) = c.tick(now);
             syns += segs
                 .iter()
                 .filter(|s| s.flags.contains(TcpFlags::SYN))
@@ -470,7 +475,7 @@ mod tests {
     #[test]
     fn client_fills_window_on_syn_ack_and_slides_on_acks() {
         let mut c = client(10);
-        c.on_timer(SimTime::ZERO); // sends SYN
+        c.tick(SimTime::ZERO); // sends SYN
         let burst = c.on_segment(
             &seg(5001, 30000, 0, 1, TcpFlags::SYN | TcpFlags::ACK, 0),
             SimTime::from_millis(1),
@@ -491,13 +496,13 @@ mod tests {
     #[test]
     fn client_rto_rewinds_to_snd_una() {
         let mut c = client(10);
-        c.on_timer(SimTime::ZERO);
+        c.tick(SimTime::ZERO);
         c.on_segment(
             &seg(5001, 30000, 0, 1, TcpFlags::SYN | TcpFlags::ACK, 0),
             SimTime::from_millis(1),
         );
         // No ACKs for an RTO: retransmission burst from snd_una = 1.
-        let (segs, _) = c.on_timer(SimTime::from_millis(1) + RTO);
+        let (segs, _) = c.tick(SimTime::from_millis(1) + RTO);
         assert!(!segs.is_empty());
         assert_eq!(segs[0].seq, 1);
     }
@@ -505,7 +510,7 @@ mod tests {
     #[test]
     fn client_finishes_with_fin_after_deadline() {
         let mut c = client(1);
-        c.on_timer(SimTime::ZERO);
+        c.tick(SimTime::ZERO);
         c.on_segment(
             &seg(5001, 30000, 0, 1, TcpFlags::SYN | TcpFlags::ACK, 0),
             SimTime::from_millis(1),
@@ -519,7 +524,7 @@ mod tests {
             SimTime::from_secs(2),
         );
         assert_eq!(c.snd_una, c.snd_nxt);
-        let (segs, next) = c.on_timer(SimTime::from_millis(2100));
+        let (segs, next) = c.tick(SimTime::from_millis(2100));
         assert!(segs.iter().any(|s| s.flags.contains(TcpFlags::FIN)));
         assert_eq!(next, None);
         let st = c.stats();

@@ -9,13 +9,14 @@ pub use iperf::IperfStats;
 pub use ping::PingStats;
 pub use probe::ProbeStats;
 
+use crate::command::HostCommand;
 use crate::engine::{Effect, TimerToken};
 use crate::time::SimTime;
 use attain_openflow::packet::{self, ArpOperation, Ethernet, IcmpKind, IpPayload, Payload};
 use attain_openflow::{MacAddr, PortNo};
 use iperf::{IperfClientApp, IperfServerApp};
 use ping::PingApp;
-use probe::{CapacityProbeApp, ProbeSend};
+use probe::CapacityProbeApp;
 use std::collections::BTreeMap;
 use std::net::Ipv4Addr;
 
@@ -31,6 +32,27 @@ struct PendingArp {
     /// and patched on flush.
     frames: Vec<Vec<u8>>,
     retries: u32,
+}
+
+/// What an application asks its host to send when its timer fires.
+#[derive(Debug)]
+pub(crate) enum AppSend {
+    /// Nothing this time.
+    Nothing,
+    /// An ICMP echo request to `dst`: from the host's own address through
+    /// ARP resolution, or, when `spoof` names a source MAC and IP, from
+    /// that source straight onto the wire.
+    Echo {
+        dst: Ipv4Addr,
+        ident: u16,
+        seq: u16,
+        spoof: Option<(MacAddr, Ipv4Addr)>,
+    },
+    /// TCP segments to `dst`.
+    Tcp {
+        dst: Ipv4Addr,
+        segs: Vec<iperf::SegmentOut>,
+    },
 }
 
 #[derive(Debug, Clone)]
@@ -122,68 +144,56 @@ impl Host {
 
     // ---- workload control -------------------------------------------------
 
-    pub(crate) fn start_ping(
-        &mut self,
-        dst: Ipv4Addr,
-        count: u32,
-        interval: SimTime,
-        label: String,
-        now: SimTime,
-        fx: &mut Vec<Effect>,
-    ) {
-        let app = self.apps.len();
-        // The echo identifier ties replies back to this app slot.
-        self.apps.push(App::Ping(PingApp::new(
-            label, dst, count, interval, app as u16,
-        )));
-        fx.push(Effect::Timer {
-            at: now,
-            token: TimerToken::App { app },
-        });
-    }
-
-    pub(crate) fn start_iperf_server(&mut self, port: u16) {
-        self.apps.push(App::IperfServer(IperfServerApp::new(port)));
-    }
-
-    pub(crate) fn start_probe(
-        &mut self,
-        dst: Ipv4Addr,
-        fill: usize,
-        gap: SimTime,
-        label: String,
-        now: SimTime,
-        fx: &mut Vec<Effect>,
-    ) {
-        let app = self.apps.len();
-        // The echo identifier ties replies back to this app slot.
-        self.apps.push(App::CapacityProbe(CapacityProbeApp::new(
-            label, dst, fill, gap, app as u16,
-        )));
-        fx.push(Effect::Timer {
-            at: now,
-            token: TimerToken::App { app },
-        });
-    }
-
-    pub(crate) fn start_iperf_client(
-        &mut self,
-        dst: Ipv4Addr,
-        port: u16,
-        duration: SimTime,
-        label: String,
-        now: SimTime,
-        fx: &mut Vec<Effect>,
-    ) {
-        let app = self.apps.len();
-        let src_port = 30000 + app as u16;
-        self.apps.push(App::IperfClient(IperfClientApp::new(
-            label, dst, port, src_port, duration, now,
-        )));
-        fx.push(Effect::Timer {
-            at: now,
-            token: TimerToken::App { app },
-        });
+    /// Starts the application a workload command names; any other
+    /// command is not the host's. A client's first timer fires at once.
+    pub(crate) fn start(&mut self, cmd: HostCommand, now: SimTime, fx: &mut Vec<Effect>) {
+        // Echo identifiers and client ports derive from the app's slot,
+        // which ties replies back to it.
+        let slot = self.apps.len();
+        let app = match cmd {
+            HostCommand::Ping {
+                dst,
+                count,
+                interval,
+                label,
+                ..
+            } => App::Ping(PingApp::new(label, dst, count, interval, slot as u16)),
+            HostCommand::Probe {
+                dst,
+                fill,
+                gap,
+                label,
+                ..
+            } => App::CapacityProbe(CapacityProbeApp::new(
+                label,
+                dst,
+                fill as usize,
+                gap,
+                slot as u16,
+            )),
+            HostCommand::IperfClient {
+                dst,
+                port,
+                duration,
+                label,
+                ..
+            } => {
+                let src_port = 30000 + slot as u16;
+                App::IperfClient(IperfClientApp::new(
+                    label, dst, port, src_port, duration, now,
+                ))
+            }
+            HostCommand::IperfServer { port, .. } => App::IperfServer(IperfServerApp::new(port)),
+            HostCommand::Marker { .. } | HostCommand::Fault(_) => return,
+        };
+        // A server only answers; every other app has a timer.
+        if !matches!(app, App::IperfServer(_)) {
+            fx.push(Effect::Timer {
+                at: now,
+                token: TimerToken::App { app: slot },
+            });
+        }
+        self.apps.push(app);
     }
 
     // ---- frame handling ---------------------------------------------------
@@ -453,126 +463,43 @@ impl Host {
         }
     }
 
+    /// An application's timer fired: sends what it asks for and re-arms
+    /// the timer when it names a next time.
     fn app_timer(&mut self, app: usize, now: SimTime, fx: &mut Vec<Effect>) {
-        let my_mac = self.mac;
-        let my_ip = self.ip;
-        enum Todo {
-            None,
-            Ping {
-                dst: Ipv4Addr,
-                ident: u16,
-                seq: u16,
-                next_at: Option<SimTime>,
-            },
-            Tcp {
-                dst: Ipv4Addr,
-                segs: Vec<iperf::SegmentOut>,
-                next_at: Option<SimTime>,
-            },
-            Spoofed {
-                dst: Ipv4Addr,
-                ident: u16,
-                src_mac: MacAddr,
-                src_ip: Ipv4Addr,
-                seq: u16,
-                next_at: Option<SimTime>,
-            },
-            Quiet {
-                next_at: Option<SimTime>,
-            },
-        }
-        let todo = match self.apps.get_mut(app) {
-            Some(App::Ping(p)) => match p.on_timer(now) {
-                Some((seq, next_at)) => Todo::Ping {
-                    dst: p.dst(),
-                    ident: p.ident(),
-                    seq,
-                    next_at,
-                },
-                None => Todo::None,
-            },
-            Some(App::IperfClient(c)) => {
-                let (segs, next_at) = c.on_timer(now);
-                Todo::Tcp {
-                    dst: c.dst(),
-                    segs,
-                    next_at,
-                }
-            }
-            Some(App::CapacityProbe(p)) => {
-                let (dst, ident) = (p.dst(), p.ident());
-                let (send, next_at) = p.on_timer(now);
-                match send {
-                    // Warmup trials are ordinary pings from the host's
-                    // real address: they share the ping send path.
-                    ProbeSend::Warmup { seq } => Todo::Ping {
-                        dst,
-                        ident,
-                        seq,
-                        next_at,
-                    },
-                    ProbeSend::Spoofed {
-                        src_mac,
-                        src_ip,
-                        seq,
-                    } => Todo::Spoofed {
-                        dst,
-                        ident,
-                        src_mac,
-                        src_ip,
-                        seq,
-                        next_at,
-                    },
-                    ProbeSend::Quiet => Todo::Quiet { next_at },
-                }
-            }
-            _ => Todo::None,
+        let (send, next) = match self.apps.get_mut(app) {
+            Some(App::Ping(p)) => p.on_timer(now),
+            Some(App::IperfClient(c)) => c.on_timer(now),
+            Some(App::CapacityProbe(p)) => p.on_timer(now),
+            _ => return,
         };
-        match todo {
-            Todo::None => {}
-            Todo::Ping {
+        match send {
+            AppSend::Nothing => {}
+            AppSend::Echo {
                 dst,
                 ident,
                 seq,
-                next_at,
+                spoof: None,
             } => {
                 let frame = packet::icmp_echo_request(
-                    my_mac,
+                    self.mac,
                     MacAddr::BROADCAST, // patched by ARP resolution
-                    my_ip,
+                    self.ip,
                     dst,
                     ident,
                     seq,
                     vec![0x61; 56], // the classic 56-byte ping payload
                 );
                 self.send_ip_frame(dst, frame.encode(), now, fx);
-                if let Some(at) = next_at {
-                    fx.push(Effect::Timer {
-                        at,
-                        token: TimerToken::App { app },
-                    });
-                }
             }
-            Todo::Tcp { dst, segs, next_at } => {
-                self.emit_tcp(dst, segs, now, fx);
-                if let Some(at) = next_at {
-                    fx.push(Effect::Timer {
-                        at,
-                        token: TimerToken::App { app },
-                    });
-                }
-            }
-            Todo::Spoofed {
+            AppSend::Echo {
                 dst,
                 ident,
-                src_mac,
-                src_ip,
                 seq,
-                next_at,
+                spoof: Some((src_mac, src_ip)),
             } => {
-                // Warmup has already resolved the destination MAC; if it
-                // somehow has not (unreachable victim), fall back to
-                // broadcast so the probe still terminates.
+                // A spoofed probe follows warmup pings, which resolved the
+                // destination MAC; if they have not (unreachable victim),
+                // fall back to broadcast so the probe still terminates.
                 let dst_mac = self
                     .arp_table
                     .get(&dst)
@@ -591,21 +518,14 @@ impl Host {
                     out_port: HOST_PORT,
                     frame: frame.encode(),
                 });
-                if let Some(at) = next_at {
-                    fx.push(Effect::Timer {
-                        at,
-                        token: TimerToken::App { app },
-                    });
-                }
             }
-            Todo::Quiet { next_at } => {
-                if let Some(at) = next_at {
-                    fx.push(Effect::Timer {
-                        at,
-                        token: TimerToken::App { app },
-                    });
-                }
-            }
+            AppSend::Tcp { dst, segs } => self.emit_tcp(dst, segs, now, fx),
+        }
+        if let Some(at) = next {
+            fx.push(Effect::Timer {
+                at,
+                token: TimerToken::App { app },
+            });
         }
     }
 }
@@ -620,6 +540,17 @@ mod tests {
             MacAddr::from_low(1),
             "10.0.0.1".parse().unwrap(),
         )
+    }
+
+    /// `count` pings a second apart toward `dst`.
+    fn ping(dst: &str, count: u32) -> HostCommand {
+        HostCommand::Ping {
+            host: crate::NodeId(0),
+            dst: dst.parse().unwrap(),
+            count,
+            interval: SimTime::from_secs(1),
+            label: "test".into(),
+        }
     }
 
     #[test]
@@ -691,14 +622,7 @@ mod tests {
     fn ping_defers_to_arp_then_flushes() {
         let mut h = host();
         let mut fx = Vec::new();
-        h.start_ping(
-            "10.0.0.2".parse().unwrap(),
-            2,
-            SimTime::from_secs(1),
-            "test".into(),
-            SimTime::ZERO,
-            &mut fx,
-        );
+        h.start(ping("10.0.0.2", 2), SimTime::ZERO, &mut fx);
         // Fire the app timer: should produce an ARP request (not the echo).
         let mut fx2 = Vec::new();
         h.handle_timer(TimerToken::App { app: 0 }, SimTime::ZERO, &mut fx2);
@@ -736,14 +660,7 @@ mod tests {
     fn ping_round_trip_records_rtt() {
         let mut h = host();
         let mut fx = Vec::new();
-        h.start_ping(
-            "10.0.0.2".parse().unwrap(),
-            1,
-            SimTime::from_secs(1),
-            "test".into(),
-            SimTime::ZERO,
-            &mut fx,
-        );
+        h.start(ping("10.0.0.2", 1), SimTime::ZERO, &mut fx);
         h.arp_table
             .insert("10.0.0.2".parse().unwrap(), MacAddr::from_low(2));
         let mut fx2 = Vec::new();
@@ -769,14 +686,7 @@ mod tests {
     fn arp_gives_up_after_max_retries() {
         let mut h = host();
         let mut fx = Vec::new();
-        h.start_ping(
-            "10.0.0.99".parse().unwrap(),
-            1,
-            SimTime::from_secs(1),
-            "test".into(),
-            SimTime::ZERO,
-            &mut fx,
-        );
+        h.start(ping("10.0.0.99", 1), SimTime::ZERO, &mut fx);
         h.handle_timer(TimerToken::App { app: 0 }, SimTime::ZERO, &mut fx);
         assert_eq!(h.pending.len(), 1);
         for i in 0..6 {

@@ -2,6 +2,7 @@
 //! loss accounting, matching the paper's use of `ping` for the latency
 //! metric (Figure 11b).
 
+use super::AppSend;
 use crate::time::SimTime;
 use std::net::Ipv4Addr;
 
@@ -83,29 +84,24 @@ impl PingApp {
         }
     }
 
-    pub(crate) fn dst(&self) -> Ipv4Addr {
-        self.dst
-    }
-
-    pub(crate) fn ident(&self) -> u16 {
-        self.ident
-    }
-
-    /// The app timer fired: returns the sequence number to send (1-based)
-    /// and when to fire next, or `None` when all trials are out.
-    pub(crate) fn on_timer(&mut self, now: SimTime) -> Option<(u16, Option<SimTime>)> {
+    /// The app timer fired: the next trial's echo request (sequence
+    /// numbers are 1-based) and when to fire next; nothing once all
+    /// trials are out.
+    pub(crate) fn on_timer(&mut self, now: SimTime) -> (AppSend, Option<SimTime>) {
         if self.sent_at.len() as u32 >= self.count {
-            return None;
+            return (AppSend::Nothing, None);
         }
         self.sent_at.push(now);
         self.rtts.push(None);
         let seq = self.sent_at.len() as u16;
-        let next = if (self.sent_at.len() as u32) < self.count {
-            Some(now + self.interval)
-        } else {
-            None
+        let next = ((self.sent_at.len() as u32) < self.count).then(|| now + self.interval);
+        let echo = AppSend::Echo {
+            dst: self.dst,
+            ident: self.ident,
+            seq,
+            spoof: None,
         };
-        Some((seq, next))
+        (echo, next)
     }
 
     /// An echo reply with our identifier arrived.
@@ -134,6 +130,21 @@ impl PingApp {
 mod tests {
     use super::*;
 
+    /// Fires `p`'s timer at `now`: the sequence number sent and the next
+    /// firing, or `None` once all trials are out.
+    fn fire(p: &mut PingApp, now: SimTime) -> Option<(u16, Option<SimTime>)> {
+        match p.on_timer(now) {
+            (
+                AppSend::Echo {
+                    seq, spoof: None, ..
+                },
+                next,
+            ) => Some((seq, next)),
+            (AppSend::Nothing, None) => None,
+            other => panic!("not a ping: {other:?}"),
+        }
+    }
+
     fn app(count: u32) -> PingApp {
         PingApp::new(
             "test".into(),
@@ -149,7 +160,7 @@ mod tests {
         let mut p = app(3);
         let mut now = SimTime::ZERO;
         let mut seqs = Vec::new();
-        while let Some((seq, next)) = p.on_timer(now) {
+        while let Some((seq, next)) = fire(&mut p, now) {
             seqs.push(seq);
             match next {
                 Some(t) => now = t,
@@ -157,18 +168,18 @@ mod tests {
             }
         }
         assert_eq!(seqs, vec![1, 2, 3]);
-        assert_eq!(p.on_timer(now), None);
+        assert_eq!(fire(&mut p, now), None);
         assert_eq!(p.stats().transmitted(), 3);
     }
 
     #[test]
     fn rtt_and_loss_accounting() {
         let mut p = app(3);
-        let (s1, n1) = p.on_timer(SimTime::ZERO).unwrap();
+        let (s1, n1) = fire(&mut p, SimTime::ZERO).unwrap();
         p.on_reply(s1, SimTime::from_millis(2));
-        let (_s2, n2) = p.on_timer(n1.unwrap()).unwrap();
+        let (_s2, n2) = fire(&mut p, n1.unwrap()).unwrap();
         // trial 2 lost
-        let (s3, _) = p.on_timer(n2.unwrap()).unwrap();
+        let (s3, _) = fire(&mut p, n2.unwrap()).unwrap();
         // Sent at t=2 s, answered 3 ms later.
         p.on_reply(s3, SimTime::from_millis(2003));
         let st = p.stats();
@@ -182,8 +193,8 @@ mod tests {
     #[test]
     fn all_lost_is_denial_of_service() {
         let mut p = app(2);
-        let (_, n) = p.on_timer(SimTime::ZERO).unwrap();
-        p.on_timer(n.unwrap());
+        let (_, n) = fire(&mut p, SimTime::ZERO).unwrap();
+        fire(&mut p, n.unwrap());
         let st = p.stats();
         assert!(st.is_denial_of_service());
         assert_eq!(st.avg_rtt_ms(), None);
@@ -192,7 +203,7 @@ mod tests {
     #[test]
     fn duplicate_replies_do_not_overwrite() {
         let mut p = app(1);
-        let (s, _) = p.on_timer(SimTime::ZERO).unwrap();
+        let (s, _) = fire(&mut p, SimTime::ZERO).unwrap();
         p.on_reply(s, SimTime::from_millis(1));
         p.on_reply(s, SimTime::from_millis(50));
         assert_eq!(p.stats().rtts_ms()[0], Some(1.0));
@@ -201,7 +212,7 @@ mod tests {
     #[test]
     fn bogus_sequence_numbers_are_ignored() {
         let mut p = app(1);
-        p.on_timer(SimTime::ZERO);
+        fire(&mut p, SimTime::ZERO);
         p.on_reply(0, SimTime::from_millis(1));
         p.on_reply(99, SimTime::from_millis(1));
         assert_eq!(p.stats().received(), 0);

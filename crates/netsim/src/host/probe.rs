@@ -28,6 +28,7 @@
 //! For even capacities the estimate is exact; odd capacities are off by
 //! at most one.
 
+use super::AppSend;
 use crate::time::SimTime;
 use attain_openflow::MacAddr;
 use std::net::Ipv4Addr;
@@ -107,27 +108,6 @@ impl ProbeStats {
     }
 }
 
-/// What the probe wants sent when its timer fires.
-#[derive(Debug)]
-pub(crate) enum ProbeSend {
-    /// An ordinary echo request from the host's real address.
-    Warmup {
-        /// ICMP sequence number.
-        seq: u16,
-    },
-    /// An echo request from a spoofed source.
-    Spoofed {
-        /// Spoofed source MAC.
-        src_mac: MacAddr,
-        /// Spoofed source IP.
-        src_ip: Ipv4Addr,
-        /// ICMP sequence number.
-        seq: u16,
-    },
-    /// Nothing this tick (settling).
-    Quiet,
-}
-
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Phase {
     Warmup(u16),
@@ -171,14 +151,6 @@ impl CapacityProbeApp {
         }
     }
 
-    pub(crate) fn dst(&self) -> Ipv4Addr {
-        self.dst
-    }
-
-    pub(crate) fn ident(&self) -> u16 {
-        self.ident
-    }
-
     /// The spoofed source MAC for fill probe `i`: locally-administered
     /// unicast, partitioned per app so concurrent probes never collide
     /// with each other or with real host/switch-port MACs.
@@ -202,31 +174,33 @@ impl CapacityProbeApp {
         v >= base && v < base + self.fill as u64
     }
 
+    /// Records a trial sent `now`: an echo request from the host's own
+    /// address, or from fill probe `spoof`'s spoofed source.
+    fn echo(&mut self, now: SimTime, spoof: Option<usize>) -> AppSend {
+        self.sent_at.push(now);
+        self.rtts.push(None);
+        AppSend::Echo {
+            dst: self.dst,
+            ident: self.ident,
+            seq: self.sent_at.len() as u16,
+            spoof: spoof.map(|i| (self.probe_mac(i), self.probe_ip(i))),
+        }
+    }
+
     /// The timer fired: what to send, and when to fire next (`None`
-    /// when the run is over).
-    pub(crate) fn on_timer(&mut self, now: SimTime) -> (ProbeSend, Option<SimTime>) {
-        let send_seq = |sent_at: &mut Vec<SimTime>, rtts: &mut Vec<Option<f64>>| {
-            sent_at.push(now);
-            rtts.push(None);
-            sent_at.len() as u16
-        };
+    /// when the run is over). Warmup trials are ordinary pings.
+    pub(crate) fn on_timer(&mut self, now: SimTime) -> (AppSend, Option<SimTime>) {
         match self.phase {
             Phase::Warmup(k) => {
-                let seq = send_seq(&mut self.sent_at, &mut self.rtts);
                 self.phase = if k + 1 < WARMUP_COUNT {
                     Phase::Warmup(k + 1)
                 } else {
                     Phase::Fill(0)
                 };
-                (ProbeSend::Warmup { seq }, Some(now + self.gap))
+                (self.echo(now, None), Some(now + self.gap))
             }
             Phase::Fill(i) => {
-                let seq = send_seq(&mut self.sent_at, &mut self.rtts);
-                let send = ProbeSend::Spoofed {
-                    src_mac: self.probe_mac(i),
-                    src_ip: self.probe_ip(i),
-                    seq,
-                };
+                let send = self.echo(now, Some(i));
                 if i + 1 < self.fill {
                     self.phase = Phase::Fill(i + 1);
                     (send, Some(now + self.gap))
@@ -238,17 +212,11 @@ impl CapacityProbeApp {
             }
             Phase::Settle => {
                 self.phase = Phase::Sweep(0);
-                (ProbeSend::Quiet, Some(now + self.gap))
+                (AppSend::Nothing, Some(now + self.gap))
             }
             Phase::Sweep(p) => {
                 // Reverse order: newest fill probe first.
-                let i = self.fill - 1 - p;
-                let seq = send_seq(&mut self.sent_at, &mut self.rtts);
-                let send = ProbeSend::Spoofed {
-                    src_mac: self.probe_mac(i),
-                    src_ip: self.probe_ip(i),
-                    seq,
-                };
+                let send = self.echo(now, Some(self.fill - 1 - p));
                 if p + 1 < self.fill {
                     self.phase = Phase::Sweep(p + 1);
                     (send, Some(now + self.gap))
@@ -257,7 +225,7 @@ impl CapacityProbeApp {
                     (send, None)
                 }
             }
-            Phase::Done => (ProbeSend::Quiet, None),
+            Phase::Done => (AppSend::Nothing, None),
         }
     }
 
@@ -317,8 +285,14 @@ mod tests {
         loop {
             let (send, next) = p.on_timer(now);
             let seq = match send {
-                ProbeSend::Warmup { seq } => Some((seq, SimTime::from_micros(200))),
-                ProbeSend::Spoofed { seq, src_mac, .. } => {
+                AppSend::Echo {
+                    seq, spoof: None, ..
+                } => Some((seq, SimTime::from_micros(200))),
+                AppSend::Echo {
+                    seq,
+                    spoof: Some((src_mac, _)),
+                    ..
+                } => {
                     assert!(p.owns(src_mac));
                     let idx_in_run = seq as usize - 1;
                     let w = WARMUP_COUNT as usize;
@@ -331,7 +305,8 @@ mod tests {
                         sweep_rtt(probe).map(|rtt| (seq, rtt))
                     }
                 }
-                ProbeSend::Quiet => None,
+                AppSend::Nothing => None,
+                AppSend::Tcp { .. } => panic!("a probe sends no TCP"),
             };
             if let Some((seq, rtt)) = seq {
                 p.on_reply(seq, now + rtt);

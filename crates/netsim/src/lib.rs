@@ -22,7 +22,9 @@
 //!   per-trial throughput);
 //! * [`ControllerHost`] — hosts any [`attain_controllers::Controller`]
 //!   on simulated control-plane connections, performing the OpenFlow
-//!   handshake and modelling controller processing as a serial bottleneck;
+//!   handshake and modelling controller processing as a serial bottleneck.
+//!   A controller is a node like a host or a switch: it answers control
+//!   messages and its liveness tick with the same effects a switch writes;
 //! * [`interpose`] — the hook through which the ATTAIN runtime injector
 //!   proxies every control-plane message (drop/delay/modify/inject),
 //!   exactly where the paper's proxy sits;

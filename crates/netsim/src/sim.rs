@@ -24,20 +24,46 @@ use std::time::Instant;
 /// has a deadline.
 const DEADLINE_STRIDE: u64 = 1_024;
 
-/// A node: an end host or a switch.
-#[derive(Debug, Clone)]
+/// A node of the system model `(C, S, H, N_D, N_C)`: an end host, a
+/// switch or a controller. Each answers the events addressed to it by
+/// writing [`Effect`]s, which [`Simulation::apply_effects`] schedules.
+/// Controllers come after every host and switch, so adding one moves no
+/// host MAC or dpid.
+#[derive(Debug)]
 pub(crate) enum Node {
     /// An end host.
     Host(Host),
     /// A switch. Boxed: the switch state (flow table, connections) dwarfs
-    /// a host, and nodes of both kinds share one `Vec<Node>`.
+    /// a host, and nodes of every kind share one `Vec<Node>`.
     Switch(Box<Switch>),
+    /// A controller process.
+    Controller(ControllerHost),
+}
+
+impl Node {
+    /// A copy of this node, or `None` for a controller whose application
+    /// cannot fork.
+    fn fork(&self) -> Option<Node> {
+        Some(match self {
+            Node::Host(h) => Node::Host(h.clone()),
+            Node::Switch(s) => Node::Switch(s.clone()),
+            Node::Controller(c) => Node::Controller(c.fork()?),
+        })
+    }
+
+    fn name(&self) -> &str {
+        match self {
+            Node::Host(h) => h.name(),
+            Node::Switch(s) => s.name(),
+            Node::Controller(c) => c.name(),
+        }
+    }
 }
 
 /// One control-plane connection of the relation `N_C`.
 #[derive(Debug, Clone)]
 pub(crate) struct Connection {
-    pub controller: usize,
+    pub controller: NodeId,
     pub switch: NodeId,
     pub latency: SimTime,
 }
@@ -91,7 +117,6 @@ pub struct Simulation {
     pub(crate) links: Vec<Link>,
     /// Each port's link and far end (see [`PortTable`]).
     pub(crate) ports: PortTable,
-    pub(crate) controllers: Vec<ControllerHost>,
     pub(crate) connections: Vec<Connection>,
     interposer: Option<Box<dyn Interposer>>,
     /// Shadows that have not diverged yet, by caller-chosen id.
@@ -131,7 +156,6 @@ impl std::fmt::Debug for Simulation {
             .field("now", &self.now)
             .field("nodes", &self.nodes.len())
             .field("links", &self.links.len())
-            .field("controllers", &self.controllers.len())
             .field("connections", &self.connections.len())
             .field("pending_events", &self.queue.len())
             .finish()
@@ -143,7 +167,6 @@ impl Simulation {
         nodes: Vec<Node>,
         links: Vec<Link>,
         ports: PortTable,
-        controllers: Vec<ControllerHost>,
         connections: Vec<Connection>,
         names: HashMap<String, NodeId>,
     ) -> Simulation {
@@ -154,7 +177,6 @@ impl Simulation {
             nodes,
             links,
             ports,
-            controllers,
             connections,
             interposer: None,
             shadows: Vec::new(),
@@ -183,23 +205,27 @@ impl Simulation {
                 },
             );
         }
+        // Switches tick from 1 s staggered by node, controllers from 2 s
+        // staggered by controller.
+        let mut controllers = 0;
         for (i, node) in sim.nodes.iter().enumerate() {
-            if matches!(node, Node::Switch(_)) {
-                sim.queue.schedule(
+            let (at, token) = match node {
+                Node::Host(_) => continue,
+                Node::Switch(_) => (
                     SimTime::from_secs(1) + SimTime::from_millis(i as u64),
-                    EventKind::NodeTimer {
-                        node: NodeId(i),
-                        token: TimerToken::SwitchTick,
-                    },
-                );
-            }
-        }
-        for i in 0..sim.controllers.len() {
+                    TimerToken::SwitchTick,
+                ),
+                Node::Controller(_) => {
+                    let at = SimTime::from_secs(2) + SimTime::from_millis(controllers);
+                    controllers += 1;
+                    (at, TimerToken::ControllerTick)
+                }
+            };
             sim.queue.schedule(
-                SimTime::from_secs(2) + SimTime::from_millis(i as u64),
-                EventKind::ControllerTimer {
-                    ctrl: i,
-                    token: TimerToken::ControllerTick,
+                at,
+                EventKind::NodeTimer {
+                    node: NodeId(i),
+                    token,
                 },
             );
         }
@@ -284,7 +310,7 @@ impl Simulation {
             .unwrap_or_else(|| panic!("no node named {switch}"));
         match &mut self.nodes[id.0] {
             Node::Switch(s) => s.set_table_config(capacity, policy),
-            Node::Host(_) => panic!("{switch} is a host, not a switch"),
+            _ => panic!("{switch} is a host, not a switch"),
         }
     }
 
@@ -442,7 +468,7 @@ impl Simulation {
     fn reads_fail_mode(&self, time: SimTime, kind: &EventKind) -> bool {
         let switch = |node: &NodeId| match &self.nodes[node.0] {
             Node::Switch(s) => Some(s),
-            Node::Host(_) => None,
+            _ => None,
         };
         match kind {
             EventKind::Frame { node, .. } => {
@@ -482,11 +508,6 @@ impl Simulation {
     /// Checkpoints the trace first, so neither copy hashes the shared
     /// events twice.
     fn fork(&mut self) -> Option<Simulation> {
-        let controllers = self
-            .controllers
-            .iter()
-            .map(ControllerHost::fork)
-            .collect::<Option<Vec<_>>>()?;
         let interposer = match &self.interposer {
             Some(interposer) => Some(interposer.fork()?),
             None => None,
@@ -496,14 +517,14 @@ impl Simulation {
             .iter()
             .map(|(id, shadow)| Some((*id, shadow.fork()?)))
             .collect::<Option<Vec<_>>>()?;
+        let nodes = self.nodes.iter().map(Node::fork).collect::<Option<_>>()?;
         self.trace.checkpoint();
         Some(Simulation {
             now: self.now,
             queue: self.queue.clone(),
-            nodes: self.nodes.clone(),
+            nodes,
             links: self.links.clone(),
             ports: self.ports.clone(),
-            controllers,
             connections: self.connections.clone(),
             interposer,
             shadows,
@@ -556,7 +577,7 @@ impl Simulation {
     pub(crate) fn host(&self, name: &str) -> &Host {
         match &self.nodes[self.names[name].0] {
             Node::Host(h) => h,
-            Node::Switch(_) => panic!("{name} is a switch, not a host"),
+            _ => panic!("{name} is a switch, not a host"),
         }
     }
 
@@ -568,15 +589,12 @@ impl Simulation {
     pub fn switch(&self, name: &str) -> &Switch {
         match &self.nodes[self.names[name].0] {
             Node::Switch(s) => s,
-            Node::Host(_) => panic!("{name} is a host, not a switch"),
+            _ => panic!("{name} is a host, not a switch"),
         }
     }
 
     fn node_name(&self, id: NodeId) -> &str {
-        match &self.nodes[id.0] {
-            Node::Host(h) => h.name(),
-            Node::Switch(s) => s.name(),
-        }
+        self.nodes[id.0].name()
     }
 
     /// Per-link transmission and fault counters, in link-creation order.
@@ -602,13 +620,16 @@ impl Simulation {
         FaultReport {
             links: self.link_stats(),
             controllers: self
-                .controllers
+                .nodes
                 .iter()
-                .map(|c| ControllerFaultStats {
-                    name: c.name().to_string(),
-                    crashes: c.crashes,
-                    restarts: c.restarts,
-                    alive: c.is_alive(),
+                .filter_map(|n| match n {
+                    Node::Controller(c) => Some(ControllerFaultStats {
+                        name: c.name().to_string(),
+                        crashes: c.crashes,
+                        restarts: c.restarts,
+                        alive: c.is_alive(),
+                    }),
+                    _ => None,
                 })
                 .collect(),
             switches: self
@@ -621,7 +642,7 @@ impl Simulation {
                         secure_drops: s.secure_drops,
                         standalone_forwards: s.standalone_forwards,
                     }),
-                    Node::Host(_) => None,
+                    _ => None,
                 })
                 .collect(),
         }
@@ -634,11 +655,8 @@ impl Simulation {
             .enumerate()
             .map(|(i, c)| ConnInfo {
                 id: ConnId(i),
-                controller: self.controllers[c.controller].name().to_string(),
-                switch: match &self.nodes[c.switch.0] {
-                    Node::Switch(s) => s.name().to_string(),
-                    Node::Host(h) => h.name().to_string(),
-                },
+                controller: self.node_name(c.controller).to_string(),
+                switch: self.node_name(c.switch).to_string(),
             })
             .collect()
     }
@@ -705,7 +723,7 @@ impl Simulation {
         let now = self.now;
         match &mut self.nodes[switch.0] {
             Node::Switch(s) => s.install_flow(fm, now),
-            Node::Host(_) => panic!("install_flow target {switch} is a host"),
+            _ => panic!("install_flow target {switch} is a host"),
         }
     }
 
@@ -719,11 +737,11 @@ impl Simulation {
     pub fn prime_arp(&mut self, from: NodeId, to: NodeId) {
         let (ip, mac) = match &self.nodes[to.0] {
             Node::Host(h) => (h.ip(), h.mac()),
-            Node::Switch(_) => panic!("prime_arp target {to} is a switch"),
+            _ => panic!("prime_arp target {to} is a switch"),
         };
         match &mut self.nodes[from.0] {
             Node::Host(h) => h.prime_arp(ip, mac),
-            Node::Switch(_) => panic!("prime_arp source {from} is a switch"),
+            _ => panic!("prime_arp source {from} is a switch"),
         }
     }
 
@@ -747,6 +765,7 @@ impl Simulation {
                 match &mut self.nodes[node.0] {
                     Node::Host(h) => h.handle_frame(&frame, self.now, fx),
                     Node::Switch(s) => s.handle_frame(port, frame, self.now, fx),
+                    Node::Controller(_) => {}
                 }
                 self.apply_effects(node);
             }
@@ -759,34 +778,21 @@ impl Simulation {
                 conn,
                 direction,
                 frame,
-            } => match direction {
-                Direction::SwitchToController => {
-                    let ctrl = self.connections[conn.0].controller;
-                    let mut traces = Vec::new();
-                    let sends =
-                        self.controllers[ctrl].handle_control(conn, &frame, self.now, &mut traces);
-                    for kind in traces {
-                        self.trace.push(self.now, kind);
-                    }
-                    for s in sends {
-                        self.queue.schedule(
-                            s.depart,
-                            EventKind::ProxyIngress {
-                                conn: s.conn,
-                                direction: Direction::ControllerToSwitch,
-                                frame: s.frame,
-                            },
-                        );
-                    }
+            } => {
+                // Delivered at the connection's far end.
+                let ends = &self.connections[conn.0];
+                let node = match direction {
+                    Direction::SwitchToController => ends.controller,
+                    Direction::ControllerToSwitch => ends.switch,
+                };
+                let fx = &mut self.fx;
+                match &mut self.nodes[node.0] {
+                    Node::Switch(s) => s.handle_control(conn, &frame, self.now, fx),
+                    Node::Controller(c) => c.handle_control(conn, &frame, self.now, fx),
+                    Node::Host(_) => {}
                 }
-                Direction::ControllerToSwitch => {
-                    let node = self.connections[conn.0].switch;
-                    if let Node::Switch(s) = &mut self.nodes[node.0] {
-                        s.handle_control(conn, &frame, self.now, &mut self.fx);
-                    }
-                    self.apply_effects(node);
-                }
-            },
+                self.apply_effects(node);
+            }
             EventKind::NodeTimer { node, token } => {
                 let fx = &mut self.fx;
                 match (&mut self.nodes[node.0], token) {
@@ -798,19 +804,10 @@ impl Simulation {
                         s.handshake_deadline(conn, attempt, self.now, fx)
                     }
                     (Node::Host(h), token) => h.handle_timer(token, self.now, fx),
+                    (Node::Controller(c), TimerToken::ControllerTick) => c.tick(self.now, fx),
                     _ => {}
                 }
                 self.apply_effects(node);
-            }
-            EventKind::ControllerTimer { ctrl, .. } => {
-                self.controllers[ctrl].tick(self.now);
-                self.queue.schedule(
-                    self.now + SimTime::from_secs(2),
-                    EventKind::ControllerTimer {
-                        ctrl,
-                        token: TimerToken::ControllerTick,
-                    },
-                );
             }
             EventKind::Command(cmd) => self.apply_command(cmd),
             EventKind::InterposerWake => {
@@ -919,44 +916,12 @@ impl Simulation {
 
     fn apply_command(&mut self, cmd: HostCommand) {
         match cmd {
-            HostCommand::Ping {
-                host,
-                dst,
-                count,
-                interval,
-                label,
-            } => {
+            cmd @ (HostCommand::Ping { host, .. }
+            | HostCommand::IperfServer { host, .. }
+            | HostCommand::Probe { host, .. }
+            | HostCommand::IperfClient { host, .. }) => {
                 if let Node::Host(h) = &mut self.nodes[host.0] {
-                    h.start_ping(dst, count, interval, label, self.now, &mut self.fx);
-                }
-                self.apply_effects(host);
-            }
-            HostCommand::IperfServer { host, port } => {
-                if let Node::Host(h) = &mut self.nodes[host.0] {
-                    h.start_iperf_server(port);
-                }
-            }
-            HostCommand::Probe {
-                host,
-                dst,
-                fill,
-                gap,
-                label,
-            } => {
-                if let Node::Host(h) = &mut self.nodes[host.0] {
-                    h.start_probe(dst, fill as usize, gap, label, self.now, &mut self.fx);
-                }
-                self.apply_effects(host);
-            }
-            HostCommand::IperfClient {
-                host,
-                dst,
-                port,
-                duration,
-                label,
-            } => {
-                if let Node::Host(h) = &mut self.nodes[host.0] {
-                    h.start_iperf_client(dst, port, duration, label, self.now, &mut self.fx);
+                    h.start(cmd, self.now, &mut self.fx);
                 }
                 self.apply_effects(host);
             }
@@ -1055,7 +1020,11 @@ impl Simulation {
                 }
             }
             (FaultTarget::Controller(name), kind) => {
-                let Some(ctrl) = self.controllers.iter_mut().find(|c| c.name() == name) else {
+                let ctrl = self.nodes.iter_mut().find_map(|n| match n {
+                    Node::Controller(c) if c.name() == name => Some(c),
+                    _ => None,
+                });
+                let Some(ctrl) = ctrl else {
                     self.trace.push(
                         self.now,
                         TraceKind::Fault {
@@ -1135,16 +1104,18 @@ impl Simulation {
                         TxOutcome::Dropped => self.frames_dropped += 1,
                     }
                 }
-                Effect::Control { conn, frame } => {
-                    // Only switches emit Control effects: direction fixed.
-                    self.queue.schedule(
-                        self.now,
-                        EventKind::ProxyIngress {
-                            conn,
-                            direction: Direction::SwitchToController,
-                            frame,
-                        },
-                    );
+                Effect::Control { conn, frame, at } => {
+                    // The sender's end of the connection fixes the way.
+                    let direction = match self.nodes[node.0] {
+                        Node::Controller(_) => Direction::ControllerToSwitch,
+                        _ => Direction::SwitchToController,
+                    };
+                    let ingress = EventKind::ProxyIngress {
+                        conn,
+                        direction,
+                        frame,
+                    };
+                    self.queue.schedule(at, ingress);
                 }
                 Effect::Timer { at, token } => {
                     self.queue

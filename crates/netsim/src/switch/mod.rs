@@ -240,20 +240,48 @@ impl Switch {
         Some(x)
     }
 
-    fn send(&mut self, conn: ConnId, msg: OfMessage, fx: &mut Vec<Effect>) {
-        let Some(xid) = self.take_xid(conn) else {
-            return;
-        };
+    /// Sends `frame` on `conn`: the one place a switch writes
+    /// [`Effect::Control`]. A switch has no processing queue, so the
+    /// message leaves at once.
+    fn emit(conn: ConnId, frame: Frame, now: SimTime, fx: &mut Vec<Effect>) {
         fx.push(Effect::Control {
             conn,
-            frame: Frame::from_message(msg, xid),
+            frame,
+            at: now,
         });
+    }
+
+    /// Sends `msg` on `conn` under the connection's next xid.
+    fn send(&mut self, conn: ConnId, msg: OfMessage, now: SimTime, fx: &mut Vec<Effect>) {
+        if let Some(xid) = self.take_xid(conn) {
+            Self::emit(conn, Frame::from_message(msg, xid), now, fx);
+        }
+    }
+
+    /// Answers the undecodable or refused `request` on `conn` with an
+    /// `ERROR` carrying its first 64 bytes, as the spec asks.
+    fn send_error(
+        &mut self,
+        conn: ConnId,
+        error_type: ErrorType,
+        code: u16,
+        request: &Frame,
+        now: SimTime,
+        fx: &mut Vec<Effect>,
+    ) {
+        let data = request.bytes()[..request.len().min(64)].to_vec();
+        let error = ErrorMsg {
+            error_type,
+            code,
+            data,
+        };
+        self.send(conn, OfMessage::Error(error), now, fx);
     }
 
     /// Sends `msg` on every connection that is up. Each connection gets
     /// its own xid (so its own encoding), but the message itself is
     /// moved into the final send rather than cloned for it.
-    fn send_to_up(&mut self, msg: OfMessage, fx: &mut Vec<Effect>) {
+    fn send_to_up(&mut self, msg: OfMessage, now: SimTime, fx: &mut Vec<Effect>) {
         let up: Vec<ConnId> = self
             .conns
             .iter()
@@ -264,9 +292,9 @@ impl Switch {
             return;
         };
         for &conn in rest {
-            self.send(conn, msg.clone(), fx);
+            self.send(conn, msg.clone(), now, fx);
         }
-        self.send(last, msg, fx);
+        self.send(last, msg, now, fx);
     }
 
     /// Begins (or retries) the OpenFlow handshake on `conn`.
@@ -284,7 +312,7 @@ impl Switch {
             c.last_rx = now;
             c.attempt
         };
-        self.send(conn, OfMessage::Hello, fx);
+        self.send(conn, OfMessage::Hello, now, fx);
         fx.push(Effect::Timer {
             at: now + HANDSHAKE_TIMEOUT,
             token: TimerToken::HandshakeDeadline { conn, attempt },
@@ -359,7 +387,7 @@ impl Switch {
             return;
         }
         if connected {
-            self.packet_in_miss(port, frame, fx);
+            self.packet_in_miss(port, frame, now, fx);
         } else {
             match self.fail_mode() {
                 FailMode::Safe => self.standalone_forward(&key, frame, port, fx),
@@ -374,7 +402,7 @@ impl Switch {
         }
     }
 
-    fn packet_in_miss(&mut self, port: PortNo, frame: Vec<u8>, fx: &mut Vec<Effect>) {
+    fn packet_in_miss(&mut self, port: PortNo, frame: Vec<u8>, now: SimTime, fx: &mut Vec<Effect>) {
         let total_len = frame.len() as u16;
         // A full pool ages out its oldest resident, as OVS does: the
         // controller plainly isn't going to answer for it, and pinning
@@ -397,7 +425,7 @@ impl Switch {
             reason: PacketInReason::NoMatch,
             data: truncated,
         });
-        self.send_to_up(msg, fx);
+        self.send_to_up(msg, now, fx);
     }
 
     /// Allocates a fresh buffer id. Ids wrap at 2^31; 0 and any id still
@@ -457,7 +485,7 @@ impl Switch {
         actions: &[Action],
         frame: Cow<'_, [u8]>,
         in_port: PortNo,
-        _now: SimTime,
+        now: SimTime,
         fx: &mut Vec<Effect>,
     ) {
         let mut frame = frame;
@@ -487,7 +515,7 @@ impl Switch {
                             reason: PacketInReason::Action,
                             data,
                         });
-                        self.send_to_up(msg, fx);
+                        self.send_to_up(msg, now, fx);
                     }
                     PortNo::NORMAL => {
                         let key = packet::flow_key(&frame, in_port);
@@ -527,42 +555,34 @@ impl Switch {
                 conn,
                 direction: Direction::ControllerToSwitch,
             }));
-            self.send(
-                conn,
-                OfMessage::Error(ErrorMsg {
-                    error_type: ErrorType::BadRequest,
-                    code: match frame.decode_error() {
-                        Some(CodecError::BadVersion(_)) => bad_request::BAD_VERSION,
-                        _ => bad_request::BAD_TYPE,
-                    },
-                    data: frame.bytes()[..frame.len().min(64)].to_vec(),
-                }),
-                fx,
-            );
+            let code = match frame.decode_error() {
+                Some(CodecError::BadVersion(_)) => bad_request::BAD_VERSION,
+                _ => bad_request::BAD_TYPE,
+            };
+            self.send_error(conn, ErrorType::BadRequest, code, frame, now, fx);
             return;
         };
+        // A reply carries the request's xid.
         let xid = *xid;
+        let reply = move |msg, fx: &mut Vec<Effect>| {
+            Self::emit(conn, Frame::from_message(msg, xid), now, fx)
+        };
         match msg {
             OfMessage::Hello => {}
             OfMessage::EchoRequest(_) => {
                 // The reply is the request with the header's type and xid
                 // patched: same body, no decode→re-encode round trip.
                 if let Some(reply_xid) = self.take_xid(conn) {
-                    if let Some(reply) = frame.patched_reply(OfType::EchoReply, reply_xid) {
-                        fx.push(Effect::Control { conn, frame: reply });
+                    if let Some(echo) = frame.patched_reply(OfType::EchoReply, reply_xid) {
+                        Self::emit(conn, echo, now, fx);
                     }
                 }
             }
             OfMessage::EchoReply(_) => {}
             OfMessage::FeaturesRequest => {
-                let features = self.features();
                 // Reply first, then flip the phase, so the xid counter
                 // lines up with a real handshake trace.
-                let reply = OfMessage::FeaturesReply(features);
-                fx.push(Effect::Control {
-                    conn,
-                    frame: Frame::from_message(reply, xid),
-                });
+                reply(OfMessage::FeaturesReply(self.features()), fx);
                 if let Some(c) = self.conn_mut(conn) {
                     if c.phase != ConnPhase::Up {
                         c.phase = ConnPhase::Up;
@@ -571,20 +591,9 @@ impl Switch {
                     }
                 }
             }
-            OfMessage::GetConfigRequest => {
-                let reply = OfMessage::GetConfigReply(self.config);
-                fx.push(Effect::Control {
-                    conn,
-                    frame: Frame::from_message(reply, xid),
-                });
-            }
+            OfMessage::GetConfigRequest => reply(OfMessage::GetConfigReply(self.config), fx),
             OfMessage::SetConfig(cfg) => self.config = *cfg,
-            OfMessage::BarrierRequest => {
-                fx.push(Effect::Control {
-                    conn,
-                    frame: Frame::from_message(OfMessage::BarrierReply, xid),
-                });
-            }
+            OfMessage::BarrierRequest => reply(OfMessage::BarrierReply, fx),
             OfMessage::PacketOut(po) => {
                 // For buffered releases the stored frame and ingress port
                 // govern FLOOD/IN_PORT semantics; otherwise the message's
@@ -593,15 +602,8 @@ impl Switch {
                     Some(id) => match self.take_buffer(id) {
                         Some(b) => (Cow::Owned(b.frame), b.in_port),
                         None => {
-                            self.send(
-                                conn,
-                                OfMessage::Error(ErrorMsg {
-                                    error_type: ErrorType::BadRequest,
-                                    code: bad_request::BUFFER_UNKNOWN,
-                                    data: frame.bytes()[..frame.len().min(64)].to_vec(),
-                                }),
-                                fx,
-                            );
+                            let code = bad_request::BUFFER_UNKNOWN;
+                            self.send_error(conn, ErrorType::BadRequest, code, frame, now, fx);
                             return;
                         }
                     },
@@ -671,49 +673,24 @@ impl Switch {
                             FlowModError::Overlap => flow_mod_failed::OVERLAP,
                             FlowModError::TableFull => flow_mod_failed::ALL_TABLES_FULL,
                         };
-                        self.send(
-                            conn,
-                            OfMessage::Error(ErrorMsg {
-                                error_type: ErrorType::FlowModFailed,
-                                code,
-                                data: frame.bytes()[..frame.len().min(64)].to_vec(),
-                            }),
-                            fx,
-                        );
+                        self.send_error(conn, ErrorType::FlowModFailed, code, frame, now, fx);
                     }
                 }
             }
             OfMessage::StatsRequest(body) => {
-                let reply = self.stats_reply(body, now);
-                fx.push(Effect::Control {
-                    conn,
-                    frame: Frame::from_message(OfMessage::StatsReply(reply), xid),
-                });
+                reply(OfMessage::StatsReply(self.stats_reply(body, now)), fx)
             }
             OfMessage::QueueGetConfigRequest { port } => {
-                fx.push(Effect::Control {
-                    conn,
-                    frame: Frame::from_message(
-                        OfMessage::QueueGetConfigReply {
-                            port: *port,
-                            queues: vec![],
-                        },
-                        xid,
-                    ),
-                });
+                let (port, queues) = (*port, vec![]);
+                reply(OfMessage::QueueGetConfigReply { port, queues }, fx)
             }
             OfMessage::PortMod(_) | OfMessage::Vendor { .. } => {}
             // Symmetric/controller-bound types arriving here are protocol
             // violations; a real switch errors out.
-            _ => self.send(
-                conn,
-                OfMessage::Error(ErrorMsg {
-                    error_type: ErrorType::BadRequest,
-                    code: bad_request::BAD_TYPE,
-                    data: frame.bytes()[..frame.len().min(64)].to_vec(),
-                }),
-                fx,
-            ),
+            _ => {
+                let code = bad_request::BAD_TYPE;
+                self.send_error(conn, ErrorType::BadRequest, code, frame, now, fx)
+            }
         }
     }
 
@@ -741,7 +718,7 @@ impl Switch {
             packet_count: e.packet_count,
             byte_count: e.byte_count,
         });
-        self.send_to_up(msg, fx);
+        self.send_to_up(msg, now, fx);
     }
 
     /// The 1 Hz housekeeping sweep: flow expiry and liveness probing.
@@ -768,7 +745,8 @@ impl Switch {
             }
         }
         for conn in probes {
-            self.send(conn, OfMessage::EchoRequest(b"attain-probe".to_vec()), fx);
+            let probe = OfMessage::EchoRequest(b"attain-probe".to_vec());
+            self.send(conn, probe, now, fx);
         }
         for conn in deaths {
             fx.push(Effect::Trace(TraceKind::ConnectionDead { conn }));

@@ -339,94 +339,20 @@ impl Match {
     }
 
     /// Whether every packet admitted by `other` is also admitted by `self`
-    /// (the subsumption relation used for non-strict flow deletion).
+    /// (the subsumption relation used for non-strict flow deletion):
+    /// `self` constrains no key bit `other` leaves free, and `other`'s
+    /// value agrees on every bit `self` constrains.
     pub fn subsumes(&self, other: &Match) -> bool {
-        let sw = self.wildcards;
-        let ow = other.wildcards;
-        let flag_ok = |bit: u32, eq: bool| sw.has(bit) || (!ow.has(bit) && eq);
-        if !flag_ok(Wildcards::IN_PORT, self.in_port == other.in_port) {
-            return false;
-        }
-        if !flag_ok(Wildcards::DL_SRC, self.dl_src == other.dl_src) {
-            return false;
-        }
-        if !flag_ok(Wildcards::DL_DST, self.dl_dst == other.dl_dst) {
-            return false;
-        }
-        if !flag_ok(Wildcards::DL_VLAN, self.dl_vlan == other.dl_vlan) {
-            return false;
-        }
-        if !flag_ok(
-            Wildcards::DL_VLAN_PCP,
-            self.dl_vlan_pcp == other.dl_vlan_pcp,
-        ) {
-            return false;
-        }
-        if !flag_ok(Wildcards::DL_TYPE, self.dl_type == other.dl_type) {
-            return false;
-        }
-        if !flag_ok(Wildcards::NW_TOS, self.nw_tos == other.nw_tos) {
-            return false;
-        }
-        if !flag_ok(Wildcards::NW_PROTO, self.nw_proto == other.nw_proto) {
-            return false;
-        }
-        if !ip_subsumes(
-            self.nw_src,
-            sw.nw_src_ignored_bits(),
-            other.nw_src,
-            ow.nw_src_ignored_bits(),
-        ) {
-            return false;
-        }
-        if !ip_subsumes(
-            self.nw_dst,
-            sw.nw_dst_ignored_bits(),
-            other.nw_dst,
-            ow.nw_dst_ignored_bits(),
-        ) {
-            return false;
-        }
-        if !flag_ok(Wildcards::TP_SRC, self.tp_src == other.tp_src) {
-            return false;
-        }
-        if !flag_ok(Wildcards::TP_DST, self.tp_dst == other.tp_dst) {
-            return false;
-        }
-        true
+        let (a, b) = (self.compile(), other.compile());
+        (0..5).all(|i| a.mask[i] & !b.mask[i] == 0 && b.value[i] & a.mask[i] == a.value[i])
     }
 
     /// Whether the two matches can admit a common packet (used for the
-    /// `CHECK_OVERLAP` flow-mod flag).
+    /// `CHECK_OVERLAP` flow-mod flag): their values agree on every key
+    /// bit both constrain.
     pub fn overlaps(&self, other: &Match) -> bool {
-        let sw = self.wildcards;
-        let ow = other.wildcards;
-        let flag_ok = |bit: u32, eq: bool| sw.has(bit) || ow.has(bit) || eq;
-        flag_ok(Wildcards::IN_PORT, self.in_port == other.in_port)
-            && flag_ok(Wildcards::DL_SRC, self.dl_src == other.dl_src)
-            && flag_ok(Wildcards::DL_DST, self.dl_dst == other.dl_dst)
-            && flag_ok(Wildcards::DL_VLAN, self.dl_vlan == other.dl_vlan)
-            && flag_ok(
-                Wildcards::DL_VLAN_PCP,
-                self.dl_vlan_pcp == other.dl_vlan_pcp,
-            )
-            && flag_ok(Wildcards::DL_TYPE, self.dl_type == other.dl_type)
-            && flag_ok(Wildcards::NW_TOS, self.nw_tos == other.nw_tos)
-            && flag_ok(Wildcards::NW_PROTO, self.nw_proto == other.nw_proto)
-            && ip_overlaps(
-                self.nw_src,
-                sw.nw_src_ignored_bits(),
-                other.nw_src,
-                ow.nw_src_ignored_bits(),
-            )
-            && ip_overlaps(
-                self.nw_dst,
-                sw.nw_dst_ignored_bits(),
-                other.nw_dst,
-                ow.nw_dst_ignored_bits(),
-            )
-            && flag_ok(Wildcards::TP_SRC, self.tp_src == other.tp_src)
-            && flag_ok(Wildcards::TP_DST, self.tp_dst == other.tp_dst)
+        let (a, b) = (self.compile(), other.compile());
+        (0..5).all(|i| (a.value[i] ^ b.value[i]) & a.mask[i] & b.mask[i] == 0)
     }
 
     /// The IPv4 source as an address type, if not fully wildcarded.
@@ -621,20 +547,6 @@ fn prefix_mask(ignored_bits: u32) -> u32 {
 fn ip_matches(pattern: u32, value: u32, ignored_bits: u32) -> bool {
     let mask = prefix_mask(ignored_bits);
     (pattern & mask) == (value & mask)
-}
-
-fn ip_subsumes(a: u32, a_ignored: u32, b: u32, b_ignored: u32) -> bool {
-    // a subsumes b iff a's mask is no more specific and prefixes agree.
-    if a_ignored < b_ignored {
-        return false;
-    }
-    let mask = prefix_mask(a_ignored);
-    (a & mask) == (b & mask)
-}
-
-fn ip_overlaps(a: u32, a_ignored: u32, b: u32, b_ignored: u32) -> bool {
-    let mask = prefix_mask(a_ignored.max(b_ignored));
-    (a & mask) == (b & mask)
 }
 
 impl fmt::Display for Match {

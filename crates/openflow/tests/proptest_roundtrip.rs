@@ -24,6 +24,124 @@ fn arb_port() -> impl Strategy<Value = PortNo> {
     ]
 }
 
+/// A match over a small value pool: every field takes one of two values,
+/// each address one of four over which the prefix lengths in `PREFIXES`
+/// differ, and seven flags in eight are wildcards. Two such matches
+/// subsume or overlap each other often, where two arbitrary matches
+/// almost never do.
+fn pooled_match() -> impl Strategy<Value = Match> {
+    const ADDRS: [u32; 4] = [0x0a00_0000, 0x0a00_0080, 0x0a01_0000, 0x0b00_0000];
+    const PREFIXES: [u32; 8] = [0, 7, 8, 16, 24, 32, 40, 63];
+    let flags = (any::<u32>(), any::<u32>(), any::<u32>()).prop_map(|(a, b, c)| a | b | c);
+    (flags, 0usize..8, 0usize..8, any::<u16>()).prop_map(|(flags, src, dst, v)| {
+        let bit = |i: u32| (v >> i) & 1;
+        let wildcards = Wildcards(flags & Wildcards::FIELD_FLAGS)
+            .with_nw_src_ignored_bits(PREFIXES[src])
+            .with_nw_dst_ignored_bits(PREFIXES[dst]);
+        Match {
+            wildcards,
+            in_port: PortNo(1 + bit(0)),
+            dl_src: MacAddr::from_low(1 + u64::from(bit(1))),
+            dl_dst: MacAddr::from_low(1 + u64::from(bit(2))),
+            dl_vlan: bit(3),
+            dl_vlan_pcp: bit(4) as u8,
+            dl_type: 0x0800 + bit(5),
+            nw_tos: bit(6) as u8,
+            nw_proto: 6 + bit(7) as u8,
+            nw_src: ADDRS[(v >> 8) as usize & 3],
+            nw_dst: ADDRS[(v >> 10) as usize & 3],
+            tp_src: 80 + bit(12),
+            tp_dst: 80 + bit(13),
+        }
+    })
+}
+
+/// The OpenFlow 1.0 subsumption relation, field by field: the reference
+/// `Match::subsumes` is checked against.
+fn subsumes_by_fields(a: &Match, b: &Match) -> bool {
+    let (aw, bw) = (a.wildcards, b.wildcards);
+    let flag_ok = |bit: u32, eq: bool| aw.has(bit) || (!bw.has(bit) && eq);
+    // `a`'s prefix is no more specific than `b`'s, and they agree on it.
+    let ip_ok = |a: u32, a_ignored: u32, b: u32, b_ignored: u32| {
+        a_ignored >= b_ignored && (a ^ b) & prefix_mask(a_ignored) == 0
+    };
+    flag_ok(Wildcards::IN_PORT, a.in_port == b.in_port)
+        && flag_ok(Wildcards::DL_SRC, a.dl_src == b.dl_src)
+        && flag_ok(Wildcards::DL_DST, a.dl_dst == b.dl_dst)
+        && flag_ok(Wildcards::DL_VLAN, a.dl_vlan == b.dl_vlan)
+        && flag_ok(Wildcards::DL_VLAN_PCP, a.dl_vlan_pcp == b.dl_vlan_pcp)
+        && flag_ok(Wildcards::DL_TYPE, a.dl_type == b.dl_type)
+        && flag_ok(Wildcards::NW_TOS, a.nw_tos == b.nw_tos)
+        && flag_ok(Wildcards::NW_PROTO, a.nw_proto == b.nw_proto)
+        && ip_ok(
+            a.nw_src,
+            aw.nw_src_ignored_bits(),
+            b.nw_src,
+            bw.nw_src_ignored_bits(),
+        )
+        && ip_ok(
+            a.nw_dst,
+            aw.nw_dst_ignored_bits(),
+            b.nw_dst,
+            bw.nw_dst_ignored_bits(),
+        )
+        && flag_ok(Wildcards::TP_SRC, a.tp_src == b.tp_src)
+        && flag_ok(Wildcards::TP_DST, a.tp_dst == b.tp_dst)
+}
+
+/// Whether two matches admit a common packet, field by field: the
+/// reference `Match::overlaps` is checked against.
+fn overlaps_by_fields(a: &Match, b: &Match) -> bool {
+    let (aw, bw) = (a.wildcards, b.wildcards);
+    let flag_ok = |bit: u32, eq: bool| aw.has(bit) || bw.has(bit) || eq;
+    // The addresses agree on the shorter of the two prefixes.
+    let ip_ok = |a: u32, a_ignored: u32, b: u32, b_ignored: u32| {
+        (a ^ b) & prefix_mask(a_ignored.max(b_ignored)) == 0
+    };
+    flag_ok(Wildcards::IN_PORT, a.in_port == b.in_port)
+        && flag_ok(Wildcards::DL_SRC, a.dl_src == b.dl_src)
+        && flag_ok(Wildcards::DL_DST, a.dl_dst == b.dl_dst)
+        && flag_ok(Wildcards::DL_VLAN, a.dl_vlan == b.dl_vlan)
+        && flag_ok(Wildcards::DL_VLAN_PCP, a.dl_vlan_pcp == b.dl_vlan_pcp)
+        && flag_ok(Wildcards::DL_TYPE, a.dl_type == b.dl_type)
+        && flag_ok(Wildcards::NW_TOS, a.nw_tos == b.nw_tos)
+        && flag_ok(Wildcards::NW_PROTO, a.nw_proto == b.nw_proto)
+        && ip_ok(
+            a.nw_src,
+            aw.nw_src_ignored_bits(),
+            b.nw_src,
+            bw.nw_src_ignored_bits(),
+        )
+        && ip_ok(
+            a.nw_dst,
+            aw.nw_dst_ignored_bits(),
+            b.nw_dst,
+            bw.nw_dst_ignored_bits(),
+        )
+        && flag_ok(Wildcards::TP_SRC, a.tp_src == b.tp_src)
+        && flag_ok(Wildcards::TP_DST, a.tp_dst == b.tp_dst)
+}
+
+fn prefix_mask(ignored_bits: u32) -> u32 {
+    u32::MAX.checked_shl(ignored_bits).unwrap_or(0)
+}
+
+#[test]
+fn the_match_pool_makes_both_relations_go_both_ways() {
+    let pairs = (pooled_match(), pooled_match());
+    let mut rng = proptest::TestRng::for_test("match pool");
+    let mut seen = [[0; 2]; 2];
+    for _ in 0..2048 {
+        let (a, b) = pairs.generate(&mut rng);
+        if a != b {
+            seen[0][usize::from(subsumes_by_fields(&a, &b))] += 1;
+            seen[1][usize::from(overlaps_by_fields(&a, &b))] += 1;
+        }
+    }
+    // [subsumes: no, yes], [overlaps: no, yes]
+    assert!(seen.iter().flatten().all(|&n| n >= 100), "{seen:?}");
+}
+
 fn arb_wildcards() -> impl Strategy<Value = Wildcards> {
     (0u32..=0x003f_ffff).prop_map(Wildcards)
 }
@@ -273,6 +391,12 @@ proptest! {
         );
         let bytes = frame.encode();
         prop_assert_eq!(Ethernet::decode(&bytes).unwrap(), frame);
+    }
+
+    #[test]
+    fn subsumption_and_overlap_agree_with_the_field_walks(a in pooled_match(), b in pooled_match()) {
+        prop_assert_eq!(a.subsumes(&b), subsumes_by_fields(&a, &b), "{} ⊇ {}", a, b);
+        prop_assert_eq!(a.overlaps(&b), overlaps_by_fields(&a, &b), "{} ∩ {}", a, b);
     }
 
     #[test]

@@ -38,7 +38,7 @@ echo "== the proxy's socket tests five more times in release (a timing-sensitive
 for run in 1 2 3 4 5; do
   echo "-- run $run"
   cargo test --release -q -p attain-injector \
-    --test transport_differential --test tcp_lifecycle --test tcp_hostile
+    --test transport_differential --test tcp_lifecycle --test tcp_hostile --test tcp_pipelining
 done
 
 echo "== every example runs to a zero exit in release (tier-1 only compiles them; ~7 s)"

@@ -1,5 +1,6 @@
 //! Untyped syntax tree produced by the parser, resolved by the compiler.
 
+use crate::lang::BinOp;
 use std::net::Ipv4Addr;
 
 /// A parsed document: the compiler's three inputs (system model file,
@@ -204,8 +205,8 @@ pub enum ExprAst {
     Not(Box<ExprAst>),
     /// Binary operator.
     Bin {
-        /// Operator text (`&&`, `==`, `+`, …).
-        op: &'static str,
+        /// The operator.
+        op: BinOp,
         /// Left operand.
         lhs: Box<ExprAst>,
         /// Right operand.

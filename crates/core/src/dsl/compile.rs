@@ -349,11 +349,11 @@ fn compile_attack(
                     format!("rule {} watches no connections", rd.name),
                 ));
             }
-            let condition = compile_expr(rd.condition, system, rd.line)?;
+            let condition = compile_expr(rd.condition, system)?;
             let actions = rd
                 .actions
                 .into_iter()
-                .map(|a| compile_action(a, system, &state_index, rd.line))
+                .map(|a| compile_action(a, system, &state_index))
                 .collect::<Result<Vec<_>, _>>()?;
             let mut rule = Rule {
                 name: rd.name,
@@ -384,7 +384,7 @@ fn compile_attack(
     Ok(CompiledAttack { attack, graph })
 }
 
-fn compile_expr(ast: ExprAst, system: &SystemModel, line: u32) -> Result<Expr, DslError> {
+fn compile_expr(ast: ExprAst, system: &SystemModel) -> Result<Expr, DslError> {
     Ok(match ast {
         ExprAst::Int(i) => Expr::Lit(Value::Int(i)),
         ExprAst::Float(x) => Expr::Lit(Value::Float(x)),
@@ -409,23 +409,12 @@ fn compile_expr(ast: ExprAst, system: &SystemModel, line: u32) -> Result<Expr, D
                 ));
             }
         }
-        ExprAst::MsgProp(prop, line) => Expr::Prop(match prop.as_str() {
-            "source" => Property::Source,
-            "destination" => Property::Destination,
-            "timestamp" => Property::Timestamp,
-            "length" => Property::Length,
-            "type" => Property::Type,
-            "id" => Property::Id,
-            "entropy" => Property::Entropy,
-            other => {
-                return Err(DslError::new(
-                    line,
-                    format!(
-                        "unknown message property `{other}` (use msg[\"path\"] for type options)"
-                    ),
-                ))
-            }
-        }),
+        ExprAst::MsgProp(prop, line) => Expr::Prop(Property::named(&prop).ok_or_else(|| {
+            DslError::new(
+                line,
+                format!("unknown message property `{prop}` (use msg[\"path\"] for type options)"),
+            )
+        })?),
         ExprAst::MsgOption(path) => Expr::Prop(Property::TypeOption(path)),
         ExprAst::DequeFn { func, deque } => match func.as_str() {
             "front" => Expr::DequeRead {
@@ -439,29 +428,15 @@ fn compile_expr(ast: ExprAst, system: &SystemModel, line: u32) -> Result<Expr, D
             "len" => Expr::DequeLen(deque),
             _ => unreachable!("parser only yields front/back/len"),
         },
-        ExprAst::Not(e) => Expr::Not(Box::new(compile_expr(*e, system, line)?)),
+        ExprAst::Not(e) => Expr::Not(Box::new(compile_expr(*e, system)?)),
         ExprAst::Bin { op, lhs, rhs } => {
-            let l = Box::new(compile_expr(*lhs, system, line)?);
-            let r = Box::new(compile_expr(*rhs, system, line)?);
-            match op {
-                "&&" => Expr::And(l, r),
-                "||" => Expr::Or(l, r),
-                "==" => Expr::Eq(l, r),
-                "!=" => Expr::Ne(l, r),
-                "<" => Expr::Lt(l, r),
-                "<=" => Expr::Le(l, r),
-                ">" => Expr::Gt(l, r),
-                ">=" => Expr::Ge(l, r),
-                "+" => Expr::Add(l, r),
-                "-" => Expr::Sub(l, r),
-                other => return Err(DslError::new(line, format!("unknown operator {other}"))),
-            }
+            op.of(compile_expr(*lhs, system)?, compile_expr(*rhs, system)?)
         }
         ExprAst::In(needle, items) => Expr::In(
-            Box::new(compile_expr(*needle, system, line)?),
+            Box::new(compile_expr(*needle, system)?),
             items
                 .into_iter()
-                .map(|i| compile_expr(i, system, line))
+                .map(|i| compile_expr(i, system))
                 .collect::<Result<_, _>>()?,
         ),
         ExprAst::TimingFn { func, args, line } => compile_timing_fn(&func, &args, line)?,
@@ -602,7 +577,6 @@ fn compile_action(
     ast: ActionAst,
     system: &SystemModel,
     state_index: &impl Fn(&str, u32) -> Result<usize, DslError>,
-    line: u32,
 ) -> Result<AttackAction, DslError> {
     Ok(match ast {
         ActionAst::Drop => AttackAction::Drop,
@@ -610,14 +584,14 @@ fn compile_action(
         ActionAst::Duplicate => AttackAction::Duplicate,
         ActionAst::Read => AttackAction::Read,
         ActionAst::ReadMetadata => AttackAction::ReadMetadata,
-        ActionAst::Delay(e) => AttackAction::Delay(compile_expr(e, system, line)?),
+        ActionAst::Delay(e) => AttackAction::Delay(compile_expr(e, system)?),
         ActionAst::Modify(field, e) => AttackAction::Modify {
             field,
-            value: compile_expr(e, system, line)?,
+            value: compile_expr(e, system)?,
         },
         ActionAst::ModifyMetadata(field, e) => AttackAction::ModifyMetadata {
             field,
-            value: compile_expr(e, system, line)?,
+            value: compile_expr(e, system)?,
         },
         ActionAst::Fuzz(flips) => AttackAction::Fuzz { flips },
         ActionAst::Inject {
@@ -641,7 +615,7 @@ fn compile_action(
         ActionAst::Append { deque, value } => match value {
             Some(e) => AttackAction::Append {
                 deque,
-                value: compile_expr(e, system, line)?,
+                value: compile_expr(e, system)?,
             },
             None => AttackAction::StoreMessage {
                 deque,
@@ -651,7 +625,7 @@ fn compile_action(
         ActionAst::Prepend { deque, value } => match value {
             Some(e) => AttackAction::Prepend {
                 deque,
-                value: compile_expr(e, system, line)?,
+                value: compile_expr(e, system)?,
             },
             None => AttackAction::StoreMessage { deque, front: true },
         },
@@ -666,7 +640,7 @@ fn compile_action(
             end: DequeEnd::End,
         },
         ActionAst::Goto(target, line) => AttackAction::GoToState(state_index(&target, line)?),
-        ActionAst::Sleep(e) => AttackAction::Sleep(compile_expr(e, system, line)?),
+        ActionAst::Sleep(e) => AttackAction::Sleep(compile_expr(e, system)?),
         ActionAst::SysCmd { host, cmd, line } => {
             if system.resolve(&host).is_none() {
                 return Err(DslError::new(line, format!("unknown host `{host}`")));
@@ -781,6 +755,22 @@ mod tests {
             err.message.contains("does not grant"),
             "unexpected error: {err}"
         );
+        // A payload read inside an action's expression counts the same,
+        // whichever action carries it.
+        for action in [
+            r#"delay(msg, msg["idle_timeout"]);"#,
+            r#"append(d, msg["idle_timeout"]);"#,
+            r#"sleep(msg["idle_timeout"]);"#,
+        ] {
+            let source = source
+                .replace("msg.type == FLOW_MOD && ", "")
+                .replace("drop(msg);", action);
+            let err = compile_document(&source).unwrap_err();
+            assert!(
+                err.message.contains("does not grant"),
+                "{action}: unexpected error: {err}"
+            );
+        }
     }
 
     #[test]

@@ -1,5 +1,6 @@
 //! Tokenizer for the ATTAIN attack description language.
 
+use crate::lang::BinOp;
 use std::fmt;
 use std::net::Ipv4Addr;
 
@@ -38,28 +39,10 @@ pub(crate) enum Tok {
     Dot,
     /// `->`
     Arrow,
-    /// `==`
-    EqEq,
-    /// `!=`
-    NotEq,
-    /// `<=`
-    Le,
-    /// `>=`
-    Ge,
-    /// `<`
-    Lt,
-    /// `>`
-    Gt,
-    /// `&&`
-    AndAnd,
-    /// `||`
-    OrOr,
+    /// A binary operator (`-` is also unary minus).
+    Op(BinOp),
     /// `!`
     Bang,
-    /// `+`
-    Plus,
-    /// `-`
-    Minus,
     /// End of input.
     Eof,
 }
@@ -83,17 +66,8 @@ impl fmt::Display for Tok {
             Tok::Colon => write!(f, "`:`"),
             Tok::Dot => write!(f, "`.`"),
             Tok::Arrow => write!(f, "`->`"),
-            Tok::EqEq => write!(f, "`==`"),
-            Tok::NotEq => write!(f, "`!=`"),
-            Tok::Le => write!(f, "`<=`"),
-            Tok::Ge => write!(f, "`>=`"),
-            Tok::Lt => write!(f, "`<`"),
-            Tok::Gt => write!(f, "`>`"),
-            Tok::AndAnd => write!(f, "`&&`"),
-            Tok::OrOr => write!(f, "`||`"),
+            Tok::Op(op) => write!(f, "`{}`", op.symbol()),
             Tok::Bang => write!(f, "`!`"),
-            Tok::Plus => write!(f, "`+`"),
-            Tok::Minus => write!(f, "`-`"),
             Tok::Eof => write!(f, "end of input"),
         }
     }
@@ -234,7 +208,7 @@ pub(crate) fn lex(source: &str) -> Result<Vec<Token>, DslError> {
             }
             '+' => {
                 out.push(Token {
-                    tok: Tok::Plus,
+                    tok: Tok::Op(BinOp::Add),
                     line,
                 });
                 i += 1;
@@ -248,7 +222,7 @@ pub(crate) fn lex(source: &str) -> Result<Vec<Token>, DslError> {
                     i += 2;
                 } else {
                     out.push(Token {
-                        tok: Tok::Minus,
+                        tok: Tok::Op(BinOp::Sub),
                         line,
                     });
                     i += 1;
@@ -257,7 +231,7 @@ pub(crate) fn lex(source: &str) -> Result<Vec<Token>, DslError> {
             '=' => {
                 if i + 1 < bytes.len() && bytes[i + 1] == b'=' {
                     out.push(Token {
-                        tok: Tok::EqEq,
+                        tok: Tok::Op(BinOp::Eq),
                         line,
                     });
                     i += 2;
@@ -268,7 +242,7 @@ pub(crate) fn lex(source: &str) -> Result<Vec<Token>, DslError> {
             '!' => {
                 if i + 1 < bytes.len() && bytes[i + 1] == b'=' {
                     out.push(Token {
-                        tok: Tok::NotEq,
+                        tok: Tok::Op(BinOp::Ne),
                         line,
                     });
                     i += 2;
@@ -282,26 +256,38 @@ pub(crate) fn lex(source: &str) -> Result<Vec<Token>, DslError> {
             }
             '<' => {
                 if i + 1 < bytes.len() && bytes[i + 1] == b'=' {
-                    out.push(Token { tok: Tok::Le, line });
+                    out.push(Token {
+                        tok: Tok::Op(BinOp::Le),
+                        line,
+                    });
                     i += 2;
                 } else {
-                    out.push(Token { tok: Tok::Lt, line });
+                    out.push(Token {
+                        tok: Tok::Op(BinOp::Lt),
+                        line,
+                    });
                     i += 1;
                 }
             }
             '>' => {
                 if i + 1 < bytes.len() && bytes[i + 1] == b'=' {
-                    out.push(Token { tok: Tok::Ge, line });
+                    out.push(Token {
+                        tok: Tok::Op(BinOp::Ge),
+                        line,
+                    });
                     i += 2;
                 } else {
-                    out.push(Token { tok: Tok::Gt, line });
+                    out.push(Token {
+                        tok: Tok::Op(BinOp::Gt),
+                        line,
+                    });
                     i += 1;
                 }
             }
             '&' => {
                 if i + 1 < bytes.len() && bytes[i + 1] == b'&' {
                     out.push(Token {
-                        tok: Tok::AndAnd,
+                        tok: Tok::Op(BinOp::And),
                         line,
                     });
                     i += 2;
@@ -312,7 +298,7 @@ pub(crate) fn lex(source: &str) -> Result<Vec<Token>, DslError> {
             '|' => {
                 if i + 1 < bytes.len() && bytes[i + 1] == b'|' {
                     out.push(Token {
-                        tok: Tok::OrOr,
+                        tok: Tok::Op(BinOp::Or),
                         line,
                     });
                     i += 2;
@@ -467,14 +453,14 @@ mod tests {
         assert_eq!(
             toks("== != <= >= < > && || ! -> ( ) { } [ ] , ; : . + -"),
             vec![
-                Tok::EqEq,
-                Tok::NotEq,
-                Tok::Le,
-                Tok::Ge,
-                Tok::Lt,
-                Tok::Gt,
-                Tok::AndAnd,
-                Tok::OrOr,
+                Tok::Op(BinOp::Eq),
+                Tok::Op(BinOp::Ne),
+                Tok::Op(BinOp::Le),
+                Tok::Op(BinOp::Ge),
+                Tok::Op(BinOp::Lt),
+                Tok::Op(BinOp::Gt),
+                Tok::Op(BinOp::And),
+                Tok::Op(BinOp::Or),
                 Tok::Bang,
                 Tok::Arrow,
                 Tok::LParen,
@@ -487,8 +473,8 @@ mod tests {
                 Tok::Semi,
                 Tok::Colon,
                 Tok::Dot,
-                Tok::Plus,
-                Tok::Minus,
+                Tok::Op(BinOp::Add),
+                Tok::Op(BinOp::Sub),
                 Tok::Eof
             ]
         );

@@ -2,6 +2,7 @@
 
 use crate::dsl::ast::*;
 use crate::dsl::lexer::{lex, DslError, Tok, Token};
+use crate::lang::BinOp;
 
 struct Parser {
     tokens: Vec<Token>,
@@ -532,87 +533,48 @@ impl Parser {
     // ---- expressions ---------------------------------------------------
 
     fn expr(&mut self) -> Result<ExprAst, DslError> {
-        self.or_expr()
+        self.bin_expr(0)
     }
 
-    fn or_expr(&mut self) -> Result<ExprAst, DslError> {
-        let mut lhs = self.and_expr()?;
-        while *self.peek() == Tok::OrOr {
-            self.bump();
-            let rhs = self.and_expr()?;
-            lhs = ExprAst::Bin {
-                op: "||",
-                lhs: Box::new(lhs),
-                rhs: Box::new(rhs),
-            };
-        }
-        Ok(lhs)
-    }
-
-    fn and_expr(&mut self) -> Result<ExprAst, DslError> {
-        let mut lhs = self.cmp_expr()?;
-        while *self.peek() == Tok::AndAnd {
-            self.bump();
-            let rhs = self.cmp_expr()?;
-            lhs = ExprAst::Bin {
-                op: "&&",
-                lhs: Box::new(lhs),
-                rhs: Box::new(rhs),
-            };
-        }
-        Ok(lhs)
-    }
-
-    fn cmp_expr(&mut self) -> Result<ExprAst, DslError> {
-        let lhs = self.add_expr()?;
-        let op = match self.peek() {
-            Tok::EqEq => "==",
-            Tok::NotEq => "!=",
-            Tok::Lt => "<",
-            Tok::Le => "<=",
-            Tok::Gt => ">",
-            Tok::Ge => ">=",
-            Tok::Ident(kw) if kw == "in" => {
-                self.bump();
-                self.expect(Tok::LBracket)?;
-                let mut items = Vec::new();
-                loop {
-                    items.push(self.add_expr()?);
-                    if *self.peek() == Tok::Comma {
-                        self.bump();
-                    } else {
-                        break;
-                    }
-                }
-                self.expect(Tok::RBracket)?;
-                return Ok(ExprAst::In(Box::new(lhs), items));
-            }
-            _ => return Ok(lhs),
-        };
-        self.bump();
-        let rhs = self.add_expr()?;
-        Ok(ExprAst::Bin {
-            op,
-            lhs: Box::new(lhs),
-            rhs: Box::new(rhs),
-        })
-    }
-
-    fn add_expr(&mut self) -> Result<ExprAst, DslError> {
+    /// Precedence climbing: an expression whose operators all bind at
+    /// least `min` tightly ([`BinOp::binding_power`]). `||`, `&&`, `+`
+    /// and `-` associate to the left. A comparison, `in` included, does
+    /// not chain: after one, an operator binding as tightly ends the
+    /// whole expression, so `a == b == c` stops at the second `==`. The
+    /// items of an `in` list are additive expressions.
+    fn bin_expr(&mut self, min: u8) -> Result<ExprAst, DslError> {
+        let compare = BinOp::Eq.binding_power();
         let mut lhs = self.unary_expr()?;
+        let mut max = u8::MAX;
         loop {
             let op = match self.peek() {
-                Tok::Plus => "+",
-                Tok::Minus => "-",
+                Tok::Op(op) => Some(*op),
+                Tok::Ident(kw) if kw == "in" => None,
                 _ => break,
             };
+            let bp = op.map_or(compare, BinOp::binding_power);
+            if bp < min || bp > max {
+                break;
+            }
             self.bump();
-            let rhs = self.unary_expr()?;
-            lhs = ExprAst::Bin {
-                op,
-                lhs: Box::new(lhs),
-                rhs: Box::new(rhs),
+            lhs = match op {
+                Some(op) => ExprAst::Bin {
+                    op,
+                    lhs: Box::new(lhs),
+                    rhs: Box::new(self.bin_expr(bp + 1)?),
+                },
+                None => {
+                    self.expect(Tok::LBracket)?;
+                    let mut items = vec![self.bin_expr(compare + 1)?];
+                    while *self.peek() == Tok::Comma {
+                        self.bump();
+                        items.push(self.bin_expr(compare + 1)?);
+                    }
+                    self.expect(Tok::RBracket)?;
+                    ExprAst::In(Box::new(lhs), items)
+                }
             };
+            max = if bp == compare { bp - 1 } else { bp };
         }
         Ok(lhs)
     }
@@ -622,7 +584,7 @@ impl Parser {
             self.bump();
             return Ok(ExprAst::Not(Box::new(self.unary_expr()?)));
         }
-        if *self.peek() == Tok::Minus {
+        if *self.peek() == Tok::Op(BinOp::Sub) {
             let line = self.line();
             self.bump();
             return match self.unary_expr()? {
@@ -786,7 +748,10 @@ mod tests {
         let rule = &atk.states[0].rules[0];
         assert_eq!(rule.connections, ConnSpec::All);
         assert!(matches!(rule.actions[0], ActionAst::Drop));
-        assert!(matches!(&rule.condition, ExprAst::Bin { op: "&&", .. }));
+        assert!(matches!(
+            &rule.condition,
+            ExprAst::Bin { op: BinOp::And, .. }
+        ));
     }
 
     #[test]
@@ -821,7 +786,7 @@ mod tests {
         assert_eq!(atk.states.len(), 3);
         assert!(matches!(
             &atk.states[1].rules[0].condition,
-            ExprAst::Bin { op: "&&", .. }
+            ExprAst::Bin { op: BinOp::And, .. }
         ));
         assert!(matches!(
             &atk.states[0].rules[0].actions[1],
@@ -1008,9 +973,60 @@ mod tests {
         .unwrap();
         let cond = &doc.attacks[0].states[0].rules[0].condition;
         // Top is ||, left is &&, whose sides are comparisons.
-        let ExprAst::Bin { op: "||", lhs, .. } = cond else {
+        let ExprAst::Bin {
+            op: BinOp::Or, lhs, ..
+        } = cond
+        else {
             panic!("expected || at top, got {cond:?}");
         };
-        assert!(matches!(&**lhs, ExprAst::Bin { op: "&&", .. }));
+        assert!(matches!(&**lhs, ExprAst::Bin { op: BinOp::And, .. }));
+    }
+
+    #[test]
+    fn comparisons_do_not_chain_and_arithmetic_associates_left() {
+        let condition = |when: &str| {
+            let source = format!(
+                "attack p {{ state s {{ rule r on all {{ when {when} do {{ pass(msg); }} }} }} }}"
+            );
+            parse(&source).map(|doc| doc.attacks[0].states[0].rules[0].condition.clone())
+        };
+        for chained in [
+            "msg.length == 8 == 8",
+            "msg.id in [1] in [true]",
+            "msg.id < 2 in [true]",
+        ] {
+            let err = condition(chained).unwrap_err();
+            assert!(err.message.starts_with("expected `do`"), "{chained}: {err}");
+        }
+        let len = || Box::new(ExprAst::MsgProp("length".into(), 1));
+        let bin = |op, lhs, rhs| ExprAst::Bin { op, lhs, rhs };
+        // (length - 1) - 2 > 0
+        assert_eq!(
+            condition("msg.length - 1 - 2 > 0").unwrap(),
+            bin(
+                BinOp::Gt,
+                Box::new(bin(
+                    BinOp::Sub,
+                    Box::new(bin(BinOp::Sub, len(), Box::new(ExprAst::Int(1)))),
+                    Box::new(ExprAst::Int(2)),
+                )),
+                Box::new(ExprAst::Int(0)),
+            )
+        );
+        // An `in` needle and its items are additive.
+        assert_eq!(
+            condition("msg.length + 1 in [2, 3 - 4]").unwrap(),
+            ExprAst::In(
+                Box::new(bin(BinOp::Add, len(), Box::new(ExprAst::Int(1)))),
+                vec![
+                    ExprAst::Int(2),
+                    bin(
+                        BinOp::Sub,
+                        Box::new(ExprAst::Int(3)),
+                        Box::new(ExprAst::Int(4))
+                    ),
+                ],
+            )
+        );
     }
 }

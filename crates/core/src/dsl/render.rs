@@ -2,7 +2,7 @@
 //! compiler, so programmatically generated attacks (e.g. from
 //! [`templates`](crate::lang::templates)) can be shared as `.atk` files.
 
-use crate::lang::{Attack, AttackAction, DequeEnd, Expr, Property, Value};
+use crate::lang::{Attack, AttackAction, BinOp, DequeEnd, Expr, Value};
 use crate::model::{NodeRef, SystemModel};
 use std::fmt::Write as _;
 
@@ -56,50 +56,38 @@ fn render_value(v: &Value, system: &SystemModel) -> Result<String, RenderError> 
 }
 
 fn render_expr(e: &Expr, system: &SystemModel) -> Result<String, RenderError> {
-    let bin = |op: &str, a: &Expr, b: &Expr| -> Result<String, RenderError> {
-        Ok(format!(
-            "({} {} {})",
-            render_expr(a, system)?,
-            op,
-            render_expr(b, system)?
-        ))
+    // An `in` binds as a comparison: bare it may stand as a whole
+    // condition, under `!`, or as an operand of `&&`/`||`, but an
+    // operand of anything binding as tightly needs parentheses.
+    let operand = |e: &Expr, tight: bool| -> Result<String, RenderError> {
+        let text = render_expr(e, system)?;
+        Ok(match e {
+            Expr::In(..) if tight => format!("({text})"),
+            _ => text,
+        })
     };
     Ok(match e {
         Expr::Lit(v) => render_value(v, system)?,
-        Expr::Prop(p) => match p {
-            Property::Source => "msg.source".to_string(),
-            Property::Destination => "msg.destination".to_string(),
-            Property::Timestamp => "msg.timestamp".to_string(),
-            Property::Length => "msg.length".to_string(),
-            Property::Type => "msg.type".to_string(),
-            Property::Id => "msg.id".to_string(),
-            Property::Entropy => "msg.entropy".to_string(),
-            Property::TypeOption(path) => format!("msg[{path:?}]"),
-        },
+        Expr::Prop(p) => p.to_string(),
         Expr::DequeRead { deque, end } => match end {
             DequeEnd::Front => format!("front({deque})"),
             DequeEnd::End => format!("back({deque})"),
         },
         Expr::DequeLen(d) => format!("len({d})"),
         Expr::Not(inner) => format!("!({})", render_expr(inner, system)?),
-        Expr::And(a, b) => bin("&&", a, b)?,
-        Expr::Or(a, b) => bin("||", a, b)?,
-        Expr::Eq(a, b) => bin("==", a, b)?,
-        Expr::Ne(a, b) => bin("!=", a, b)?,
-        Expr::Lt(a, b) => bin("<", a, b)?,
-        Expr::Le(a, b) => bin("<=", a, b)?,
-        Expr::Gt(a, b) => bin(">", a, b)?,
-        Expr::Ge(a, b) => bin(">=", a, b)?,
-        Expr::Add(a, b) => bin("+", a, b)?,
-        Expr::Sub(a, b) => bin("-", a, b)?,
+        Expr::Bin(op, a, b) => {
+            let tight = op.binding_power() >= BinOp::Eq.binding_power();
+            format!(
+                "({} {} {})",
+                operand(a, tight)?,
+                op.symbol(),
+                operand(b, tight)?
+            )
+        }
         Expr::In(needle, items) => {
             let rendered: Result<Vec<String>, RenderError> =
-                items.iter().map(|i| render_expr(i, system)).collect();
-            format!(
-                "{} in [{}]",
-                render_expr(needle, system)?,
-                rendered?.join(", ")
-            )
+                items.iter().map(|i| operand(i, true)).collect();
+            format!("{} in [{}]", operand(needle, true)?, rendered?.join(", "))
         }
         // `latency(T, T)` is a compile error, so `req == resp` plus
         // `Last` can only have come from `inter_arrival(T)`.

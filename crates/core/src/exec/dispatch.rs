@@ -454,7 +454,7 @@ impl CompiledRuleset {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::lang::{AttackAction, AttackState, Expr, Rule};
+    use crate::lang::{AttackAction, AttackState, BinOp, Expr, Rule};
     use crate::model::{CapabilitySet, ControllerId, NodeRef, SwitchId};
     use attain_openflow::{Frame, OfMessage, OfType};
 
@@ -569,19 +569,14 @@ mod tests {
 
     #[test]
     fn interval_index_matches_scan_semantics() {
-        let cmp = |op: fn(Box<Expr>, Box<Expr>) -> Expr, n: i64| {
-            op(
-                Box::new(Expr::Prop(Property::Length)),
-                Box::new(Expr::Lit(Value::Int(n))),
-            )
-        };
+        let cmp = |op: BinOp, n: i64| op.of(Expr::Prop(Property::Length), Expr::Lit(Value::Int(n)));
         let rules = vec![
-            rule("ge8", &[0], cmp(Expr::Ge, 8)),
-            rule("gt8", &[0], cmp(Expr::Gt, 8)),
-            rule("lt8", &[0], cmp(Expr::Lt, 8)),
-            rule("le8", &[0], cmp(Expr::Le, 8)),
-            rule("gt100", &[0], cmp(Expr::Gt, 100)),
-            rule("lt100", &[0], cmp(Expr::Lt, 100)),
+            rule("ge8", &[0], cmp(BinOp::Ge, 8)),
+            rule("gt8", &[0], cmp(BinOp::Gt, 8)),
+            rule("lt8", &[0], cmp(BinOp::Lt, 8)),
+            rule("le8", &[0], cmp(BinOp::Le, 8)),
+            rule("gt100", &[0], cmp(BinOp::Gt, 100)),
+            rule("lt100", &[0], cmp(BinOp::Lt, 100)),
         ];
         let ruleset = CompiledRuleset::compile(&attack_of(rules), 1);
         // Hello = 8 bytes: ge8, le8, lt100.
@@ -657,10 +652,7 @@ mod tests {
             rule(
                 "cmp",
                 &[0],
-                Expr::Gt(
-                    Box::new(Expr::Prop(Property::Entropy)),
-                    Box::new(Expr::Lit(Value::Float(0.5))),
-                ),
+                BinOp::Gt.of(Expr::Prop(Property::Entropy), Expr::Lit(Value::Float(0.5))),
             ),
             rule("res", &[0], Expr::Not(Box::new(Expr::always()))),
         ];

@@ -766,8 +766,8 @@ impl AttackExecutor {
                 // Copy-on-write, as for FUZZMESSAGE. Each copy that cannot
                 // be rewritten logs an error of its own.
                 for m in out.derived() {
-                    match modifier::set_field(m.frame.bytes(), field, &v) {
-                        Ok(b) => m.frame = Frame::new(b),
+                    match modifier::set_field(&m.frame, field, &v) {
+                        Ok(frame) => m.frame = frame,
                         Err(e) => self.log_error(now_ns, rule, e.to_string()),
                     }
                 }

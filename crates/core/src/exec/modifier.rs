@@ -1,8 +1,9 @@
-//! Payload field modification (`MODIFYMESSAGE`): decode → set field →
-//! re-encode, preserving the transaction id.
+//! Payload field modification (`MODIFYMESSAGE`): set a field on a copy
+//! of the frame's decoded message and re-encode it, preserving the
+//! transaction id.
 
 use crate::lang::Value;
-use attain_openflow::{Match, OfMessage, PortNo, Wildcards};
+use attain_openflow::{Frame, Match, OfMessage, PortNo, Wildcards};
 
 /// Error applying a payload modification.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -89,8 +90,11 @@ fn set_match_field(m: &mut Match, field: &str, value: &Value) -> Result<(), Modi
     }
 }
 
-/// Rewrites `field` on the encoded message `bytes`, returning new bytes
-/// with the original xid.
+/// Rewrites `field` on a copy of `frame`'s message, returning a new
+/// frame with the original xid. The copy starts from the frame's
+/// memoized decode and the result carries its own, so a frame that has
+/// been parsed (or was built from a message) is not parsed again, here
+/// or at its next hop.
 ///
 /// Writable fields:
 ///
@@ -103,10 +107,10 @@ fn set_match_field(m: &mut Match, field: &str, value: &Value) -> Result<(), Modi
 ///
 /// # Errors
 ///
-/// Returns [`ModifyError`] when the bytes do not parse, the field is
+/// Returns [`ModifyError`] when the frame does not parse, the field is
 /// unknown, or the value does not fit.
-pub fn set_field(bytes: &[u8], field: &str, value: &Value) -> Result<Vec<u8>, ModifyError> {
-    let (mut msg, xid) = OfMessage::decode(bytes).map_err(|_| ModifyError::Unparseable)?;
+pub fn set_field(frame: &Frame, field: &str, value: &Value) -> Result<Frame, ModifyError> {
+    let (mut msg, xid) = frame.decoded().ok_or(ModifyError::Unparseable)?.clone();
     let (head, rest) = match field.split_once('.') {
         Some((h, r)) => (h, Some(r)),
         None => (field, None),
@@ -169,7 +173,7 @@ pub fn set_field(bytes: &[u8], field: &str, value: &Value) -> Result<Vec<u8>, Mo
         },
         _ => return Err(ModifyError::NoSuchField(field.to_string())),
     }
-    Ok(msg.encode(xid))
+    Ok(Frame::from_message(msg, xid))
 }
 
 #[cfg(test)]
@@ -177,25 +181,27 @@ mod tests {
     use super::*;
     use attain_openflow::{Action, FlowMod};
 
-    fn flow_mod_bytes() -> Vec<u8> {
-        OfMessage::FlowMod(FlowMod {
-            idle_timeout: 5,
-            ..FlowMod::add(
-                Match::all(),
-                vec![Action::Output {
-                    port: PortNo(2),
-                    max_len: 0,
-                }],
-            )
-        })
-        .encode(0x77)
+    fn flow_mod_frame() -> Frame {
+        Frame::new(
+            OfMessage::FlowMod(FlowMod {
+                idle_timeout: 5,
+                ..FlowMod::add(
+                    Match::all(),
+                    vec![Action::Output {
+                        port: PortNo(2),
+                        max_len: 0,
+                    }],
+                )
+            })
+            .encode(0x77),
+        )
     }
 
     #[test]
     fn rewrite_idle_timeout_preserves_xid() {
-        let bytes = flow_mod_bytes();
-        let out = set_field(&bytes, "idle_timeout", &Value::Int(0)).unwrap();
-        let (msg, xid) = OfMessage::decode(&out).unwrap();
+        let frame = flow_mod_frame();
+        let out = set_field(&frame, "idle_timeout", &Value::Int(0)).unwrap();
+        let (msg, xid) = OfMessage::decode(out.bytes()).unwrap();
         assert_eq!(xid, 0x77);
         let OfMessage::FlowMod(fm) = msg else {
             panic!()
@@ -205,14 +211,14 @@ mod tests {
 
     #[test]
     fn rewrite_match_nw_dst_clears_wildcard() {
-        let bytes = flow_mod_bytes();
+        let frame = flow_mod_frame();
         let out = set_field(
-            &bytes,
+            &frame,
             "match.nw_dst",
             &Value::Ip("10.0.0.9".parse().unwrap()),
         )
         .unwrap();
-        let (msg, _) = OfMessage::decode(&out).unwrap();
+        let (msg, _) = OfMessage::decode(out.bytes()).unwrap();
         let OfMessage::FlowMod(fm) = msg else {
             panic!()
         };
@@ -221,9 +227,9 @@ mod tests {
 
     #[test]
     fn clearing_actions_turns_flow_into_drop() {
-        let bytes = flow_mod_bytes();
-        let out = set_field(&bytes, "actions.clear", &Value::Bool(true)).unwrap();
-        let (msg, _) = OfMessage::decode(&out).unwrap();
+        let frame = flow_mod_frame();
+        let out = set_field(&frame, "actions.clear", &Value::Bool(true)).unwrap();
+        let (msg, _) = OfMessage::decode(out.bytes()).unwrap();
         let OfMessage::FlowMod(fm) = msg else {
             panic!()
         };
@@ -234,9 +240,9 @@ mod tests {
     fn buffer_id_none_detaches_buffer() {
         let mut fm = FlowMod::add(Match::all(), vec![]);
         fm.buffer_id = Some(42);
-        let bytes = OfMessage::FlowMod(fm).encode(1);
-        let out = set_field(&bytes, "buffer_id", &Value::None).unwrap();
-        let (msg, _) = OfMessage::decode(&out).unwrap();
+        let frame = Frame::new(OfMessage::FlowMod(fm).encode(1));
+        let out = set_field(&frame, "buffer_id", &Value::None).unwrap();
+        let (msg, _) = OfMessage::decode(out.bytes()).unwrap();
         let OfMessage::FlowMod(fm) = msg else {
             panic!()
         };
@@ -245,17 +251,17 @@ mod tests {
 
     #[test]
     fn errors_are_typed() {
-        let bytes = flow_mod_bytes();
+        let frame = flow_mod_frame();
         assert_eq!(
-            set_field(&bytes, "no_such", &Value::Int(1)).unwrap_err(),
+            set_field(&frame, "no_such", &Value::Int(1)).unwrap_err(),
             ModifyError::NoSuchField("no_such".into())
         );
         assert!(matches!(
-            set_field(&bytes, "priority", &Value::Str("hi".into())).unwrap_err(),
+            set_field(&frame, "priority", &Value::Str("hi".into())).unwrap_err(),
             ModifyError::BadValue { .. }
         ));
         assert_eq!(
-            set_field(&[1, 2, 3], "priority", &Value::Int(1)).unwrap_err(),
+            set_field(&Frame::new(vec![1, 2, 3]), "priority", &Value::Int(1)).unwrap_err(),
             ModifyError::Unparseable
         );
     }

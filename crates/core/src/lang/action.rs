@@ -113,46 +113,45 @@ pub enum AttackAction {
 }
 
 impl AttackAction {
-    /// The capabilities this action actuates (§V-D: each capability
-    /// action requires exactly its capability; deque/control actions are
-    /// free, except that storing/emitting whole messages respectively
-    /// need to read and re-send them).
-    pub(crate) fn required_capabilities(&self) -> CapabilitySet {
-        let mut caps = CapabilitySet::new();
+    /// The capability this action actuates and the expression it reads,
+    /// each if any (§V-D: each capability action requires exactly its
+    /// capability; deque/control actions are free, except that storing/
+    /// emitting whole messages respectively need to read and re-send them).
+    fn parts(&self) -> (Option<Capability>, Option<&Expr>) {
+        use Capability as C;
         match self {
-            AttackAction::Drop => caps.insert(Capability::DropMessage),
-            AttackAction::Pass => caps.insert(Capability::PassMessage),
-            AttackAction::Delay(e) => {
-                caps.insert(Capability::DelayMessage);
-                caps.extend(e.required_capabilities().iter());
-            }
-            AttackAction::Duplicate => caps.insert(Capability::DuplicateMessage),
-            AttackAction::ReadMetadata => caps.insert(Capability::ReadMessageMetadata),
-            AttackAction::ModifyMetadata { value, .. } => {
-                caps.insert(Capability::ModifyMessageMetadata);
-                caps.extend(value.required_capabilities().iter());
-            }
-            AttackAction::Fuzz { .. } => caps.insert(Capability::FuzzMessage),
-            AttackAction::Read => caps.insert(Capability::ReadMessage),
-            AttackAction::Modify { value, .. } => {
-                caps.insert(Capability::ModifyMessage);
-                caps.extend(value.required_capabilities().iter());
-            }
-            AttackAction::Inject { .. } => caps.insert(Capability::InjectNewMessage),
-            AttackAction::Prepend { value, .. } | AttackAction::Append { value, .. } => {
-                caps.extend(value.required_capabilities().iter());
-            }
-            AttackAction::Shift(_) | AttackAction::Pop(_) => {}
+            Self::Drop => (Some(C::DropMessage), None),
+            Self::Pass => (Some(C::PassMessage), None),
+            Self::Delay(e) => (Some(C::DelayMessage), Some(e)),
+            Self::Duplicate => (Some(C::DuplicateMessage), None),
+            Self::ReadMetadata => (Some(C::ReadMessageMetadata), None),
+            Self::ModifyMetadata { value, .. } => (Some(C::ModifyMessageMetadata), Some(value)),
+            Self::Fuzz { .. } => (Some(C::FuzzMessage), None),
+            Self::Read => (Some(C::ReadMessage), None),
+            Self::Modify { value, .. } => (Some(C::ModifyMessage), Some(value)),
+            Self::Inject { .. } => (Some(C::InjectNewMessage), None),
+            Self::Prepend { value, .. } | Self::Append { value, .. } => (None, Some(value)),
             // Storing a whole message is a metadata-level capture of the
             // (possibly opaque) bytes; emitting it re-sends a copy.
-            AttackAction::StoreMessage { .. } => caps.insert(Capability::ReadMessageMetadata),
-            AttackAction::EmitStored { .. } => caps.insert(Capability::PassMessage),
-            AttackAction::GoToState(_)
-            | AttackAction::Sleep(_)
-            | AttackAction::SysCmd { .. }
-            | AttackAction::Fault { .. } => {}
+            Self::StoreMessage { .. } => (Some(C::ReadMessageMetadata), None),
+            Self::EmitStored { .. } => (Some(C::PassMessage), None),
+            Self::Sleep(e) => (None, Some(e)),
+            Self::Shift(_) | Self::Pop(_) | Self::GoToState(_) => (None, None),
+            Self::SysCmd { .. } | Self::Fault { .. } => (None, None),
         }
+    }
+
+    /// The capabilities this action actuates or its expression reads.
+    pub(crate) fn required_capabilities(&self) -> CapabilitySet {
+        let (actuated, expr) = self.parts();
+        let mut caps = expr.map_or_else(CapabilitySet::new, Expr::required_capabilities);
+        caps.extend(actuated);
         caps
+    }
+
+    /// The expression this action evaluates when it fires, if any.
+    pub(crate) fn expr(&self) -> Option<&Expr> {
+        self.parts().1
     }
 
     /// Whether this is a `GOTOSTATE` (drives attack-state-graph edges).

@@ -19,6 +19,110 @@ pub enum DequeEnd {
     End,
 }
 
+/// A binary operator of the language: its symbol, how tightly it binds
+/// and what it computes. The parser, compiler, renderer, evaluator and
+/// guard extractor all read the operator from here.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum BinOp {
+    /// Logical disjunction (`∨`).
+    Or,
+    /// Logical conjunction (`∧`).
+    And,
+    /// Equality (`=`).
+    Eq,
+    /// Inequality.
+    Ne,
+    /// Numeric less-than.
+    Lt,
+    /// Numeric less-or-equal.
+    Le,
+    /// Numeric greater-than.
+    Gt,
+    /// Numeric greater-or-equal.
+    Ge,
+    /// Numeric addition (counters).
+    Add,
+    /// Numeric subtraction.
+    Sub,
+}
+
+impl BinOp {
+    /// The operator as the DSL spells it.
+    pub fn symbol(self) -> &'static str {
+        match self {
+            BinOp::Or => "||",
+            BinOp::And => "&&",
+            BinOp::Eq => "==",
+            BinOp::Ne => "!=",
+            BinOp::Lt => "<",
+            BinOp::Le => "<=",
+            BinOp::Gt => ">",
+            BinOp::Ge => ">=",
+            BinOp::Add => "+",
+            BinOp::Sub => "-",
+        }
+    }
+
+    /// How tightly the operator binds: `||` < `&&` < comparison (and
+    /// `in`) < `+ -`. Comparisons do not chain (`a == b == c` is
+    /// refused); the others associate to the left.
+    pub fn binding_power(self) -> u8 {
+        match self {
+            BinOp::Or => 1,
+            BinOp::And => 2,
+            BinOp::Eq | BinOp::Ne | BinOp::Lt | BinOp::Le | BinOp::Gt | BinOp::Ge => 3,
+            BinOp::Add | BinOp::Sub => 4,
+        }
+    }
+
+    /// The expression `a OP b`.
+    pub fn of(self, a: Expr, b: Expr) -> Expr {
+        Expr::Bin(self, Box::new(a), Box::new(b))
+    }
+
+    /// Applies the operator to two evaluated operands. (The evaluator
+    /// short-circuits `&&` and `||` before it evaluates `b`.) Integer
+    /// `+` and `-` wrap on overflow, in debug and release builds alike.
+    ///
+    /// # Errors
+    ///
+    /// [`EvalError::TypeMismatch`] when an ordering comparison meets a
+    /// non-numeric operand, or `+`/`-` a non-integer one.
+    pub fn apply(self, a: &Value, b: &Value) -> Result<Value, EvalError> {
+        let floats = || self.operands(a, b, Value::as_float);
+        let ints = || self.operands(a, b, Value::as_int);
+        Ok(match self {
+            BinOp::Or => Value::Bool(a.truthy() || b.truthy()),
+            BinOp::And => Value::Bool(a.truthy() && b.truthy()),
+            BinOp::Eq => Value::Bool(a.lang_eq(b)),
+            BinOp::Ne => Value::Bool(!a.lang_eq(b)),
+            BinOp::Lt => floats().map(|(x, y)| Value::Bool(x < y))?,
+            BinOp::Le => floats().map(|(x, y)| Value::Bool(x <= y))?,
+            BinOp::Gt => floats().map(|(x, y)| Value::Bool(x > y))?,
+            BinOp::Ge => floats().map(|(x, y)| Value::Bool(x >= y))?,
+            BinOp::Add => ints().map(|(x, y)| Value::Int(x.wrapping_add(y)))?,
+            BinOp::Sub => ints().map(|(x, y)| Value::Int(x.wrapping_sub(y)))?,
+        })
+    }
+
+    /// Both operands through `num`, or the kind of the first that is
+    /// not numeric.
+    fn operands<T>(
+        self,
+        a: &Value,
+        b: &Value,
+        num: impl Fn(&Value) -> Option<T>,
+    ) -> Result<(T, T), EvalError> {
+        match (num(a), num(b)) {
+            (Some(x), Some(y)) => Ok((x, y)),
+            (x, _) => Err(EvalError::TypeMismatch {
+                op: self.symbol(),
+                found: if x.is_none() { a.kind() } else { b.kind() },
+            }),
+        }
+    }
+}
+
 /// A conditional (or arithmetic) expression.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Expr {
@@ -37,28 +141,10 @@ pub enum Expr {
     DequeLen(String),
     /// Logical negation (`¬`).
     Not(Box<Expr>),
-    /// Logical conjunction (`∧`).
-    And(Box<Expr>, Box<Expr>),
-    /// Logical disjunction (`∨`).
-    Or(Box<Expr>, Box<Expr>),
-    /// Equality (`=`).
-    Eq(Box<Expr>, Box<Expr>),
-    /// Inequality.
-    Ne(Box<Expr>, Box<Expr>),
-    /// Numeric less-than.
-    Lt(Box<Expr>, Box<Expr>),
-    /// Numeric less-or-equal.
-    Le(Box<Expr>, Box<Expr>),
-    /// Numeric greater-than.
-    Gt(Box<Expr>, Box<Expr>),
-    /// Numeric greater-or-equal.
-    Ge(Box<Expr>, Box<Expr>),
+    /// A binary operator applied to two operands.
+    Bin(BinOp, Box<Expr>, Box<Expr>),
     /// Set membership (`∈`): value appears in the list.
     In(Box<Expr>, Vec<Expr>),
-    /// Numeric addition (counters).
-    Add(Box<Expr>, Box<Expr>),
-    /// Numeric subtraction.
-    Sub(Box<Expr>, Box<Expr>),
     /// A timing observable over the connection's arrival history (the
     /// DSL's `latency` / `inter_arrival` / `timing_*` predicates).
     /// Reads the per-connection sample ring the executor keeps for the
@@ -125,17 +211,17 @@ impl From<PropertyError> for EvalError {
 impl Expr {
     /// Convenience: `a == b` from two expressions.
     pub fn eq(a: Expr, b: Expr) -> Expr {
-        Expr::Eq(Box::new(a), Box::new(b))
+        BinOp::Eq.of(a, b)
     }
 
     /// Convenience: `a && b`.
     pub fn and(a: Expr, b: Expr) -> Expr {
-        Expr::And(Box::new(a), Box::new(b))
+        BinOp::And.of(a, b)
     }
 
     /// Convenience: `a || b`.
     pub fn or(a: Expr, b: Expr) -> Expr {
-        Expr::Or(Box::new(a), Box::new(b))
+        BinOp::Or.of(a, b)
     }
 
     /// Evaluates to a [`Value`] with no timing state attached
@@ -172,32 +258,16 @@ impl Expr {
             }),
             Expr::DequeLen(d) => Ok(Value::Int(deques.len(d) as i64)),
             Expr::Not(e) => Ok(Value::Bool(!e.eval_with(msg, deques, timing)?.truthy())),
-            Expr::And(a, b) => {
+            Expr::Bin(op, a, b) => {
+                let a = a.eval_with(msg, deques, timing)?;
                 // Short-circuit: the right side is not evaluated (and so
-                // cannot fail a capability check) when the left is false.
-                if !a.eval_with(msg, deques, timing)?.truthy() {
-                    return Ok(Value::Bool(false));
+                // cannot fail a capability check) once the left decides.
+                match op {
+                    BinOp::And if !a.truthy() => Ok(Value::Bool(false)),
+                    BinOp::Or if a.truthy() => Ok(Value::Bool(true)),
+                    _ => op.apply(&a, &b.eval_with(msg, deques, timing)?),
                 }
-                Ok(Value::Bool(b.eval_with(msg, deques, timing)?.truthy()))
             }
-            Expr::Or(a, b) => {
-                if a.eval_with(msg, deques, timing)?.truthy() {
-                    return Ok(Value::Bool(true));
-                }
-                Ok(Value::Bool(b.eval_with(msg, deques, timing)?.truthy()))
-            }
-            Expr::Eq(a, b) => Ok(Value::Bool(
-                a.eval_with(msg, deques, timing)?
-                    .lang_eq(&b.eval_with(msg, deques, timing)?),
-            )),
-            Expr::Ne(a, b) => Ok(Value::Bool(
-                !a.eval_with(msg, deques, timing)?
-                    .lang_eq(&b.eval_with(msg, deques, timing)?),
-            )),
-            Expr::Lt(a, b) => Self::numeric_cmp("<", a, b, msg, deques, timing, |x, y| x < y),
-            Expr::Le(a, b) => Self::numeric_cmp("<=", a, b, msg, deques, timing, |x, y| x <= y),
-            Expr::Gt(a, b) => Self::numeric_cmp(">", a, b, msg, deques, timing, |x, y| x > y),
-            Expr::Ge(a, b) => Self::numeric_cmp(">=", a, b, msg, deques, timing, |x, y| x >= y),
             Expr::In(needle, haystack) => {
                 let n = needle.eval_with(msg, deques, timing)?;
                 for h in haystack {
@@ -207,8 +277,6 @@ impl Expr {
                 }
                 Ok(Value::Bool(false))
             }
-            Expr::Add(a, b) => Self::numeric_bin("+", a, b, msg, deques, timing, |x, y| x + y),
-            Expr::Sub(a, b) => Self::numeric_bin("-", a, b, msg, deques, timing, |x, y| x - y),
             Expr::Timing {
                 req,
                 resp,
@@ -219,67 +287,23 @@ impl Expr {
         }
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn numeric_cmp(
-        op: &'static str,
-        a: &Expr,
-        b: &Expr,
-        msg: &MessageView<'_>,
-        deques: &DequeStore,
-        timing: TimingCtx<'_>,
-        f: impl Fn(f64, f64) -> bool,
-    ) -> Result<Value, EvalError> {
-        let av = a.eval_with(msg, deques, timing)?;
-        let bv = b.eval_with(msg, deques, timing)?;
-        let (Some(x), Some(y)) = (av.as_float(), bv.as_float()) else {
-            return Err(EvalError::TypeMismatch {
-                op,
-                found: if av.as_float().is_none() {
-                    av.kind()
-                } else {
-                    bv.kind()
-                },
-            });
-        };
-        Ok(Value::Bool(f(x, y)))
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn numeric_bin(
-        op: &'static str,
-        a: &Expr,
-        b: &Expr,
-        msg: &MessageView<'_>,
-        deques: &DequeStore,
-        timing: TimingCtx<'_>,
-        f: impl Fn(i64, i64) -> i64,
-    ) -> Result<Value, EvalError> {
-        let av = a.eval_with(msg, deques, timing)?;
-        let bv = b.eval_with(msg, deques, timing)?;
-        let (Some(x), Some(y)) = (av.as_int(), bv.as_int()) else {
-            return Err(EvalError::TypeMismatch {
-                op,
-                found: if av.as_int().is_none() {
-                    av.kind()
-                } else {
-                    bv.kind()
-                },
-            });
-        };
-        Ok(Value::Int(f(x, y)))
-    }
-
     /// The capabilities this expression may need at runtime (used for
     /// compile-time validation against a rule's `γ`).
     pub fn required_capabilities(&self) -> CapabilitySet {
         let mut caps = CapabilitySet::new();
-        self.collect_caps(&mut caps);
+        self.for_each(&mut |e| match e {
+            Expr::Prop(p) => caps.insert(p.required_capability()),
+            // Timing samples are keyed by decoded message type — a
+            // payload-level observation.
+            Expr::Timing { .. } => caps.insert(crate::model::Capability::ReadMessage),
+            _ => {}
+        });
         caps
     }
 
-    /// Calls `f` on this expression and every sub-expression (used by
-    /// [`TimingPlan`](crate::lang::timing::TimingPlan) to discover the
-    /// pairs an attack observes).
+    /// Calls `f` on this expression and every sub-expression (capability
+    /// inference, and [`TimingPlan`](crate::lang::timing::TimingPlan)'s
+    /// discovery of the pairs an attack observes).
     pub(crate) fn for_each(&self, f: &mut impl FnMut(&Expr)) {
         f(self);
         match self {
@@ -290,16 +314,7 @@ impl Expr {
             | Expr::Timing { .. }
             | Expr::ElapsedInState => {}
             Expr::Not(e) => e.for_each(f),
-            Expr::And(a, b)
-            | Expr::Or(a, b)
-            | Expr::Eq(a, b)
-            | Expr::Ne(a, b)
-            | Expr::Lt(a, b)
-            | Expr::Le(a, b)
-            | Expr::Gt(a, b)
-            | Expr::Ge(a, b)
-            | Expr::Add(a, b)
-            | Expr::Sub(a, b) => {
+            Expr::Bin(_, a, b) => {
                 a.for_each(f);
                 b.for_each(f);
             }
@@ -307,37 +322,6 @@ impl Expr {
                 n.for_each(f);
                 for h in hs {
                     h.for_each(f);
-                }
-            }
-        }
-    }
-
-    fn collect_caps(&self, caps: &mut CapabilitySet) {
-        match self {
-            Expr::Lit(_) | Expr::DequeRead { .. } | Expr::DequeLen(_) => {}
-            Expr::Prop(p) => caps.insert(p.required_capability()),
-            // Timing samples are keyed by decoded message type — a
-            // payload-level observation.
-            Expr::Timing { .. } => caps.insert(crate::model::Capability::ReadMessage),
-            Expr::ElapsedInState => {}
-            Expr::Not(e) => e.collect_caps(caps),
-            Expr::And(a, b)
-            | Expr::Or(a, b)
-            | Expr::Eq(a, b)
-            | Expr::Ne(a, b)
-            | Expr::Lt(a, b)
-            | Expr::Le(a, b)
-            | Expr::Gt(a, b)
-            | Expr::Ge(a, b)
-            | Expr::Add(a, b)
-            | Expr::Sub(a, b) => {
-                a.collect_caps(caps);
-                b.collect_caps(caps);
-            }
-            Expr::In(n, hs) => {
-                n.collect_caps(caps);
-                for h in hs {
-                    h.collect_caps(caps);
                 }
             }
         }
@@ -425,10 +409,7 @@ mod tests {
         // length > 10_000 ∧ type == FLOW_MOD: left side false, right side
         // never evaluated, so no capability error.
         let cond = Expr::and(
-            Expr::Gt(
-                Box::new(Expr::Prop(Property::Length)),
-                Box::new(Expr::Lit(Value::Int(10_000))),
-            ),
+            BinOp::Gt.of(Expr::Prop(Property::Length), Expr::Lit(Value::Int(10_000))),
             Expr::eq(
                 Expr::Prop(Property::Type),
                 Expr::Lit(Value::MsgType(OfType::FlowMod)),
@@ -441,10 +422,7 @@ mod tests {
                 Expr::Prop(Property::Type),
                 Expr::Lit(Value::MsgType(OfType::FlowMod)),
             ),
-            Expr::Gt(
-                Box::new(Expr::Prop(Property::Length)),
-                Box::new(Expr::Lit(Value::Int(10_000))),
-            ),
+            BinOp::Gt.of(Expr::Prop(Property::Length), Expr::Lit(Value::Int(10_000))),
         );
         assert!(cond.eval(&v, &d).is_err());
     }
@@ -466,16 +444,25 @@ mod tests {
         assert_eq!(cond.eval(&v, &d).unwrap(), Value::Bool(true));
         // EXAMINEFRONT(counter) + 1 == 4
         let cond = Expr::eq(
-            Expr::Add(
-                Box::new(Expr::DequeRead {
+            BinOp::Add.of(
+                Expr::DequeRead {
                     deque: "counter".into(),
                     end: DequeEnd::Front,
-                }),
-                Box::new(Expr::Lit(Value::Int(1))),
+                },
+                Expr::Lit(Value::Int(1)),
             ),
             Expr::Lit(Value::Int(4)),
         );
         assert_eq!(cond.eval(&v, &d).unwrap(), Value::Bool(true));
+    }
+
+    #[test]
+    fn counter_arithmetic_wraps_in_every_build() {
+        // A hostile literal must not panic a debug build's executor.
+        let max = Value::Int(i64::MAX);
+        let one = Value::Int(1);
+        assert_eq!(BinOp::Add.apply(&max, &one), Ok(Value::Int(i64::MIN)));
+        assert_eq!(BinOp::Sub.apply(&Value::Int(i64::MIN), &one), Ok(max));
     }
 
     #[test]
@@ -502,10 +489,7 @@ mod tests {
         let frame = make_msg();
         let v = view(&frame);
         let d = DequeStore::new();
-        let cond = Expr::Lt(
-            Box::new(Expr::Lit(Value::Str("a".into()))),
-            Box::new(Expr::Lit(Value::Int(1))),
-        );
+        let cond = BinOp::Lt.of(Expr::Lit(Value::Str("a".into())), Expr::Lit(Value::Int(1)));
         assert!(matches!(
             cond.eval(&v, &d),
             Err(EvalError::TypeMismatch { op: "<", .. })

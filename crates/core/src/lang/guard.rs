@@ -21,7 +21,7 @@
 //! property-vs-property comparisons — yields no guard and the rule is
 //! evaluated on every message it is scoped to (the *residual* set).
 
-use crate::lang::conditional::Expr;
+use crate::lang::conditional::{BinOp, Expr};
 use crate::lang::property::Property;
 use crate::lang::value::Value;
 use attain_openflow::{MacAddr, OfType};
@@ -128,7 +128,7 @@ pub fn anchor_guard(condition: &Expr) -> Option<Guard> {
     let mut stack: Vec<&Expr> = vec![condition];
     while let Some(e) = stack.pop() {
         match e {
-            Expr::And(a, b) => {
+            Expr::Bin(BinOp::And, a, b) => {
                 stack.push(b);
                 stack.push(a);
             }
@@ -144,7 +144,7 @@ pub fn anchor_guard(condition: &Expr) -> Option<Guard> {
 /// Classifies a single conjunct as a guard, if it has an indexable shape.
 fn classify(e: &Expr) -> Option<Guard> {
     match e {
-        Expr::Eq(a, b) => {
+        Expr::Bin(BinOp::Eq, a, b) => {
             let (prop, value) = prop_and_lit(a, b)?;
             literal_is_indexable(value).then(|| Guard::Eq {
                 prop: prop.clone(),
@@ -155,23 +155,40 @@ fn classify(e: &Expr) -> Option<Guard> {
             let Expr::Prop(prop) = needle.as_ref() else {
                 return None;
             };
-            let mut values = Vec::with_capacity(haystack.len());
-            for item in haystack {
-                let Expr::Lit(v) = item else { return None };
-                if !literal_is_indexable(v) {
-                    return None;
-                }
-                values.push(v.clone());
-            }
+            let values = haystack
+                .iter()
+                .map(|item| match item {
+                    Expr::Lit(v) if literal_is_indexable(v) => Some(v.clone()),
+                    _ => None,
+                })
+                .collect::<Option<Vec<_>>>()?;
             Some(Guard::In {
                 prop: prop.clone(),
                 values,
             })
         }
-        Expr::Lt(a, b) => cmp_guard(a, b, CmpOp::Lt, CmpOp::Gt),
-        Expr::Le(a, b) => cmp_guard(a, b, CmpOp::Le, CmpOp::Ge),
-        Expr::Gt(a, b) => cmp_guard(a, b, CmpOp::Gt, CmpOp::Lt),
-        Expr::Ge(a, b) => cmp_guard(a, b, CmpOp::Ge, CmpOp::Le),
+        Expr::Bin(op, a, b) => {
+            // The second is the mirror for a literal on the left:
+            // `lit < prop` ⇒ `prop > lit`.
+            let (direct, mirrored) = match op {
+                BinOp::Lt => (CmpOp::Lt, CmpOp::Gt),
+                BinOp::Le => (CmpOp::Le, CmpOp::Ge),
+                BinOp::Gt => (CmpOp::Gt, CmpOp::Lt),
+                BinOp::Ge => (CmpOp::Ge, CmpOp::Le),
+                _ => return None,
+            };
+            let (prop, value, op) = match (a.as_ref(), b.as_ref()) {
+                (Expr::Prop(p), Expr::Lit(v)) => (p, v, direct),
+                (Expr::Lit(v), Expr::Prop(p)) => (p, v, mirrored),
+                _ => return None,
+            };
+            let threshold = value.as_float().filter(|x| x.is_finite())?;
+            property_is_numeric_infallible(prop).then(|| Guard::Cmp {
+                prop: prop.clone(),
+                op,
+                threshold,
+            })
+        }
         _ => None,
     }
 }
@@ -182,25 +199,6 @@ fn prop_and_lit<'a>(a: &'a Expr, b: &'a Expr) -> Option<(&'a Property, &'a Value
         (Expr::Prop(p), Expr::Lit(v)) | (Expr::Lit(v), Expr::Prop(p)) => Some((p, v)),
         _ => None,
     }
-}
-
-/// Builds a comparison guard from `a OP b`, flipping the operator when
-/// the literal is on the left (`lit < prop` ⇒ `prop > lit`).
-fn cmp_guard(a: &Expr, b: &Expr, direct: CmpOp, flipped: CmpOp) -> Option<Guard> {
-    let (prop, value, op) = match (a, b) {
-        (Expr::Prop(p), Expr::Lit(v)) => (p, v, direct),
-        (Expr::Lit(v), Expr::Prop(p)) => (p, v, flipped),
-        _ => return None,
-    };
-    if !property_is_numeric_infallible(prop) {
-        return None;
-    }
-    let threshold = value.as_float().filter(|x| x.is_finite())?;
-    Some(Guard::Cmp {
-        prop: prop.clone(),
-        op,
-        threshold,
-    })
 }
 
 /// A hashable key whose equality coincides exactly with the language's
@@ -324,10 +322,7 @@ mod tests {
             })
         );
         // 10 < length ⇒ length > 10.
-        let cond = Expr::Lt(
-            Box::new(Expr::Lit(Value::Int(10))),
-            Box::new(Expr::Prop(Property::Length)),
-        );
+        let cond = BinOp::Lt.of(Expr::Lit(Value::Int(10)), Expr::Prop(Property::Length));
         assert_eq!(
             anchor_guard(&cond),
             Some(Guard::Cmp {
@@ -363,16 +358,13 @@ mod tests {
     #[test]
     fn comparisons_index_only_infallible_numeric_properties() {
         // msg["priority"] can fail (unparseable, missing field): residual.
-        let cond = Expr::Gt(
-            Box::new(Expr::Prop(Property::TypeOption("priority".into()))),
-            Box::new(Expr::Lit(Value::Int(3))),
+        let cond = BinOp::Gt.of(
+            Expr::Prop(Property::TypeOption("priority".into())),
+            Expr::Lit(Value::Int(3)),
         );
         assert_eq!(anchor_guard(&cond), None);
         // Entropy is infallible and numeric: indexed.
-        let cond = Expr::Le(
-            Box::new(Expr::Prop(Property::Entropy)),
-            Box::new(Expr::Lit(Value::Float(0.25))),
-        );
+        let cond = BinOp::Le.of(Expr::Prop(Property::Entropy), Expr::Lit(Value::Float(0.25)));
         assert_eq!(
             anchor_guard(&cond),
             Some(Guard::Cmp {
@@ -388,15 +380,9 @@ mod tests {
         for cond in [
             Expr::or(type_eq(), type_eq()),
             Expr::Not(Box::new(type_eq())),
-            Expr::Ne(
-                Box::new(Expr::Prop(Property::Length)),
-                Box::new(Expr::Lit(Value::Int(1))),
-            ),
+            BinOp::Ne.of(Expr::Prop(Property::Length), Expr::Lit(Value::Int(1))),
             Expr::eq(
-                Expr::Add(
-                    Box::new(Expr::Prop(Property::Id)),
-                    Box::new(Expr::Lit(Value::Int(1))),
-                ),
+                BinOp::Add.of(Expr::Prop(Property::Id), Expr::Lit(Value::Int(1))),
                 Expr::Lit(Value::Int(2)),
             ),
             Expr::eq(
@@ -415,9 +401,9 @@ mod tests {
             Expr::Lit(Value::Float(f64::NAN)),
         );
         assert_eq!(anchor_guard(&cond), None);
-        let cond = Expr::Gt(
-            Box::new(Expr::Prop(Property::Entropy)),
-            Box::new(Expr::Lit(Value::Float(f64::INFINITY))),
+        let cond = BinOp::Gt.of(
+            Expr::Prop(Property::Entropy),
+            Expr::Lit(Value::Float(f64::INFINITY)),
         );
         assert_eq!(anchor_guard(&cond), None);
     }

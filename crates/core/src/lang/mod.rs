@@ -20,7 +20,7 @@ mod timing;
 mod value;
 
 pub use action::AttackAction;
-pub use conditional::{DequeEnd, EvalError, Expr};
+pub use conditional::{BinOp, DequeEnd, EvalError, Expr};
 pub use deque::DequeStore;
 pub use graph::{AttackStateGraph, GraphEdge};
 pub use guard::{anchor_guard, property_read_is_fallible, CmpOp, Guard, ValueKey};

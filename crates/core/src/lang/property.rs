@@ -52,19 +52,36 @@ impl Property {
             Property::Type | Property::TypeOption(_) => Capability::ReadMessage,
         }
     }
+
+    /// The property `msg.NAME` reads: every property but
+    /// [`Property::TypeOption`], by the name `Display` gives it.
+    pub(crate) fn named(name: &str) -> Option<Property> {
+        use Property::*;
+        [Source, Destination, Timestamp, Length, Type, Id, Entropy]
+            .into_iter()
+            .find(|p| p.name() == name)
+    }
+
+    /// The `NAME` of `msg.NAME`, or a type option's path.
+    fn name(&self) -> &str {
+        match self {
+            Property::Source => "source",
+            Property::Destination => "destination",
+            Property::Timestamp => "timestamp",
+            Property::Length => "length",
+            Property::Type => "type",
+            Property::Id => "id",
+            Property::Entropy => "entropy",
+            Property::TypeOption(path) => path,
+        }
+    }
 }
 
 impl fmt::Display for Property {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            Property::Source => write!(f, "msg.source"),
-            Property::Destination => write!(f, "msg.destination"),
-            Property::Timestamp => write!(f, "msg.timestamp"),
-            Property::Length => write!(f, "msg.length"),
-            Property::Type => write!(f, "msg.type"),
-            Property::Id => write!(f, "msg.id"),
             Property::TypeOption(path) => write!(f, "msg[{path:?}]"),
-            Property::Entropy => write!(f, "msg.entropy"),
+            named => write!(f, "msg.{}", named.name()),
         }
     }
 }

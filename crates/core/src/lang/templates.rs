@@ -6,7 +6,9 @@
 //! attack model granting `Γ_NoTLS` on the named connections, and can be
 //! rendered, inspected, or executed like a hand-written one.
 
-use crate::lang::{Attack, AttackAction, AttackState, DequeEnd, Expr, Property, Rule, Value};
+use crate::lang::{
+    Attack, AttackAction, AttackState, BinOp, DequeEnd, Expr, Property, Rule, Value,
+};
 use crate::model::{CapabilitySet, ConnectionId};
 use attain_openflow::OfType;
 
@@ -49,14 +51,11 @@ pub fn after_count(
                 name: "count".into(),
                 connections: connections.clone(),
                 required: CapabilitySet::no_tls(),
-                condition: Expr::and(
-                    type_is(t),
-                    Expr::Lt(Box::new(front()), Box::new(Expr::Lit(Value::Int(n)))),
-                ),
+                condition: Expr::and(type_is(t), BinOp::Lt.of(front(), Expr::Lit(Value::Int(n)))),
                 actions: vec![
                     AttackAction::Prepend {
                         deque: counter.clone(),
-                        value: Expr::Add(Box::new(front()), Box::new(Expr::Lit(Value::Int(1)))),
+                        value: BinOp::Add.of(front(), Expr::Lit(Value::Int(1))),
                     },
                     AttackAction::Pop(counter.clone()),
                     AttackAction::Pass,
@@ -112,10 +111,7 @@ pub fn suppress_type_with_probability(t: OfType, p: f64, connections: Vec<Connec
                 required: CapabilitySet::no_tls(),
                 condition: Expr::and(
                     type_is(t),
-                    Expr::Lt(
-                        Box::new(Expr::Prop(Property::Entropy)),
-                        Box::new(Expr::Lit(Value::Float(p))),
-                    ),
+                    BinOp::Lt.of(Expr::Prop(Property::Entropy), Expr::Lit(Value::Float(p))),
                 ),
                 actions: vec![AttackAction::Drop],
             }],

@@ -251,15 +251,8 @@ impl TimingPlan {
         for state in attack.states() {
             for rule in &state.rules {
                 rule.condition.for_each(&mut visit);
-                for action in &rule.actions {
-                    match action {
-                        AttackAction::Delay(e) | AttackAction::Sleep(e) => e.for_each(&mut visit),
-                        AttackAction::ModifyMetadata { value, .. }
-                        | AttackAction::Modify { value, .. }
-                        | AttackAction::Prepend { value, .. }
-                        | AttackAction::Append { value, .. } => value.for_each(&mut visit),
-                        _ => {}
-                    }
+                for e in rule.actions.iter().filter_map(AttackAction::expr) {
+                    e.for_each(&mut visit);
                 }
             }
         }
@@ -373,6 +366,7 @@ impl TimingStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::lang::conditional::BinOp;
     use crate::lang::state::AttackState;
     use crate::lang::Rule;
     use crate::model::CapabilitySet;
@@ -381,14 +375,14 @@ mod tests {
         let condition = pairs.iter().fold(Expr::always(), |acc, &(req, resp, w)| {
             Expr::and(
                 acc,
-                Expr::Gt(
-                    Box::new(Expr::Timing {
+                BinOp::Gt.of(
+                    Expr::Timing {
                         req,
                         resp,
                         stat: TimingStat::Mean,
                         window: w,
-                    }),
-                    Box::new(Expr::Lit(Value::Int(0))),
+                    },
+                    Expr::Lit(Value::Int(0)),
                 ),
             )
         });

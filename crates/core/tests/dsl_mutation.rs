@@ -1,10 +1,12 @@
 //! The DSL front end against hostile text: every shipped `.atk` file,
 //! mutated by a seeded stream of character edits, goes through
 //! `compile_document`, `compile_all` (against the enterprise scenario)
-//! and `render` of whatever compiles. Arbitrary bytes go the same way
-//! after `String::from_utf8_lossy`. A mutant may be refused with a
+//! and `render` of whatever compiles, and each rendering compiles back
+//! to the attack it came from. Arbitrary bytes go the same way after
+//! `String::from_utf8_lossy`. A mutant may be refused with a
 //! `DslError`; nothing may panic.
 
+use attain_core::lang::Attack;
 use attain_core::model::{AttackModel, SystemModel};
 use attain_core::{dsl, scenario};
 use std::collections::BTreeSet;
@@ -72,19 +74,33 @@ fn mutate(source: &str, alphabet: &[char], rng: &mut Rng) -> String {
 }
 
 /// Runs `text` through every front-end entry point, rendering whatever
-/// compiles, and fails the test naming `origin` and the text on a panic.
-/// Returns how many attacks rendered.
+/// compiles and compiling each rendering back against the same system
+/// and attack model, which must give an equal attack. Fails the test
+/// naming `origin` and the text on a panic. Returns how many attacks
+/// rendered.
 fn front_end(text: &str, system: &SystemModel, model: &AttackModel, origin: &str) -> usize {
     let run = catch_unwind(AssertUnwindSafe(|| {
         let mut rendered = 0;
+        let mut round_trip = |attack: &Attack, system: &SystemModel, model: &AttackModel| {
+            let Ok(text) = dsl::render(attack, system) else {
+                return;
+            };
+            let back = dsl::compile(&text, system, model)
+                .unwrap_or_else(|e| panic!("the rendering does not compile: {e}\n{text}"));
+            assert_eq!(
+                &back.attack, attack,
+                "the rendering compiles to another attack\n{text}"
+            );
+            rendered += 1;
+        };
         if let Ok(doc) = dsl::compile_document(text) {
             for a in &doc.attacks {
-                rendered += usize::from(dsl::render(&a.attack, &doc.system).is_ok());
+                round_trip(&a.attack, &doc.system, &doc.attack_model);
             }
         }
         if let Ok(attacks) = dsl::compile_all(text, system, model) {
             for a in &attacks {
-                rendered += usize::from(dsl::render(&a.attack, system).is_ok());
+                round_trip(&a.attack, system, model);
             }
         }
         rendered

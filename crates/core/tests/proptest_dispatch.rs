@@ -13,7 +13,7 @@
 //! rules, and `GOTOSTATE` transitions mid-stream.
 
 use attain_core::exec::{AttackExecutor, DispatchMode, ExecOutput, InjectorInput, LogEvent};
-use attain_core::lang::{Attack, AttackAction, AttackState, Expr, Property, Rule, Value};
+use attain_core::lang::{Attack, AttackAction, AttackState, BinOp, Expr, Property, Rule, Value};
 use attain_core::model::{AttackModel, CapabilitySet, ConnectionId, SystemModel};
 use attain_openflow::{FlowMod, Frame, Match, OfMessage, OfType};
 use proptest::prelude::*;
@@ -60,24 +60,19 @@ fn arb_condition() -> impl Strategy<Value = Expr> {
         )),
         // Indexable interval comparisons (both bound directions and a
         // flipped literal-on-the-left form).
-        (0i64..64)
-            .prop_map(|n| Expr::Lt(Box::new(Expr::Prop(Property::Length)), Box::new(lit_int(n)))),
-        (0i64..64)
-            .prop_map(|n| Expr::Ge(Box::new(Expr::Prop(Property::Length)), Box::new(lit_int(n)))),
-        (0u32..100).prop_map(|p| Expr::Gt(
-            Box::new(lit_int(p as i64)),
-            Box::new(Expr::Prop(Property::Length)),
-        )),
-        (0u32..100).prop_map(|p| Expr::Gt(
-            Box::new(Expr::Prop(Property::Entropy)),
-            Box::new(Expr::Lit(Value::Float(p as f64 / 100.0))),
+        (0i64..64).prop_map(|n| BinOp::Lt.of(Expr::Prop(Property::Length), lit_int(n))),
+        (0i64..64).prop_map(|n| BinOp::Ge.of(Expr::Prop(Property::Length), lit_int(n))),
+        (0u32..100).prop_map(|p| BinOp::Gt.of(lit_int(p as i64), Expr::Prop(Property::Length))),
+        (0u32..100).prop_map(|p| BinOp::Gt.of(
+            Expr::Prop(Property::Entropy),
+            Expr::Lit(Value::Float(p as f64 / 100.0))
         )),
         // Partially indexable: indexed anchor, residual tail.
         (arb_type(), 0u32..100).prop_map(|(t, p)| Expr::and(
             type_eq(t),
-            Expr::Gt(
-                Box::new(Expr::Prop(Property::Entropy)),
-                Box::new(Expr::Lit(Value::Float(p as f64 / 100.0))),
+            BinOp::Gt.of(
+                Expr::Prop(Property::Entropy),
+                Expr::Lit(Value::Float(p as f64 / 100.0))
             ),
         )),
         // Error-producing, anchored on a fallible property: fails with
@@ -88,17 +83,13 @@ fn arb_condition() -> impl Strategy<Value = Expr> {
         )),
         // Residual: disjunction, deque read, arithmetic.
         (arb_type(), arb_type()).prop_map(|(a, b)| Expr::or(type_eq(a), type_eq(b))),
-        (0i64..4)
-            .prop_map(|n| Expr::Gt(Box::new(Expr::DequeLen("d".into())), Box::new(lit_int(n)))),
+        (0i64..4).prop_map(|n| BinOp::Gt.of(Expr::DequeLen("d".into()), lit_int(n))),
         (0i64..40).prop_map(|n| Expr::eq(
-            Expr::Add(Box::new(Expr::Prop(Property::Id)), Box::new(lit_int(1))),
+            BinOp::Add.of(Expr::Prop(Property::Id), lit_int(1)),
             lit_int(n),
         )),
         // Residual that always errors: an address has no numeric order.
-        Just(Expr::Lt(
-            Box::new(Expr::Prop(Property::Source)),
-            Box::new(lit_int(0))
-        )),
+        Just(BinOp::Lt.of(Expr::Prop(Property::Source), lit_int(0))),
         // Trivial (no anchor) and never-firing (falsy literal anchor).
         Just(Expr::always()),
         arb_type().prop_map(|t| Expr::and(Expr::Lit(Value::Bool(false)), type_eq(t))),

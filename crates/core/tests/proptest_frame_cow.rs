@@ -1,7 +1,8 @@
-//! Copy-on-write mutation equivalence: rewriting a field through a
-//! shared [`Frame`] (the executor's `MODIFYMESSAGE` path) must produce
-//! exactly the bytes the pre-`Frame` pipeline produced by mutating an
-//! owned `Vec<u8>`, and must never disturb the original frame — other
+//! Copy-on-write mutation equivalence: rewriting a field of a shared
+//! [`Frame`] built from a message (the executor's `MODIFYMESSAGE` path,
+//! which edits a copy of the memoized decode) must produce exactly the
+//! bytes that rewriting a frame of the same raw bytes produces after
+//! parsing them, and must never disturb the original frame — other
 //! holders of the same allocation keep seeing the unmodified message.
 
 use attain_core::exec::set_field;
@@ -22,7 +23,8 @@ fn arb_flow_mod_edit() -> impl Strategy<Value = (&'static str, i64)> {
 }
 
 proptest! {
-    /// FLOW_MOD: `Frame` COW mutation ≡ the old owned-`Vec<u8>` path.
+    /// FLOW_MOD: rewriting the memoized message ≡ rewriting the parsed
+    /// bytes.
     #[test]
     fn flow_mod_cow_matches_owned_mutation(
         xid in any::<u32>(),
@@ -34,17 +36,15 @@ proptest! {
         let msg = OfMessage::FlowMod(fm);
         let value = Value::Int(value);
 
-        // Old path: mutate owned bytes directly.
-        let old = set_field(&msg.encode(xid), field, &value).expect("writable field");
+        // Raw path: the bytes alone, parsed by the rewrite.
+        let raw = set_field(&Frame::new(msg.encode(xid)), field, &value).expect("writable field");
 
-        // Frame path: share the encoding, then copy-on-write.
+        // Memoized path: share the encoding, then copy-on-write.
         let original = Frame::from_message(msg.clone(), xid);
         let holder = original.clone(); // another component keeps a handle
-        let mutated = Frame::new(
-            set_field(original.bytes(), field, &value).expect("writable field"),
-        );
+        let mutated = set_field(&original, field, &value).expect("writable field");
 
-        prop_assert_eq!(mutated.bytes(), old.as_slice());
+        prop_assert_eq!(mutated.bytes(), raw.bytes());
         // The mutation went to a fresh allocation; every other holder of
         // the original frame still sees the untouched message.
         prop_assert_eq!(holder.bytes(), msg.encode(xid).as_slice());
@@ -54,7 +54,7 @@ proptest! {
         let (new_msg, new_xid) = mutated.decoded().expect("mutated frame decodes").clone();
         prop_assert_eq!(new_xid, xid);
         prop_assert_eq!(
-            OfMessage::decode(&old).expect("old path decodes").0,
+            OfMessage::decode(raw.bytes()).expect("raw path decodes").0,
             new_msg
         );
     }
@@ -76,13 +76,11 @@ proptest! {
         });
         let value = Value::Int(in_port);
 
-        let old = set_field(&msg.encode(xid), "in_port", &value).expect("writable");
+        let raw = set_field(&Frame::new(msg.encode(xid)), "in_port", &value).expect("writable");
         let original = Frame::from_message(msg.clone(), xid);
-        let mutated = Frame::new(
-            set_field(original.bytes(), "in_port", &value).expect("writable"),
-        );
+        let mutated = set_field(&original, "in_port", &value).expect("writable");
 
-        prop_assert_eq!(mutated.bytes(), old.as_slice());
+        prop_assert_eq!(mutated.bytes(), raw.bytes());
         prop_assert_eq!(original.message(), Some(&msg));
         let got = mutated.message().expect("decodes");
         let OfMessage::PacketIn(pi) = got else { panic!("still a PACKET_IN") };

@@ -3,7 +3,7 @@
 //! executor fuzz-safety.
 
 use attain_core::exec::{AttackExecutor, InjectorInput};
-use attain_core::lang::{DequeStore, Expr, MessageView, Property, Value};
+use attain_core::lang::{BinOp, DequeStore, Expr, MessageView, Property, Value};
 use attain_core::model::{
     AttackModel, CapabilitySet, ConnectionId, ControllerId, NodeRef, SwitchId, SystemModel,
 };
@@ -85,10 +85,8 @@ proptest! {
 fn arb_bool_expr() -> impl Strategy<Value = Expr> {
     let leaf = prop_oneof![
         any::<bool>().prop_map(|b| Expr::Lit(Value::Bool(b))),
-        (0i64..64).prop_map(|n| Expr::Gt(
-            Box::new(Expr::Prop(Property::Length)),
-            Box::new(Expr::Lit(Value::Int(n))),
-        )),
+        (0i64..64)
+            .prop_map(|n| BinOp::Gt.of(Expr::Prop(Property::Length), Expr::Lit(Value::Int(n)))),
         (0i64..200).prop_map(|n| Expr::eq(Expr::Prop(Property::Id), Expr::Lit(Value::Int(n)),)),
     ];
     leaf.prop_recursive(3, 24, 2, |inner| {

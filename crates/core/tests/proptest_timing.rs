@@ -15,7 +15,7 @@
 
 use attain_core::exec::{AttackExecutor, DispatchMode, ExecOutput, InjectorInput, LogEvent};
 use attain_core::lang::{
-    Attack, AttackAction, AttackState, Expr, Property, Rule, TimingStat, Value,
+    Attack, AttackAction, AttackState, BinOp, Expr, Property, Rule, TimingStat, Value,
 };
 use attain_core::model::{AttackModel, CapabilitySet, ConnectionId, SystemModel};
 use attain_openflow::{Frame, OfMessage, OfType, PacketIn, PacketInReason, PortNo};
@@ -83,28 +83,19 @@ fn arb_condition() -> impl Strategy<Value = Expr> {
             1u32..9,
             threshold.clone()
         )
-            .prop_map(|(req, resp, stat, w, t)| Expr::Gt(
-                Box::new(timing(req, resp, stat, w)),
-                Box::new(lit_int(t)),
-            )),
+            .prop_map(
+                |(req, resp, stat, w, t)| BinOp::Gt.of(timing(req, resp, stat, w), lit_int(t))
+            ),
         // Count-guarded read: short-circuit keeps it infallible.
         (arb_type(), arb_type(), 1u32..9, 0i64..4, threshold.clone()).prop_map(
             |(req, resp, w, n, t)| Expr::and(
-                Expr::Ge(
-                    Box::new(timing(req, resp, TimingStat::Count, 1)),
-                    Box::new(lit_int(n)),
-                ),
-                Expr::Lt(
-                    Box::new(timing(req, resp, TimingStat::Mean, w)),
-                    Box::new(lit_int(t))
-                ),
+                BinOp::Ge.of(timing(req, resp, TimingStat::Count, 1), lit_int(n)),
+                BinOp::Lt.of(timing(req, resp, TimingStat::Mean, w), lit_int(t)),
             )
         ),
         // Inter-arrival (same-type pair) against a gap threshold.
-        (arb_type(), 1u32..5, threshold.clone()).prop_map(|(t, w, thr)| Expr::Le(
-            Box::new(timing(t, t, TimingStat::Last, w)),
-            Box::new(lit_int(thr)),
-        )),
+        (arb_type(), 1u32..5, threshold.clone())
+            .prop_map(|(t, w, thr)| BinOp::Le.of(timing(t, t, TimingStat::Last, w), lit_int(thr))),
         // Pure count comparisons: infallible, start at 0.
         (arb_type(), arb_type(), 0i64..6).prop_map(|(req, resp, n)| Expr::eq(
             timing(req, resp, TimingStat::Count, 1),
@@ -113,16 +104,15 @@ fn arb_condition() -> impl Strategy<Value = Expr> {
         // Time-in-state reads, alone and conjoined with a type anchor.
         threshold
             .clone()
-            .prop_map(|t| Expr::Gt(Box::new(Expr::ElapsedInState), Box::new(lit_int(t)),)),
+            .prop_map(|t| BinOp::Gt.of(Expr::ElapsedInState, lit_int(t))),
         (arb_type(), threshold).prop_map(|(ty, t)| Expr::and(
             type_eq(ty),
-            Expr::Ge(Box::new(Expr::ElapsedInState), Box::new(lit_int(t))),
+            BinOp::Ge.of(Expr::ElapsedInState, lit_int(t)),
         )),
         // Content-only shapes so compiled dispatch still builds real
         // anchors alongside the timing residuals.
         arb_type().prop_map(type_eq),
-        (0i64..48)
-            .prop_map(|n| Expr::Lt(Box::new(Expr::Prop(Property::Length)), Box::new(lit_int(n)))),
+        (0i64..48).prop_map(|n| BinOp::Lt.of(Expr::Prop(Property::Length), lit_int(n))),
         Just(Expr::always()),
     ]
 }

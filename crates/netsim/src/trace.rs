@@ -389,8 +389,9 @@ pub struct Trace {
     /// iteration (reports, digests) is deterministically ordered without
     /// a sort at each call site.
     counts: BTreeMap<(ConnId, Direction, Option<OfType>), u64>,
-    /// When `false`, only counters are kept (for long benchmark runs).
-    pub record_events: bool,
+    /// When `false`, only counters are kept (for long benchmark runs);
+    /// set through [`Trace::set_mode`].
+    record_events: bool,
 }
 
 impl Trace {
@@ -546,7 +547,7 @@ mod tests {
     #[test]
     fn disabling_event_recording_keeps_counters() {
         let mut t = Trace::new();
-        t.record_events = false;
+        t.set_mode(TraceMode::Counters);
         t.push(
             SimTime::ZERO,
             TraceKind::ControlMessage {
@@ -592,7 +593,7 @@ mod tests {
     #[test]
     fn counterless_digest_still_covers_counters() {
         let mut t = Trace::new();
-        t.record_events = false;
+        t.set_mode(TraceMode::Counters);
         let empty = t.digest();
         t.push(
             SimTime::ZERO,

@@ -179,7 +179,7 @@ fn main() -> ExitCode {
 mod sweep {
     use attain_core::exec::{AttackExecutor, DispatchMode};
     use attain_core::lang::AttackAction;
-    use attain_core::lang::{Attack, AttackState, Expr, Property, Rule, Value};
+    use attain_core::lang::{Attack, AttackState, BinOp, Expr, Property, Rule, Value};
     use attain_core::model::{AttackModel, CapabilitySet, ConnectionId, SystemModel};
     use attain_openflow::OfType;
     use std::time::{Duration, Instant};
@@ -215,10 +215,7 @@ mod sweep {
                 required: CapabilitySet::no_tls(),
                 condition: if all_match {
                     // length >= 0: always true, but still a real property read.
-                    Expr::Ge(
-                        Box::new(Expr::Prop(Property::Length)),
-                        Box::new(Expr::Lit(Value::Int(0))),
-                    )
+                    BinOp::Ge.of(Expr::Prop(Property::Length), Expr::Lit(Value::Int(0)))
                 } else {
                     // Matches only messages of one specific length, which the
                     // bench workload never produces (i ≠ message length).

@@ -77,3 +77,37 @@ fn dsl_snapshots_every_shipped_attack_is_a_render_fixed_point() {
     );
     check_snapshot("self_contained_demo", &canonical);
 }
+
+#[test]
+fn an_in_renders_parenthesized_only_where_the_grammar_needs_it() {
+    let sc = scenario::enterprise_network();
+    let source = r#"
+        attack membership {
+            state s {
+                rule compared on all {
+                    when (msg.type in [HELLO, FLOW_MOD]) == true
+                    do { pass(msg); }
+                }
+                rule nested on all {
+                    when (msg.type in [HELLO]) in [true, (msg.length in [8])]
+                    do { pass(msg); }
+                }
+                rule joined on all {
+                    when msg.type in [HELLO] && !(msg.length in [8])
+                    do { pass(msg); }
+                }
+            }
+        }
+    "#;
+    let canonical = canonical_fixed_point("membership", source, &sc.system, &sc.attack_model);
+    for when in [
+        "when ((msg.type in [HELLO, FLOW_MOD]) == true)",
+        "when (msg.type in [HELLO]) in [true, (msg.length in [8])]",
+        "when (msg.type in [HELLO] && !(msg.length in [8]))",
+    ] {
+        assert!(
+            canonical.contains(when),
+            "`{when}` missing from\n{canonical}"
+        );
+    }
+}

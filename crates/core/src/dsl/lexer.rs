@@ -375,10 +375,14 @@ pub(crate) fn lex(source: &str) -> Result<Vec<Token>, DslError> {
                             .parse()
                             .map_err(|_| DslError::new(line, "integer literal out of range"))?,
                     ),
+                    // Digits parse to infinity rather than fail past
+                    // `f64::MAX`, and infinity renders as no literal.
                     2 => Tok::Float(
                         format!("{}.{}", groups[0], groups[1])
-                            .parse()
-                            .map_err(|_| DslError::new(line, "bad float literal"))?,
+                            .parse::<f64>()
+                            .ok()
+                            .filter(|v| v.is_finite())
+                            .ok_or_else(|| DslError::new(line, "float literal out of range"))?,
                     ),
                     4 => {
                         let octets: Result<Vec<u8>, _> =
@@ -446,6 +450,15 @@ mod tests {
     fn three_group_numbers_are_rejected() {
         assert!(lex("1.2.3").is_err());
         assert!(lex("10.0.0.999").is_err());
+    }
+
+    #[test]
+    fn float_literal_beyond_f64_is_refused() {
+        let max = format!("1{}.0", "0".repeat(308));
+        assert_eq!(toks(&max), vec![Tok::Float(1e308), Tok::Eof]);
+        let err = lex(&format!("a\n1{}.0", "0".repeat(400))).unwrap_err();
+        assert_eq!(err.line, 2);
+        assert_eq!(err.message, "float literal out of range");
     }
 
     #[test]

@@ -163,7 +163,7 @@ pub struct NetworkBuilder {
     /// they emit it).
     next_port: Vec<u16>,
     controllers: Vec<(String, Box<dyn Controller>)>,
-    controls: Vec<(ControllerRef, NodeId, SimTime)>,
+    controls: Vec<(ControllerRef, NodeId)>,
     /// Errors from misused builder calls, reported by `try_build`.
     deferred: Vec<BuildError>,
 }
@@ -267,7 +267,7 @@ impl NetworkBuilder {
     /// Adds a control-plane connection `(controller, switch)` to `N_C`
     /// with 1 ms one-way latency.
     pub fn control(&mut self, ctrl: ControllerRef, switch: NodeId) {
-        self.controls.push((ctrl, switch, SimTime::from_millis(1)));
+        self.controls.push((ctrl, switch));
     }
 
     /// Validates the accumulated topology, returning the first problem.
@@ -312,7 +312,7 @@ impl NetworkBuilder {
                 }
             }
         }
-        for (index, &(ctrl, switch, _)) in self.controls.iter().enumerate() {
+        for (index, &(ctrl, switch)) in self.controls.iter().enumerate() {
             if ctrl.0 >= self.controllers.len() {
                 return Err(BuildError::DanglingController { index });
             }
@@ -333,17 +333,6 @@ impl NetworkBuilder {
     /// it never panics on topology mistakes.
     pub fn try_build(self) -> Result<Simulation, BuildError> {
         self.validate()?;
-
-        let host_count = self
-            .nodes
-            .iter()
-            .filter(|n| matches!(n, NodeSpec::Host { .. }))
-            .count();
-        // Topology hints for hot-map pre-sizing (capped: a MAC table
-        // only learns sources whose traffic traverses the switch, so
-        // reserving the full host count on every switch of a large
-        // fabric would be pure waste).
-        let mac_hint = host_count.min(4096);
 
         let mut names = HashMap::with_capacity(self.nodes.len());
         let mut nodes: Vec<Node> = Vec::with_capacity(self.nodes.len() + self.controllers.len());
@@ -375,7 +364,6 @@ impl NetworkBuilder {
                     if let Some((capacity, policy)) = table {
                         switch.set_table_config(capacity, policy);
                     }
-                    switch.reserve_mac_table(mac_hint);
                     nodes.push(Node::Switch(Box::new(switch)));
                 }
             }
@@ -405,7 +393,7 @@ impl NetworkBuilder {
         let ports = PortTable::new(&next_port, &links);
 
         let mut connections = Vec::with_capacity(self.controls.len());
-        for (i, (ctrl, switch, latency)) in self.controls.into_iter().enumerate() {
+        for (i, (ctrl, switch)) in self.controls.into_iter().enumerate() {
             let controller = NodeId(first_controller + ctrl.0);
             if let Node::Switch(s) = &mut nodes[switch.0] {
                 s.add_conn(ConnId(i));
@@ -413,11 +401,7 @@ impl NetworkBuilder {
             if let Node::Controller(c) = &mut nodes[controller.0] {
                 c.add_conn(ConnId(i));
             }
-            connections.push(Connection {
-                controller,
-                switch,
-                latency,
-            });
+            connections.push(Connection { controller, switch });
         }
 
         let mut sim = Simulation::assemble(nodes, links, ports, connections, names);

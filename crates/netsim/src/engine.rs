@@ -7,10 +7,10 @@
 //! schedule time, so its order is exactly that of a binary heap over the
 //! same key; the unit tests below check it against one step by step.
 //!
-//! Data-plane payloads are arena-allocated (`FrameArena`): a queued
-//! frame event carries a 4-byte [`FrameRef`] instead of the `Vec<u8>`
-//! itself, so queue records stay small and wheel cascades move index
-//! math, not packet buffers.
+//! A queue record is 96 bytes: time, `seq`, and an [`EventKind`] as wide
+//! as its widest variant, the 80-byte `HostCommand` of `Command`. A
+//! frame on the wire is a `Frame` event that owns its `Vec<u8>`, which
+//! at 40 bytes fits inside that width.
 
 use crate::command::HostCommand;
 use crate::interpose::Direction;
@@ -67,12 +67,6 @@ pub enum TimerToken {
     ArpRetry,
 }
 
-/// An opaque handle to a data-plane frame payload parked in the
-/// simulation's `FrameArena`. Stored in queued events in place of the
-/// payload itself so scheduler records stay small and flat.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct FrameRef(pub(crate) u32);
-
 /// An event payload.
 #[derive(Debug, Clone)]
 pub enum EventKind {
@@ -82,8 +76,8 @@ pub enum EventKind {
         node: NodeId,
         /// Receiving port.
         port: PortNo,
-        /// Handle to the raw Ethernet frame in the simulation's arena.
-        frame: FrameRef,
+        /// The raw Ethernet frame.
+        frame: Vec<u8>,
     },
     /// An encoded OpenFlow message enters the proxy point of a control
     /// connection (where the interposer sits).
@@ -410,66 +404,6 @@ impl fmt::Debug for EventQueue {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Frame arena
-// ---------------------------------------------------------------------------
-
-/// Slab storage for in-flight data-plane frame payloads.
-///
-/// A payload is stored exactly once when its delivery event is
-/// scheduled and taken exactly once when the event dispatches, so a
-/// frame's arena lifetime equals its time on the wire. Freed slots are
-/// recycled through a free list: at steady state the slab stops
-/// growing, queue records stay at 96 bytes regardless of frame size
-/// (time, `seq`, and an [`EventKind`] as wide as its widest variant,
-/// the 80-byte `HostCommand` of `Command`), and wheel cascades move
-/// index math, not packet buffers.
-#[derive(Debug, Default, Clone)]
-pub(crate) struct FrameArena {
-    slots: Vec<Vec<u8>>,
-    free: Vec<u32>,
-}
-
-impl FrameArena {
-    pub(crate) fn with_capacity(n: usize) -> FrameArena {
-        FrameArena {
-            slots: Vec::with_capacity(n),
-            free: Vec::with_capacity(n),
-        }
-    }
-
-    /// Parks `frame` and returns its handle.
-    pub(crate) fn store(&mut self, frame: Vec<u8>) -> FrameRef {
-        match self.free.pop() {
-            Some(i) => {
-                self.slots[i as usize] = frame;
-                FrameRef(i)
-            }
-            None => {
-                // Each slot holds a frame in flight: 2^32 of them do not fit
-                // in memory first.
-                #[allow(clippy::expect_used)]
-                let i = u32::try_from(self.slots.len()).expect("frame arena overflow");
-                self.slots.push(frame);
-                FrameRef(i)
-            }
-        }
-    }
-
-    /// Takes the payload back out, freeing the slot.
-    pub(crate) fn take(&mut self, r: FrameRef) -> Vec<u8> {
-        let buf = std::mem::take(&mut self.slots[r.0 as usize]);
-        self.free.push(r.0);
-        buf
-    }
-
-    /// Frames currently parked (stored but not yet taken).
-    #[cfg(test)]
-    pub(crate) fn live(&self) -> usize {
-        self.slots.len() - self.free.len()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -478,9 +412,9 @@ mod tests {
 
     #[test]
     fn queue_records_are_as_large_as_documented() {
-        // `FrameArena`'s docs and DESIGN.md §13 state these figures.
+        // The module docs and DESIGN.md §13 state these figures.
         // Boxing `Command` halves the record and was measured slower
-        // (ROADMAP item 2), so the size is pinned, not minimised.
+        // (ROADMAP item 3), so the size is pinned, not minimised.
         assert!(std::mem::size_of::<EventKind>() <= 80);
         assert!(std::mem::size_of::<QueuedEvent>() <= 96);
     }
@@ -672,20 +606,5 @@ mod tests {
         q.schedule(SimTime(100), EventKind::InterposerWake);
         let times: Vec<_> = std::iter::from_fn(|| q.pop().map(|(t, _)| t.0)).collect();
         assert_eq!(times, vec![100, base + 10, base + 5_000]);
-    }
-
-    #[test]
-    fn frame_arena_round_trips_and_recycles() {
-        let mut a = FrameArena::with_capacity(4);
-        let r1 = a.store(vec![1, 2, 3]);
-        let r2 = a.store(vec![4, 5]);
-        assert_eq!(a.live(), 2);
-        assert_eq!(a.take(r1), vec![1, 2, 3]);
-        assert_eq!(a.live(), 1);
-        let r3 = a.store(vec![6]); // reuses r1's slot
-        assert_eq!(r3.0, r1.0);
-        assert_eq!(a.take(r2), vec![4, 5]);
-        assert_eq!(a.take(r3), vec![6]);
-        assert_eq!(a.live(), 0);
     }
 }

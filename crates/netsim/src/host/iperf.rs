@@ -105,12 +105,6 @@ impl IperfServerApp {
         self.port
     }
 
-    /// Total bytes received across all connections.
-    #[allow(dead_code)]
-    pub(crate) fn bytes_received(&self) -> u64 {
-        self.conns.values().map(|c| c.bytes).sum()
-    }
-
     pub(crate) fn on_segment(
         &mut self,
         peer: Ipv4Addr,
@@ -413,7 +407,7 @@ mod tests {
             SimTime::ZERO,
         );
         assert_eq!(replies[0].ack, 1 + MSS);
-        assert_eq!(s.bytes_received(), MSS as u64);
+        assert_eq!(s.conns.values().map(|c| c.bytes).sum::<u64>(), MSS as u64);
 
         // Out-of-order data re-ACKs the expected byte without counting.
         let replies = s.on_segment(
@@ -422,7 +416,7 @@ mod tests {
             SimTime::ZERO,
         );
         assert_eq!(replies[0].ack, 1 + MSS);
-        assert_eq!(s.bytes_received(), MSS as u64);
+        assert_eq!(s.conns.values().map(|c| c.bytes).sum::<u64>(), MSS as u64);
     }
 
     #[test]

@@ -4,7 +4,7 @@
 use crate::budget::{HaltReason, RunBudget};
 use crate::command::HostCommand;
 use crate::controller_host::ControllerHost;
-use crate::engine::{ConnId, Effect, EventKind, EventQueue, FrameArena, NodeId, TimerToken};
+use crate::engine::{ConnId, Effect, EventKind, EventQueue, NodeId, TimerToken};
 use crate::fault::{
     ControllerFaultStats, FaultKind, FaultPlan, FaultReport, FaultSpec, FaultTarget, LinkStats,
     SwitchFaultStats,
@@ -60,12 +60,14 @@ impl Node {
     }
 }
 
+/// The one-way latency of every control connection.
+const CONTROL_LATENCY: SimTime = SimTime::from_millis(1);
+
 /// One control-plane connection of the relation `N_C`.
 #[derive(Debug, Clone)]
 pub(crate) struct Connection {
     pub controller: NodeId,
     pub switch: NodeId,
-    pub latency: SimTime,
 }
 
 /// Descriptive metadata for one control connection, used by the injector
@@ -135,8 +137,6 @@ pub struct Simulation {
     undecided: bool,
     trace: Trace,
     names: HashMap<String, NodeId>,
-    /// In-flight data-plane frame payloads (see [`FrameArena`]).
-    arena: FrameArena,
     /// High-water mark of pending events, sampled each dispatch loop.
     peak_pending: usize,
     /// Data-plane frames dropped by link queues.
@@ -170,7 +170,6 @@ impl Simulation {
         connections: Vec<Connection>,
         names: HashMap<String, NodeId>,
     ) -> Simulation {
-        let arena_hint = (nodes.len() * 4 + links.len() * 2).min(1 << 16);
         let mut sim = Simulation {
             now: SimTime::ZERO,
             queue: EventQueue::new(),
@@ -186,7 +185,6 @@ impl Simulation {
             undecided: false,
             trace: Trace::new(),
             names,
-            arena: FrameArena::with_capacity(arena_hint),
             peak_pending: 0,
             frames_dropped: 0,
             budget: RunBudget::default(),
@@ -534,7 +532,6 @@ impl Simulation {
             undecided: self.undecided,
             trace: self.trace.clone(),
             names: self.names.clone(),
-            arena: self.arena.clone(),
             peak_pending: self.peak_pending,
             frames_dropped: self.frames_dropped,
             budget: self.budget.clone(),
@@ -751,7 +748,6 @@ impl Simulation {
         debug_assert!(self.fx.is_empty(), "effects left from the last event");
         match kind {
             EventKind::Frame { node, port, frame } => {
-                let frame = self.arena.take(frame);
                 // A frame still in flight when its link was severed never
                 // arrives: the LinkDown fault discards it at delivery.
                 if let Some(hop) = self.ports.get(node, port) {
@@ -852,9 +848,8 @@ impl Simulation {
                         now: self.now,
                     });
                 }
-                let latency = self.connections[conn.0].latency;
                 self.queue.schedule(
-                    self.now + latency,
+                    self.now + CONTROL_LATENCY,
                     EventKind::ControlDeliver {
                         conn,
                         direction,
@@ -895,9 +890,8 @@ impl Simulation {
             if d.conn.0 >= self.connections.len() {
                 continue; // injected onto a nonexistent connection
             }
-            let latency = self.connections[d.conn.0].latency;
             self.queue.schedule(
-                self.now + latency + d.extra_delay,
+                self.now + CONTROL_LATENCY + d.extra_delay,
                 EventKind::ControlDeliver {
                     conn: d.conn,
                     direction: d.direction,
@@ -1091,7 +1085,6 @@ impl Simulation {
                             if !link.stochastic(&mut frame) {
                                 continue; // lost; counted on the link
                             }
-                            let frame = self.arena.store(frame);
                             self.queue.schedule(
                                 at,
                                 EventKind::Frame {
@@ -1475,5 +1468,73 @@ mod tests {
             fixed(pox_in(FailMode::Safe, true)),
             "it diverged"
         );
+    }
+
+    // ---- when a fork runs ---------------------------------------------
+
+    /// [`pox_in`] with h2 also pinging h1 every millisecond from t = 5
+    /// to t = 22, so that frames are on the wire where it forks below.
+    fn busy(mode: FailMode, crash: bool) -> Simulation {
+        let mut sim = pox_in(mode, crash);
+        let ping = HostCommand::Ping {
+            host: sim.node_id("h2").expect("a host"),
+            dst: "10.0.0.1".parse().expect("an address"),
+            count: 17_000,
+            interval: SimTime::from_millis(1),
+            label: "busy".into(),
+        };
+        sim.schedule_command(SimTime::from_secs(5), ping);
+        sim
+    }
+
+    /// Frames on the wire in `sim`: the `Frame` events in its queue.
+    fn on_the_wire(sim: &Simulation) -> usize {
+        let mut queue = sim.queue.clone();
+        std::iter::from_fn(|| queue.pop())
+            .filter(|(_, kind)| matches!(kind, EventKind::Frame { .. }))
+            .count()
+    }
+
+    /// A fork shares nothing with its parent, the frames on the wire its
+    /// copied queue owns included: run after its parent has reached the
+    /// horizon, it ends as it does run at once.
+    #[test]
+    fn a_fork_does_not_depend_on_when_it_runs() {
+        let shadowed = || {
+            let mut sim = busy(FailMode::Secure, false);
+            let seen = Arc::new(AtomicUsize::new(0));
+            let alter = |a: &mut InterposerActions, _| a.deliveries.clear();
+            sim.add_shadow(7, Box::new(AlterNth { n: 23, seen, alter }));
+            sim
+        };
+        let split = || {
+            let mut sim = busy(FailMode::Safe, true);
+            sim.defer_fail_mode();
+            sim
+        };
+        let cases: [(&dyn Fn() -> Simulation, Fork); 2] =
+            [(&shadowed, Fork::Shadow(7)), (&split, Fork::FailSecure)];
+        for (make, kind) in cases {
+            let mut at_once = Vec::new();
+            let mut sim = make();
+            let halt = sim.run_forking(LONG, |made, fork| {
+                assert_eq!(made, kind);
+                assert!(
+                    on_the_wire(&fork) > 0,
+                    "{kind:?}: forked with a frame in flight"
+                );
+                at_once.push(fixed(fork));
+            });
+            assert_eq!(halt, HaltReason::Horizon);
+            let parent = outcome(&sim);
+            let mut stashed = Vec::new();
+            let mut sim = make();
+            sim.run_forking(LONG, |_, fork| stashed.push(fork));
+            assert_eq!(outcome(&sim), parent, "{kind:?}");
+            let later: Vec<Outcome> = stashed.into_iter().map(fixed).collect();
+            assert_eq!(later, at_once, "{kind:?}");
+            assert_eq!(at_once.len(), 1, "{kind:?}");
+            assert_ne!(at_once[0], parent, "{kind:?}: the fork diverged");
+        }
     }
 }

@@ -358,9 +358,7 @@ impl FlowTable {
     /// Creates an empty table with an explicit overflow policy.
     pub fn with_policy(capacity: usize, policy: EvictionPolicy) -> FlowTable {
         FlowTable {
-            // Reserved (not touched) for the configured bound, capped so
-            // a nominally huge table doesn't reserve what it never uses.
-            slots: Vec::with_capacity(capacity.min(4096)),
+            slots: Vec::new(),
             free: Vec::new(),
             next_seq: 0,
             by_seq: BTreeMap::new(),

@@ -202,13 +202,6 @@ impl Switch {
         self.table.apply(fm, now)
     }
 
-    /// Pre-sizes the MAC learning table for an expected number of
-    /// end hosts (builder topology hint; avoids rehash storms during
-    /// warm-up on generated fabrics).
-    pub(crate) fn reserve_mac_table(&mut self, hosts: usize) {
-        self.mac_table.reserve(hosts);
-    }
-
     /// Whether any control connection is fully up.
     pub fn is_connected(&self) -> bool {
         self.conns.iter().any(|c| c.phase == ConnPhase::Up)

@@ -48,8 +48,9 @@ for example in examples/*.rs; do
   cargo run --release --quiet --example "$name" >/dev/null
 done
 
-echo "== benchmark package builds against the facade"
+echo "== benchmark package builds against the facade, and its own unit tests pass"
 cargo build --release --offline --manifest-path attain_bench/Cargo.toml
+cargo test --offline -q --manifest-path attain_bench/Cargo.toml
 
 echo "== proxy burst throughput floor (Nagle-stalled sockets read 1,455 msgs/s)"
 proxy_tcp=$(cargo run --release --quiet --offline --manifest-path attain_bench/Cargo.toml \

@@ -1,5 +1,6 @@
 //! The paper's artefacts, pinned to the byte: the stdout of `table2`,
-//! `fig11 --quick` and `faults --quick` against `tests/golden/paper/`.
+//! `fig11 --quick`, `faults --quick` and `faults` against
+//! `tests/golden/paper/`.
 //! Every printed value is exact in virtual time, so the files are the
 //! same for debug and release builds; EXPERIMENTS.md says how to
 //! regenerate them after an intended change.
@@ -45,4 +46,9 @@ fn faults_quick_matches_its_golden() {
         &["--quick"],
         "faults_quick.txt",
     );
+}
+
+#[test]
+fn faults_matches_its_golden() {
+    check(env!("CARGO_BIN_EXE_faults"), &[], "faults.txt");
 }

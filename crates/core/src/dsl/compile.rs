@@ -9,7 +9,7 @@ use crate::exec::validate_attack;
 use crate::lang::{
     Attack, AttackAction, AttackState, AttackStateGraph, DequeEnd, Expr, Property, Rule, Value,
 };
-use crate::model::{AttackModel, Capability, CapabilitySet, ConnectionId, SystemModel};
+use crate::model::{AttackModel, Capability, CapabilitySet, ConnectionId, NodeRef, SystemModel};
 use attain_openflow::{MacAddr, OfType};
 
 /// A fully compiled and validated attack.
@@ -666,7 +666,12 @@ fn compile_action(
                     }
                 }
                 [kind @ ("controller" | "switch"), name, _, ..] => {
-                    if system.resolve(name).is_none() {
+                    let named = match system.resolve(name) {
+                        Some(NodeRef::Controller(_)) => *kind == "controller",
+                        Some(NodeRef::Switch(_)) => *kind == "switch",
+                        Some(NodeRef::Host(_)) | None => false,
+                    };
+                    if !named {
                         return err(format!("unknown {kind} `{name}` in fault `{spec}`"));
                     }
                 }
@@ -933,6 +938,28 @@ mod tests {
                 compile(&src, &doc.system, &doc.attack_model).is_err(),
                 "expected {bad} to be rejected"
             );
+        }
+    }
+
+    #[test]
+    fn fault_targets_must_name_a_component_of_their_kind() {
+        let doc = compile_document(SELF_CONTAINED).unwrap();
+        let attack = |fault: &str| {
+            let source = format!(
+                "attack env {{ start state s {{ rule r on (c1, s1) {{ when true do {{ {fault}; }} }} }} }}"
+            );
+            compile(&source, &doc.system, &doc.attack_model)
+        };
+        assert!(attack(r#"fault("switch s2 restart")"#).is_ok());
+        assert!(attack(r#"fault("controller c1 restart")"#).is_ok());
+        for bad in [
+            r#"fault("switch h1 restart")"#,
+            r#"fault("switch c1 restart")"#,
+            r#"fault("controller s1 crash")"#,
+            r#"fault("controller h2 crash")"#,
+        ] {
+            let e = attack(bad).expect_err(bad);
+            assert!(e.to_string().contains("unknown"), "{bad}: {e}");
         }
     }
 

@@ -325,16 +325,14 @@ mod tests {
 
     #[test]
     fn parses_fault_commands() {
-        use crate::fault::{FaultKind, FaultTarget};
+        use crate::fault::LinkChange;
         let c = HostCommand::parse(NodeId(0), "fault link s1-s2 down").unwrap();
         assert_eq!(
             c,
-            HostCommand::Fault(FaultSpec {
-                target: FaultTarget::Link {
-                    a: "s1".into(),
-                    b: "s2".into()
-                },
-                kind: FaultKind::LinkDown,
+            HostCommand::Fault(FaultSpec::Link {
+                a: "s1".into(),
+                b: "s2".into(),
+                change: LinkChange::Down,
             })
         );
         assert!(HostCommand::parse(NodeId(0), "fault controller c1 crash").is_ok());

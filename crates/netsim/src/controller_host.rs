@@ -118,10 +118,11 @@ impl ControllerHost {
 
     /// A crash fault: the process dies. Every connection is torn down
     /// (the application sees disconnects first — its last gasp — then
-    /// all state is lost; the restart builds a pristine app).
-    pub(crate) fn crash(&mut self) {
+    /// all state is lost; the restart builds a pristine app). `false`
+    /// if it was already down.
+    pub(crate) fn crash(&mut self) -> bool {
         if !self.alive {
-            return;
+            return false;
         }
         self.alive = false;
         self.crashes += 1;
@@ -136,14 +137,15 @@ impl ControllerHost {
             c.decode_fails = 0;
         }
         self.app.reset();
+        true
     }
 
     /// A restart fault: a fresh process comes up. Handshake state and
     /// the hosted application start from scratch; switches re-handshake
-    /// when their reconnect timers fire.
-    pub(crate) fn restart(&mut self) {
+    /// when their reconnect timers fire. `false` if it was already up.
+    pub(crate) fn restart(&mut self) -> bool {
         if self.alive {
-            return;
+            return false;
         }
         self.alive = true;
         self.restarts += 1;
@@ -155,6 +157,7 @@ impl ControllerHost {
             c.decode_fails = 0;
         }
         self.app.reset();
+        true
     }
 
     fn conn_index(&self, conn: ConnId) -> Option<usize> {

@@ -55,8 +55,9 @@ pub(crate) enum AppSend {
     },
 }
 
+/// A workload application a host runs.
 #[derive(Debug, Clone)]
-enum App {
+pub(crate) enum App {
     Ping(PingApp),
     IperfServer(IperfServerApp),
     IperfClient(IperfClientApp),
@@ -109,37 +110,9 @@ impl Host {
         self.mac
     }
 
-    /// Completed and in-progress ping runs, in start order.
-    pub(crate) fn ping_stats(&self) -> Vec<PingStats> {
-        self.apps
-            .iter()
-            .filter_map(|a| match a {
-                App::Ping(p) => Some(p.stats()),
-                _ => None,
-            })
-            .collect()
-    }
-
-    /// Completed and in-progress iperf client runs, in start order.
-    pub(crate) fn iperf_stats(&self) -> Vec<IperfStats> {
-        self.apps
-            .iter()
-            .filter_map(|a| match a {
-                App::IperfClient(c) => Some(c.stats()),
-                _ => None,
-            })
-            .collect()
-    }
-
-    /// Completed and in-progress capacity-probe runs, in start order.
-    pub(crate) fn probe_stats(&self) -> Vec<ProbeStats> {
-        self.apps
-            .iter()
-            .filter_map(|a| match a {
-                App::CapacityProbe(p) => Some(p.stats()),
-                _ => None,
-            })
-            .collect()
+    /// The host's applications, in start order.
+    pub(crate) fn apps(&self) -> &[App] {
+        &self.apps
     }
 
     // ---- workload control -------------------------------------------------
@@ -656,6 +629,13 @@ mod tests {
         assert!(matches!(frames[0].payload, Payload::Ipv4(_)));
     }
 
+    fn first_ping(h: &Host) -> PingStats {
+        match &h.apps[0] {
+            App::Ping(p) => p.stats(),
+            other => panic!("{other:?} is not a ping"),
+        }
+    }
+
     #[test]
     fn ping_round_trip_records_rtt() {
         let mut h = host();
@@ -677,7 +657,7 @@ mod tests {
         );
         let mut fx3 = Vec::new();
         h.handle_frame(&reply.encode(), SimTime::from_micros(1500), &mut fx3);
-        let stats = &h.ping_stats()[0];
+        let stats = first_ping(&h);
         assert_eq!(stats.received(), 1);
         assert!((stats.rtts_ms()[0].unwrap() - 1.5).abs() < 1e-9);
     }
@@ -695,6 +675,6 @@ mod tests {
         }
         assert!(h.pending.is_empty());
         // The ping is recorded as lost, not answered.
-        assert_eq!(h.ping_stats()[0].received(), 0);
+        assert_eq!(first_ping(&h).received(), 0);
     }
 }

@@ -90,8 +90,8 @@ pub use controller_host::ControllerHost;
 pub use engine::SchedulerConfig;
 pub use engine::{ConnId, NodeId, TimerToken};
 pub use fault::{
-    ControllerFaultStats, DetRng, FaultKind, FaultPlan, FaultReport, FaultSpec, FaultTarget,
-    LinkStats, ParseFaultError, SwitchFaultStats,
+    ControllerFaultStats, DetRng, FaultPlan, FaultReport, FaultSpec, LinkChange, LinkStats,
+    ParseFaultError, SwitchFaultStats,
 };
 pub use host::{Host, IperfStats, PingStats, ProbeStats};
 pub use interpose::{

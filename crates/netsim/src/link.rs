@@ -1,7 +1,7 @@
 //! Full-duplex point-to-point links with bandwidth and delay.
 
 use crate::engine::NodeId;
-use crate::fault::DetRng;
+use crate::fault::{DetRng, LinkChange};
 use crate::time::SimTime;
 use attain_openflow::PortNo;
 
@@ -23,10 +23,10 @@ pub struct LinkEnd {
 /// `max_queue_delay` are dropped (drop-tail), bounding buffer memory the
 /// way a real NIC ring does.
 ///
-/// The fault layer can sever a link (`Link::set_down`), override its
-/// characteristics (`Link::degrade`), and impose seeded per-frame loss
-/// and corruption (`Link::set_loss`, `Link::set_corrupt`); nominal
-/// characteristics are remembered so `Link::restore` undoes a degrade.
+/// A fault's [`LinkChange`] reaches the link through `Link::apply`: it
+/// can sever the link, override its characteristics, and impose seeded
+/// per-frame loss and corruption; nominal characteristics are remembered
+/// so a restore undoes a degrade.
 #[derive(Debug, Clone)]
 pub struct Link {
     /// First endpoint.
@@ -113,56 +113,52 @@ impl Link {
         self.up
     }
 
-    /// Severs the link. Frames queued in the transmitters are discarded
-    /// (the serializers idle), and offers while down are counted in
-    /// [`Link::down_drops`]. Returns `true` on an up→down transition.
-    pub(crate) fn set_down(&mut self) -> bool {
-        if !self.up {
-            return false;
+    /// Applies a fault's change; `true` if it is one the trace records.
+    /// `Down` (or the down phase of a `Flap`) discards the frames queued
+    /// in the transmitters (the serializers idle), and offers while down
+    /// are counted in [`Link::down_drops`]; `Restore` brings the link up
+    /// at its nominal bandwidth and delay with no loss or corruption.
+    /// `Down` and `Up` count only as transitions, a `Flap` only with
+    /// cycles left (re-arming it is the simulation's), and every other
+    /// change always.
+    pub(crate) fn apply(&mut self, change: &LinkChange) -> bool {
+        match *change {
+            LinkChange::Flap { count: 0, .. } => false,
+            LinkChange::Down | LinkChange::Flap { .. } => {
+                let was_up = std::mem::replace(&mut self.up, false);
+                if was_up {
+                    self.down_events += 1;
+                    self.busy_until_ab = SimTime::ZERO;
+                    self.busy_until_ba = SimTime::ZERO;
+                }
+                was_up || matches!(change, LinkChange::Flap { .. })
+            }
+            LinkChange::Up => !std::mem::replace(&mut self.up, true),
+            LinkChange::Degrade {
+                bandwidth_bps,
+                delay,
+            } => {
+                self.bandwidth_bps = bandwidth_bps.map_or(self.bandwidth_bps, |bw| bw.max(1));
+                self.delay = delay.unwrap_or(self.delay);
+                true
+            }
+            LinkChange::Restore => {
+                self.bandwidth_bps = self.base_bandwidth_bps;
+                self.delay = self.base_delay;
+                self.loss_pct = 0;
+                self.corrupt_pct = 0;
+                self.up = true;
+                true
+            }
+            LinkChange::Loss(pct) => {
+                self.loss_pct = pct;
+                true
+            }
+            LinkChange::Corrupt(pct) => {
+                self.corrupt_pct = pct;
+                true
+            }
         }
-        self.up = false;
-        self.down_events += 1;
-        self.busy_until_ab = SimTime::ZERO;
-        self.busy_until_ba = SimTime::ZERO;
-        true
-    }
-
-    /// Restores a severed link. Returns `true` on a down→up transition.
-    pub(crate) fn set_up(&mut self) -> bool {
-        if self.up {
-            return false;
-        }
-        self.up = true;
-        true
-    }
-
-    /// Overrides bandwidth and/or delay (a degrade fault). `None` keeps
-    /// the current value.
-    pub(crate) fn degrade(&mut self, bandwidth_bps: Option<u64>, delay: Option<SimTime>) {
-        if let Some(bw) = bandwidth_bps {
-            self.bandwidth_bps = bw.max(1);
-        }
-        if let Some(d) = delay {
-            self.delay = d;
-        }
-    }
-
-    /// Restores nominal bandwidth/delay and clears loss/corruption.
-    pub(crate) fn restore(&mut self) {
-        self.bandwidth_bps = self.base_bandwidth_bps;
-        self.delay = self.base_delay;
-        self.loss_pct = 0;
-        self.corrupt_pct = 0;
-    }
-
-    /// Sets the per-frame loss probability in percent.
-    pub(crate) fn set_loss(&mut self, pct: u8) {
-        self.loss_pct = pct.min(100);
-    }
-
-    /// Sets the per-frame corruption probability in percent.
-    pub(crate) fn set_corrupt(&mut self, pct: u8) {
-        self.corrupt_pct = pct.min(100);
     }
 
     /// Re-derives this link's random stream from the scenario seed and
@@ -372,8 +368,8 @@ mod tests {
     #[test]
     fn down_link_drops_everything_until_up() {
         let mut l = link();
-        assert!(l.set_down());
-        assert!(!l.set_down()); // idempotent
+        assert!(l.apply(&LinkChange::Down));
+        assert!(!l.apply(&LinkChange::Down)); // idempotent
         assert_eq!(
             l.transmit(NodeId(0), 100, SimTime::ZERO),
             TxOutcome::Dropped
@@ -384,7 +380,7 @@ mod tests {
         );
         assert_eq!(l.down_drops, 2);
         assert_eq!(l.down_events, 1);
-        assert!(l.set_up());
+        assert!(l.apply(&LinkChange::Up));
         assert!(matches!(
             l.transmit(NodeId(0), 100, SimTime::from_secs(1)),
             TxOutcome::Arrives(_)
@@ -395,13 +391,16 @@ mod tests {
     #[test]
     fn degrade_and_restore_change_characteristics() {
         let mut l = link();
-        l.degrade(Some(1_000_000), Some(SimTime::from_millis(10)));
+        l.apply(&LinkChange::Degrade {
+            bandwidth_bps: Some(1_000_000),
+            delay: Some(SimTime::from_millis(10)),
+        });
         // 1250 bytes at 1 Mb/s = 10 ms serialization + 10 ms delay.
         match l.transmit(NodeId(0), 1250, SimTime::ZERO) {
             TxOutcome::Arrives(t) => assert_eq!(t, SimTime::from_millis(20)),
             TxOutcome::Dropped => panic!("dropped"),
         }
-        l.restore();
+        l.apply(&LinkChange::Restore);
         assert_eq!(l.bandwidth_bps, 100_000_000);
         assert_eq!(l.delay, SimTime::from_micros(250));
     }
@@ -411,7 +410,7 @@ mod tests {
         let run = |seed: u64| -> Vec<bool> {
             let mut l = link();
             l.reseed(seed, 0);
-            l.set_loss(50);
+            l.apply(&LinkChange::Loss(50));
             let mut frame = vec![0u8; 64];
             (0..100).map(|_| l.stochastic(&mut frame)).collect()
         };
@@ -419,7 +418,7 @@ mod tests {
         assert_ne!(run(5), run(6));
         let mut l = link();
         l.reseed(5, 0);
-        l.set_loss(50);
+        l.apply(&LinkChange::Loss(50));
         let mut frame = vec![0u8; 64];
         for _ in 0..100 {
             l.stochastic(&mut frame);
@@ -431,7 +430,7 @@ mod tests {
     fn corruption_flips_exactly_one_bit() {
         let mut l = link();
         l.reseed(9, 0);
-        l.set_corrupt(100);
+        l.apply(&LinkChange::Corrupt(100));
         let orig = vec![0u8; 64];
         let mut frame = orig.clone();
         assert!(l.stochastic(&mut frame));

@@ -6,10 +6,10 @@ use crate::command::HostCommand;
 use crate::controller_host::ControllerHost;
 use crate::engine::{ConnId, Effect, EventKind, EventQueue, NodeId, TimerToken};
 use crate::fault::{
-    ControllerFaultStats, FaultKind, FaultPlan, FaultReport, FaultSpec, FaultTarget, LinkStats,
+    ControllerFaultStats, FaultPlan, FaultReport, FaultSpec, LinkChange, LinkStats,
     SwitchFaultStats,
 };
-use crate::host::Host;
+use crate::host::{App, Host};
 use crate::interpose::{Direction, Interposer, InterposerActions, ProxiedMessage};
 use crate::link::{Hop, Link, PortTable, TxOutcome};
 use crate::switch::{ApplyOutcome, EvictionPolicy, FailMode, FlowModError, Switch};
@@ -660,38 +660,36 @@ impl Simulation {
 
     /// All ping runs across all hosts, in node then start order.
     pub fn ping_stats(&self) -> Vec<PingStats> {
-        self.nodes
-            .iter()
-            .filter_map(|n| match n {
-                Node::Host(h) => Some(h.ping_stats()),
-                _ => None,
-            })
-            .flatten()
-            .collect()
+        self.app_stats(|app| match app {
+            App::Ping(p) => Some(p.stats()),
+            _ => None,
+        })
     }
 
     /// All iperf client runs across all hosts.
     pub fn iperf_stats(&self) -> Vec<IperfStats> {
-        self.nodes
-            .iter()
-            .filter_map(|n| match n {
-                Node::Host(h) => Some(h.iperf_stats()),
-                _ => None,
-            })
-            .flatten()
-            .collect()
+        self.app_stats(|app| match app {
+            App::IperfClient(c) => Some(c.stats()),
+            _ => None,
+        })
     }
 
     /// All capacity-probe runs across all hosts.
     pub fn probe_stats(&self) -> Vec<ProbeStats> {
-        self.nodes
-            .iter()
-            .filter_map(|n| match n {
-                Node::Host(h) => Some(h.probe_stats()),
-                _ => None,
-            })
-            .flatten()
-            .collect()
+        self.app_stats(|app| match app {
+            App::CapacityProbe(p) => Some(p.stats()),
+            _ => None,
+        })
+    }
+
+    /// What `stats` reads off each host application it accepts, in node
+    /// then start order.
+    fn app_stats<T>(&self, stats: impl FnMut(&App) -> Option<T>) -> Vec<T> {
+        let hosts = self.nodes.iter().filter_map(|n| match n {
+            Node::Host(h) => Some(h.apps()),
+            _ => None,
+        });
+        hosts.flatten().filter_map(stats).collect()
     }
 
     /// The simulation trace.
@@ -749,7 +747,7 @@ impl Simulation {
         match kind {
             EventKind::Frame { node, port, frame } => {
                 // A frame still in flight when its link was severed never
-                // arrives: the LinkDown fault discards it at delivery.
+                // arrives: a `Down` link discards it at delivery.
                 if let Some(hop) = self.ports.get(node, port) {
                     let link = &mut self.links[hop.link];
                     if !link.is_up() {
@@ -935,137 +933,69 @@ impl Simulation {
             .position(|l| (l.a.node == na && l.b.node == nb) || (l.a.node == nb && l.b.node == na))
     }
 
-    /// Applies one environment fault, tracing the transition. Unknown
-    /// targets are traced (not panicked on): a fault schedule is data,
-    /// often authored separately from the topology.
+    /// The named controller.
+    fn controller_mut(&mut self, name: &str) -> Option<&mut ControllerHost> {
+        self.nodes.iter_mut().find_map(|n| match n {
+            Node::Controller(c) if c.name() == name => Some(c),
+            _ => None,
+        })
+    }
+
+    /// Applies one environment fault, tracing it if it changed anything.
+    /// A target this network does not have is traced too, not panicked
+    /// on: a fault schedule is data, often authored separately from the
+    /// topology.
     fn apply_fault(&mut self, spec: FaultSpec) {
-        let target = spec.target.to_string();
-        let what = spec.kind.to_string();
-        match (&spec.target, &spec.kind) {
-            (FaultTarget::Link { a, b }, kind) => {
-                let Some(idx) = self.link_index(a, b) else {
-                    self.trace.push(
-                        self.now,
-                        TraceKind::Fault {
-                            target,
-                            what: "unknown link (ignored)".into(),
-                        },
-                    );
-                    return;
-                };
-                let link = &mut self.links[idx];
-                let changed = match kind {
-                    FaultKind::LinkDown => link.set_down(),
-                    FaultKind::LinkUp => link.set_up(),
-                    FaultKind::LinkFlap { count, down, up } => {
-                        if *count > 0 {
-                            link.set_down();
-                            let target = FaultTarget::Link {
-                                a: a.clone(),
-                                b: b.clone(),
-                            };
-                            self.schedule_fault(
-                                self.now + *down,
-                                FaultSpec {
-                                    target: target.clone(),
-                                    kind: FaultKind::LinkUp,
-                                },
-                            );
-                            if *count > 1 {
-                                self.schedule_fault(
-                                    self.now + *down + *up,
-                                    FaultSpec {
-                                        target,
-                                        kind: FaultKind::LinkFlap {
-                                            count: count - 1,
-                                            down: *down,
-                                            up: *up,
-                                        },
-                                    },
-                                );
-                            }
-                        }
-                        *count > 0
+        let (kind, name, what) = spec.parts();
+        let now = self.now;
+        let changed = match &spec {
+            FaultSpec::Link { a, b, change } => self.link_index(a, b).map(|i| {
+                // A flap re-arms itself: up after `down`, the next cycle
+                // after `down + up`.
+                if let LinkChange::Flap {
+                    count: count @ 1..,
+                    down,
+                    up,
+                } = *change
+                {
+                    let link = |change| FaultSpec::Link {
+                        a: a.clone(),
+                        b: b.clone(),
+                        change,
+                    };
+                    self.schedule_fault(now + down, link(LinkChange::Up));
+                    if count > 1 {
+                        let next = LinkChange::Flap {
+                            count: count - 1,
+                            down,
+                            up,
+                        };
+                        self.schedule_fault(now + down + up, link(next));
                     }
-                    FaultKind::LinkDegrade {
-                        bandwidth_bps,
-                        delay,
-                    } => {
-                        link.degrade(*bandwidth_bps, *delay);
-                        true
+                }
+                self.links[i].apply(change)
+            }),
+            FaultSpec::ControllerCrash(c) => self.controller_mut(c).map(ControllerHost::crash),
+            FaultSpec::ControllerRestart(c) => self.controller_mut(c).map(ControllerHost::restart),
+            FaultSpec::SwitchRestart(s) => {
+                let id = self.node_id(s);
+                match id.map(|id| (id, &mut self.nodes[id.0])) {
+                    Some((id, Node::Switch(s))) => {
+                        s.restart(now, &mut self.fx);
+                        self.apply_effects(id);
+                        Some(true)
                     }
-                    FaultKind::LinkRestore => {
-                        link.restore();
-                        link.set_up();
-                        true
-                    }
-                    FaultKind::PacketLoss { pct } => {
-                        link.set_loss(*pct);
-                        true
-                    }
-                    FaultKind::PacketCorrupt { pct } => {
-                        link.set_corrupt(*pct);
-                        true
-                    }
-                    _ => false,
-                };
-                if changed {
-                    self.trace.push(self.now, TraceKind::Fault { target, what });
+                    _ => None, // a host, or no node of that name
                 }
             }
-            (FaultTarget::Controller(name), kind) => {
-                let ctrl = self.nodes.iter_mut().find_map(|n| match n {
-                    Node::Controller(c) if c.name() == name => Some(c),
-                    _ => None,
-                });
-                let Some(ctrl) = ctrl else {
-                    self.trace.push(
-                        self.now,
-                        TraceKind::Fault {
-                            target,
-                            what: "unknown controller (ignored)".into(),
-                        },
-                    );
-                    return;
-                };
-                let changed = match kind {
-                    FaultKind::ControllerCrash => {
-                        let was_alive = ctrl.is_alive();
-                        ctrl.crash();
-                        was_alive
-                    }
-                    FaultKind::ControllerRestart => {
-                        let was_dead = !ctrl.is_alive();
-                        ctrl.restart();
-                        was_dead
-                    }
-                    _ => false,
-                };
-                if changed {
-                    self.trace.push(self.now, TraceKind::Fault { target, what });
-                }
-            }
-            (FaultTarget::Switch(name), FaultKind::SwitchRestart) => {
-                let Some(&node) = self.names.get(name.as_str()) else {
-                    self.trace.push(
-                        self.now,
-                        TraceKind::Fault {
-                            target,
-                            what: "unknown switch (ignored)".into(),
-                        },
-                    );
-                    return;
-                };
-                if let Node::Switch(s) = &mut self.nodes[node.0] {
-                    s.restart(self.now, &mut self.fx);
-                    self.trace.push(self.now, TraceKind::Fault { target, what });
-                }
-                self.apply_effects(node);
-            }
-            (FaultTarget::Switch(_), _) => {
-                // Unreachable through the parser; ignore quietly.
-            }
-        }
+        };
+        let what = match changed {
+            Some(true) => what,
+            Some(false) => return,
+            None => format!("unknown {kind} (ignored)"),
+        };
+        let target = format!("{kind} {name}");
+        self.trace.push(now, TraceKind::Fault { target, what });
     }
 
     /// Applies, in order, and drains the effects `node` left in the

@@ -24,9 +24,11 @@ use attain_netsim::{DetRng, FailMode, FaultPlan, RunBudget, SimTime, Simulation}
 
 /// Workload start-time jitter in milliseconds, derived from the seed.
 ///
-/// The fault RNG streams are only consulted when a fault plan arms
-/// them, so without this jitter every seed would replay byte-identical
-/// traces and the seed axis would be vacuous.
+/// The seed draws one 0–399 ms offset that shifts every workload start
+/// alike. That moves every timestamp, so each seed gets its own digest,
+/// but it is a time translation: ROADMAP item 13 measured one oracle
+/// tuple across 30 seeds in each of the 110 (attack, controller, fail
+/// mode) groups, so it changes digests, not verdicts.
 fn jitter_ms(seed: u64) -> u64 {
     DetRng::new(seed).next_u64() % 400
 }

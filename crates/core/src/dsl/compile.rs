@@ -9,7 +9,9 @@ use crate::exec::validate_attack;
 use crate::lang::{
     Attack, AttackAction, AttackState, AttackStateGraph, DequeEnd, Expr, Property, Rule, Value,
 };
-use crate::model::{AttackModel, Capability, CapabilitySet, ConnectionId, NodeRef, SystemModel};
+use crate::model::{
+    AttackModel, Capability, CapabilitySet, ConnectionId, DataEdge, NodeRef, SystemModel,
+};
 use attain_openflow::{MacAddr, OfType};
 
 /// A fully compiled and validated attack.
@@ -649,9 +651,9 @@ fn compile_action(
         }
         ActionAst::Fault { spec, line } => {
             // Shallow validation: the full grammar lives with the
-            // simulator, but target kinds and component names are known
-            // here and a typo should fail at compile time, not silently
-            // no-op at run time.
+            // simulator, but target kinds, component names and the
+            // data-plane links are known here, and a typo should fail at
+            // compile time, not silently no-op at run time.
             let toks: Vec<&str> = spec.split_whitespace().collect();
             let err = |msg: String| Err(DslError::new(line, msg));
             match toks.as_slice() {
@@ -659,10 +661,18 @@ fn compile_action(
                     let Some((a, b)) = ab.split_once('-') else {
                         return err(format!("fault link target `{ab}` is not `A-B`"));
                     };
-                    for n in [a, b] {
-                        if system.resolve(n).is_none() {
-                            return err(format!("unknown component `{n}` in fault `{spec}`"));
-                        }
+                    let end = |n: &str| {
+                        system.resolve(n).ok_or_else(|| {
+                            DslError::new(
+                                line,
+                                format!("unknown component `{n}` in fault `{spec}`"),
+                            )
+                        })
+                    };
+                    let (x, y) = (end(a)?, end(b)?);
+                    let joins = |e: &DataEdge| (e.a, e.b) == (x, y) || (e.a, e.b) == (y, x);
+                    if !system.data_plane().iter().any(joins) {
+                        return err(format!("no data-plane link `{ab}` in fault `{spec}`"));
                     }
                 }
                 [kind @ ("controller" | "switch"), name, _, ..] => {
@@ -927,9 +937,17 @@ mod tests {
         assert!(
             matches!(&actions[1], AttackAction::Fault { spec } if spec == "controller c1 crash")
         );
-        // Unknown component names fail at compile time, not at run time.
+        // A link named from either end compiles.
+        let reversed = source.replace("link s1-s2 down", "link s2-s1 down");
+        assert!(compile(&reversed, &doc.system, &doc.attack_model).is_ok());
+        // Unknown component names, and pairs that no data-plane link
+        // joins (a control connection; two hosts), fail at compile time,
+        // not at run time.
         for bad in [
             r#"fault("link s1-s9 down")"#,
+            r#"fault("link c1-s1 down")"#,
+            r#"fault("link h1-h2 down")"#,
+            r#"fault("link h1-h6 down")"#,
             r#"fault("controller c9 crash")"#,
             r#"fault("nonsense")"#,
         ] {

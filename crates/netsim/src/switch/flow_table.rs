@@ -128,12 +128,22 @@ impl FlowEntry {
         self.rank.0
     }
 
-    /// Whether the entry outputs to `port` (for delete `out_port`
-    /// filtering).
-    fn outputs_to(&self, port: PortNo) -> bool {
-        self.actions
-            .iter()
-            .any(|a| matches!(a, Action::Output { port: p, .. } if *p == port))
+    /// Whether the entry passes an OpenFlow `out_port` filter (delete,
+    /// flow stats, aggregate stats): `PortNo::NONE` passes every entry,
+    /// any other port only an entry with an output action to it.
+    pub(crate) fn outputs_to(&self, port: PortNo) -> bool {
+        port == PortNo::NONE
+            || self
+                .actions
+                .iter()
+                .any(|a| matches!(a, Action::Output { port: p, .. } if *p == port))
+    }
+
+    /// Time installed as of `now`, split as OpenFlow's `(duration_sec,
+    /// duration_nsec)` (`FLOW_REMOVED`, flow stats).
+    pub(crate) fn duration(&self, now: SimTime) -> (u32, u32) {
+        let ns = now.saturating_sub(self.installed_at).as_nanos();
+        ((ns / 1_000_000_000) as u32, (ns % 1_000_000_000) as u32)
     }
 
     /// When the hard timeout fires, if one is set.
@@ -484,9 +494,7 @@ impl FlowTable {
             }
             FlowModCommand::Delete | FlowModCommand::DeleteStrict => {
                 let mut targets = self.targets(fm);
-                if fm.out_port != PortNo::NONE {
-                    targets.retain(|&id| self.entry(id).outputs_to(fm.out_port));
-                }
+                targets.retain(|&id| self.entry(id).outputs_to(fm.out_port));
                 let removed = targets
                     .into_iter()
                     .map(|id| self.remove(id))

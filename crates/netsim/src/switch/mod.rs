@@ -699,14 +699,14 @@ impl Switch {
         now: SimTime,
         fx: &mut Vec<Effect>,
     ) {
-        let duration = now.saturating_sub(e.installed_at);
+        let (duration_sec, duration_nsec) = e.duration(now);
         let msg = OfMessage::FlowRemoved(FlowRemoved {
             r#match: e.r#match,
             cookie: e.cookie,
             priority: e.priority,
             reason,
-            duration_sec: (duration.as_nanos() / 1_000_000_000) as u32,
-            duration_nsec: (duration.as_nanos() % 1_000_000_000) as u32,
+            duration_sec,
+            duration_nsec,
             idle_timeout: e.idle_timeout,
             packet_count: e.packet_count,
             byte_count: e.byte_count,
@@ -791,20 +791,14 @@ impl Switch {
             } => StatsReplyBody::Flow(
                 self.table
                     .entries()
-                    .filter(|e| r#match.subsumes(&e.r#match))
-                    .filter(|e| {
-                        *out_port == PortNo::NONE
-                            || e.actions.iter().any(
-                                |a| matches!(a, Action::Output { port, .. } if port == out_port),
-                            )
-                    })
+                    .filter(|e| r#match.subsumes(&e.r#match) && e.outputs_to(*out_port))
                     .map(|e| {
-                        let dur = now.saturating_sub(e.installed_at);
+                        let (duration_sec, duration_nsec) = e.duration(now);
                         attain_openflow::FlowStatsEntry {
                             table_id: 0,
                             r#match: e.r#match,
-                            duration_sec: (dur.as_nanos() / 1_000_000_000) as u32,
-                            duration_nsec: (dur.as_nanos() % 1_000_000_000) as u32,
+                            duration_sec,
+                            duration_nsec,
                             priority: e.priority,
                             idle_timeout: e.idle_timeout,
                             hard_timeout: e.hard_timeout,
@@ -816,11 +810,13 @@ impl Switch {
                     })
                     .collect(),
             ),
-            StatsBody::Aggregate { r#match, .. } => {
+            StatsBody::Aggregate {
+                r#match, out_port, ..
+            } => {
                 let selected: Vec<_> = self
                     .table
                     .entries()
-                    .filter(|e| r#match.subsumes(&e.r#match))
+                    .filter(|e| r#match.subsumes(&e.r#match) && e.outputs_to(*out_port))
                     .collect();
                 StatsReplyBody::Aggregate(attain_openflow::AggregateStats {
                     packet_count: selected.iter().map(|e| e.packet_count).sum(),

@@ -139,25 +139,39 @@ fn flow_stats_and_aggregate_stats_reflect_installed_flows() {
             out_port: PortNo::NONE,
         }),
         OfMessage::StatsRequest(StatsBody::Table),
+        // Restricted to entries that output to port 2: fm1 only.
+        OfMessage::StatsRequest(StatsBody::Flow {
+            r#match: Match::all(),
+            table_id: 0xff,
+            out_port: PortNo(2),
+        }),
+        OfMessage::StatsRequest(StatsBody::Aggregate {
+            r#match: Match::all(),
+            table_id: 0xff,
+            out_port: PortNo(2),
+        }),
     ]);
     r.sim.run_until(SimTime::from_secs(3));
     let received = r.received.lock().expect("lock").clone();
-    let flows = received
+    let flows: Vec<_> = received
         .iter()
-        .find_map(|m| match m {
+        .filter_map(|m| match m {
             OfMessage::StatsReply(StatsReplyBody::Flow(f)) => Some(f.clone()),
             _ => None,
         })
-        .expect("flow stats reply");
-    assert_eq!(flows.len(), 2);
-    let agg = received
+        .collect();
+    assert_eq!(flows.len(), 2, "two flow stats replies");
+    assert_eq!(flows[0].len(), 2);
+    assert_eq!(flows[1].len(), 1);
+    assert_eq!(flows[1][0].r#match, Match::exact_in_port(PortNo(1)));
+    let aggs: Vec<_> = received
         .iter()
-        .find_map(|m| match m {
-            OfMessage::StatsReply(StatsReplyBody::Aggregate(a)) => Some(*a),
+        .filter_map(|m| match m {
+            OfMessage::StatsReply(StatsReplyBody::Aggregate(a)) => Some(a.flow_count),
             _ => None,
         })
-        .expect("aggregate stats reply");
-    assert_eq!(agg.flow_count, 2);
+        .collect();
+    assert_eq!(aggs, [2, 1]);
     let tables = received
         .iter()
         .find_map(|m| match m {

@@ -252,7 +252,10 @@ mod tests {
     #[test]
     fn tight_event_budget_surfaces_as_budget_exhausted() {
         let a = Prepared::new(attacks::by_name("trivial_pass").unwrap());
-        let budget = RunBudget::default().with_max_events(10);
+        let budget = RunBudget {
+            max_events: Some(10),
+            ..RunBudget::default()
+        };
         let err = run(&a, ControllerKind::Pox, FailMode::Secure, 1, true, &budget)
             .expect_err("10 events cannot finish the workload");
         assert_eq!(
@@ -264,7 +267,10 @@ mod tests {
     #[test]
     fn pre_cancelled_token_surfaces_as_cancelled() {
         let a = Prepared::new(attacks::by_name("trivial_pass").unwrap());
-        let budget = RunBudget::default().with_deadline(Instant::now());
+        let budget = RunBudget {
+            deadline: Some(Instant::now()),
+            ..RunBudget::default()
+        };
         let err = run(&a, ControllerKind::Pox, FailMode::Secure, 1, true, &budget)
             .expect_err("a passed deadline must stop the run");
         assert_eq!(err, RunError::Halted(HaltReason::Cancelled));

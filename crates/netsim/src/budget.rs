@@ -36,31 +36,6 @@ pub struct RunBudget {
     pub deadline: Option<Instant>,
 }
 
-impl RunBudget {
-    /// An unlimited budget.
-    pub fn unlimited() -> RunBudget {
-        RunBudget::default()
-    }
-
-    /// Caps total dispatched events.
-    pub fn with_max_events(mut self, max: u64) -> RunBudget {
-        self.max_events = Some(max);
-        self
-    }
-
-    /// Caps events dispatched at one virtual instant.
-    pub fn with_livelock_bound(mut self, max: u64) -> RunBudget {
-        self.max_events_per_instant = Some(max);
-        self
-    }
-
-    /// Halts the run, untraced, once `deadline` has passed.
-    pub fn with_deadline(mut self, deadline: Instant) -> RunBudget {
-        self.deadline = Some(deadline);
-        self
-    }
-}
-
 /// Why a [`run_until`](crate::Simulation::run_until) call returned.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum HaltReason {
@@ -88,19 +63,12 @@ mod tests {
     #[test]
     fn token_clones_share_the_flag() {
         // A fork clones its parent's budget: both halt at one instant.
-        let a = RunBudget::unlimited().with_deadline(Instant::now());
+        let a = RunBudget {
+            deadline: Some(Instant::now()),
+            ..RunBudget::default()
+        };
         let b = a.clone();
         assert!(a.deadline.is_some());
         assert_eq!(b.deadline, a.deadline);
-    }
-
-    #[test]
-    fn budget_builder_sets_bounds() {
-        let b = RunBudget::unlimited()
-            .with_max_events(10)
-            .with_livelock_bound(4);
-        assert_eq!(b.max_events, Some(10));
-        assert_eq!(b.max_events_per_instant, Some(4));
-        assert!(b.deadline.is_none());
     }
 }

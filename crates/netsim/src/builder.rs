@@ -5,16 +5,15 @@
 //! site). Generators producing thousands of nodes use
 //! [`NetworkBuilder::try_build`], which returns a typed [`BuildError`]
 //! naming the offending node — builder methods themselves never panic
-//! on bad references; every problem is deferred and reported at build
-//! time with its context.
+//! on bad references; every problem is reported at build time with its
+//! context.
 
 use crate::controller_host::ControllerHost;
 use crate::engine::{ConnId, NodeId};
 use crate::host::Host;
 use crate::link::{Link, LinkEnd, PortTable};
 use crate::sim::{Connection, Node, Simulation};
-use crate::switch::{EvictionPolicy, FailMode, Switch};
-use crate::time::SimTime;
+use crate::switch::{FailMode, Switch};
 use attain_controllers::Controller;
 use attain_openflow::{DatapathId, MacAddr, PortNo};
 use std::collections::HashMap;
@@ -24,26 +23,6 @@ use std::net::Ipv4Addr;
 /// Reference to a controller added to a [`NetworkBuilder`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ControllerRef(pub usize);
-
-/// Physical characteristics of a link.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct LinkParams {
-    /// Bandwidth in bits per second.
-    pub bandwidth_bps: u64,
-    /// One-way propagation delay.
-    pub delay: SimTime,
-}
-
-impl Default for LinkParams {
-    /// The paper's testbed links: 100 Mb/s, with a quarter-millisecond
-    /// of propagation/stack delay.
-    fn default() -> Self {
-        LinkParams {
-            bandwidth_bps: 100_000_000,
-            delay: SimTime::from_micros(250),
-        }
-    }
-}
 
 /// A malformed topology, detected at build time.
 ///
@@ -81,11 +60,6 @@ pub enum BuildError {
         /// The host's name.
         name: String,
     },
-    /// `set_table` targeted a host or an unknown id.
-    NotASwitch {
-        /// The target's name, or `n<id>` if the id was out of range.
-        name: String,
-    },
     /// A control connection references a controller that was never
     /// added.
     DanglingController {
@@ -111,9 +85,6 @@ impl fmt::Display for BuildError {
             BuildError::MultihomedHost { name } => {
                 write!(f, "host {name} may have only one link")
             }
-            BuildError::NotASwitch { name } => {
-                write!(f, "set_table: {name} is not a switch")
-            }
             BuildError::DanglingController { index } => {
                 write!(f, "control #{index} references an unknown controller")
             }
@@ -137,9 +108,6 @@ enum NodeSpec {
     Switch {
         name: String,
         fail_mode: FailMode,
-        /// `(capacity, policy)` flow-table bound; `None` keeps the
-        /// default (1024 entries, reject-on-full).
-        table: Option<(usize, EvictionPolicy)>,
     },
 }
 
@@ -157,15 +125,13 @@ impl NodeSpec {
 #[derive(Default)]
 pub struct NetworkBuilder {
     nodes: Vec<NodeSpec>,
-    links: Vec<(NodeId, PortNo, NodeId, PortNo, LinkParams)>,
+    links: Vec<(NodeId, PortNo, NodeId, PortNo)>,
     /// Next free port number per node id (ports are assigned at link
     /// creation, in link order, so generators learn their wiring as
     /// they emit it).
     next_port: Vec<u16>,
     controllers: Vec<(String, Box<dyn Controller>)>,
     controls: Vec<(ControllerRef, NodeId)>,
-    /// Errors from misused builder calls, reported by `try_build`.
-    deferred: Vec<BuildError>,
 }
 
 impl NetworkBuilder {
@@ -198,7 +164,6 @@ impl NetworkBuilder {
         self.nodes.push(NodeSpec::Switch {
             name: name.to_string(),
             fail_mode,
-            table: None,
         });
         self.next_port.push(0);
         id
@@ -212,34 +177,11 @@ impl NetworkBuilder {
             .unwrap_or_else(|| id.to_string())
     }
 
-    /// Bounds a switch's flow table (before `build`): `capacity` entries
-    /// plus the overflow policy applied once it fills. Targeting a host
-    /// or an unknown id is reported at build time.
-    pub fn set_table(&mut self, id: NodeId, capacity: usize, policy: EvictionPolicy) {
-        match self.nodes.get_mut(id.0) {
-            Some(NodeSpec::Switch { table, .. }) => *table = Some((capacity, policy)),
-            _ => {
-                let name = self.name_for(id);
-                self.deferred.push(BuildError::NotASwitch { name });
-            }
-        }
-    }
-
-    /// Connects two nodes with a default link, returning the assigned
-    /// `(port_on_a, port_on_b)`. Port numbers are assigned in
-    /// link-creation order, matching the paper's `p_{i,j}` figures.
+    /// Connects two nodes with a testbed link (100 Mb/s, 250 µs),
+    /// returning the assigned `(port_on_a, port_on_b)`. Port numbers are
+    /// assigned in link-creation order, matching the paper's `p_{i,j}`
+    /// figures.
     pub fn link(&mut self, a: NodeId, b: NodeId) -> (PortNo, PortNo) {
-        self.link_with(a, b, LinkParams::default())
-    }
-
-    /// Connects two nodes with explicit link parameters, returning the
-    /// assigned `(port_on_a, port_on_b)`.
-    pub(crate) fn link_with(
-        &mut self,
-        a: NodeId,
-        b: NodeId,
-        params: LinkParams,
-    ) -> (PortNo, PortNo) {
         let mut assign = |id: NodeId| -> PortNo {
             match self.next_port.get_mut(id.0) {
                 Some(n) => {
@@ -253,7 +195,7 @@ impl NetworkBuilder {
         };
         let pa = assign(a);
         let pb = assign(b);
-        self.links.push((a, pa, b, pb, params));
+        self.links.push((a, pa, b, pb));
         (pa, pb)
     }
 
@@ -272,9 +214,6 @@ impl NetworkBuilder {
 
     /// Validates the accumulated topology, returning the first problem.
     fn validate(&self) -> Result<(), BuildError> {
-        if let Some(err) = self.deferred.first() {
-            return Err(err.clone());
-        }
         let mut seen: HashMap<&str, ()> = HashMap::with_capacity(self.nodes.len());
         for spec in &self.nodes {
             if seen.insert(spec.name(), ()).is_some() {
@@ -291,7 +230,7 @@ impl NetworkBuilder {
                 }
             }
         }
-        for (index, &(a, pa, b, pb, _)) in self.links.iter().enumerate() {
+        for (index, &(a, pa, b, pb)) in self.links.iter().enumerate() {
             for id in [a, b] {
                 if id.0 >= self.nodes.len() {
                     return Err(BuildError::DanglingLink { index, id });
@@ -353,24 +292,17 @@ impl NetworkBuilder {
                         addr,
                     )));
                 }
-                NodeSpec::Switch {
-                    name,
-                    fail_mode,
-                    table,
-                } => {
+                NodeSpec::Switch { name, fail_mode } => {
                     dpid += 1;
                     names.insert(name.clone(), id);
-                    let mut switch = Switch::new(name, DatapathId(dpid), fail_mode);
-                    if let Some((capacity, policy)) = table {
-                        switch.set_table_config(capacity, policy);
-                    }
+                    let switch = Switch::new(name, DatapathId(dpid), fail_mode);
                     nodes.push(Node::Switch(Box::new(switch)));
                 }
             }
         }
 
         let mut links = Vec::with_capacity(self.links.len());
-        for (a, pa, b, pb, params) in self.links {
+        for (a, pa, b, pb) in self.links {
             for (id, port) in [(a, pa), (b, pb)] {
                 if let Node::Switch(s) = &mut nodes[id.0] {
                     s.add_port(port);
@@ -379,8 +311,6 @@ impl NetworkBuilder {
             links.push(Link::new(
                 LinkEnd { node: a, port: pa },
                 LinkEnd { node: b, port: pb },
-                params.bandwidth_bps,
-                params.delay,
             ));
         }
         // Controllers come after every host and switch, and have no ports.
@@ -404,11 +334,13 @@ impl NetworkBuilder {
             connections.push(Connection { controller, switch });
         }
 
-        let mut sim = Simulation::assemble(nodes, links, ports, connections, names);
-        // Every link gets its own loss/corruption stream even when the
-        // scenario never names a seed.
-        sim.set_fault_seed(0);
-        Ok(sim)
+        Ok(Simulation::assemble(
+            nodes,
+            links,
+            ports,
+            connections,
+            names,
+        ))
     }
 
     /// Assembles the simulation.
@@ -427,6 +359,7 @@ impl NetworkBuilder {
 mod tests {
     use super::*;
     use crate::link::Hop;
+    use crate::switch::EvictionPolicy;
     use attain_controllers::ControllerKind;
 
     #[test]
@@ -454,10 +387,10 @@ mod tests {
         let h1 = b.host("h1", "10.0.0.1");
         let s1 = b.switch("s1");
         b.link(h1, s1);
-        b.set_table(s1, 8, EvictionPolicy::EvictLru);
         let c1 = b.controller("c1", ControllerKind::Floodlight.instantiate());
         b.control(c1, s1);
-        let sim = b.build();
+        let mut sim = b.build();
+        sim.set_table_config("s1", 8, EvictionPolicy::EvictLru);
         assert_eq!(sim.switch("s1").flow_table().capacity(), 8);
         assert_eq!(
             sim.switch("s1").flow_table().policy(),
@@ -539,15 +472,6 @@ mod tests {
         assert_eq!(
             b.try_build().err(),
             Some(BuildError::MultihomedHost { name: "h1".into() })
-        );
-
-        // set_table on a host (deferred, not a panic).
-        let mut b = NetworkBuilder::new();
-        let h1 = b.host("h1", "10.0.0.1");
-        b.set_table(h1, 8, EvictionPolicy::Reject);
-        assert_eq!(
-            b.try_build().err(),
-            Some(BuildError::NotASwitch { name: "h1".into() })
         );
 
         // Control connection on a host.

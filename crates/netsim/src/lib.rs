@@ -8,9 +8,9 @@
 //!
 //! * [`engine`] — a virtual-time event queue with strict deterministic
 //!   ordering (identical inputs ⇒ identical traces, byte for byte);
-//! * [`Link`] — full-duplex links with configurable propagation delay and
-//!   bandwidth-accurate serialization (so `iperf` throughput means
-//!   something);
+//! * links — full-duplex, 100 Mb/s with 250 µs of propagation delay
+//!   like the testbed's, with bandwidth-accurate serialization (so
+//!   `iperf` throughput means something);
 //! * [`Switch`] — an Open vSwitch v1.9.3 model: OpenFlow 1.0 flow table
 //!   with priorities/wildcards/timeouts, packet buffering, `PACKET_IN` on
 //!   miss, echo-based connection liveness probing, and the two
@@ -81,7 +81,7 @@ mod trace;
 pub mod workload;
 
 pub use budget::{HaltReason, RunBudget};
-pub use builder::{BuildError, ControllerRef, LinkParams, NetworkBuilder};
+pub use builder::{BuildError, ControllerRef, NetworkBuilder};
 pub use command::{HostCommand, ParseCommandError};
 pub use controller_host::ControllerHost;
 // `SchedulerConfig` is re-exported only for the frozen benchmark's
@@ -97,7 +97,6 @@ pub use host::{Host, IperfStats, PingStats, ProbeStats};
 pub use interpose::{
     Delivery, Direction, Interposer, InterposerActions, PassThrough, ProxiedMessage,
 };
-pub use link::{Link, LinkEnd, TxOutcome};
 pub use sim::{ConnInfo, Fork, Simulation};
 pub use switch::{
     ApplyOutcome, EvictionPolicy, FailMode, FlowEntry, FlowModError, FlowTable, Switch,

@@ -5,13 +5,21 @@ use crate::fault::{DetRng, LinkChange};
 use crate::time::SimTime;
 use attain_openflow::PortNo;
 
+/// The paper's testbed links (GENI): 100 Mb/s, with a quarter of a
+/// millisecond of propagation and stack delay.
+const BANDWIDTH_BPS: u64 = 100_000_000;
+const DELAY: SimTime = SimTime::from_micros(250);
+/// 50 ms of queueing at line rate ≈ a 600 KB buffer on a 100 Mb/s link,
+/// roughly a small switch port buffer.
+const MAX_QUEUE_DELAY: SimTime = SimTime::from_millis(50);
+
 /// One attachment point of a link.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct LinkEnd {
+pub(crate) struct LinkEnd {
     /// The attached node.
-    pub node: NodeId,
+    pub(crate) node: NodeId,
     /// The node's port number on this link.
-    pub port: PortNo,
+    pub(crate) port: PortNo,
 }
 
 /// A full-duplex link between two node ports.
@@ -20,56 +28,50 @@ pub struct LinkEnd {
 /// store-and-forward serializer: a frame departs when the transmitter
 /// frees up, occupies it for `bits / bandwidth`, then arrives after the
 /// propagation `delay`. Frames whose queueing delay would exceed
-/// `max_queue_delay` are dropped (drop-tail), bounding buffer memory the
+/// `MAX_QUEUE_DELAY` are dropped (drop-tail), bounding buffer memory the
 /// way a real NIC ring does.
 ///
 /// A fault's [`LinkChange`] reaches the link through `Link::apply`: it
 /// can sever the link, override its characteristics, and impose seeded
-/// per-frame loss and corruption; nominal characteristics are remembered
-/// so a restore undoes a degrade.
+/// per-frame loss and corruption; a restore goes back to the testbed's
+/// bandwidth and delay.
 #[derive(Debug, Clone)]
-pub struct Link {
+pub(crate) struct Link {
     /// First endpoint.
-    pub a: LinkEnd,
+    pub(crate) a: LinkEnd,
     /// Second endpoint.
-    pub b: LinkEnd,
+    pub(crate) b: LinkEnd,
     /// Bandwidth in bits per second.
-    pub bandwidth_bps: u64,
+    bandwidth_bps: u64,
     /// One-way propagation delay.
-    pub delay: SimTime,
-    /// Maximum tolerated queueing delay before drop-tail.
-    pub max_queue_delay: SimTime,
+    delay: SimTime,
     busy_until_ab: SimTime,
     busy_until_ba: SimTime,
     /// Frames dropped at the `a → b` transmitter.
-    pub drops_ab: u64,
+    pub(crate) drops_ab: u64,
     /// Frames dropped at the `b → a` transmitter.
-    pub drops_ba: u64,
-    /// Nominal bandwidth, restored after a degrade fault clears.
-    base_bandwidth_bps: u64,
-    /// Nominal delay, restored after a degrade fault clears.
-    base_delay: SimTime,
+    pub(crate) drops_ba: u64,
     up: bool,
     loss_pct: u8,
     corrupt_pct: u8,
     rng: DetRng,
     /// Frames accepted at the `a → b` transmitter.
-    pub tx_ab: u64,
+    pub(crate) tx_ab: u64,
     /// Frames accepted at the `b → a` transmitter.
-    pub tx_ba: u64,
+    pub(crate) tx_ba: u64,
     /// Frames dropped because the link was down (either direction).
-    pub down_drops: u64,
+    pub(crate) down_drops: u64,
     /// Frames dropped by the seeded loss process.
-    pub lost: u64,
+    pub(crate) lost: u64,
     /// Frames bit-flipped by the seeded corruption process.
-    pub corrupted: u64,
+    pub(crate) corrupted: u64,
     /// Up→down transitions.
-    pub down_events: u64,
+    pub(crate) down_events: u64,
 }
 
 /// The outcome of offering a frame to a link transmitter.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TxOutcome {
+pub(crate) enum TxOutcome {
     /// The frame will arrive at the far end at this time.
     Arrives(SimTime),
     /// The transmit queue was full; the frame is dropped.
@@ -77,22 +79,17 @@ pub enum TxOutcome {
 }
 
 impl Link {
-    /// Creates a link with the given endpoints and characteristics.
-    pub fn new(a: LinkEnd, b: LinkEnd, bandwidth_bps: u64, delay: SimTime) -> Link {
+    /// Creates a testbed link between two endpoints.
+    pub(crate) fn new(a: LinkEnd, b: LinkEnd) -> Link {
         Link {
             a,
             b,
-            bandwidth_bps,
-            delay,
-            // 50 ms of queueing at line rate ≈ a 600 KB buffer on a
-            // 100 Mb/s link — roughly a small switch port buffer.
-            max_queue_delay: SimTime::from_millis(50),
+            bandwidth_bps: BANDWIDTH_BPS,
+            delay: DELAY,
             busy_until_ab: SimTime::ZERO,
             busy_until_ba: SimTime::ZERO,
             drops_ab: 0,
             drops_ba: 0,
-            base_bandwidth_bps: bandwidth_bps,
-            base_delay: delay,
             up: true,
             loss_pct: 0,
             corrupt_pct: 0,
@@ -117,7 +114,7 @@ impl Link {
     /// `Down` (or the down phase of a `Flap`) discards the frames queued
     /// in the transmitters (the serializers idle), and offers while down
     /// are counted in [`Link::down_drops`]; `Restore` brings the link up
-    /// at its nominal bandwidth and delay with no loss or corruption.
+    /// at the testbed's bandwidth and delay with no loss or corruption.
     /// `Down` and `Up` count only as transitions, a `Flap` only with
     /// cycles left (re-arming it is the simulation's), and every other
     /// change always.
@@ -143,8 +140,8 @@ impl Link {
                 true
             }
             LinkChange::Restore => {
-                self.bandwidth_bps = self.base_bandwidth_bps;
-                self.delay = self.base_delay;
+                self.bandwidth_bps = BANDWIDTH_BPS;
+                self.delay = DELAY;
                 self.loss_pct = 0;
                 self.corrupt_pct = 0;
                 self.up = true;
@@ -200,7 +197,7 @@ impl Link {
     }
 
     /// Serialization time for a frame of `bytes` bytes.
-    pub fn tx_time(&self, bytes: usize) -> SimTime {
+    pub(crate) fn tx_time(&self, bytes: usize) -> SimTime {
         SimTime((bytes as u64 * 8).saturating_mul(1_000_000_000) / self.bandwidth_bps)
     }
 
@@ -211,7 +208,8 @@ impl Link {
     /// # Panics
     ///
     /// Panics if `from` is not an endpoint of this link.
-    pub fn transmit(&mut self, from: NodeId, bytes: usize, now: SimTime) -> TxOutcome {
+    pub(crate) fn transmit(&mut self, from: NodeId, bytes: usize, now: SimTime) -> TxOutcome {
+        let tx = self.tx_time(bytes);
         let (busy, drops, tx_count) = if self.a.node == from {
             (&mut self.busy_until_ab, &mut self.drops_ab, &mut self.tx_ab)
         } else if self.b.node == from {
@@ -224,11 +222,10 @@ impl Link {
             return TxOutcome::Dropped;
         }
         let start = (*busy).max(now);
-        if start.saturating_sub(now) > self.max_queue_delay {
+        if start.saturating_sub(now) > MAX_QUEUE_DELAY {
             *drops += 1;
             return TxOutcome::Dropped;
         }
-        let tx = SimTime((bytes as u64 * 8).saturating_mul(1_000_000_000) / self.bandwidth_bps);
         *busy = start + tx;
         *tx_count += 1;
         TxOutcome::Arrives(start + tx + self.delay)
@@ -292,6 +289,7 @@ impl PortTable {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn link() -> Link {
         Link::new(
@@ -303,8 +301,6 @@ mod tests {
                 node: NodeId(1),
                 port: PortNo(2),
             },
-            100_000_000, // 100 Mb/s, the paper's links
-            SimTime::from_micros(250),
         )
     }
 
@@ -475,5 +471,26 @@ mod tests {
             (95.0..=106.0).contains(&mbps),
             "accepted rate {mbps} Mb/s should be ≈ line rate"
         );
+    }
+
+    proptest! {
+        /// Per-direction link arrivals are monotone in offer order and
+        /// never earlier than tx-time + propagation.
+        #[test]
+        fn link_arrivals_are_monotone(
+            frames in proptest::collection::vec((64usize..1514, 0u64..1_000_000), 1..50),
+        ) {
+            let mut l = link();
+            let mut last_arrival = SimTime::ZERO;
+            let mut now = SimTime::ZERO;
+            for (bytes, gap_ns) in frames {
+                now += SimTime::from_nanos(gap_ns);
+                if let TxOutcome::Arrives(at) = l.transmit(NodeId(0), bytes, now) {
+                    prop_assert!(at >= last_arrival, "reordering on the wire");
+                    prop_assert!(at >= now + l.tx_time(bytes) + l.delay);
+                    last_arrival = at;
+                }
+            }
+        }
     }
 }

@@ -192,6 +192,9 @@ impl Simulation {
             instant_events: 0,
             halted: None,
         };
+        // Every link gets its own loss/corruption stream even when the
+        // scenario never names a seed.
+        sim.set_fault_seed(0);
         // Stagger the initial handshakes and housekeeping ticks slightly
         // so same-instant ties don't depend on construction order alone.
         for (i, conn) in sim.connections.iter().enumerate() {
@@ -317,7 +320,7 @@ impl Simulation {
     /// Each link's stream is derived from `seed` and the link's index,
     /// so runs with the same topology, schedule, and seed are
     /// byte-identical, and per-link streams are mutually decorrelated.
-    pub fn set_fault_seed(&mut self, seed: u64) {
+    fn set_fault_seed(&mut self, seed: u64) {
         for (i, link) in self.links.iter_mut().enumerate() {
             link.reseed(seed, i);
         }
@@ -590,7 +593,7 @@ impl Simulation {
         }
     }
 
-    fn node_name(&self, id: NodeId) -> &str {
+    pub(crate) fn node_name(&self, id: NodeId) -> &str {
         self.nodes[id.0].name()
     }
 

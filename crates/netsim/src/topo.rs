@@ -3,15 +3,18 @@
 //! The paper's evaluation ran on a ~10-node GENI slice; ROADMAP item 1
 //! grows the substrate to fabrics with thousands of switches. This
 //! module generates two classic datacenter shapes on top of the
-//! ordinary [`NetworkBuilder`] calls — controllers, fail modes, table
-//! bounds, and fault plans compose unchanged:
+//! ordinary [`NetworkBuilder`] calls — controllers, table bounds, and
+//! fault plans compose unchanged:
 //!
 //! * a **k-ary fat-tree** (Al-Fares et al.): `k` pods of `k/2` edge and
 //!   `k/2` aggregation switches plus `(k/2)²` cores — `5k²/4` switches
-//!   and up to `k³/4` hosts (k=32 → 1280 switches, 8192 hosts at the
-//!   classic density, tens of thousands with `hosts_per_edge` raised);
+//!   and `k³/4` hosts, `k/2` on each edge (k=32 → 1280 switches, 8192
+//!   hosts);
 //! * a **leaf-spine** fabric: every leaf links to every spine, hosts
 //!   hang off leaves.
+//!
+//! Every generated link is a testbed link (100 Mb/s, 250 µs), like
+//! every [`NetworkBuilder::link`].
 //!
 //! Everything is deterministic: names, DPIDs (builder insertion order),
 //! MACs (node index), IPs (`10.pod.edge.n` / `10.x.y.n`), and port
@@ -23,13 +26,12 @@
 //! therefore install proactive two-level OpenFlow 1.0 prefix routes
 //! (exact `/32` at the edge, pod `/16` and subnet `/24` aggregates
 //! above), the standard destination-based fat-tree scheme; switches
-//! default to fail-secure so anything unroutable drops instead of
-//! flooding.
+//! are fail-secure so anything unroutable drops instead of flooding.
 
-use crate::builder::{LinkParams, NetworkBuilder};
+use crate::builder::NetworkBuilder;
 use crate::engine::NodeId;
 use crate::sim::Simulation;
-use crate::switch::{EvictionPolicy, FailMode};
+use crate::switch::EvictionPolicy;
 use attain_openflow::{Action, FlowMod, Match, PortNo, Wildcards};
 use std::fmt;
 use std::net::Ipv4Addr;
@@ -41,7 +43,7 @@ pub enum TopoError {
     OddK(usize),
     /// Fat-tree `k` outside the supported 4..=64 range.
     KOutOfRange(usize),
-    /// More hosts per edge/leaf than the `/24` host subnet can address.
+    /// More hosts per leaf than the `/24` host subnet can address.
     TooManyHosts(usize),
     /// A leaf-spine dimension was zero or beyond the IP scheme's range.
     BadDimensions {
@@ -75,30 +77,15 @@ impl std::error::Error for TopoError {}
 /// Parameters for [`fat_tree`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FatTreeParams {
-    /// Fat-tree arity: even, in 4..=64. `5k²/4` switches, `k` pods.
+    /// Fat-tree arity: even, in 4..=64. `5k²/4` switches, `k` pods,
+    /// `k/2` hosts on each edge switch.
     pub k: usize,
-    /// Hosts attached to each edge switch (1..=253). The classic
-    /// fat-tree uses `k/2`; raise it to push host counts into the tens
-    /// of thousands without growing the switching fabric.
-    pub hosts_per_edge: usize,
-    /// Fail mode for every generated switch. Defaults to
-    /// [`FailMode::Secure`]: in a proactively-routed loopy fabric,
-    /// unroutable packets must drop, not flood.
-    pub fail_mode: FailMode,
-    /// Link parameters for every generated link.
-    pub link: LinkParams,
 }
 
 impl FatTreeParams {
-    /// Classic k-ary fat-tree: `k/2` hosts per edge, secure fail mode,
-    /// default links.
+    /// The classic k-ary fat-tree.
     pub fn new(k: usize) -> FatTreeParams {
-        FatTreeParams {
-            k,
-            hosts_per_edge: k / 2,
-            fail_mode: FailMode::Secure,
-            link: LinkParams::default(),
-        }
+        FatTreeParams { k }
     }
 }
 
@@ -111,22 +98,15 @@ pub struct LeafSpineParams {
     pub leaves: usize,
     /// Hosts attached to each leaf (1..=253).
     pub hosts_per_leaf: usize,
-    /// Fail mode for every generated switch.
-    pub fail_mode: FailMode,
-    /// Link parameters for every generated link.
-    pub link: LinkParams,
 }
 
 impl LeafSpineParams {
-    /// A leaf-spine fabric with the given dimensions, secure fail mode,
-    /// default links.
+    /// A leaf-spine fabric with the given dimensions.
     pub fn new(spines: usize, leaves: usize, hosts_per_leaf: usize) -> LeafSpineParams {
         LeafSpineParams {
             spines,
             leaves,
             hosts_per_leaf,
-            fail_mode: FailMode::Secure,
-            link: LinkParams::default(),
         }
     }
 }
@@ -213,27 +193,24 @@ pub fn fat_tree(b: &mut NetworkBuilder, p: &FatTreeParams) -> Result<Topology, T
     if !(4..=64).contains(&p.k) {
         return Err(TopoError::KOutOfRange(p.k));
     }
-    if p.hosts_per_edge == 0 || p.hosts_per_edge > 253 {
-        return Err(TopoError::TooManyHosts(p.hosts_per_edge));
-    }
     let half = p.k / 2;
 
     let core: Vec<NodeId> = (0..half * half)
-        .map(|i| b.switch_with_mode(&format!("ftc{i}"), p.fail_mode))
+        .map(|i| b.switch(&format!("ftc{i}")))
         .collect();
     let mut agg = Vec::with_capacity(p.k * half);
     let mut edge = Vec::with_capacity(p.k * half);
     for pod in 0..p.k {
         for i in 0..half {
-            agg.push(b.switch_with_mode(&format!("fta{pod}_{i}"), p.fail_mode));
+            agg.push(b.switch(&format!("fta{pod}_{i}")));
         }
         for i in 0..half {
-            edge.push(b.switch_with_mode(&format!("fte{pod}_{i}"), p.fail_mode));
+            edge.push(b.switch(&format!("fte{pod}_{i}")));
         }
     }
 
-    let mut hosts = Vec::with_capacity(p.k * half * p.hosts_per_edge);
-    let mut edge_host_port = vec![Vec::with_capacity(p.hosts_per_edge); edge.len()];
+    let mut hosts = Vec::with_capacity(p.k * half * half);
+    let mut edge_host_port = vec![Vec::with_capacity(half); edge.len()];
     let mut edge_up_port = vec![Vec::with_capacity(half); edge.len()];
     let mut agg_down_port = vec![Vec::with_capacity(half); agg.len()];
     let mut agg_up_port = vec![Vec::with_capacity(half); agg.len()];
@@ -251,17 +228,17 @@ pub fn fat_tree(b: &mut NetworkBuilder, p: &FatTreeParams) -> Result<Topology, T
     for pod in 0..p.k {
         for e in 0..half {
             let eg = pod * half + e; // global edge index
-            for hidx in 0..p.hosts_per_edge {
+            for hidx in 0..half {
                 let n = hosts.len();
                 let ip = fat_tree_ip(pod, e, hidx);
                 let h = b.host(&format!("fth{n}"), &ip.to_string());
-                let (_, ep) = b.link_with(h, edge[eg], p.link);
+                let (_, ep) = b.link(h, edge[eg]);
                 edge_host_port[eg].push(ep);
                 hosts.push(TopoHost { id: h, ip });
             }
             for a in 0..half {
                 let ag = pod * half + a;
-                let (ep, ap) = b.link_with(edge[eg], agg[ag], p.link);
+                let (ep, ap) = b.link(edge[eg], agg[ag]);
                 edge_up_port[eg].push(ep);
                 agg_down_port[ag].push(ap);
             }
@@ -272,7 +249,7 @@ pub fn fat_tree(b: &mut NetworkBuilder, p: &FatTreeParams) -> Result<Topology, T
             let ag = pod * half + a;
             for m in 0..half {
                 let c = a * half + m;
-                let (ap, cp) = b.link_with(agg[ag], core[c], p.link);
+                let (ap, cp) = b.link(agg[ag], core[c]);
                 agg_up_port[ag].push(ap);
                 core_down_port[c][pod] = cp;
             }
@@ -295,8 +272,7 @@ pub fn fat_tree(b: &mut NetworkBuilder, p: &FatTreeParams) -> Result<Topology, T
 
 /// Generates a leaf-spine fabric into `b`, returning its [`Topology`].
 ///
-/// Names: `lss<i>` (spines), `lsl<i>` (leaves), `lsh<n>` (hosts). Spines
-/// get their flow-table bound raised to fit one `/24` route per leaf.
+/// Names: `lss<i>` (spines), `lsl<i>` (leaves), `lsh<n>` (hosts).
 pub fn leaf_spine(b: &mut NetworkBuilder, p: &LeafSpineParams) -> Result<Topology, TopoError> {
     if p.spines == 0 || p.spines > 64 || p.leaves == 0 || p.leaves > 16_000 {
         return Err(TopoError::BadDimensions {
@@ -309,16 +285,10 @@ pub fn leaf_spine(b: &mut NetworkBuilder, p: &LeafSpineParams) -> Result<Topolog
     }
 
     let spines: Vec<NodeId> = (0..p.spines)
-        .map(|i| {
-            let s = b.switch_with_mode(&format!("lss{i}"), p.fail_mode);
-            if p.leaves + 8 > 1024 {
-                b.set_table(s, p.leaves + 8, EvictionPolicy::Reject);
-            }
-            s
-        })
+        .map(|i| b.switch(&format!("lss{i}")))
         .collect();
     let leaves: Vec<NodeId> = (0..p.leaves)
-        .map(|i| b.switch_with_mode(&format!("lsl{i}"), p.fail_mode))
+        .map(|i| b.switch(&format!("lsl{i}")))
         .collect();
 
     let mut hosts = Vec::with_capacity(p.leaves * p.hosts_per_leaf);
@@ -331,12 +301,12 @@ pub fn leaf_spine(b: &mut NetworkBuilder, p: &LeafSpineParams) -> Result<Topolog
             let n = hosts.len();
             let ip = leaf_spine_ip(l, hidx);
             let h = b.host(&format!("lsh{n}"), &ip.to_string());
-            let (_, lp) = b.link_with(h, leaves[l], p.link);
+            let (_, lp) = b.link(h, leaves[l]);
             edge_host_port[l].push(lp);
             hosts.push(TopoHost { id: h, ip });
         }
         for s in 0..p.spines {
-            let (lp, sp) = b.link_with(leaves[l], spines[s], p.link);
+            let (lp, sp) = b.link(leaves[l], spines[s]);
             edge_up_port[l].push(lp);
             core_down_port[s][l] = sp;
         }
@@ -470,6 +440,8 @@ pub fn install_fat_tree_routes(sim: &mut Simulation, topo: &Topology) -> usize {
 /// returning the number of rules installed: per leaf, one `/32` per
 /// local host, a drop for the rest of its own subnet, and a default
 /// up-route to spine `leaf % spines`; per spine, one `/24` per leaf.
+/// A spine whose routes would not fit the default 1,024-entry table
+/// first gets room for one per leaf, plus eight.
 ///
 /// # Panics
 ///
@@ -500,6 +472,10 @@ pub fn install_leaf_spine_routes(sim: &mut Simulation, topo: &Topology) -> usize
     }
     for (s, ports) in topo.core_down_port.iter().enumerate() {
         let spine = topo.core[s];
+        if leaves + 8 > 1024 {
+            let name = sim.node_name(spine).to_string();
+            sim.set_table_config(&name, leaves + 8, EvictionPolicy::Reject);
+        }
         for (l, &port) in ports.iter().enumerate() {
             let subnet = Ipv4Addr::new(10, (l / 250) as u8, (l % 250) as u8, 0);
             push(
@@ -542,14 +518,6 @@ mod tests {
         assert_eq!(
             fat_tree(&mut b, &FatTreeParams::new(2)).err(),
             Some(TopoError::KOutOfRange(2))
-        );
-        let crowded = FatTreeParams {
-            hosts_per_edge: 300,
-            ..FatTreeParams::new(4)
-        };
-        assert_eq!(
-            fat_tree(&mut b, &crowded).err(),
-            Some(TopoError::TooManyHosts(300))
         );
         let mut b = NetworkBuilder::new();
         assert_eq!(
@@ -627,6 +595,23 @@ mod tests {
         );
         sim.run_until(SimTime::from_secs(5));
         assert_eq!(sim.ping_stats()[0].received(), 2);
+    }
+
+    #[test]
+    fn wide_leaf_spine_spines_are_sized_for_one_route_per_leaf() {
+        let (spines, leaves) = (2, 1_100);
+        let mut b = NetworkBuilder::new();
+        let t = leaf_spine(&mut b, &LeafSpineParams::new(spines, leaves, 1)).unwrap();
+        let mut sim = b.build();
+        // Per leaf: a /32, a subnet drop and a default; per spine, a /24
+        // per leaf. A rejected route panics.
+        let rules = install_leaf_spine_routes(&mut sim, &t);
+        assert_eq!(rules, leaves * 3 + spines * leaves);
+        for &spine in &t.core {
+            let table = sim.switch(sim.node_name(spine)).flow_table();
+            assert_eq!(table.capacity(), leaves + 8);
+            assert_eq!(table.len(), leaves);
+        }
     }
 
     #[test]

@@ -22,6 +22,9 @@ use crate::time::SimTime;
 use crate::topo::Topology;
 use std::collections::BTreeSet;
 
+/// When the first flow starts (and every iperf server).
+const START: SimTime = SimTime::from_secs(1);
+
 /// How flow endpoints are chosen.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TrafficPattern {
@@ -67,8 +70,6 @@ pub struct TrafficMatrix {
     pub flows: usize,
     /// RNG seed (endpoints, gaps, permutation shuffle).
     pub seed: u64,
-    /// When the first flow starts.
-    pub start: SimTime,
     /// Mean inter-arrival gap between consecutive flow starts.
     pub mean_gap: SimTime,
     /// What each flow runs.
@@ -83,7 +84,6 @@ impl TrafficMatrix {
             pattern: TrafficPattern::Uniform,
             flows,
             seed,
-            start: SimTime::from_secs(1),
             mean_gap: SimTime::from_millis(1),
             kind: FlowKind::Ping {
                 count: 3,
@@ -142,7 +142,7 @@ impl TrafficMatrix {
 
         let mut primed: BTreeSet<(usize, usize)> = BTreeSet::new();
         let mut servers: BTreeSet<usize> = BTreeSet::new();
-        let mut at = self.start;
+        let mut at = START;
         let mut last_start = at;
         for i in 0..self.flows {
             let (src, dst) = match self.pattern {
@@ -198,7 +198,7 @@ impl TrafficMatrix {
                     if servers.insert(dst) {
                         // The server must exist before the first SYN.
                         sim.schedule_command(
-                            self.start,
+                            START,
                             HostCommand::IperfServer {
                                 host: hosts[dst].id,
                                 port: 5001,

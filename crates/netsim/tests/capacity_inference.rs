@@ -18,12 +18,13 @@ fn probe_network(capacity: usize, policy: EvictionPolicy) -> Simulation {
     let h1 = b.host("h1", "10.0.0.1");
     let h2 = b.host("h2", "10.0.0.2");
     let s1 = b.switch("s1");
-    b.set_table(s1, capacity, policy);
     b.link(h1, s1);
     b.link(h2, s1);
     let c1 = b.controller("c1", ControllerKind::Ryu.instantiate());
     b.control(c1, s1);
-    b.build()
+    let mut sim = b.build();
+    sim.set_table_config("s1", capacity, policy);
+    sim
 }
 
 /// Runs one probe to completion and returns (estimate, trace digest).
@@ -127,8 +128,9 @@ fn probe_runs_are_deterministic() {
 
 #[test]
 fn post_build_table_config_matches_builder_config() {
-    // Simulation::set_table_config (the campaign's entry point) and
-    // NetworkBuilder::set_table configure the same bounded table.
+    // Simulation::set_table_config is the one table setter (the
+    // campaign's and `probe_network`'s): the bound it sets is the
+    // capacity the probe measures.
     let mut sim = {
         let mut b = NetworkBuilder::new();
         let h1 = b.host("h1", "10.0.0.1");

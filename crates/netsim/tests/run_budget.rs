@@ -3,8 +3,8 @@
 
 use attain_controllers::ControllerKind;
 use attain_netsim::{
-    HaltReason, HostCommand, Interposer, InterposerActions, NetworkBuilder, ProxiedMessage,
-    RunBudget, SimTime, TraceKind,
+    FaultPlan, HaltReason, HostCommand, Interposer, InterposerActions, NetworkBuilder,
+    ProxiedMessage, RunBudget, SimTime, TraceKind,
 };
 use std::time::Instant;
 
@@ -53,7 +53,7 @@ impl Interposer for Spin {
 
 #[test]
 fn unlimited_budget_reaches_the_horizon() {
-    let mut sim = build(RunBudget::unlimited());
+    let mut sim = build(RunBudget::default());
     assert_eq!(sim.run_until(SimTime::from_secs(20)), HaltReason::Horizon);
     assert_eq!(sim.ping_stats()[0].received(), 10);
     assert!(sim.halt_reason().is_none());
@@ -62,7 +62,10 @@ fn unlimited_budget_reaches_the_horizon() {
 
 #[test]
 fn event_budget_halts_are_sticky_and_traced() {
-    let mut sim = build(RunBudget::unlimited().with_max_events(50));
+    let mut sim = build(RunBudget {
+        max_events: Some(50),
+        ..RunBudget::default()
+    });
     let halt = sim.run_until(SimTime::from_secs(20));
     assert_eq!(halt, HaltReason::EventBudget { events: 50 });
     assert_eq!(sim.events_dispatched(), 50);
@@ -83,8 +86,11 @@ fn event_budget_halts_are_sticky_and_traced() {
 #[test]
 fn budget_halts_reproduce_same_seed_byte_identical_traces() {
     let run = || {
-        let mut sim = build(RunBudget::unlimited().with_max_events(120));
-        sim.set_fault_seed(7);
+        let mut sim = build(RunBudget {
+            max_events: Some(120),
+            ..RunBudget::default()
+        });
+        sim.apply_fault_plan(&FaultPlan::seeded(7));
         let halt = sim.run_until(SimTime::from_secs(20));
         (halt, sim.now(), sim.trace().digest())
     };
@@ -96,15 +102,18 @@ fn budget_halts_reproduce_same_seed_byte_identical_traces() {
     assert_eq!(digest_a, digest_b);
     // And the digest differs from an unbudgeted run: the halt event is
     // real trace content, not an out-of-band flag.
-    let mut free = build(RunBudget::unlimited());
-    free.set_fault_seed(7);
+    let mut free = build(RunBudget::default());
+    free.apply_fault_plan(&FaultPlan::seeded(7));
     free.run_until(SimTime::from_secs(20));
     assert_ne!(digest_a, free.trace().digest());
 }
 
 #[test]
 fn livelock_detector_catches_a_stuck_instant() {
-    let mut sim = build(RunBudget::unlimited().with_livelock_bound(1_000));
+    let mut sim = build(RunBudget {
+        max_events_per_instant: Some(1_000),
+        ..RunBudget::default()
+    });
     sim.set_interposer(Box::new(Spin));
     let halt = sim.run_until(SimTime::from_secs(20));
     assert_eq!(
@@ -117,7 +126,10 @@ fn livelock_detector_catches_a_stuck_instant() {
     assert!(sim.now() < SimTime::from_secs(20));
     // Deterministic: a second identical run halts at the same instant
     // with the same digest.
-    let mut again = build(RunBudget::unlimited().with_livelock_bound(1_000));
+    let mut again = build(RunBudget {
+        max_events_per_instant: Some(1_000),
+        ..RunBudget::default()
+    });
     again.set_interposer(Box::new(Spin));
     assert_eq!(again.run_until(SimTime::from_secs(20)), halt);
     assert_eq!(again.now(), sim.now());
@@ -126,22 +138,28 @@ fn livelock_detector_catches_a_stuck_instant() {
 
 #[test]
 fn healthy_runs_never_trip_the_livelock_bound() {
-    let mut sim = build(RunBudget::unlimited().with_livelock_bound(1_000));
+    let mut sim = build(RunBudget {
+        max_events_per_instant: Some(1_000),
+        ..RunBudget::default()
+    });
     assert_eq!(sim.run_until(SimTime::from_secs(20)), HaltReason::Horizon);
     // Identical digest to a fully unbudgeted run: an untripped budget
     // leaves no trace residue.
-    let mut free = build(RunBudget::unlimited());
+    let mut free = build(RunBudget::default());
     free.run_until(SimTime::from_secs(20));
     assert_eq!(sim.trace().digest(), free.trace().digest());
 }
 
 #[test]
 fn cancellation_stops_the_run_without_touching_the_trace() {
-    let mut sim = build(RunBudget::unlimited());
+    let mut sim = build(RunBudget::default());
     // Run half way, snapshot, pass the deadline, try to continue.
     assert_eq!(sim.run_until(SimTime::from_secs(8)), HaltReason::Horizon);
     let (digest, events) = (sim.trace().digest(), sim.events_dispatched());
-    sim.set_run_budget(RunBudget::unlimited().with_deadline(Instant::now()));
+    sim.set_run_budget(RunBudget {
+        deadline: Some(Instant::now()),
+        ..RunBudget::default()
+    });
     assert_eq!(sim.run_until(SimTime::from_secs(20)), HaltReason::Cancelled);
     assert_eq!(sim.events_dispatched(), events, "nothing dispatched");
     assert_eq!(sim.run_until(SimTime::from_secs(30)), HaltReason::Cancelled);

@@ -143,7 +143,10 @@ fn build(row: &Row) -> (Simulation, Topology, usize) {
 fn run_row(row: &Row, max_events: u64) -> Outcome {
     let (mut sim, topo, routes) = build(row);
     sim.set_trace_mode(TraceMode::Counters);
-    sim.set_run_budget(RunBudget::unlimited().with_max_events(max_events));
+    sim.set_run_budget(RunBudget {
+        max_events: Some(max_events),
+        ..RunBudget::default()
+    });
     let matrix = TrafficMatrix {
         mean_gap: row.mean_gap,
         kind: FlowKind::Ping {

@@ -2,6 +2,7 @@
 //! compiler, so programmatically generated attacks (e.g. from
 //! [`templates`](crate::lang::templates)) can be shared as `.atk` files.
 
+use crate::dsl::Quoted;
 use crate::lang::{Attack, AttackAction, BinOp, DequeEnd, Expr, Value};
 use crate::model::{NodeRef, SystemModel};
 use std::fmt::Write as _;
@@ -43,7 +44,7 @@ fn render_value(v: &Value, system: &SystemModel) -> Result<String, RenderError> 
             }
         }
         Value::Bool(b) => b.to_string(),
-        Value::Str(s) => format!("{s:?}"),
+        Value::Str(s) => Quoted(s).to_string(),
         Value::Addr(node) => system.name_of(*node).to_string(),
         Value::MsgType(t) => t.spec_name().to_string(),
         Value::Ip(ip) => ip.to_string(),
@@ -149,11 +150,16 @@ fn render_action(
         AttackAction::ReadMetadata => "read_metadata(msg);".to_string(),
         AttackAction::Read => "read(msg);".to_string(),
         AttackAction::ModifyMetadata { field, value } => format!(
-            "modify_metadata(msg, {field:?}, {});",
+            "modify_metadata(msg, {}, {});",
+            Quoted(field),
             render_expr(value, system)?
         ),
         AttackAction::Modify { field, value } => {
-            format!("modify(msg, {field:?}, {});", render_expr(value, system)?)
+            format!(
+                "modify(msg, {}, {});",
+                Quoted(field),
+                render_expr(value, system)?
+            )
         }
         AttackAction::Fuzz { flips } => format!("fuzz(msg, {flips});"),
         AttackAction::Inject {
@@ -163,14 +169,14 @@ fn render_action(
         } => {
             let hex: String = frame.bytes().iter().map(|b| format!("{b:02x}")).collect();
             format!(
-                "inject({}, {}, hex({:?}));",
+                "inject({}, {}, hex({}));",
                 conn_name(system, *conn)?,
                 if *to_controller {
                     "to_controller"
                 } else {
                     "to_switch"
                 },
-                hex,
+                Quoted(&hex),
             )
         }
         AttackAction::Prepend { deque, value } => {
@@ -201,8 +207,8 @@ fn render_action(
             format!("goto {name};")
         }
         AttackAction::Sleep(e) => format!("sleep({});", render_expr(e, system)?),
-        AttackAction::SysCmd { host, cmd } => format!("syscmd({host}, {cmd:?});"),
-        AttackAction::Fault { spec } => format!("fault({spec:?});"),
+        AttackAction::SysCmd { host, cmd } => format!("syscmd({host}, {});", Quoted(cmd)),
+        AttackAction::Fault { spec } => format!("fault({});", Quoted(spec)),
     })
 }
 

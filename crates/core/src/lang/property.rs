@@ -1,6 +1,7 @@
 //! Message properties (paper §V-A) and the view of an in-flight message
 //! a rule evaluates against.
 
+use crate::dsl::Quoted;
 use crate::lang::value::Value;
 use crate::model::{Capability, CapabilitySet};
 use crate::model::{ConnectionId, NodeRef};
@@ -80,7 +81,7 @@ impl Property {
 impl fmt::Display for Property {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            Property::TypeOption(path) => write!(f, "msg[{path:?}]"),
+            Property::TypeOption(path) => write!(f, "msg[{}]", Quoted(path)),
             named => write!(f, "msg.{}", named.name()),
         }
     }

@@ -111,3 +111,45 @@ fn an_in_renders_parenthesized_only_where_the_grammar_needs_it() {
         );
     }
 }
+
+#[test]
+fn string_literals_round_trip() {
+    use attain::core::lang::{AttackAction, Expr, Property, Value};
+    let sc = scenario::enterprise_network();
+    // Raw non-ASCII and control characters, and the four escapes.
+    let text = "caf\u{e9} \u{2026} \r \0 \u{7f} \t \" \\";
+    let literal = "caf\u{e9} \u{2026} \r \0 \u{7f} \\t \\\" \\\\";
+    let source = format!(
+        r#"
+        attack strings {{
+            state s {{
+                rule r on all {{
+                    when msg["{literal}"] == "{literal}"
+                    do {{ syscmd(h1, "{literal}"); }}
+                }}
+            }}
+        }}
+    "#
+    );
+    let compiled = dsl::compile(&source, &sc.system, &sc.attack_model)
+        .unwrap_or_else(|e| panic!("{e}"))
+        .attack;
+    let rendered = dsl::render(&compiled, &sc.system).expect("renders");
+    let back = dsl::compile(&rendered, &sc.system, &sc.attack_model)
+        .unwrap_or_else(|e| panic!("the rendering does not compile: {e}\n{rendered}"))
+        .attack;
+    assert_eq!(back, compiled, "{rendered}");
+    let rule = &back.states[0].rules[0];
+    let Expr::Bin(_, lhs, rhs) = &rule.condition else {
+        panic!("expected a comparison: {:?}", rule.condition);
+    };
+    assert_eq!(**lhs, Expr::Prop(Property::TypeOption(text.into())));
+    assert_eq!(**rhs, Expr::Lit(Value::Str(text.into())));
+    assert_eq!(
+        rule.actions,
+        [AttackAction::SysCmd {
+            host: "h1".into(),
+            cmd: text.into()
+        }]
+    );
+}

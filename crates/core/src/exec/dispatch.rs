@@ -267,11 +267,7 @@ pub struct CompiledState {
 }
 
 impl CompiledState {
-    fn compile(
-        rules: &[crate::lang::Rule],
-        conn_count: usize,
-        summary: &mut DispatchSummary,
-    ) -> CompiledState {
+    fn compile(rules: &[crate::lang::Rule], conn_count: usize) -> CompiledState {
         let words = rules.len().div_ceil(64).max(1);
         let mut conn_scope = vec![empty_mask(words); conn_count];
         let mut residual = empty_mask(words);
@@ -289,7 +285,6 @@ impl CompiledState {
                 });
             &mut props[at].1
         }
-        summary.rules += rules.len();
         for (i, rule) in rules.iter().enumerate() {
             for conn in &rule.connections {
                 if let Some(mask) = conn_scope.get_mut(conn.0) {
@@ -303,17 +298,12 @@ impl CompiledState {
                 }
             }
             match guard {
-                Some(Guard::Never) => summary.never += 1,
-                None => {
-                    set_bit(&mut residual, i);
-                    summary.residual += 1;
-                }
+                Some(Guard::Never) => {}
+                None => set_bit(&mut residual, i),
                 Some(Guard::Eq { prop, value }) => {
-                    summary.eq_indexed += 1;
                     builder_for(&mut props, &prop).add_eq(&value, i);
                 }
                 Some(Guard::In { prop, values }) => {
-                    summary.membership_indexed += 1;
                     let b = builder_for(&mut props, &prop);
                     for value in &values {
                         b.add_eq(value, i);
@@ -324,7 +314,6 @@ impl CompiledState {
                     op,
                     threshold,
                 }) => {
-                    summary.cmp_indexed += 1;
                     let b = builder_for(&mut props, &prop);
                     match op {
                         CmpOp::Ge => b.lower.push((threshold, 0, i)),
@@ -394,30 +383,11 @@ impl CompiledState {
     }
 }
 
-/// How a compiled ruleset dispatches its rules — per-class counts,
-/// summed over all states.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct DispatchSummary {
-    /// Total rules across all states.
-    pub rules: usize,
-    /// Rules dispatched through an equality bucket.
-    pub eq_indexed: usize,
-    /// Rules dispatched through membership buckets.
-    pub membership_indexed: usize,
-    /// Rules dispatched through a threshold index.
-    pub cmp_indexed: usize,
-    /// Rules evaluated on every in-scope message.
-    pub residual: usize,
-    /// Rules whose condition opens with a falsy literal (never run).
-    pub never: usize,
-}
-
 /// The whole attack's compiled dispatch structure: one
 /// [`CompiledState`] per automaton state.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CompiledRuleset {
     states: Vec<CompiledState>,
-    summary: DispatchSummary,
 }
 
 impl CompiledRuleset {
@@ -429,25 +399,17 @@ impl CompiledRuleset {
     /// dispatch rely on that invariant to behave exactly like the
     /// per-rule reads of the reference scan.
     pub fn compile(attack: &Attack, conn_count: usize) -> CompiledRuleset {
-        let mut summary = DispatchSummary::default();
         let states = attack
             .states
             .iter()
-            .map(|s| CompiledState::compile(&s.rules, conn_count, &mut summary))
+            .map(|s| CompiledState::compile(&s.rules, conn_count))
             .collect();
-        CompiledRuleset { states, summary }
+        CompiledRuleset { states }
     }
 
     /// The compiled dispatcher for state `idx`.
     pub(crate) fn state(&self, idx: usize) -> &CompiledState {
         &self.states[idx]
-    }
-
-    /// Per-class dispatch counts over the whole attack (the unit tests'
-    /// view of how each rule was indexed).
-    #[cfg(test)]
-    pub(crate) fn summary(&self) -> DispatchSummary {
-        self.summary
     }
 }
 
@@ -498,6 +460,19 @@ mod tests {
             granted: CapabilitySet::no_tls(),
             entropy: 0.5,
         }
+    }
+
+    /// How each rule of `attack`'s first state dispatches: the class
+    /// its anchor guard puts it in.
+    fn classes(attack: &Attack) -> Vec<&'static str> {
+        let class = |rule: &Rule| match anchor_guard(&rule.condition) {
+            None => "residual",
+            Some(Guard::Never) => "never",
+            Some(Guard::Eq { .. }) => "eq",
+            Some(Guard::In { .. }) => "membership",
+            Some(Guard::Cmp { .. }) => "cmp",
+        };
+        attack.states[0].rules.iter().map(class).collect()
     }
 
     fn candidates_of(ruleset: &CompiledRuleset, conn: usize, frame: &Frame) -> Vec<u32> {
@@ -634,15 +609,11 @@ mod tests {
                 Expr::eq(Expr::Prop(Property::Length), Expr::Lit(Value::Float(8.0))),
             ),
         ];
-        let ruleset = CompiledRuleset::compile(&attack_of(rules), 1);
+        let attack = attack_of(rules);
+        let ruleset = CompiledRuleset::compile(&attack, 1);
         let frame = Frame::from_message(OfMessage::Hello, 1);
         assert_eq!(candidates_of(&ruleset, 0, &frame), vec![1, 2]);
-        let summary = ruleset.summary();
-        assert_eq!(summary.rules, 3);
-        assert_eq!(summary.never, 1);
-        assert_eq!(summary.membership_indexed, 1);
-        assert_eq!(summary.eq_indexed, 1);
-        assert_eq!(summary.residual, 0);
+        assert_eq!(classes(&attack), ["never", "membership", "eq"]);
     }
 
     #[test]
@@ -656,18 +627,7 @@ mod tests {
             ),
             rule("res", &[0], Expr::Not(Box::new(Expr::always()))),
         ];
-        let summary = CompiledRuleset::compile(&attack_of(rules), 1).summary();
-        assert_eq!(
-            summary,
-            DispatchSummary {
-                rules: 3,
-                eq_indexed: 1,
-                membership_indexed: 0,
-                cmp_indexed: 1,
-                residual: 1,
-                never: 0,
-            }
-        );
+        assert_eq!(classes(&attack_of(rules)), ["eq", "cmp", "residual"]);
     }
 
     #[test]

@@ -12,7 +12,7 @@ mod executor;
 mod log;
 mod modifier;
 
-pub use dispatch::{CompiledRuleset, CompiledState, DispatchSummary};
+pub use dispatch::{CompiledRuleset, CompiledState};
 pub use executor::{
     validate_attack, AttackExecutor, DispatchMode, ExecOutput, ExecutorError, InjectorInput,
     OutMessage,

@@ -3,6 +3,27 @@
 //! The paper's injector "logged all control plane connections, all
 //! messages sent across such connections, and rule notifications"
 //! (§VII-A2); this module is the simulator-side half of that logging.
+//!
+//! A [`Trace`] stores each record as a private, fixed-size 24-byte
+//! `Record` that owns no heap memory: the virtual time (8 bytes), two
+//! `u32` payload words `x` and `y`, and three bytes `tag`, `a` and `b`.
+//! The four kinds a run logs by the million are encoded inline:
+//!
+//! - `ControlMessage`: `x` the connection, `y` the length, `a` the
+//!   direction, `b` the message type (0 for `None`, else its wire value
+//!   plus one);
+//! - `ConnectionUp`: `x` the connection;
+//! - `FlowInstalled` and `FlowEvicted`: `x` the switch name's index in a
+//!   table of names (each interned once, found through a name → index
+//!   map) and `y` the index of the match in a side `Vec<Match>` (40 bytes
+//!   a record, by value).
+//!
+//! Every other kind, and any of those four whose connection or length
+//! does not fit a `u32`, is kept whole in a side `Vec<TraceKind>` whose
+//! index the record holds in `x` (low half) and `y` (high half). So a
+//! control-message record costs 24 bytes, a flow record 64, and encoding
+//! is lossless for every input: [`Trace::events`] decodes each record
+//! back into the [`TraceEvent`] that was pushed.
 
 use crate::engine::ConnId;
 use crate::interpose::Direction;
@@ -18,7 +39,7 @@ use std::fmt;
 /// `Debug` prints what `Debug` of the rendered `String` prints, quotes
 /// included, so records and digests read as if the text were stored.
 /// The match is boxed so that the two variants carrying one do not
-/// widen every [`TraceEvent`].
+/// widen every [`TraceKind`]; a [`Trace`] stores it unboxed.
 #[derive(Clone, PartialEq, Eq)]
 pub struct MatchDescription(pub Box<Match>);
 
@@ -133,8 +154,11 @@ pub enum TraceKind {
 ///
 /// Counters (and therefore [`Trace::counter_digest`]) accumulate
 /// identically in both modes; only per-event record retention differs.
-/// 100k-flow runs use [`TraceMode::Counters`] so the trace stays O(
-/// connections × types), not O(events).
+/// A [`TraceMode::Full`] trace keeps one 24-byte record per event, plus
+/// 40 bytes of match per flow record and the whole kind of each rarer
+/// record (the layout is in `trace.rs`'s module docs). 100k-flow runs use
+/// [`TraceMode::Counters`] so the trace stays O(connections × types),
+/// not O(events).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum TraceMode {
     /// Keep every event record plus the aggregate counters.
@@ -358,7 +382,7 @@ impl Fnv1a {
 
     /// Hashes `events` as [`Trace::digest`] does: each rendered, then a
     /// newline.
-    fn events(&mut self, events: &[TraceEvent]) {
+    fn events(&mut self, events: impl Iterator<Item = TraceEvent>) {
         for e in events {
             // `Fnv1a::write_str` never fails.
             #[allow(clippy::expect_used)]
@@ -376,11 +400,162 @@ impl fmt::Write for Fnv1a {
     }
 }
 
+/// What a stored [`Record`] holds, and so how its words decode.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Tag {
+    ControlMessage,
+    ConnectionUp,
+    FlowInstalled,
+    FlowEvicted,
+    /// A kind kept whole in [`Store::whole`].
+    Whole,
+}
+
+/// One trace record as stored: a fixed 24 bytes that own no heap memory
+/// (the layout is in the module docs).
+#[derive(Debug, Clone, Copy)]
+struct Record {
+    time: SimTime,
+    x: u32,
+    y: u32,
+    tag: Tag,
+    a: u8,
+    b: u8,
+}
+
+const _: () = assert!(std::mem::size_of::<Record>() <= 24);
+
+/// The side tables that [`Record`]s index.
+#[derive(Debug, Default, Clone)]
+struct Store {
+    /// Flow records' switch names, each once, and where each one is.
+    names: Vec<String>,
+    name_index: BTreeMap<String, u32>,
+    /// Flow records' matches, one per record.
+    matches: Vec<Match>,
+    /// Kinds with no inline encoding.
+    whole: Vec<TraceKind>,
+}
+
+/// `n` as a record word, if it fits one.
+fn word(n: usize) -> Option<u32> {
+    u32::try_from(n).ok()
+}
+
+impl Store {
+    /// Encodes `kind` as a record at `time`, moving what it owns into the
+    /// side tables.
+    fn encode(&mut self, time: SimTime, kind: TraceKind) -> Record {
+        let (tag, x, y, a, b) = match kind {
+            TraceKind::ControlMessage {
+                conn,
+                direction,
+                of_type,
+                len,
+            } if word(conn.0).is_some() && word(len).is_some() => (
+                Tag::ControlMessage,
+                conn.0 as u32,
+                len as u32,
+                matches!(direction, Direction::ControllerToSwitch) as u8,
+                of_type.map_or(0, |t| t as u8 + 1),
+            ),
+            TraceKind::ConnectionUp { conn } if word(conn.0).is_some() => {
+                (Tag::ConnectionUp, conn.0 as u32, 0, 0, 0)
+            }
+            TraceKind::FlowInstalled {
+                switch,
+                description,
+            } if word(self.matches.len()).is_some() => {
+                self.flow(Tag::FlowInstalled, switch, description)
+            }
+            TraceKind::FlowEvicted {
+                switch,
+                description,
+            } if word(self.matches.len()).is_some() => {
+                self.flow(Tag::FlowEvicted, switch, description)
+            }
+            kind => {
+                let at = self.whole.len() as u64;
+                self.whole.push(kind);
+                (Tag::Whole, at as u32, (at >> 32) as u32, 0, 0)
+            }
+        };
+        Record {
+            time,
+            x,
+            y,
+            tag,
+            a,
+            b,
+        }
+    }
+
+    /// A flow record's words: its switch name's index (interning the name
+    /// on first sight) and its match's.
+    fn flow(
+        &mut self,
+        tag: Tag,
+        switch: String,
+        description: MatchDescription,
+    ) -> (Tag, u32, u32, u8, u8) {
+        let name = match self.name_index.get(&switch) {
+            Some(&at) => at,
+            None => {
+                // There are no more names than matches, so it fits.
+                let at = self.names.len() as u32;
+                self.names.push(switch.clone());
+                self.name_index.insert(switch, at);
+                at
+            }
+        };
+        let at = self.matches.len() as u32;
+        self.matches.push(*description.0);
+        (tag, name, at, 0, 0)
+    }
+
+    /// The event `r` was encoded from.
+    fn decode(&self, r: &Record) -> TraceEvent {
+        let kind = match r.tag {
+            Tag::ControlMessage => TraceKind::ControlMessage {
+                conn: ConnId(r.x as usize),
+                direction: if r.a == 0 {
+                    Direction::SwitchToController
+                } else {
+                    Direction::ControllerToSwitch
+                },
+                of_type: r.b.checked_sub(1).map(|t| OfType::ALL[usize::from(t)]),
+                len: r.y as usize,
+            },
+            Tag::ConnectionUp => TraceKind::ConnectionUp {
+                conn: ConnId(r.x as usize),
+            },
+            Tag::FlowInstalled | Tag::FlowEvicted => {
+                let switch = self.names[r.x as usize].clone();
+                let description = self.matches[r.y as usize].into();
+                if r.tag == Tag::FlowInstalled {
+                    TraceKind::FlowInstalled {
+                        switch,
+                        description,
+                    }
+                } else {
+                    TraceKind::FlowEvicted {
+                        switch,
+                        description,
+                    }
+                }
+            }
+            Tag::Whole => self.whole[(u64::from(r.y) << 32 | u64::from(r.x)) as usize].clone(),
+        };
+        TraceEvent { time: r.time, kind }
+    }
+}
+
 /// The simulation's event log plus aggregate control-plane counters.
 #[derive(Debug, Default, Clone)]
 pub struct Trace {
-    events: Vec<TraceEvent>,
-    /// `events[..folded]` are already hashed into `prefix` (see
+    records: Vec<Record>,
+    store: Store,
+    /// `records[..folded]` are already hashed into `prefix` (see
     /// [`Trace::checkpoint`]).
     folded: usize,
     prefix: Fnv1a,
@@ -418,13 +593,14 @@ impl Trace {
                 .or_insert(0) += 1;
         }
         if self.record_events {
-            self.events.push(TraceEvent { time, kind });
+            let record = self.store.encode(time, kind);
+            self.records.push(record);
         }
     }
 
-    /// All recorded events in time order.
-    pub fn events(&self) -> &[TraceEvent] {
-        &self.events
+    /// All recorded events in time order, each decoded as it is reached.
+    pub fn events(&self) -> impl ExactSizeIterator<Item = TraceEvent> + '_ {
+        self.records.iter().map(|r| self.store.decode(r))
     }
 
     /// Sets the retention mode. Switching to [`TraceMode::Counters`]
@@ -457,8 +633,8 @@ impl Trace {
             .collect()
     }
 
-    /// Digests the full trace: every recorded event (rendered, in
-    /// order) followed by every counter (in key order).
+    /// Digests the full trace: every recorded event (decoded and
+    /// rendered, in order) followed by every counter (in key order).
     ///
     /// The digest is the campaign's golden-trace oracle: any semantic
     /// drift in the codec, classifier, controller applications, executor,
@@ -467,7 +643,7 @@ impl Trace {
     /// digest their counters.
     pub fn digest(&self) -> TraceDigest {
         let mut h = self.prefix.clone();
-        h.events(&self.events[self.folded..]);
+        h.events(self.unfolded());
         self.digest_counters(&mut h);
         TraceDigest(h.0)
     }
@@ -476,9 +652,18 @@ impl Trace {
     /// which [`Trace::digest`] resumes. The digest does not change; a
     /// clone taken after a checkpoint (a forked simulation's trace) does
     /// not hash the shared events again.
-    pub(crate) fn checkpoint(&mut self) {
-        self.prefix.events(&self.events[self.folded..]);
-        self.folded = self.events.len();
+    pub fn checkpoint(&mut self) {
+        let mut prefix = std::mem::take(&mut self.prefix);
+        prefix.events(self.unfolded());
+        self.prefix = prefix;
+        self.folded = self.records.len();
+    }
+
+    /// The events not yet folded into `prefix`, decoded.
+    fn unfolded(&self) -> impl Iterator<Item = TraceEvent> + '_ {
+        self.records[self.folded..]
+            .iter()
+            .map(|r| self.store.decode(r))
     }
 
     /// Digests the counters alone, skipping per-event records.
@@ -557,7 +742,7 @@ mod tests {
                 len: 8,
             },
         );
-        assert!(t.events().is_empty());
+        assert_eq!(t.events().len(), 0);
         assert_eq!(t.control_message_total(), 1);
     }
 
@@ -604,7 +789,7 @@ mod tests {
                 len: 80,
             },
         );
-        assert!(t.events().is_empty());
+        assert_eq!(t.events().len(), 0);
         assert_ne!(t.digest(), empty);
     }
 
@@ -621,9 +806,7 @@ mod tests {
         let mut counters = Trace::new();
         counters.set_mode(TraceMode::Counters);
         assert!(!counters.record_events);
-        for t in [full.events(), counters.events()] {
-            assert!(t.is_empty());
-        }
+        assert_eq!(full.events().len() + counters.events().len(), 0);
         for trace in [&mut full, &mut counters] {
             trace.push(SimTime::from_secs(1), msg(0));
             trace.push(SimTime::from_secs(2), msg(0));
@@ -631,7 +814,7 @@ mod tests {
             trace.push(SimTime::from_secs(3), TraceKind::Marker("m".into()));
         }
         assert_eq!(full.events().len(), 4);
-        assert!(counters.events().is_empty());
+        assert_eq!(counters.events().len(), 0);
         // The full digest covers events; the counter digest is identical
         // across modes, and in Counters mode it IS the digest.
         assert_ne!(full.digest(), counters.digest());
@@ -640,9 +823,9 @@ mod tests {
     }
 
     #[test]
-    fn match_descriptions_do_not_widen_trace_events() {
-        // A full trace holds one `TraceEvent` per control message.
-        assert!(std::mem::size_of::<TraceEvent>() <= 64);
+    fn a_stored_record_is_at_most_24_bytes() {
+        // A full trace holds one `Record` per event.
+        assert!(std::mem::size_of::<Record>() <= 24);
     }
 
     #[test]
@@ -795,7 +978,7 @@ mod tests {
             t.push(SimTime::from_secs(9), TraceKind::Marker("suffix".into()));
         }
         assert_eq!(fork.digest(), plain.digest());
-        assert_eq!(fork.events(), plain.events());
+        assert!(fork.events().eq(plain.events()));
         assert_ne!(folded.digest(), plain.digest());
     }
 

@@ -3,7 +3,8 @@
 
 use attain_controllers::{Controller, ControllerKind};
 use attain_netsim::{
-    Direction, FailMode, FaultSpec, HostCommand, NetworkBuilder, SimTime, Simulation, TraceKind,
+    Direction, FailMode, FaultSpec, HostCommand, NetworkBuilder, SimTime, Simulation, TraceEvent,
+    TraceKind,
 };
 use attain_openflow::OfType;
 
@@ -344,7 +345,7 @@ fn late_commands_run_now_and_the_clock_never_runs_backwards() {
         last = sim.now();
     }
     assert_eq!(sim.ping_stats()[0].transmitted(), 1, "the late ping ran");
-    let events = sim.trace().events();
+    let events: Vec<TraceEvent> = sim.trace().events().collect();
     assert!(events.windows(2).all(|w| w[0].time <= w[1].time));
     let fault = events
         .iter()

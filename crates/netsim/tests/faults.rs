@@ -52,7 +52,6 @@ fn received(sim: &Simulation, label: &str) -> u32 {
 fn fault_records(sim: &Simulation) -> Vec<String> {
     sim.trace()
         .events()
-        .iter()
         .filter(|e| matches!(e.kind, TraceKind::Fault { .. }))
         .map(|e| e.to_string())
         .collect()
@@ -178,7 +177,7 @@ fn controller_crash_locks_down_fail_secure_until_restart() {
         "lockdown drops must be counted: {report}"
     );
     assert!(
-        sim.trace().events().iter().any(
+        sim.trace().events().any(
             |e| matches!(&e.kind, TraceKind::FailModeEntered { standalone, .. } if !standalone)
         ),
         "lockdown must be traced"
@@ -233,7 +232,6 @@ fn switch_restart_wipes_state_and_rehandshakes() {
     let ups = sim
         .trace()
         .events()
-        .iter()
         .filter(|e| matches!(e.kind, TraceKind::ConnectionUp { conn } if conn.0 == 0))
         .count();
     assert_eq!(ups, 2, "restart must replay the handshake");
@@ -254,7 +252,7 @@ fn same_seed_same_trace_different_seed_may_differ() {
         let mut sim = line_network(FailMode::Secure, &plan);
         sim.schedule_command(SimTime::from_secs(5), ping(&sim, 25, "work"));
         sim.run_until(SimTime::from_secs(50));
-        sim.trace().events().iter().map(|e| e.to_string()).collect()
+        sim.trace().events().map(|e| e.to_string()).collect()
     };
     let a = run(42);
     let b = run(42);
@@ -284,7 +282,7 @@ fn fault_free_runs_are_unperturbed_by_the_fault_machinery() {
         let mut sim = line_network(FailMode::Secure, &plan);
         sim.schedule_command(SimTime::from_secs(5), ping(&sim, 10, "clean"));
         sim.run_until(SimTime::from_secs(20));
-        sim.trace().events().iter().map(|e| e.to_string()).collect()
+        sim.trace().events().map(|e| e.to_string()).collect()
     };
     // With no loss/corruption configured the RNG is never consulted:
     // the seed must not influence the trace at all.
@@ -320,7 +318,6 @@ fn unknown_fault_targets_are_traced_not_fatal() {
     let ignored = sim
         .trace()
         .events()
-        .iter()
         .filter(|e| matches!(&e.kind, TraceKind::Fault { what, .. } if what.contains("ignored")))
         .count();
     assert_eq!(ignored, 3);

@@ -74,7 +74,7 @@ fn event_budget_halts_are_sticky_and_traced() {
     assert_eq!(sim.run_until(SimTime::from_secs(40)), halt);
     assert_eq!(sim.events_dispatched(), before);
     // The halt is part of the record.
-    assert!(sim.trace().events().iter().any(|e| matches!(
+    assert!(sim.trace().events().any(|e| matches!(
         e.kind,
         TraceKind::RunHalted {
             reason: "event-budget",

@@ -7,10 +7,15 @@
 //! properties hold the hand-written text to that definition on every
 //! variant, on strings `Debug` escapes, on integers up to their maxima
 //! and on the timestamps where integer and float rounding could part.
+//!
+//! A `Trace` stores its records in a compact encoding and decodes them
+//! on the way out; a property below holds that encoding to the events
+//! pushed, and the digest to a hash of their rendered text.
 
-use attain_netsim::{ConnId, Direction, SimTime, TraceEvent, TraceKind};
+use attain_netsim::{ConnId, Direction, SimTime, Trace, TraceEvent, TraceKind};
 use attain_openflow::{FlowKey, Match, OfType, PortNo};
 use proptest::prelude::*;
+use std::collections::BTreeMap;
 
 /// 2^53 ns: from here `as f64` rounds and the renderer defers to it.
 const F64_EXACT: u64 = 1 << 53;
@@ -127,6 +132,49 @@ fn arb_kind() -> impl Strategy<Value = TraceKind> {
         )
 }
 
+fn arb_events() -> impl Strategy<Value = Vec<TraceEvent>> {
+    proptest::collection::vec(
+        (arb_time(), arb_kind()).prop_map(|(ns, kind)| TraceEvent {
+            time: SimTime(ns),
+            kind,
+        }),
+        0..40,
+    )
+}
+
+/// What `Trace::digest` hashed when a trace stored its events as pushed:
+/// FNV-1a over each event's text and a newline, then over each
+/// control-message counter in key order.
+fn reference_digest(events: &[TraceEvent]) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut update = |bytes: &[u8]| {
+        for &b in bytes {
+            h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    };
+    let mut counts = BTreeMap::new();
+    for e in events {
+        update(e.to_string().as_bytes());
+        update(b"\n");
+        if let TraceKind::ControlMessage {
+            conn,
+            direction,
+            of_type,
+            ..
+        } = e.kind
+        {
+            *counts.entry((conn, direction, of_type)).or_insert(0u64) += 1;
+        }
+    }
+    for ((conn, direction, of_type), n) in counts {
+        update(&(conn.0 as u64).to_be_bytes());
+        update(&[matches!(direction, Direction::ControllerToSwitch) as u8]);
+        update(&[of_type.map_or(0, |t: OfType| t as u8 + 1)]);
+        update(&u64::to_be_bytes(n));
+    }
+    h
+}
+
 fn float_formatted(ns: u64) -> String {
     format!("{:.3}s", SimTime(ns).as_secs_f64())
 }
@@ -143,6 +191,55 @@ proptest! {
     #[test]
     fn sim_time_displays_as_the_float_formatter_did(ns in arb_time()) {
         prop_assert_eq!(SimTime(ns).to_string(), float_formatted(ns));
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(1_000))]
+
+    /// A trace gives back exactly what was pushed and digests it as a
+    /// trace of whole events did, with checkpoints anywhere and a clone
+    /// taken after one going its own way.
+    #[test]
+    fn a_trace_decodes_and_digests_what_was_pushed(
+        pushed in arb_events(),
+        checkpoints in proptest::collection::vec(any::<bool>(), 40),
+        fork_at in 0..40usize,
+        forked_suffix in arb_events(),
+    ) {
+        let fork_at = fork_at.min(pushed.len());
+        let mut plain = Trace::new();
+        let mut folded = Trace::new();
+        let mut fork = None;
+        for (i, e) in pushed.iter().enumerate() {
+            if i == fork_at {
+                folded.checkpoint();
+                fork = Some(folded.clone());
+            }
+            plain.push(e.time, e.kind.clone());
+            folded.push(e.time, e.kind.clone());
+            if checkpoints[i] {
+                folded.checkpoint();
+            }
+        }
+        let mut fork = fork.unwrap_or_else(|| {
+            folded.checkpoint();
+            folded.clone()
+        });
+        prop_assert_eq!(plain.events().len(), pushed.len());
+        prop_assert_eq!(plain.events().collect::<Vec<_>>(), pushed.clone());
+        prop_assert_eq!(folded.events().collect::<Vec<_>>(), pushed.clone());
+        prop_assert_eq!(plain.digest().0, reference_digest(&pushed));
+        prop_assert_eq!(folded.digest(), plain.digest());
+
+        for e in &forked_suffix {
+            fork.push(e.time, e.kind.clone());
+        }
+        let mut forked = pushed[..fork_at].to_vec();
+        forked.extend(forked_suffix);
+        prop_assert_eq!(fork.events().collect::<Vec<_>>(), forked.clone());
+        prop_assert_eq!(fork.digest().0, reference_digest(&forked));
+        prop_assert_eq!(folded.digest(), plain.digest());
     }
 }
 

@@ -26,6 +26,11 @@ use std::collections::HashMap;
 /// The stand-in for an expression that did not resolve.
 const UNRESOLVED: Expr = Expr::Lit(Value::None);
 
+/// How deeply `(`, `!` and unary `-` may nest in one expression. Each
+/// level is a few frames of the recursive descent, so an unbounded depth
+/// would overflow the stack instead of failing.
+const MAX_NESTING: usize = 256;
+
 /// A `link` or `connection` statement, applied to the system model once
 /// every component is declared; the map holds each node's last port.
 type Topology =
@@ -63,6 +68,8 @@ pub(crate) struct Parser {
     stray: Option<DslError>,
     /// The first resolution error.
     error: Option<DslError>,
+    /// How many `(`, `!` and unary `-` enclose the expression being read.
+    nesting: usize,
 }
 
 fn at_line<E: ToString>(line: u32) -> impl FnOnce(E) -> DslError {
@@ -85,6 +92,7 @@ impl Parser {
             attacks: Vec::new(),
             stray: None,
             error: None,
+            nesting: 0,
         };
         p.scan();
         Ok(p)
@@ -852,15 +860,32 @@ impl Parser {
         Ok(lhs)
     }
 
+    /// Reads what `read` reads one nesting level deeper, or fails at
+    /// `line` if that is past [`MAX_NESTING`].
+    fn nested(
+        &mut self,
+        line: u32,
+        read: impl FnOnce(&mut Parser) -> Result<Expr, DslError>,
+    ) -> Result<Expr, DslError> {
+        if self.nesting == MAX_NESTING {
+            return Err(DslError::new(line, "expression nested too deeply"));
+        }
+        self.nesting += 1;
+        let expr = read(self);
+        self.nesting -= 1;
+        expr
+    }
+
     fn unary_expr(&mut self, system: &SystemModel) -> Result<Expr, DslError> {
+        let line = self.line();
         if *self.peek() == Tok::Bang {
             self.bump();
-            return Ok(Expr::Not(Box::new(self.unary_expr(system)?)));
+            let operand = self.nested(line, |p| p.unary_expr(system))?;
+            return Ok(Expr::Not(Box::new(operand)));
         }
         if *self.peek() == Tok::Op(BinOp::Sub) {
-            let line = self.line();
             self.bump();
-            return match self.unary_expr(system)? {
+            return match self.nested(line, |p| p.unary_expr(system))? {
                 Expr::Lit(Value::Int(i)) => Ok(Expr::Lit(Value::Int(-i))),
                 Expr::Lit(Value::Float(x)) => Ok(Expr::Lit(Value::Float(-x))),
                 _ => Err(DslError::new(
@@ -880,9 +905,11 @@ impl Parser {
             Tok::Str(s) => Value::Str(s),
             Tok::Ip(ip) => Value::Ip(ip),
             Tok::LParen => {
-                let e = self.expr(system)?;
-                self.expect(Tok::RParen)?;
-                return Ok(e);
+                return self.nested(line, |p| {
+                    let e = p.expr(system)?;
+                    p.expect(Tok::RParen)?;
+                    Ok(e)
+                });
             }
             Tok::Ident(name) => match name.as_str() {
                 "true" => Value::Bool(true),
@@ -1625,5 +1652,39 @@ mod tests {
                 vec![int(2), BinOp::Sub.of(int(3), int(4))],
             )
         );
+    }
+
+    #[test]
+    fn nesting_past_the_bound_is_an_error_not_a_stack_overflow() {
+        let condition = |when: String| {
+            let source = format!(
+                "attack p {{ state s {{ rule r on all {{\n when {when} do {{ pass(msg); }} }} }} }}"
+            );
+            parse(&source).map(|atk| atk.states[0].rules[0].condition.clone())
+        };
+        let deep = 100_000;
+        let parens = format!("{}1 == 1{}", "(".repeat(deep), ")".repeat(deep));
+        for nested in [parens, format!("{}true", "!".repeat(deep))] {
+            let err = condition(nested).unwrap_err();
+            assert_eq!(
+                (err.line, err.message.as_str()),
+                (2, "expression nested too deeply")
+            );
+        }
+        let at_bound = format!("{}1{} == -1", "(".repeat(256), ")".repeat(256));
+        assert_eq!(
+            condition(at_bound).unwrap(),
+            Expr::eq(Expr::Lit(Value::Int(1)), Expr::Lit(Value::Int(-1)))
+        );
+        // A long flat chain nests nothing; its tree is as deep as the
+        // chain is long, which lowering walks on a larger stack.
+        let flat = format!("{} == 1", vec!["1"; deep].join(" + "));
+        let compiled = std::thread::Builder::new()
+            .stack_size(128 << 20)
+            .spawn(move || condition(flat).map(drop))
+            .unwrap()
+            .join()
+            .unwrap();
+        assert!(compiled.is_ok());
     }
 }

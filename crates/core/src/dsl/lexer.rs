@@ -284,11 +284,14 @@ pub(crate) fn lex(source: &str) -> Result<Vec<Token>, DslError> {
                     line,
                 });
             }
-            other => {
+            _ => {
+                // `i` is on a character boundary: every step so far went
+                // over ASCII bytes or whole characters.
+                let other = source[i..].chars().next().unwrap_or(c);
                 return Err(DslError::new(
                     line,
                     format!("unexpected character {other:?}"),
-                ))
+                ));
             }
         }
     }
@@ -408,5 +411,20 @@ mod tests {
                 Tok::Eof
             ]
         );
+    }
+
+    #[test]
+    fn a_stray_character_is_reported_decoded() {
+        for (source, line, shown) in [
+            ("attack x \u{2014} {", 1, "'\u{2014}'"),
+            ("a\n  \u{e9}", 2, "'\u{e9}'"),
+            ("\u{1f600}", 1, "'\u{1f600}'"),
+            ("\u{7f}", 1, r"'\u{7f}'"),
+            ("`", 1, "'`'"),
+        ] {
+            let err = lex(source).unwrap_err();
+            assert_eq!(err.line, line, "{source:?}");
+            assert_eq!(err.message, format!("unexpected character {shown}"));
+        }
     }
 }

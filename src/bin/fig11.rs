@@ -153,5 +153,16 @@ fn main() -> ExitCode {
         };
         println!("  {:<11} {} | {}", kind.to_string(), series(b), series(a));
     }
+    if let Some(kb) = peak_rss_kb() {
+        eprintln!("peak RSS (VmHWM): {kb} kB");
+    }
     ExitCode::SUCCESS
+}
+
+/// The process's peak resident set size, where the OS reports it
+/// (`VmHWM` in `/proc/self/status` on Linux).
+fn peak_rss_kb() -> Option<u64> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    let line = status.lines().find(|l| l.starts_with("VmHWM:"))?;
+    line.split_whitespace().nth(1)?.parse().ok()
 }

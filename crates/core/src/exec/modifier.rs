@@ -35,13 +35,29 @@ impl std::fmt::Display for ModifyError {
 
 impl std::error::Error for ModifyError {}
 
+/// The error for a value `v` that does not fit `field`.
+fn bad_value(field: &str, v: &Value) -> ModifyError {
+    ModifyError::BadValue {
+        field: field.to_string(),
+        found: v.kind(),
+    }
+}
+
 fn as_u16(field: &str, v: &Value) -> Result<u16, ModifyError> {
     v.as_int()
         .and_then(|i| u16::try_from(i).ok())
-        .ok_or(ModifyError::BadValue {
-            field: field.to_string(),
-            found: v.kind(),
-        })
+        .ok_or_else(|| bad_value(field, v))
+}
+
+/// `v` as a buffer id, where `none` means no buffer.
+fn as_buffer_id(field: &str, v: &Value) -> Result<Option<u32>, ModifyError> {
+    match v {
+        Value::None => Ok(None),
+        v => v
+            .as_int()
+            .map(|i| Some(i as u32))
+            .ok_or_else(|| bad_value(field, v)),
+    }
 }
 
 fn set_match_field(m: &mut Match, field: &str, value: &Value) -> Result<(), ModifyError> {
@@ -56,10 +72,7 @@ fn set_match_field(m: &mut Match, field: &str, value: &Value) -> Result<(), Modi
                 m.wildcards = m.wildcards.with_nw_src_ignored_bits(32);
                 Ok(())
             }
-            other => Err(ModifyError::BadValue {
-                field: "match.nw_src".into(),
-                found: other.kind(),
-            }),
+            other => Err(bad_value("match.nw_src", other)),
         },
         "nw_dst" => match value {
             Value::Ip(ip) => {
@@ -71,10 +84,7 @@ fn set_match_field(m: &mut Match, field: &str, value: &Value) -> Result<(), Modi
                 m.wildcards = m.wildcards.with_nw_dst_ignored_bits(32);
                 Ok(())
             }
-            other => Err(ModifyError::BadValue {
-                field: "match.nw_dst".into(),
-                found: other.kind(),
-            }),
+            other => Err(bad_value("match.nw_dst", other)),
         },
         "in_port" => {
             m.in_port = PortNo(as_u16("match.in_port", value)?);
@@ -122,48 +132,21 @@ pub fn set_field(frame: &Frame, field: &str, value: &Value) -> Result<Frame, Mod
             ("hard_timeout", None) => fm.hard_timeout = as_u16(field, value)?,
             ("priority", None) => fm.priority = as_u16(field, value)?,
             ("cookie", None) => {
-                fm.cookie = value.as_int().ok_or(ModifyError::BadValue {
-                    field: field.to_string(),
-                    found: value.kind(),
-                })? as u64
+                fm.cookie = value.as_int().ok_or_else(|| bad_value(field, value))? as u64
             }
             ("out_port", None) => fm.out_port = PortNo(as_u16(field, value)?),
-            ("buffer_id", None) => {
-                fm.buffer_id = match value {
-                    Value::None => None,
-                    v => Some(v.as_int().ok_or(ModifyError::BadValue {
-                        field: field.to_string(),
-                        found: v.kind(),
-                    })? as u32),
-                }
-            }
+            ("buffer_id", None) => fm.buffer_id = as_buffer_id(field, value)?,
             ("actions", Some("clear")) => fm.actions.clear(),
             _ => return Err(ModifyError::NoSuchField(field.to_string())),
         },
         OfMessage::PacketIn(pi) => match (head, rest) {
             ("in_port", None) => pi.in_port = PortNo(as_u16(field, value)?),
-            ("buffer_id", None) => {
-                pi.buffer_id = match value {
-                    Value::None => None,
-                    v => Some(v.as_int().ok_or(ModifyError::BadValue {
-                        field: field.to_string(),
-                        found: v.kind(),
-                    })? as u32),
-                }
-            }
+            ("buffer_id", None) => pi.buffer_id = as_buffer_id(field, value)?,
             _ => return Err(ModifyError::NoSuchField(field.to_string())),
         },
         OfMessage::PacketOut(po) => match (head, rest) {
             ("in_port", None) => po.in_port = PortNo(as_u16(field, value)?),
-            ("buffer_id", None) => {
-                po.buffer_id = match value {
-                    Value::None => None,
-                    v => Some(v.as_int().ok_or(ModifyError::BadValue {
-                        field: field.to_string(),
-                        found: v.kind(),
-                    })? as u32),
-                }
-            }
+            ("buffer_id", None) => po.buffer_id = as_buffer_id(field, value)?,
             ("actions", Some("clear")) => po.actions.clear(),
             _ => return Err(ModifyError::NoSuchField(field.to_string())),
         },

@@ -262,9 +262,9 @@ pub struct AttackExecutor {
     model: AttackModel,
     /// The attack's name.
     name: String,
-    /// Each state's name and rules: the executor's only copy of the
-    /// attack.
-    states: Vec<(String, Arc<[Rule]>)>,
+    /// Each state's name, its first rule's flat number and its rules: the
+    /// executor's only copy of the attack.
+    states: Vec<(String, usize, Arc<[Rule]>)>,
     /// The compiled per-state dispatch indexes (also the O(1)
     /// connection-scope source for the scan path).
     ruleset: CompiledRuleset,
@@ -326,14 +326,19 @@ impl AttackExecutor {
             states,
             start,
         } = attack;
+        let names = states.iter().flat_map(|s| &s.rules).map(|r| r.name.clone());
+        let log = InjectionLog::new(names.collect());
+        let mut first = 0;
+        let states = states.into_iter().map(|s| {
+            let state = (s.name, first, Arc::<[Rule]>::from(s.rules));
+            first += state.2.len();
+            state
+        });
         Ok(AttackExecutor {
             system,
             model,
             name,
-            states: states
-                .into_iter()
-                .map(|s| (s.name, Arc::from(s.rules)))
-                .collect(),
+            states: states.collect(),
             ruleset,
             mode: DispatchMode::default(),
             cand_scratch: Vec::new(),
@@ -343,7 +348,7 @@ impl AttackExecutor {
             timing,
             sleep_until_ns: None,
             held: VecDeque::new(),
-            log: InjectionLog::new(),
+            log,
             next_msg_id: 1,
             next_delivery_seq: 0,
             fuzz_rng: FuzzRng::new(0x00A7_7A1D),
@@ -492,7 +497,8 @@ impl AttackExecutor {
         // every rule watching `conn`; the compiled path narrows that to
         // the candidate rules first. Candidate order is rule order, so
         // both modes evaluate the same rules in the same sequence.
-        let rules = Arc::clone(&self.states[previous].1);
+        let (_, first, rules) = &self.states[previous];
+        let (first, rules) = (*first, Arc::clone(rules));
         let mut cands = std::mem::take(&mut self.cand_scratch);
         let state = self.ruleset.state(previous);
         match self.mode {
@@ -511,7 +517,7 @@ impl AttackExecutor {
             }
         }
         for &i in &cands {
-            self.eval_rule(&rules[i as usize], previous, &view, &mut out);
+            self.eval_rule(&rules[i as usize], first + i as usize, &view, &mut out);
         }
         self.cand_scratch = cands;
 
@@ -544,12 +550,12 @@ impl AttackExecutor {
         }
     }
 
-    /// Evaluates one rule against one message and runs its actions on a
-    /// match — the body of Algorithm 1's per-rule loop.
+    /// Evaluates rule number `flat` against one message and counts and
+    /// runs it on a match — the body of Algorithm 1's per-rule loop.
     fn eval_rule(
         &mut self,
         rule: &Rule,
-        previous: usize,
+        flat: usize,
         view: &MessageView<'_>,
         out: &mut ExecOutput,
     ) {
@@ -563,14 +569,7 @@ impl AttackExecutor {
             Ok(_) => return,
             Err(e) => return self.log_error(now_ns, rule, e.to_string()),
         }
-        self.log.push(
-            now_ns,
-            LogKind::RuleMatched {
-                state: previous,
-                rule: rule.name.clone(),
-                msg_id: view.id,
-            },
-        );
+        self.log.fire(flat);
         // Lines 10–16: run the rule's actions.
         for action in &rule.actions {
             debug_assert!(
@@ -595,9 +594,9 @@ impl AttackExecutor {
         self.log.push(now_ns, LogKind::ActionError { rule, error });
     }
 
-    /// Debug builds only: re-evaluates every rule the dispatcher
-    /// excluded, panicking unless the reference scan would have skipped
-    /// it silently too (condition falsy, nothing logged).
+    /// Debug builds only: panics unless the candidates ascend, as the
+    /// scan's do, or if the reference scan would not have skipped every
+    /// excluded rule silently too (condition falsy, nothing logged).
     #[cfg(debug_assertions)]
     fn audit_candidates(
         &self,
@@ -608,6 +607,11 @@ impl AttackExecutor {
     ) {
         let (conn, id, now_ns) = (view.conn, view.id, view.timestamp_ns);
         let state = self.ruleset.state(previous);
+        assert!(
+            candidates.windows(2).all(|w| w[0] < w[1]),
+            "dispatch_audit: candidates {candidates:?} (state {previous}, msg {id}) \
+             are not strictly ascending",
+        );
         for (i, rule) in rules.iter().enumerate() {
             let is_candidate = candidates.contains(&(i as u32));
             if !state.rule_watches(i, conn) {

@@ -1,21 +1,13 @@
-//! The injection log: rule notifications and records, as the paper's
-//! injector logged them (§VII-A2).
+//! The injection log (§VII-A2): rule matches are counted per rule and
+//! keep nothing else; every other kind of entry is a timestamped record.
 
 use std::collections::BTreeMap;
 use std::fmt;
+use std::sync::Arc;
 
 /// What one log event records.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum LogKind {
-    /// A rule's conditional matched a message.
-    RuleMatched {
-        /// State index.
-        state: usize,
-        /// Rule name.
-        rule: String,
-        /// Message id.
-        msg_id: u64,
-    },
     /// The attack transitioned between states.
     Transition {
         /// Previous state index.
@@ -88,25 +80,35 @@ impl fmt::Display for LogEvent {
     }
 }
 
-/// The complete injection log plus per-rule fire counters.
-#[derive(Debug, Default, Clone)]
+/// The injection log's records plus a match counter per rule.
+#[derive(Debug, Clone)]
 pub struct InjectionLog {
     events: Vec<LogEvent>,
-    fire_counts: BTreeMap<String, u64>,
+    /// Each rule's name by its flat number, shared by every clone.
+    names: Arc<[String]>,
+    /// How many messages each rule matched, by its flat number.
+    fires: Vec<u64>,
 }
 
 impl InjectionLog {
-    /// Creates an empty log.
-    pub(crate) fn new() -> InjectionLog {
-        InjectionLog::default()
+    /// Creates an empty log for the rules named `names`, by flat number.
+    pub(crate) fn new(names: Arc<[String]>) -> InjectionLog {
+        let fires = vec![0; names.len()];
+        InjectionLog {
+            events: Vec::new(),
+            names,
+            fires,
+        }
     }
 
     /// Appends an event.
     pub(crate) fn push(&mut self, time_ns: u64, kind: LogKind) {
-        if let LogKind::RuleMatched { rule, .. } = &kind {
-            *self.fire_counts.entry(rule.clone()).or_insert(0) += 1;
-        }
         self.events.push(LogEvent { time_ns, kind });
+    }
+
+    /// Counts a match of the rule numbered `rule`.
+    pub(crate) fn fire(&mut self, rule: usize) {
+        self.fires[rule] += 1;
     }
 
     /// All events in order.
@@ -114,14 +116,20 @@ impl InjectionLog {
         &self.events
     }
 
-    /// Every rule that fired, with its count, in name order.
+    /// Every rule that fired, with its count, in name order. Rules that
+    /// share a name count as one.
     pub fn rule_fire_counts(&self) -> impl Iterator<Item = (&str, u64)> {
-        self.fire_counts.iter().map(|(k, &v)| (k.as_str(), v))
+        let mut counts = BTreeMap::new();
+        for (name, &n) in self.names.iter().zip(&self.fires).filter(|f| *f.1 > 0) {
+            *counts.entry(name.as_str()).or_insert(0) += n;
+        }
+        counts.into_iter()
     }
 
     /// How many times the named rule matched.
     pub fn rule_fires(&self, rule: &str) -> u64 {
-        self.fire_counts.get(rule).copied().unwrap_or(0)
+        let named = self.names.iter().zip(&self.fires).filter(|f| f.0 == rule);
+        named.map(|f| f.1).sum()
     }
 
     /// The state transitions, in order.
@@ -142,28 +150,19 @@ mod tests {
 
     #[test]
     fn fire_counts_and_transitions() {
-        let mut log = InjectionLog::new();
-        log.push(
-            0,
-            LogKind::RuleMatched {
-                state: 0,
-                rule: "phi1".into(),
-                msg_id: 1,
-            },
-        );
-        log.push(
-            1,
-            LogKind::RuleMatched {
-                state: 0,
-                rule: "phi1".into(),
-                msg_id: 2,
-            },
-        );
+        let names = ["phi1", "phi3", "phi1", "phi4"].map(String::from);
+        let mut log = InjectionLog::new(Arc::from(names));
+        log.fire(0);
+        log.fire(2);
+        log.fire(1);
         log.push(2, LogKind::Transition { from: 0, to: 1 });
         assert_eq!(log.rule_fires("phi1"), 2);
         assert_eq!(log.rule_fires("phi2"), 0);
+        assert_eq!(log.rule_fires("phi4"), 0);
+        let counts: Vec<_> = log.rule_fire_counts().collect();
+        assert_eq!(counts, [("phi1", 2), ("phi3", 1)]);
         assert_eq!(log.transitions(), vec![(0, 1)]);
-        assert_eq!(log.events().len(), 3);
+        assert_eq!(log.events().len(), 1);
     }
 
     #[test]

@@ -321,6 +321,29 @@ fn delay_and_duplicate_and_modify() {
 }
 
 #[test]
+fn a_match_is_counted_not_logged() {
+    let mut exec = executor(
+        r#"
+        attack pass_all {
+            start state s {
+                rule pass_all on all {
+                    when true
+                    do { pass(msg); }
+                }
+            }
+        }
+    "#,
+    );
+    let echo = OfMessage::EchoRequest(vec![1]).encode(1);
+    for i in 0..100_000 {
+        let out = send(&mut exec, i % 4, i % 2 == 0, &echo, i as u64);
+        assert_eq!(out.deliveries.len(), 1);
+    }
+    assert_eq!(exec.log().events().len(), 0);
+    assert_eq!(exec.log().rule_fires("pass_all"), 100_000);
+}
+
+#[test]
 fn executor_is_deterministic_across_runs() {
     let run = || {
         let mut exec = executor(attacks::FUZZ_CONTROL_PLANE);

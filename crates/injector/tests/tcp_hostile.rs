@@ -38,6 +38,18 @@ attack delay_echo_5s {
 }
 "#;
 
+/// Passes every message, matching each.
+const PASS_ALL: &str = r#"
+attack pass_all {
+    start state sigma1 {
+        rule pass_all on all requires no_tls {
+            when true
+            do { pass(msg); }
+        }
+    }
+}
+"#;
+
 /// Frames sent by the flooding controller at most: ≈ 128 MiB of echo
 /// requests, far more than the stalled route's socket buffers and write
 /// queue hold.
@@ -206,4 +218,24 @@ fn a_delayed_flood_is_bounded_per_route_in_the_timer() {
 
     let report = shutdown_within_5s(proxy);
     assert!(report.stats.overflow_dropped >= excess);
+}
+
+#[test]
+fn an_attack_that_matches_every_message_does_not_grow_the_log() {
+    let (proxy, controllers) = two_routes(PASS_ALL);
+    let (mut switch, mut controller) = session(&proxy, &controllers[0], 0);
+    let logged = proxy.with_executor(|e| e.log().events().len());
+    for xid in 0..2000 {
+        let request = OfMessage::EchoRequest(vec![1]);
+        controller.write_all(&request.encode(xid)).unwrap();
+        assert_eq!(read_one(&mut switch), request);
+        let reply = OfMessage::EchoReply(vec![1]);
+        switch.write_all(&reply.encode(xid)).unwrap();
+        assert_eq!(read_one(&mut controller), reply);
+    }
+    let (events, fires) =
+        proxy.with_executor(|e| (e.log().events().len(), e.log().rule_fires("pass_all")));
+    assert_eq!(events, logged);
+    assert_eq!(fires, 4000);
+    shutdown_within_5s(proxy);
 }

@@ -16,7 +16,9 @@
 //!   the order they arrived, and the undelayed ones in theirs, never
 //!   when a delayed one lands between undelayed ones, beyond landing
 //!   after the sentinel behind its own message;
-//! * the injection log, with timestamps stripped;
+//! * after each message and its sentinel, the executor's state, its
+//!   rules' fire counts and the injection log entries, timestamps
+//!   stripped, that the two steps added;
 //! * `SYSCMD` and `fault` on the lists each transport receives: the
 //!   simulator's applied commands against the proxy's handler calls
 //!   (parsed as the simulator parses them) and its `faults_discarded`.
@@ -204,14 +206,24 @@ type Streams = [[Stream; 2]; 2];
 #[derive(Debug, PartialEq)]
 struct Observed {
     streams: Streams,
-    log: Vec<LogKind>,
+    /// One per scripted message.
+    steps: Vec<Snapshot>,
     /// `SYSCMD`s as the simulator parses them.
     commands: Vec<HostCommand>,
     faults: u64,
 }
 
-fn log_kinds(exec: &AttackExecutor) -> Vec<LogKind> {
-    exec.log().events().iter().map(|e| e.kind.clone()).collect()
+/// The executor's state, its rules' fire counts and the log entries
+/// added since the previous snapshot, timestamps stripped.
+type Snapshot = (usize, Vec<(String, u64)>, Vec<LogKind>);
+
+fn snapshot(exec: &AttackExecutor, logged: &mut usize) -> Snapshot {
+    let events = &exec.log().events()[*logged..];
+    *logged += events.len();
+    let fires = exec.log().rule_fire_counts();
+    let fires = fires.map(|(rule, n)| (rule.to_string(), n)).collect();
+    let kinds = events.iter().map(|e| e.kind.clone()).collect();
+    (exec.current_state(), fires, kinds)
 }
 
 /// The script through the simulator's injector, called directly.
@@ -223,6 +235,7 @@ fn through_sim(source: &str) -> Observed {
     // Delayed frames with their due time and emission order.
     let mut late = Vec::new();
     let (mut commands, mut faults) = (Vec::new(), 0);
+    let (mut steps, mut logged) = (Vec::new(), 0);
     for (i, (conn, to_controller, bytes)) in script().into_iter().enumerate() {
         let now = SimTime::from_micros(i as u64);
         let frame = Frame::new(bytes);
@@ -252,15 +265,17 @@ fn through_sim(source: &str) -> Observed {
             }
         }
         assert_eq!(actions.wakeup, None, "no attack here sleeps");
+        if i % 2 == 1 {
+            steps.push(snapshot(&handle.lock(), &mut logged));
+        }
     }
     late.sort();
     for (_, _, conn, to_controller, bytes) in late {
         streams[conn][usize::from(to_controller)].late.push(bytes);
     }
-    let log = log_kinds(&handle.lock());
     Observed {
         streams,
-        log,
+        steps,
         commands,
         faults,
     }
@@ -360,8 +375,8 @@ fn through_proxy(source: &str, expected: &Observed) -> Observed {
             [switch, controller]
         })
         .collect();
-    let steps = script();
-    for pair in steps.chunks(2) {
+    let (mut steps, mut logged) = (Vec::new(), 0);
+    for pair in script().chunks(2) {
         let [(conn, to_controller, msg), (_, _, mark)] = pair else {
             unreachable!("each message is followed by its sentinel")
         };
@@ -371,11 +386,11 @@ fn through_proxy(source: &str, expected: &Observed) -> Observed {
         wire.wait("a sentinel", |streams| {
             streams[*conn][usize::from(*to_controller)].contains(mark)
         });
+        steps.push(proxy.with_executor(|e| snapshot(e, &mut logged)));
     }
     wire.wait("every delivery", |streams| {
         (0..4).all(|i| streams[i / 2][i % 2].len() >= expected.streams[i / 2][i % 2].len())
     });
-    let log = proxy.with_executor(log_kinds);
     let report = proxy.shutdown();
     assert_eq!(report.stats.live_sessions, 0);
     drop(ends);
@@ -413,7 +428,7 @@ fn through_proxy(source: &str, expected: &Observed) -> Observed {
     });
     Observed {
         streams,
-        log,
+        steps,
         commands: commands.collect(),
         faults: report.stats.faults_discarded,
     }
@@ -445,8 +460,8 @@ fn the_script_exercises_every_kind_of_answer() {
     assert!(prompt(&through_sim(scenario::attacks::FLOW_MOD_SUPPRESSION)) < prompt(&pass));
     assert!(prompt(&through_sim(CROSS_INJECT)) > prompt(&pass));
     assert_ne!(through_sim(MODIFY).streams, pass.streams);
-    assert!(staged
-        .log
-        .iter()
-        .any(|k| matches!(k, LogKind::Transition { .. })));
+    let mut logged = staged.steps.iter().flat_map(|s| &s.2);
+    assert!(logged.any(|k| matches!(k, LogKind::Transition { .. })));
+    let fired = |rule| staged.steps.iter().any(|s| s.1.iter().any(|f| f.0 == rule));
+    assert!(fired("trip"));
 }

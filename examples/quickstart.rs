@@ -91,9 +91,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     let exec = handle.lock();
     println!(
-        "attack log: {} events, strike rule fired {} times",
-        exec.log().events().len(),
-        exec.log().rule_fires("strike")
+        "attack log: strike rule fired {} times, {} other records",
+        exec.log().rule_fires("strike"),
+        exec.log().events().len()
     );
     println!("link stats:");
     for l in sim.link_stats() {

@@ -90,7 +90,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     proxy.with_executor(|e| {
         println!(
-            "[proxy] φ1 fired {} time(s); log has {} events",
+            "[proxy] φ1 fired {} time(s); log has {} other records",
             e.log().rule_fires("phi1"),
             e.log().events().len()
         );

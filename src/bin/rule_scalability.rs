@@ -415,7 +415,7 @@ mod sweep {
     #[cfg(test)]
     mod tests {
         use super::*;
-        use attain_core::exec::InjectorInput;
+        use attain_core::exec::{AttackExecutor, InjectorInput, LogEvent};
 
         #[test]
         fn measure_ns_returns_positive_time() {
@@ -424,6 +424,12 @@ mod sweep {
             let ns = measure_ns(|| {});
             assert!(ns >= 0.0);
             assert!(ns.is_finite());
+        }
+
+        /// The executor's state, its rules' fire counts and its log.
+        fn observed(exec: &AttackExecutor) -> (usize, Vec<(&str, u64)>, &[LogEvent]) {
+            let fires = exec.log().rule_fire_counts().collect();
+            (exec.current_state(), fires, exec.log().events())
         }
 
         #[test]
@@ -442,8 +448,8 @@ mod sweep {
                     let b = compiled.on_message(input(frame));
                     assert_eq!(a, b, "{label}");
                     assert_eq!(a.deliveries.len(), 1, "{label}"); // pass-through
+                    assert_eq!(observed(&scan), observed(&compiled), "{label}");
                 }
-                assert_eq!(scan.log().events(), compiled.log().events(), "{label}");
             }
         }
 

@@ -200,8 +200,14 @@ fn full_stack_is_deterministic() {
         );
         sim.run_until(SimTime::from_secs(40));
         let rtts = sim.ping_stats()[0].rtts_ms().to_vec();
-        let events = handle.lock().log().events().len();
-        (rtts, events, sim.trace().control_message_total())
+        let exec = handle.lock();
+        let fires: Vec<_> = exec
+            .log()
+            .rule_fire_counts()
+            .map(|(r, n)| (r.to_string(), n))
+            .collect();
+        let log = (exec.current_state(), fires, exec.log().events().to_vec());
+        (rtts, log, sim.trace().control_message_total())
     };
     assert_eq!(run(), run());
 }

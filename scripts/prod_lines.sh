@@ -3,8 +3,10 @@
 #
 # A file's production lines are its lines before the first line that is
 # exactly `#[cfg(test)]` at column 0 (the unit-test module), or all of
-# its lines if it has none. Blank lines and comments count. Crates are
-# `crates/<name>/src` plus the facade's `src/`.
+# its lines if it has none. A file that a `#[cfg(test)]`-gated
+# `include!("…")` pulls in is test code and counts 0. Blank lines and
+# comments count. Crates are `crates/<name>/src` plus the facade's
+# `src/`.
 #
 # Usage: scripts/prod_lines.sh [crate...]   e.g. scripts/prod_lines.sh netsim
 set -euo pipefail
@@ -14,10 +16,28 @@ count() {
   awk '/^#\[cfg\(test\)\]$/ { exit } { n++ } END { print n + 0 }' "$1"
 }
 
+# The files under $1 that a line `include!("…");` right after a
+# `#[cfg(test)]` line names, as paths beside the including file.
+test_includes() {
+  find "$1" -name '*.rs' -exec awk '
+    gated && match($0, /^include!\("[^"]+"\);$/) {
+      dir = FILENAME
+      sub(/[^\/]*$/, "", dir)
+      print dir substr($0, 11, RLENGTH - 13)
+    }
+    { gated = ($0 == "#[cfg(test)]") }
+  ' {} +
+}
+
 report() {
-  local name=$1 dir=$2 total=0 n f
+  local name=$1 dir=$2 total=0 n f tests
+  tests=$(test_includes "$dir")
   while IFS= read -r f; do
-    n=$(count "$f")
+    if grep -qxF "$f" <<<"$tests"; then
+      n=0
+    else
+      n=$(count "$f")
+    fi
     total=$((total + n))
     printf '  %6d  %s\n' "$n" "$f"
   done < <(find "$dir" -name '*.rs' | LC_ALL=C sort)

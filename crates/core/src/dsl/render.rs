@@ -76,14 +76,16 @@ fn render_expr(e: &Expr, system: &SystemModel) -> Result<String, RenderError> {
         },
         Expr::DequeLen(d) => format!("len({d})"),
         Expr::Not(inner) => format!("!({})", render_expr(inner, system)?),
-        Expr::Bin(op, a, b) => {
-            let tight = op.binding_power() >= BinOp::Eq.binding_power();
-            format!(
-                "({} {} {})",
-                operand(a, tight)?,
-                op.symbol(),
-                operand(b, tight)?
-            )
+        // `((a + b) - c)`: one parenthesis per operator.
+        Expr::Bin(first, rest) => {
+            let tight = rest
+                .iter()
+                .any(|(op, _)| op.binding_power() >= BinOp::Eq.binding_power());
+            let mut text = "(".repeat(rest.len()) + &operand(first, tight)?;
+            for (op, b) in rest {
+                let _ = write!(text, " {} {})", op.symbol(), operand(b, tight)?);
+            }
+            text
         }
         Expr::In(needle, items) => {
             let rendered: Result<Vec<String>, RenderError> =

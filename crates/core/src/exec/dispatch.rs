@@ -24,7 +24,7 @@
 //! condition to a falsy value *without logging*. Rules anchored on
 //! fallible properties (payload reads that may hit an unparseable frame
 //! or missing field) carry an *on-error* fallback mask so the scan's
-//! per-rule `ActionError` events are reproduced in exact rule order.
+//! per-rule error counts are reproduced exactly.
 //!
 //! Candidate sets are bitmasks over the state's rule indices, so the
 //! candidate list always comes out in ascending rule order — evaluation
@@ -442,11 +442,11 @@ mod tests {
     }
 
     fn type_is(t: OfType) -> Expr {
-        Expr::eq(Expr::Prop(Property::Type), Expr::Lit(Value::MsgType(t)))
+        BinOp::Eq.of(Expr::Prop(Property::Type), Expr::Lit(Value::MsgType(t)))
     }
 
     fn length_is(n: i64) -> Expr {
-        Expr::eq(Expr::Prop(Property::Length), Expr::Lit(Value::Int(n)))
+        BinOp::Eq.of(Expr::Prop(Property::Length), Expr::Lit(Value::Int(n)))
     }
 
     fn view(frame: &Frame) -> MessageView<'_> {
@@ -509,7 +509,11 @@ mod tests {
     fn candidates_come_out_in_rule_order_with_residuals() {
         // r0 residual (disjunction), r1 indexed, r2 residual.
         let rules = vec![
-            rule("r0", &[0], Expr::or(type_is(OfType::Hello), Expr::always())),
+            rule(
+                "r0",
+                &[0],
+                BinOp::Or.of(type_is(OfType::Hello), Expr::always()),
+            ),
             rule("r1", &[0], type_is(OfType::Hello)),
             rule("r2", &[0], Expr::always()),
         ];
@@ -588,7 +592,7 @@ mod tests {
             rule(
                 "never",
                 &[0],
-                Expr::and(Expr::Lit(Value::Bool(false)), Expr::always()),
+                BinOp::And.of(Expr::Lit(Value::Bool(false)), Expr::always()),
             ),
             rule(
                 "in",
@@ -606,7 +610,7 @@ mod tests {
             rule(
                 "float-len",
                 &[0],
-                Expr::eq(Expr::Prop(Property::Length), Expr::Lit(Value::Float(8.0))),
+                BinOp::Eq.of(Expr::Prop(Property::Length), Expr::Lit(Value::Float(8.0))),
             ),
         ];
         let attack = attack_of(rules);

@@ -563,11 +563,10 @@ impl AttackExecutor {
             granted: rule.required,
             ..*view
         };
-        let now_ns = view.timestamp_ns;
         match self.eval(&rule.condition, &view) {
             Ok(v) if v.truthy() => {}
             Ok(_) => return,
-            Err(e) => return self.log_error(now_ns, rule, e.to_string()),
+            Err(e) => return self.log.error(flat, e),
         }
         self.log.fire(flat);
         // Lines 10–16: run the rule's actions.
@@ -581,17 +580,10 @@ impl AttackExecutor {
                 rule.name,
                 view.conn,
             );
-            if let Err(error) = self.apply_action(action, rule, &view, out) {
-                self.log_error(now_ns, rule, error);
+            if let Err(error) = self.apply_action(action, flat, &view, out) {
+                self.log.error(flat, error);
             }
         }
-    }
-
-    /// Logs a failed condition or action as the rule's error; the run
-    /// goes on.
-    fn log_error(&mut self, now_ns: u64, rule: &Rule, error: String) {
-        let rule = rule.name.clone();
-        self.log.push(now_ns, LogKind::ActionError { rule, error });
     }
 
     /// Debug builds only: panics unless the candidates ascend, as the
@@ -644,12 +636,12 @@ impl AttackExecutor {
         }
     }
 
-    /// Runs one action of a matched rule. An `Err` is logged as the
-    /// rule's [`LogKind::ActionError`].
+    /// Runs one action of rule number `flat`, which matched. An `Err`
+    /// is counted as the rule's error ([`InjectionLog::rule_errors`]).
     fn apply_action(
         &mut self,
         action: &AttackAction,
-        rule: &Rule,
+        flat: usize,
         view: &MessageView<'_>,
         out: &mut ExecOutput,
     ) -> Result<(), String> {
@@ -772,7 +764,7 @@ impl AttackExecutor {
                 for m in out.derived() {
                     match modifier::set_field(&m.frame, field, &v) {
                         Ok(frame) => m.frame = frame,
-                        Err(e) => self.log_error(now_ns, rule, e.to_string()),
+                        Err(e) => self.log.error(flat, e),
                     }
                 }
             }

@@ -117,20 +117,20 @@ fn literal_is_indexable(value: &Value) -> bool {
 }
 
 /// Extracts the indexable guard anchoring `condition`, walking the
-/// left spine of the top-level conjunction.
+/// top-level conjunction's conjuncts in evaluation order.
 ///
 /// Returns `None` when the leftmost non-trivial conjunct is not an
 /// indexable shape — the rule then belongs to the residual scan set.
 pub fn anchor_guard(condition: &Expr) -> Option<Guard> {
-    // Conjuncts in evaluation order: And(And(a, b), c) ⇒ a, b, c.
+    // Conjuncts in evaluation order: `a && (b && c) && d` ⇒ a, b, c, d.
     // Truthy literals are skipped (always Ok(true), no side effects);
     // the first conjunct past them is the anchor candidate.
     let mut stack: Vec<&Expr> = vec![condition];
     while let Some(e) = stack.pop() {
         match e {
-            Expr::Bin(BinOp::And, a, b) => {
-                stack.push(b);
-                stack.push(a);
+            Expr::Bin(first, rest) if rest.iter().all(|(op, _)| *op == BinOp::And) => {
+                stack.extend(rest.iter().rev().map(|(_, b)| b));
+                stack.push(first);
             }
             Expr::Lit(v) if v.truthy() => continue,
             Expr::Lit(_) => return Some(Guard::Never),
@@ -144,13 +144,6 @@ pub fn anchor_guard(condition: &Expr) -> Option<Guard> {
 /// Classifies a single conjunct as a guard, if it has an indexable shape.
 fn classify(e: &Expr) -> Option<Guard> {
     match e {
-        Expr::Bin(BinOp::Eq, a, b) => {
-            let (prop, value) = prop_and_lit(a, b)?;
-            literal_is_indexable(value).then(|| Guard::Eq {
-                prop: prop.clone(),
-                value: value.clone(),
-            })
-        }
         Expr::In(needle, haystack) => {
             let Expr::Prop(prop) = needle.as_ref() else {
                 return None;
@@ -167,36 +160,36 @@ fn classify(e: &Expr) -> Option<Guard> {
                 values,
             })
         }
-        Expr::Bin(op, a, b) => {
-            // The second is the mirror for a literal on the left:
-            // `lit < prop` ⇒ `prop > lit`.
-            let (direct, mirrored) = match op {
+        Expr::Bin(a, rest) => {
+            let [(op, b)] = rest.as_slice() else {
+                return None;
+            };
+            // `mirrored`: the literal is on the left (`lit < prop` ⇒ `prop > lit`).
+            let (prop, value, mirrored) = match (a.as_ref(), b) {
+                (Expr::Prop(p), Expr::Lit(v)) => (p, v, false),
+                (Expr::Lit(v), Expr::Prop(p)) => (p, v, true),
+                _ => return None,
+            };
+            let (direct, mirror) = match op {
+                BinOp::Eq => {
+                    return literal_is_indexable(value).then(|| Guard::Eq {
+                        prop: prop.clone(),
+                        value: value.clone(),
+                    })
+                }
                 BinOp::Lt => (CmpOp::Lt, CmpOp::Gt),
                 BinOp::Le => (CmpOp::Le, CmpOp::Ge),
                 BinOp::Gt => (CmpOp::Gt, CmpOp::Lt),
                 BinOp::Ge => (CmpOp::Ge, CmpOp::Le),
                 _ => return None,
             };
-            let (prop, value, op) = match (a.as_ref(), b.as_ref()) {
-                (Expr::Prop(p), Expr::Lit(v)) => (p, v, direct),
-                (Expr::Lit(v), Expr::Prop(p)) => (p, v, mirrored),
-                _ => return None,
-            };
             let threshold = value.as_float().filter(|x| x.is_finite())?;
             property_is_numeric_infallible(prop).then(|| Guard::Cmp {
                 prop: prop.clone(),
-                op,
+                op: if mirrored { mirror } else { direct },
                 threshold,
             })
         }
-        _ => None,
-    }
-}
-
-/// Matches `(Prop, Lit)` in either operand order.
-fn prop_and_lit<'a>(a: &'a Expr, b: &'a Expr) -> Option<(&'a Property, &'a Value)> {
-    match (a, b) {
-        (Expr::Prop(p), Expr::Lit(v)) | (Expr::Lit(v), Expr::Prop(p)) => Some((p, v)),
         _ => None,
     }
 }
@@ -260,7 +253,7 @@ mod tests {
     use crate::lang::conditional::DequeEnd;
 
     fn type_eq() -> Expr {
-        Expr::eq(
+        BinOp::Eq.of(
             Expr::Prop(Property::Type),
             Expr::Lit(Value::MsgType(OfType::FlowMod)),
         )
@@ -269,9 +262,9 @@ mod tests {
     #[test]
     fn leftmost_conjunct_is_the_anchor() {
         // type == FLOW_MOD && front(d) == 1 — anchored on the type test.
-        let cond = Expr::and(
+        let cond = BinOp::And.of(
             type_eq(),
-            Expr::eq(
+            BinOp::Eq.of(
                 Expr::DequeRead {
                     deque: "d".into(),
                     end: DequeEnd::Front,
@@ -288,8 +281,8 @@ mod tests {
             }
         );
         // Swapped: the deque read comes first and defies indexing.
-        let cond = Expr::and(
-            Expr::eq(
+        let cond = BinOp::And.of(
+            BinOp::Eq.of(
                 Expr::DequeRead {
                     deque: "d".into(),
                     end: DequeEnd::Front,
@@ -303,9 +296,9 @@ mod tests {
 
     #[test]
     fn truthy_literals_are_skipped_falsy_kill_the_rule() {
-        let cond = Expr::and(Expr::Lit(Value::Bool(true)), type_eq());
+        let cond = BinOp::And.of(Expr::Lit(Value::Bool(true)), type_eq());
         assert!(matches!(anchor_guard(&cond), Some(Guard::Eq { .. })));
-        let cond = Expr::and(Expr::Lit(Value::Bool(false)), type_eq());
+        let cond = BinOp::And.of(Expr::Lit(Value::Bool(false)), type_eq());
         assert_eq!(anchor_guard(&cond), Some(Guard::Never));
         // `when true` alone: no anchor, always a candidate.
         assert_eq!(anchor_guard(&Expr::always()), None);
@@ -313,7 +306,7 @@ mod tests {
 
     #[test]
     fn literal_order_is_normalized() {
-        let cond = Expr::eq(Expr::Lit(Value::Int(42)), Expr::Prop(Property::Length));
+        let cond = BinOp::Eq.of(Expr::Lit(Value::Int(42)), Expr::Prop(Property::Length));
         assert_eq!(
             anchor_guard(&cond),
             Some(Guard::Eq {
@@ -378,14 +371,14 @@ mod tests {
     #[test]
     fn residual_shapes_yield_no_guard() {
         for cond in [
-            Expr::or(type_eq(), type_eq()),
+            BinOp::Or.of(type_eq(), type_eq()),
             Expr::Not(Box::new(type_eq())),
             BinOp::Ne.of(Expr::Prop(Property::Length), Expr::Lit(Value::Int(1))),
-            Expr::eq(
+            BinOp::Eq.of(
                 BinOp::Add.of(Expr::Prop(Property::Id), Expr::Lit(Value::Int(1))),
                 Expr::Lit(Value::Int(2)),
             ),
-            Expr::eq(
+            BinOp::Eq.of(
                 Expr::Prop(Property::Source),
                 Expr::Prop(Property::Destination),
             ),
@@ -396,7 +389,7 @@ mod tests {
 
     #[test]
     fn nan_literals_are_not_indexable() {
-        let cond = Expr::eq(
+        let cond = BinOp::Eq.of(
             Expr::Prop(Property::Entropy),
             Expr::Lit(Value::Float(f64::NAN)),
         );

@@ -46,6 +46,7 @@ impl Rule {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::lang::conditional::BinOp;
     use crate::lang::property::Property;
     use crate::lang::value::Value;
     use crate::model::Capability;
@@ -58,7 +59,7 @@ mod tests {
             required: [Capability::ReadMessage, Capability::DropMessage]
                 .into_iter()
                 .collect(),
-            condition: Expr::eq(
+            condition: BinOp::Eq.of(
                 Expr::Prop(Property::Type),
                 Expr::Lit(Value::MsgType(OfType::FlowMod)),
             ),

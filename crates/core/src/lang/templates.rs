@@ -13,7 +13,7 @@ use crate::model::{CapabilitySet, ConnectionId};
 use attain_openflow::OfType;
 
 fn type_is(t: OfType) -> Expr {
-    Expr::eq(Expr::Prop(Property::Type), Expr::Lit(Value::MsgType(t)))
+    BinOp::Eq.of(Expr::Prop(Property::Type), Expr::Lit(Value::MsgType(t)))
 }
 
 /// The §VIII-B counter pattern as a template: let `n` messages of type
@@ -38,8 +38,8 @@ pub fn after_count(
                 name: "init".into(),
                 connections: connections.clone(),
                 required: CapabilitySet::no_tls(),
-                condition: Expr::and(
-                    Expr::eq(Expr::DequeLen(counter.clone()), Expr::Lit(Value::Int(0))),
+                condition: BinOp::And.of(
+                    BinOp::Eq.of(Expr::DequeLen(counter.clone()), Expr::Lit(Value::Int(0))),
                     type_is(t),
                 ),
                 actions: vec![AttackAction::Prepend {
@@ -51,7 +51,8 @@ pub fn after_count(
                 name: "count".into(),
                 connections: connections.clone(),
                 required: CapabilitySet::no_tls(),
-                condition: Expr::and(type_is(t), BinOp::Lt.of(front(), Expr::Lit(Value::Int(n)))),
+                condition: BinOp::And
+                    .of(type_is(t), BinOp::Lt.of(front(), Expr::Lit(Value::Int(n)))),
                 actions: vec![
                     AttackAction::Prepend {
                         deque: counter.clone(),
@@ -65,7 +66,7 @@ pub fn after_count(
                 name: "trigger".into(),
                 connections: connections.clone(),
                 required: CapabilitySet::no_tls(),
-                condition: Expr::eq(front(), Expr::Lit(Value::Int(n))),
+                condition: BinOp::Eq.of(front(), Expr::Lit(Value::Int(n))),
                 actions: vec![AttackAction::GoToState(1)],
             },
         ],
@@ -109,7 +110,7 @@ pub fn suppress_type_with_probability(t: OfType, p: f64, connections: Vec<Connec
                 name: "phi1".into(),
                 connections,
                 required: CapabilitySet::no_tls(),
-                condition: Expr::and(
+                condition: BinOp::And.of(
                     type_is(t),
                     BinOp::Lt.of(Expr::Prop(Property::Entropy), Expr::Lit(Value::Float(p))),
                 ),

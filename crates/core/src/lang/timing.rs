@@ -373,7 +373,7 @@ mod tests {
 
     fn plan_for(pairs: &[(OfType, OfType, u32)]) -> TimingPlan {
         let condition = pairs.iter().fold(Expr::always(), |acc, &(req, resp, w)| {
-            Expr::and(
+            BinOp::And.of(
                 acc,
                 BinOp::Gt.of(
                     Expr::Timing {

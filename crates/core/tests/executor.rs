@@ -344,6 +344,58 @@ fn a_match_is_counted_not_logged() {
 }
 
 #[test]
+fn a_failing_condition_is_counted_not_logged() {
+    let mut exec = executor(
+        r#"
+        attack bad {
+            start state s {
+                rule bad on all {
+                    when msg["idle_timeout"] == 1
+                    do { drop(msg); }
+                }
+            }
+        }
+    "#,
+    );
+    let echo = OfMessage::EchoRequest(vec![1]).encode(1);
+    for i in 0..10_000 {
+        send(&mut exec, i % 4, i % 2 == 0, &echo, i as u64);
+    }
+    assert_eq!(exec.log().events().len(), 0);
+    assert_eq!(exec.log().rule_fires("bad"), 0);
+    let errors: Vec<_> = exec.log().rule_errors().collect();
+    assert_eq!(
+        errors,
+        [("bad", 10_000, "no field idle_timeout on this message type")]
+    );
+}
+
+/// A chain of operators is one node however long it is, so compiling,
+/// validating, evaluating and dropping it takes no more stack than a
+/// short one does. 2 MiB is the stack of every campaign worker and
+/// proxy thread.
+#[test]
+fn long_operator_chains_run_on_a_2_mib_stack() {
+    for terms in [10_000, 1_000_000] {
+        let fires = std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(move || {
+                let when = format!("{} == {terms}", vec!["1"; terms].join(" + "));
+                let mut exec = executor(&format!(
+                    "attack long {{ start state s {{ rule sum on all {{\n\
+                     when {when} do {{ pass(msg); }} }} }} }}"
+                ));
+                send(&mut exec, 0, false, &OfMessage::Hello.encode(1), 0);
+                exec.log().rule_fires("sum")
+            })
+            .expect("spawn")
+            .join()
+            .expect("no stack overflow");
+        assert_eq!(fires, 1, "{terms} terms");
+    }
+}
+
+#[test]
 fn executor_is_deterministic_across_runs() {
     let run = || {
         let mut exec = executor(attacks::FUZZ_CONTROL_PLANE);

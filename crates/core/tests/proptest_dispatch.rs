@@ -1,8 +1,8 @@
 //! Differential oracle for the compiled rule dispatcher: on random
 //! rulesets and message streams, [`DispatchMode::Compiled`] must
 //! reproduce the reference scan's full executor output — deliveries,
-//! commands, wakeups, rule fire counts, log events (including
-//! `ActionError` ordering), deque contents, and state transitions —
+//! commands, wakeups, rule fire counts, rule error counts and first
+//! error texts, log events, deque contents, and state transitions —
 //! bit for bit, step by step.
 //!
 //! The generated rulesets deliberately span every dispatch class:
@@ -35,7 +35,7 @@ fn lit_int(n: i64) -> Expr {
 }
 
 fn type_eq(t: OfType) -> Expr {
-    Expr::eq(Expr::Prop(Property::Type), Expr::Lit(Value::MsgType(t)))
+    BinOp::Eq.of(Expr::Prop(Property::Type), Expr::Lit(Value::MsgType(t)))
 }
 
 fn arb_type() -> impl Strategy<Value = OfType> {
@@ -53,7 +53,7 @@ fn arb_condition() -> impl Strategy<Value = Expr> {
     prop_oneof![
         // Indexable equality anchors.
         arb_type().prop_map(type_eq),
-        (0i64..64).prop_map(|n| Expr::eq(Expr::Prop(Property::Length), lit_int(n))),
+        (0i64..64).prop_map(|n| BinOp::Eq.of(Expr::Prop(Property::Length), lit_int(n))),
         // Indexable membership.
         (arb_type(), arb_type()).prop_map(|(a, b)| Expr::In(
             Box::new(Expr::Prop(Property::Type)),
@@ -69,7 +69,7 @@ fn arb_condition() -> impl Strategy<Value = Expr> {
             Expr::Lit(Value::Float(p as f64 / 100.0))
         )),
         // Partially indexable: indexed anchor, residual tail.
-        (arb_type(), 0u32..100).prop_map(|(t, p)| Expr::and(
+        (arb_type(), 0u32..100).prop_map(|(t, p)| BinOp::And.of(
             type_eq(t),
             BinOp::Gt.of(
                 Expr::Prop(Property::Entropy),
@@ -78,14 +78,14 @@ fn arb_condition() -> impl Strategy<Value = Expr> {
         )),
         // Error-producing, anchored on a fallible property: fails with
         // NoSuchField on non-FLOW_MODs and Unparseable on garbage.
-        (0i64..16).prop_map(|n| Expr::eq(
+        (0i64..16).prop_map(|n| BinOp::Eq.of(
             Expr::Prop(Property::TypeOption("priority".into())),
             lit_int(n)
         )),
         // Residual: disjunction, deque read, arithmetic.
-        (arb_type(), arb_type()).prop_map(|(a, b)| Expr::or(type_eq(a), type_eq(b))),
+        (arb_type(), arb_type()).prop_map(|(a, b)| BinOp::Or.of(type_eq(a), type_eq(b))),
         (0i64..4).prop_map(|n| BinOp::Gt.of(Expr::DequeLen("d".into()), lit_int(n))),
-        (0i64..40).prop_map(|n| Expr::eq(
+        (0i64..40).prop_map(|n| BinOp::Eq.of(
             BinOp::Add.of(Expr::Prop(Property::Id), lit_int(1)),
             lit_int(n),
         )),
@@ -93,7 +93,7 @@ fn arb_condition() -> impl Strategy<Value = Expr> {
         Just(BinOp::Lt.of(Expr::Prop(Property::Source), lit_int(0))),
         // Trivial (no anchor) and never-firing (falsy literal anchor).
         Just(Expr::always()),
-        arb_type().prop_map(|t| Expr::and(Expr::Lit(Value::Bool(false)), type_eq(t))),
+        arb_type().prop_map(|t| BinOp::And.of(Expr::Lit(Value::Bool(false)), type_eq(t))),
     ]
 }
 
@@ -184,15 +184,24 @@ fn arb_frame() -> impl Strategy<Value = Frame> {
 }
 
 /// One executor step's output, then what the step left in the executor:
-/// its state, its rules' fire counts and the log events the step added.
-type Step = (ExecOutput, usize, Vec<(String, u64)>, Vec<LogEvent>);
+/// its state, its rules' fire counts, its rules' error counts and first
+/// texts, and the log events the step added.
+type Step = (
+    ExecOutput,
+    usize,
+    Vec<(String, u64)>,
+    Vec<(String, u64, String)>,
+    Vec<LogEvent>,
+);
 
 fn observe(exec: &AttackExecutor, out: ExecOutput, logged: &mut usize) -> Step {
     let events = exec.log().events()[*logged..].to_vec();
     *logged += events.len();
     let fires = exec.log().rule_fire_counts();
     let fires = fires.map(|(rule, n)| (rule.to_string(), n)).collect();
-    (out, exec.current_state(), fires, events)
+    let errors = exec.log().rule_errors();
+    let errors = errors.map(|(rule, n, text)| (rule.to_string(), n, text.to_string()));
+    (out, exec.current_state(), fires, errors.collect(), events)
 }
 
 /// Runs the whole stream through one executor and returns everything
@@ -246,9 +255,9 @@ proptest! {
         let scan = run(DispatchMode::Scan, sys_a, model_a, attack.clone(), &msgs);
         let compiled = run(DispatchMode::Compiled, sys_b, model_b, attack, &msgs);
         // Per step: deliveries/commands/faults/wakeups, then the
-        // automaton state, the fire counts and the log events the step
-        // added (Transition, ActionError, Held... in order); then the
-        // final deque.
+        // automaton state, the fire counts, the error counts and first
+        // texts, and the log events the step added (Transition, Held...
+        // in order); then the final deque.
         prop_assert_eq!(&scan.0, &compiled.0);
         prop_assert_eq!(scan.1, compiled.1);
     }

@@ -87,12 +87,12 @@ fn arb_bool_expr() -> impl Strategy<Value = Expr> {
         any::<bool>().prop_map(|b| Expr::Lit(Value::Bool(b))),
         (0i64..64)
             .prop_map(|n| BinOp::Gt.of(Expr::Prop(Property::Length), Expr::Lit(Value::Int(n)))),
-        (0i64..200).prop_map(|n| Expr::eq(Expr::Prop(Property::Id), Expr::Lit(Value::Int(n)),)),
+        (0i64..200).prop_map(|n| BinOp::Eq.of(Expr::Prop(Property::Id), Expr::Lit(Value::Int(n)),)),
     ];
     leaf.prop_recursive(3, 24, 2, |inner| {
         prop_oneof![
-            (inner.clone(), inner.clone()).prop_map(|(a, b)| Expr::and(a, b)),
-            (inner.clone(), inner.clone()).prop_map(|(a, b)| Expr::or(a, b)),
+            (inner.clone(), inner.clone()).prop_map(|(a, b)| BinOp::And.of(a, b)),
+            (inner.clone(), inner.clone()).prop_map(|(a, b)| BinOp::Or.of(a, b)),
             inner.prop_map(|e| Expr::Not(Box::new(e))),
         ]
     })
@@ -134,8 +134,8 @@ proptest! {
         let vb = eval_bool(&b, &msg, &d);
 
         // ¬(a ∧ b) = ¬a ∨ ¬b
-        let lhs = Expr::Not(Box::new(Expr::and(a.clone(), b.clone())));
-        let rhs = Expr::or(
+        let lhs = Expr::Not(Box::new(BinOp::And.of(a.clone(), b.clone())));
+        let rhs = BinOp::Or.of(
             Expr::Not(Box::new(a.clone())),
             Expr::Not(Box::new(b.clone())),
         );
@@ -160,7 +160,7 @@ proptest! {
     /// Required capabilities never shrink when composing expressions.
     #[test]
     fn composition_accumulates_capabilities(a in arb_bool_expr(), b in arb_bool_expr()) {
-        let combined = Expr::and(a.clone(), b.clone());
+        let combined = BinOp::And.of(a.clone(), b.clone());
         let caps = combined.required_capabilities();
         prop_assert!(caps.is_superset_of(&a.required_capabilities()));
         prop_assert!(caps.is_superset_of(&b.required_capabilities()));

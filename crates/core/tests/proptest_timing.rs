@@ -9,8 +9,8 @@
 //! residual path evaluates them identically in both modes, *including*
 //! the fallible paths: `Last`/`Mean`/`StdDev` reads against an empty
 //! sample ring surface as `EvalError::NoSample`, which the executor
-//! logs as an `ActionError` and treats as unmatched, in both modes, in
-//! the same order. Sleeps are generated too, so held messages replayed
+//! counts as the rule's error and treats as unmatched, in both modes,
+//! on the same steps. Sleeps are generated too, so held messages replayed
 //! at wake time observe the same (wake-time) clock under both modes.
 
 use attain_core::exec::{AttackExecutor, DispatchMode, ExecOutput, InjectorInput, LogEvent};
@@ -37,7 +37,7 @@ fn lit_int(n: i64) -> Expr {
 }
 
 fn type_eq(t: OfType) -> Expr {
-    Expr::eq(Expr::Prop(Property::Type), Expr::Lit(Value::MsgType(t)))
+    BinOp::Eq.of(Expr::Prop(Property::Type), Expr::Lit(Value::MsgType(t)))
 }
 
 fn arb_type() -> impl Strategy<Value = OfType> {
@@ -88,7 +88,7 @@ fn arb_condition() -> impl Strategy<Value = Expr> {
             ),
         // Count-guarded read: short-circuit keeps it infallible.
         (arb_type(), arb_type(), 1u32..9, 0i64..4, threshold.clone()).prop_map(
-            |(req, resp, w, n, t)| Expr::and(
+            |(req, resp, w, n, t)| BinOp::And.of(
                 BinOp::Ge.of(timing(req, resp, TimingStat::Count, 1), lit_int(n)),
                 BinOp::Lt.of(timing(req, resp, TimingStat::Mean, w), lit_int(t)),
             )
@@ -97,18 +97,16 @@ fn arb_condition() -> impl Strategy<Value = Expr> {
         (arb_type(), 1u32..5, threshold.clone())
             .prop_map(|(t, w, thr)| BinOp::Le.of(timing(t, t, TimingStat::Last, w), lit_int(thr))),
         // Pure count comparisons: infallible, start at 0.
-        (arb_type(), arb_type(), 0i64..6).prop_map(|(req, resp, n)| Expr::eq(
-            timing(req, resp, TimingStat::Count, 1),
-            lit_int(n),
-        )),
+        (arb_type(), arb_type(), 0i64..6).prop_map(
+            |(req, resp, n)| BinOp::Eq.of(timing(req, resp, TimingStat::Count, 1), lit_int(n),)
+        ),
         // Time-in-state reads, alone and conjoined with a type anchor.
         threshold
             .clone()
             .prop_map(|t| BinOp::Gt.of(Expr::ElapsedInState, lit_int(t))),
-        (arb_type(), threshold).prop_map(|(ty, t)| Expr::and(
-            type_eq(ty),
-            BinOp::Ge.of(Expr::ElapsedInState, lit_int(t)),
-        )),
+        (arb_type(), threshold)
+            .prop_map(|(ty, t)| BinOp::And
+                .of(type_eq(ty), BinOp::Ge.of(Expr::ElapsedInState, lit_int(t)),)),
         // Content-only shapes so compiled dispatch still builds real
         // anchors alongside the timing residuals.
         arb_type().prop_map(type_eq),
@@ -194,15 +192,24 @@ fn arb_frame() -> impl Strategy<Value = Frame> {
 }
 
 /// One executor step's output, then what the step left in the executor:
-/// its state, its rules' fire counts and the log events the step added.
-type Step = (ExecOutput, usize, Vec<(String, u64)>, Vec<LogEvent>);
+/// its state, its rules' fire counts, its rules' error counts and first
+/// texts, and the log events the step added.
+type Step = (
+    ExecOutput,
+    usize,
+    Vec<(String, u64)>,
+    Vec<(String, u64, String)>,
+    Vec<LogEvent>,
+);
 
 fn observe(exec: &AttackExecutor, out: ExecOutput, logged: &mut usize) -> Step {
     let events = exec.log().events()[*logged..].to_vec();
     *logged += events.len();
     let fires = exec.log().rule_fire_counts();
     let fires = fires.map(|(rule, n)| (rule.to_string(), n)).collect();
-    (out, exec.current_state(), fires, events)
+    let errors = exec.log().rule_errors();
+    let errors = errors.map(|(rule, n, text)| (rule.to_string(), n, text.to_string()));
+    (out, exec.current_state(), fires, errors.collect(), events)
 }
 
 /// Runs the whole stream through one executor and returns everything
@@ -245,8 +252,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
     /// Scan ≡ compiled dispatch with timing predicates in play: each
-    /// step's output, automaton state, fire counts and log events
-    /// (including `ActionError` entries from NoSample reads), and the
+    /// step's output, automaton state, fire counts, error counts and
+    /// first texts (NoSample reads among them), log events, and the
     /// timing store's tracked connections all match bit for bit.
     #[test]
     fn timing_predicates_are_dispatch_mode_invariant(

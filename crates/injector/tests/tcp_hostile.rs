@@ -239,3 +239,17 @@ fn an_attack_that_matches_every_message_does_not_grow_the_log() {
     assert_eq!(fires, 4000);
     shutdown_within_5s(proxy);
 }
+
+#[test]
+fn a_long_operator_chain_runs_on_the_proxy_threads() {
+    let when = format!("{} == 10000", vec!["1"; 10_000].join(" + "));
+    let source = PASS_ALL.replace("when true", &format!("when {when}"));
+    let (proxy, controllers) = two_routes(&source);
+    let (mut switch, mut controller) = session(&proxy, &controllers[0], 0);
+    let request = OfMessage::EchoRequest(vec![1]);
+    controller.write_all(&request.encode(1)).unwrap();
+    assert_eq!(read_one(&mut switch), request);
+    let fires = proxy.with_executor(|e| e.log().rule_fires("pass_all"));
+    assert_eq!(fires, 1);
+    shutdown_within_5s(proxy);
+}

@@ -213,9 +213,15 @@ struct Observed {
     faults: u64,
 }
 
-/// The executor's state, its rules' fire counts and the log entries
-/// added since the previous snapshot, timestamps stripped.
-type Snapshot = (usize, Vec<(String, u64)>, Vec<LogKind>);
+/// The executor's state, its rules' fire counts, the log entries added
+/// since the previous snapshot (timestamps stripped), and its rules'
+/// error counts and first error texts.
+type Snapshot = (
+    usize,
+    Vec<(String, u64)>,
+    Vec<LogKind>,
+    Vec<(String, u64, String)>,
+);
 
 fn snapshot(exec: &AttackExecutor, logged: &mut usize) -> Snapshot {
     let events = &exec.log().events()[*logged..];
@@ -223,7 +229,9 @@ fn snapshot(exec: &AttackExecutor, logged: &mut usize) -> Snapshot {
     let fires = exec.log().rule_fire_counts();
     let fires = fires.map(|(rule, n)| (rule.to_string(), n)).collect();
     let kinds = events.iter().map(|e| e.kind.clone()).collect();
-    (exec.current_state(), fires, kinds)
+    let errors = exec.log().rule_errors();
+    let errors = errors.map(|(rule, n, text)| (rule.to_string(), n, text.to_string()));
+    (exec.current_state(), fires, kinds, errors.collect())
 }
 
 /// The script through the simulator's injector, called directly.

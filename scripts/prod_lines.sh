@@ -1,19 +1,35 @@
 #!/usr/bin/env bash
 # Production lines per crate and per file.
 #
-# A file's production lines are its lines before the first line that is
-# exactly `#[cfg(test)]` at column 0 (the unit-test module), or all of
-# its lines if it has none. A file that a `#[cfg(test)]`-gated
-# `include!("…")` pulls in is test code and counts 0. Blank lines and
-# comments count. Crates are `crates/<name>/src` plus the facade's
-# `src/`.
+# A file's production lines are all of its lines but its test modules:
+# a line `#[cfg(test)]`, at any indentation, followed by `mod NAME {`
+# is skipped up to the module's closing `}` at the same indentation, and
+# counting goes on after it. A `#[cfg(test)]`-gated `include!("…");`
+# line is skipped too, and the file it pulls in is test code and counts
+# 0. Blank lines and comments count. Crates are `crates/<name>/src` plus
+# the facade's `src/`.
 #
 # Usage: scripts/prod_lines.sh [crate...]   e.g. scripts/prod_lines.sh netsim
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 count() {
-  awk '/^#\[cfg\(test\)\]$/ { exit } { n++ } END { print n + 0 }' "$1"
+  awk '
+    end != "" { if ($0 == end) end = ""; next }
+    gated {
+      gated = 0
+      if ($0 ~ /^[ \t]*(pub[^ ]* )?mod [A-Za-z0-9_]+ \{$/) {
+        match($0, /^[ \t]*/)
+        end = substr($0, 1, RLENGTH) "}"
+        next
+      }
+      if ($0 ~ /^[ \t]*include!\(.*\);$/) next
+      n++
+    }
+    /^[ \t]*#\[cfg\(test\)\]$/ { gated = 1; next }
+    { n++ }
+    END { print n + gated }
+  ' "$1"
 }
 
 # The files under $1 that a line `include!("…");` right after a

@@ -219,7 +219,7 @@ mod sweep {
                 } else {
                     // Matches only messages of one specific length, which the
                     // bench workload never produces (i ≠ message length).
-                    Expr::eq(
+                    BinOp::Eq.of(
                         Expr::Prop(Property::Length),
                         Expr::Lit(Value::Int(1_000_000 + i as i64)),
                     )
@@ -275,12 +275,12 @@ mod sweep {
                 name: format!("phi{i}"),
                 connections: vec![ConnectionId(0)],
                 required: CapabilitySet::no_tls(),
-                condition: Expr::and(
-                    Expr::eq(
+                condition: BinOp::And.of(
+                    BinOp::Eq.of(
                         Expr::Prop(Property::Type),
                         Expr::Lit(Value::MsgType(MIXED_TYPES[i % MIXED_TYPES.len()])),
                     ),
-                    Expr::eq(
+                    BinOp::Eq.of(
                         Expr::Prop(Property::Length),
                         Expr::Lit(Value::Int(1_000_000 + i as i64)),
                     ),
@@ -426,10 +426,19 @@ mod sweep {
             assert!(ns.is_finite());
         }
 
-        /// The executor's state, its rules' fire counts and its log.
-        fn observed(exec: &AttackExecutor) -> (usize, Vec<(&str, u64)>, &[LogEvent]) {
+        /// The executor's state, its rules' fire counts and errors, and
+        /// its log.
+        type Observed<'a> = (
+            usize,
+            Vec<(&'a str, u64)>,
+            Vec<(&'a str, u64, &'a str)>,
+            &'a [LogEvent],
+        );
+
+        fn observed(exec: &AttackExecutor) -> Observed<'_> {
             let fires = exec.log().rule_fire_counts().collect();
-            (exec.current_state(), fires, exec.log().events())
+            let errors = exec.log().rule_errors().collect();
+            (exec.current_state(), fires, errors, exec.log().events())
         }
 
         #[test]

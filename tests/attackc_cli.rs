@@ -92,6 +92,26 @@ fn enterprise_scenario_compiles_attack_only_files() {
 }
 
 #[test]
+fn a_million_term_chain_compiles() {
+    let when = format!("{} == 1000000", vec!["1"; 1_000_000].join(" + "));
+    let path = write_temp(
+        "long-chain",
+        &format!("attack long {{ start state s {{ rule r on all {{ when {when} do {{ pass(msg); }} }} }} }}"),
+    );
+    let out = attackc()
+        .args(["--scenario", "enterprise"])
+        .arg(&path)
+        .output()
+        .expect("run attackc");
+    assert!(
+        out.status.success(),
+        "stderr: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    std::fs::remove_file(path).ok();
+}
+
+#[test]
 fn syntax_errors_exit_nonzero_with_line_numbers() {
     let path = write_temp("bad", "attack x {\n  state s {\n    garbage\n  }\n}");
     let out = attackc().arg(&path).output().expect("run attackc");

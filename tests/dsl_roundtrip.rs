@@ -114,7 +114,7 @@ fn an_in_renders_parenthesized_only_where_the_grammar_needs_it() {
 
 #[test]
 fn string_literals_round_trip() {
-    use attain::core::lang::{AttackAction, Expr, Property, Value};
+    use attain::core::lang::{AttackAction, BinOp, Expr, Property, Value};
     let sc = scenario::enterprise_network();
     // Raw non-ASCII and control characters, and the four escapes.
     let text = "caf\u{e9} \u{2026} \r \0 \u{7f} \t \" \\";
@@ -140,11 +140,11 @@ fn string_literals_round_trip() {
         .attack;
     assert_eq!(back, compiled, "{rendered}");
     let rule = &back.states[0].rules[0];
-    let Expr::Bin(_, lhs, rhs) = &rule.condition else {
+    let Expr::Bin(lhs, rest) = &rule.condition else {
         panic!("expected a comparison: {:?}", rule.condition);
     };
     assert_eq!(**lhs, Expr::Prop(Property::TypeOption(text.into())));
-    assert_eq!(**rhs, Expr::Lit(Value::Str(text.into())));
+    assert_eq!(rest[..], [(BinOp::Eq, Expr::Lit(Value::Str(text.into())))]);
     assert_eq!(
         rule.actions,
         [AttackAction::SysCmd {

@@ -206,7 +206,17 @@ fn full_stack_is_deterministic() {
             .rule_fire_counts()
             .map(|(r, n)| (r.to_string(), n))
             .collect();
-        let log = (exec.current_state(), fires, exec.log().events().to_vec());
+        let errors: Vec<_> = exec
+            .log()
+            .rule_errors()
+            .map(|(r, n, text)| (r.to_string(), n, text.to_string()))
+            .collect();
+        let log = (
+            exec.current_state(),
+            fires,
+            errors,
+            exec.log().events().to_vec(),
+        );
         (rtts, log, sim.trace().control_message_total())
     };
     assert_eq!(run(), run());

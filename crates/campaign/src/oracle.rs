@@ -316,6 +316,7 @@ mod tests {
             rule_fires: Vec::new(),
             faults: None,
             wall_ms: 0,
+            trace_bytes: 0,
         }
     }
 

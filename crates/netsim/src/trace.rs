@@ -4,31 +4,36 @@
 //! messages sent across such connections, and rule notifications"
 //! (§VII-A2); this module is the simulator-side half of that logging.
 //!
-//! A [`Trace`] stores each record as a private, fixed-size 24-byte
-//! `Record` that owns no heap memory: the virtual time (8 bytes), two
-//! `u32` payload words `x` and `y`, and three bytes `tag`, `a` and `b`.
-//! The four kinds a run logs by the million are encoded inline:
+//! A [`Trace`] stores its records in one byte stream, each record a tag
+//! byte followed by varints (seven bits a byte, low bits first, the top
+//! bit marking a byte that is not the last). The tag's low bits name the
+//! kind's encoding and its top bit is a control message's direction. Next
+//! comes the time, as the wrapping difference from the previous record's
+//! time, so records pushed in any order decode. Then the kind's fields:
 //!
-//! - `ControlMessage`: `x` the connection, `y` the length, `a` the
-//!   direction, `b` the message type (0 for `None`, else its wire value
-//!   plus one);
-//! - `ConnectionUp`: `x` the connection;
-//! - `FlowInstalled` and `FlowEvicted`: `x` the switch name's index in a
-//!   table of names (each interned once, found through a name → index
-//!   map) and `y` the index of the match in a side `Vec<Match>` (40 bytes
-//!   a record, by value).
+//! - `ControlMessage`: the connection, the length, the message type (0 for
+//!   `None`, else its wire value plus one);
+//! - `ConnectionUp`: the connection;
+//! - `FlowInstalled` and `FlowEvicted`: the switch name's index in a table
+//!   of names (each interned once, found through a name → index map), then
+//!   the match field by field: its wildcards XOR `OFPFW_ALL` (0 for a
+//!   match-everything entry), a mask of its fields that are not zero, and
+//!   those fields, each MAC address as one 48-bit number.
 //!
-//! Every other kind, and any of those four whose connection or length
-//! does not fit a `u32`, is kept whole in a side `Vec<TraceKind>` whose
-//! index the record holds in `x` (low half) and `y` (high half). So a
-//! control-message record costs 24 bytes, a flow record 64, and encoding
-//! is lossless for every input: [`Trace::events`] decodes each record
-//! back into the [`TraceEvent`] that was pushed.
+//! Every other kind is kept whole in a side `Vec<TraceKind>`, and its
+//! record holds the index there. Varints hold any `usize`, so encoding is
+//! lossless for every input: [`Trace::events`] decodes each record back
+//! into the [`TraceEvent`] that was pushed. A control message 100 µs after
+//! the record before it, on a connection below 128 with a length below
+//! 16,384, costs at most 8 bytes; a Ryu flow record (exact on an ingress
+//! port below 128 and both MACs) under 34 s after the record before it, at
+//! most 24. A trace never rewrites its stream: a checkpoint is a byte
+//! offset, a count and the time there.
 
 use crate::engine::ConnId;
 use crate::interpose::Direction;
 use crate::time::{write_decimal, SimTime};
-use attain_openflow::{Match, OfType};
+use attain_openflow::{MacAddr, Match, OfType, PortNo, Wildcards};
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -39,7 +44,7 @@ use std::fmt;
 /// `Debug` prints what `Debug` of the rendered `String` prints, quotes
 /// included, so records and digests read as if the text were stored.
 /// The match is boxed so that the two variants carrying one do not
-/// widen every [`TraceKind`]; a [`Trace`] stores it unboxed.
+/// widen every [`TraceKind`]; a [`Trace`] stores it field by field.
 #[derive(Clone, PartialEq, Eq)]
 pub struct MatchDescription(pub Box<Match>);
 
@@ -154,11 +159,11 @@ pub enum TraceKind {
 ///
 /// Counters (and therefore [`Trace::counter_digest`]) accumulate
 /// identically in both modes; only per-event record retention differs.
-/// A [`TraceMode::Full`] trace keeps one 24-byte record per event, plus
-/// 40 bytes of match per flow record and the whole kind of each rarer
-/// record (the layout is in `trace.rs`'s module docs). 100k-flow runs use
-/// [`TraceMode::Counters`] so the trace stays O(connections × types),
-/// not O(events).
+/// A [`TraceMode::Full`] trace keeps a few bytes per event (about 7 for a
+/// control message, about 14 for a flow record) and the whole kind of
+/// each rarer record (the layout is in `trace.rs`'s module docs).
+/// 100k-flow runs use [`TraceMode::Counters`] so the trace stays
+/// O(connections × types), not O(events).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum TraceMode {
     /// Keep every event record plus the aggregate counters.
@@ -400,7 +405,8 @@ impl fmt::Write for Fnv1a {
     }
 }
 
-/// What a stored [`Record`] holds, and so how its words decode.
+/// What a stored record holds, and so how its fields decode: the low
+/// bits of its tag byte.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Tag {
     ControlMessage,
@@ -411,153 +417,300 @@ enum Tag {
     Whole,
 }
 
-/// One trace record as stored: a fixed 24 bytes that own no heap memory
-/// (the layout is in the module docs).
-#[derive(Debug, Clone, Copy)]
-struct Record {
-    time: SimTime,
-    x: u32,
-    y: u32,
-    tag: Tag,
-    a: u8,
-    b: u8,
+impl Tag {
+    const ALL: [Tag; 5] = [
+        Tag::ControlMessage,
+        Tag::ConnectionUp,
+        Tag::FlowInstalled,
+        Tag::FlowEvicted,
+        Tag::Whole,
+    ];
+    /// The tag byte's bit that marks a controller-to-switch message.
+    const TO_SWITCH: u8 = 0x80;
 }
 
-const _: () = assert!(std::mem::size_of::<Record>() <= 24);
+/// Appends `n` to `bytes` as a varint: seven bits a byte, low bits first,
+/// the top bit set on every byte but the last.
+fn put(bytes: &mut Vec<u8>, mut n: u64) {
+    while n >= 0x80 {
+        bytes.push(n as u8 | 0x80);
+        n >>= 7;
+    }
+    bytes.push(n as u8);
+}
 
-/// The side tables that [`Record`]s index.
+/// A MAC address as the low 48 bits of a varint.
+fn mac_bits(mac: MacAddr) -> u64 {
+    let [a, b, c, d, e, f] = mac.0;
+    u64::from_be_bytes([0, 0, a, b, c, d, e, f])
+}
+
+fn mac_from_bits(bits: u64) -> MacAddr {
+    let [_, _, a, b, c, d, e, f] = bits.to_be_bytes();
+    MacAddr([a, b, c, d, e, f])
+}
+
+/// A match's twelve fields, each widened to a varint, in stream order.
+fn match_fields(m: &Match) -> [u64; 12] {
+    [
+        m.in_port.0.into(),
+        mac_bits(m.dl_src),
+        mac_bits(m.dl_dst),
+        m.dl_vlan.into(),
+        m.dl_vlan_pcp.into(),
+        m.dl_type.into(),
+        m.nw_tos.into(),
+        m.nw_proto.into(),
+        m.nw_src.into(),
+        m.nw_dst.into(),
+        m.tp_src.into(),
+        m.tp_dst.into(),
+    ]
+}
+
+/// The recorded events: one byte stream (the layout is in the module
+/// docs) and the side tables its flow and whole records index.
 #[derive(Debug, Default, Clone)]
 struct Store {
+    bytes: Vec<u8>,
     /// Flow records' switch names, each once, and where each one is.
     names: Vec<String>,
-    name_index: BTreeMap<String, u32>,
-    /// Flow records' matches, one per record.
-    matches: Vec<Match>,
-    /// Kinds with no inline encoding.
+    name_index: BTreeMap<String, usize>,
+    /// Kinds with no encoding in the stream.
     whole: Vec<TraceKind>,
 }
 
-/// `n` as a record word, if it fits one.
-fn word(n: usize) -> Option<u32> {
-    u32::try_from(n).ok()
-}
-
 impl Store {
-    /// Encodes `kind` as a record at `time`, moving what it owns into the
-    /// side tables.
-    fn encode(&mut self, time: SimTime, kind: TraceKind) -> Record {
-        let (tag, x, y, a, b) = match kind {
+    /// Appends `kind`'s record, `delta` nanoseconds (wrapping) after the
+    /// record before it, moving what it owns into the side tables.
+    fn push(&mut self, delta: u64, kind: TraceKind) {
+        let tag_at = self.bytes.len();
+        self.bytes.push(0);
+        put(&mut self.bytes, delta);
+        let tag = match kind {
             TraceKind::ControlMessage {
                 conn,
                 direction,
                 of_type,
                 len,
-            } if word(conn.0).is_some() && word(len).is_some() => (
-                Tag::ControlMessage,
-                conn.0 as u32,
-                len as u32,
-                matches!(direction, Direction::ControllerToSwitch) as u8,
-                of_type.map_or(0, |t| t as u8 + 1),
-            ),
-            TraceKind::ConnectionUp { conn } if word(conn.0).is_some() => {
-                (Tag::ConnectionUp, conn.0 as u32, 0, 0, 0)
+            } => {
+                put(&mut self.bytes, conn.0 as u64);
+                put(&mut self.bytes, len as u64);
+                put(&mut self.bytes, of_type.map_or(0, |t| t as u64 + 1));
+                match direction {
+                    Direction::SwitchToController => Tag::ControlMessage as u8,
+                    Direction::ControllerToSwitch => Tag::ControlMessage as u8 | Tag::TO_SWITCH,
+                }
+            }
+            TraceKind::ConnectionUp { conn } => {
+                put(&mut self.bytes, conn.0 as u64);
+                Tag::ConnectionUp as u8
             }
             TraceKind::FlowInstalled {
                 switch,
                 description,
-            } if word(self.matches.len()).is_some() => {
-                self.flow(Tag::FlowInstalled, switch, description)
+            } => {
+                self.flow(switch, &description.0);
+                Tag::FlowInstalled as u8
             }
             TraceKind::FlowEvicted {
                 switch,
                 description,
-            } if word(self.matches.len()).is_some() => {
-                self.flow(Tag::FlowEvicted, switch, description)
+            } => {
+                self.flow(switch, &description.0);
+                Tag::FlowEvicted as u8
             }
             kind => {
-                let at = self.whole.len() as u64;
+                put(&mut self.bytes, self.whole.len() as u64);
                 self.whole.push(kind);
-                (Tag::Whole, at as u32, (at >> 32) as u32, 0, 0)
+                Tag::Whole as u8
             }
         };
-        Record {
-            time,
-            x,
-            y,
-            tag,
-            a,
-            b,
-        }
+        self.bytes[tag_at] = tag;
     }
 
-    /// A flow record's words: its switch name's index (interning the name
-    /// on first sight) and its match's.
-    fn flow(
-        &mut self,
-        tag: Tag,
-        switch: String,
-        description: MatchDescription,
-    ) -> (Tag, u32, u32, u8, u8) {
+    /// A flow record's fields: its switch name's index (interning the name
+    /// on first sight), then its match field by field — the wildcards
+    /// (flipped, so an all-wildcard match is 0), a mask of the fields that
+    /// are not zero, and those fields.
+    fn flow(&mut self, switch: String, m: &Match) {
         let name = match self.name_index.get(&switch) {
             Some(&at) => at,
             None => {
-                // There are no more names than matches, so it fits.
-                let at = self.names.len() as u32;
+                let at = self.names.len();
                 self.names.push(switch.clone());
                 self.name_index.insert(switch, at);
                 at
             }
         };
-        let at = self.matches.len() as u32;
-        self.matches.push(*description.0);
-        (tag, name, at, 0, 0)
+        put(&mut self.bytes, name as u64);
+        put(&mut self.bytes, u64::from(m.wildcards.0 ^ Wildcards::ALL.0));
+        let fields = match_fields(m);
+        let present = (0..fields.len()).filter(|&i| fields[i] != 0);
+        put(&mut self.bytes, present.fold(0, |mask, i| mask | 1 << i));
+        for f in fields.into_iter().filter(|&f| f != 0) {
+            put(&mut self.bytes, f);
+        }
     }
 
-    /// The event `r` was encoded from.
-    fn decode(&self, r: &Record) -> TraceEvent {
-        let kind = match r.tag {
-            Tag::ControlMessage => TraceKind::ControlMessage {
-                conn: ConnId(r.x as usize),
-                direction: if r.a == 0 {
-                    Direction::SwitchToController
-                } else {
-                    Direction::ControllerToSwitch
-                },
-                of_type: r.b.checked_sub(1).map(|t| OfType::ALL[usize::from(t)]),
-                len: r.y as usize,
-            },
-            Tag::ConnectionUp => TraceKind::ConnectionUp {
-                conn: ConnId(r.x as usize),
-            },
-            Tag::FlowInstalled | Tag::FlowEvicted => {
-                let switch = self.names[r.x as usize].clone();
-                let description = self.matches[r.y as usize].into();
-                if r.tag == Tag::FlowInstalled {
-                    TraceKind::FlowInstalled {
-                        switch,
-                        description,
-                    }
-                } else {
-                    TraceKind::FlowEvicted {
-                        switch,
-                        description,
-                    }
-                }
-            }
-            Tag::Whole => self.whole[(u64::from(r.y) << 32 | u64::from(r.x)) as usize].clone(),
-        };
-        TraceEvent { time: r.time, kind }
+    /// The records between `from` and `to`, decoded as they are reached.
+    fn events(&self, from: Mark, to: Mark) -> Events<'_> {
+        Events {
+            store: self,
+            at: from.at,
+            time: from.time,
+            left: to.count - from.count,
+        }
+    }
+
+    /// Heap bytes held, counted as capacities.
+    fn bytes_held(&self) -> usize {
+        let names: usize = self.names.iter().map(String::capacity).sum();
+        let whole: usize = self.whole.iter().map(owned_bytes).sum();
+        // Each name's text is held twice: in `names` and as a map key.
+        self.bytes.capacity()
+            + self.names.capacity() * std::mem::size_of::<String>()
+            + 2 * names
+            + self.name_index.len() * std::mem::size_of::<(String, usize)>()
+            + self.whole.capacity() * std::mem::size_of::<TraceKind>()
+            + whole
     }
 }
+
+/// Heap bytes a kind kept whole owns besides itself: its strings.
+fn owned_bytes(kind: &TraceKind) -> usize {
+    match kind {
+        TraceKind::FailModeEntered { switch, .. } | TraceKind::PacketDropped { switch, .. } => {
+            switch.capacity()
+        }
+        TraceKind::Fault { target, what } => target.capacity() + what.capacity(),
+        TraceKind::Marker(text) => text.capacity(),
+        _ => 0,
+    }
+}
+
+/// A place in the stream: a byte offset, the records before it, and the
+/// time of the last of them (which the record at the offset is stored
+/// relative to).
+#[derive(Debug, Default, Clone, Copy)]
+struct Mark {
+    at: usize,
+    count: usize,
+    time: SimTime,
+}
+
+/// Decodes the records from a [`Mark`] on, each as it is reached.
+struct Events<'a> {
+    store: &'a Store,
+    at: usize,
+    time: SimTime,
+    left: usize,
+}
+
+impl Events<'_> {
+    /// The varint at the read position, which it steps past.
+    fn varint(&mut self) -> u64 {
+        let mut n = 0;
+        let mut shift = 0;
+        loop {
+            let b = self.store.bytes[self.at];
+            self.at += 1;
+            n |= u64::from(b & 0x7f) << shift;
+            if b < 0x80 {
+                return n;
+            }
+            shift += 7;
+        }
+    }
+
+    /// The match [`Store::flow`] wrote at the read position.
+    fn flow_match(&mut self) -> Match {
+        let wildcards = Wildcards(self.varint() as u32 ^ Wildcards::ALL.0);
+        let present = self.varint();
+        let mut f = [0; 12];
+        for (i, field) in f.iter_mut().enumerate() {
+            if present >> i & 1 != 0 {
+                *field = self.varint();
+            }
+        }
+        Match {
+            wildcards,
+            in_port: PortNo(f[0] as u16),
+            dl_src: mac_from_bits(f[1]),
+            dl_dst: mac_from_bits(f[2]),
+            dl_vlan: f[3] as u16,
+            dl_vlan_pcp: f[4] as u8,
+            dl_type: f[5] as u16,
+            nw_tos: f[6] as u8,
+            nw_proto: f[7] as u8,
+            nw_src: f[8] as u32,
+            nw_dst: f[9] as u32,
+            tp_src: f[10] as u16,
+            tp_dst: f[11] as u16,
+        }
+    }
+}
+
+impl Iterator for Events<'_> {
+    type Item = TraceEvent;
+
+    fn next(&mut self) -> Option<TraceEvent> {
+        self.left = self.left.checked_sub(1)?;
+        let tag = self.store.bytes[self.at];
+        self.at += 1;
+        self.time = SimTime(self.time.0.wrapping_add(self.varint()));
+        let kind = match Tag::ALL[usize::from(tag & !Tag::TO_SWITCH)] {
+            Tag::ControlMessage => {
+                let conn = ConnId(self.varint() as usize);
+                let len = self.varint() as usize;
+                let of_type = (self.varint() as usize).checked_sub(1);
+                TraceKind::ControlMessage {
+                    conn,
+                    direction: if tag & Tag::TO_SWITCH == 0 {
+                        Direction::SwitchToController
+                    } else {
+                        Direction::ControllerToSwitch
+                    },
+                    of_type: of_type.map(|t| OfType::ALL[t]),
+                    len,
+                }
+            }
+            Tag::ConnectionUp => TraceKind::ConnectionUp {
+                conn: ConnId(self.varint() as usize),
+            },
+            Tag::FlowInstalled => TraceKind::FlowInstalled {
+                switch: self.store.names[self.varint() as usize].clone(),
+                description: self.flow_match().into(),
+            },
+            Tag::FlowEvicted => TraceKind::FlowEvicted {
+                switch: self.store.names[self.varint() as usize].clone(),
+                description: self.flow_match().into(),
+            },
+            Tag::Whole => self.store.whole[self.varint() as usize].clone(),
+        };
+        Some(TraceEvent {
+            time: self.time,
+            kind,
+        })
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        (self.left, Some(self.left))
+    }
+}
+
+impl ExactSizeIterator for Events<'_> {}
 
 /// The simulation's event log plus aggregate control-plane counters.
 #[derive(Debug, Default, Clone)]
 pub struct Trace {
-    records: Vec<Record>,
     store: Store,
-    /// `records[..folded]` are already hashed into `prefix` (see
-    /// [`Trace::checkpoint`]).
-    folded: usize,
+    /// Where the stream ends: its length, the records in it, the time of
+    /// the last one.
+    end: Mark,
+    /// The records before this mark are already hashed into `prefix`
+    /// (see [`Trace::checkpoint`]).
+    folded: Mark,
     prefix: Fnv1a,
     /// Per `(connection, direction, type)` message counts — the paper's
     /// "increased control plane traffic" metric. A `BTreeMap` so every
@@ -593,14 +746,25 @@ impl Trace {
                 .or_insert(0) += 1;
         }
         if self.record_events {
-            let record = self.store.encode(time, kind);
-            self.records.push(record);
+            self.store.push(time.0.wrapping_sub(self.end.time.0), kind);
+            self.end = Mark {
+                at: self.store.bytes.len(),
+                count: self.end.count + 1,
+                time,
+            };
         }
     }
 
     /// All recorded events in time order, each decoded as it is reached.
     pub fn events(&self) -> impl ExactSizeIterator<Item = TraceEvent> + '_ {
-        self.records.iter().map(|r| self.store.decode(r))
+        self.store.events(Mark::default(), self.end)
+    }
+
+    /// Heap bytes the recorded events hold: the stream and its side
+    /// tables (switch names, kinds kept whole), counted as capacities.
+    /// Counters are not included.
+    pub fn stored_bytes(&self) -> usize {
+        self.store.bytes_held()
     }
 
     /// Sets the retention mode. Switching to [`TraceMode::Counters`]
@@ -656,14 +820,12 @@ impl Trace {
         let mut prefix = std::mem::take(&mut self.prefix);
         prefix.events(self.unfolded());
         self.prefix = prefix;
-        self.folded = self.records.len();
+        self.folded = self.end;
     }
 
     /// The events not yet folded into `prefix`, decoded.
-    fn unfolded(&self) -> impl Iterator<Item = TraceEvent> + '_ {
-        self.records[self.folded..]
-            .iter()
-            .map(|r| self.store.decode(r))
+    fn unfolded(&self) -> Events<'_> {
+        self.store.events(self.folded, self.end)
     }
 
     /// Digests the counters alone, skipping per-event records.
@@ -823,9 +985,52 @@ mod tests {
     }
 
     #[test]
-    fn a_stored_record_is_at_most_24_bytes() {
-        // A full trace holds one `Record` per event.
-        assert!(std::mem::size_of::<Record>() <= 24);
+    fn a_control_message_costs_at_most_8_bytes_and_a_ryu_flow_record_24() {
+        let mut t = Trace::new();
+        for i in 0..10_000 {
+            t.push(
+                SimTime(i as u64 * 100_000),
+                TraceKind::ControlMessage {
+                    conn: ConnId(i % 128),
+                    direction: if i % 2 == 0 {
+                        Direction::SwitchToController
+                    } else {
+                        Direction::ControllerToSwitch
+                    },
+                    of_type: Some(OfType::ALL[i % OfType::ALL.len()]),
+                    len: i * 37 % 16_384,
+                },
+            );
+        }
+        assert!(t.store.bytes.len() <= 8 * 10_000, "{}", t.store.bytes.len());
+        assert!(t.stored_bytes() >= t.store.bytes.len());
+
+        // What Ryu installs: exact on in_port, dl_src and dl_dst, here
+        // with MACs that take all 48 bits, a second apart.
+        let mut m = Match::all();
+        m.wildcards = Wildcards(
+            Wildcards::ALL.0 & !(Wildcards::IN_PORT | Wildcards::DL_SRC | Wildcards::DL_DST),
+        );
+        m.in_port = PortNo(3);
+        let mut t = Trace::new();
+        for i in 0..1_000u64 {
+            let mac = |salt: u64| {
+                let [_, _, a, b, c, d, e, f] = (0xfedc_ba98_7654 ^ i ^ salt).to_be_bytes();
+                MacAddr([a, b, c, d, e, f])
+            };
+            m.dl_src = mac(0);
+            m.dl_dst = mac(1 << 40);
+            let before = t.store.bytes.len();
+            t.push(
+                SimTime::from_secs(i),
+                TraceKind::FlowInstalled {
+                    switch: "s1".into(),
+                    description: m.into(),
+                },
+            );
+            assert!(t.store.bytes.len() - before <= 24, "record {i}");
+        }
+        assert_eq!(t.store.names, ["s1"]);
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //! pushed, and the digest to a hash of their rendered text.
 
 use attain_netsim::{ConnId, Direction, SimTime, Trace, TraceEvent, TraceKind};
-use attain_openflow::{FlowKey, Match, OfType, PortNo};
+use attain_openflow::{MacAddr, Match, OfType, PortNo, Wildcards};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 
@@ -64,6 +64,70 @@ fn arb_up_to(max: u64) -> impl Strategy<Value = u64> {
     prop_oneof![0..200u64, 0..=max, Just(max)]
 }
 
+/// Any value of the field's type: zero, small, or anywhere in its range.
+fn arb_field(max: u64) -> impl Strategy<Value = u64> {
+    prop_oneof![Just(0), 0..=max.min(300), 0..=max, Just(max)]
+}
+
+/// Any match: every field any value, and wildcards any `u32` (reserved
+/// bits, address prefix widths past 32, non-zero values under wildcarded
+/// fields).
+fn arb_match() -> impl Strategy<Value = Match> {
+    let mac = || {
+        arb_field(0xffff_ffff_ffff).prop_map(|n| {
+            let [_, _, a, b, c, d, e, f] = n.to_be_bytes();
+            MacAddr([a, b, c, d, e, f])
+        })
+    };
+    let u16_field = || arb_field(u64::from(u16::MAX)).prop_map(|n| n as u16);
+    let u8_field = || arb_field(u64::from(u8::MAX)).prop_map(|n| n as u8);
+    let u32_field = || arb_field(u64::from(u32::MAX)).prop_map(|n| n as u32);
+    (
+        prop_oneof![
+            Just(Wildcards::ALL),
+            Just(Wildcards::NONE),
+            any::<u32>().prop_map(Wildcards),
+        ],
+        (
+            u16_field(),
+            mac(),
+            mac(),
+            u16_field(),
+            u8_field(),
+            u16_field(),
+        ),
+        (
+            u8_field(),
+            u8_field(),
+            u32_field(),
+            u32_field(),
+            u16_field(),
+            u16_field(),
+        ),
+    )
+        .prop_map(
+            |(
+                wildcards,
+                (in_port, dl_src, dl_dst, dl_vlan, dl_vlan_pcp, dl_type),
+                (nw_tos, nw_proto, nw_src, nw_dst, tp_src, tp_dst),
+            )| Match {
+                wildcards,
+                in_port: PortNo(in_port),
+                dl_src,
+                dl_dst,
+                dl_vlan,
+                dl_vlan_pcp,
+                dl_type,
+                nw_tos,
+                nw_proto,
+                nw_src,
+                nw_dst,
+                tp_src,
+                tp_dst,
+            },
+        )
+}
+
 fn arb_kind() -> impl Strategy<Value = TraceKind> {
     const REASONS: [&str; 4] = [
         "fail-secure table miss",
@@ -72,11 +136,7 @@ fn arb_kind() -> impl Strategy<Value = TraceKind> {
         "a \"reason\"\\\n",
     ];
     let of_type = proptest::option::of((0..OfType::ALL.len()).prop_map(|i| OfType::ALL[i]));
-    let description = prop_oneof![
-        Just(Match::all()),
-        Just(Match::from_flow_key(&FlowKey::default())),
-        any::<u16>().prop_map(|p| Match::exact_in_port(PortNo(p))),
-    ];
+    let description = arb_match();
     (
         0..12u8,
         arb_up_to(usize::MAX as u64).prop_map(|n| ConnId(n as usize)),

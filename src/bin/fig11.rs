@@ -156,6 +156,15 @@ fn main() -> ExitCode {
     if let Some(kb) = peak_rss_kb() {
         eprintln!("peak RSS (VmHWM): {kb} kB");
     }
+    // The trace is most of that peak; each run's is freed before the next.
+    let trace_bytes = runs
+        .iter()
+        .flat_map(|(_, b, a)| [b, a])
+        .map(|o| o.trace_bytes);
+    eprintln!(
+        "largest run's trace (Trace::stored_bytes): {} kB",
+        trace_bytes.max().unwrap_or(0) / 1024
+    );
     ExitCode::SUCCESS
 }
 

@@ -257,19 +257,6 @@ impl Expr {
             }),
             Expr::DequeLen(d) => Ok(Value::Int(deques.len(d) as i64)),
             Expr::Not(e) => Ok(Value::Bool(!e.eval_with(msg, deques, timing)?.truthy())),
-            // One pair (every comparison, every two-operand `&&`/`||`) skips
-            // the loop's accumulator, which costs ≈ 10 ns an evaluation.
-            Expr::Bin(first, rest) if rest.len() == 1 => {
-                let (op, b) = &rest[0];
-                let a = first.eval_with(msg, deques, timing)?;
-                // Short-circuit: the right side is not evaluated (and so
-                // cannot fail a capability check) once the left decides.
-                match op {
-                    BinOp::And if !a.truthy() => Ok(Value::Bool(false)),
-                    BinOp::Or if a.truthy() => Ok(Value::Bool(true)),
-                    _ => op.apply(&a, &b.eval_with(msg, deques, timing)?),
-                }
-            }
             Expr::Bin(first, rest) => {
                 let mut acc = first.eval_with(msg, deques, timing)?;
                 for (op, b) in rest {

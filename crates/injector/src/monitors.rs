@@ -95,10 +95,8 @@ pub struct RunRecord {
     /// Host wall-clock spent on the run, in milliseconds — the one
     /// field that differs between same-seed runs.
     pub wall_ms: u64,
-    /// Heap bytes the run's trace held at its end
-    /// ([`Trace::stored_bytes`](attain_netsim::Trace::stored_bytes)). A
-    /// forked run's trace starts as a copy of its parent's, so this
-    /// depends on how the run was made, not only on what it did.
+    /// Heap bytes the run's recorded trace occupies at its end
+    /// ([`Trace::stored_bytes`](attain_netsim::Trace::stored_bytes)).
     pub trace_bytes: usize,
 }
 

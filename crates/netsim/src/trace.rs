@@ -563,28 +563,29 @@ impl Store {
         }
     }
 
-    /// Heap bytes held, counted as capacities.
+    /// Heap bytes the records occupy, counted as lengths (see
+    /// [`Trace::stored_bytes`]).
     fn bytes_held(&self) -> usize {
-        let names: usize = self.names.iter().map(String::capacity).sum();
+        let names: usize = self.names.iter().map(String::len).sum();
         let whole: usize = self.whole.iter().map(owned_bytes).sum();
         // Each name's text is held twice: in `names` and as a map key.
-        self.bytes.capacity()
-            + self.names.capacity() * std::mem::size_of::<String>()
+        self.bytes.len()
+            + self.names.len() * std::mem::size_of::<String>()
             + 2 * names
             + self.name_index.len() * std::mem::size_of::<(String, usize)>()
-            + self.whole.capacity() * std::mem::size_of::<TraceKind>()
+            + self.whole.len() * std::mem::size_of::<TraceKind>()
             + whole
     }
 }
 
-/// Heap bytes a kind kept whole owns besides itself: its strings.
+/// Heap bytes a kind kept whole owns besides itself: its strings' text.
 fn owned_bytes(kind: &TraceKind) -> usize {
     match kind {
         TraceKind::FailModeEntered { switch, .. } | TraceKind::PacketDropped { switch, .. } => {
-            switch.capacity()
+            switch.len()
         }
-        TraceKind::Fault { target, what } => target.capacity() + what.capacity(),
-        TraceKind::Marker(text) => text.capacity(),
+        TraceKind::Fault { target, what } => target.len() + what.len(),
+        TraceKind::Marker(text) => text.len(),
         _ => 0,
     }
 }
@@ -760,9 +761,12 @@ impl Trace {
         self.store.events(Mark::default(), self.end)
     }
 
-    /// Heap bytes the recorded events hold: the stream and its side
-    /// tables (switch names, kinds kept whole), counted as capacities.
-    /// Counters are not included.
+    /// Heap bytes the recorded events occupy: the written stream and its
+    /// side tables (switch names, kinds kept whole), counted as lengths.
+    /// It is a lower bound on what the trace keeps resident: spare
+    /// capacity, allocator slack and map nodes are not counted, and
+    /// neither are the counters. A forked trace reads what a fresh run
+    /// of the same events would.
     pub fn stored_bytes(&self) -> usize {
         self.store.bytes_held()
     }
@@ -1003,7 +1007,6 @@ mod tests {
             );
         }
         assert!(t.store.bytes.len() <= 8 * 10_000, "{}", t.store.bytes.len());
-        assert!(t.stored_bytes() >= t.store.bytes.len());
 
         // What Ryu installs: exact on in_port, dl_src and dl_dst, here
         // with MACs that take all 48 bits, a second apart.
@@ -1031,6 +1034,39 @@ mod tests {
             assert!(t.store.bytes.len() - before <= 24, "record {i}");
         }
         assert_eq!(t.store.names, ["s1"]);
+    }
+
+    #[test]
+    fn stored_bytes_counts_the_stream_and_each_side_table_entry() {
+        let mut t = Trace::new();
+        t.push(SimTime(1), TraceKind::ConnectionUp { conn: ConnId(0) });
+        assert_eq!(t.stored_bytes(), t.store.bytes.len());
+
+        // A kind kept whole adds itself and its text; an interned name
+        // adds its text twice (list and map key), once per switch.
+        let text = "a marker that is longer than any record".to_string();
+        let before = t.stored_bytes();
+        t.push(SimTime(2), TraceKind::Marker(text.clone()));
+        let added = t.stored_bytes() - before;
+        assert!(
+            added >= std::mem::size_of::<TraceKind>() + text.len(),
+            "{added}"
+        );
+        let switch = "a-switch-with-a-long-name";
+        let flow = || TraceKind::FlowInstalled {
+            switch: switch.into(),
+            description: Match::all().into(),
+        };
+        let before = t.stored_bytes();
+        t.push(SimTime(3), flow());
+        let first = t.stored_bytes() - before;
+        assert!(first >= 2 * switch.len(), "{first}");
+        let before = t.stored_bytes();
+        t.push(SimTime(4), flow());
+        assert!(t.stored_bytes() - before < switch.len());
+
+        // Lengths, not capacities: a clone (a fork's trace) reads the same.
+        assert_eq!(t.clone().stored_bytes(), t.stored_bytes());
     }
 
     #[test]

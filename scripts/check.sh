@@ -87,8 +87,7 @@ fig11_err=$(mktemp)
 cargo run --release --quiet --bin fig11 2>"$fig11_err" \
   | diff tests/golden/paper/fig11.txt -
 # The trace is most of fig11's memory: the largest run's, a varint byte
-# stream, holds 32 MiB of capacity (fig11 prints it as
-# `Trace::stored_bytes`), of which the pages it has written are resident.
+# stream, holds 19,325 kB (fig11 prints it as `Trace::stored_bytes`).
 # The peak read 22.2-22.3 MiB (73.1 MiB with 24-byte records, 166.7 MiB
 # with an injection-log record per rule match). The ceiling is ~1.25x that.
 fig11_peak_kb=$(sed -nE 's/^peak RSS \(VmHWM\): ([0-9]+) kB$/\1/p' "$fig11_err")

@@ -119,12 +119,10 @@ fn experiments() -> String {
     text.split_whitespace().collect::<Vec<_>>().join(" ")
 }
 
-/// A record with the fields that depend on how the run was made (wall
-/// clock, trace capacity) cleared.
+/// A record with its one nondeterministic field cleared.
 fn timeless(record: &RunRecord) -> RunRecord {
     RunRecord {
         wall_ms: 0,
-        trace_bytes: 0,
         ..record.clone()
     }
 }

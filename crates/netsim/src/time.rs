@@ -1,5 +1,6 @@
 //! Virtual time.
 
+use attain_openflow::write_decimal;
 use std::fmt;
 use std::ops::{Add, AddAssign, Sub};
 
@@ -88,21 +89,6 @@ impl Sub for SimTime {
     }
 }
 
-/// Writes `n` in decimal, as `{}` would, without a `fmt::Formatter`.
-pub(crate) fn write_decimal<W: fmt::Write>(out: &mut W, mut n: u64) -> fmt::Result {
-    let mut buf = [0u8; 20];
-    let mut at = buf.len();
-    loop {
-        at -= 1;
-        buf[at] = b'0' + (n % 10) as u8;
-        n /= 10;
-        if n == 0 {
-            break;
-        }
-    }
-    out.write_str(std::str::from_utf8(&buf[at..]).map_err(|_| fmt::Error)?)
-}
-
 impl SimTime {
     /// Writes the `Display` text into `out`: what `{:.3}s` of
     /// [`SimTime::as_secs_f64`] prints, computed in integers.
@@ -121,9 +107,10 @@ impl SimTime {
         }
         let ms = (ns + 500_000) / 1_000_000;
         write_decimal(out, ms / 1_000)?;
-        let digit = |n: u64| b'0' + (n % 10) as u8;
-        let tail = [b'.', digit(ms / 100), digit(ms / 10), digit(ms), b's'];
-        out.write_str(std::str::from_utf8(&tail).map_err(|_| fmt::Error)?)
+        let digit = |n: u64| char::from(b'0' + (n % 10) as u8);
+        ['.', digit(ms / 100), digit(ms / 10), digit(ms), 's']
+            .into_iter()
+            .try_for_each(|c| out.write_char(c))
     }
 }
 

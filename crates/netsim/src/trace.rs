@@ -29,13 +29,20 @@
 //! port below 128 and both MACs) under 34 s after the record before it, at
 //! most 24. A trace never rewrites its stream: a checkpoint is a byte
 //! offset, a count and the time there.
+//!
+//! [`Trace::digest`] is FNV-1a over each decoded record's rendered text.
+//! An FNV-1a step's XOR changes only the state's low byte, so hashing a
+//! fixed string from any state `h` is `h` times a power of the prime plus
+//! a term that depends only on `h`'s low byte; each fixed piece of the
+//! text is hashed in that one multiply-add, from a 256-entry table built
+//! at compile time, and only numbers, names and matches a byte at a time.
 
 use crate::engine::ConnId;
 use crate::interpose::Direction;
-use crate::time::{write_decimal, SimTime};
-use attain_openflow::{MacAddr, Match, OfType, PortNo, Wildcards};
+use crate::time::SimTime;
+use attain_openflow::{write_decimal, MacAddr, Match, OfType, PortNo, Wildcards};
 use std::collections::BTreeMap;
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 /// A flow match carried by a trace record and rendered only when the
 /// record is displayed or digested — most records never are (a
@@ -58,7 +65,9 @@ impl fmt::Debug for MatchDescription {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         // A rendered match holds nothing `Debug` of a `str` would escape
         // (ASCII alphanumerics and `()=,./:_`), so quoting it is enough.
-        write!(f, "\"{}\"", self.0)
+        f.write_char('"')?;
+        self.0.render(f)?;
+        f.write_char('"')
     }
 }
 
@@ -189,12 +198,13 @@ impl TraceEvent {
     /// call it, the latter with the hasher as `out`. The text is frozen —
     /// the golden digests are hashes of it — and `derive(Debug)` on
     /// [`TraceKind`] is its specification, which the tests compare this
-    /// against. Literals, integers and enum names are written directly;
-    /// strings still go through `Debug` of `str`, so escaping stays std's.
-    fn render<W: fmt::Write>(&self, out: &mut W) -> fmt::Result {
-        out.write_str("[")?;
+    /// against. Every fixed piece of more than one byte is a [`Lit`], which
+    /// the hasher takes in one jump; numbers and the match are written a
+    /// character at a time, and strings still go through `Debug` of `str`,
+    /// so escaping stays std's.
+    fn render<W: Sink>(&self, out: &mut W) -> fmt::Result {
+        out.write_char('[')?;
         self.time.render(out)?;
-        out.write_str("] ")?;
         match &self.kind {
             TraceKind::ControlMessage {
                 conn,
@@ -202,104 +212,101 @@ impl TraceEvent {
                 of_type,
                 len,
             } => {
-                out.write_str("ControlMessage { conn: ")?;
-                conn_id(out, *conn)?;
-                out.write_str(", direction: ")?;
-                out.write_str(direction_name(*direction))?;
-                match of_type {
-                    Some(t) => {
-                        out.write_str(", of_type: Some(")?;
-                        out.write_str(of_type_name(*t))?;
-                        out.write_str("), len: ")?;
-                    }
-                    None => out.write_str(", of_type: None, len: ")?,
-                }
+                out.lit(&CONTROL_MESSAGE)?;
+                write_decimal(out, conn.0 as u64)?;
+                out.lit(match direction {
+                    Direction::SwitchToController => &TO_CONTROLLER_OF_TYPE,
+                    Direction::ControllerToSwitch => &TO_SWITCH_OF_TYPE,
+                })?;
+                out.lit(match of_type {
+                    Some(t) => &SOME_OF_TYPE_LEN[*t as usize],
+                    None => &NONE_LEN,
+                })?;
                 write_decimal(out, *len as u64)?;
-                out.write_str(" }")
+                out.lit(&CLOSE)
             }
             TraceKind::ConnectionUp { conn } => {
-                out.write_str("ConnectionUp { conn: ")?;
-                conn_id(out, *conn)?;
-                out.write_str(" }")
+                out.lit(&CONNECTION_UP)?;
+                write_decimal(out, conn.0 as u64)?;
+                out.lit(&CONN_CLOSE)
             }
             TraceKind::ConnectionDead { conn } => {
-                out.write_str("ConnectionDead { conn: ")?;
-                conn_id(out, *conn)?;
-                out.write_str(" }")
+                out.lit(&CONNECTION_DEAD)?;
+                write_decimal(out, conn.0 as u64)?;
+                out.lit(&CONN_CLOSE)
             }
             TraceKind::FailModeEntered { switch, standalone } => {
-                out.write_str("FailModeEntered { switch: ")?;
+                out.lit(&FAIL_MODE_ENTERED)?;
                 quoted(out, switch)?;
-                out.write_str(if *standalone {
-                    ", standalone: true }"
+                out.lit(if *standalone {
+                    &STANDALONE_TRUE
                 } else {
-                    ", standalone: false }"
+                    &STANDALONE_FALSE
                 })
             }
             TraceKind::FlowInstalled {
                 switch,
                 description,
             } => {
-                out.write_str("FlowInstalled { switch: ")?;
+                out.lit(&FLOW_INSTALLED)?;
                 quoted(out, switch)?;
-                write!(out, ", description: {description:?} }}")
+                out.lit(&DESCRIPTION)?;
+                description.0.render(out)?;
+                out.lit(&DESCRIPTION_CLOSE)
             }
             TraceKind::FlowEvicted {
                 switch,
                 description,
             } => {
-                out.write_str("FlowEvicted { switch: ")?;
+                out.lit(&FLOW_EVICTED)?;
                 quoted(out, switch)?;
-                write!(out, ", description: {description:?} }}")
+                out.lit(&DESCRIPTION)?;
+                description.0.render(out)?;
+                out.lit(&DESCRIPTION_CLOSE)
             }
             TraceKind::PacketDropped { switch, reason } => {
-                out.write_str("PacketDropped { switch: ")?;
+                out.lit(&PACKET_DROPPED)?;
                 quoted(out, switch)?;
-                out.write_str(", reason: ")?;
+                out.lit(&REASON)?;
                 quoted(out, reason)?;
-                out.write_str(" }")
+                out.lit(&CLOSE)
             }
             TraceKind::Fault { target, what } => {
-                out.write_str("Fault { target: ")?;
+                out.lit(&FAULT)?;
                 quoted(out, target)?;
-                out.write_str(", what: ")?;
+                out.lit(&WHAT)?;
                 quoted(out, what)?;
-                out.write_str(" }")
+                out.lit(&CLOSE)
             }
             TraceKind::DecodeFailure { conn, direction } => {
-                out.write_str("DecodeFailure { conn: ")?;
-                conn_id(out, *conn)?;
-                out.write_str(", direction: ")?;
-                out.write_str(direction_name(*direction))?;
-                out.write_str(" }")
+                out.lit(&DECODE_FAILURE)?;
+                write_decimal(out, conn.0 as u64)?;
+                out.lit(match direction {
+                    Direction::SwitchToController => &TO_CONTROLLER_CLOSE,
+                    Direction::ControllerToSwitch => &TO_SWITCH_CLOSE,
+                })
             }
             TraceKind::ConnectionReset { conn, failures } => {
-                out.write_str("ConnectionReset { conn: ")?;
-                conn_id(out, *conn)?;
-                out.write_str(", failures: ")?;
+                out.lit(&CONNECTION_RESET)?;
+                write_decimal(out, conn.0 as u64)?;
+                out.lit(&FAILURES)?;
                 write_decimal(out, u64::from(*failures))?;
-                out.write_str(" }")
+                out.lit(&CLOSE)
             }
             TraceKind::RunHalted { reason, events } => {
-                out.write_str("RunHalted { reason: ")?;
+                out.lit(&RUN_HALTED)?;
                 quoted(out, reason)?;
-                out.write_str(", events: ")?;
+                out.lit(&EVENTS)?;
                 write_decimal(out, *events)?;
-                out.write_str(" }")
+                out.lit(&CLOSE)
             }
             TraceKind::Marker(text) => {
-                out.write_str("Marker(")?;
+                out.lit(&MARKER)?;
                 quoted(out, text)?;
-                out.write_str(")")
+                out.write_char(')')
             }
         }
     }
-}
-
-fn conn_id<W: fmt::Write>(out: &mut W, conn: ConnId) -> fmt::Result {
-    out.write_str("ConnId(")?;
-    write_decimal(out, conn.0 as u64)?;
-    out.write_str(")")
 }
 
 /// `Debug` of a `str`: std's quoting and escaping, not a copy of it.
@@ -307,39 +314,139 @@ fn quoted<W: fmt::Write>(out: &mut W, s: &str) -> fmt::Result {
     write!(out, "{s:?}")
 }
 
-/// `Debug` of a [`Direction`], as a static name.
-fn direction_name(direction: Direction) -> &'static str {
-    match direction {
-        Direction::SwitchToController => "SwitchToController",
-        Direction::ControllerToSwitch => "ControllerToSwitch",
+/// A fixed piece of the trace text, and the jump that hashes it.
+///
+/// The table is a separate static: it holds no pointer, so it needs no
+/// relocation at load and stays in read-only pages that are read in only
+/// when a record of its kind is hashed.
+struct Lit {
+    text: &'static str,
+    jump: &'static Jump,
+}
+
+/// A [`Lit`] of a string literal, its jump computed at compile time.
+macro_rules! lit {
+    ($text:expr) => {
+        Lit {
+            text: $text,
+            jump: &Jump::new($text.as_bytes()),
+        }
+    };
+}
+
+/// What hashing a fixed string does to any FNV-1a state `h`: it takes `h`
+/// to `h * mul + add[h & 0xff]`, mod 2^64.
+///
+/// A step's XOR changes only the state's low byte, and a product's low
+/// byte depends only on its factors' low bytes, so after each step the
+/// state is `h` times a power of the prime plus a term that depends on
+/// nothing of `h` but its low byte. `add` holds that term for each byte.
+struct Jump {
+    mul: u64,
+    add: [u64; 256],
+}
+
+impl Jump {
+    const fn new(bytes: &[u8]) -> Jump {
+        let mut mul = 1u64;
+        let mut i = 0;
+        while i < bytes.len() {
+            mul = mul.wrapping_mul(Fnv1a::PRIME);
+            i += 1;
+        }
+        let mut add = [0; 256];
+        let mut low = 0;
+        while low < 256 {
+            let mut h = low as u64;
+            let mut i = 0;
+            while i < bytes.len() {
+                h = (h ^ bytes[i] as u64).wrapping_mul(Fnv1a::PRIME);
+                i += 1;
+            }
+            add[low] = h.wrapping_sub((low as u64).wrapping_mul(mul));
+            low += 1;
+        }
+        Jump { mul, add }
+    }
+
+    /// The state after hashing the string from `h`.
+    fn apply(&self, h: u64) -> u64 {
+        h.wrapping_mul(self.mul)
+            .wrapping_add(self.add[usize::from(h as u8)])
     }
 }
 
-/// `Debug` of an [`OfType`], as a static name.
-fn of_type_name(t: OfType) -> &'static str {
-    match t {
-        OfType::Hello => "Hello",
-        OfType::Error => "Error",
-        OfType::EchoRequest => "EchoRequest",
-        OfType::EchoReply => "EchoReply",
-        OfType::Vendor => "Vendor",
-        OfType::FeaturesRequest => "FeaturesRequest",
-        OfType::FeaturesReply => "FeaturesReply",
-        OfType::GetConfigRequest => "GetConfigRequest",
-        OfType::GetConfigReply => "GetConfigReply",
-        OfType::SetConfig => "SetConfig",
-        OfType::PacketIn => "PacketIn",
-        OfType::FlowRemoved => "FlowRemoved",
-        OfType::PortStatus => "PortStatus",
-        OfType::PacketOut => "PacketOut",
-        OfType::FlowMod => "FlowMod",
-        OfType::PortMod => "PortMod",
-        OfType::StatsRequest => "StatsRequest",
-        OfType::StatsReply => "StatsReply",
-        OfType::BarrierRequest => "BarrierRequest",
-        OfType::BarrierReply => "BarrierReply",
-        OfType::QueueGetConfigRequest => "QueueGetConfigRequest",
-        OfType::QueueGetConfigReply => "QueueGetConfigReply",
+// The fixed pieces of the format: 49 tables of 2 KiB, 98 KiB in all. A
+// piece of one byte is written as a `char` instead: its jump would cost
+// the step it saves.
+static CONTROL_MESSAGE: Lit = lit!("] ControlMessage { conn: ConnId(");
+static TO_CONTROLLER_OF_TYPE: Lit = lit!("), direction: SwitchToController, of_type: ");
+static TO_SWITCH_OF_TYPE: Lit = lit!("), direction: ControllerToSwitch, of_type: ");
+static NONE_LEN: Lit = lit!("None, len: ");
+static CLOSE: Lit = lit!(" }");
+static CONNECTION_UP: Lit = lit!("] ConnectionUp { conn: ConnId(");
+static CONNECTION_DEAD: Lit = lit!("] ConnectionDead { conn: ConnId(");
+static CONN_CLOSE: Lit = lit!(") }");
+static FAIL_MODE_ENTERED: Lit = lit!("] FailModeEntered { switch: ");
+static STANDALONE_TRUE: Lit = lit!(", standalone: true }");
+static STANDALONE_FALSE: Lit = lit!(", standalone: false }");
+static FLOW_INSTALLED: Lit = lit!("] FlowInstalled { switch: ");
+static FLOW_EVICTED: Lit = lit!("] FlowEvicted { switch: ");
+static DESCRIPTION: Lit = lit!(", description: \"");
+static DESCRIPTION_CLOSE: Lit = lit!("\" }");
+static PACKET_DROPPED: Lit = lit!("] PacketDropped { switch: ");
+static REASON: Lit = lit!(", reason: ");
+static FAULT: Lit = lit!("] Fault { target: ");
+static WHAT: Lit = lit!(", what: ");
+static DECODE_FAILURE: Lit = lit!("] DecodeFailure { conn: ConnId(");
+static TO_CONTROLLER_CLOSE: Lit = lit!("), direction: SwitchToController }");
+static TO_SWITCH_CLOSE: Lit = lit!("), direction: ControllerToSwitch }");
+static CONNECTION_RESET: Lit = lit!("] ConnectionReset { conn: ConnId(");
+static FAILURES: Lit = lit!("), failures: ");
+static RUN_HALTED: Lit = lit!("] RunHalted { reason: ");
+static EVENTS: Lit = lit!(", events: ");
+static MARKER: Lit = lit!("] Marker(");
+
+/// `Some({t:?}), len: ` for each [`OfType`], indexed by its wire value.
+static SOME_OF_TYPE_LEN: [Lit; OfType::ALL.len()] = {
+    macro_rules! some_len {
+        ($($t:ident),*) => { [$(lit!(concat!("Some(", stringify!($t), "), len: "))),*] };
+    }
+    some_len![
+        Hello,
+        Error,
+        EchoRequest,
+        EchoReply,
+        Vendor,
+        FeaturesRequest,
+        FeaturesReply,
+        GetConfigRequest,
+        GetConfigReply,
+        SetConfig,
+        PacketIn,
+        FlowRemoved,
+        PortStatus,
+        PacketOut,
+        FlowMod,
+        PortMod,
+        StatsRequest,
+        StatsReply,
+        BarrierRequest,
+        BarrierReply,
+        QueueGetConfigRequest,
+        QueueGetConfigReply
+    ]
+};
+
+/// Where [`TraceEvent::render`] writes: text, and literals, which a
+/// formatter writes as text and the hasher takes in one jump.
+trait Sink: fmt::Write {
+    fn lit(&mut self, lit: &'static Lit) -> fmt::Result;
+}
+
+impl Sink for fmt::Formatter<'_> {
+    fn lit(&mut self, lit: &'static Lit) -> fmt::Result {
+        self.write_str(lit.text)
     }
 }
 
@@ -389,7 +496,7 @@ impl Fnv1a {
     /// newline.
     fn events(&mut self, events: impl Iterator<Item = TraceEvent>) {
         for e in events {
-            // `Fnv1a::write_str` never fails.
+            // No write into the hasher fails.
             #[allow(clippy::expect_used)]
             e.render(self).expect("the hasher accepts every write");
             self.update(b"\n");
@@ -401,6 +508,20 @@ impl Fnv1a {
 impl fmt::Write for Fnv1a {
     fn write_str(&mut self, s: &str) -> fmt::Result {
         self.update(s.as_bytes());
+        Ok(())
+    }
+
+    fn write_char(&mut self, c: char) -> fmt::Result {
+        self.update(c.encode_utf8(&mut [0; 4]).as_bytes());
+        Ok(())
+    }
+}
+
+/// A literal is hashed in one jump: what hashing its text a byte at a
+/// time would do.
+impl Sink for Fnv1a {
+    fn lit(&mut self, lit: &'static Lit) -> fmt::Result {
+        self.0 = lit.jump.apply(self.0);
         Ok(())
     }
 }
@@ -859,6 +980,7 @@ impl Trace {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn counters_track_control_messages() {
@@ -1034,6 +1156,107 @@ mod tests {
             assert!(t.store.bytes.len() - before <= 24, "record {i}");
         }
         assert_eq!(t.store.names, ["s1"]);
+    }
+
+    /// Text as `trace_render.rs` generates it: empty or up to 12 chars of
+    /// printable ASCII, characters `Debug` escapes, and any scalar value.
+    fn arb_text() -> impl Strategy<Value = String> {
+        let hostile: Vec<char> = "\"\\'\n\0\u{7f}é\u{301}\u{200b}\u{1f600}\u{10ffff}"
+            .chars()
+            .collect();
+        let ch = prop_oneof![
+            (0..hostile.len()).prop_map(move |i| hostile[i]),
+            (0x20u8..0x7f).prop_map(char::from),
+            any::<u32>().prop_map(|c| char::from_u32(c % 0x11_0000).unwrap_or('\u{fffd}')),
+        ];
+        proptest::collection::vec(ch, 0..12).prop_map(String::from_iter)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2_000))]
+
+        #[test]
+        fn a_jump_hashes_its_text_as_steps_a_byte_at_a_time_do(
+            state in prop_oneof![any::<u64>(), 0..256u64, Just(u64::MAX)],
+            text in arb_text(),
+        ) {
+            let mut stepped = Fnv1a(state);
+            stepped.update(text.as_bytes());
+            prop_assert_eq!(Jump::new(text.as_bytes()).apply(state), stepped.0);
+        }
+    }
+
+    /// What a render hands its sink: literals, with their text's length,
+    /// and bytes written as text.
+    #[derive(Default)]
+    struct Counting {
+        jumps: usize,
+        jumped_bytes: usize,
+        written_bytes: usize,
+    }
+
+    impl fmt::Write for Counting {
+        fn write_str(&mut self, s: &str) -> fmt::Result {
+            self.written_bytes += s.len();
+            Ok(())
+        }
+    }
+
+    impl Sink for Counting {
+        fn lit(&mut self, lit: &'static Lit) -> fmt::Result {
+            self.jumps += 1;
+            self.jumped_bytes += lit.text.len();
+            Ok(())
+        }
+    }
+
+    /// The hasher's work on a record is a jump per literal and a step per
+    /// written byte. A literal written as text instead fails this.
+    #[test]
+    fn a_control_message_hashes_in_4_jumps_and_15_steps_and_a_ryu_flow_record_3_and_79() {
+        let cost = |kind| {
+            let event = TraceEvent {
+                time: SimTime(123_456_000_000),
+                kind,
+            };
+            let mut sink = Counting::default();
+            event.render(&mut sink).unwrap();
+            assert_eq!(
+                sink.jumped_bytes + sink.written_bytes,
+                event.to_string().len()
+            );
+            (sink.jumps, sink.written_bytes)
+        };
+        // `[123.456s] ControlMessage { conn: ConnId(12), direction:
+        // ControllerToSwitch, of_type: Some(FlowMod), len: 1500 }`
+        let (jumps, written) = cost(TraceKind::ControlMessage {
+            conn: ConnId(12),
+            direction: Direction::ControllerToSwitch,
+            of_type: Some(OfType::FlowMod),
+            len: 1500,
+        });
+        assert!(
+            jumps <= 4 && written <= 15,
+            "{jumps} jumps, {written} bytes"
+        );
+
+        // `[123.456s] FlowInstalled { switch: "s1", description:
+        // "match(in_port=3,dl_src=…,dl_dst=…)" }`: the match is text.
+        let mut m = Match::all();
+        m.wildcards = Wildcards(
+            Wildcards::ALL.0 & !(Wildcards::IN_PORT | Wildcards::DL_SRC | Wildcards::DL_DST),
+        );
+        m.in_port = PortNo(3);
+        m.dl_src = MacAddr([0x02, 0, 0, 0, 0, 0x01]);
+        m.dl_dst = MacAddr([0x02, 0, 0, 0, 0, 0x02]);
+        let (jumps, written) = cost(TraceKind::FlowInstalled {
+            switch: "s1".into(),
+            description: m.into(),
+        });
+        assert!(
+            jumps <= 3 && written <= 79,
+            "{jumps} jumps, {written} bytes"
+        );
     }
 
     #[test]

@@ -79,5 +79,5 @@ pub use messages::{
 pub use r#match::{
     FlowKey, FlowKeyBits, Match, MatchBits, Wildcards, OFP_MATCH_LEN, OFP_VLAN_NONE,
 };
-pub use types::{BufferId, DatapathId, MacAddr, PortNo, Xid};
+pub use types::{write_decimal, BufferId, DatapathId, MacAddr, PortNo, Xid};
 pub use wire::{Reader, Writer};

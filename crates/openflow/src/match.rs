@@ -1,7 +1,7 @@
 //! The OpenFlow 1.0 12-tuple flow match (`ofp_match`) and its wildcards.
 
 use crate::error::CodecError;
-use crate::types::{MacAddr, PortNo};
+use crate::types::{write_decimal, write_hex_byte, MacAddr, PortNo};
 use crate::wire::{Reader, Writer};
 use std::fmt;
 use std::net::Ipv4Addr;
@@ -549,91 +549,88 @@ fn ip_matches(pattern: u32, value: u32, ignored_bits: u32) -> bool {
     (pattern & mask) == (value & mask)
 }
 
+impl Match {
+    /// Writes the `Display` text into `out` a piece at a time, with no
+    /// `fmt::Formatter` in between (trace digests render one match per
+    /// flow record): each concrete field preceded by what separates it
+    /// from the text before it.
+    pub fn render<W: fmt::Write>(&self, out: &mut W) -> fmt::Result {
+        let w = self.wildcards;
+        let mut first = true;
+        let mut field = |out: &mut W, name: &str| {
+            out.write_str(if first { "match(" } else { "," })?;
+            first = false;
+            out.write_str(name)
+        };
+        if !w.has(Wildcards::IN_PORT) {
+            field(out, "in_port=")?;
+            self.in_port.render(out)?;
+        }
+        if !w.has(Wildcards::DL_SRC) {
+            field(out, "dl_src=")?;
+            self.dl_src.render(out)?;
+        }
+        if !w.has(Wildcards::DL_DST) {
+            field(out, "dl_dst=")?;
+            self.dl_dst.render(out)?;
+        }
+        if !w.has(Wildcards::DL_VLAN) {
+            field(out, "dl_vlan=")?;
+            write_decimal(out, self.dl_vlan.into())?;
+        }
+        if !w.has(Wildcards::DL_VLAN_PCP) {
+            field(out, "dl_vlan_pcp=")?;
+            write_decimal(out, self.dl_vlan_pcp.into())?;
+        }
+        if !w.has(Wildcards::DL_TYPE) {
+            field(out, "dl_type=0x")?;
+            let [high, low] = self.dl_type.to_be_bytes();
+            write_hex_byte(out, high)?;
+            write_hex_byte(out, low)?;
+        }
+        if !w.has(Wildcards::NW_TOS) {
+            field(out, "nw_tos=")?;
+            write_decimal(out, self.nw_tos.into())?;
+        }
+        if !w.has(Wildcards::NW_PROTO) {
+            field(out, "nw_proto=")?;
+            write_decimal(out, self.nw_proto.into())?;
+        }
+        if !w.nw_src_all() {
+            field(out, "nw_src=")?;
+            write_prefix(out, self.nw_src, w.nw_src_ignored_bits())?;
+        }
+        if !w.nw_dst_all() {
+            field(out, "nw_dst=")?;
+            write_prefix(out, self.nw_dst, w.nw_dst_ignored_bits())?;
+        }
+        if !w.has(Wildcards::TP_SRC) {
+            field(out, "tp_src=")?;
+            write_decimal(out, self.tp_src.into())?;
+        }
+        if !w.has(Wildcards::TP_DST) {
+            field(out, "tp_dst=")?;
+            write_decimal(out, self.tp_dst.into())?;
+        }
+        out.write_str(if first { "match(any)" } else { ")" })
+    }
+}
+
+/// Writes an address prefix as `{Ipv4Addr}/{length}` would.
+fn write_prefix<W: fmt::Write>(out: &mut W, addr: u32, ignored_bits: u32) -> fmt::Result {
+    for (i, octet) in addr.to_be_bytes().into_iter().enumerate() {
+        if i > 0 {
+            out.write_char('.')?;
+        }
+        write_decimal(out, octet.into())?;
+    }
+    out.write_char('/')?;
+    write_decimal(out, (32 - ignored_bits).into())
+}
+
 impl fmt::Display for Match {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let w = self.wildcards;
-        // Written straight into `f` (trace digests render one match per
-        // flow event): each concrete field is preceded by what separates
-        // it from the text before it.
-        let mut first = true;
-        let mut field = |f: &mut fmt::Formatter<'_>, shown: bool, text: fmt::Arguments<'_>| {
-            if !shown {
-                return Ok(());
-            }
-            f.write_str(if first { "match(" } else { "," })?;
-            first = false;
-            f.write_fmt(text)
-        };
-        let flag = |bit: u32| !w.has(bit);
-        field(
-            f,
-            flag(Wildcards::IN_PORT),
-            format_args!("in_port={}", self.in_port),
-        )?;
-        field(
-            f,
-            flag(Wildcards::DL_SRC),
-            format_args!("dl_src={}", self.dl_src),
-        )?;
-        field(
-            f,
-            flag(Wildcards::DL_DST),
-            format_args!("dl_dst={}", self.dl_dst),
-        )?;
-        field(
-            f,
-            flag(Wildcards::DL_VLAN),
-            format_args!("dl_vlan={}", self.dl_vlan),
-        )?;
-        field(
-            f,
-            flag(Wildcards::DL_VLAN_PCP),
-            format_args!("dl_vlan_pcp={}", self.dl_vlan_pcp),
-        )?;
-        field(
-            f,
-            flag(Wildcards::DL_TYPE),
-            format_args!("dl_type=0x{:04x}", self.dl_type),
-        )?;
-        field(
-            f,
-            flag(Wildcards::NW_TOS),
-            format_args!("nw_tos={}", self.nw_tos),
-        )?;
-        field(
-            f,
-            flag(Wildcards::NW_PROTO),
-            format_args!("nw_proto={}", self.nw_proto),
-        )?;
-        field(
-            f,
-            !w.nw_src_all(),
-            format_args!(
-                "nw_src={}/{}",
-                Ipv4Addr::from(self.nw_src),
-                32 - w.nw_src_ignored_bits()
-            ),
-        )?;
-        field(
-            f,
-            !w.nw_dst_all(),
-            format_args!(
-                "nw_dst={}/{}",
-                Ipv4Addr::from(self.nw_dst),
-                32 - w.nw_dst_ignored_bits()
-            ),
-        )?;
-        field(
-            f,
-            flag(Wildcards::TP_SRC),
-            format_args!("tp_src={}", self.tp_src),
-        )?;
-        field(
-            f,
-            flag(Wildcards::TP_DST),
-            format_args!("tp_dst={}", self.tp_dst),
-        )?;
-        f.write_str(if first { "match(any)" } else { ")" })
+        self.render(f)
     }
 }
 

@@ -36,17 +36,49 @@ impl MacAddr {
     pub fn is_multicast(&self) -> bool {
         self.0[0] & 0x01 != 0
     }
+
+    /// Writes the `Display` text into `out`, a character at a time.
+    pub(crate) fn render<W: fmt::Write>(self, out: &mut W) -> fmt::Result {
+        for (i, b) in self.0.into_iter().enumerate() {
+            if i > 0 {
+                out.write_char(':')?;
+            }
+            write_hex_byte(out, b)?;
+        }
+        Ok(())
+    }
 }
 
 impl fmt::Display for MacAddr {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let b = self.0;
-        write!(
-            f,
-            "{:02x}:{:02x}:{:02x}:{:02x}:{:02x}:{:02x}",
-            b[0], b[1], b[2], b[3], b[4], b[5]
-        )
+        self.render(f)
     }
+}
+
+/// Writes `n` in decimal, as `{}` would, a character at a time and with
+/// no `fmt::Formatter`: the protocol's text forms and a simulation
+/// trace's numbers are written with it.
+pub fn write_decimal<W: fmt::Write>(out: &mut W, mut n: u64) -> fmt::Result {
+    let mut digits = [0u8; 20];
+    let mut at = digits.len();
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
+        }
+    }
+    digits[at..]
+        .iter()
+        .try_for_each(|&digit| out.write_char(char::from(digit)))
+}
+
+/// Writes `b` as two lowercase hex digits, as `{:02x}` would.
+pub(crate) fn write_hex_byte<W: fmt::Write>(out: &mut W, b: u8) -> fmt::Result {
+    const HEX: &[u8; 16] = b"0123456789abcdef";
+    out.write_char(char::from(HEX[usize::from(b >> 4)]))?;
+    out.write_char(char::from(HEX[usize::from(b & 0xf)]))
 }
 
 /// Error returned when parsing a [`MacAddr`] from text fails.
@@ -132,21 +164,27 @@ impl PortNo {
     pub fn is_physical(&self) -> bool {
         *self <= PortNo::MAX && self.0 != 0
     }
+
+    /// Writes the `Display` text into `out`: a reserved port's name, or
+    /// the number.
+    pub(crate) fn render<W: fmt::Write>(self, out: &mut W) -> fmt::Result {
+        match self {
+            PortNo::IN_PORT => out.write_str("IN_PORT"),
+            PortNo::TABLE => out.write_str("TABLE"),
+            PortNo::NORMAL => out.write_str("NORMAL"),
+            PortNo::FLOOD => out.write_str("FLOOD"),
+            PortNo::ALL => out.write_str("ALL"),
+            PortNo::CONTROLLER => out.write_str("CONTROLLER"),
+            PortNo::LOCAL => out.write_str("LOCAL"),
+            PortNo::NONE => out.write_str("NONE"),
+            PortNo(n) => write_decimal(out, n.into()),
+        }
+    }
 }
 
 impl fmt::Display for PortNo {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match *self {
-            PortNo::IN_PORT => write!(f, "IN_PORT"),
-            PortNo::TABLE => write!(f, "TABLE"),
-            PortNo::NORMAL => write!(f, "NORMAL"),
-            PortNo::FLOOD => write!(f, "FLOOD"),
-            PortNo::ALL => write!(f, "ALL"),
-            PortNo::CONTROLLER => write!(f, "CONTROLLER"),
-            PortNo::LOCAL => write!(f, "LOCAL"),
-            PortNo::NONE => write!(f, "NONE"),
-            PortNo(n) => write!(f, "{n}"),
-        }
+        self.render(f)
     }
 }
 

@@ -18,6 +18,7 @@ fn arb_mac() -> impl Strategy<Value = MacAddr> {
 fn arb_port() -> impl Strategy<Value = PortNo> {
     prop_oneof![
         (1u16..=0xff00).prop_map(PortNo),
+        (0xfff8u16..=0xffff).prop_map(PortNo),
         Just(PortNo::FLOOD),
         Just(PortNo::CONTROLLER),
         Just(PortNo::NONE),
@@ -320,6 +321,74 @@ fn arb_message() -> impl Strategy<Value = OfMessage> {
             out_port: PortNo::NONE,
         })),
     ]
+}
+
+/// A port's text as its `Display` first wrote it.
+fn port_text(p: PortNo) -> String {
+    const NAMES: [&str; 8] = [
+        "IN_PORT",
+        "TABLE",
+        "NORMAL",
+        "FLOOD",
+        "ALL",
+        "CONTROLLER",
+        "LOCAL",
+        "NONE",
+    ];
+    match p.0.checked_sub(0xfff8) {
+        Some(i) => NAMES[usize::from(i)].to_string(),
+        None => format!("{}", p.0),
+    }
+}
+
+/// An address's text as its `Display` first wrote it.
+fn mac_text(a: MacAddr) -> String {
+    let b = a.0;
+    format!(
+        "{:02x}:{:02x}:{:02x}:{:02x}:{:02x}:{:02x}",
+        b[0], b[1], b[2], b[3], b[4], b[5]
+    )
+}
+
+/// `Match`'s text as its `Display` first wrote it, through `format_args!`,
+/// `{:02x}` and `Ipv4Addr`'s `Display`: what the hand-written text must
+/// equal byte for byte (trace digests hash it).
+fn formatted(m: &Match) -> String {
+    let w = m.wildcards;
+    let ip =
+        |addr: u32, ignored: u32| format!("{}/{}", std::net::Ipv4Addr::from(addr), 32 - ignored);
+    let flag = |bit: u32| !w.has(bit);
+    let fields = [
+        flag(Wildcards::IN_PORT).then(|| format!("in_port={}", port_text(m.in_port))),
+        flag(Wildcards::DL_SRC).then(|| format!("dl_src={}", mac_text(m.dl_src))),
+        flag(Wildcards::DL_DST).then(|| format!("dl_dst={}", mac_text(m.dl_dst))),
+        flag(Wildcards::DL_VLAN).then(|| format!("dl_vlan={}", m.dl_vlan)),
+        flag(Wildcards::DL_VLAN_PCP).then(|| format!("dl_vlan_pcp={}", m.dl_vlan_pcp)),
+        flag(Wildcards::DL_TYPE).then(|| format!("dl_type=0x{:04x}", m.dl_type)),
+        flag(Wildcards::NW_TOS).then(|| format!("nw_tos={}", m.nw_tos)),
+        flag(Wildcards::NW_PROTO).then(|| format!("nw_proto={}", m.nw_proto)),
+        (!w.nw_src_all()).then(|| format!("nw_src={}", ip(m.nw_src, w.nw_src_ignored_bits()))),
+        (!w.nw_dst_all()).then(|| format!("nw_dst={}", ip(m.nw_dst, w.nw_dst_ignored_bits()))),
+        flag(Wildcards::TP_SRC).then(|| format!("tp_src={}", m.tp_src)),
+        flag(Wildcards::TP_DST).then(|| format!("tp_dst={}", m.tp_dst)),
+    ];
+    let shown: Vec<String> = fields.into_iter().flatten().collect();
+    if shown.is_empty() {
+        "match(any)".to_string()
+    } else {
+        format!("match({})", shown.join(","))
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(2_000))]
+
+    #[test]
+    fn match_text_is_what_the_formatter_wrote(m in arb_match()) {
+        prop_assert_eq!(m.to_string(), formatted(&m));
+        prop_assert_eq!(m.dl_src.to_string(), mac_text(m.dl_src));
+        prop_assert_eq!(m.in_port.to_string(), port_text(m.in_port));
+    }
 }
 
 proptest! {

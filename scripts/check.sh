@@ -71,6 +71,20 @@ for workload in campaign_full ctrl_path table_churn fabric_large; do
   grep -q '"correct": true' <<<"$result"
 done
 
+echo "== the traced ctrl_path run's digest cost (790,105 records; a jump per fixed piece of text)"
+# netsim.trace.digest_ms read 33-36 ms with literals hashed in one
+# multiply-add each, and 131-173 ms when every byte took an FNV-1a step.
+# The ceiling is about 2x the first.
+traced=$(cargo run --release --quiet --offline --manifest-path attain_bench/Cargo.toml \
+  -- --workload ctrl_path --trace 1 | tail -n 1)
+grep -q '"correct": true' <<<"$traced"
+digest_ms=$(sed -nE 's/.*"netsim\.trace\.digest_ms": \{"value": ([0-9]+).*/\1/p' <<<"$traced")
+echo "ctrl_path netsim.trace.digest_ms: ${digest_ms:-unreported} ms"
+if ! [ "${digest_ms:-1000000}" -lt 70 ]; then
+  echo "ctrl_path digest_ms ${digest_ms:-unreported} is unreported or not under the 70 ms ceiling" >&2
+  exit 1
+fi
+
 echo "== §VI-D rule scaling (scan grows with |Φ|, dispatcher stays flat)"
 cargo run --release --bin rule_scalability \
   -- --json target/BENCH_rule_eval_check.json
